@@ -434,9 +434,10 @@ func BenchmarkMeasureFanout(b *testing.B) {
 }
 
 // TestLocalizeBatchAllocRegression pins the fused path's steady-state
-// allocation budget at ≤ 300 allocs per target — the point of the batch
+// allocation budget at ≤ 250 allocs per target — the point of the batch
 // arena and the shared-rasterization reuse (a cold single-target Localize
-// sat at ~1530 allocs before this work). Measured unpaced so the count is
+// sat at ~1530 allocs before this work; the one-pass solver brought the
+// fused path from 291 to 244). Measured unpaced so the count is
 // pure solver work, with one warmup batch so land-mask masters and pool
 // buffers exist before counting starts.
 func TestLocalizeBatchAllocRegression(t *testing.T) {
@@ -460,7 +461,7 @@ func TestLocalizeBatchAllocRegression(t *testing.T) {
 	}
 	res := testing.Benchmark(run)
 	perTarget := res.AllocsPerOp() / int64(len(targets))
-	const maxAllocsPerTarget = 300
+	const maxAllocsPerTarget = 250
 	if perTarget > maxAllocsPerTarget {
 		t.Errorf("fused batch allocates %d allocs/target steady-state, budget is %d",
 			perTarget, maxAllocsPerTarget)
@@ -505,7 +506,15 @@ func localizeFixture(b *testing.B) (*core.Localizer, string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return core.NewLocalizer(d.Prober, sub, core.Config{}), target.Addr
+	loc := core.NewLocalizer(d.Prober, sub, core.Config{})
+	// One untimed localization builds the Localizer's lazy state (the two
+	// land-mask masters, ~600 allocations). Left inside the timed loop it
+	// spread over b.N and moved allocs/op by 1–3 with the machine's speed,
+	// which is what TestLocalizeV2AllocParity compares to the unit.
+	if _, err := loc.Localize(target.Addr); err != nil {
+		b.Fatal(err)
+	}
+	return loc, target.Addr
 }
 
 // BenchmarkLocalize measures one end-to-end localization (50 landmarks,
@@ -591,15 +600,21 @@ func BenchmarkLocalizeWithHints(b *testing.B) {
 // pinned by TestFig1AllocRegression and the CI bench gate). Steady-state
 // benchmark counts are used rather than testing.AllocsPerRun — the
 // solver's sync.Pools make single-shot counts oscillate by ±1.
+//
+// The two sides are compared as exact ratios, not as the whole numbers
+// AllocsPerOp truncates to: pool refills after each collection add a
+// fractional ~0.9 allocs/op to both, so the truncated figures flip between
+// n and n+1 independently whenever the mean sits near a whole number (one
+// run in eight failed that way before this comparison, with identical
+// code on both sides). An allocation really added per call shows as +1.0.
 func TestLocalizeV2AllocParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state benchmark run under -short")
 	}
-	r1 := testing.Benchmark(BenchmarkLocalize)
-	r2 := testing.Benchmark(BenchmarkLocalizeV2)
-	if r2.AllocsPerOp() > r1.AllocsPerOp() {
-		t.Errorf("default-options LocalizeContext allocates %d/op, Localize %d/op — options plumbing must add 0 allocs",
-			r2.AllocsPerOp(), r1.AllocsPerOp())
+	perOp := func(r testing.BenchmarkResult) float64 { return float64(r.MemAllocs) / float64(r.N) }
+	v1, v2 := perOp(testing.Benchmark(BenchmarkLocalize)), perOp(testing.Benchmark(BenchmarkLocalizeV2))
+	if v2-v1 > 0.6 {
+		t.Errorf("default-options LocalizeContext allocates %.2f/op, Localize %.2f/op — options plumbing must add 0 allocs", v2, v1)
 	}
 }
 

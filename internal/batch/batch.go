@@ -526,6 +526,7 @@ func (e *Engine) Stats() Stats {
 	loc := e.provider.CurrentLocalizer()
 	s.Epoch = loc.Survey.Epoch
 	s.LandMasks = loc.LandMasks().Stats()
+	s.Solver = loc.LandMasks().SolverStats()
 	return s
 }
 

@@ -70,6 +70,12 @@ type Stats struct {
 	// share through the one Localizer: masters built (misses), reuses
 	// (hits), and resident masters.
 	LandMasks core.LandMaskStats `json:"land_masks"`
+	// Solver reports what the raster solver's grid passes did, across the
+	// same shared Localizer: passes run, passes whose level walk outran the
+	// fused kernel's top-of-range table (zero on serving configurations —
+	// a nonzero rate is the six-pass cost coming back), solves that traced
+	// the coarse pass after all, and the deepest level walk.
+	Solver core.SolverStats `json:"solver"`
 }
 
 // latWindow is how many recent measurement latencies the quantile window
@@ -143,13 +149,13 @@ func (m *metrics) observe(d time.Duration) {
 
 func (m *metrics) snapshot() Stats {
 	s := Stats{
-		Requests:     m.requests.Load(),
-		CacheHits:    m.hits.Load(),
-		CacheMisses:  m.misses.Load(),
-		Coalesced:    m.coalesced.Load(),
-		Errors:       m.errors.Load(),
-		Degraded:     m.degraded.Load(),
-		InFlight:     m.inFlight.Load(),
+		Requests:      m.requests.Load(),
+		CacheHits:     m.hits.Load(),
+		CacheMisses:   m.misses.Load(),
+		Coalesced:     m.coalesced.Load(),
+		Errors:        m.errors.Load(),
+		Degraded:      m.degraded.Load(),
+		InFlight:      m.inFlight.Load(),
 		FusedGroups:   m.fusedGroups.Load(),
 		FusedTargets:  m.fusedTargets.Load(),
 		PeerHits:      m.peerHits.Load(),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,7 +11,7 @@ import (
 
 // The §2.5 ocean/land mask is a fixed input: the same coarse landmass
 // polygons, projected once per survey, rasterized at whatever cell size
-// the solver is using. Before this cache existed every solveOnGrid call
+// the solver is using. Before this cache existed every solver pass
 // re-rasterized the polygons from scratch — twice per localization
 // (coarse + fine pass) and once more for every target in a batch, all
 // producing near-identical masks.
@@ -39,14 +40,22 @@ type maskKey struct {
 	minX, minY, maxX, maxY float64
 }
 
-// maskEntry is one rasterized master. The mask covers [minX, minX+w·cell)
-// × [minY, minY+h·cell) row-major; once built it is immutable.
+// maskEntry is one rasterized master; once built it is immutable.
 type maskEntry struct {
-	once       sync.Once
-	minX, minY float64
-	w, h       int
-	mask       []bool
-	lastUse    uint64
+	once    sync.Once
+	lat     geo.MaskLattice
+	lastUse uint64
+}
+
+// landKey is the cell-size-independent part of a maskKey, remembered for
+// the region set it was computed from. Land outlines are projected once
+// per survey and handed to every solve as the same slice of the same
+// regions, so fingerprinting the set again on each lookup (a walk over
+// every vertex) bought nothing.
+type landKey struct {
+	regions []*geo.Region // the set fingerprinted, compared by identity
+	key     maskKey       // cellKm unset
+	ok      bool
 }
 
 // LandMaskCache caches rasterized land masks across solver passes and
@@ -60,6 +69,8 @@ type LandMaskCache struct {
 	tick    uint64
 	hits    atomic.Uint64
 	misses  atomic.Uint64
+	lastKey atomic.Pointer[landKey]
+	solver  solverCounters
 }
 
 // NewLandMaskCache returns an empty cache retaining up to 16 masters.
@@ -86,9 +97,80 @@ func (c *LandMaskCache) Stats() LandMaskStats {
 	return LandMaskStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
 }
 
+// SolverStats counts what the raster solver's passes did, surfaced beside
+// LandMaskStats. The counters ride the LandMaskCache because that is the
+// one piece of state every solve against a Survey already shares.
+type SolverStats struct {
+	// Passes counts grid passes (two per refined solve).
+	Passes uint64 `json:"passes"`
+	// CensusUnderflows counts passes whose level walk outran the fused
+	// kernel's top-of-range table and fell back to a full census. Zero on
+	// serving configurations; a rising count is the slow path coming back.
+	CensusUnderflows uint64 `json:"census_underflows"`
+	// CoarseTraces counts solves that had to trace the coarse pass after
+	// all, because the fine pass was declined or came back empty.
+	CoarseTraces uint64 `json:"coarse_traces"`
+	// MaxWalkDepth is the deepest any level walk went below the top level.
+	MaxWalkDepth uint64 `json:"max_walk_depth"`
+}
+
+type solverCounters struct {
+	passes, underflows, coarseTraces, maxDepth atomic.Uint64
+}
+
+// SolverStats returns the solver counters of every solve that was handed
+// this cache.
+func (c *LandMaskCache) SolverStats() SolverStats {
+	if c == nil {
+		return SolverStats{}
+	}
+	return SolverStats{
+		Passes:           c.solver.passes.Load(),
+		CensusUnderflows: c.solver.underflows.Load(),
+		CoarseTraces:     c.solver.coarseTraces.Load(),
+		MaxWalkDepth:     c.solver.maxDepth.Load(),
+	}
+}
+
+func (c *LandMaskCache) countPass(top geo.TopLevel) {
+	if c == nil {
+		return
+	}
+	c.solver.passes.Add(1)
+	if top.Underflow {
+		c.solver.underflows.Add(1)
+	}
+	for d := uint64(top.Depth); ; {
+		old := c.solver.maxDepth.Load()
+		if d <= old || c.solver.maxDepth.CompareAndSwap(old, d) {
+			return
+		}
+	}
+}
+
+func (c *LandMaskCache) countCoarseTrace() {
+	if c != nil {
+		c.solver.coarseTraces.Add(1)
+	}
+}
+
+// keyFor fingerprints the region set at one cell size through the cache's
+// one-entry memo; ok is false for an empty set.
+func (c *LandMaskCache) keyFor(regions []*geo.Region, cellKm float64) (maskKey, bool) {
+	lk := c.lastKey.Load()
+	if lk == nil || !slices.Equal(lk.regions, regions) {
+		lk = &landKey{regions: slices.Clone(regions)}
+		lk.key, lk.ok = keyFor(regions)
+		c.lastKey.Store(lk)
+	}
+	k := lk.key
+	k.cellKm = cellKm
+	return k, lk.ok
+}
+
 // keyFor fingerprints the region set; ok is false for an empty set.
-func keyFor(regions []*geo.Region, cellKm float64) (maskKey, bool) {
-	k := maskKey{cellKm: cellKm, nRegions: len(regions)}
+func keyFor(regions []*geo.Region) (maskKey, bool) {
+	k := maskKey{nRegions: len(regions)}
 	first := true
 	for _, r := range regions {
 		k.nVerts += r.VertexCount()
@@ -118,10 +200,15 @@ func masterDims(key maskKey) (w, h int) {
 	return w, h
 }
 
-// entryFor returns the built master for (regions, cellKm), creating it on
-// first use. Returns nil when the set is empty or too large to cache.
-func (c *LandMaskCache) entryFor(regions []*geo.Region, cellKm float64) *maskEntry {
-	key, ok := keyFor(regions, cellKm)
+// lattice returns the built master for (regions, cellKm), creating it on
+// first use. Returns nil when the cache is nil or the set is empty or too
+// large to cache — the solver then rasterizes the regions directly onto its
+// grid.
+func (c *LandMaskCache) lattice(regions []*geo.Region, cellKm float64) *geo.MaskLattice {
+	if c == nil {
+		return nil
+	}
+	key, ok := c.keyFor(regions, cellKm)
 	if !ok {
 		return nil
 	}
@@ -148,7 +235,7 @@ func (c *LandMaskCache) entryFor(regions []*geo.Region, cellKm float64) *maskEnt
 	// milliseconds); per-entry Once keeps concurrent first users from
 	// duplicating the work without blocking other keys.
 	e.once.Do(func() { e.build(key, regions) })
-	if e.mask == nil {
+	if e.lat.Cells == nil {
 		// Unbuildable (bounding box too large at this resolution): drop
 		// the entry so it neither occupies LRU capacity nor reads as a
 		// hit while every solve falls back to direct rasterization.
@@ -165,7 +252,7 @@ func (c *LandMaskCache) entryFor(regions []*geo.Region, cellKm float64) *maskEnt
 	} else {
 		c.misses.Add(1)
 	}
-	return e
+	return &e.lat
 }
 
 // evictLocked drops the least-recently-used master. Caller holds c.mu.
@@ -196,7 +283,7 @@ func (e *maskEntry) build(key maskKey, regions []*geo.Region) {
 	for _, r := range regions {
 		g.RasterizeRegionInto(r, mask)
 	}
-	e.minX, e.minY, e.w, e.h, e.mask = minX, minY, w, h, mask
+	e.lat = geo.MaskLattice{MinX: minX, MinY: minY, W: w, H: h, Cells: mask}
 }
 
 // Apply writes excluded into every cell of g whose centre does not fall on
@@ -209,31 +296,32 @@ func (e *maskEntry) build(key maskKey, regions []*geo.Region) {
 // from a direct rasterization by at most the master-cell quantization of
 // the coastline, well inside the deliberate coarseness of the §2.5
 // outlines.
+//
+// The solver itself masks inside geo.Grid.ResolveTop, from the same master
+// with the same arithmetic; Apply is the standalone form the differential
+// oracle and the benchmark's replay rung call.
 func (c *LandMaskCache) Apply(g *geo.Grid, regions []*geo.Region, excluded float64) bool {
-	if c == nil {
-		return false
-	}
-	e := c.entryFor(regions, g.CellKm)
+	e := c.lattice(regions, g.CellKm)
 	if e == nil {
 		return false
 	}
 	invCell := 1 / g.CellKm
 	for y := 0; y < g.H; y++ {
 		cy := g.Min.Y + (float64(y)+0.5)*g.CellKm
-		my := int(math.Floor((cy - e.minY) * invCell))
+		my := int(math.Floor((cy - e.MinY) * invCell))
 		row := g.Weight[y*g.W : (y+1)*g.W]
-		if my < 0 || my >= e.h {
+		if my < 0 || my >= e.H {
 			for x := range row {
 				row[x] = excluded
 			}
 			continue
 		}
-		mrow := e.mask[my*e.w : (my+1)*e.w]
+		mrow := e.Cells[my*e.W : (my+1)*e.W]
 		// (cx-minX)/cell for x=0, advancing by exactly 1 per cell.
-		fx := (g.Min.X - e.minX + 0.5*g.CellKm) * invCell
+		fx := (g.Min.X - e.MinX + 0.5*g.CellKm) * invCell
 		for x := range row {
 			mx := int(math.Floor(fx + float64(x)))
-			if mx < 0 || mx >= e.w || !mrow[mx] {
+			if mx < 0 || mx >= e.W || !mrow[mx] {
 				row[x] = excluded
 			}
 		}

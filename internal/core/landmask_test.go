@@ -306,3 +306,27 @@ func TestSolveSharesLandMasks(t *testing.T) {
 		t.Errorf("second solve should hit the cache: hits %d → %d", after1.Hits, after2.Hits)
 	}
 }
+
+// TestLandKeyMemoTracksRegionSet: the memoized fingerprint is the
+// fingerprint of the set it is asked about — also right after a different
+// set, and after a slice it has seen had an element replaced in place.
+func TestLandKeyMemoTracksRegionSet(t *testing.T) {
+	c := NewLandMaskCache()
+	a := []*geo.Region{maskSquare(0, 0, 10), maskSquare(50, 0, 5)}
+	b := []*geo.Region{maskSquare(100, 100, 20)}
+	check := func(name string, regions []*geo.Region, cellKm float64) {
+		t.Helper()
+		want, wantOK := keyFor(regions)
+		want.cellKm = cellKm
+		if got, ok := c.keyFor(regions, cellKm); got != want || ok != wantOK {
+			t.Errorf("%s: memoized key %+v/%v, direct %+v/%v", name, got, ok, want, wantOK)
+		}
+	}
+	check("first", a, 4)
+	check("same set, other cell size", a, 64)
+	check("other set", b, 4)
+	check("back", a, 4)
+	a[1] = b[0]
+	check("element replaced in place", a, 4)
+	check("empty set", nil, 4)
+}

@@ -77,13 +77,9 @@ type Solution struct {
 // Solve runs the weighted solver over the constraints.
 func Solve(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 	opts.fillDefaults()
-	var positives []Constraint
-	for _, c := range constraints {
-		if c.Kind == Positive && !c.Region.IsEmpty() {
-			positives = append(positives, c)
-		}
-	}
-	if len(positives) == 0 {
+	var buf [128]fill // a localization's hundred-odd constraints, off the heap
+	fills, min, max, ok := prepareFills(buf[:0], constraints)
+	if !ok {
 		return nil, fmt.Errorf("core: no positive constraints to solve")
 	}
 	if opts.Exact {
@@ -96,19 +92,18 @@ func Solve(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 	// masks rasterized at coarse resolution are shared across targets
 	// (each target's constraint extent differs, but the handful of
 	// quantized cell sizes repeat).
-	min, max := constraintExtent(positives)
 	span := math.Max(max.X-min.X, max.Y-min.Y)
 	coarse := quantizeCellKm(span/float64(opts.CoarseCells), opts.FineCellKm)
-	sol := solveOnGrid(constraints, min, max, coarse, opts)
-	if sol.Region.IsEmpty() {
-		return sol, nil
+	cp := solveOnGrid(fills, min, max, coarse, &opts)
+	defer cp.g.Release()
+	if cp.empty() {
+		return cp.solution(), nil
 	}
 	// Pass 2: refine around the coarse answer when it is small enough to
-	// benefit.
-	rmin, rmax, ok := sol.Region.BoundingBox()
-	if !ok {
-		return sol, nil
-	}
+	// benefit. All the fine pass needs from the coarse one is where its
+	// answer lies, so the coarse rings are traced only if they turn out to
+	// be the ones returned.
+	rmin, rmax := cp.g.BoxBounds(cp.top.Box)
 	pad := 4 * coarse
 	rmin = geo.V2(rmin.X-pad, rmin.Y-pad)
 	rmax = geo.V2(rmax.X+pad, rmax.Y+pad)
@@ -117,14 +112,15 @@ func Solve(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 	for (rmax.X-rmin.X)*(rmax.Y-rmin.Y)/(fine*fine) > 1<<20 {
 		fine *= 2
 	}
-	if fine >= coarse {
-		return sol, nil
+	if fine < coarse {
+		fp := solveOnGrid(fills, rmin, rmax, fine, &opts)
+		defer fp.g.Release()
+		if !fp.empty() {
+			return fp.solution(), nil
+		}
 	}
-	refined := solveOnGrid(constraints, rmin, rmax, fine, opts)
-	if refined.Region.IsEmpty() {
-		return sol, nil
-	}
-	return refined, nil
+	opts.Masks.countCoarseTrace()
+	return cp.solution(), nil
 }
 
 // quantizeCellKm snaps a raw cell size to the nearest power-of-two
@@ -162,75 +158,111 @@ func constraintExtent(cs []Constraint) (min, max geo.Vec2) {
 	return min, max
 }
 
-// solveOnGrid accumulates constraint weights on one grid and extracts the
-// best level set exceeding the size threshold.
-func solveOnGrid(constraints []Constraint, min, max geo.Vec2, cellKm float64, opts SolverOpts) *Solution {
-	g := geo.NewGrid(min, max, cellKm)
-	defer g.Release()
-	// Batched fills: each constraint writes two difference entries per
-	// span, and one prefix-sum pass resolves the whole overlay — the
-	// hundred-odd disks mostly cover most of the grid, so per-cell adds
-	// were the solver's dominant write cost.
+// fill is one non-empty constraint ready to rasterize: its signed weight
+// and its bounding box, worked out once per Solve for both passes.
+type fill struct {
+	region *geo.Region
+	weight float64
+	lo, hi geo.Vec2
+}
+
+// prepareFills walks the constraints once: it drops the empty ones, signs
+// the weights, and returns the fills (appended to buf) with the union
+// extent [min, max] of the positive regions. ok is false when no positive
+// constraint is left.
+func prepareFills(buf []fill, constraints []Constraint) (fills []fill, min, max geo.Vec2, ok bool) {
+	fills = buf
 	for _, c := range constraints {
 		if c.Region.IsEmpty() {
 			continue
 		}
+		lo, hi, boxed := c.Region.BoundingBox()
+		if !boxed {
+			continue
+		}
 		switch c.Kind {
 		case Positive:
-			g.AddRegionBatched(c.Region, c.Weight)
+			fills = append(fills, fill{c.Region, c.Weight, lo, hi})
+			if !ok {
+				min, max, ok = lo, hi, true
+				continue
+			}
+			min.X = math.Min(min.X, lo.X)
+			min.Y = math.Min(min.Y, lo.Y)
+			max.X = math.Max(max.X, hi.X)
+			max.Y = math.Max(max.Y, hi.Y)
 		case Negative:
-			g.AddRegionBatched(c.Region, -c.Weight)
+			fills = append(fills, fill{c.Region, -c.Weight, lo, hi})
 		}
 	}
-	g.FlushAdds()
-	const excluded = -math.MaxFloat64
-	if len(opts.LandRegions) > 0 {
-		// Hard mask: zero out everything outside land, resolving land
-		// membership from the shared mask cache when one is available.
-		if !opts.Masks.Apply(g, opts.LandRegions, excluded) {
-			land := make([]bool, g.W*g.H)
-			for _, lr := range opts.LandRegions {
-				g.RasterizeRegionInto(lr, land)
-			}
-			for i := range g.Weight {
-				if !land[i] {
-					g.Weight[i] = excluded
-				}
-			}
-		}
-	}
+	return fills, min, max, ok
+}
 
-	// Union weight levels in descending order until the size threshold.
-	// LevelSets delivers every level's population in one census, replacing
-	// the per-level AreaAtOrAbove rescans of the whole grid.
-	levels, cells := g.LevelSets()
-	if len(levels) == 0 {
-		return &Solution{Region: geo.EmptyRegion(), CellKm: cellKm}
+// gridPass is one solver pass after the fused resolve: the grid, still
+// holding its resolved and masked weights, and the level the walk chose.
+type gridPass struct {
+	g      *geo.Grid
+	cellKm float64 // as requested; g.CellKm may be coarser under NewGrid's cap
+	top    geo.TopLevel
+}
+
+// excluded marks cells ruled out by the hard land mask.
+const excluded = -math.MaxFloat64
+
+// solveOnGrid accumulates constraint weights on one grid and finds the
+// best level set exceeding the size threshold — one pass over the grid
+// (geo.Grid.ResolveTop). Extraction is left to solution, which the coarse
+// pass of a refined solve never needs.
+func solveOnGrid(fills []fill, min, max geo.Vec2, cellKm float64, opts *SolverOpts) gridPass {
+	g := geo.NewGrid(min, max, cellKm)
+	// Batched fills: each constraint writes two difference entries per
+	// span, and the resolve's prefix sum settles the whole overlay — the
+	// hundred-odd disks mostly cover most of the grid, so per-cell adds
+	// were the solver's dominant write cost.
+	for i := range fills {
+		f := &fills[i]
+		g.AddRegionBatchedIn(f.region, f.weight, f.lo, f.hi)
 	}
-	best := levels[0]
+	// Hard mask: rule out everything outside land, resolving land
+	// membership from the shared mask cache when one is available.
+	var land *geo.MaskLattice
+	if len(opts.LandRegions) > 0 {
+		land = opts.Masks.lattice(opts.LandRegions, g.CellKm)
+		if land == nil {
+			// Rasterized onto the grid's own lattice, the mask maps
+			// cell for cell.
+			cells := make([]bool, g.W*g.H)
+			for _, lr := range opts.LandRegions {
+				g.RasterizeRegionInto(lr, cells)
+			}
+			land = &geo.MaskLattice{MinX: g.Min.X, MinY: g.Min.Y, W: g.W, H: g.H, Cells: cells}
+		}
+	}
+	top := g.ResolveTop(land, excluded, opts.MinAreaKm2)
+	opts.Masks.countPass(top)
+	return gridPass{g: g, cellKm: cellKm, top: top}
+}
+
+// empty reports whether the pass's answer holds no cell: nothing on the
+// grid is positive, or the one positive level rounds above every cell.
+func (p *gridPass) empty() bool { return p.top.Best <= 0 || p.top.Cells == 0 }
+
+// solution extracts the pass's answer: the chosen level set traced into a
+// region, and the point estimate. Both read only the level's bounding box.
+func (p *gridPass) solution() *Solution {
+	best := p.top.Best
 	if best <= 0 {
-		return &Solution{Region: geo.EmptyRegion(), CellKm: cellKm}
+		return &Solution{Region: geo.EmptyRegion(), CellKm: p.cellKm}
 	}
-	level := best
-	for i, l := range levels {
-		if l <= 0 {
-			break
-		}
-		level = l
-		if float64(cells[i])*g.CellArea() >= opts.MinAreaKm2 {
-			break
-		}
-	}
-	region := g.Threshold(level)
+	g, box := p.g, p.top.Box
+	region := g.ThresholdIn(p.top.Level, box)
 	// Point estimate from the HIGHEST-weight cells only: the size
 	// threshold grows the reported region (for containment guarantees)
 	// without diluting the point estimate.
 	var sw, sx, sy float64
-	i := 0
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			w := g.Weight[i]
-			i++
+	for y := box.Y0; y <= box.Y1; y++ {
+		for x := box.X0; x <= box.X1; x++ {
+			w := g.Weight[y*g.W+x]
 			if w < best {
 				continue
 			}
@@ -240,11 +272,15 @@ func solveOnGrid(constraints []Constraint, min, max geo.Vec2, cellKm float64, op
 			sy += w * c.Y
 		}
 	}
-	pt := region.Centroid()
+	var pt geo.Vec2
 	if sw > 0 {
 		pt = geo.V2(sx/sw, sy/sw)
+	} else {
+		// best is a quantized level and can round above every raw cell;
+		// with no cell to average, fall back to the region's centroid.
+		pt = region.Centroid()
 	}
-	return &Solution{Region: region, Weight: best, Point: pt, CellKm: cellKm}
+	return &Solution{Region: region, Weight: best, Point: pt, CellKm: p.cellKm}
 }
 
 // solveExact maintains the exact arrangement of constraints as disjoint

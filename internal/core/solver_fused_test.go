@@ -1,0 +1,269 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"octant/internal/geo"
+)
+
+// Synthetic grids for the fused kernel's traps. Constraints are
+// axis-aligned rectangles over a unit-cell grid anchored at the origin, so
+// a test places exact raw weights in chosen cells: a cell covered by one
+// rectangle holds that rectangle's weight exactly, and overlapping
+// rectangles make prefix-sum dust (0.1+0.2 next to a plain 0.3).
+
+// cellRect is a constraint covering cells [x0, x1] × [y0, y1] of a unit
+// grid at the origin; a negative w makes it a negative constraint.
+func cellRect(x0, y0, x1, y1 int, w float64) Constraint {
+	r := geo.Rect(geo.V2(float64(x0)+0.25, float64(y0)+0.25), geo.V2(float64(x1)+0.75, float64(y1)+0.75))
+	if w < 0 {
+		return Constraint{Kind: Negative, Region: r, Weight: -w, Source: "neg"}
+	}
+	return Constraint{Kind: Positive, Region: r, Weight: w, Source: "pos"}
+}
+
+// unitPass checks one pass over a w×h unit grid against the oracle.
+func unitPass(t testing.TB, name string, cs []Constraint, w, h int, opts SolverOpts) geo.TopLevel {
+	t.Helper()
+	return checkPass(t, name, cs, geo.V2(0, 0), geo.V2(float64(w), float64(h)), 1, opts)
+}
+
+func TestFusedTraps(t *testing.T) {
+	// Raw values less than 1e-9 apart on both sides of the 0.9 level: the
+	// low one names the level without clearing it.
+	const below, above = 0.8999999997, 0.9000000002
+	straddle := []Constraint{
+		cellRect(2, 2, 5, 3, below), // 8 cells
+		cellRect(8, 2, 9, 3, above), // 4 cells
+		cellRect(0, 6, 11, 7, 0.5),  // 24 cells
+		cellRect(4, 9, 4, 9, 0.9),   // 1 cell, exactly on the level
+	}
+	for _, area := range []float64{1, 5, 6, 13, 14, 37, 38, 1000} {
+		top := unitPass(t, fmt.Sprintf("straddle/area-%v", area), straddle, 12, 12, SolverOpts{MinAreaKm2: area})
+		if top.Underflow {
+			t.Errorf("straddle/area-%v: four distinct values underflowed the table", area)
+		}
+	}
+
+	// Prefix-sum dust: 0.1+0.2 beside a plain 0.3, and the 0.1 that is
+	// left after the 0.2 ends beside a plain 0.1.
+	dust := []Constraint{
+		cellRect(0, 0, 9, 0, 0.1), cellRect(3, 0, 6, 0, 0.2),
+		cellRect(0, 2, 2, 2, 0.3), cellRect(5, 2, 9, 2, 0.1),
+	}
+	for _, area := range []float64{1, 4, 5, 7, 8, 20} {
+		unitPass(t, fmt.Sprintf("dust/area-%v", area), dust, 10, 4, SolverOpts{MinAreaKm2: area})
+	}
+
+	// The top level rounds above every raw cell. With a lower level under
+	// it the region is that level's and the point falls back to the
+	// region's centroid; alone, the region is empty but keeps the weight.
+	// (Before the fused kernel the fallback centroid was computed on every
+	// pass and thrown away on nearly all of them.)
+	roundsUp := []Constraint{cellRect(2, 2, 4, 4, below), cellRect(6, 6, 8, 7, 0.5)}
+	top := unitPass(t, "rounds-up/with-lower-level", roundsUp, 10, 10, SolverOpts{MinAreaKm2: 3})
+	if top.Best != 0.9 || top.Level != 0.5 || top.Cells != 15 {
+		t.Errorf("rounds-up: walk chose %+v, want best 0.9 and the 0.5 level's 15 cells", top)
+	}
+	top = unitPass(t, "rounds-up/alone", roundsUp[:1], 10, 10, SolverOpts{MinAreaKm2: 1})
+	if top.Best != 0.9 || top.Level != 0.9 || top.Cells != 0 {
+		t.Errorf("rounds-up alone: walk chose %+v, want the 0.9 level with no cell", top)
+	}
+
+	// No positive cell: the negative outweighs the positive everywhere.
+	top = unitPass(t, "no-positive-cell", []Constraint{cellRect(0, 0, 5, 5, 1), cellRect(0, 0, 5, 5, -2)}, 6, 6, SolverOpts{MinAreaKm2: 1})
+	if top.Best > 0 {
+		t.Errorf("no positive cell: best %v", top.Best)
+	}
+
+	// One-cell answer, and an answer on the grid's edge (both corners).
+	unitPass(t, "one-cell", []Constraint{cellRect(0, 0, 7, 7, 0.2), cellRect(3, 4, 3, 4, 0.7)}, 8, 8, SolverOpts{MinAreaKm2: 1})
+	edge := []Constraint{cellRect(0, 0, 7, 7, 0.2), cellRect(0, 0, 1, 0, 0.7), cellRect(6, 7, 7, 7, 0.7)}
+	top = unitPass(t, "grid-edge", edge, 8, 8, SolverOpts{MinAreaKm2: 4})
+	if top.Box != (geo.CellBox{X0: 0, Y0: 0, X1: 7, Y1: 7}) {
+		t.Errorf("grid-edge: box %+v", top.Box)
+	}
+}
+
+// TestFusedLandMaskPaths: the hard mask through a shared cache, through
+// direct rasterization (Masks == nil), and excluding the whole grid.
+func TestFusedLandMaskPaths(t *testing.T) {
+	cs := []Constraint{cellRect(0, 0, 15, 15, 0.3), cellRect(4, 4, 11, 11, 0.4), cellRect(6, 6, 7, 7, 0.2)}
+	land := []*geo.Region{
+		geo.Rect(geo.V2(2.6, 1.3), geo.V2(9.2, 9.9)),
+		geo.Disk(geo.V2(11, 12), 3.3, 24),
+	}
+	offshore := []*geo.Region{geo.Rect(geo.V2(40, 40), geo.V2(50, 50))}
+	for _, area := range []float64{1, 3, 20, 60, 500} {
+		for _, masks := range []*LandMaskCache{nil, NewLandMaskCache()} {
+			name := fmt.Sprintf("area-%v/cache-%v", area, masks != nil)
+			unitPass(t, name, cs, 16, 16, SolverOpts{MinAreaKm2: area, LandRegions: land, Masks: masks})
+			top := unitPass(t, name+"/all-excluded", cs, 16, 16, SolverOpts{MinAreaKm2: area, LandRegions: offshore, Masks: masks})
+			if top.Best > 0 {
+				t.Errorf("%s: all-excluded grid has best %v", name, top.Best)
+			}
+		}
+	}
+	// A grid that is not aligned with the master lattice.
+	checkPass(t, "unaligned", cs, geo.V2(-0.37, 0.81), geo.V2(15.2, 14.9), 1,
+		SolverOpts{MinAreaKm2: 10, LandRegions: land, Masks: NewLandMaskCache()})
+}
+
+// TestFusedUnderflowFallsBack: more distinct values above the answer than
+// the table tracks. The kernel must notice, fall back to the full census,
+// count it, and still agree with the oracle.
+func TestFusedUnderflowFallsBack(t *testing.T) {
+	var cs []Constraint
+	for i := 0; i < 20*20; i++ {
+		cs = append(cs, cellRect(i%20, i/20, i%20, i/20, 1+float64(i)*0.001))
+	}
+	masks := NewLandMaskCache()
+	shallow := unitPass(t, "underflow/shallow", cs, 20, 20, SolverOpts{MinAreaKm2: 50, Masks: masks})
+	if shallow.Underflow || shallow.Depth != 49 {
+		t.Errorf("a 50-level walk fits the table: %+v", shallow)
+	}
+	deep := unitPass(t, "underflow/deep", cs, 20, 20, SolverOpts{MinAreaKm2: 300, Masks: masks})
+	if !deep.Underflow || deep.Depth != 299 {
+		t.Errorf("a 300-level walk must underflow: %+v", deep)
+	}
+	// Out of levels before the threshold, with values untracked.
+	all := unitPass(t, "underflow/exhausted", cs, 20, 20, SolverOpts{MinAreaKm2: 1e6, Masks: masks})
+	if !all.Underflow || all.Cells != 400 {
+		t.Errorf("exhausted walk: %+v", all)
+	}
+	st := masks.SolverStats()
+	if st.Passes != 3 || st.CensusUnderflows != 2 || st.MaxWalkDepth != 399 {
+		t.Errorf("solver stats %+v, want 3 passes, 2 underflows, depth 399", st)
+	}
+}
+
+// TestSolveTracesCoarseLazily drives whole solves through both ways the
+// coarse answer ends up returned — the fine pass declined (coarse already
+// at fine resolution) and the fine pass empty — and through the ordinary
+// refined case, against the eager oracle.
+func TestSolveTracesCoarseLazily(t *testing.T) {
+	masks := NewLandMaskCache()
+	small := []Constraint{
+		{Kind: Positive, Region: disk(0, 0, 100), Weight: 1},
+		{Kind: Positive, Region: disk(150, 0, 100), Weight: 1},
+	}
+	opts := SolverOpts{MinAreaKm2: 100, Masks: masks}
+	got, err := Solve(small, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "fine-declined", got, referenceSolve(small, opts))
+	if st := masks.SolverStats(); st.Passes != 1 || st.CoarseTraces != 1 {
+		t.Errorf("fine pass declined: %+v, want 1 pass and 1 coarse trace", st)
+	}
+
+	// 20 000 km of extent puts the coarse pass on 64 km cells. A coarse
+	// cell centre sits on a fine cell edge, so a strip of land 1 km wide
+	// along a row of coarse centres keeps those cells and misses every
+	// fine centre: the fine pass comes back empty. (The second land region
+	// only anchors the set's bounding box, so that the 64 km master has a
+	// row of centres on the strip too, and the 4 km master has none.)
+	big := []Constraint{
+		{Kind: Positive, Region: geo.Rect(geo.V2(-10000, -10000), geo.V2(10000, 10000)), Weight: 0.5},
+		{Kind: Positive, Region: disk(300, 200, 400), Weight: 1},
+	}
+	cy := -10000 + (math.Floor((200.0+10000)/64)+0.5)*64
+	strip := []*geo.Region{
+		geo.Rect(geo.V2(-10000, cy-0.5), geo.V2(10000, cy+0.5)),
+		geo.Rect(geo.V2(9000, cy+32-64*100), geo.V2(9001, cy+33-64*100)),
+	}
+	masks = NewLandMaskCache()
+	opts = SolverOpts{MinAreaKm2: 100, LandRegions: strip, Masks: masks}
+	got, err = Solve(big, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "fine-empty", got, referenceSolve(big, opts))
+	if got.CellKm != 64 || got.Region.IsEmpty() {
+		t.Errorf("fine-empty: answer at %v km cells, area %v — want the coarse pass's", got.CellKm, got.Region.Area())
+	}
+	if st := masks.SolverStats(); st.Passes != 2 || st.CoarseTraces != 1 {
+		t.Errorf("fine pass empty: %+v, want 2 passes and 1 coarse trace", st)
+	}
+
+	masks = NewLandMaskCache()
+	opts = SolverOpts{MinAreaKm2: 100, Masks: masks}
+	got, err = Solve(big, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "refined", got, referenceSolve(big, opts))
+	if st := masks.SolverStats(); got.CellKm != 4 || st.Passes != 2 || st.CoarseTraces != 0 {
+		t.Errorf("refined: cell %v km, %+v — want the fine answer and no coarse trace", got.CellKm, st)
+	}
+}
+
+// TestNoCensusUnderflowOnBenchWorld: the 16 targets of the benchmark's
+// world under the default configuration never leave the fused kernel's
+// table. A change that silently slides serving traffic back onto the full
+// census fails here.
+func TestNoCensusUnderflowOnBenchWorld(t *testing.T) {
+	loc, targets := fusedFixture(t, 1, 16, 16)
+	for _, target := range targets {
+		if _, err := loc.Localize(target); err != nil {
+			t.Fatalf("%s: %v", target, err)
+		}
+	}
+	st := loc.LandMasks().SolverStats()
+	if st.Passes != 32 || st.CensusUnderflows != 0 || st.CoarseTraces != 0 {
+		t.Errorf("solver stats %+v, want 32 passes, no underflow, no coarse trace", st)
+	}
+	if st.MaxWalkDepth == 0 || st.MaxWalkDepth > 24 {
+		t.Errorf("deepest walk %d levels: the table is sized for a dozen", st.MaxWalkDepth)
+	}
+}
+
+// FuzzFusedCensus builds a small unit grid from the fuzz input — rectangles
+// with weights drawn from a few values plus sub-1e-9 dust, an optional land
+// mask, a random area threshold — and holds the fused pass against the
+// oracle. Input bytes, in order: width, height, threshold, mask kind, then
+// six per rectangle (x0, y0, width, height, weight, dust); with no
+// rectangle every cell gets a value of its own. The seed corpus is
+// testdata/fuzz/FuzzFusedCensus.
+func FuzzFusedCensus(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		w, h := 1+next()%24, 1+next()%24
+		opts := SolverOpts{MinAreaKm2: float64(1 + next()*3)}
+		switch next() % 3 {
+		case 1:
+			opts.LandRegions = []*geo.Region{geo.Rect(geo.V2(1.3, 0.7), geo.V2(float64(w)*0.8, float64(h)*0.9))}
+		case 2:
+			opts.LandRegions = []*geo.Region{geo.Disk(geo.V2(float64(w)/2, float64(h)/2), float64(w+h)/5, 16)}
+			opts.Masks = NewLandMaskCache()
+		}
+		var cs []Constraint
+		if len(data) == 0 {
+			// No rectangles given: one distinct value per cell.
+			for i := 0; i < w*h; i++ {
+				cs = append(cs, cellRect(i%w, i/w, i%w, i/w, 0.5+float64(i%251)*1e-3+float64(i%7)*1e-10))
+			}
+		}
+		for len(data) >= 6 && len(cs) < 600 {
+			x0, y0 := next()%w, next()%h
+			x1, y1 := x0+next()%(w-x0), y0+next()%(h-y0)
+			wb, dust := next(), next()
+			weight := float64(1+wb%10)/10 + float64(dust%8)*1e-10
+			if wb >= 128 {
+				weight = -weight
+			}
+			cs = append(cs, cellRect(x0, y0, x1, y1, weight))
+		}
+		cs = append(cs, cellRect(0, 0, 0, 0, 0.05)) // Solve's contract: one positive
+		unitPass(t, "fuzz", cs, w, h, opts)
+	})
+}

@@ -1,0 +1,224 @@
+package core
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"octant/internal/geo"
+)
+
+// The differential oracle for the fused solver: the six-pass solver body
+// exactly as it ran in production before geo.Grid.ResolveTop replaced it —
+// FlushAdds, LandMaskCache.Apply, LevelSets (two passes), Threshold, the
+// whole-grid centroid walk — and the two-pass driver that traced the
+// coarse pass eagerly. The production solver must agree with it bit for
+// bit: rings, point, weight, and the coarse bounding box the fine pass is
+// placed by.
+
+func referenceSolveOnGrid(constraints []Constraint, min, max geo.Vec2, cellKm float64, opts SolverOpts) *Solution {
+	g := geo.NewGrid(min, max, cellKm)
+	defer g.Release()
+	for _, c := range constraints {
+		if c.Region.IsEmpty() {
+			continue
+		}
+		switch c.Kind {
+		case Positive:
+			g.AddRegionBatched(c.Region, c.Weight)
+		case Negative:
+			g.AddRegionBatched(c.Region, -c.Weight)
+		}
+	}
+	g.FlushAdds()
+	if len(opts.LandRegions) > 0 {
+		if !opts.Masks.Apply(g, opts.LandRegions, excluded) {
+			land := make([]bool, g.W*g.H)
+			for _, lr := range opts.LandRegions {
+				g.RasterizeRegionInto(lr, land)
+			}
+			for i := range g.Weight {
+				if !land[i] {
+					g.Weight[i] = excluded
+				}
+			}
+		}
+	}
+	levels, cells := g.LevelSets()
+	if len(levels) == 0 {
+		return &Solution{Region: geo.EmptyRegion(), CellKm: cellKm}
+	}
+	best := levels[0]
+	if best <= 0 {
+		return &Solution{Region: geo.EmptyRegion(), CellKm: cellKm}
+	}
+	level := best
+	for i, l := range levels {
+		if l <= 0 {
+			break
+		}
+		level = l
+		if float64(cells[i])*g.CellArea() >= opts.MinAreaKm2 {
+			break
+		}
+	}
+	region := g.Threshold(level)
+	var sw, sx, sy float64
+	i := 0
+	for y := 0; y < g.H; y++ {
+		for x := 0; x < g.W; x++ {
+			w := g.Weight[i]
+			i++
+			if w < best {
+				continue
+			}
+			c := g.CellCenter(x, y)
+			sw += w
+			sx += w * c.X
+			sy += w * c.Y
+		}
+	}
+	pt := region.Centroid()
+	if sw > 0 {
+		pt = geo.V2(sx/sw, sy/sw)
+	}
+	return &Solution{Region: region, Weight: best, Point: pt, CellKm: cellKm}
+}
+
+// referenceSolve is the raster half of Solve as it was: coarse pass traced
+// eagerly, fine pass placed by the coarse region's bounding box.
+func referenceSolve(constraints []Constraint, opts SolverOpts) *Solution {
+	opts.fillDefaults()
+	var positives []Constraint
+	for _, c := range constraints {
+		if c.Kind == Positive && !c.Region.IsEmpty() {
+			positives = append(positives, c)
+		}
+	}
+	min, max := constraintExtent(positives)
+	span := math.Max(max.X-min.X, max.Y-min.Y)
+	coarse := quantizeCellKm(span/float64(opts.CoarseCells), opts.FineCellKm)
+	sol := referenceSolveOnGrid(constraints, min, max, coarse, opts)
+	if sol.Region.IsEmpty() {
+		return sol
+	}
+	rmin, rmax, ok := sol.Region.BoundingBox()
+	if !ok {
+		return sol
+	}
+	pad := 4 * coarse
+	rmin = geo.V2(rmin.X-pad, rmin.Y-pad)
+	rmax = geo.V2(rmax.X+pad, rmax.Y+pad)
+	fine := opts.FineCellKm
+	for (rmax.X-rmin.X)*(rmax.Y-rmin.Y)/(fine*fine) > 1<<20 {
+		fine *= 2
+	}
+	if fine >= coarse {
+		return sol
+	}
+	refined := referenceSolveOnGrid(constraints, rmin, rmax, fine, opts)
+	if refined.Region.IsEmpty() {
+		return sol
+	}
+	return refined
+}
+
+// sameSolution asserts bit-identity of everything a Solution carries.
+func sameSolution(t testing.TB, name string, got, want *Solution) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Region.Rings, want.Region.Rings) {
+		t.Errorf("%s: rings differ: %d rings, area %v vs %d rings, area %v", name,
+			len(got.Region.Rings), got.Region.Area(), len(want.Region.Rings), want.Region.Area())
+	}
+	if math.Float64bits(got.Point.X) != math.Float64bits(want.Point.X) ||
+		math.Float64bits(got.Point.Y) != math.Float64bits(want.Point.Y) {
+		t.Errorf("%s: point %v, oracle %v", name, got.Point, want.Point)
+	}
+	if math.Float64bits(got.Weight) != math.Float64bits(want.Weight) {
+		t.Errorf("%s: weight %v, oracle %v", name, got.Weight, want.Weight)
+	}
+	if got.CellKm != want.CellKm {
+		t.Errorf("%s: cell %v km, oracle %v km", name, got.CellKm, want.CellKm)
+	}
+}
+
+// checkPass runs one grid pass through the fused kernel and through the
+// oracle and compares them, including the bounding box a coarse pass would
+// hand the fine one. It returns the fused pass's level read-out.
+func checkPass(t testing.TB, name string, cs []Constraint, min, max geo.Vec2, cellKm float64, opts SolverOpts) geo.TopLevel {
+	t.Helper()
+	opts.fillDefaults()
+	fills, _, _, _ := prepareFills(nil, cs)
+	p := solveOnGrid(fills, min, max, cellKm, &opts)
+	defer p.g.Release()
+	got := p.solution()
+	want := referenceSolveOnGrid(cs, min, max, cellKm, opts)
+	sameSolution(t, name, got, want)
+	wmin, wmax, ok := want.Region.BoundingBox()
+	if boxed := !p.empty(); boxed != ok {
+		t.Errorf("%s: fused pass has a box: %v, oracle region has one: %v", name, boxed, ok)
+	} else if ok {
+		if gmin, gmax := p.g.BoxBounds(p.top.Box); gmin != wmin || gmax != wmax {
+			t.Errorf("%s: box [%v %v], oracle region's [%v %v]", name, gmin, gmax, wmin, wmax)
+		}
+	}
+	return p.top
+}
+
+// TestFusedMatchesOracleOnWorlds: every target of two simulated worlds,
+// under every solver-facing configuration, solved by the fused solver and
+// by the six-pass oracle from the same constraint set.
+func TestFusedMatchesOracleOnWorlds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves 2 worlds × 5 configurations × 16 targets twice")
+	}
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{}},
+		{"min-area-500", Config{MinRegionAreaKm2: 500}},
+		{"min-area-2e6", Config{MinRegionAreaKm2: 2e6}},
+		{"no-oceans", Config{DisableOceans: true}},
+		{"unweighted", Config{Unweighted: true}},
+	}
+	for _, seed := range []uint64{1, 9} {
+		base, targets := fusedFixture(t, seed, 16, 16)
+		for _, tc := range configs {
+			loc := NewLocalizer(base.Prober, base.Survey, tc.cfg)
+			cfg := tc.cfg
+			cfg.fillDefaults()
+			sopts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, Masks: loc.LandMasks()}
+			if !cfg.DisableOceans {
+				sopts.LandRegions = loc.projContext().Land
+			}
+			if cfg.Unweighted {
+				sopts.MinAreaKm2 = 1
+			}
+			for _, target := range targets {
+				name := tc.name + "/" + target
+				res, err := loc.Localize(target)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := Solve(res.Constraints, sopts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				// The options above are the ones Localize solved under.
+				if !reflect.DeepEqual(got.Region.Rings, res.Region.Rings) {
+					t.Fatalf("%s: Solve under the reconstructed options differs from Localize's region", name)
+				}
+				sameSolution(t, name, got, referenceSolve(res.Constraints, sopts))
+
+				// And pass by pass, for the coarse bounding box.
+				o := sopts
+				o.fillDefaults()
+				_, min, max, _ := prepareFills(nil, res.Constraints)
+				span := math.Max(max.X-min.X, max.Y-min.Y)
+				coarse := quantizeCellKm(span/float64(o.CoarseCells), o.FineCellKm)
+				checkPass(t, name+"/coarse", res.Constraints, min, max, coarse, sopts)
+			}
+		}
+	}
+}

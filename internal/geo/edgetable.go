@@ -262,6 +262,16 @@ func (g *Grid) forEachSpan(r *Region, fn func(y, x0, x1 int)) {
 	if !ok {
 		return
 	}
+	g.forEachSpanIn(r, min, max, fn)
+}
+
+// forEachSpanIn is forEachSpan given r's bounding box [min, max].
+func (g *Grid) forEachSpanIn(r *Region, min, max Vec2, fn func(y, x0, x1 int)) {
+	// A region wholly left or right of the grid emits no span: emitSpans
+	// clips to cell centres, which sit half a cell inside the grid edge.
+	if max.X < g.Min.X || min.X > g.Min.X+float64(g.W)*g.CellKm {
+		return
+	}
 	y0 := int(math.Floor((min.Y - g.Min.Y) / g.CellKm))
 	y1 := int(math.Ceil((max.Y - g.Min.Y) / g.CellKm))
 	if y0 < 0 {

@@ -23,9 +23,9 @@ type Grid struct {
 	Weight []float64 // W*H weights, row-major (y*W + x)
 
 	// diff is the lazily-created row-difference buffer behind
-	// AddRegionBatched, (W+1)*H entries, returned to the pool by FlushAdds
-	// or Release.
-	diff []float64
+	// AddRegionBatched, (W+1)*H entries, returned to the pool by FlushAdds,
+	// ResolveTop or Release; weightBuf is the pool's handle on Weight.
+	diff, weightBuf *[]float64
 
 	// batchFn is the span callback AddRegionBatched hands to forEachSpan,
 	// built once per grid: the solver overlays ~a hundred constraints per
@@ -38,41 +38,27 @@ type Grid struct {
 }
 
 // weightPool and maskPool recycle the two large per-solve buffers (a 1M-cell
-// fine-pass grid is an 8 MB weight buffer). Both store pointers to slices so
-// Put does not allocate.
+// fine-pass grid is an 8 MB weight buffer). Both store pointers to slices,
+// and a buffer stays behind the pointer it was drawn with, so neither Get
+// nor Put allocates in steady state.
 var (
 	weightPool sync.Pool // *[]float64
 	maskPool   sync.Pool // *[]bool
 )
 
-func getWeightBuf(n int) []float64 {
-	if v := weightPool.Get(); v != nil {
-		buf := *v.(*[]float64)
-		if cap(buf) >= n {
-			buf = buf[:n]
-			clear(buf)
-			return buf
-		}
+// getBuf draws a zeroed buffer of length n from pool.
+func getBuf[T any](pool *sync.Pool, n int) *[]T {
+	p, _ := pool.Get().(*[]T)
+	if p == nil {
+		p = new([]T)
 	}
-	return make([]float64, n)
-}
-
-func getMaskBuf(n int) []bool {
-	if v := maskPool.Get(); v != nil {
-		buf := *v.(*[]bool)
-		if cap(buf) >= n {
-			buf = buf[:n]
-			clear(buf)
-			return buf
-		}
+	if cap(*p) < n {
+		*p = make([]T, n)
+	} else {
+		*p = (*p)[:n]
+		clear(*p)
 	}
-	return make([]bool, n)
-}
-
-func putMaskBuf(buf []bool) {
-	if buf != nil {
-		maskPool.Put(&buf)
-	}
+	return p
 }
 
 // NewGrid creates a grid covering [min, max] with the given cell size.
@@ -101,7 +87,8 @@ func NewGrid(min, max Vec2, cellKm float64) *Grid {
 			h = 1
 		}
 	}
-	return &Grid{Min: min, CellKm: cellKm, W: w, H: h, Weight: getWeightBuf(w * h)}
+	buf := getBuf[float64](&weightPool, w*h)
+	return &Grid{Min: min, CellKm: cellKm, W: w, H: h, Weight: *buf, weightBuf: buf}
 }
 
 // Release returns the grid's weight buffer to the pool. The grid must not
@@ -111,17 +98,28 @@ func (g *Grid) Release() {
 	if g == nil {
 		return
 	}
-	if g.diff != nil {
-		buf := g.diff
-		g.diff = nil
-		weightPool.Put(&buf)
+	g.releaseDiff()
+	if g.weightBuf != nil {
+		weightPool.Put(g.weightBuf)
+		g.weightBuf = nil
 	}
-	if g.Weight == nil {
-		return
-	}
-	buf := g.Weight
 	g.Weight = nil
-	weightPool.Put(&buf)
+}
+
+// releaseDiff returns the difference buffer to the pool.
+func (g *Grid) releaseDiff() {
+	if g.diff != nil {
+		weightPool.Put(g.diff)
+		g.diff = nil
+	}
+}
+
+// batchDiff returns the difference buffer, drawing it on first use.
+func (g *Grid) batchDiff() []float64 {
+	if g.diff == nil {
+		g.diff = getBuf[float64](&weightPool, (g.W+1)*g.H)
+	}
+	return *g.diff
 }
 
 // CellCenter returns the plane coordinate of the centre of cell (x, y).
@@ -206,18 +204,26 @@ func (g *Grid) AddRegion(r *Region, w float64) {
 // most spanning most of the grid, so batching turns its dominant
 // cells×constraints write cost into cells+spans.
 func (g *Grid) AddRegionBatched(r *Region, w float64) {
-	if g.diff == nil {
-		g.diff = getWeightBuf((g.W + 1) * g.H)
+	if min, max, ok := r.BoundingBox(); ok {
+		g.AddRegionBatchedIn(r, w, min, max)
 	}
+}
+
+// AddRegionBatchedIn is AddRegionBatched for a caller that already holds
+// r's bounding box [min, max]: the solver rasterizes every constraint onto
+// two grids, and walking each ring again per grid just to clip the sweep
+// was a measurable slice of a localization.
+func (g *Grid) AddRegionBatchedIn(r *Region, w float64, min, max Vec2) {
+	g.batchDiff()
 	if g.batchFn == nil {
 		g.batchFn = func(y, x0, x1 int) {
-			stride := g.W + 1
-			g.diff[y*stride+x0] += g.batchW
-			g.diff[y*stride+x1+1] -= g.batchW
+			diff, stride := *g.diff, g.W+1
+			diff[y*stride+x0] += g.batchW
+			diff[y*stride+x1+1] -= g.batchW
 		}
 	}
 	g.batchW = w
-	g.forEachSpan(r, g.batchFn)
+	g.forEachSpanIn(r, min, max, g.batchFn)
 }
 
 // FlushAdds applies all AddRegionBatched updates to the weight field and
@@ -226,9 +232,9 @@ func (g *Grid) FlushAdds() {
 	if g.diff == nil {
 		return
 	}
-	stride := g.W + 1
+	diff, stride := *g.diff, g.W+1
 	for y := 0; y < g.H; y++ {
-		drow := g.diff[y*stride : y*stride+g.W] // last diff entry only ends spans
+		drow := diff[y*stride : y*stride+g.W] // last diff entry only ends spans
 		wrow := g.Weight[y*g.W : (y+1)*g.W]
 		run := 0.0
 		for x, d := range drow {
@@ -236,9 +242,7 @@ func (g *Grid) FlushAdds() {
 			wrow[x] += run
 		}
 	}
-	buf := g.diff
-	g.diff = nil
-	weightPool.Put(&buf)
+	g.releaseDiff()
 }
 
 // MaskRegion forces the weight of every cell inside r to the given value
@@ -355,19 +359,36 @@ func quantizeWeight(w float64) float64 {
 // Threshold extracts the region of all cells with weight ≥ level, tracing
 // the cell boundary into properly oriented rings (outer CCW, holes CW).
 func (g *Grid) Threshold(level float64) *Region {
-	inside := getMaskBuf(len(g.Weight))
-	defer putMaskBuf(inside)
+	return g.ThresholdIn(level, g.FullBox())
+}
+
+// ThresholdIn is Threshold for a caller that knows every cell at or above
+// level lies inside box: only the box is scanned and traced. Ring vertices
+// are computed from absolute cell indices and boundary edges are emitted in
+// the same row-major order, so the region is bit-identical to Threshold's.
+func (g *Grid) ThresholdIn(level float64, box CellBox) *Region {
+	if box.Empty() {
+		return EmptyRegion()
+	}
+	bw, bh := box.X1-box.X0+1, box.Y1-box.Y0+1
+	buf := getBuf[bool](&maskPool, bw*bh)
+	defer maskPool.Put(buf)
+	inside := *buf
 	any := false
-	for i, w := range g.Weight {
-		if w >= level {
-			inside[i] = true
-			any = true
+	for y := 0; y < bh; y++ {
+		wrow := g.Weight[(box.Y0+y)*g.W+box.X0:][:bw]
+		irow := inside[y*bw:][:bw]
+		for x, w := range wrow {
+			if w >= level {
+				irow[x] = true
+				any = true
+			}
 		}
 	}
 	if !any {
 		return EmptyRegion()
 	}
-	return g.traceBoundary(inside)
+	return g.traceWindow(inside, box)
 }
 
 // CellArea returns the area of one cell in km².
@@ -406,12 +427,13 @@ func (e edgesByFrom) Less(i, j int) bool { return vkeyLess(e[i].from, e[j].from)
 func (e edgesByFrom) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }
 
 // traceScratch pools the per-trace working set: the directed-edge table,
-// its used bitmap, and the current loop. Rings are retained by the caller
-// and stay off the scratch.
+// its used bitmap, and the current loop as vertex keys and as plane points.
+// Rings are retained by the caller and stay off the scratch.
 type traceScratch struct {
 	edges []dirEdge
 	used  []bool
 	loop  []vkey
+	pts   Ring
 }
 
 var tracePool = sync.Pool{New: func() any { return new(traceScratch) }}
@@ -425,30 +447,40 @@ var tracePool = sync.Pool{New: func() any { return new(traceScratch) }}
 // the solver's allocation profile); tracing consumes them via binary search
 // over the sorted slice plus a used bitmap.
 func (g *Grid) traceBoundary(inside []bool) *Region {
+	return g.traceWindow(inside, g.FullBox())
+}
+
+// traceWindow is traceBoundary for a mask covering only the cells of box
+// (row-major, box-relative); everything outside the box counts as outside.
+// Vertex keys stay absolute grid coordinates, so a window around the same
+// cells traces the same rings as the whole-grid mask.
+func (g *Grid) traceWindow(inside []bool, box CellBox) *Region {
+	bw, bh := box.X1-box.X0+1, box.Y1-box.Y0+1
 	in := func(x, y int) bool {
-		if x < 0 || y < 0 || x >= g.W || y >= g.H {
+		if x < 0 || y < 0 || x >= bw || y >= bh {
 			return false
 		}
-		return inside[y*g.W+x]
+		return inside[y*bw+x]
 	}
 	ts := tracePool.Get().(*traceScratch)
 	defer tracePool.Put(ts)
 	edges := ts.edges[:0]
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			if !in(x, y) {
+	for wy := 0; wy < bh; wy++ {
+		for wx := 0; wx < bw; wx++ {
+			if !in(wx, wy) {
 				continue
 			}
-			if !in(x, y-1) { // bottom edge, rightward
+			x, y := box.X0+wx, box.Y0+wy
+			if !in(wx, wy-1) { // bottom edge, rightward
 				edges = append(edges, dirEdge{vkey{int32(x), int32(y)}, vkey{int32(x + 1), int32(y)}})
 			}
-			if !in(x, y+1) { // top edge, leftward
+			if !in(wx, wy+1) { // top edge, leftward
 				edges = append(edges, dirEdge{vkey{int32(x + 1), int32(y + 1)}, vkey{int32(x), int32(y + 1)}})
 			}
-			if !in(x-1, y) { // left edge, downward
+			if !in(wx-1, wy) { // left edge, downward
 				edges = append(edges, dirEdge{vkey{int32(x), int32(y + 1)}, vkey{int32(x), int32(y)}})
 			}
-			if !in(x+1, y) { // right edge, upward
+			if !in(wx+1, wy) { // right edge, upward
 				edges = append(edges, dirEdge{vkey{int32(x + 1), int32(y)}, vkey{int32(x + 1), int32(y + 1)}})
 			}
 		}
@@ -538,15 +570,15 @@ func (g *Grid) traceBoundary(inside []bool) *Region {
 			}
 		}
 		if len(loop) >= 4 {
-			ring := make(Ring, 0, len(loop))
+			pts := ts.pts[:0]
 			for _, v := range loop {
-				ring = append(ring, Vec2{
+				pts = append(pts, Vec2{
 					X: g.Min.X + float64(v.x)*g.CellKm,
 					Y: g.Min.Y + float64(v.y)*g.CellKm,
 				})
 			}
-			ring = collapseCollinear(ring)
-			if len(ring) >= 3 {
+			ts.pts = pts
+			if ring := collapseCollinear(pts); len(ring) >= 3 {
 				rings = append(rings, ring)
 			}
 		}
@@ -555,12 +587,13 @@ func (g *Grid) traceBoundary(inside []bool) *Region {
 	return &Region{Rings: rings}
 }
 
-// collapseCollinear removes interior vertices that lie on a straight line
-// between their neighbours (axis-aligned grid output produces long runs).
+// collapseCollinear returns a copy of ring without the interior vertices
+// that lie on a straight line between their neighbours (axis-aligned grid
+// output produces long runs).
 func collapseCollinear(ring Ring) Ring {
 	n := len(ring)
 	if n < 3 {
-		return ring
+		return ring.Clone()
 	}
 	out := make(Ring, 0, n)
 	for i := 0; i < n; i++ {
@@ -572,7 +605,7 @@ func collapseCollinear(ring Ring) Ring {
 		}
 	}
 	if len(out) < 3 {
-		return ring
+		return append(out[:0], ring...)
 	}
 	return out
 }
@@ -622,14 +655,14 @@ func rasterBool(a, b *Region, cellKm float64, op func(x, y bool) bool) *Region {
 	max = Vec2{max.X + pad, max.Y + pad}
 	g := NewGrid(min, max, cellKm)
 	defer g.Release()
-	ma := getMaskBuf(g.W * g.H)
-	defer putMaskBuf(ma)
-	mb := getMaskBuf(g.W * g.H)
-	defer putMaskBuf(mb)
+	var bufs [3]*[]bool // a's mask, b's mask, the combination
+	for i := range bufs {
+		bufs[i] = getBuf[bool](&maskPool, g.W*g.H)
+		defer maskPool.Put(bufs[i])
+	}
+	ma, mb, out := *bufs[0], *bufs[1], *bufs[2]
 	g.RasterizeRegionInto(a, ma)
 	g.RasterizeRegionInto(b, mb)
-	out := getMaskBuf(len(ma))
-	defer putMaskBuf(out)
 	any := false
 	for i := range out {
 		if op(ma[i], mb[i]) {

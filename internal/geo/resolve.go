@@ -1,0 +1,302 @@
+package geo
+
+import (
+	"math"
+	"sync"
+)
+
+// The fused post-fill kernel of the §2.4 solver.
+//
+// The solver "unions the highest-weight regions, descending by weight,
+// until the result exceeds a size threshold": it reads the top of the
+// weight field and nothing else. ResolveTop therefore does, in the one row
+// loop that resolves the batched fills, everything the solver needs from
+// the whole grid — prefix sum, land mask, and a census of the top of the
+// weight range — and hands back the chosen level together with the
+// bounding box of its cells, so that tracing and the point estimate touch
+// only that box.
+//
+// The invariant: after the fills, each cell of the grid is read once.
+//
+// Exactness. Levels are quantizeWeight(raw) but a cell belongs to a level
+// when raw >= level, and prefix-sum dust makes raw values less than 1e-9
+// apart genuinely different (a raw 0.8999999999 names the 0.9 level but
+// does not clear it). The census therefore tracks exact raw values and
+// quantizes only at read-out: it keeps the topK largest distinct raw
+// values with their cell counts and cell bounding boxes, and remembers the
+// largest positive value it ever dropped. A level is read off the table
+// only while it lies above both that dropped value and its quantization —
+// then no untracked cell can reach the level and no untracked value can
+// name a level at or above it. When the walk needs a level the table
+// cannot vouch for, ResolveTop falls back to LevelSets on the grid it has
+// just resolved (no refill) and reports the underflow.
+
+// MaskLattice is a rasterized hard mask on its own lattice: cell (mx, my)
+// covers [MinX+mx·c, MinX+(mx+1)·c) × [MinY+my·c, …) for the cell size c of
+// the grid it is applied to, and Cells[my*W+mx] is true where weight is
+// kept. Grids of any origin and extent at that cell size sample it by
+// mapping each cell centre to the lattice cell containing it.
+type MaskLattice struct {
+	MinX, MinY float64
+	W, H       int
+	Cells      []bool
+}
+
+// CellBox is an inclusive rectangle of cell indices, empty when X1 < X0.
+type CellBox struct{ X0, Y0, X1, Y1 int }
+
+// Empty reports whether the box holds no cell.
+func (b CellBox) Empty() bool { return b.X1 < b.X0 || b.Y1 < b.Y0 }
+
+// FullBox is the box of every cell of the grid.
+func (g *Grid) FullBox() CellBox { return CellBox{0, 0, g.W - 1, g.H - 1} }
+
+// BoxBounds returns the plane rectangle box covers, by the expression ring
+// vertices are computed with — so it equals, bit for bit, the bounding box
+// of a region traced from cells that touch all four sides of box.
+func (g *Grid) BoxBounds(box CellBox) (min, max Vec2) {
+	return Vec2{g.Min.X + float64(box.X0)*g.CellKm, g.Min.Y + float64(box.Y0)*g.CellKm},
+		Vec2{g.Min.X + float64(box.X1+1)*g.CellKm, g.Min.Y + float64(box.Y1+1)*g.CellKm}
+}
+
+// TopLevel is what the solver's level walk settles on for one grid.
+type TopLevel struct {
+	// Best is the highest quantized level present; nothing on the grid is
+	// positive when Best <= 0, and the other fields are then unset.
+	Best float64
+	// Level is where the descending walk stopped: the first level whose
+	// cells reach the area threshold, else the lowest positive level.
+	Level float64
+	// Cells counts the cells with raw weight >= Level and Box bounds them.
+	// Cells can be 0: Best may round above every raw weight.
+	Cells int
+	Box   CellBox
+	// Depth is how many levels below Best the walk went.
+	Depth int
+	// Underflow is set when the top-of-range table could not answer and
+	// the level came from a full LevelSets census instead.
+	Underflow bool
+}
+
+// topK is how many distinct raw values the census tracks. Serving grids
+// carry hundreds of levels and the walk stops within a dozen; 96 leaves
+// room for the dust-split duplicates of those levels.
+const topK = 96
+
+type topEntry struct {
+	v              float64
+	cells          int32
+	x0, y0, x1, y1 int32
+}
+
+// topTable is the census: the largest distinct raw run values seen so far,
+// descending.
+type topTable struct {
+	e [topK]topEntry
+	n int
+	// floor is the smallest value a run needs to enter the table: the
+	// smallest positive float while there is room (only positive weights
+	// can matter to the walk), the smallest tracked value once full.
+	floor float64
+	// dropMax is the largest positive value that was refused or evicted.
+	dropMax float64
+}
+
+// add folds the run of value v over cells [x0, x1] of row y into the table.
+// The caller has checked v >= t.floor.
+func (t *topTable) add(v float64, y, x0, x1 int) {
+	lo, hi := 0, t.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.e[mid].v > v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < t.n && t.e[lo].v == v {
+		e := &t.e[lo]
+		e.cells += int32(x1 - x0 + 1)
+		if int32(x0) < e.x0 {
+			e.x0 = int32(x0)
+		}
+		if int32(x1) > e.x1 {
+			e.x1 = int32(x1)
+		}
+		e.y1 = int32(y) // rows ascend
+		return
+	}
+	if t.n == topK {
+		if d := t.e[topK-1].v; d > t.dropMax {
+			t.dropMax = d
+		}
+	} else {
+		t.n++
+	}
+	copy(t.e[lo+1:t.n], t.e[lo:t.n-1])
+	t.e[lo] = topEntry{v: v, cells: int32(x1 - x0 + 1), x0: int32(x0), y0: int32(y), x1: int32(x1), y1: int32(y)}
+	if t.n == topK {
+		t.floor = t.e[topK-1].v
+	}
+}
+
+// walk runs the solver's descending level walk over the table. ok is false
+// when the walk reaches a level the table cannot vouch for.
+func (t *topTable) walk(cellArea, minAreaKm2 float64) (top TopLevel, ok bool) {
+	if t.n == 0 {
+		return TopLevel{}, true
+	}
+	top.Best = quantizeWeight(t.e[0].v)
+	if top.Best <= 0 {
+		return top, true
+	}
+	dropped := t.dropMax > 0
+	dropLevel := quantizeWeight(t.dropMax)
+	top.Box = CellBox{X0: math.MaxInt32, Y0: math.MaxInt32, X1: -1, Y1: -1}
+	depth := -1
+	folded := 0 // entries [0, folded) have v >= the current level
+	last := math.NaN()
+	for k := 0; k < t.n; k++ {
+		l := quantizeWeight(t.e[k].v)
+		if l == last {
+			continue
+		}
+		last = l
+		if l <= 0 {
+			return top, true
+		}
+		if dropped && !(l > t.dropMax && l > dropLevel) {
+			return top, false
+		}
+		depth++
+		top.Level, top.Depth = l, depth
+		for ; folded < t.n && t.e[folded].v >= l; folded++ {
+			e := &t.e[folded]
+			top.Cells += int(e.cells)
+			top.Box.X0 = min(top.Box.X0, int(e.x0))
+			top.Box.Y0 = min(top.Box.Y0, int(e.y0))
+			top.Box.X1 = max(top.Box.X1, int(e.x1))
+			top.Box.Y1 = max(top.Box.Y1, int(e.y1))
+		}
+		if float64(top.Cells)*cellArea >= minAreaKm2 {
+			return top, true
+		}
+	}
+	// Out of tracked values below the threshold: the true end of the walk
+	// only if nothing positive went untracked.
+	return top, !dropped
+}
+
+// colsPool recycles the per-grid master-column map ResolveTop builds.
+var colsPool sync.Pool // *[]int32
+
+// ResolveTop applies the batched fills exactly as FlushAdds does, writes
+// excluded into every cell whose centre is off land (land == nil keeps
+// every cell), and returns the level the solver's walk settles on for the
+// area threshold minAreaKm2, with the bounding box of that level's cells.
+// The grid is left resolved and masked: Threshold, ThresholdIn and
+// LevelSets see the same field the six separate passes produced.
+func (g *Grid) ResolveTop(land *MaskLattice, excluded, minAreaKm2 float64) TopLevel {
+	diff := g.batchDiff()
+	// cols[x] is the lattice column under grid column x, -1 off the
+	// lattice: (cx-MinX)/cell for x = 0, advancing by exactly 1 per cell,
+	// the same arithmetic row by row as the retained mask application.
+	var cols []int32
+	invCell := 1 / g.CellKm
+	if land != nil {
+		buf := getBuf[int32](&colsPool, g.W)
+		defer colsPool.Put(buf)
+		cols = *buf
+		fx := (g.Min.X - land.MinX + 0.5*g.CellKm) * invCell
+		for x := range cols {
+			mx := int(math.Floor(fx + float64(x)))
+			if mx < 0 || mx >= land.W {
+				mx = -1
+			}
+			cols[x] = int32(mx)
+		}
+	}
+
+	t := topTable{floor: math.SmallestNonzeroFloat64}
+	stride := g.W + 1
+	for y := 0; y < g.H; y++ {
+		wrow := g.Weight[y*g.W : (y+1)*g.W]
+		var mrow []bool
+		if land != nil {
+			cy := g.Min.Y + (float64(y)+0.5)*g.CellKm
+			my := int(math.Floor((cy - land.MinY) * invCell))
+			if my < 0 || my >= land.H {
+				for x := range wrow {
+					wrow[x] = excluded
+				}
+				continue
+			}
+			mrow = land.Cells[my*land.W : (my+1)*land.W]
+		}
+		drow := diff[y*stride : y*stride+g.W] // last diff entry only ends spans
+		run := 0.0
+		cur, start := math.NaN(), 0 // the open run of equal weights
+		for x, d := range drow {
+			run += d
+			w := wrow[x] + run
+			if mrow != nil {
+				if m := cols[x]; m < 0 || !mrow[m] {
+					w = excluded
+				}
+			}
+			wrow[x] = w
+			if w != cur {
+				if cur >= t.floor {
+					t.add(cur, y, start, x-1)
+				} else if cur > t.dropMax {
+					t.dropMax = cur
+				}
+				cur, start = w, x
+			}
+		}
+		if cur >= t.floor {
+			t.add(cur, y, start, g.W-1)
+		} else if cur > t.dropMax {
+			t.dropMax = cur
+		}
+	}
+	g.releaseDiff()
+
+	if top, ok := t.walk(g.CellArea(), minAreaKm2); ok {
+		return top
+	}
+	top := g.censusTop(minAreaKm2)
+	top.Underflow = true
+	return top
+}
+
+// censusTop is the level walk over a full LevelSets census of the resolved
+// grid — what ResolveTop falls back to when the walk outruns the table.
+func (g *Grid) censusTop(minAreaKm2 float64) TopLevel {
+	levels, cells := g.LevelSets()
+	top := TopLevel{Best: levels[0]}
+	if top.Best <= 0 {
+		return top
+	}
+	for i, l := range levels {
+		if l <= 0 {
+			break
+		}
+		top.Level, top.Cells, top.Depth = l, cells[i], i
+		if float64(cells[i])*g.CellArea() >= minAreaKm2 {
+			break
+		}
+	}
+	top.Box = CellBox{X0: g.W, Y0: g.H, X1: -1, Y1: -1}
+	for y := 0; y < g.H; y++ {
+		for x, w := range g.Weight[y*g.W : (y+1)*g.W] {
+			if w >= top.Level {
+				top.Box.X0 = min(top.Box.X0, x)
+				top.Box.Y0 = min(top.Box.Y0, y)
+				top.Box.X1 = max(top.Box.X1, x)
+				top.Box.Y1 = max(top.Box.Y1, y)
+			}
+		}
+	}
+	return top
+}

@@ -1,0 +1,155 @@
+package geo
+
+import (
+	"math"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+)
+
+// dustyGrid overlays random rectangles with weights from a few tenths plus
+// sub-1e-9 dust on a w×h unit grid, batched and unresolved.
+func dustyGrid(rng *rand.Rand, w, h, rects int) *Grid {
+	g := NewGrid(V2(0, 0), V2(float64(w), float64(h)), 1)
+	for i := 0; i < rects; i++ {
+		x0, y0 := rng.IntN(w), rng.IntN(h)
+		x1, y1 := x0+rng.IntN(w-x0), y0+rng.IntN(h-y0)
+		weight := float64(1+rng.IntN(9))/10 + float64(rng.IntN(6))*1e-10
+		if rng.IntN(4) == 0 {
+			weight = -weight
+		}
+		g.AddRegionBatched(Rect(V2(float64(x0)+0.25, float64(y0)+0.25), V2(float64(x1)+0.75, float64(y1)+0.75)), weight)
+	}
+	return g
+}
+
+// TestResolveTopMatchesSeparatePasses: the fused kernel against the
+// retained building blocks — FlushAdds, a mask applied cell by cell,
+// LevelSets and the level walk — on random dusty grids, with and without a
+// mask, over thresholds that end the walk at the top, in the middle and
+// past the last level.
+func TestResolveTopMatchesSeparatePasses(t *testing.T) {
+	const excluded = -math.MaxFloat64
+	underflows := 0
+	for seed := uint64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 11))
+		w, h, rects := 1+rng.IntN(40), 1+rng.IntN(40), 1+rng.IntN(200)
+		minArea := float64(1 + rng.IntN(w*h+20))
+		var land *MaskLattice
+		if seed%3 != 0 {
+			// Same cell size, arbitrary offset: every grid cell centre
+			// falls in some lattice cell or off the lattice.
+			land = &MaskLattice{MinX: rng.Float64()*6 - 3, MinY: rng.Float64()*6 - 3, W: 4 + rng.IntN(40), H: 4 + rng.IntN(40)}
+			land.Cells = make([]bool, land.W*land.H)
+			for i := range land.Cells {
+				land.Cells[i] = rng.IntN(5) != 0
+			}
+		}
+
+		fused := dustyGrid(rand.New(rand.NewPCG(seed, 12)), w, h, rects)
+		got := fused.ResolveTop(land, excluded, minArea)
+
+		ref := dustyGrid(rand.New(rand.NewPCG(seed, 12)), w, h, rects)
+		ref.FlushAdds()
+		if land != nil {
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					c := ref.CellCenter(x, y)
+					mx, my := int(math.Floor(c.X-land.MinX)), int(math.Floor(c.Y-land.MinY))
+					if mx < 0 || my < 0 || mx >= land.W || my >= land.H || !land.Cells[my*land.W+mx] {
+						ref.Weight[y*w+x] = excluded
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(fused.Weight, ref.Weight) {
+			t.Fatalf("seed %d: resolved fields differ", seed)
+		}
+		want := ref.censusTop(minArea)
+		if got.Underflow {
+			underflows++
+			got.Underflow = false
+		}
+		if got.Best <= 0 && want.Best <= 0 {
+			continue // nothing positive: the value of Best is unspecified
+		}
+		if got.Cells == 0 {
+			got.Box, want.Box = CellBox{}, CellBox{} // both empty, spelled differently
+		}
+		if got != want {
+			t.Fatalf("seed %d: fused walk %+v, census walk %+v", seed, got, want)
+		}
+		if !reflect.DeepEqual(fused.ThresholdIn(got.Level, got.Box).Rings, ref.Threshold(want.Level).Rings) {
+			t.Fatalf("seed %d: windowed trace differs from the whole-grid trace", seed)
+		}
+	}
+	if underflows == 0 || underflows > 200 {
+		t.Errorf("%d of 300 grids underflowed: the suite should exercise both the table and the fallback", underflows)
+	}
+}
+
+// TestTopTableTrust: the table may only answer for levels no dropped value
+// can reach or name.
+func TestTopTableTrust(t *testing.T) {
+	tbl := topTable{floor: math.SmallestNonzeroFloat64}
+	feed := func(v float64, y int) {
+		if v >= tbl.floor {
+			tbl.add(v, y, y, y)
+		} else if v > tbl.dropMax {
+			tbl.dropMax = v
+		}
+	}
+	// topK+4 distinct values ascending: every insertion past topK evicts
+	// the smallest.
+	val := func(i int) float64 { return 1 + float64(i)*0.01 }
+	for i := 0; i < topK+4; i++ {
+		feed(val(i), i)
+	}
+	feed(0.5, 200)  // refused: below the floor of a full table
+	feed(-3.0, 201) // non-positive values never count as dropped
+	if tbl.n != topK || tbl.floor != val(4) || tbl.dropMax != val(3) {
+		t.Fatalf("n %d floor %v dropMax %v, want %d 1.04 1.03", tbl.n, tbl.floor, tbl.dropMax, topK)
+	}
+	top, ok := tbl.walk(1, 10)
+	if !ok || top.Depth != 9 || top.Cells != 10 || top.Level != quantizeWeight(val(topK-6)) {
+		t.Errorf("10-cell walk: %+v ok %v", top, ok)
+	}
+	if top.Box != (CellBox{X0: topK - 6, Y0: topK - 6, X1: topK + 3, Y1: topK + 3}) {
+		t.Errorf("10-cell walk box %+v", top.Box)
+	}
+	if _, ok := tbl.walk(1, topK); !ok {
+		t.Error("a walk ending on the last tracked level, which is above the dropped one, should be answered")
+	}
+	if _, ok := tbl.walk(1, topK+1); ok {
+		t.Error("a walk past the last tracked level with values dropped must underflow")
+	}
+	// A dropped value within quantization of the lowest tracked level
+	// makes that level untrustworthy: the dropped cell may name it too.
+	tbl.dropMax = val(4) - 2e-10
+	if _, ok := tbl.walk(1, topK); ok {
+		t.Error("lowest level shares its quantum with a dropped value: must underflow")
+	}
+	if _, ok := tbl.walk(1, topK-1); !ok {
+		t.Error("the level above it is still safe")
+	}
+}
+
+// TestBoxBoundsMatchesTracedRegion: the bounding box the coarse pass hands
+// the fine one is the traced region's, bit for bit, at awkward origins.
+func TestBoxBoundsMatchesTracedRegion(t *testing.T) {
+	g := NewGrid(V2(-1234.567, 0.1+0.2), V2(-1000, 333.3), 64.0/3)
+	for _, c := range [][2]int{{0, 0}, {3, 7}, {5, 2}, {g.W - 1, g.H - 1}} {
+		g.Weight[c[1]*g.W+c[0]] = 1
+	}
+	box := g.FullBox()
+	wmin, wmax, _ := g.Threshold(1).BoundingBox()
+	if gmin, gmax := g.BoxBounds(box); gmin != wmin || gmax != wmax {
+		t.Errorf("full box [%v %v], region [%v %v]", gmin, gmax, wmin, wmax)
+	}
+	g.Weight[0], g.Weight[len(g.Weight)-1] = 0, 0
+	box = CellBox{X0: 3, Y0: 2, X1: 5, Y1: 7}
+	wmin, wmax, _ = g.Threshold(1).BoundingBox()
+	if gmin, gmax := g.BoxBounds(box); gmin != wmin || gmax != wmax {
+		t.Errorf("inner box [%v %v], region [%v %v]", gmin, gmax, wmin, wmax)
+	}
+}

@@ -3,8 +3,9 @@
 // through a bounded worker pool while keeping the *results* shaped
 // exactly like the sequential loops it replaces.
 //
-// The solver hot path is sub-millisecond, so end-to-end localization
-// latency is measurement wall-clock: one serialized ping train per
+// The solver takes 2–3 ms per target and a ping train over a real path
+// tens of milliseconds, so end-to-end localization latency is
+// measurement wall-clock: one serialized ping train per
 // landmark, one traceroute per selected landmark, O(k²) pings per survey
 // build. The scheduler overlaps those probes under three rules:
 //

@@ -250,6 +250,12 @@ func TestHealthzAndStats(t *testing.T) {
 	if st.LandMasks.Hits == 0 {
 		t.Error("stats report no land-mask reuse across localizations")
 	}
+	if st.Solver.Passes == 0 || st.Solver.CensusUnderflows != 0 {
+		t.Errorf("solver block %+v: want passes counted and no census underflow", st.Solver)
+	}
+	if !bytes.Contains(rec.Body.Bytes(), []byte(`"solver":{"passes":`)) {
+		t.Errorf("/v1/stats carries no solver block: %s", rec.Body.Bytes())
+	}
 }
 
 // TestReadyzLifecycle verifies readiness flips with draining while
