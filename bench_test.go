@@ -434,12 +434,14 @@ func BenchmarkMeasureFanout(b *testing.B) {
 }
 
 // TestLocalizeBatchAllocRegression pins the fused path's steady-state
-// allocation budget at ≤ 250 allocs per target — the point of the batch
+// allocation budget at ≤ 210 allocs per target — the point of the batch
 // arena and the shared-rasterization reuse (a cold single-target Localize
 // sat at ~1530 allocs before this work; the one-pass solver brought the
-// fused path from 291 to 244). Measured unpaced so the count is
-// pure solver work, with one warmup batch so land-mask masters and pool
-// buffers exist before counting starts.
+// fused path from 291 to 244, per-survey "/neg" source names and the
+// table-free row fills to 199, and the budget is that plus 5 %).
+// Measured unpaced so the count is pure solver work, with one warmup
+// batch so land-mask masters and pool buffers exist before counting
+// starts.
 func TestLocalizeBatchAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state benchmark run under -short")
@@ -461,7 +463,7 @@ func TestLocalizeBatchAllocRegression(t *testing.T) {
 	}
 	res := testing.Benchmark(run)
 	perTarget := res.AllocsPerOp() / int64(len(targets))
-	const maxAllocsPerTarget = 250
+	const maxAllocsPerTarget = 210
 	if perTarget > maxAllocsPerTarget {
 		t.Errorf("fused batch allocates %d allocs/target steady-state, budget is %d",
 			perTarget, maxAllocsPerTarget)

@@ -422,7 +422,7 @@ func (LatencySource) Constraints(ctx context.Context, req *Request) ([]Constrain
 			if cfg.Unweighted {
 				wn = 1
 			}
-			out = append(out, req.disk(Negative, cf, lf, minKm, wn, lm.Name+"/neg"))
+			out = append(out, req.disk(Negative, cf, lf, minKm, wn, req.PCtx.NegSources[i]))
 		}
 	}
 	return out, rep, nil

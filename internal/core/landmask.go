@@ -112,10 +112,13 @@ type SolverStats struct {
 	CoarseTraces uint64 `json:"coarse_traces"`
 	// MaxWalkDepth is the deepest any level walk went below the top level.
 	MaxWalkDepth uint64 `json:"max_walk_depth"`
+	// GeneralFills counts constraints rasterized through the edge table
+	// because their region is not a single two-turn ring. Disks never are.
+	GeneralFills uint64 `json:"general_fills"`
 }
 
 type solverCounters struct {
-	passes, underflows, coarseTraces, maxDepth atomic.Uint64
+	passes, underflows, coarseTraces, maxDepth, generalFills atomic.Uint64
 }
 
 // SolverStats returns the solver counters of every solve that was handed
@@ -129,6 +132,7 @@ func (c *LandMaskCache) SolverStats() SolverStats {
 		CensusUnderflows: c.solver.underflows.Load(),
 		CoarseTraces:     c.solver.coarseTraces.Load(),
 		MaxWalkDepth:     c.solver.maxDepth.Load(),
+		GeneralFills:     c.solver.generalFills.Load(),
 	}
 }
 
@@ -145,6 +149,12 @@ func (c *LandMaskCache) countPass(top geo.TopLevel) {
 		if d <= old || c.solver.maxDepth.CompareAndSwap(old, d) {
 			return
 		}
+	}
+}
+
+func (c *LandMaskCache) countRoute(f *geo.Fill) {
+	if c != nil && f.General() {
+		c.solver.generalFills.Add(1)
 	}
 }
 

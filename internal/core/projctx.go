@@ -32,6 +32,9 @@ type ProjectionContext struct {
 	// scheduler's fan-out source list, materialized once per survey so
 	// the per-request path never rebuilds it.
 	Addrs []string
+	// NegSources[i] is the Source of landmark i's negative latency
+	// constraint, "<name>/neg", spelled once per survey, not per target.
+	NegSources []string
 
 	survey *Survey // identity guard for the Localizer's cache
 }
@@ -46,11 +49,13 @@ func NewProjectionContext(s *Survey) *ProjectionContext {
 		LandmarkFrames: make([]geo.Frame, s.N()),
 		Land:           LandRegions(pr),
 		Addrs:          make([]string, s.N()),
+		NegSources:     make([]string, s.N()),
 		survey:         s,
 	}
 	for i, lm := range s.Landmarks {
 		ctx.LandmarkFrames[i] = geo.NewFrame(lm.Loc)
 		ctx.Addrs[i] = lm.Addr
+		ctx.NegSources[i] = lm.Name + "/neg"
 	}
 	return ctx
 }

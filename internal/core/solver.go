@@ -77,13 +77,16 @@ type Solution struct {
 // Solve runs the weighted solver over the constraints.
 func Solve(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 	opts.fillDefaults()
-	var buf [128]fill // a localization's hundred-odd constraints, off the heap
+	var buf [128]geo.Fill // a localization's hundred-odd constraints, off the heap
 	fills, min, max, ok := prepareFills(buf[:0], constraints)
 	if !ok {
 		return nil, fmt.Errorf("core: no positive constraints to solve")
 	}
 	if opts.Exact {
 		return solveExact(constraints, opts)
+	}
+	for i := range fills {
+		opts.Masks.countRoute(&fills[i])
 	}
 
 	// Pass 1: coarse grid over the union of positive-constraint extents.
@@ -158,42 +161,37 @@ func constraintExtent(cs []Constraint) (min, max geo.Vec2) {
 	return min, max
 }
 
-// fill is one non-empty constraint ready to rasterize: its signed weight
-// and its bounding box, worked out once per Solve for both passes.
-type fill struct {
-	region *geo.Region
-	weight float64
-	lo, hi geo.Vec2
-}
-
 // prepareFills walks the constraints once: it drops the empty ones, signs
 // the weights, and returns the fills (appended to buf) with the union
 // extent [min, max] of the positive regions. ok is false when no positive
 // constraint is left.
-func prepareFills(buf []fill, constraints []Constraint) (fills []fill, min, max geo.Vec2, ok bool) {
+func prepareFills(buf []geo.Fill, constraints []Constraint) (fills []geo.Fill, min, max geo.Vec2, ok bool) {
 	fills = buf
 	for _, c := range constraints {
-		if c.Region.IsEmpty() {
-			continue
-		}
-		lo, hi, boxed := c.Region.BoundingBox()
-		if !boxed {
-			continue
-		}
+		w := c.Weight
 		switch c.Kind {
 		case Positive:
-			fills = append(fills, fill{c.Region, c.Weight, lo, hi})
-			if !ok {
-				min, max, ok = lo, hi, true
-				continue
-			}
-			min.X = math.Min(min.X, lo.X)
-			min.Y = math.Min(min.Y, lo.Y)
-			max.X = math.Max(max.X, hi.X)
-			max.Y = math.Max(max.Y, hi.Y)
 		case Negative:
-			fills = append(fills, fill{c.Region, -c.Weight, lo, hi})
+			w = -w
+		default:
+			continue
 		}
+		f, filled := geo.PrepareFill(c.Region, w)
+		if !filled {
+			continue
+		}
+		fills = append(fills, f)
+		if c.Kind != Positive {
+			continue
+		}
+		if !ok {
+			min, max, ok = f.Min, f.Max, true
+			continue
+		}
+		min.X = math.Min(min.X, f.Min.X)
+		min.Y = math.Min(min.Y, f.Min.Y)
+		max.X = math.Max(max.X, f.Max.X)
+		max.Y = math.Max(max.Y, f.Max.Y)
 	}
 	return fills, min, max, ok
 }
@@ -213,16 +211,8 @@ const excluded = -math.MaxFloat64
 // best level set exceeding the size threshold — one pass over the grid
 // (geo.Grid.ResolveTop). Extraction is left to solution, which the coarse
 // pass of a refined solve never needs.
-func solveOnGrid(fills []fill, min, max geo.Vec2, cellKm float64, opts *SolverOpts) gridPass {
+func solveOnGrid(fills []geo.Fill, min, max geo.Vec2, cellKm float64, opts *SolverOpts) gridPass {
 	g := geo.NewGrid(min, max, cellKm)
-	// Batched fills: each constraint writes two difference entries per
-	// span, and the resolve's prefix sum settles the whole overlay — the
-	// hundred-odd disks mostly cover most of the grid, so per-cell adds
-	// were the solver's dominant write cost.
-	for i := range fills {
-		f := &fills[i]
-		g.AddRegionBatchedIn(f.region, f.weight, f.lo, f.hi)
-	}
 	// Hard mask: rule out everything outside land, resolving land
 	// membership from the shared mask cache when one is available.
 	var land *geo.MaskLattice
@@ -238,7 +228,7 @@ func solveOnGrid(fills []fill, min, max geo.Vec2, cellKm float64, opts *SolverOp
 			land = &geo.MaskLattice{MinX: g.Min.X, MinY: g.Min.Y, W: g.W, H: g.H, Cells: cells}
 		}
 	}
-	top := g.ResolveTop(land, excluded, opts.MinAreaKm2)
+	top := g.ResolveTop(fills, land, excluded, opts.MinAreaKm2)
 	opts.Masks.countPass(top)
 	return gridPass{g: g, cellKm: cellKm, top: top}
 }

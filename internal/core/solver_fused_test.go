@@ -220,6 +220,22 @@ func TestNoCensusUnderflowOnBenchWorld(t *testing.T) {
 	}
 }
 
+// TestNoGeneralFillsOnBenchWorld: every constraint of the benchmark world's
+// 16 targets is a two-turn ring, so the claim that serving traffic never
+// builds an edge table is checked rather than assumed — and a constraint
+// source that starts emitting other shapes shows up here first.
+func TestNoGeneralFillsOnBenchWorld(t *testing.T) {
+	loc, targets := fusedFixture(t, 1, 16, 16)
+	for _, target := range targets {
+		if _, err := loc.Localize(target); err != nil {
+			t.Fatalf("%s: %v", target, err)
+		}
+	}
+	if st := loc.LandMasks().SolverStats(); st.Passes != 32 || st.GeneralFills != 0 {
+		t.Errorf("solver stats %+v, want 32 passes and no general fill", st)
+	}
+}
+
 // FuzzFusedCensus builds a small unit grid from the fuzz input — rectangles
 // with weights drawn from a few values plus sub-1e-9 dust, an optional land
 // mask, a random area threshold — and holds the fused pass against the

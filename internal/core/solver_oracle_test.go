@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -170,17 +171,26 @@ func checkPass(t testing.TB, name string, cs []Constraint, min, max geo.Vec2, ce
 // by the six-pass oracle from the same constraint set.
 func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves 2 worlds × 5 configurations × 16 targets twice")
+		t.Skip("solves 2 worlds × 6 configurations × 16 targets twice")
 	}
+	// A secondary landmark known only as two blobs a continent apart: its
+	// dilation has several rings, so its constraint is one the row kernel
+	// must step through the edge table, between two-cursor disks.
+	blobs := &geo.Region{Rings: []geo.Ring{
+		geo.Disk(geo.V2(-700, 300), 90, 24).Rings[0],
+		geo.Disk(geo.V2(1100, -500), 140, 32).Rings[0],
+	}}
 	configs := []struct {
 		name string
 		cfg  Config
+		opts []LocalizeOption
 	}{
-		{"default", Config{}},
-		{"min-area-500", Config{MinRegionAreaKm2: 500}},
-		{"min-area-2e6", Config{MinRegionAreaKm2: 2e6}},
-		{"no-oceans", Config{DisableOceans: true}},
-		{"unweighted", Config{Unweighted: true}},
+		{"default", Config{}, nil},
+		{"min-area-500", Config{MinRegionAreaKm2: 500}, nil},
+		{"min-area-2e6", Config{MinRegionAreaKm2: 2e6}, nil},
+		{"no-oceans", Config{DisableOceans: true}, nil},
+		{"unweighted", Config{Unweighted: true}, nil},
+		{"secondary", Config{}, []LocalizeOption{WithSecondary(blobs, 12)}},
 	}
 	for _, seed := range []uint64{1, 9} {
 		base, targets := fusedFixture(t, seed, 16, 16)
@@ -197,7 +207,7 @@ func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 			}
 			for _, target := range targets {
 				name := tc.name + "/" + target
-				res, err := loc.Localize(target)
+				res, err := loc.LocalizeContext(context.Background(), target, tc.opts...)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -218,6 +228,9 @@ func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 				span := math.Max(max.X-min.X, max.Y-min.Y)
 				coarse := quantizeCellKm(span/float64(o.CoarseCells), o.FineCellKm)
 				checkPass(t, name+"/coarse", res.Constraints, min, max, coarse, sopts)
+			}
+			if general := loc.LandMasks().SolverStats().GeneralFills; (general > 0) != (tc.opts != nil) {
+				t.Errorf("%s: %d constraints took the edge-table route", tc.name, general)
 			}
 		}
 	}

@@ -2,11 +2,11 @@ package geo
 
 import (
 	"math"
-	"runtime"
 	"sync"
 )
 
-// The active-edge-table scanline engine behind Grid's region fills.
+// The scanline engine behind Grid's region fills: the active edge table, and
+// (Fill, below it) the two-cursor walk for the solver's disks.
 //
 // The naive rasterizer (scanRow, retained as the reference implementation
 // for the equivalence property test) walks every edge of every ring for
@@ -35,17 +35,13 @@ type tableEdge struct {
 	dir    int8 // winding direction: +1 upward (ay < by), -1 downward
 }
 
-// EdgeTable holds a region's edges bucketed by starting grid row, ready
-// for one or more scanline sweeps over rows [y0, y1] of a grid. Buckets
-// use a CSR layout (starts/items) rather than a slice per row, so building
-// a table costs a handful of allocations no matter how many rows it spans.
-// A table is immutable once built; concurrent sweeps over disjoint row
-// ranges share it freely (the row-parallel fill path does exactly that).
+// EdgeTable holds a region's edges bucketed by starting grid row, and the
+// state of one scanline sweep over rows [y0, y1] of a grid. Buckets use a
+// CSR layout (starts/items) rather than a slice per row, so building a
+// table costs a handful of allocations no matter how many rows it spans.
 //
-// Tables are drawn from a sync.Pool: a localization rasterizes a hundred-odd
-// constraint rings per solver pass, and before pooling those per-fill table
-// buffers were the dominant allocation of the whole pipeline. release
-// returns a table (and the build scratch it carries) for reuse.
+// Tables are drawn from a sync.Pool, so that a fill's buffers (build and
+// sweep scratch included) are reused by the next; release returns one.
 type EdgeTable struct {
 	edges  []tableEdge
 	starts []int32 // CSR offsets into items, len rows+1
@@ -54,12 +50,15 @@ type EdgeTable struct {
 
 	rowOf []int32 // build scratch: first eligible row per edge
 	next  []int32 // build scratch: counting-sort placement cursor
+
+	active []int32    // sweep state: edges admitted and not yet retired
+	cross  []crossing // sweep scratch: the current row's crossings
 }
 
 var edgeTablePool = sync.Pool{New: func() any { return new(EdgeTable) }}
 
 // release returns the table's buffers to the pool. The caller must not use
-// the table afterwards; sweeps (including parallel workers) must be done.
+// the table afterwards.
 func (t *EdgeTable) release() { edgeTablePool.Put(t) }
 
 // resize32 reslices s to length n, reallocating only when capacity falls
@@ -71,12 +70,6 @@ func resize32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// bucket returns the edges first eligible at row y.
-func (t *EdgeTable) bucket(y int) []int32 {
-	bi := y - t.y0
-	return t.items[t.starts[bi]:t.starts[bi+1]]
-}
-
 // newEdgeTable buckets the edges of r for sweeps over grid rows [y0, y1].
 // Bucket rows are conservative (an edge may enter its bucket a row early);
 // the sweep re-checks the exact crossing predicate every row, so the
@@ -84,7 +77,7 @@ func (t *EdgeTable) bucket(y int) []int32 {
 func newEdgeTable(r *Region, g *Grid, y0, y1 int) *EdgeTable {
 	t := edgeTablePool.Get().(*EdgeTable)
 	t.y0, t.y1 = y0, y1
-	t.edges = t.edges[:0]
+	t.edges, t.active = t.edges[:0], t.active[:0]
 	rowOf := t.rowOf[:0] // first eligible row per edge, relative to y0
 	inv := 1 / g.CellKm
 	for _, ring := range r.Rings {
@@ -141,61 +134,44 @@ func newEdgeTable(r *Region, g *Grid, y0, y1 int) *EdgeTable {
 	return t
 }
 
-// sweep scans rows r0..r1 (a sub-range of the table's [y0, y1]), invoking
-// fn(y, x0, x1) for every maximal run of row-y cells whose centres lie
-// inside the region. Rows ascend; the active list admits edges from their
-// buckets and retires them once the scanline passes their upper end.
-func (t *EdgeTable) sweep(g *Grid, r0, r1 int, fn func(y, x0, x1 int)) {
-	sc := sweepPool.Get().(*sweepScratch)
-	active := sc.active[:0]
-	// A sweep starting mid-grid (a parallel worker) must consider edges
-	// bucketed at earlier rows that may still span r0; the per-row
-	// predicate discards the dead ones on the first iteration.
-	active = append(active, t.items[:t.starts[r0-t.y0]]...)
-	cross := sc.cross[:0]
-	for y := r0; y <= r1; y++ {
-		active = append(active, t.bucket(y)...)
-		if len(active) == 0 {
-			continue
+// sweep scans the table's rows in ascending order, invoking fn(y, x0, x1)
+// for every maximal run of row-y cells whose centres lie inside the region.
+func (t *EdgeTable) sweep(g *Grid, fn func(y, x0, x1 int)) {
+	for y := t.y0; y <= t.y1; y++ {
+		if cross := t.row(g, y); len(cross) > 0 {
+			emitSpans(g, cross, y, fn)
 		}
-		yc := g.Min.Y + (float64(y)+0.5)*g.CellKm
-		cross = cross[:0]
-		keep := active[:0]
-		for _, ei := range active {
-			e := &t.edges[ei]
-			if yc >= e.hi {
-				continue // scanline passed the edge: retire it
-			}
-			keep = append(keep, ei)
-			if e.lo > yc {
-				continue // bucketed conservatively early; not active yet
-			}
-			// Identical expression to scanRow, bit for bit.
-			tt := (yc - e.ay) / (e.by - e.ay)
-			cross = append(cross, crossing{x: e.ax + tt*(e.bx-e.ax), dir: int(e.dir)})
-		}
-		active = keep
-		if len(cross) == 0 {
-			continue
-		}
-		sortCrossings(cross)
-		emitSpans(g, cross, y, fn)
 	}
-	sc.active, sc.cross = active, cross
-	sweepPool.Put(sc)
 }
 
-// sweepScratch holds one sweep's active list and crossing buffer, pooled so
-// the per-fill (and per-parallel-worker) scratch never hits the allocator
-// in steady state.
-type sweepScratch struct {
-	active []int32
-	cross  []crossing
+// row is one step of the sweep: the sorted crossings of the scanline through
+// the centres of row y, valid until the next call. Rows must be asked for in
+// ascending order from y0 without gaps — the active list admits row y's
+// bucket here and retires edges the scanline has passed — but not all at
+// once: Grid.ResolveTop steps several tables through a row before moving on.
+func (t *EdgeTable) row(g *Grid, y int) []crossing {
+	bi := y - t.y0 // admit the edges first eligible at this row
+	active := append(t.active, t.items[t.starts[bi]:t.starts[bi+1]]...)
+	cross := t.cross[:0]
+	yc := g.rowCentre(y)
+	keep := active[:0]
+	for _, ei := range active {
+		e := &t.edges[ei]
+		if yc >= e.hi {
+			continue // scanline passed the edge: retire it
+		}
+		keep = append(keep, ei)
+		if e.lo > yc {
+			continue // bucketed conservatively early; not active yet
+		}
+		// Identical expression to scanRow, bit for bit.
+		tt := (yc - e.ay) / (e.by - e.ay)
+		cross = append(cross, crossing{x: e.ax + tt*(e.bx-e.ax), dir: int(e.dir)})
+	}
+	sortCrossings(cross)
+	t.active, t.cross = keep, cross
+	return cross
 }
-
-var sweepPool = sync.Pool{New: func() any {
-	return &sweepScratch{active: make([]int32, 0, 32), cross: make([]crossing, 0, 32)}
-}}
 
 // sortCrossings orders crossings by (x, dir) with a zero-allocation
 // insertion sort (active lists are small). The dir tie-break makes the
@@ -214,6 +190,20 @@ func sortCrossings(buf []crossing) {
 	}
 }
 
+// spanCells returns the cells of a row whose centres lie in [open, close],
+// clipped to the grid; x0 > x1 when there is none.
+func (g *Grid) spanCells(open, close float64) (x0, x1 int) {
+	x0 = int(math.Ceil((open-g.Min.X)/g.CellKm - 0.5))
+	x1 = int(math.Floor((close-g.Min.X)/g.CellKm - 0.5))
+	if x0 < 0 {
+		x0 = 0
+	}
+	if x1 >= g.W {
+		x1 = g.W - 1
+	}
+	return x0, x1
+}
+
 // emitSpans converts one row's sorted crossings into cell spans under the
 // non-zero winding rule, invoking fn for each maximal inside-run.
 func emitSpans(g *Grid, buf []crossing, y int, fn func(y, x0, x1 int)) {
@@ -225,87 +215,214 @@ func emitSpans(g *Grid, buf []crossing, y int, fn func(y, x0, x1 int)) {
 		if prev == 0 && wind != 0 {
 			openX = buf[i].x
 		} else if prev != 0 && wind == 0 {
-			x0 := int(math.Ceil((openX-g.Min.X)/g.CellKm - 0.5))
-			x1 := int(math.Floor((buf[i].x-g.Min.X)/g.CellKm - 0.5))
-			if x0 < 0 {
-				x0 = 0
-			}
-			if x1 >= g.W {
-				x1 = g.W - 1
-			}
-			if x0 <= x1 {
+			if x0, x1 := g.spanCells(openX, buf[i].x); x0 <= x1 {
 				fn(y, x0, x1)
 			}
 		}
 	}
 }
 
-// parallelFillMinCells is the bounding-box cell count above which a fill
-// partitions its rows across GOMAXPROCS workers. A variable rather than a
-// constant so tests can force the parallel path onto small grids.
-var parallelFillMinCells = 1 << 17
-
-// forEachSpan rasterizes r over the grid, invoking fn(y, x0, x1) for every
-// maximal inside-run of cells. This is the single span visitor behind
-// AddRegion, MaskRegion, and RasterizeRegion.
-//
-// Small fills sweep rows sequentially in ascending order. Above
-// parallelFillMinCells bounding-box cells, the row range is partitioned
-// into contiguous chunks swept concurrently: every row's spans depend only
-// on that row's scanline, and each fn invocation touches only row y, so
-// the parallel fill is race-free and bit-identical to the sequential one.
+// forEachSpan rasterizes r over the grid, rows ascending, invoking
+// fn(y, x0, x1) for every maximal inside-run of cells. This is the single
+// span visitor behind AddRegion, AddRegionBatched, MaskRegion, and
+// RasterizeRegion.
 func (g *Grid) forEachSpan(r *Region, fn func(y, x0, x1 int)) {
-	if r == nil || len(r.Rings) == 0 {
-		return
-	}
 	min, max, ok := r.BoundingBox()
 	if !ok {
 		return
 	}
-	g.forEachSpanIn(r, min, max, fn)
+	if y0, y1 := g.rowRange(min, max); y0 <= y1 {
+		t := newEdgeTable(r, g, y0, y1)
+		t.sweep(g, fn)
+		t.release()
+	}
 }
 
-// forEachSpanIn is forEachSpan given r's bounding box [min, max].
-func (g *Grid) forEachSpanIn(r *Region, min, max Vec2, fn func(y, x0, x1 int)) {
-	// A region wholly left or right of the grid emits no span: emitSpans
-	// clips to cell centres, which sit half a cell inside the grid edge.
+// rowRange returns the grid rows a region with bounding box [min, max] can
+// have spans on, never too few; y0 > y1 when there is none.
+func (g *Grid) rowRange(min, max Vec2) (y0, y1 int) {
+	// A region wholly left or right of the grid emits no span: spans are
+	// clipped to cell centres, which sit half a cell inside the grid edge.
 	if max.X < g.Min.X || min.X > g.Min.X+float64(g.W)*g.CellKm {
-		return
+		return 0, -1
 	}
-	y0 := int(math.Floor((min.Y - g.Min.Y) / g.CellKm))
-	y1 := int(math.Ceil((max.Y - g.Min.Y) / g.CellKm))
+	y0 = int(math.Floor((min.Y - g.Min.Y) / g.CellKm))
+	y1 = int(math.Ceil((max.Y - g.Min.Y) / g.CellKm))
 	if y0 < 0 {
 		y0 = 0
 	}
 	if y1 > g.H-1 {
 		y1 = g.H - 1
 	}
-	if y0 > y1 {
-		return
+	return y0, y1
+}
+
+// Fill is one weighted region prepared for Grid.ResolveTop, which lets every
+// fill write its spans of a row before the row is resolved; a solve prepares
+// each constraint once for both of its passes. A single ring whose
+// non-horizontal edges change vertical direction exactly twice — every
+// polygonalized disk — splits into an ascending and a descending chain, each
+// tiling [Min.Y, Max.Y) with its edges' [lo, hi) (chain neighbours share a
+// vertex; a horizontal run keeps its Y). A scanline there crosses exactly one
+// edge of each chain, and the span between the two crossings is what sorting
+// a +1 and a −1 crossing under the non-zero winding rule yields: two cursors
+// replace the edge table. The property is tested per ring, never assumed;
+// any other region steps an EdgeTable. Both routes use scanRow's expressions
+// and agree with it cell for cell.
+type Fill struct {
+	Region   *Region
+	Weight   float64
+	Min, Max Vec2 // Region's bounding box
+
+	// up and down are the first edges of the ascending and the descending
+	// chain, edge i running ring[i] → ring[i+1]; each chain continues in
+	// ring order up to the other's first edge. down < 0: edge-table route.
+	up, down int32
+
+	// The pass in progress: rows y0..y1 can hold spans; asc and desc are the
+	// chain edges under the scanline, table the other route's sweep.
+	y0, y1    int32
+	asc, desc chainEdge
+	table     *EdgeTable
+}
+
+// chainEdge is the edge of a monotone chain that the scanline currently
+// crosses, as the operands of the crossing expression.
+type chainEdge struct {
+	i              int32   // edge index in the ring
+	ax, ay, dx, dy float64 // a, and b − a
+	hi             float64 // the scanline is past the edge once yc >= hi
+}
+
+// maxChainCoord bounds a ring's coordinates on the two-cursor route: within
+// it no difference overflows, so crossings are finite and ordered (NaN fails).
+const maxChainCoord = 1e150
+
+// PrepareFill visits r once and returns it ready to rasterize with weight w;
+// ok is false when r encloses no area (Region.IsEmpty): the solver drops it.
+func PrepareFill(r *Region, w float64) (f Fill, ok bool) {
+	f = Fill{Region: r, Weight: w, down: -1}
+	if r == nil || len(r.Rings) != 1 {
+		f.Min, f.Max, ok = r.BoundingBox()
+		return f, ok && !r.IsEmpty()
 	}
-	t := newEdgeTable(r, g, y0, y1)
-	defer t.release()
-	if len(t.edges) == 0 {
-		return
+	ring := r.Rings[0]
+	if len(ring) < 3 {
+		return f, false
 	}
-	rows := y1 - y0 + 1
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 || rows < 2*workers || rows*g.W < parallelFillMinCells {
-		t.sweep(g, y0, y1, fn)
-		return
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for r0 := y0; r0 <= y1; r0 += chunk {
-		r1 := r0 + chunk - 1
-		if r1 > y1 {
-			r1 = y1
+	// One walk over the edges: the shoelace sum in signedArea's order, the
+	// bounding box, and the runs of ascending and descending edges.
+	var area float64
+	lo, hi := ring[0], ring[0]
+	up, down := -1, -1
+	last, turns := 0, 0 // direction of the latest non-horizontal edge; changes so far
+	for i := range ring {
+		a, b := ringEdge(ring, i)
+		area += a.X*b.Y - b.X*a.Y
+		lo.X, lo.Y = min(lo.X, b.X), min(lo.Y, b.Y)
+		hi.X, hi.Y = max(hi.X, b.X), max(hi.Y, b.Y)
+		if a.Y == b.Y {
+			continue
 		}
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			t.sweep(g, r0, r1, fn)
-		}(r0, r1)
+		d := 1
+		if a.Y > b.Y {
+			d = -1
+		}
+		if d != last {
+			if last != 0 {
+				turns++
+			}
+			if last = d; d > 0 {
+				up = i
+			} else {
+				down = i
+			}
+		}
 	}
-	wg.Wait()
+	if area/2 < 1e-9 {
+		return f, false
+	}
+	f.Min, f.Max = lo, hi
+	// Around the closed ring the direction changes an even number of times:
+	// one or two changes seen from vertex 0 are two turns.
+	if (turns == 1 || turns == 2) && lo.X >= -maxChainCoord && lo.Y >= -maxChainCoord && hi.X <= maxChainCoord && hi.Y <= maxChainCoord {
+		f.up, f.down = int32(up), int32(down)
+	}
+	return f, true
+}
+
+// ringEdge returns edge i of the closed ring: ring[i] → ring[i+1].
+func ringEdge(ring Ring, i int) (a, b Vec2) {
+	if i+1 < len(ring) {
+		return ring[i], ring[i+1]
+	}
+	return ring[i], ring[0]
+}
+
+// General reports whether the fill takes the edge-table route.
+func (f *Fill) General() bool { return f.down < 0 }
+
+// begin readies the fill for a pass over g, rows ascending; the caller
+// releases the table it may draw.
+func (f *Fill) begin(g *Grid) {
+	y0, y1 := g.rowRange(f.Min, f.Max)
+	f.y0, f.y1, f.table = int32(y0), int32(y1), nil
+	if y0 <= y1 && f.General() {
+		f.table = newEdgeTable(f.Region, g, y0, y1)
+	}
+	// Both cursors wait below the bottom turn — the ascending chain's first
+	// edge, the descending chain's last — for the first row inside the ring.
+	f.asc, f.desc = chainEdge{i: f.up - 1, hi: math.Inf(-1)}, chainEdge{i: f.up, hi: math.Inf(-1)}
+}
+
+// advance moves along the chain — step +1 in ring order for the ascending
+// chain, −1 for the descending one, both upward — to the first edge the
+// scanline yc has not passed; addRow only asks below Max.Y, so there is one.
+func (c *chainEdge) advance(ring Ring, step int, yc float64) {
+	n, i := len(ring), int(c.i)
+	for {
+		i += step
+		if i == n {
+			i = 0
+		} else if i < 0 {
+			i = n - 1
+		}
+		a, b := ringEdge(ring, i)
+		if hi := max(a.Y, b.Y); a.Y != b.Y && yc < hi {
+			*c = chainEdge{i: int32(i), ax: a.X, ay: a.Y, dx: b.X - a.X, dy: b.Y - a.Y, hi: hi}
+			return
+		}
+	}
+}
+
+// addRow adds the fill's spans of row y, whose centres lie on yc, to the
+// row's difference buffer d: +Weight where a span opens, − one past its end.
+func (f *Fill) addRow(g *Grid, y int, yc float64, d []float64) {
+	w := f.Weight
+	if f.General() {
+		emitSpans(g, f.table.row(g, y), y, func(_, x0, x1 int) {
+			d[x0] += w
+			d[x1+1] -= w
+		})
+		return
+	}
+	if yc < f.Min.Y || yc >= f.Max.Y {
+		return // the turns are the ring's lowest and highest vertices
+	}
+	if yc >= f.asc.hi {
+		f.asc.advance(f.Region.Rings[0], 1, yc)
+	}
+	if yc >= f.desc.hi {
+		f.desc.advance(f.Region.Rings[0], -1, yc)
+	}
+	// scanRow's crossing expression, on the same operands.
+	lo := f.asc.ax + (yc-f.asc.ay)/f.asc.dy*f.asc.dx
+	hi := f.desc.ax + (yc-f.desc.ay)/f.desc.dy*f.desc.dx
+	if hi < lo {
+		lo, hi = hi, lo
+	}
+	if x0, x1 := g.spanCells(lo, hi); x0 <= x1 {
+		d[x0] += w
+		d[x1+1] -= w
+	}
 }

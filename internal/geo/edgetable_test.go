@@ -3,7 +3,6 @@ package geo
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -165,51 +164,11 @@ func TestFlushAddsIdempotent(t *testing.T) {
 	}
 }
 
-// forceParallelFill lowers the parallel threshold for the duration of a
-// test so small grids exercise the row-parallel path, and restores it.
-func forceParallelFill(t *testing.T) {
-	t.Helper()
-	old := parallelFillMinCells
-	parallelFillMinCells = 1
-	t.Cleanup(func() { parallelFillMinCells = old })
-}
-
-// TestParallelFillMatchesSequential forces the row-parallel path and
-// checks bit-identical weights against a sequential fill of the same
-// constraint stack — including accumulated (+=) weights, whose per-row
-// add order must not change. Run under -race this doubles as the data-race
-// test for the parallel fill.
-func TestParallelFillMatchesSequential(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >1 CPU for a meaningful parallel fill")
-	}
-	fill := func(g *Grid) {
-		g.AddRegion(Disk(V2(-5, 2), 20, 96), 1.0)
-		g.AddRegion(Disk(V2(8, -3), 15, 96), 0.7)
-		g.AddRegion(Annulus(V2(0, 0), 6, 25, 128), 0.25)
-		g.MaskRegion(Disk(V2(2, 2), 3, 64), -1000)
-	}
-	seq := NewGrid(V2(-40, -40), V2(40, 40), 0.25)
-	fill(seq)
-
-	forceParallelFill(t)
-	par := NewGrid(V2(-40, -40), V2(40, 40), 0.25)
-	fill(par)
-	for i := range seq.Weight {
-		if seq.Weight[i] != par.Weight[i] {
-			t.Fatalf("cell (%d,%d): sequential %v != parallel %v",
-				i%seq.W, i/seq.W, seq.Weight[i], par.Weight[i])
-		}
-	}
-	seq.Release()
-	par.Release()
-}
-
-// TestParallelFillConcurrentGrids hammers the parallel path from several
-// goroutines filling independent grids that share pooled buffers — the
-// shape of a batch solve — so -race can observe pool and edge-table misuse.
+// TestParallelFillConcurrentGrids fills independent grids from several
+// goroutines at once — the shape of a batch solve — so -race can observe
+// misuse of the buffers they all draw from the same pools: weights, edge
+// tables, sweep scratch.
 func TestParallelFillConcurrentGrids(t *testing.T) {
-	forceParallelFill(t)
 	region := Annulus(V2(0, 0), 8, 22, 256)
 	want := math.Pi * (22*22 - 8*8)
 	var wg sync.WaitGroup

@@ -12,10 +12,9 @@ import (
 // weight, and a level set of the accumulated weight field is extracted back
 // into a Region by boundary tracing.
 //
-// Region fills run on the active-edge-table scanline engine (edgetable.go);
-// grids above a size threshold fill row-parallel. Weight buffers come from
-// a pool — callers that are done with a grid should Release it so the next
-// solve reuses the allocation.
+// Region fills run on the active-edge-table scanline engine (edgetable.go).
+// Weight buffers come from a pool — callers that are done with a grid
+// should Release it so the next solve reuses the allocation.
 type Grid struct {
 	Min    Vec2      // lower-left corner of cell (0,0)
 	CellKm float64   // cell edge length
@@ -23,18 +22,9 @@ type Grid struct {
 	Weight []float64 // W*H weights, row-major (y*W + x)
 
 	// diff is the lazily-created row-difference buffer behind
-	// AddRegionBatched, (W+1)*H entries, returned to the pool by FlushAdds,
-	// ResolveTop or Release; weightBuf is the pool's handle on Weight.
+	// AddRegionBatched, (W+1)*H entries, returned to the pool by FlushAdds
+	// or Release; weightBuf is the pool's handle on Weight.
 	diff, weightBuf *[]float64
-
-	// batchFn is the span callback AddRegionBatched hands to forEachSpan,
-	// built once per grid: the solver overlays ~a hundred constraints per
-	// grid, and a fresh closure per overlay was a measurable slice of the
-	// per-target allocation count. The weight travels through batchW
-	// (written before each fill, read-only during it, so the row-parallel
-	// fill path stays race-free).
-	batchW  float64
-	batchFn func(y, x0, x1 int)
 }
 
 // weightPool and maskPool recycle the two large per-solve buffers (a 1M-cell
@@ -130,6 +120,9 @@ func (g *Grid) CellCenter(x, y int) Vec2 {
 	}
 }
 
+// rowCentre is the plane y of row y's cell centres: the row's scanline.
+func (g *Grid) rowCentre(y int) float64 { return g.Min.Y + (float64(y)+0.5)*g.CellKm }
+
 // CellAt returns the cell indices containing plane point p (may be out of
 // range; callers check).
 func (g *Grid) CellAt(p Vec2) (int, int) {
@@ -200,30 +193,14 @@ func (g *Grid) AddRegion(r *Region, w float64) {
 // AddRegionBatched records the same weight addition as AddRegion but as
 // row-difference updates: two writes per span instead of one per cell.
 // The additions take effect only after FlushAdds resolves the buffer with
-// one prefix-sum pass — the solver overlays ~a hundred constraint disks,
-// most spanning most of the grid, so batching turns its dominant
-// cells×constraints write cost into cells+spans.
+// one prefix-sum pass. The solver does the same a row at a time inside
+// ResolveTop; its oracle and the benchmark's replay use this whole-grid form.
 func (g *Grid) AddRegionBatched(r *Region, w float64) {
-	if min, max, ok := r.BoundingBox(); ok {
-		g.AddRegionBatchedIn(r, w, min, max)
-	}
-}
-
-// AddRegionBatchedIn is AddRegionBatched for a caller that already holds
-// r's bounding box [min, max]: the solver rasterizes every constraint onto
-// two grids, and walking each ring again per grid just to clip the sweep
-// was a measurable slice of a localization.
-func (g *Grid) AddRegionBatchedIn(r *Region, w float64, min, max Vec2) {
-	g.batchDiff()
-	if g.batchFn == nil {
-		g.batchFn = func(y, x0, x1 int) {
-			diff, stride := *g.diff, g.W+1
-			diff[y*stride+x0] += g.batchW
-			diff[y*stride+x1+1] -= g.batchW
-		}
-	}
-	g.batchW = w
-	g.forEachSpanIn(r, min, max, g.batchFn)
+	diff, stride := g.batchDiff(), g.W+1
+	g.forEachSpan(r, func(y, x0, x1 int) {
+		diff[y*stride+x0] += w
+		diff[y*stride+x1+1] -= w
+	})
 }
 
 // FlushAdds applies all AddRegionBatched updates to the weight field and

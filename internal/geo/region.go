@@ -53,6 +53,12 @@ func RegionFromRing(ring Ring) *Region {
 // prevents a large ring's interior point (which may fall inside a smaller
 // ring) from inverting the nesting test.
 func (r *Region) normalize() {
+	if len(r.Rings) == 1 { // nothing to nest in: depth 0, one orientation walk
+		if ring := r.Rings[0]; len(ring) >= 3 && !ring.IsCCW() {
+			reverseRing(ring)
+		}
+		return
+	}
 	for i, ring := range r.Rings {
 		if len(ring) < 3 {
 			continue

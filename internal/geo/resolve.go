@@ -5,18 +5,20 @@ import (
 	"sync"
 )
 
-// The fused post-fill kernel of the §2.4 solver.
+// The fused grid kernel of the §2.4 solver.
 //
 // The solver "unions the highest-weight regions, descending by weight,
 // until the result exceeds a size threshold": it reads the top of the
-// weight field and nothing else. ResolveTop therefore does, in the one row
-// loop that resolves the batched fills, everything the solver needs from
-// the whole grid — prefix sum, land mask, and a census of the top of the
-// weight range — and hands back the chosen level together with the
-// bounding box of its cells, so that tracing and the point estimate touch
-// only that box.
+// weight field and nothing else. ResolveTop therefore does, in one loop over
+// the rows, everything the solver needs from the whole grid — the
+// constraints' spans of the row (Fill) into a one-row difference buffer,
+// its prefix sum, the land mask, and a census of the top of the weight
+// range — and hands back the chosen level together with the bounding box
+// of its cells, so that tracing and the point estimate touch only that box.
 //
-// The invariant: after the fills, each cell of the grid is read once.
+// The invariant: once the constraints are prepared, each cell of the grid
+// is written once and read once, and the weights are the only grid-sized
+// buffer.
 //
 // Exactness. Levels are quantizeWeight(raw) but a cell belongs to a level
 // when raw >= level, and prefix-sum dust makes raw values less than 1e-9
@@ -187,17 +189,18 @@ func (t *topTable) walk(cellArea, minAreaKm2 float64) (top TopLevel, ok bool) {
 	return top, !dropped
 }
 
-// colsPool recycles the per-grid master-column map ResolveTop builds.
-var colsPool sync.Pool // *[]int32
+// colsPool recycles the per-grid master-column map ResolveTop builds, and
+// rowPool the one-row difference buffer.
+var colsPool, rowPool sync.Pool // *[]int32, *[]float64
 
-// ResolveTop applies the batched fills exactly as FlushAdds does, writes
-// excluded into every cell whose centre is off land (land == nil keeps
-// every cell), and returns the level the solver's walk settles on for the
-// area threshold minAreaKm2, with the bounding box of that level's cells.
-// The grid is left resolved and masked: Threshold, ThresholdIn and
-// LevelSets see the same field the six separate passes produced.
-func (g *Grid) ResolveTop(land *MaskLattice, excluded, minAreaKm2 float64) TopLevel {
-	diff := g.batchDiff()
+// ResolveTop adds the fills to the weight field, writes excluded into every
+// cell whose centre is off land (land == nil keeps every cell), and returns
+// the level the solver's walk settles on for the area threshold minAreaKm2,
+// with the bounding box of that level's cells. The grid is left resolved
+// and masked: Threshold, ThresholdIn and LevelSets see the field that
+// AddRegionBatched per fill, FlushAdds and a mask pass produce — bit for
+// bit, because each row's fills enter its difference buffer in fill order.
+func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 float64) TopLevel {
 	// cols[x] is the lattice column under grid column x, -1 off the
 	// lattice: (cx-MinX)/cell for x = 0, advancing by exactly 1 per cell,
 	// the same arithmetic row by row as the retained mask application.
@@ -216,15 +219,37 @@ func (g *Grid) ResolveTop(land *MaskLattice, excluded, minAreaKm2 float64) TopLe
 			cols[x] = int32(mx)
 		}
 	}
-
+	for i := range fills {
+		fills[i].begin(g)
+	}
+	dbuf := getBuf[float64](&rowPool, g.W+1)
+	defer rowPool.Put(dbuf)
+	diff := *dbuf
+	// active lists, in fill order, the fills whose rows include y; it is
+	// rebuilt on the rows where a fill starts or ends (change is the next).
+	var activeBuf [128]int32
+	active, change := activeBuf[:0], 0
 	t := topTable{floor: math.SmallestNonzeroFloat64}
-	stride := g.W + 1
 	for y := 0; y < g.H; y++ {
+		if y == change {
+			active, change = active[:0], g.H
+			for i := range fills {
+				if f := &fills[i]; y < int(f.y0) {
+					change = min(change, int(f.y0))
+				} else if y <= int(f.y1) {
+					active, change = append(active, int32(i)), min(change, int(f.y1)+1)
+				}
+			}
+		}
+		yc := g.rowCentre(y)
+		clear(diff)
+		for _, i := range active {
+			fills[i].addRow(g, y, yc, diff)
+		}
 		wrow := g.Weight[y*g.W : (y+1)*g.W]
 		var mrow []bool
 		if land != nil {
-			cy := g.Min.Y + (float64(y)+0.5)*g.CellKm
-			my := int(math.Floor((cy - land.MinY) * invCell))
+			my := int(math.Floor((yc - land.MinY) * invCell))
 			if my < 0 || my >= land.H {
 				for x := range wrow {
 					wrow[x] = excluded
@@ -233,10 +258,10 @@ func (g *Grid) ResolveTop(land *MaskLattice, excluded, minAreaKm2 float64) TopLe
 			}
 			mrow = land.Cells[my*land.W : (my+1)*land.W]
 		}
-		drow := diff[y*stride : y*stride+g.W] // last diff entry only ends spans
 		run := 0.0
 		cur, start := math.NaN(), 0 // the open run of equal weights
-		for x, d := range drow {
+		// The buffer's last entry only ends spans.
+		for x, d := range diff[:g.W] {
 			run += d
 			w := wrow[x] + run
 			if mrow != nil {
@@ -260,7 +285,11 @@ func (g *Grid) ResolveTop(land *MaskLattice, excluded, minAreaKm2 float64) TopLe
 			t.dropMax = cur
 		}
 	}
-	g.releaseDiff()
+	for i := range fills {
+		if et := fills[i].table; et != nil {
+			et.release()
+		}
+	}
 
 	if top, ok := t.walk(g.CellArea(), minAreaKm2); ok {
 		return top

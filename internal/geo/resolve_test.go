@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// dustyGrid overlays random rectangles with weights from a few tenths plus
-// sub-1e-9 dust on a w×h unit grid, batched and unresolved.
-func dustyGrid(rng *rand.Rand, w, h, rects int) *Grid {
-	g := NewGrid(V2(0, 0), V2(float64(w), float64(h)), 1)
+// dustyFills returns random rectangles on a w×h unit grid with weights from
+// a few tenths plus sub-1e-9 dust, prepared as fills.
+func dustyFills(rng *rand.Rand, w, h, rects int) []Fill {
+	fills := make([]Fill, 0, rects)
 	for i := 0; i < rects; i++ {
 		x0, y0 := rng.IntN(w), rng.IntN(h)
 		x1, y1 := x0+rng.IntN(w-x0), y0+rng.IntN(h-y0)
@@ -18,9 +18,13 @@ func dustyGrid(rng *rand.Rand, w, h, rects int) *Grid {
 		if rng.IntN(4) == 0 {
 			weight = -weight
 		}
-		g.AddRegionBatched(Rect(V2(float64(x0)+0.25, float64(y0)+0.25), V2(float64(x1)+0.75, float64(y1)+0.75)), weight)
+		f, ok := PrepareFill(Rect(V2(float64(x0)+0.25, float64(y0)+0.25), V2(float64(x1)+0.75, float64(y1)+0.75)), weight)
+		if !ok || f.General() {
+			panic("a rectangle is a two-turn ring")
+		}
+		fills = append(fills, f)
 	}
-	return g
+	return fills
 }
 
 // TestResolveTopMatchesSeparatePasses: the fused kernel against the
@@ -46,10 +50,14 @@ func TestResolveTopMatchesSeparatePasses(t *testing.T) {
 			}
 		}
 
-		fused := dustyGrid(rand.New(rand.NewPCG(seed, 12)), w, h, rects)
-		got := fused.ResolveTop(land, excluded, minArea)
+		fills := dustyFills(rand.New(rand.NewPCG(seed, 12)), w, h, rects)
+		fused := NewGrid(V2(0, 0), V2(float64(w), float64(h)), 1)
+		got := fused.ResolveTop(fills, land, excluded, minArea)
 
-		ref := dustyGrid(rand.New(rand.NewPCG(seed, 12)), w, h, rects)
+		ref := NewGrid(V2(0, 0), V2(float64(w), float64(h)), 1)
+		for _, f := range fills {
+			ref.AddRegionBatched(f.Region, f.Weight)
+		}
 		ref.FlushAdds()
 		if land != nil {
 			for y := 0; y < h; y++ {

@@ -183,10 +183,16 @@ func SolveTargetK(landmarks []geo.Point, heights, rttMs []float64, kappa float64
 	// Start at the latency-weighted centroid: nearby landmarks dominate.
 	var wSum float64
 	var latSum, lonSum float64
-	wts := make([]float64, n)
+	// Each landmark's weight and its half of the distance formula, fixed
+	// across the objective's evaluations.
+	type term struct {
+		w  float64
+		at geo.Radians
+	}
+	terms := make([]term, n)
 	for i, p := range landmarks {
 		w := 1 / (1 + rttMs[i])
-		wts[i] = w
+		terms[i] = term{w, p.Radians()}
 		latSum += p.Lat * w
 		lonSum += p.Lon * w
 		wSum += w
@@ -198,12 +204,12 @@ func SolveTargetK(landmarks []geo.Point, heights, rttMs []float64, kappa float64
 		if tPrime < 0 {
 			tPrime = 0
 		}
-		t := geo.Pt(clampF(lat, -89.9, 89.9), wrapLon(lon))
+		t := geo.Pt(clampF(lat, -89.9, 89.9), wrapLon(lon)).Radians()
 		var ss float64
-		for i := range landmarks {
-			pred := heights[i] + tPrime + kappa*geo.DistanceToMinLatencyMs(landmarks[i].DistanceKm(t))
+		for i, lm := range terms {
+			pred := heights[i] + tPrime + kappa*geo.DistanceToMinLatencyMs(lm.at.DistanceKm(t))
 			d := pred - rttMs[i]
-			ss += wts[i] * d * d
+			ss += lm.w * d * d
 		}
 		return ss
 	}
