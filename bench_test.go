@@ -188,7 +188,7 @@ func ablationBench(b *testing.B, cfg core.Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := loc.Localize(target.Addr)
+		res, err := loc.LocalizeContext(context.Background(), target.Addr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func BenchmarkAblationSolverEngine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := loc.Localize(target.Addr); err != nil {
+		if _, err := loc.LocalizeContext(context.Background(), target.Addr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -270,7 +270,7 @@ func (p pacedProber) Ping(src, dst string, n int) ([]float64, error) {
 var (
 	batchFixOnce      sync.Once
 	batchFixLoc       *core.Localizer // paced: 5 ms wire time per ping train
-	batchFixSerialLoc *core.Localizer // paced + legacy serialized probe loop
+	batchFixSerialLoc *core.Localizer // paced + one-worker scheduler
 	batchFixRawLoc    *core.Localizer // unpaced: pure solver CPU and allocs
 	batchFixTargets   []string
 	batchFixErr       error
@@ -304,7 +304,7 @@ func batchFixture(b testing.TB) (*core.Localizer, []string) {
 		}
 		paced := pacedProber{Prober: prober, delay: 5 * time.Millisecond}
 		batchFixLoc = core.NewLocalizer(paced, survey, core.Config{})
-		batchFixSerialLoc = core.NewLocalizer(paced, survey, core.Config{MeasureWorkers: -1})
+		batchFixSerialLoc = core.NewLocalizer(paced, survey, core.Config{MeasureWorkers: 1})
 		batchFixRawLoc = core.NewLocalizer(prober, survey, core.Config{})
 		batchFixTargets = targets
 	})
@@ -325,7 +325,7 @@ func BenchmarkBatchLocalize(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, t := range targets {
-				if _, err := loc.Localize(t); err != nil {
+				if _, err := loc.LocalizeContext(context.Background(), t); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -383,7 +383,7 @@ func BenchmarkLocalizePacedSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := loc.Localize(targets[0]); err != nil {
+		if _, err := loc.LocalizeContext(context.Background(), targets[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -398,7 +398,7 @@ func BenchmarkLocalizePacedParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := loc.Localize(targets[0]); err != nil {
+		if _, err := loc.LocalizeContext(context.Background(), targets[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,10 +492,8 @@ func BenchmarkSurveyBuild(b *testing.B) {
 	}
 }
 
-// localizeFixture builds the single-target localization workload both
-// BenchmarkLocalize and BenchmarkLocalizeV2 measure — one shared setup,
-// so the CI parity gate (LocalizeV2=Localize) always compares the
-// identical workload.
+// localizeFixture builds the single-target localization workload
+// BenchmarkLocalize measures.
 func localizeFixture(b *testing.B) (*core.Localizer, string) {
 	b.Helper()
 	d := sharedDeployment(b)
@@ -511,40 +509,21 @@ func localizeFixture(b *testing.B) (*core.Localizer, string) {
 	loc := core.NewLocalizer(d.Prober, sub, core.Config{})
 	// One untimed localization builds the Localizer's lazy state (the two
 	// land-mask masters, ~600 allocations). Left inside the timed loop it
-	// spread over b.N and moved allocs/op by 1–3 with the machine's speed,
-	// which is what TestLocalizeV2AllocParity compares to the unit.
-	if _, err := loc.Localize(target.Addr); err != nil {
+	// spread over b.N and moved allocs/op by 1–3 with the machine's speed.
+	if _, err := loc.LocalizeContext(context.Background(), target.Addr); err != nil {
 		b.Fatal(err)
 	}
 	return loc, target.Addr
 }
 
 // BenchmarkLocalize measures one end-to-end localization (50 landmarks,
-// full default pipeline) against a pre-built survey, through the
-// deprecated v1 shim.
+// full default pipeline, default options) against a pre-built survey.
 func BenchmarkLocalize(b *testing.B) {
 	loc, target := localizeFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := loc.Localize(target); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLocalizeV2 measures the identical workload through the
-// context-first options entry point with default options. CI gates it
-// two ways: against its own history (like BenchmarkLocalize) and against
-// BenchmarkLocalize in the same report via octant-eval -bench-within —
-// the options plumbing must cost <2% ns/op and 0 extra allocs.
-func BenchmarkLocalizeV2(b *testing.B) {
-	loc, target := localizeFixture(b)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := loc.LocalizeContext(ctx, target); err != nil {
+		if _, err := loc.LocalizeContext(context.Background(), target); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -590,33 +569,9 @@ func BenchmarkLocalizeWithHints(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := loc.Localize(target); err != nil {
+		if _, err := loc.LocalizeContext(context.Background(), target); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestLocalizeV2AllocParity is the in-suite form of the bench gate: the
-// default-options v2 path must allocate exactly what the deprecated
-// Localize shim does (which itself must stay at the PR 4 envelope,
-// pinned by TestFig1AllocRegression and the CI bench gate). Steady-state
-// benchmark counts are used rather than testing.AllocsPerRun — the
-// solver's sync.Pools make single-shot counts oscillate by ±1.
-//
-// The two sides are compared as exact ratios, not as the whole numbers
-// AllocsPerOp truncates to: pool refills after each collection add a
-// fractional ~0.9 allocs/op to both, so the truncated figures flip between
-// n and n+1 independently whenever the mean sits near a whole number (one
-// run in eight failed that way before this comparison, with identical
-// code on both sides). An allocation really added per call shows as +1.0.
-func TestLocalizeV2AllocParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("steady-state benchmark run under -short")
-	}
-	perOp := func(r testing.BenchmarkResult) float64 { return float64(r.MemAllocs) / float64(r.N) }
-	v1, v2 := perOp(testing.Benchmark(BenchmarkLocalize)), perOp(testing.Benchmark(BenchmarkLocalizeV2))
-	if v2-v1 > 0.6 {
-		t.Errorf("default-options LocalizeContext allocates %.2f/op, Localize %.2f/op — options plumbing must add 0 allocs", v2, v1)
 	}
 }
 

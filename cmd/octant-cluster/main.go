@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -117,7 +116,7 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("fronting %d nodes on %s (L1 cache %d)", len(nodes), ln.Addr(), *cacheSize)
-	if err := serve.ServeUntilShutdown(ctx, &http.Server{Handler: front.Handler()}, ln, *grace); err != nil {
+	if err := serve.ServeUntilShutdown(ctx, serve.HTTPServer(front.Handler()), ln, *grace); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("drained, exiting")

@@ -53,22 +53,22 @@ func runBulk(seed uint64, nTargets, workers int, pace time.Duration) error {
 	for i := range targets {
 		targets[i] = hosts[i%hold].Name
 	}
-	// The sequential reference pins MeasureWorkers to the legacy
-	// serialized probe loop: the gate compares the fused stack against
-	// the pre-batch, pre-scheduler deployment, and letting the baseline
-	// fan out its own probes would quietly re-baseline the ≥5× floor.
-	// The parity check below doubles as a differential test that the
-	// concurrent scheduler is bit-identical to the serialized loop.
+	// The sequential reference asks for a one-worker scheduler — one
+	// probe train at a time, in landmark order: the gate compares the
+	// fused stack against the pre-batch, pre-fan-out deployment, and
+	// letting the baseline fan out its own probes would quietly
+	// re-baseline the ≥5× floor. The parity check below doubles as a
+	// differential test that fan-out width never changes answers.
 	paced := pacedProber{Prober: prober, delay: pace}
-	seqLoc := core.NewLocalizer(paced, survey, core.Config{MeasureWorkers: -1})
+	seqLoc := core.NewLocalizer(paced, survey, core.Config{MeasureWorkers: 1})
 	loc := core.NewLocalizer(paced, survey, core.Config{})
 
 	// One warmup localization per localizer so land-mask masters and
 	// pooled grids exist before either timed pass.
-	if _, err := seqLoc.Localize(targets[0]); err != nil {
+	if _, err := seqLoc.LocalizeContext(context.Background(), targets[0]); err != nil {
 		return err
 	}
-	if _, err := loc.Localize(targets[0]); err != nil {
+	if _, err := loc.LocalizeContext(context.Background(), targets[0]); err != nil {
 		return err
 	}
 
@@ -86,7 +86,7 @@ func runBulk(seed uint64, nTargets, workers int, pace time.Duration) error {
 	seq := make([]*core.Result, len(targets))
 	seqElapsed, seqAllocs, err := measure(func() error {
 		for i, tgt := range targets {
-			res, err := seqLoc.Localize(tgt)
+			res, err := seqLoc.LocalizeContext(context.Background(), tgt)
 			if err != nil {
 				return fmt.Errorf("sequential %s: %w", tgt, err)
 			}

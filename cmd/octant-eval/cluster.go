@@ -14,8 +14,8 @@ import (
 // sharded serving tier. It has three legs:
 //
 // Serialized baseline — a 1-node fleet whose localizer measures through
-// the legacy one-probe-at-a-time loop, emitted as ClusterNodes1Serial.
-// The run fails unless the concurrent 1-node leg clears minNodeSpeedup×
+// a one-worker scheduler (one probe at a time), emitted as
+// ClusterNodes1Serial. The run fails unless the concurrent 1-node leg clears minNodeSpeedup×
 // this baseline's throughput — the per-node fan-out gate CI enforces.
 //
 // Scaling — start in-process fleets of 1, 2 and 4 nodes (2 engine
@@ -102,9 +102,8 @@ func clusterScalingLeg(seed uint64, nodes, keys int, pace time.Duration, seriali
 		ProbePace: pace,
 	}
 	if serialized {
-		// The baseline node models the pre-scheduler stack end to end:
-		// the one-probe-at-a-time measurement loop over a single
-		// serialized pinger pipeline.
+		// The baseline node probes one train at a time end to end: a
+		// one-worker scheduler over a single pinger lane.
 		cfg.SerializedMeasurement = true
 		cfg.ProbeLanes = 1
 	}

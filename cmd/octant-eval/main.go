@@ -74,7 +74,7 @@ func main() {
 		maxRegress = flag.Float64("max-regress", 0.20, "fail when a gated benchmark's ns/op regresses by more than this fraction")
 
 		benchReport = flag.String("bench-report", "", "single BENCH_<sha>.json report for -bench-within")
-		benchWithin = flag.String("bench-within", "", "cand=base:nsfrac[:allocs] — within -bench-report, fail unless cand's ns/op ≤ base's·(1+nsfrac) and cand adds ≤ allocs allocs/op (default 0); e.g. LocalizeV2=Localize:0.02:0")
+		benchWithin = flag.String("bench-within", "", "cand=base:nsfrac[:allocs] — within -bench-report, fail unless cand's ns/op ≤ base's·(1+nsfrac) and cand adds ≤ allocs allocs/op (default 0); e.g. LocalizeWithHints=Localize:0.05:200")
 
 		bulk        = flag.Bool("bulk", false, "bulk throughput mode: paced per-target loop vs fused LocalizeBatch over one homogeneous batch, emitted as bench lines (pipe into -bench-json); exits non-zero if the fused results are not bit-identical")
 		bulkTargets = flag.Int("bulk-targets", 64, "bulk mode: targets per batch (cycles over the 8 held-out hosts)")
@@ -294,8 +294,8 @@ func compareBench(oldPath, newPath string, names []string, maxRegress float64) e
 // compareWithin gates one benchmark against another from the SAME report:
 // spec is "cand=base:nsfrac[:allocs]". It fails when cand's best ns/op
 // exceeds base's by more than nsfrac, or when cand allocates more than
-// allocs extra allocs/op (default 0). This is how CI asserts the v2
-// options plumbing is free on the default path: LocalizeV2=Localize:0.02:0.
+// allocs extra allocs/op (default 0). This is how CI bounds the cost of
+// the hint stages: LocalizeWithHints=Localize:0.05:200.
 func compareWithin(reportPath, spec string) error {
 	eq := strings.Index(spec, "=")
 	if eq <= 0 {

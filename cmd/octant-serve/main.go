@@ -50,7 +50,6 @@ import (
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -86,7 +85,7 @@ func main() {
 		drain     = flag.Duration("activate-drain", 2*time.Second, "in-flight drain budget before an epoch activation swaps anyway")
 		grace     = flag.Duration("shutdown-grace", 30*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 		retries   = flag.Int("probe-retries", 3, "attempts per measurement (1 disables retrying); transient probe failures back off and retry, so one lost train doesn't degrade a localization or void a survey refresh")
-		measureW  = flag.Int("measure-workers", 0, "concurrent probes per localization fan-out (0 = scheduler default, 16; negative = serialized legacy loop)")
+		measureW  = flag.Int("measure-workers", 0, "concurrent probes per localization fan-out (0 = scheduler default, 16; 1 = one probe train at a time)")
 		rttTTL    = flag.Duration("rtt-cache-ttl", 0, "measurement-scheduler RTT cache lifetime (0 disables caching and in-flight dedup; entries are epoch-qualified so a survey swap never serves stale minima)")
 		geodbFile = flag.String("geodb", "", "passive geolocation database JSON (geodb.LoadFile format); records feed the geodb evidence source, RTT cross-validated per target")
 	)
@@ -181,7 +180,7 @@ func main() {
 	}
 	log.Printf("listening on %s (%d workers, cache %d, epoch %d)",
 		ln.Addr(), *workers, *cacheSize, manager.Current().Number())
-	if err := serve.ServeUntilShutdown(ctx, &http.Server{Handler: srv.Handler()}, ln, *grace); err != nil {
+	if err := serve.ServeUntilShutdown(ctx, serve.HTTPServer(srv.Handler()), ln, *grace); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("drained, exiting")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -52,7 +53,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		if res, err := octant.NewLocalizer(prober, survey, octant.Config{}).Localize(target.Name); err == nil {
+		if res, err := octant.NewLocalizer(prober, survey, octant.Config{}).LocalizeContext(context.Background(), target.Name); err == nil {
 			errs["Octant"] = append(errs["Octant"], res.Point.DistanceMiles(target.Loc))
 		}
 		if res, err := octant.NewGeoLim(survey).Localize(prober, target.Name, 10); err == nil {

@@ -1,16 +1,18 @@
-// Package batch runs many Octant localizations concurrently over a
-// shared Survey snapshot.
+// Package batch runs Octant localizations over shared Survey snapshots:
+// caching, coalescing and streaming for any number of targets at once.
 //
-// The core Localizer measures and solves one target at a time. Deployed
-// geolocation workloads are batch-shaped — hint-driven measurement
+// Deployed geolocation workloads are batch-shaped — hint-driven measurement
 // campaigns over large target sets, continuous re-localization of a
-// serving population — and their wall-clock cost is dominated by
-// measurement latency, which overlaps perfectly across targets. Engine
-// provides that overlap: a bounded worker pool fans a target list across
-// N goroutines that share one immutable Survey, with per-target
-// timeout/cancellation, result streaming, an LRU cache of recent results,
-// and coalescing of concurrent duplicate requests (only one worker probes
-// a given target; the others wait and share its outcome).
+// serving population — full of repeated targets, and their wall-clock cost
+// is dominated by measurement latency, which overlaps perfectly across
+// targets. Engine has one request path for all of it. A request is a group
+// of targets under one options set (a single target is a group of one);
+// Engine.serve borrows one epoch for the group, answers what it can from
+// the LRU, coalesces the rest — duplicates inside the group and identical
+// targets other concurrent calls are already measuring — hands each
+// remaining distinct key to core.LocalizeBatchDeadline exactly once, and
+// emits every outcome as it completes. Localize and LocalizeItem run a
+// group of one on the caller's goroutine; Run wraps a group in a channel.
 //
 // The engine does not hold the survey itself — it holds a Provider and
 // borrows the current epoch's Localizer once per request. A static
@@ -23,34 +25,25 @@
 // swap implicitly invalidates stale cached results instead of serving
 // them from the superseded calibration.
 //
-// Requests may carry per-request core.LocalizeOption values (the v2
-// request API): options are resolved once per call, and both the LRU and
-// the singleflight keys are additionally qualified by the options
-// fingerprint, so the same target tuned two ways never shares a result,
-// while identical tunings still hit and coalesce. Options that cannot be
-// fingerprinted (custom evidence sources) bypass sharing entirely.
+// Requests may carry per-request core.LocalizeOption values: options are
+// resolved once per call, and both the LRU and the coalescing keys are
+// additionally qualified by the options fingerprint, so the same target
+// tuned two ways never shares a result, while identical tunings still hit
+// and coalesce. Options that cannot be fingerprinted (custom evidence
+// sources) bypass sharing entirely.
 //
-// A Run call is homogeneous by construction — one borrowed epoch, one
-// options set — which makes it exactly one fused group: the engine hands
-// the post-cache remainder of the batch to core.LocalizeBatchDeadline,
-// which resolves configuration once and amortizes the epoch's shared
-// rasterization and constraint allocation across the group instead of
-// paying them per target (TargetTimeout still applies per target, as a
-// deadline starting when a worker picks the target up). Stats reports how
-// much traffic took this path (FusedGroups, FusedTargets).
-//
-// Workers also share the Localizer's per-survey state through their
-// shallow Localizer copies: the projection context (survey-centroid
-// frame, per-landmark tangent frames, land outlines projected once per
-// survey) and the land-mask cache, under which the §2.5 ocean mask is
-// rasterized once per (projection, cell size) and every target's coarse
-// and fine solver passes reuse it, instead of each solve re-projecting
-// and re-rasterizing the fixed land polygons. Stats reports the mask
-// cache's hit rate.
+// A group is homogeneous by construction — one borrowed epoch, one
+// options set — so core resolves configuration once for it and amortizes
+// the epoch's shared rasterization (projection context, §2.5 land-mask
+// masters) and constraint allocation across its targets. TargetTimeout
+// applies per target, as a deadline starting when the target's
+// measurement starts. Stats reports how much traffic arrived as
+// multi-target groups (FusedGroups, FusedTargets) and the mask cache's
+// hit rate.
 //
 // Safety: Survey, Calibration, and the undns Resolver are immutable after
 // construction, and netsim.World guards its route cache internally, so
-// concurrent Localize calls are safe as long as the Prober is (both
+// concurrent localizations are safe as long as the Prober is (both
 // bundled probers are). Engine never mutates the Localizer it wraps.
 package batch
 
@@ -68,7 +61,8 @@ import (
 // Options configures an Engine. The zero value is usable: 4 workers,
 // a 1024-entry cache, no per-target timeout.
 type Options struct {
-	// Workers is the number of concurrent localizations (default 4).
+	// Workers is how many targets of one call localize concurrently
+	// (default 4).
 	Workers int
 	// CacheSize is the LRU capacity in results (default 1024; negative
 	// disables caching entirely).
@@ -155,213 +149,65 @@ type Item struct {
 }
 
 // Localize runs (or serves from cache) a single localization. Concurrent
-// calls for the same target and options are coalesced onto one
-// measurement; requests for the same target under different options never
-// share cache entries or measurements (keys carry the options
-// fingerprint).
+// calls for the same target and options — single or batched — are
+// coalesced onto one measurement; requests for the same target under
+// different options never share cache entries or measurements (keys carry
+// the options fingerprint).
 func (e *Engine) Localize(ctx context.Context, target string, opts ...core.LocalizeOption) (*core.Result, error) {
-	item := e.localize(ctx, target, 0, resolveOpts(opts))
+	item := e.LocalizeItem(ctx, target, opts...)
 	return item.Result, item.Err
 }
 
 // LocalizeItem is Localize with the full item metadata (cache status,
 // elapsed time) that serving front ends report per response.
-func (e *Engine) LocalizeItem(ctx context.Context, target string, opts ...core.LocalizeOption) Item {
-	return e.localize(ctx, target, 0, resolveOpts(opts))
+func (e *Engine) LocalizeItem(ctx context.Context, target string, opts ...core.LocalizeOption) (item Item) {
+	e.serve(ctx, []string{target}, resolveOpts(opts), func(it Item) { item = it })
+	return item
 }
 
-// Run streams localizations of targets over the returned channel, using
-// up to Options.Workers goroutines. Items arrive in completion order (use
-// Item.Index to restore submission order) and the channel closes after the
-// last one. Cancelling ctx stops the batch early: in-flight targets abort
-// at their next probe and queued ones are reported with ctx's error.
-// opts apply to every target of the batch; they are resolved and
-// fingerprinted once here, not per target.
+// Run streams localizations of targets over the returned channel. Items
+// arrive in completion order (use Item.Index to restore submission order)
+// and the channel closes after the last one. Cancelling ctx stops the
+// batch early: in-flight targets abort at their next probe and queued
+// ones are reported with ctx's error. opts apply to every target of the
+// batch; they are resolved and fingerprinted once here, not per target.
+// Up to Options.Workers targets measure concurrently.
 //
-// Multi-target runs take the fused path: the whole batch is one (epoch,
-// options-fingerprint) group solved by core.LocalizeBatchDeadline, which
-// resolves config and options once and shares the epoch's rasterized
-// geography across targets (TargetTimeout still applies per target, as a
-// deadline starting when a worker picks the target up). Cache hits are
-// served up front, duplicate targets within the batch coalesce onto one
-// measurement, and results are bit-identical to the per-target path.
+// The channel holds the whole batch, so the engine never waits on its
+// consumer: a slow reader cannot hold up measurements that concurrent
+// calls have coalesced onto this one.
 func (e *Engine) Run(ctx context.Context, targets []string, opts ...core.LocalizeOption) <-chan Item {
 	ro := resolveOpts(opts)
-	out := make(chan Item, e.opts.Workers)
-	if len(targets) > 1 {
-		go func() {
-			defer close(out)
-			e.runFused(ctx, targets, ro, out)
-		}()
-		return out
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < e.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out <- e.localize(ctx, targets[i], i, ro)
-			}
-		}()
-	}
+	out := make(chan Item, len(targets))
 	go func() {
-		defer close(jobs)
-		for i := range targets {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				// Report the rest as cancelled rather than dropping
-				// them silently.
-				for j := i; j < len(targets); j++ {
-					out <- Item{Index: j, Target: targets[j], Err: ctx.Err()}
-				}
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(out)
+		defer close(out)
+		e.serve(ctx, targets, ro, func(it Item) { out <- it })
 	}()
 	return out
 }
 
-// Collect runs a batch and returns results in submission order. The error
-// slice is parallel to targets; results[i] is nil exactly when errs[i] is
-// non-nil. opts apply to every target.
+// Collect runs a batch on the calling goroutine and returns results in
+// submission order. The error slice is parallel to targets; results[i] is
+// nil exactly when errs[i] is non-nil. opts apply to every target.
 func (e *Engine) Collect(ctx context.Context, targets []string, opts ...core.LocalizeOption) (results []*core.Result, errs []error) {
 	results = make([]*core.Result, len(targets))
 	errs = make([]error, len(targets))
-	for item := range e.Run(ctx, targets, opts...) {
-		results[item.Index] = item.Result
-		errs[item.Index] = item.Err
-	}
+	e.serve(ctx, targets, resolveOpts(opts), func(it Item) {
+		results[it.Index], errs[it.Index] = it.Result, it.Err
+	})
 	return results, errs
 }
 
-// runFused executes one homogeneous batch as a single fused group on the
-// borrowed epoch. Cache hits stream out first; every remaining distinct
-// (target, options) key is measured exactly once by
-// core.LocalizeBatchDeadline (duplicates within the batch coalesce onto
-// the first occurrence), and measured items stream out in completion
-// order. Per-target metrics match the scalar path: one request per
-// submitted target, hits/misses counted at the cache, coalesced counted
-// per follower.
-func (e *Engine) runFused(ctx context.Context, targets []string, ro resolved, out chan<- Item) {
-	start := time.Now()
-	for range targets {
-		e.metrics.begin()
-	}
-	loc := e.provider.CurrentLocalizer()
-	epoch := loc.Survey.Epoch
-	e.metrics.fused(len(targets))
-
-	emit := func(item Item) {
-		out <- item
-		e.metrics.end()
-	}
-
-	if err := ctx.Err(); err != nil {
-		for i, t := range targets {
-			emit(Item{Index: i, Target: t, Epoch: epoch, Err: err})
-		}
-		return
-	}
-
-	key := func(target string) string {
-		if ro.fp != "" {
-			return target + "\x1f" + ro.fp
-		}
-		return target
-	}
-
-	// Cache partition plus within-batch coalescing. Non-cacheable options
-	// (custom evidence sources) share nothing, exactly like the scalar
-	// path: no cache read, no cache insertion, no coalescing — every
-	// occurrence measures independently.
-	measure := make([]string, 0, len(targets))
-	followers := make([][]int, 0, len(targets)) // parallel to measure
-	leader := make(map[string]int, len(targets))
-	for i, t := range targets {
-		if ro.cacheable {
-			k := key(t)
-			if e.cache != nil {
-				if res, ok := e.cache.get(k, epoch); ok {
-					e.metrics.hit()
-					emit(Item{Index: i, Target: t, Epoch: epoch, Result: res, Cached: true, Elapsed: time.Since(start)})
-					continue
-				}
-			}
-			e.metrics.miss()
-			if j, ok := leader[k]; ok {
-				followers[j] = append(followers[j], i)
-				e.metrics.coalesce()
-				continue
-			}
-			leader[k] = len(measure)
-		} else {
-			e.metrics.miss()
-		}
-		measure = append(measure, t)
-		followers = append(followers, []int{i})
-	}
-	if len(measure) == 0 {
-		return
-	}
-
-	loc.LocalizeBatchDeadline(ctx, measure, e.opts.Workers, e.opts.TargetTimeout, ro.opts, func(j int, res *core.Result, err error) {
-		t := measure[j]
-		if err != nil {
-			// Match the per-target path's error shape: cancellations and
-			// per-target deadline expiries surface as "batch: <target>:
-			// <ctx error>".
-			for _, sentinel := range []error{context.Canceled, context.DeadlineExceeded} {
-				if errors.Is(err, sentinel) {
-					err = fmt.Errorf("batch: %s: %w", t, sentinel)
-					break
-				}
-			}
-		} else {
-			// Once per computed result (not per follower delivery), like
-			// the scalar path.
-			e.metrics.observePriors(res)
-			if e.cache != nil && ro.cacheable && !res.Degraded {
-				// Degraded results are served but never cached: the failure
-				// that degraded them is transient, and a cached entry would
-				// keep answering from partial evidence long after the
-				// network healed.
-				e.cache.put(key(t), epoch, res)
-			}
-		}
-		elapsed := time.Since(start)
-		for _, i := range followers[j] {
-			item := Item{Index: i, Target: t, Epoch: epoch, Elapsed: elapsed}
-			if err != nil {
-				e.metrics.fail()
-				item.Err = err
-			} else {
-				if res.Degraded {
-					e.metrics.degrade()
-				}
-				item.Result = res
-				e.metrics.observe(elapsed)
-			}
-			emit(item)
-		}
-	})
-}
-
 // resolved carries a request's pre-resolved options plus the derived
-// cache-key material, computed once per Localize/Run call.
+// cache-key material, computed once per call.
 type resolved struct {
 	opts *core.LocalizeOptions // nil = defaults
 	// fp is the options fingerprint ("" for defaults).
 	fp string
 	// cacheable is false when the options cannot be fingerprinted by
-	// content (custom evidence sources); such requests bypass the LRU
-	// and the flight group entirely.
+	// content (custom evidence sources); such requests share nothing: no
+	// cache read, no cache insertion, no coalescing — every occurrence
+	// measures independently.
 	cacheable bool
 }
 
@@ -375,116 +221,184 @@ func resolveOpts(opts []core.LocalizeOption) resolved {
 	return resolved{opts: &o, fp: o.Fingerprint(), cacheable: o.Cacheable()}
 }
 
-// localize is the single-target path shared by Localize and Run workers.
-// It borrows the provider's current epoch once, up front, and uses that
-// one snapshot for the cache lookup, the coalescing key, and the
-// measurement — the request is epoch-consistent end to end even if a
-// swap lands mid-flight.
-func (e *Engine) localize(ctx context.Context, target string, idx int, ro resolved) Item {
-	start := time.Now()
-	e.metrics.begin()
-	defer e.metrics.end()
-	loc := e.provider.CurrentLocalizer()
-	epoch := loc.Survey.Epoch
-	item := Item{Index: idx, Target: target, Epoch: epoch}
-
-	if err := ctx.Err(); err != nil {
-		item.Err = err
-		return item
-	}
-
-	// Options-fingerprinted keying: requests tuned differently must
-	// never share a cache entry or coalesce onto one measurement, while
-	// identical tunings keep the full hit/coalesce behaviour. The
-	// default-options key is the bare target, so v1 traffic keys exactly
-	// as before.
-	key := target
-	if ro.fp != "" {
-		key = target + "\x1f" + ro.fp
-	}
-
-	if !ro.cacheable {
-		// Un-fingerprintable options (custom evidence sources): measure
-		// directly, sharing nothing.
-		e.metrics.miss()
-		res, err := e.measure(ctx, loc, target, ro.opts)
-		if err != nil {
-			e.metrics.fail()
-			item.Err = err
-			return item
-		}
-		if res.Degraded {
-			e.metrics.degrade()
-		}
-		e.metrics.observePriors(res)
-		item.Result = res
-		item.Elapsed = time.Since(start)
-		e.metrics.observe(item.Elapsed)
-		return item
-	}
-
-	if e.cache != nil {
-		if res, ok := e.cache.get(key, epoch); ok {
-			e.metrics.hit()
-			item.Result, item.Cached, item.Elapsed = res, true, time.Since(start)
-			return item
-		}
-	}
-	e.metrics.miss()
-
-	// Epoch-qualified coalescing: concurrent requests for one (target,
-	// options) pair coalesce only within an epoch, so a follower never
-	// receives a result computed on a snapshot — or under options — it
-	// did not ask for.
-	flightKey := strconv.FormatUint(epoch, 36) + "\x00" + key
-	res, err, shared := e.flight.do(ctx, flightKey, func() (*core.Result, error) {
-		return e.measure(ctx, loc, target, ro.opts)
-	})
-	if shared {
-		e.metrics.coalesce()
-	}
-	if err != nil {
-		e.metrics.fail()
-		item.Err = err
-		return item
-	}
-	if !shared {
-		// This caller computed the result; followers sharing it don't
-		// re-count its dropped hints or conflicts.
-		e.metrics.observePriors(res)
-	}
-	if e.cache != nil && !shared && !res.Degraded {
-		// See runFused: degraded results never enter the cache.
-		e.cache.put(key, epoch, res)
-	}
-	if res.Degraded {
-		e.metrics.degrade()
-	}
-	item.Result = res
-	item.Elapsed = time.Since(start)
-	e.metrics.observe(item.Elapsed)
-	return item
+// waiter is one distinct key a call could not answer from the cache: the
+// submitted positions that want it and, once joined, the flight it rides.
+type waiter struct {
+	target string
+	// key is the LRU key: the bare target under default options (so v1
+	// traffic keys exactly as it always has), target + fingerprint under
+	// tuned ones. Unused when the options are not cacheable.
+	key  string
+	idx  []int
+	call *flightCall
 }
 
-// measure runs one uncached localization on the borrowed epoch snapshot
-// under the per-target deadline. Context binding happens inside the
-// core request path now: LocalizeWith attaches ctx to the prober, so a
-// cancelled target stops at its next measurement call instead of
-// probing all remaining landmarks.
-func (e *Engine) measure(ctx context.Context, loc *core.Localizer, target string, o *core.LocalizeOptions) (*core.Result, error) {
-	if e.opts.TargetTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.opts.TargetTimeout)
-		defer cancel()
+// serve is the engine's one request path. It borrows the provider's
+// current epoch once, up front, and uses that one snapshot for the cache
+// lookups, the coalescing keys, and the measurements — the call is
+// epoch-consistent end to end even if a swap lands mid-flight. Every
+// submitted target is emitted exactly once, on the calling goroutine:
+// cache hits first, measured and coalesced outcomes as they complete.
+// Metrics count one request per submitted target, hits and misses at the
+// cache, and one coalesced per delivery that rode a measurement some
+// other position or call started.
+func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit func(Item)) {
+	start := time.Now()
+	for range targets {
+		e.metrics.begin()
 	}
-	res, err := loc.LocalizeWith(ctx, target, o)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("batch: %s: %w", target, cerr)
+	loc := e.provider.CurrentLocalizer()
+	epoch := loc.Survey.Epoch
+	if len(targets) > 1 {
+		e.metrics.fused(len(targets))
+	}
+	if err := ctx.Err(); err != nil {
+		for i, t := range targets {
+			emit(Item{Index: i, Target: t, Epoch: epoch, Err: err})
+			e.metrics.end()
 		}
-		return nil, err
+		return
 	}
-	return res, nil
+
+	// Cache partition plus within-call coalescing.
+	var pending []waiter
+	var seen map[string]int // key → position in pending; multi-target calls only
+	for i, t := range targets {
+		key := t
+		if ro.cacheable {
+			if ro.fp != "" {
+				key = t + "\x1f" + ro.fp
+			}
+			if e.cache != nil {
+				if res, ok := e.cache.get(key, epoch); ok {
+					e.metrics.hit()
+					emit(Item{Index: i, Target: t, Epoch: epoch, Result: res, Cached: true, Elapsed: time.Since(start)})
+					e.metrics.end()
+					continue
+				}
+			}
+			if j, dup := seen[key]; dup {
+				e.metrics.miss()
+				pending[j].idx = append(pending[j].idx, i)
+				continue
+			}
+			if len(targets) > 1 {
+				if seen == nil {
+					seen = make(map[string]int)
+				}
+				seen[key] = len(pending)
+			}
+		}
+		e.metrics.miss()
+		pending = append(pending, waiter{target: t, key: key, idx: []int{i}})
+	}
+
+	// deliver emits one settled outcome to every position waiting on it.
+	// shared marks an outcome some other call measured; within this call
+	// every position after the first shares the first's.
+	deliver := func(w *waiter, res *core.Result, err error, shared bool) {
+		elapsed := time.Since(start)
+		for n, i := range w.idx {
+			if shared || n > 0 {
+				e.metrics.coalesce()
+			}
+			item := Item{Index: i, Target: w.target, Epoch: epoch, Elapsed: elapsed}
+			if err != nil {
+				e.metrics.fail()
+				item.Err = err
+			} else {
+				if res.Degraded {
+					e.metrics.degrade()
+				}
+				item.Result = res
+				e.metrics.observe(elapsed)
+			}
+			emit(item)
+			e.metrics.end()
+		}
+	}
+
+	// Each round leads what nobody else is measuring, then follows the
+	// rest. Leaders always finish their own measurements before waiting on
+	// anyone else's, so two calls that each lead a key the other follows
+	// cannot deadlock; followers wait under their own context only. A
+	// follower whose leader was cancelled or timed out under the leader's
+	// own context learned nothing about this call: it goes round again,
+	// leading (or re-coalescing) under this call's context.
+	for len(pending) > 0 {
+		var led, following []waiter
+		for _, w := range pending {
+			leader := true
+			if ro.cacheable {
+				// Epoch-qualified coalescing: a follower never receives a
+				// result computed on a snapshot — or under options — it
+				// did not ask for.
+				w.call, leader = e.flight.join(strconv.FormatUint(epoch, 36) + "\x00" + w.key)
+			}
+			if leader {
+				led = append(led, w)
+			} else {
+				following = append(following, w)
+			}
+		}
+
+		if len(led) > 0 {
+			measure := make([]string, len(led))
+			for j := range led {
+				measure[j] = led[j].target
+			}
+			loc.LocalizeBatchDeadline(ctx, measure, e.opts.Workers, e.opts.TargetTimeout, ro.opts, func(j int, res *core.Result, err error) {
+				w := &led[j]
+				if err != nil {
+					// Cancellations and per-target deadline expiries
+					// surface as "batch: <target>: <ctx error>".
+					if sentinel := ctxSentinel(err); sentinel != nil {
+						err = fmt.Errorf("batch: %s: %w", w.target, sentinel)
+					}
+				} else {
+					// Once per computed result, not per delivery.
+					e.metrics.observePriors(res)
+					if e.cache != nil && ro.cacheable && !res.Degraded {
+						// Degraded results are served but never cached:
+						// the failure that degraded them is transient, and
+						// a cached entry would keep answering from partial
+						// evidence long after the network healed.
+						e.cache.put(w.key, epoch, res)
+					}
+				}
+				if w.call != nil {
+					e.flight.finish(w.call, res, err)
+				}
+				deliver(w, res, err, false)
+			})
+		}
+
+		pending = nil
+		for i := range following {
+			w := &following[i]
+			select {
+			case <-w.call.done:
+			case <-ctx.Done():
+				deliver(w, nil, ctx.Err(), true)
+				continue
+			}
+			if ctxSentinel(w.call.err) != nil {
+				pending = append(pending, *w)
+				continue
+			}
+			deliver(w, w.call.res, w.call.err, true)
+		}
+	}
+}
+
+// ctxSentinel returns the context error err wraps, if any.
+func ctxSentinel(err error) error {
+	for _, sentinel := range [...]error{context.Canceled, context.DeadlineExceeded} {
+		if errors.Is(err, sentinel) {
+			return sentinel
+		}
+	}
+	return nil
 }
 
 // Peek looks up a cached result for (target, fingerprint, epoch) without
@@ -530,51 +444,42 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// flightGroup coalesces concurrent calls for the same key onto one
-// execution (the classic singleflight shape, scoped to what the engine
-// needs). Followers share the leader's result and error — except
-// cancellation: a follower waits under its own context, and a leader
-// whose context was cancelled does not poison healthy followers (they
-// retry, one of them becoming the new leader).
+// flightGroup coalesces concurrent measurements of the same key onto one
+// execution (the singleflight shape, split into join and finish so one
+// call can lead some keys and follow others). Followers share the
+// leader's result and error — except cancellation: a leader whose context
+// was cancelled does not poison healthy followers (see Engine.serve).
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
 }
 
 type flightCall struct {
+	key  string
 	done chan struct{}
 	res  *core.Result
 	err  error
 }
 
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*core.Result, error)) (res *core.Result, err error, shared bool) {
-	for {
-		g.mu.Lock()
-		if c, ok := g.calls[key]; ok {
-			g.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, ctx.Err(), true
-			}
-			if c.err != nil && (errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
-				// The leader was cancelled or timed out under its own
-				// context; that says nothing about this caller. Loop and
-				// run (or re-coalesce) under our own context instead.
-				continue
-			}
-			return c.res, c.err, true
-		}
-		c := &flightCall{done: make(chan struct{})}
-		g.calls[key] = c
-		g.mu.Unlock()
-
-		c.res, c.err = fn()
-
-		g.mu.Lock()
-		delete(g.calls, key)
-		g.mu.Unlock()
-		close(c.done)
-		return c.res, c.err, false
+// join returns the flight for key, registering a new one — which the
+// caller then leads and must finish — when none is in the air.
+func (g *flightGroup) join(key string) (c *flightCall, leader bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c, false
 	}
+	c = &flightCall{key: key, done: make(chan struct{})}
+	g.calls[key] = c
+	return c, true
+}
+
+// finish lands a led flight: later joins start afresh, current followers
+// wake to the outcome.
+func (g *flightGroup) finish(c *flightCall, res *core.Result, err error) {
+	c.res, c.err = res, err
+	g.mu.Lock()
+	delete(g.calls, c.key)
+	g.mu.Unlock()
+	close(c.done)
 }

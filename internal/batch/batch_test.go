@@ -67,7 +67,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 
 	want := make([]*core.Result, len(f.targets))
 	for i, tgt := range f.targets {
-		res, err := loc.Localize(tgt)
+		res, err := loc.LocalizeContext(context.Background(), tgt)
 		if err != nil {
 			t.Fatalf("sequential %s: %v", tgt, err)
 		}
@@ -202,10 +202,10 @@ func TestCoalescingDeduplicatesConcurrentTargets(t *testing.T) {
 func TestCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	f := sharedFixture(t)
 	cp := &countingProber{Prober: f.prober, delay: 2 * time.Millisecond}
-	// Serialized measurement keeps the leader mid-measurement for the
+	// One-worker measurement keeps the leader mid-measurement for the
 	// whole ~86ms the sleeps below assume; the engine-level flight group
 	// under test is independent of how probes are scheduled.
-	loc := core.NewLocalizer(cp, f.survey, core.Config{MeasureWorkers: -1})
+	loc := core.NewLocalizer(cp, f.survey, core.Config{MeasureWorkers: 1})
 	eng := batch.New(loc, batch.Options{Workers: 4, CacheSize: -1})
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())

@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -130,6 +129,18 @@ func TestLRUConcurrentMixedEpochs(t *testing.T) {
 // the SAME fingerprint coalesce onto one measurement.
 func TestFlightKeyUniqueness(t *testing.T) {
 	g := flightGroup{calls: make(map[string]*flightCall)}
+	// do drives one key through join/finish the way a one-target call
+	// does: lead and finish, or follow and share.
+	do := func(key string, fn func() (*core.Result, error)) (*core.Result, error, bool) {
+		c, leader := g.join(key)
+		if !leader {
+			<-c.done
+			return c.res, c.err, true
+		}
+		res, err := fn()
+		g.finish(c, res, err)
+		return res, err, false
+	}
 	flightKey := func(epoch uint64, target, fp string) string {
 		key := target
 		if fp != "" {
@@ -158,7 +169,7 @@ func TestFlightKeyUniqueness(t *testing.T) {
 		go func(i int, key string) {
 			defer wg.Done()
 			want := resAt(uint64(i))
-			results[i], _, shareds[i] = g.do(context.Background(), key, func() (*core.Result, error) {
+			results[i], _, shareds[i] = do(key, func() (*core.Result, error) {
 				started <- i
 				<-gate
 				return want, nil
@@ -196,7 +207,7 @@ func TestFlightKeyUniqueness(t *testing.T) {
 	wg2.Add(1)
 	go func() {
 		defer wg2.Done()
-		_, _, _ = g.do(context.Background(), key, func() (*core.Result, error) {
+		_, _, _ = do(key, func() (*core.Result, error) {
 			ran++
 			close(leaderIn)
 			<-gate2
@@ -207,7 +218,7 @@ func TestFlightKeyUniqueness(t *testing.T) {
 	wg2.Add(1)
 	go func() {
 		defer wg2.Done()
-		follower, _, followerShared = g.do(context.Background(), key, func() (*core.Result, error) {
+		follower, _, followerShared = do(key, func() (*core.Result, error) {
 			ran++
 			return resAt(100), nil
 		})

@@ -1,0 +1,247 @@
+package batch_test
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"octant/internal/batch"
+	"octant/internal/core"
+	"octant/internal/probe"
+)
+
+// gatedProber counts ping trains per destination and parks the ones hold
+// selects until the gate opens. It is a probe.ContextProber, so a
+// cancelled request aborts its parked trains at once instead of waiting
+// for the gate.
+type gatedProber struct {
+	probe.Prober
+	// hold reports whether the nth (1-based) train to dst parks.
+	hold func(dst string, nth int) bool
+	gate chan struct{}
+	// parked receives dst each time a train parks.
+	parked chan string
+
+	mu    sync.Mutex
+	pings map[string]int
+}
+
+func newGatedProber(p probe.Prober, hold func(dst string, nth int) bool) *gatedProber {
+	return &gatedProber{
+		Prober: p,
+		hold:   hold,
+		gate:   make(chan struct{}),
+		parked: make(chan string, 1<<14), // far more than any test's trains: sends never block
+		pings:  make(map[string]int),
+	}
+}
+
+func (g *gatedProber) Ping(src, dst string, n int) ([]float64, error) {
+	return g.PingContext(context.Background(), src, dst, n)
+}
+
+func (g *gatedProber) PingContext(ctx context.Context, src, dst string, n int) ([]float64, error) {
+	g.mu.Lock()
+	g.pings[dst]++
+	nth := g.pings[dst]
+	g.mu.Unlock()
+	if g.hold(dst, nth) {
+		g.parked <- dst
+		select {
+		case <-g.gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return g.Prober.Ping(src, dst, n)
+}
+
+func (g *gatedProber) TracerouteContext(_ context.Context, src, dst string) ([]probe.Hop, error) {
+	return g.Prober.Traceroute(src, dst)
+}
+
+func (g *gatedProber) trains(dst string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.pings[dst]
+}
+
+// awaitParked blocks until every target in want has parked at least one
+// train.
+func (g *gatedProber) awaitParked(t *testing.T, want ...string) {
+	t.Helper()
+	missing := make(map[string]bool, len(want))
+	for _, w := range want {
+		missing[w] = true
+	}
+	timeout := time.After(10 * time.Second)
+	for len(missing) > 0 {
+		select {
+		case dst := <-g.parked:
+			delete(missing, dst)
+		case <-timeout:
+			t.Fatalf("no train parked for %v", missing)
+		}
+	}
+}
+
+// wideOpen keeps the measurement scheduler's global cap out of the way,
+// so trains parked for one target never starve another's.
+var wideOpen = core.Config{MeasureWorkers: 4096}
+
+// TestConcurrentBatchesShareMeasurements: two concurrent Run batches with
+// targets in common measure each shared target exactly once — the second
+// batch follows the first's in-flight measurements instead of probing
+// again — and Coalesced counts the cross-batch followers.
+func TestConcurrentBatchesShareMeasurements(t *testing.T) {
+	f := sharedFixture(t)
+	gp := newGatedProber(f.prober, func(string, int) bool { return true })
+	eng := batch.New(core.NewLocalizer(gp, f.survey, wideOpen), batch.Options{Workers: 4})
+	ctx := context.Background()
+	a := []string{f.targets[20], f.targets[21], f.targets[22]}
+	b := []string{f.targets[21], f.targets[22], f.targets[23]}
+
+	itemsA := eng.Run(ctx, a)
+	gp.awaitParked(t, a...)
+	// A now leads all three of its targets. B leads only its own; once
+	// that one is probing, B has joined A's flights for the other two.
+	itemsB := eng.Run(ctx, b)
+	gp.awaitParked(t, b[2])
+	close(gp.gate)
+
+	got := map[string][]*core.Result{}
+	for _, items := range []<-chan batch.Item{itemsA, itemsB} {
+		for item := range items {
+			if item.Err != nil {
+				t.Fatalf("%s: %v", item.Target, item.Err)
+			}
+			got[item.Target] = append(got[item.Target], item.Result)
+		}
+	}
+	n := f.survey.N()
+	for _, tgt := range f.targets[20:24] {
+		if trains := gp.trains(tgt); trains != n {
+			t.Errorf("%s: %d ping trains, want %d (one measurement)", tgt, trains, n)
+		}
+	}
+	for _, tgt := range b[:2] {
+		if rs := got[tgt]; len(rs) != 2 || rs[0] != rs[1] {
+			t.Errorf("%s: batches did not share one *Result: %v", tgt, rs)
+		}
+	}
+	s := eng.Stats()
+	if s.Coalesced != 2 || s.Requests != 6 || s.CacheMisses != 6 || s.CacheHits != 0 {
+		t.Errorf("stats = %d coalesced / %d requests / %d misses / %d hits, want 2 / 6 / 6 / 0",
+			s.Coalesced, s.Requests, s.CacheMisses, s.CacheHits)
+	}
+}
+
+// TestCancelledLeaderDoesNotPoisonBatchFollower holds batches to the
+// contract TestCancelledLeaderDoesNotPoisonFollowers holds single calls
+// to: a batch following another call's in-flight measurement re-runs that
+// target itself when the leader is cancelled, and gets a healthy result.
+func TestCancelledLeaderDoesNotPoisonBatchFollower(t *testing.T) {
+	f := sharedFixture(t)
+	n := f.survey.N()
+	shared, own := f.targets[24], f.targets[25]
+	// Only the leader's trains park: the first n to the shared target.
+	gp := newGatedProber(f.prober, func(dst string, nth int) bool { return dst == shared && nth <= n })
+	eng := batch.New(core.NewLocalizer(gp, f.survey, wideOpen), batch.Options{Workers: 4, CacheSize: -1})
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := eng.Localize(leaderCtx, shared)
+		leaderDone <- err
+	}()
+	gp.awaitParked(t, shared)
+
+	items := eng.Run(context.Background(), []string{own, shared})
+	first := <-items
+	if first.Target != own || first.Err != nil {
+		t.Fatalf("first item = %s err %v, want %s healthy", first.Target, first.Err, own)
+	}
+	// The batch is past its joins, and every train to the shared target
+	// so far is the leader's: the batch is following, not probing.
+	if trains := gp.trains(shared); trains != n {
+		t.Fatalf("%d trains to the shared target while the leader is in flight, want the leader's %d", trains, n)
+	}
+
+	cancelLeader()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader err = %v, want context.Canceled", err)
+	}
+	second, ok := <-items
+	if !ok || second.Target != shared {
+		t.Fatalf("second item = %+v (open %v), want %s", second, ok, shared)
+	}
+	if second.Err != nil || second.Result == nil {
+		t.Errorf("batch follower inherited the leader's fate: err %v", second.Err)
+	}
+	if trains := gp.trains(shared); trains != 2*n {
+		t.Errorf("%d trains to the shared target, want %d (the leader's aborted walk, then the follower's own)", trains, 2*n)
+	}
+}
+
+// TestSingleTargetIsBatchOfOne: LocalizeItem(t) and Collect([t]) are the
+// same path — same result bits, same counter movement, miss and hit —
+// a one-target Run starts no worker pool, and a zero-target Run just
+// closes its channel.
+func TestSingleTargetIsBatchOfOne(t *testing.T) {
+	f := sharedFixture(t)
+	ctx := context.Background()
+	tgt := f.targets[26]
+	counters := func(e *batch.Engine) [4]uint64 {
+		s := e.Stats()
+		return [4]uint64{s.Requests, s.CacheHits, s.CacheMisses, s.Coalesced}
+	}
+
+	single := batch.New(core.NewLocalizer(f.prober, f.survey, core.Config{}), batch.Options{Workers: 8})
+	group := batch.New(core.NewLocalizer(f.prober, f.survey, core.Config{}), batch.Options{Workers: 8})
+	for _, pass := range []string{"miss", "hit"} {
+		item := single.LocalizeItem(ctx, tgt)
+		results, errs := group.Collect(ctx, []string{tgt})
+		if item.Err != nil || errs[0] != nil {
+			t.Fatalf("%s: errs %v / %v", pass, item.Err, errs[0])
+		}
+		a, b := item.Result, results[0]
+		if a.Point != b.Point || a.AreaKm2 != b.AreaKm2 || a.Weight != b.Weight ||
+			a.TargetHeightMs != b.TargetHeightMs || !reflect.DeepEqual(a.RTTs, b.RTTs) ||
+			!reflect.DeepEqual(a.Region.Rings, b.Region.Rings) || len(a.Constraints) != len(b.Constraints) {
+			t.Errorf("%s: LocalizeItem and Collect disagree: %v/%v km² vs %v/%v km²", pass, a.Point, a.AreaKm2, b.Point, b.AreaKm2)
+		}
+		if cs, cg := counters(single), counters(group); cs != cg {
+			t.Errorf("%s: counters (requests, hits, misses, coalesced) = %v via LocalizeItem, %v via Collect", pass, cs, cg)
+		}
+	}
+	if s := group.Stats(); s.FusedGroups != 0 || s.FusedTargets != 0 {
+		t.Errorf("one-target calls counted as fused: %d groups / %d targets", s.FusedGroups, s.FusedTargets)
+	}
+
+	// One engine goroutine (Run's) plus the one-worker scheduler's single
+	// fan-out goroutine, however wide the engine's worker setting is.
+	gp := newGatedProber(f.prober, func(string, int) bool { return true })
+	eng := batch.New(core.NewLocalizer(gp, f.survey, core.Config{MeasureWorkers: 1}), batch.Options{Workers: 8})
+	before := runtime.NumGoroutine()
+	items := eng.Run(ctx, []string{tgt})
+	gp.awaitParked(t, tgt)
+	if delta := runtime.NumGoroutine() - before; delta > 2 {
+		t.Errorf("one-target Run is holding %d goroutines, want ≤ 2 (no worker pool)", delta)
+	}
+	close(gp.gate)
+	if item := <-items; item.Err != nil {
+		t.Fatal(item.Err)
+	}
+
+	requests := eng.Stats().Requests
+	if _, open := <-eng.Run(ctx, nil); open {
+		t.Error("zero-target Run delivered an item")
+	}
+	if got := eng.Stats().Requests; got != requests {
+		t.Errorf("zero-target Run counted %d requests", got-requests)
+	}
+}

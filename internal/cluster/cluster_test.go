@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,7 +208,7 @@ func TestRouterBatchScatterGather(t *testing.T) {
 		if res.Epoch != results[0].Epoch {
 			t.Fatalf("mixed epochs in one batch: %d vs %d", res.Epoch, results[0].Epoch)
 		}
-		want, err := loc.Localize(targets[i])
+		want, err := loc.LocalizeContext(context.Background(), targets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,5 +328,38 @@ func TestFrontDoorHTTP(t *testing.T) {
 	}
 	if report.Refreshed || len(report.Nodes) != 1 || !report.Nodes[0].Skipped {
 		t.Errorf("no-op rollout report = %+v", report)
+	}
+}
+
+// TestOversizedBodyIs413: a localize body over the 1 MiB cap is refused
+// with 413 before it is buffered, on a serving node and at the front door
+// alike, single and batch.
+func TestOversizedBodyIs413(t *testing.T) {
+	fleet := startFleet(t, 1, 13)
+	r, err := NewRouter(fleet.Clients(), RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(fleet.Clients())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A syntactically valid request whose target alone outgrows the cap,
+	// so only the size check can refuse it.
+	huge := strings.Repeat("x", 1<<20)
+	for name, h := range map[string]http.Handler{
+		"node":  fleet.Nodes[0].Server.Handler(),
+		"front": NewFront(r, coord).Handler(),
+	} {
+		for path, body := range map[string]string{
+			"/v2/localize":       `{"target":"` + huge + `"}`,
+			"/v2/localize/batch": `{"targets":["` + huge + `"]}`,
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s: status %d, want 413 (%.80s)", name, path, rec.Code, rec.Body)
+			}
+		}
 	}
 }

@@ -48,10 +48,10 @@ type FleetConfig struct {
 	// overlaps up to this many trains' wire time; a serialized
 	// measurement loop pays it train by train regardless.
 	ProbeLanes int
-	// SerializedMeasurement pins each node's localizer to the legacy
-	// one-probe-at-a-time measurement loop (core MeasureWorkers < 0).
-	// The cluster benchmark uses it as the baseline leg its per-node
-	// throughput gate compares the concurrent scheduler against.
+	// SerializedMeasurement gives each node's localizer a one-worker
+	// measurement scheduler: one probe train at a time. The cluster
+	// benchmark uses it as the baseline leg its per-node throughput gate
+	// compares the default fan-out against.
 	SerializedMeasurement bool
 	// RetryAttempts wraps every node's prober in probe.WithRetry with
 	// this attempt budget (0/1 = no retries). The chaos harness uses it
@@ -133,7 +133,7 @@ func (n *FleetNode) Revive() error {
 	if err != nil {
 		return fmt.Errorf("revive %s: %w", n.Name, err)
 	}
-	hs := &http.Server{Handler: n.Server.Handler()}
+	hs := serve.HTTPServer(n.Server.Handler())
 	go func() { _ = hs.Serve(ln) }()
 	n.ln, n.hs, n.down = ln, hs, false
 	return nil
@@ -217,7 +217,7 @@ func StartLocalFleet(cfg FleetConfig) (*LocalFleet, error) {
 		}
 		nodeCfg := core.Config{Probes: 10}
 		if cfg.SerializedMeasurement {
-			nodeCfg.MeasureWorkers = -1
+			nodeCfg.MeasureWorkers = 1
 		}
 		manager := lifecycle.New(nodeProber, nodeSurvey, nodeCfg, lifecycle.Options{Probes: 10})
 		engine := batch.NewWithProvider(manager, batch.Options{
@@ -230,7 +230,7 @@ func StartLocalFleet(cfg FleetConfig) (*LocalFleet, error) {
 			f.Close()
 			return nil, err
 		}
-		hs := &http.Server{Handler: srv.Handler()}
+		hs := serve.HTTPServer(srv.Handler())
 		go func() { _ = hs.Serve(ln) }()
 		f.Nodes = append(f.Nodes, &FleetNode{
 			Name:   fmt.Sprintf("node-%d", i),

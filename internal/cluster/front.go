@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"octant/internal/serve"
@@ -47,38 +46,25 @@ func (f *Front) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // writeRouteError maps a router failure onto the wire.
 func writeRouteError(w http.ResponseWriter, err error) {
 	if re, ok := err.(*RouteError); ok {
-		writeError(w, re.Status, "%s", re.Message)
+		serve.WriteError(w, re.Status, "%s", re.Message)
 		return
 	}
-	writeError(w, http.StatusInternalServerError, "%v", err)
+	serve.WriteError(w, http.StatusInternalServerError, "%v", err)
 }
 
 func (f *Front) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req struct {
 		Target  string             `json:"target"`
 		Options *serve.WireOptions `json:"options"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !serve.DecodeJSON(w, r, true, &req) {
 		return
 	}
 	tr, err := f.router.Localize(r.Context(), req.Target, req.Options)
@@ -86,22 +72,19 @@ func (f *Front) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		writeRouteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, tr)
+	serve.WriteJSON(w, http.StatusOK, tr)
 }
 
 func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req struct {
 		Targets []string           `json:"targets"`
 		Options *serve.WireOptions `json:"options"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !serve.DecodeJSON(w, r, true, &req) {
 		return
 	}
 	// The router gathers before emitting (epoch coherence needs the whole
@@ -123,7 +106,7 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *Front) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, f.router.Stats(r.Context()))
+	serve.WriteJSON(w, http.StatusOK, f.router.Stats(r.Context()))
 }
 
 // clusterView is the /v1/cluster wire shape: ring membership with live
@@ -151,33 +134,30 @@ func (f *Front) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		view.Nodes = append(view.Nodes, cn)
 	}
-	writeJSON(w, http.StatusOK, view)
+	serve.WriteJSON(w, http.StatusOK, view)
 }
 
 func (f *Front) handleRollout(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req struct {
 		SkipRefresh bool `json:"skip_refresh"`
 	}
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
+	if r.ContentLength != 0 && !serve.DecodeJSON(w, r, false, &req) {
+		return
 	}
 	report, err := f.coord.Rollout(r.Context(), RolloutOptions{SkipRefresh: req.SkipRefresh})
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "rollout failed: %v", err)
+		serve.WriteError(w, http.StatusUnprocessableEntity, "rollout failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, report)
+	serve.WriteJSON(w, http.StatusOK, report)
 }
 
 func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"nodes":  f.router.Ring().Len(),
 		"epoch":  f.router.Epoch(),
@@ -191,9 +171,9 @@ func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	for _, name := range f.router.Ring().Nodes() {
 		if f.router.isReady(ctx, name) {
-			writeJSON(w, http.StatusOK, serve.Readiness{Ready: true, Epoch: f.router.Epoch()})
+			serve.WriteJSON(w, http.StatusOK, serve.Readiness{Ready: true, Epoch: f.router.Epoch()})
 			return
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable, serve.Readiness{Ready: false, Reason: "no ready nodes"})
+	serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Readiness{Ready: false, Reason: "no ready nodes"})
 }

@@ -688,10 +688,10 @@ func (r *Router) Stats(ctx context.Context) ClusterStats {
 	cs := ClusterStats{
 		Epoch: r.epoch.Load(),
 		Router: RouterStats{
-			L1Hits:       hits,
-			L1Misses:     misses,
-			L1Len:        r.cache.Len(),
-			L1Cap:        r.cfg.CacheSize,
+			L1Hits:        hits,
+			L1Misses:      misses,
+			L1Len:         r.cache.Len(),
+			L1Cap:         r.cfg.CacheSize,
 			PeerFetches:   r.peerFetches.Load(),
 			Dispatched:    r.dispatched.Load(),
 			Failovers:     r.failovers.Load(),

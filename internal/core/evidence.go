@@ -94,15 +94,15 @@ type Request struct {
 	// consumer skips.
 	Failures []ProbeFailure
 
-	// arena, when non-nil, bump-allocates disk-constraint memory. The
-	// fused batch path sets it (one arena per worker, alive for the whole
-	// batch); the scalar path leaves it nil and allocates per disk.
+	// arena, when non-nil, bump-allocates disk-constraint memory. A
+	// group of several targets sets it (one arena per worker, alive for
+	// the whole group); a group of one leaves it nil and allocates per
+	// disk.
 	arena *constraintArena
 
-	// sched, when non-nil, is the Localizer's measurement scheduler:
-	// the LatencySource fans its landmark pings and the RouterSource its
-	// traceroutes through it. Nil means serialized measurement (the
-	// pre-scheduler loops).
+	// sched is the Localizer's measurement scheduler: the LatencySource
+	// fans its landmark pings and the RouterSource its traceroutes
+	// through it.
 	sched *measure.Scheduler
 
 	// Exogenous-prior bookkeeping for the disagreement report: the
@@ -286,54 +286,31 @@ func (LatencySource) Constraints(ctx context.Context, req *Request) ([]Constrain
 	// the caller's own context expiring aborts — the caller is gone, so
 	// there is no one to serve a degraded answer to.
 	//
-	// With a scheduler attached the pings fan out concurrently; the
-	// serialized branch below is the same loop probe-for-probe. Both
-	// produce identical slots, failure lists (landmark order), and abort
-	// errors: the scheduler's slot-indexed placement means completion
-	// order never leaks into the outputs.
+	// The pings fan out through the measurement scheduler, whose
+	// slot-indexed placement keeps completion order out of the outputs:
+	// slots, failure lists and abort errors are in landmark order.
+	for _, lm := range s.Landmarks {
+		if lm.Addr == req.Target {
+			return nil, rep, fmt.Errorf("core: target %s is landmark %s; exclude it from the survey first", req.Target, lm.Name)
+		}
+	}
 	var failures []ProbeFailure
 	timing := req.Opts.Explain
 	var mt0 time.Time
 	if timing {
 		mt0 = time.Now()
 	}
-	if sched := req.sched; sched != nil {
-		for _, lm := range s.Landmarks {
-			if lm.Addr == req.Target {
-				return nil, rep, fmt.Errorf("core: target %s is landmark %s; exclude it from the survey first", req.Target, lm.Name)
-			}
+	perrs := make([]error, n)
+	req.sched.PingMinInto(ctx, req.Prober, req.PCtx.Addrs, req.Target, cfg.Probes, s.Epoch, rtts, perrs)
+	for i, err := range perrs {
+		if err == nil {
+			continue
 		}
-		perrs := make([]error, n)
-		sched.PingMinInto(ctx, req.Prober, req.PCtx.Addrs, req.Target, cfg.Probes, s.Epoch, rtts, perrs)
-		for i, err := range perrs {
-			if err == nil {
-				continue
-			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, rep, fmt.Errorf("core: ping %s→%s: %w", s.Landmarks[i].Name, req.Target, err)
-			}
-			rtts[i] = math.NaN()
-			failures = append(failures, ProbeFailure{Landmark: s.Landmarks[i].Name, Reason: err.Error()})
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, rep, fmt.Errorf("core: ping %s→%s: %w", s.Landmarks[i].Name, req.Target, err)
 		}
-	} else {
-		for i, lm := range s.Landmarks {
-			if lm.Addr == req.Target {
-				return nil, rep, fmt.Errorf("core: target %s is landmark %s; exclude it from the survey first", req.Target, lm.Name)
-			}
-			samples, err := req.Prober.Ping(lm.Addr, req.Target, cfg.Probes)
-			if err == nil {
-				var min float64
-				if min, err = probe.MinRTT(samples); err == nil {
-					rtts[i] = min
-					continue
-				}
-			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, rep, fmt.Errorf("core: ping %s→%s: %w", lm.Name, req.Target, err)
-			}
-			rtts[i] = math.NaN()
-			failures = append(failures, ProbeFailure{Landmark: lm.Name, Reason: err.Error()})
-		}
+		rtts[i] = math.NaN()
+		failures = append(failures, ProbeFailure{Landmark: s.Landmarks[i].Name, Reason: err.Error()})
 	}
 	if timing {
 		rep.MeasureMs = float64(time.Since(mt0)) / float64(time.Millisecond)

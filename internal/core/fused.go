@@ -9,19 +9,16 @@ import (
 	"octant/internal/probe"
 )
 
-// Fused multi-target solve. A Localizer pins one survey epoch, so a batch
-// through this file is exactly one fused group in the engine's
-// (survey epoch, options fingerprint) grouping: the batch engine borrows
-// one epoch per run and resolves one options set per run, then routes the
-// whole run here.
+// The request path. Every localization — one target or a thousand — is a
+// group: the targets one caller submits against one Localizer (one survey
+// epoch) under one resolved options set. localizeBatch runs a group and is
+// the only place a Request is assembled; LocalizeContext and LocalizeWith
+// are groups of one, run on the caller's goroutine.
 //
-// What the group shares, computed or rasterized once instead of per
-// target:
+// What a group shares, computed or rasterized once instead of per target:
 //
 //   - the resolved Config (defaults filled, per-request overrides
 //     applied) and the resolved LocalizeOptions;
-//   - the context-bound prober (one probe.WithContext wrapper per batch
-//     instead of one per target);
 //   - the projection context — survey-centroid frame, per-landmark
 //     tangent frames, land outlines projected into the plane;
 //   - the §2.5 land-mask master lattices: solver grids draw their cell
@@ -31,17 +28,22 @@ import (
 //     shared geography and every later target samples the same master.
 //     Per-target weight grids themselves come from sync.Pool'd buffers
 //     (geo.NewGrid), so steady-state solves reuse rather than reallocate
-//     the 1M-cell lattices.
+//     the 1M-cell lattices;
+//   - the measurement scheduler, so concurrent targets queue on the same
+//     per-landmark buckets (and share cache/dedup) instead of each
+//     fanning out blind.
 //
 // What stays per target — measurements, constraint deltas, the two-pass
-// weighted solve — runs on a bounded worker pool, with each worker
-// sweeping its targets' disk constraints through one constraintArena so
-// the per-disk allocation cost amortizes across the batch.
+// weighted solve — runs on a bounded worker pool when the group has more
+// than one target, each worker sweeping its targets' disk constraints
+// through one constraintArena so the per-disk allocation cost amortizes
+// across the group. A group of one allocates per disk: its Result is
+// typically retained alone (an LRU entry), and an arena chunk would pin
+// memory the one result does not use.
 //
-// Per-target results are bit-identical to sequential LocalizeContext
-// calls under the same options: both paths assemble a Request and run the
-// same localizeRequest body; the differential parity harness in
-// fused_test.go enforces this.
+// Group size changes throughput and allocation behaviour, never answers:
+// the differential parity harness in fused_test.go holds batches
+// bit-identical to sequential LocalizeContext calls.
 
 // defaultFusedWorkers is LocalizeBatch's worker-pool width when the
 // caller passes no explicit count. Measurement latency dominates bulk
@@ -49,16 +51,14 @@ import (
 // exceeds typical core counts.
 const defaultFusedWorkers = 8
 
-// LocalizeBatch estimates the position of every target with one fused
-// batch solve. opts apply to every target (one options fingerprint — one
-// group). The returned slices are parallel to targets: results[i] is nil
-// exactly when errs[i] is non-nil. Cancelling ctx aborts in-flight
-// targets at their next measurement and reports queued ones with ctx's
-// error.
+// LocalizeBatch estimates the position of every target as one group.
+// opts apply to every target (one options fingerprint — one group). The
+// returned slices are parallel to targets: results[i] is nil exactly
+// when errs[i] is non-nil. Cancelling ctx aborts in-flight targets at
+// their next measurement and reports queued ones with ctx's error.
 //
 // Each result is bit-identical to what a sequential
-// LocalizeContext(ctx, targets[i], opts...) call would return; batching
-// changes throughput and allocation behaviour, never answers. Duplicate
+// LocalizeContext(ctx, targets[i], opts...) call would return. Duplicate
 // targets are each measured (use the batch engine for caching and
 // coalescing).
 func (l *Localizer) LocalizeBatch(ctx context.Context, targets []string, opts ...LocalizeOption) ([]*Result, []error) {
@@ -71,32 +71,23 @@ func (l *Localizer) LocalizeBatch(ctx context.Context, targets []string, opts ..
 
 // LocalizeBatchWith is LocalizeBatch over pre-resolved options and an
 // explicit worker count (≤ 0 means the default), mirroring LocalizeWith:
-// callers dispatching many batches under one tuning (the batch engine)
-// resolve and fingerprint the options once and reuse them.
+// callers dispatching many batches under one tuning resolve and
+// fingerprint the options once and reuse them.
 func (l *Localizer) LocalizeBatchWith(ctx context.Context, targets []string, workers int, o *LocalizeOptions) ([]*Result, []error) {
 	results := make([]*Result, len(targets))
 	errs := make([]error, len(targets))
-	l.LocalizeBatchFunc(ctx, targets, workers, o, func(i int, res *Result, err error) {
+	l.localizeBatch(ctx, targets, workers, 0, o, func(i int, res *Result, err error) {
 		results[i], errs[i] = res, err
 	})
 	return results, errs
 }
 
-// LocalizeBatchFunc is the streaming form of LocalizeBatchWith: emit is
-// invoked once per target, from worker goroutines as each target
-// completes (so emit must be safe for concurrent use), and the call
-// returns after the last emit. Streaming front ends (the batch engine's
-// Run) use this to deliver fused results in completion order instead of
-// waiting for the slowest target in the group.
-func (l *Localizer) LocalizeBatchFunc(ctx context.Context, targets []string, workers int, o *LocalizeOptions, emit func(i int, res *Result, err error)) {
-	l.localizeBatch(ctx, targets, workers, 0, o, emit)
-}
-
-// LocalizeBatchDeadline is LocalizeBatchFunc with a per-target deadline:
-// each target's localization (measurement included) runs under its own
-// timeout context starting when a worker picks it up, so queued targets
-// get a full budget — the same contract as the batch engine's
-// TargetTimeout on the per-target path. A zero timeout means no limit.
+// LocalizeBatchDeadline is the streaming primitive under every other
+// entry point: emit is invoked once per target as each completes, always
+// on the calling goroutine, and the call returns after the last emit.
+// With a positive timeout each target's localization (measurement
+// included) runs under its own deadline starting when a worker picks it
+// up, so queued targets get a full budget; zero means no limit.
 func (l *Localizer) LocalizeBatchDeadline(ctx context.Context, targets []string, workers int, timeout time.Duration, o *LocalizeOptions, emit func(i int, res *Result, err error)) {
 	l.localizeBatch(ctx, targets, workers, timeout, o, emit)
 }
@@ -117,82 +108,92 @@ func (l *Localizer) localizeBatch(ctx context.Context, targets []string, workers
 		return
 	}
 
-	// Group-shared state, resolved once (see the file comment for the
-	// full inventory). Everything here matches what LocalizeWith would
-	// compute per target from the same inputs.
 	cfg := l.Cfg
 	cfg.fillDefaults()
 	if o != nil && o.NegHeightPercentile > 0 {
 		cfg.NegHeightPercentile = o.NegHeightPercentile
 	}
 	pctx := l.projContext()
-	// Without per-target deadlines the whole group shares one
-	// context-bound prober; with them, each target binds its own deadline
-	// context when a worker picks it up (matching the per-target path's
-	// TargetTimeout semantics exactly).
-	prober := l.Prober
-	if timeout <= 0 && ctx.Done() != nil {
-		prober = probe.WithContext(ctx, l.Prober)
+
+	one := func(i int, arena *constraintArena) (*Result, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		tctx := ctx
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			tctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+		}
+		// Bind the target's context to the prober once; every source's
+		// measurement call then observes cancellation without per-call
+		// plumbing. A background context binds nothing.
+		prober := l.Prober
+		if tctx.Done() != nil {
+			prober = probe.WithContext(tctx, l.Prober)
+		}
+		req := &Request{
+			Target:   targets[i],
+			Cfg:      cfg,
+			Survey:   s,
+			PCtx:     pctx,
+			Prober:   prober,
+			Resolver: l.Resolver,
+			Hints:    l.Hints,
+			arena:    arena,
+			sched:    l.sched,
+		}
+		if o != nil {
+			req.Opts = *o
+		}
+		return l.localizeRequest(tctx, req)
 	}
 
+	if len(targets) == 1 {
+		res, err := one(0, nil)
+		emit(0, res, err)
+		return
+	}
 	if workers <= 0 {
 		workers = defaultFusedWorkers
 	}
 	if workers > len(targets) {
 		workers = len(targets)
 	}
-
+	type outcome struct {
+		i   int
+		res *Result
+		err error
+	}
 	jobs := make(chan int)
+	done := make(chan outcome)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One arena per worker for the whole batch: constraint
-			// memory is retained by the Results, so the arena only ever
-			// grows, amortizing disk allocations across the worker's
-			// share of the targets.
+			// One arena per worker for the whole group: constraint memory
+			// is retained by the Results, so the arena only ever grows.
 			arena := &constraintArena{}
 			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					emit(i, nil, err)
-					continue
-				}
-				tctx, tprober := ctx, prober
-				var cancel context.CancelFunc
-				if timeout > 0 {
-					tctx, cancel = context.WithTimeout(ctx, timeout)
-					tprober = probe.WithContext(tctx, l.Prober)
-				}
-				req := &Request{
-					Target:   targets[i],
-					Cfg:      cfg,
-					Survey:   s,
-					PCtx:     pctx,
-					Prober:   tprober,
-					Resolver: l.Resolver,
-					Hints:    l.Hints,
-					arena:    arena,
-					// Workers share the Localizer's scheduler, so a
-					// batch's probe traffic is landmark-major in effect:
-					// concurrent targets queue on the same per-landmark
-					// buckets (and share cache/dedup) instead of each
-					// fanning out blind.
-					sched: l.sched,
-				}
-				if o != nil {
-					req.Opts = *o
-				}
-				res, err := l.localizeRequest(tctx, req)
-				if cancel != nil {
-					cancel()
-				}
-				emit(i, res, err)
+				res, err := one(i, arena)
+				done <- outcome{i, res, err}
 			}
 		}()
 	}
-	for i := range targets {
-		jobs <- i
+	// Feed targets and hand completions to emit from this goroutine.
+	for next, settled := 0, 0; settled < len(targets); {
+		feed := jobs
+		if next == len(targets) {
+			feed = nil
+		}
+		select {
+		case feed <- next:
+			next++
+		case o := <-done:
+			emit(o.i, o.res, o.err)
+			settled++
+		}
 	}
 	close(jobs)
 	wg.Wait()

@@ -56,53 +56,61 @@ func sameResult(t *testing.T, name string, a, b *Result) {
 	}
 }
 
-// TestLocalizeContextDefaultBitIdentical: a default-options
-// LocalizeContext must be bit-identical to the deprecated Localize,
-// constraint for constraint. Both entry points share the pipeline now,
-// so this guards the shim and the option-resolution fast path against
-// future drift; equivalence with the pre-pipeline monolith itself was
-// established when the refactor landed (identical Fig3/Fig4 outputs and
-// unchanged BenchmarkLocalize allocations) and is pinned ongoing by the
-// eval-figure tests and the serve-layer goldens.
+// TestLocalizeContextDefaultBitIdentical: the no-options fast path (nil
+// resolved options, nothing allocated for them) must be bit-identical,
+// constraint for constraint, to the same request made with an explicitly
+// resolved empty options set, and neither attaches provenance.
+// Equivalence with the pre-pipeline monolith itself was established when
+// the pipeline landed (identical Fig3/Fig4 outputs) and is pinned ongoing
+// by the eval-figure tests and the serve-layer goldens.
 func TestLocalizeContextDefaultBitIdentical(t *testing.T) {
 	for _, ti := range []int{0, 17, 42} {
 		loc, target := localizeFixture(t, 3, ti)
-		v1, err := loc.Localize(target)
+		fast, err := loc.LocalizeContext(context.Background(), target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := loc.LocalizeContext(context.Background(), target)
+		empty := NewLocalizeOptions()
+		resolved, err := loc.LocalizeWith(context.Background(), target, &empty)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, target, v1, v2)
-		if v2.Provenance != nil {
+		sameResult(t, target, fast, resolved)
+		if fast.Provenance != nil || resolved.Provenance != nil {
 			t.Errorf("%s: default options must not attach provenance", target)
 		}
 	}
 }
 
-// TestWithSecondaryBitIdenticalToDeprecated: the deprecated
-// LocalizeWithSecondary wrapper and the WithSecondary option must agree
-// exactly (old-vs-new bit identity for the folded-in method).
+// TestWithSecondaryBitIdenticalToDeprecated: WithSecondary folds the §2
+// secondary-landmark constraints into the request — the base request's
+// constraints untouched and in order, the secondary's appended — and
+// provenance describes the result actually returned. (The deprecated
+// LocalizeWithSecondary wrapper this once compared against is gone; the
+// name is kept for the test history.)
 func TestWithSecondaryBitIdenticalToDeprecated(t *testing.T) {
 	loc, target := localizeFixture(t, 5, 12)
-	base, err := loc.Localize(target)
+	base, err := loc.LocalizeContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pr := base.Projection
 	beta := geo.Disk(pr.Forward(geo.Pt(42.44, -76.50)), 40, 64)
 
-	old, err := loc.LocalizeWithSecondary(target, beta, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	new2, err := loc.LocalizeContext(context.Background(), target, WithSecondary(beta, 2.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, target, old, new2)
+	if len(new2.Constraints) <= len(base.Constraints) {
+		t.Fatalf("%d constraints with a secondary, %d without", len(new2.Constraints), len(base.Constraints))
+	}
+	for i, c := range base.Constraints {
+		got := new2.Constraints[i]
+		if got.Kind != c.Kind || got.Weight != c.Weight || got.Source != c.Source ||
+			!reflect.DeepEqual(got.Region.Rings, c.Region.Rings) {
+			t.Errorf("constraint %d (%s) changed when a secondary was folded in", i, c.Source)
+		}
+	}
 	found := false
 	for _, c := range new2.Constraints {
 		if c.Source == "secondary" {

@@ -12,11 +12,45 @@ import (
 	"octant/internal/probe"
 )
 
-// The concurrent measurement scheduler must be invisible in results: for
-// any world state — healthy or faulted — a localizer fanning probes out
-// must produce answers bit-identical to the serialized probe loop it
-// replaced, including the order of named failures in provenance. These
-// tests run the two paths side by side over one survey.
+// The measurement scheduler's fan-out width must be invisible in results:
+// for any world state — healthy or faulted — a localizer fanning probes
+// out must produce answers bit-identical to a one-worker scheduler (one
+// train at a time, landmark order) and to the plain Prober.Ping loops
+// below, which touch no scheduler at all, including the order of named
+// failures in provenance.
+
+// plainRTTs is the independent measurement oracle: one Ping and min-filter
+// per landmark, in landmark order, NaN slots and named failures for the
+// landmarks that did not answer.
+func plainRTTs(p probe.Prober, s *Survey, target string, probes int) ([]float64, []ProbeFailure) {
+	rtts := make([]float64, s.N())
+	var failures []ProbeFailure
+	for i, lm := range s.Landmarks {
+		samples, err := p.Ping(lm.Addr, target, probes)
+		if err == nil {
+			if rtts[i], err = probe.MinRTT(samples); err == nil {
+				continue
+			}
+		}
+		rtts[i] = math.NaN()
+		failures = append(failures, ProbeFailure{Landmark: lm.Name, Reason: err.Error()})
+	}
+	return rtts, failures
+}
+
+// sameRTTs compares RTT vectors slot by slot with NaN slots matching
+// (DeepEqual cannot: NaN != NaN).
+func sameRTTs(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: RTT vector lengths: %d != %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Errorf("%s: RTT slot %d: %v != %v", label, i, got[i], want[i])
+		}
+	}
+}
 
 // TestParallelSerialLocalizeParity: healthy-path bit-identity across
 // several targets, both result geometry and RTT vectors.
@@ -33,7 +67,7 @@ func TestParallelSerialLocalizeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	parallel := NewLocalizer(p, s, Config{})
-	serial := NewLocalizer(p, s, Config{MeasureWorkers: -1})
+	serial := NewLocalizer(p, s, Config{MeasureWorkers: 1})
 	ctx := context.Background()
 
 	for _, target := range hosts[:4] {
@@ -46,6 +80,11 @@ func TestParallelSerialLocalizeParity(t *testing.T) {
 			t.Fatalf("serial %s: %v", target.Name, err)
 		}
 		sameResult(t, target.Name, pr, sr)
+		plain, failures := plainRTTs(p, s, target.Name, parallel.Cfg.Probes)
+		if len(failures) > 0 {
+			t.Fatalf("plain loop %s: %+v", target.Name, failures)
+		}
+		sameRTTs(t, target.Name+" vs plain loop", pr.RTTs, plain)
 	}
 }
 
@@ -75,7 +114,7 @@ func TestParallelSerialDegradedParity(t *testing.T) {
 	}
 
 	parallel := NewLocalizer(p, s, Config{})
-	serial := NewLocalizer(p, s, Config{MeasureWorkers: -1})
+	serial := NewLocalizer(p, s, Config{MeasureWorkers: 1})
 	ctx := context.Background()
 
 	pr, err := parallel.LocalizeContext(ctx, target.Name, WithExplain())
@@ -96,17 +135,15 @@ func TestParallelSerialDegradedParity(t *testing.T) {
 		t.Errorf("failure lists diverge:\nparallel: %+v\nserial:   %+v",
 			pr.Provenance.Failures, sr.Provenance.Failures)
 	}
+	plain, plainFailures := plainRTTs(p, s, target.Name, parallel.Cfg.Probes)
+	if !reflect.DeepEqual(pr.Provenance.Failures, plainFailures) {
+		t.Errorf("failure lists diverge:\nparallel:   %+v\nplain loop: %+v",
+			pr.Provenance.Failures, plainFailures)
+	}
 	// sameResult's DeepEqual can't compare degraded RTT vectors — failed
-	// slots hold NaN, and NaN != NaN — so compare them element-wise with
-	// NaN slots matching, then the rest of the result.
-	if len(pr.RTTs) != len(sr.RTTs) {
-		t.Fatalf("RTT vector lengths: %d != %d", len(pr.RTTs), len(sr.RTTs))
-	}
-	for i := range pr.RTTs {
-		if pr.RTTs[i] != sr.RTTs[i] && !(math.IsNaN(pr.RTTs[i]) && math.IsNaN(sr.RTTs[i])) {
-			t.Errorf("RTT slot %d: parallel %v != serial %v", i, pr.RTTs[i], sr.RTTs[i])
-		}
-	}
+	// slots hold NaN — so compare them slot-wise, then the rest.
+	sameRTTs(t, "parallel vs serial", pr.RTTs, sr.RTTs)
+	sameRTTs(t, "parallel vs plain loop", pr.RTTs, plain)
 	pr.RTTs, sr.RTTs = nil, nil
 	sameResult(t, target.Name, pr, sr)
 }
@@ -125,18 +162,36 @@ func TestSurveyWorkersParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := NewSurvey(p, lms, SurveyOpts{UseHeights: true, Workers: -1})
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, -1} {
+		ser, err := NewSurvey(p, lms, SurveyOpts{UseHeights: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(par.RTT, ser.RTT) {
+			t.Errorf("workers=%d: survey RTT matrix differs from the default fan-out", workers)
+		}
+		if !reflect.DeepEqual(par.Heights, ser.Heights) {
+			t.Errorf("workers=%d: solved heights differ from the default fan-out", workers)
+		}
+		if par.Kappa != ser.Kappa {
+			t.Errorf("workers=%d: kappa %v != %v", workers, ser.Kappa, par.Kappa)
+		}
 	}
-	if !reflect.DeepEqual(par.RTT, ser.RTT) {
-		t.Error("parallel survey RTT matrix differs from serialized build")
-	}
-	if !reflect.DeepEqual(par.Heights, ser.Heights) {
-		t.Error("solved heights differ between parallel and serialized builds")
-	}
-	if par.Kappa != ser.Kappa {
-		t.Errorf("kappa %v != %v", par.Kappa, ser.Kappa)
+	// The plain pairwise loop, no scheduler: every (i, j) once, in order.
+	for i := range lms {
+		for j := i + 1; j < len(lms); j++ {
+			samples, err := p.Ping(lms[i].Addr, lms[j].Addr, par.Probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			min, err := probe.MinRTT(samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if par.RTT[i][j] != min || par.RTT[j][i] != min {
+				t.Fatalf("pair (%d,%d): survey %v/%v, plain loop %v", i, j, par.RTT[i][j], par.RTT[j][i], min)
+			}
+		}
 	}
 }
 

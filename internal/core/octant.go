@@ -116,9 +116,9 @@ type Config struct {
 	MaxRouterHeightDeflationMs float64
 
 	// MeasureWorkers caps concurrent probes during measurement fan-out
-	// (0 = the scheduler default, 16). Negative serializes measurement
-	// entirely — the pre-scheduler loop, kept as the benchmark baseline
-	// and the differential-parity reference.
+	// (0 = the scheduler default, 16). One worker probes one train at a
+	// time in landmark order — the serialized baseline the benchmarks
+	// compare against; a negative count means one.
 	MeasureWorkers int
 	// MeasurePerLandmark caps concurrent probe trains issued from one
 	// landmark (0 = the scheduler default, 4), so target fan-out never
@@ -129,8 +129,8 @@ type Config struct {
 	MeasureMinInterval time.Duration
 	// RTTCacheTTL enables the scheduler's epoch-qualified min-RTT cache
 	// (and in-flight probe dedup) with this entry lifetime. 0 — the
-	// default — disables both: the scalar path stays allocation-lean and
-	// every request measures fresh. Serving deployments that absorb
+	// default — disables both: requests stay allocation-lean and every
+	// one measures fresh. Serving deployments that absorb
 	// bursts of duplicate targets (octant-serve) turn it on.
 	RTTCacheTTL time.Duration
 }
@@ -221,16 +221,14 @@ type Localizer struct {
 
 	// pctx carries the per-survey projection state (centroid frame,
 	// landmark frames, projected land outlines), built once and shared by
-	// Localize, LocalizeWithSecondary, and all batch workers — the same
-	// shallow-copy sharing discipline as masks.
+	// every request and all batch workers — the same shallow-copy sharing
+	// discipline as masks.
 	pctx *ProjectionContext
 
-	// sched is the concurrent measurement scheduler every request through
-	// this Localizer fans its probes through — scalar and fused-batch
-	// alike, so per-landmark pacing budgets and the optional RTT cache
-	// are shared across concurrent targets. Nil when Cfg.MeasureWorkers
-	// is negative (serialized measurement) or the Localizer was built as
-	// a zero-value literal.
+	// sched is the measurement scheduler every request through this
+	// Localizer fans its probes through, so per-landmark pacing budgets
+	// and the optional RTT cache are shared across concurrent targets.
+	// Nil only for a zero-value literal, which cannot localize.
 	sched *measure.Scheduler
 }
 
@@ -244,14 +242,12 @@ func NewLocalizer(p probe.Prober, s *Survey, cfg Config) *Localizer {
 		Resolver: undns.NewResolver(),
 		Hints:    hints.NewEngine(),
 		masks:    NewLandMaskCache(),
-	}
-	if cfg.MeasureWorkers >= 0 {
-		l.sched = measure.New(measure.Config{
+		sched: measure.New(measure.Config{
 			Workers:     cfg.MeasureWorkers,
 			PerLandmark: cfg.MeasurePerLandmark,
 			MinInterval: cfg.MeasureMinInterval,
 			CacheTTL:    cfg.RTTCacheTTL,
-		})
+		}),
 	}
 	if s != nil && s.N() > 0 {
 		l.pctx = NewProjectionContext(s)
@@ -278,13 +274,11 @@ func NewLocalizerReusing(p probe.Prober, s *Survey, cfg Config, prev *Localizer)
 		if prev.Hints != nil {
 			l.Hints = prev.Hints
 		}
-		if prev.sched != nil && l.sched != nil {
-			// Carry the scheduler too: its per-landmark pacing budgets
-			// span epochs (the landmarks haven't changed) and its RTT
-			// cache is epoch-qualified, so stale generations can never
-			// be served — they just stop being looked up.
-			l.sched = prev.sched
-		}
+		// Carry the scheduler too: its per-landmark pacing budgets span
+		// epochs (the landmarks haven't changed) and its RTT cache is
+		// epoch-qualified, so stale generations can never be served —
+		// they just stop being looked up.
+		l.sched = prev.sched
 	}
 	return l
 }
@@ -293,10 +287,8 @@ func NewLocalizerReusing(p probe.Prober, s *Survey, cfg Config, prev *Localizer)
 // zero-value Localizer built without NewLocalizer).
 func (l *Localizer) LandMasks() *LandMaskCache { return l.masks }
 
-// MeasureScheduler returns the localizer's concurrent measurement
-// scheduler — nil when measurement is serialized (Cfg.MeasureWorkers <
-// 0) or the Localizer was built as a zero-value literal. Serving stacks
-// read its Stats for /v1/stats.
+// MeasureScheduler returns the localizer's measurement scheduler (nil only
+// for a zero-value literal). Serving stacks read its Stats for /v1/stats.
 func (l *Localizer) MeasureScheduler() *measure.Scheduler { return l.sched }
 
 // Result is one localization outcome.
@@ -342,25 +334,13 @@ func (r *Result) ContainsTruth(truth geo.Point) bool {
 	return r.Region.Contains(r.Projection.Forward(truth))
 }
 
-// Localize estimates the position of targetAddr with the Localizer's
-// configured defaults.
-//
-// Deprecated: Localize is the v1 entry point, kept as a shim. Use
-// LocalizeContext, which threads a context through every measurement
-// and accepts per-request options; with no options it is bit-identical
-// to this method.
-func (l *Localizer) Localize(targetAddr string) (*Result, error) {
-	return l.LocalizeWith(context.Background(), targetAddr, nil)
-}
-
 // LocalizeContext estimates the position of target. ctx bounds every
 // measurement the request issues (cancellation is observed at each
 // probe call, mid-measurement for probers implementing
 // probe.ContextProber), and opts tune this request without touching the
 // shared Localizer: evidence sources can be disabled or down-weighted,
 // solver thresholds overridden, exogenous hints and caller constraints
-// added, a secondary landmark folded in, and provenance requested. With
-// no options the result is bit-identical to the deprecated Localize.
+// added, a secondary landmark folded in, and provenance requested.
 func (l *Localizer) LocalizeContext(ctx context.Context, target string, opts ...LocalizeOption) (*Result, error) {
 	if len(opts) == 0 {
 		return l.LocalizeWith(ctx, target, nil)
@@ -370,51 +350,16 @@ func (l *Localizer) LocalizeContext(ctx context.Context, target string, opts ...
 }
 
 // LocalizeWith is LocalizeContext over pre-resolved options: callers
-// dispatching many requests under one tuning (the batch engine) resolve
-// and fingerprint the options once and reuse them. A nil o means
-// defaults.
-func (l *Localizer) LocalizeWith(ctx context.Context, target string, o *LocalizeOptions) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg := l.Cfg
-	cfg.fillDefaults()
-	if o != nil && o.NegHeightPercentile > 0 {
-		cfg.NegHeightPercentile = o.NegHeightPercentile
-	}
-	s := l.Survey
-	if s == nil || s.N() < 3 {
-		return nil, fmt.Errorf("core: localizer needs a survey with ≥ 3 landmarks")
-	}
-	req := &Request{
-		Target:   target,
-		Cfg:      cfg,
-		Survey:   s,
-		PCtx:     l.projContext(),
-		Prober:   l.Prober,
-		Resolver: l.Resolver,
-		Hints:    l.Hints,
-		sched:    l.sched,
-	}
-	if o != nil {
-		req.Opts = *o
-	}
-	if ctx.Done() != nil {
-		// Bind the request context to the prober once; every source's
-		// measurement call then observes cancellation without per-call
-		// plumbing. A background context binds nothing, keeping the
-		// default path allocation-identical to v1.
-		req.Prober = probe.WithContext(ctx, l.Prober)
-	}
-	return l.localizeRequest(ctx, req)
+// dispatching many requests under one tuning resolve and fingerprint the
+// options once and reuse them. A nil o means defaults. It is a group of
+// one target (see localizeBatch), run on the caller's goroutine.
+func (l *Localizer) LocalizeWith(ctx context.Context, target string, o *LocalizeOptions) (res *Result, err error) {
+	l.localizeBatch(ctx, []string{target}, 1, 0, o, func(_ int, r *Result, e error) { res, err = r, e })
+	return res, err
 }
 
-// localizeRequest runs the evidence pipeline and solve for one assembled
-// Request. It is the single body behind the scalar path (LocalizeWith)
-// and the fused batch path (LocalizeBatchWith) — the batch path differs
-// only in the Request it assembles (shared resolved config and prober
-// binding, a per-worker constraint arena), so per-target behaviour stays
-// bit-identical between the two by construction.
+// localizeRequest runs the evidence pipeline and solve for one Request
+// assembled by localizeBatch.
 func (l *Localizer) localizeRequest(ctx context.Context, req *Request) (*Result, error) {
 	explain := req.Opts.Explain
 	var prov *Provenance
@@ -604,9 +549,11 @@ func (l *Localizer) solverOpts(cfg *Config, o *LocalizeOptions) SolverOpts {
 	return sopts
 }
 
-// applySecondary folds the §2 secondary-landmark constraints into an
-// already solved result and re-solves — the exact semantics of the
-// deprecated LocalizeWithSecondary, expressed as WithSecondary.
+// applySecondary folds the §2 constraints of a secondary landmark — a
+// node whose own position is only known as an estimated region beta,
+// e.g. a previously localized router — into an already solved result and
+// re-solves: positive constraints dilate beta by R(d), negative
+// constraints keep only points within r(d) of all of beta.
 func (l *Localizer) applySecondary(res *Result, req *Request) error {
 	var tStart time.Time
 	if res.Provenance != nil {
@@ -677,11 +624,11 @@ func (l *Localizer) applySecondary(res *Result, req *Request) error {
 // It also returns the traceroutes that failed, as skip-with-reason
 // entries for the RouterSource's report; a failure never aborts the
 // request. The traceroutes themselves fan out through the request's
-// measurement scheduler when one is attached — slot-indexed placement
-// restores rank order before any hop is processed, so the per-city
-// best-constraint map (and therefore the output) is identical to the
-// serialized walk. measureNs, filled only when timing is set, is the
-// wall time spent in traceroute measurement.
+// measurement scheduler — slot-indexed placement restores rank order
+// before any hop is processed, so the per-city best-constraint map (and
+// therefore the output) does not depend on completion order. measureNs,
+// filled only when timing is set, is the wall time spent in traceroute
+// measurement.
 func routerConstraints(ctx context.Context, req *Request, timing bool) (cons []Constraint, failed []ProbeFailure, measureNs int64) {
 	s := req.Survey
 	cfg := &req.Cfg
@@ -722,43 +669,26 @@ func routerConstraints(ctx context.Context, req *Request, timing bool) (cons []C
 	if nTr > len(order) {
 		nTr = len(order)
 	}
-	// Measure first (concurrently when a scheduler is attached), process
-	// after: hop processing is pure computation over per-slot hop lists,
-	// so separating the phases changes wall-clock only.
-	var hopLists [][]probe.Hop
-	var terrs []error
-	if sched := req.sched; sched != nil && nTr > 1 {
-		srcs := make([]string, nTr)
-		for k := 0; k < nTr; k++ {
-			srcs[k] = s.Landmarks[order[k].idx].Addr
-		}
-		hopLists = make([][]probe.Hop, nTr)
-		terrs = make([]error, nTr)
-		var mt0 time.Time
-		if timing {
-			mt0 = time.Now()
-		}
-		sched.TracerouteInto(ctx, req.Prober, srcs, req.Target, hopLists, terrs)
-		if timing {
-			measureNs = int64(time.Since(mt0))
-		}
+	// Measure first, process after: hop processing is pure computation
+	// over per-slot hop lists, so rank order is restored before any hop is
+	// read and completion order changes wall-clock only.
+	srcs := make([]string, nTr)
+	for k := 0; k < nTr; k++ {
+		srcs[k] = s.Landmarks[order[k].idx].Addr
+	}
+	hopLists := make([][]probe.Hop, nTr)
+	terrs := make([]error, nTr)
+	var mt0 time.Time
+	if timing {
+		mt0 = time.Now()
+	}
+	req.sched.TracerouteInto(ctx, req.Prober, srcs, req.Target, hopLists, terrs)
+	if timing {
+		measureNs = int64(time.Since(mt0))
 	}
 	for k := 0; k < nTr; k++ {
 		lm := s.Landmarks[order[k].idx]
-		var hops []probe.Hop
-		var err error
-		if hopLists != nil {
-			hops, err = hopLists[k], terrs[k]
-		} else {
-			var t0 time.Time
-			if timing {
-				t0 = time.Now()
-			}
-			hops, err = req.Prober.Traceroute(lm.Addr, req.Target)
-			if timing {
-				measureNs += int64(time.Since(t0))
-			}
-		}
+		hops, err := hopLists[k], terrs[k]
 		if err != nil {
 			failed = append(failed, ProbeFailure{Landmark: lm.Name, Reason: "traceroute: " + err.Error()})
 			continue
@@ -797,17 +727,4 @@ func routerConstraints(ctx context.Context, req *Request, timing bool) (cons []C
 		cons = append(cons, req.disk(Positive, cf, geo.NewFrame(rc.loc.Loc), rc.maxKm, w, "router:"+code))
 	}
 	return cons, failed, measureNs
-}
-
-// LocalizeWithSecondary runs a localization that additionally uses a
-// secondary landmark: a node whose own position is only known as an
-// estimated region beta (e.g. a previously localized router). Positive
-// constraints dilate beta by R(d); negative constraints keep only points
-// within r(d) of all of beta (§2 of the paper). The secondary's latency to
-// the target must be supplied by the caller.
-//
-// Deprecated: use LocalizeContext(ctx, target, WithSecondary(beta,
-// rttMs)); this wrapper delegates to it and is bit-identical.
-func (l *Localizer) LocalizeWithSecondary(targetAddr string, beta *geo.Region, rttMs float64) (*Result, error) {
-	return l.LocalizeContext(context.Background(), targetAddr, WithSecondary(beta, rttMs))
 }

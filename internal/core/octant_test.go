@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -108,7 +109,7 @@ func TestLocalizeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		loc := NewLocalizer(p, s, Config{})
-		res, err := loc.Localize(target.Name)
+		res, err := loc.LocalizeContext(context.Background(), target.Name)
 		if err != nil {
 			t.Fatalf("localize %s: %v", target.Inst, err)
 		}
@@ -153,10 +154,10 @@ func TestLocalizeRejectsLandmarkTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	loc := NewLocalizer(p, s, Config{})
-	if _, err := loc.Localize(lms[0].Addr); err == nil {
+	if _, err := loc.LocalizeContext(context.Background(), lms[0].Addr); err == nil {
 		t.Error("localizing a survey landmark should error")
 	}
-	if _, err := loc.Localize("no-such-host.example.com"); err == nil {
+	if _, err := loc.LocalizeContext(context.Background(), "no-such-host.example.com"); err == nil {
 		t.Error("unknown target should error")
 	}
 }
@@ -178,7 +179,7 @@ func TestLocalizeAblationsRun(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		loc := NewLocalizer(p, s, cfg)
-		res, err := loc.Localize(target.Name)
+		res, err := loc.LocalizeContext(context.Background(), target.Name)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -199,7 +200,7 @@ func TestLocalizeUnweightedIsBrittleButRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	loc := NewLocalizer(p, s, Config{Unweighted: true})
-	res, err := loc.Localize(target.Name)
+	res, err := loc.LocalizeContext(context.Background(), target.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestLocalizeWithSecondary(t *testing.T) {
 		t.Fatal(err)
 	}
 	loc := NewLocalizer(p, s, Config{})
-	base, err := loc.Localize(target.Name)
+	base, err := loc.LocalizeContext(context.Background(), target.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestLocalizeWithSecondary(t *testing.T) {
 	// small RTT to it.
 	pr := base.Projection
 	routerRegion := geo.Disk(pr.Forward(target.Loc.Destination(0, 80)), 40, 64)
-	res, err := loc.LocalizeWithSecondary(target.Name, routerRegion, 2.5)
+	res, err := loc.LocalizeContext(context.Background(), target.Name, WithSecondary(routerRegion, 2.5))
 	if err != nil {
 		t.Fatal(err)
 	}

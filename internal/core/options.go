@@ -85,8 +85,7 @@ type LocalizeOptions struct {
 	// engine (arbitrary code cannot be fingerprinted).
 	ExtraSources []EvidenceSource
 	// Secondary, when non-nil, adds the §2 secondary-landmark
-	// constraints and re-solves, exactly as the deprecated
-	// LocalizeWithSecondary did.
+	// constraints and re-solves.
 	Secondary *Secondary
 }
 
@@ -195,8 +194,7 @@ func WithEvidenceSource(s EvidenceSource) LocalizeOption {
 }
 
 // WithSecondary adds a §2 secondary landmark — a node known only as the
-// region beta with measured RTT rttMs to the target — replacing the
-// deprecated LocalizeWithSecondary method.
+// region beta with measured RTT rttMs to the target.
 func WithSecondary(beta *geo.Region, rttMs float64) LocalizeOption {
 	return func(o *LocalizeOptions) { o.Secondary = &Secondary{Beta: beta, RTTMs: rttMs} }
 }

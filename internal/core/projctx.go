@@ -5,9 +5,8 @@ import "octant/internal/geo"
 // ProjectionContext is the projection-dependent state that is fixed for a
 // Survey: the centroid projection and its tangent frame, each landmark's
 // precomputed frame and projected position, and the §2.5 land outlines
-// projected into the survey's plane. All of it used to be rebuilt per
-// Localize call — the land regions twice per LocalizeWithSecondary — even
-// though none of it can change while the (immutable) Survey is in use.
+// projected into the survey's plane. None of it can change while the
+// (immutable) Survey is in use, so it is built once, not per request.
 //
 // A context is immutable after NewProjectionContext and safe to share: the
 // Localizer caches one, and the batch engine's workers inherit it through

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -68,11 +69,11 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 		}
 	}
 
-	want, err := NewLocalizer(p, s, Config{}).Localize(target)
+	want, err := NewLocalizer(p, s, Config{}).LocalizeContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewLocalizer(p, got, Config{}).Localize(target)
+	res, err := NewLocalizer(p, got, Config{}).LocalizeContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -207,7 +208,7 @@ func TestSolveTracesCoarseLazily(t *testing.T) {
 func TestNoCensusUnderflowOnBenchWorld(t *testing.T) {
 	loc, targets := fusedFixture(t, 1, 16, 16)
 	for _, target := range targets {
-		if _, err := loc.Localize(target); err != nil {
+		if _, err := loc.LocalizeContext(context.Background(), target); err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}
 	}
@@ -227,7 +228,7 @@ func TestNoCensusUnderflowOnBenchWorld(t *testing.T) {
 func TestNoGeneralFillsOnBenchWorld(t *testing.T) {
 	loc, targets := fusedFixture(t, 1, 16, 16)
 	for _, target := range targets {
-		if _, err := loc.Localize(target); err != nil {
+		if _, err := loc.LocalizeContext(context.Background(), target); err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}
 	}

@@ -72,10 +72,10 @@ type SurveyOpts struct {
 	CutoffPercentile float64 // calibration cutoff ρ percentile (default 90)
 	UseHeights       bool    // adjust latencies by solved heights (§2.2)
 	// Workers bounds the concurrent pairwise pings of the O(k²) survey
-	// matrix (0 = the scheduler default, 16; negative = serialized, the
-	// pre-scheduler loop). Pair (i,j) is always measured exactly once in
-	// either mode, so a deterministic prober yields a bit-identical
-	// matrix regardless of the setting.
+	// matrix (0 = the scheduler default, 16; 1 or negative = one pair at
+	// a time). Pair (i,j) is always measured exactly once, so a
+	// deterministic prober yields a bit-identical matrix regardless of
+	// the setting.
 	Workers int
 }
 
@@ -168,13 +168,11 @@ func NewSurvey(p probe.Prober, landmarks []Landmark, opts SurveyOpts) (*Survey, 
 }
 
 // surveyPairs measures every landmark pair once and fills the symmetric
-// RTT matrix. With a non-negative worker budget the O(k²) pings fan out
-// through an ephemeral measurement scheduler (no cache — a survey is the
-// baseline other measurements are compared against, so every pair is
-// probed fresh); a negative budget keeps the serialized walk. Either
-// way the first failing pair in (i, j) iteration order aborts with the
-// same error the sequential loop raised: the scheduler dispatches slots
-// in order and reports the lowest errored one.
+// RTT matrix. The O(k²) pings fan out through an ephemeral measurement
+// scheduler (no cache — a survey is the baseline other measurements are
+// compared against, so every pair is probed fresh). The first failing
+// pair in (i, j) iteration order aborts the build: the scheduler
+// dispatches slots in order and reports the lowest errored one.
 func surveyPairs(p probe.Prober, landmarks []Landmark, opts SurveyOpts, rtt [][]float64) error {
 	n := len(landmarks)
 	type pair struct{ i, j int }
@@ -184,34 +182,23 @@ func surveyPairs(p probe.Prober, landmarks []Landmark, opts SurveyOpts, rtt [][]
 			pairs = append(pairs, pair{i, j})
 		}
 	}
-	ping := func(i, j int) error {
-		samples, err := p.Ping(landmarks[i].Addr, landmarks[j].Addr, opts.Probes)
-		if err != nil {
-			return fmt.Errorf("core: survey ping %s→%s: %w",
-				landmarks[i].Name, landmarks[j].Name, err)
-		}
-		min, err := probe.MinRTT(samples)
-		if err != nil {
-			return err
-		}
-		// Distinct pairs write distinct (i,j)/(j,i) cells, so concurrent
-		// slots never contend.
-		rtt[i][j], rtt[j][i] = min, min
-		return nil
-	}
-	if opts.Workers < 0 {
-		for _, pr := range pairs {
-			if err := ping(pr.i, pr.j); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	sched := measure.New(measure.Config{Workers: opts.Workers})
 	_, err := sched.Run(context.Background(), len(pairs), func(slot int) error {
-		pr := pairs[slot]
-		return sched.Paced(context.Background(), landmarks[pr.i].Addr, func() error {
-			return ping(pr.i, pr.j)
+		i, j := pairs[slot].i, pairs[slot].j
+		return sched.Paced(context.Background(), landmarks[i].Addr, func() error {
+			samples, err := p.Ping(landmarks[i].Addr, landmarks[j].Addr, opts.Probes)
+			if err != nil {
+				return fmt.Errorf("core: survey ping %s→%s: %w",
+					landmarks[i].Name, landmarks[j].Name, err)
+			}
+			min, err := probe.MinRTT(samples)
+			if err != nil {
+				return err
+			}
+			// Distinct pairs write distinct (i,j)/(j,i) cells, so concurrent
+			// slots never contend.
+			rtt[i][j], rtt[j][i] = min, min
+			return nil
 		})
 	})
 	return err

@@ -105,7 +105,7 @@ func (d *Deployment) RunFig3(octantCfg core.Config, step int) (*Fig3Result, erro
 		targets++
 
 		loc := core.NewLocalizer(d.Prober, sub, octantCfg)
-		ores, err := loc.Localize(target.Addr)
+		ores, err := loc.LocalizeContext(context.Background(), target.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("eval: octant on %s: %w", target.Name, err)
 		}

@@ -184,7 +184,7 @@ func TestFig4FusedParity(t *testing.T) {
 	}
 	results, errs := loc.LocalizeBatch(context.Background(), addrs)
 	for i, target := range targets {
-		sres, serr := loc.Localize(target.Addr)
+		sres, serr := loc.LocalizeContext(context.Background(), target.Addr)
 		if (serr == nil) != (errs[i] == nil) {
 			t.Fatalf("%s: scalar err %v, fused err %v", target.Name, serr, errs[i])
 		}

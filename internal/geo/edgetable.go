@@ -8,8 +8,8 @@ import (
 // The scanline engine behind Grid's region fills: the active edge table, and
 // (Fill, below it) the two-cursor walk for the solver's disks.
 //
-// The naive rasterizer (scanRow, retained as the reference implementation
-// for the equivalence property test) walks every edge of every ring for
+// The naive rasterizer (scanRow in reference_test.go, the reference the
+// equivalence property tests compare against) walks every edge of every ring for
 // every grid row — O(rows × edges) per fill. An EdgeTable instead buckets
 // each non-horizontal edge by the first row it can cross and maintains an
 // incrementally-updated active list during the sweep, so a fill costs

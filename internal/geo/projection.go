@@ -45,19 +45,6 @@ func (pr *Projection) Forward(p Point) Vec2 {
 	return NewFrame(pr.Center).Forward(p)
 }
 
-// forwardReference is the original spherical Forward — the haversine +
-// bearing chain — retained as the property-test reference for the
-// unit-vector fast path.
-func (pr *Projection) forwardReference(p Point) Vec2 {
-	d := pr.Center.DistanceKm(p)
-	if d == 0 {
-		return Vec2{}
-	}
-	b := pr.Center.BearingTo(p)
-	// Bearing is clockwise from north; plane x is east, y is north.
-	return Vec2{X: d * math.Sin(b), Y: d * math.Cos(b)}
-}
-
 // Inverse maps a plane coordinate back to a geographic point.
 func (pr *Projection) Inverse(v Vec2) Point {
 	d := v.Len()
@@ -100,22 +87,6 @@ func (pr *Projection) GeoCircle(center Point, radiusKm float64, n int) []Vec2 {
 		n = 3
 	}
 	return pr.Frame().AppendGeoCircle(make([]Vec2, 0, n), NewFrame(center), radiusKm, n)
-}
-
-// geoCircleReference is the original spherical GeoCircle — per-vertex
-// Destination followed by the reference Forward — retained as the
-// property-test reference for the fused fast path.
-func (pr *Projection) geoCircleReference(center Point, radiusKm float64, n int) []Vec2 {
-	if n < 3 {
-		n = 3
-	}
-	out := make([]Vec2, n)
-	for i := 0; i < n; i++ {
-		b := 2 * math.Pi * float64(i) / float64(n)
-		out[i] = pr.forwardReference(center.Destination(b, radiusKm))
-	}
-	ensureCCW(out)
-	return out
 }
 
 // ensureCCW reverses ring in place if it is clockwise.

@@ -137,49 +137,6 @@ type crossing struct {
 	dir int
 }
 
-// scanRow collects winding crossings of all rings of r with the horizontal
-// line y=yc, appending to buf, and returns the result sorted by (x, dir).
-//
-// This is the naive reference rasterizer: it touches every edge of every
-// ring for the row, so filling a grid with it is O(rows × edges). The
-// production fills go through the edge table (forEachSpan); scanRow is
-// retained because the equivalence property test checks the edge table
-// cell-for-cell against it.
-func scanRow(r *Region, yc float64, buf []crossing) []crossing {
-	buf = buf[:0]
-	for _, ring := range r.Rings {
-		n := len(ring)
-		for i := 0; i < n; i++ {
-			a := ring[i]
-			b := ring[(i+1)%n]
-			if a.Y == b.Y {
-				continue
-			}
-			dir := 0
-			if a.Y <= yc && b.Y > yc {
-				dir = 1
-			} else if a.Y > yc && b.Y <= yc {
-				dir = -1
-			} else {
-				continue
-			}
-			t := (yc - a.Y) / (b.Y - a.Y)
-			buf = append(buf, crossing{x: a.X + t*(b.X-a.X), dir: dir})
-		}
-	}
-	sortCrossings(buf)
-	return buf
-}
-
-// rowSpans invokes fn(x0, x1) for every maximal run of cells in row y whose
-// centres are inside region r (non-zero winding), using the naive scanRow.
-func (g *Grid) rowSpans(r *Region, y int, buf []crossing, fn func(x0, x1 int)) []crossing {
-	yc := g.Min.Y + (float64(y)+0.5)*g.CellKm
-	buf = scanRow(r, yc, buf)
-	emitSpans(g, buf, y, func(_, x0, x1 int) { fn(x0, x1) })
-	return buf
-}
-
 // AddRegion adds weight w to every cell whose centre lies inside r.
 func (g *Grid) AddRegion(r *Region, w float64) {
 	g.forEachSpan(r, func(y, x0, x1 int) {

@@ -1,0 +1,77 @@
+package geo
+
+import "math"
+
+// Reference implementations the production geometry is held against.
+// Nothing outside the tests calls them.
+
+// scanRow collects winding crossings of all rings of r with the horizontal
+// line y=yc, appending to buf, and returns the result sorted by (x, dir).
+//
+// This is the naive reference rasterizer: it touches every edge of every
+// ring for the row, so filling a grid with it is O(rows × edges). The
+// production fills go through the edge table and the two-cursor row fill;
+// the equivalence property tests and FuzzRowFill check both cell for cell
+// against it.
+func scanRow(r *Region, yc float64, buf []crossing) []crossing {
+	buf = buf[:0]
+	for _, ring := range r.Rings {
+		n := len(ring)
+		for i := 0; i < n; i++ {
+			a := ring[i]
+			b := ring[(i+1)%n]
+			if a.Y == b.Y {
+				continue
+			}
+			dir := 0
+			if a.Y <= yc && b.Y > yc {
+				dir = 1
+			} else if a.Y > yc && b.Y <= yc {
+				dir = -1
+			} else {
+				continue
+			}
+			t := (yc - a.Y) / (b.Y - a.Y)
+			buf = append(buf, crossing{x: a.X + t*(b.X-a.X), dir: dir})
+		}
+	}
+	sortCrossings(buf)
+	return buf
+}
+
+// rowSpans invokes fn(x0, x1) for every maximal run of cells in row y whose
+// centres are inside region r (non-zero winding), using the naive scanRow.
+func (g *Grid) rowSpans(r *Region, y int, buf []crossing, fn func(x0, x1 int)) []crossing {
+	yc := g.Min.Y + (float64(y)+0.5)*g.CellKm
+	buf = scanRow(r, yc, buf)
+	emitSpans(g, buf, y, func(_, x0, x1 int) { fn(x0, x1) })
+	return buf
+}
+
+// forwardReference is the original spherical Forward — the haversine +
+// bearing chain — the property-test reference for the unit-vector path.
+func (pr *Projection) forwardReference(p Point) Vec2 {
+	d := pr.Center.DistanceKm(p)
+	if d == 0 {
+		return Vec2{}
+	}
+	b := pr.Center.BearingTo(p)
+	// Bearing is clockwise from north; plane x is east, y is north.
+	return Vec2{X: d * math.Sin(b), Y: d * math.Cos(b)}
+}
+
+// geoCircleReference is the original spherical GeoCircle — per-vertex
+// Destination followed by the reference Forward — the property-test
+// reference for the fused path.
+func (pr *Projection) geoCircleReference(center Point, radiusKm float64, n int) []Vec2 {
+	if n < 3 {
+		n = 3
+	}
+	out := make([]Vec2, n)
+	for i := 0; i < n; i++ {
+		b := 2 * math.Pi * float64(i) / float64(n)
+		out[i] = pr.forwardReference(center.Destination(b, radiusKm))
+	}
+	ensureCCW(out)
+	return out
+}

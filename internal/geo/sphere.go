@@ -18,9 +18,9 @@ import "math"
 // atan2 + one sqrt per vertex (distance and direction read off the
 // projection centre's own tangent frame).
 //
-// The reference spherical implementations are retained (forwardReference,
-// geoCircleReference) and the fused path is property-tested against them
-// to < 1 m over random centres and radii, including antimeridian and
+// The fused path is property-tested against the reference spherical
+// implementations (forwardReference, geoCircleReference in
+// reference_test.go) to < 1 m over random centres and radii, including antimeridian and
 // high-latitude cases.
 
 // Vec3 is a 3-vector in the Earth-centred unit-sphere model: X towards

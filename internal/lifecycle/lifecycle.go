@@ -164,8 +164,7 @@ type Manager struct {
 	// sched fans Refresh's pairwise reprobes out concurrently. It is the
 	// manager's own uncached scheduler — never the serving Localizer's:
 	// drift detection compares fresh measurements against the previous
-	// epoch, and a cached RTT would silently hide drift. Nil when the
-	// config asks for serialized measurement (MeasureWorkers < 0).
+	// epoch, and a cached RTT would silently hide drift.
 	sched *measure.Scheduler
 
 	cur atomic.Pointer[Epoch]
@@ -195,14 +194,11 @@ func New(p probe.Prober, survey *core.Survey, cfg core.Config, opts Options) *Ma
 		opts.Probes = survey.Probes
 	}
 	opts.fillDefaults()
-	m := &Manager{prober: p, cfg: cfg, opts: opts}
-	if cfg.MeasureWorkers >= 0 {
-		m.sched = measure.New(measure.Config{
-			Workers:     cfg.MeasureWorkers,
-			PerLandmark: cfg.MeasurePerLandmark,
-			MinInterval: cfg.MeasureMinInterval,
-		})
-	}
+	m := &Manager{prober: p, cfg: cfg, opts: opts, sched: measure.New(measure.Config{
+		Workers:     cfg.MeasureWorkers,
+		PerLandmark: cfg.MeasurePerLandmark,
+		MinInterval: cfg.MeasureMinInterval,
+	})}
 	e := &Epoch{
 		Survey:    survey,
 		Localizer: core.NewLocalizer(p, survey, cfg),
@@ -274,10 +270,9 @@ func (m *Manager) Refresh(ctx context.Context, scope []int) (*RefreshReport, err
 		newRTT[i] = append([]float64(nil), s.RTT[i]...)
 	}
 
-	// Collect the in-scope pairs, then remeasure them — concurrently
-	// through the manager's scheduler when it has one, serially
-	// otherwise. Fresh min-RTTs land in a flat per-pair slice; the drift
-	// comparison below runs single-threaded either way, so dirty marking
+	// Collect the in-scope pairs, then remeasure them through the
+	// manager's scheduler. Fresh min-RTTs land in a flat per-pair slice;
+	// the drift comparison below runs single-threaded, so dirty marking
 	// is deterministic and race-free.
 	type pair struct{ i, j int }
 	var pairs []pair
@@ -290,34 +285,23 @@ func (m *Manager) Refresh(ctx context.Context, scope []int) (*RefreshReport, err
 		}
 	}
 	mins := make([]float64, len(pairs))
-	reprobe := func(slot int) error {
+	if _, err := m.sched.Run(ctx, len(pairs), func(slot int) error {
 		pr := pairs[slot]
-		samples, err := p.Ping(s.Landmarks[pr.i].Addr, s.Landmarks[pr.j].Addr, m.opts.Probes)
-		if err != nil {
-			return fmt.Errorf("lifecycle: refresh ping %s→%s: %w",
-				s.Landmarks[pr.i].Name, s.Landmarks[pr.j].Name, err)
-		}
-		min, err := probe.MinRTT(samples)
-		if err != nil {
-			return err
-		}
-		mins[slot] = min
-		return nil
-	}
-	if m.sched != nil {
-		if _, err := m.sched.Run(ctx, len(pairs), func(slot int) error {
-			return m.sched.Paced(ctx, s.Landmarks[pairs[slot].i].Addr, func() error {
-				return reprobe(slot)
-			})
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		for slot := range pairs {
-			if err := reprobe(slot); err != nil {
-				return nil, err
+		return m.sched.Paced(ctx, s.Landmarks[pr.i].Addr, func() error {
+			samples, err := p.Ping(s.Landmarks[pr.i].Addr, s.Landmarks[pr.j].Addr, m.opts.Probes)
+			if err != nil {
+				return fmt.Errorf("lifecycle: refresh ping %s→%s: %w",
+					s.Landmarks[pr.i].Name, s.Landmarks[pr.j].Name, err)
 			}
-		}
+			min, err := probe.MinRTT(samples)
+			if err != nil {
+				return err
+			}
+			mins[slot] = min
+			return nil
+		})
+	}); err != nil {
+		return nil, err
 	}
 	dirty := make([]bool, n)
 	probed := len(pairs)

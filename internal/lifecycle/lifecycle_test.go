@@ -167,7 +167,7 @@ func TestIncrementalRebuildOnlyDirty(t *testing.T) {
 		t.Error("global calibration should refit when any landmark is dirty")
 	}
 	// prev remains fully usable after the swap (RCU safety).
-	if _, err := core.NewLocalizer(f.prober, prev, core.Config{}).Localize(f.targets[0]); err != nil {
+	if _, err := core.NewLocalizer(f.prober, prev, core.Config{}).LocalizeContext(context.Background(), f.targets[0]); err != nil {
 		t.Errorf("superseded epoch unusable: %v", err)
 	}
 }
@@ -285,7 +285,7 @@ func TestHotSwapSoak(t *testing.T) {
 			if e == nil {
 				t.Fatalf("item served under unknown epoch %d", item.Epoch)
 			}
-			res, err := e.Localizer.Localize(item.Target)
+			res, err := e.Localizer.LocalizeContext(context.Background(), item.Target)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +321,7 @@ func TestWarmStartFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := f.targets[0]
-	origRes, err := core.NewLocalizer(f.prober, f.survey, core.Config{}).Localize(target)
+	origRes, err := core.NewLocalizer(f.prober, f.survey, core.Config{}).LocalizeContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestWarmStartFromSnapshot(t *testing.T) {
 	if got := f.world.PingCalls(); got != before {
 		t.Errorf("warm start issued %d probes, want 0", got-before)
 	}
-	res, err := m.CurrentLocalizer().Localize(target)
+	res, err := m.CurrentLocalizer().LocalizeContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}

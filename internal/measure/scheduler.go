@@ -1,7 +1,9 @@
 // Package measure is the concurrent measurement scheduler: it fans
 // probe traffic (pings, traceroutes, pairwise survey matrices) out
 // through a bounded worker pool while keeping the *results* shaped
-// exactly like the sequential loops it replaces.
+// exactly like a sequential loop's. It is the only way probes for
+// targets, survey pairs and refresh pairs are issued: with one worker it
+// is the sequential loop.
 //
 // The solver takes 2–3 ms per target and a ping train over a real path
 // tens of milliseconds, so end-to-end localization latency is
@@ -33,7 +35,7 @@
 //     dst) share one train. Cache commits are staged per round and
 //     applied only when the round finishes un-cancelled, so a cancelled
 //     fan-out leaves no partial entries behind. Both are off unless
-//     Config.CacheTTL is set: the default scalar path must not pay their
+//     Config.CacheTTL is set: the default path must not pay their
 //     allocations, and survey refresh must never see a cached value
 //     where drift detection expects a fresh measurement.
 package measure
@@ -51,7 +53,8 @@ import (
 // concurrent probes, 4 per landmark, no pacing interval, no cache.
 type Config struct {
 	// Workers caps concurrent probes across all rounds sharing the
-	// scheduler (default 16).
+	// scheduler (default 16). One worker is the serialized probe loop —
+	// slots run in order, one at a time — and a negative count means one.
 	Workers int
 	// PerLandmark caps concurrent probe trains issued from one source
 	// landmark (default 4).
@@ -69,15 +72,18 @@ func (c *Config) fillDefaults() {
 	if c.Workers == 0 {
 		c.Workers = 16
 	}
+	if c.Workers < 0 {
+		c.Workers = 1
+	}
 	if c.PerLandmark == 0 {
 		c.PerLandmark = 4
 	}
 }
 
 // Scheduler is a concurrent probe scheduler. One Scheduler is shared by
-// everything measuring against one survey generation chain — the scalar
-// localization path, every fused-batch worker, and (via its own
-// uncached instance) the lifecycle refresher — so its buckets express a
+// everything measuring against one survey generation chain — every
+// localization, single or batched, and (via its own uncached instance)
+// the lifecycle refresher — so its buckets express a
 // real per-landmark budget, not a per-request one. All methods are safe
 // for concurrent use.
 type Scheduler struct {

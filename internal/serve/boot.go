@@ -23,6 +23,16 @@ import (
 // local fleets: prober/landmark assembly, warm-start snapshot loading,
 // and the drain-on-shutdown serving loop.
 
+// HTTPServer builds the http.Server every Octant listener runs — serve
+// nodes, the cluster front door, in-process fleets: a client gets ten
+// seconds to send its request headers and an idle keep-alive connection
+// two minutes, so stalled or abandoned connections cannot pile up. There
+// is deliberately no WriteTimeout: an NDJSON batch stream legitimately
+// writes for as long as its slowest target measures.
+func HTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+}
+
 // ServeUntilShutdown serves httpSrv on ln until ctx is cancelled, then
 // drains: the listener closes immediately, in-flight requests (batch
 // streams included) get up to grace to complete, and only then does the

@@ -26,6 +26,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -97,10 +98,9 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Handler builds the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/localize", s.handleLocalize)
-	mux.HandleFunc("/v1/localize/batch", s.handleBatch)
-	mux.HandleFunc("/v2/localize", s.handleLocalizeV2)
-	mux.HandleFunc("/v2/localize/batch", s.handleBatchV2)
+	for _, rt := range localizeRoutes {
+		mux.HandleFunc(rt.path, s.localizeHandler(rt))
+	}
 	mux.HandleFunc("/v1/survey", s.handleSurvey)
 	mux.HandleFunc("/v1/survey/refresh", s.handleRefresh)
 	mux.HandleFunc("/v1/survey/snapshot", s.handleSnapshot)
@@ -166,14 +166,17 @@ func ToTargetResult(item batch.Item) TargetResult {
 	return tr
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with v as a JSON document.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError answers with the {"error": "..."} document every Octant
+// endpoint — node or front door — reports failures in.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // --- v2 wire format ---
@@ -304,130 +307,121 @@ func ToTargetResultV2(item batch.Item) TargetResultV2 {
 	return tr
 }
 
-// handleLocalize serves POST /v1/localize: {"target": "..."} → one
-// result. It is a thin adapter over the same request path as /v2 with no
-// options, kept for wire compatibility.
-func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+// Request body caps. Localize bodies are a target list plus options —
+// MaxBatch host names fit many times over; a survey snapshot carries an
+// n² RTT matrix and every calibration sample.
+const (
+	maxRequestBody  = 1 << 20
+	maxSnapshotBody = 64 << 20
+)
+
+// DecodeJSON reads one JSON request body of at most maxRequestBody bytes
+// into dst and reports whether it could; on failure it has already
+// answered — 413 for a body over the cap, 400 for anything else. strict
+// rejects unknown fields. The cluster front door decodes through it too,
+// so a fleet and a node refuse the same bodies the same way.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, strict bool, dst any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if strict {
+		dec.DisallowUnknownFields()
 	}
-	var req struct {
-		Target string `json:"target"`
+	if err := dec.Decode(dst); err != nil {
+		writeBodyError(w, err, "bad request body")
+		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Target == "" {
-		writeError(w, http.StatusBadRequest, "missing target")
-		return
-	}
-	// r.Context() cancels on client disconnect, aborting the measurement
-	// at its next probe.
-	item := s.engine.LocalizeItem(r.Context(), req.Target)
-	if item.Err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", item.Err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ToTargetResult(item))
+	return true
 }
 
-// handleLocalizeV2 serves POST /v2/localize:
-// {"target": "...", "options": {...}} → one result with epoch and
-// optional provenance. Options map 1:1 onto core.LocalizeOption.
-func (s *Server) handleLocalizeV2(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+// writeBodyError answers a failed body read: 413 when the body outgrew
+// its http.MaxBytesReader, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error, what string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 		return
 	}
-	var req struct {
-		Target  string       `json:"target"`
-		Options *WireOptions `json:"options"`
-	}
-	// DisallowUnknownFields: /v2 is a new surface, so a misspelled
-	// option key ("weight" for "weights") must 400 rather than silently
-	// run — and cache — the request under server defaults.
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Target == "" {
-		writeError(w, http.StatusBadRequest, "missing target")
-		return
-	}
-	opts, err := req.Options.Options()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad options: %v", err)
-		return
-	}
-	item := s.engine.LocalizeItem(r.Context(), req.Target, opts...)
-	if item.Err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", item.Err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ToTargetResultV2(item))
+	WriteError(w, http.StatusBadRequest, "%s: %v", what, err)
 }
 
-// handleBatch serves POST /v1/localize/batch: {"targets": [...]} → one
-// NDJSON line per target, streamed in completion order as the worker pool
-// drains the batch. A thin adapter over the /v2 stream with no options.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req struct {
-		Targets []string `json:"targets"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	s.streamBatch(w, r, req.Targets, nil, func(item batch.Item) any {
-		return ToTargetResult(item)
-	})
+// localizeRequest is the body of the four localize endpoints: the single
+// routes read Target, the batch routes Targets, the v2 routes Options.
+type localizeRequest struct {
+	Target  string       `json:"target"`
+	Targets []string     `json:"targets"`
+	Options *WireOptions `json:"options"`
 }
 
-// handleBatchV2 serves POST /v2/localize/batch:
-// {"targets": [...], "options": {...}} → NDJSON stream of v2 results.
-// The options apply to every target of the batch.
-func (s *Server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+// localizeRoute is one row of the localize route table.
+type localizeRoute struct {
+	path string
+	// batch routes take "targets" and stream one NDJSON line per target
+	// in completion order; the others take "target" and answer one
+	// object.
+	batch bool
+	// v2 routes carry options (mapping 1:1 onto core.LocalizeOption) and
+	// refuse unknown fields: /v2 is a new surface, so a misspelled option
+	// key ("weight" for "weights") must 400 rather than silently run —
+	// and cache — the request under server defaults. v1 routes decode
+	// leniently and run with none, kept for wire compatibility.
+	v2     bool
+	encode func(batch.Item) any
+}
+
+var localizeRoutes = [...]localizeRoute{
+	{"/v1/localize", false, false, func(it batch.Item) any { return ToTargetResult(it) }},
+	{"/v1/localize/batch", true, false, func(it batch.Item) any { return ToTargetResult(it) }},
+	{"/v2/localize", false, true, func(it batch.Item) any { return ToTargetResultV2(it) }},
+	{"/v2/localize/batch", true, true, func(it batch.Item) any { return ToTargetResultV2(it) }},
+}
+
+// localizeHandler serves one row of the table: decode, validate, run the
+// request through the engine, encode in the row's wire version.
+func (s *Server) localizeHandler(rt localizeRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			WriteError(w, http.StatusMethodNotAllowed, "POST required")
+			return
+		}
+		var req localizeRequest
+		if !DecodeJSON(w, r, rt.v2, &req) {
+			return
+		}
+		if !rt.batch && req.Target == "" {
+			WriteError(w, http.StatusBadRequest, "missing target")
+			return
+		}
+		var opts []core.LocalizeOption
+		if rt.v2 {
+			var err error
+			if opts, err = req.Options.Options(); err != nil {
+				WriteError(w, http.StatusBadRequest, "bad options: %v", err)
+				return
+			}
+		}
+		if rt.batch {
+			s.streamBatch(w, r, req.Targets, opts, rt.encode)
+			return
+		}
+		// r.Context() cancels on client disconnect, aborting the
+		// measurement at its next probe.
+		item := s.engine.LocalizeItem(r.Context(), req.Target, opts...)
+		if item.Err != nil {
+			WriteError(w, http.StatusUnprocessableEntity, "%v", item.Err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, rt.encode(item))
 	}
-	var req struct {
-		Targets []string     `json:"targets"`
-		Options *WireOptions `json:"options"`
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	opts, err := req.Options.Options()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad options: %v", err)
-		return
-	}
-	s.streamBatch(w, r, req.Targets, opts, func(item batch.Item) any {
-		return ToTargetResultV2(item)
-	})
 }
 
 // streamBatch validates the target list and streams one encoded line per
-// completed target — the shared engine of both batch endpoints.
+// completed target.
 func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, targets []string, opts []core.LocalizeOption, encode func(batch.Item) any) {
 	if len(targets) == 0 {
-		writeError(w, http.StatusBadRequest, "missing targets")
+		WriteError(w, http.StatusBadRequest, "missing targets")
 		return
 	}
 	if len(targets) > s.opts.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		WriteError(w, http.StatusRequestEntityTooLarge,
 			"%d targets exceeds the %d per-request limit", len(targets), s.opts.MaxBatch)
 		return
 	}
@@ -438,11 +432,9 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, targets []s
 	items := s.engine.Run(r.Context(), targets, opts...)
 	for item := range items {
 		if err := enc.Encode(encode(item)); err != nil {
-			// Client went away. The engine still owns worker goroutines
-			// blocked on this channel; drain it so they can exit (fast,
-			// because r.Context() is already cancelled).
-			for range items {
-			}
+			// Client went away; r.Context() is already cancelled, so the
+			// engine winds the batch down on its own (its channel holds
+			// every item, nothing blocks on this reader).
 			return
 		}
 		if flusher != nil {
@@ -456,10 +448,10 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, targets []s
 // refresh report.
 func (s *Server) handleSurvey(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+		WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.manager.Stats())
+	WriteJSON(w, http.StatusOK, s.manager.Stats())
 }
 
 // handleRefresh serves POST /v1/survey/refresh: reprobe the landmark mesh
@@ -470,17 +462,14 @@ func (s *Server) handleSurvey(w http.ResponseWriter, r *http.Request) {
 // report; traffic is served uninterrupted throughout.
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req struct {
 		Landmarks []string `json:"landmarks"`
 	}
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
+	if r.ContentLength != 0 && !DecodeJSON(w, r, false, &req) {
+		return
 	}
 	var scope []int
 	if len(req.Landmarks) > 0 {
@@ -496,7 +485,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		for _, name := range req.Landmarks {
 			idx, ok := byName[name]
 			if !ok {
-				writeError(w, http.StatusBadRequest, "unknown landmark %q", name)
+				WriteError(w, http.StatusBadRequest, "unknown landmark %q", name)
 				return
 			}
 			scope = append(scope, idx...)
@@ -504,10 +493,10 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	}
 	report, err := s.manager.Refresh(r.Context(), scope)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, report)
+	WriteJSON(w, http.StatusOK, report)
 }
 
 // handleSnapshot serves GET /v1/survey/snapshot: the current epoch's
@@ -516,7 +505,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 // probe-free warm adoption.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+		WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	e := s.manager.Current()
@@ -536,19 +525,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // epoch until /v1/survey/activate.
 func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	survey, err := core.ReadSnapshot(r.Body)
+	survey, err := core.ReadSnapshot(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad snapshot: %v", err)
+		writeBodyError(w, err, "bad snapshot")
 		return
 	}
 	if err := s.manager.Stage(survey); err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"staged_epoch":  survey.Epoch,
 		"serving_epoch": s.manager.Current().Number(),
 	})
@@ -562,11 +551,11 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 // not-ready → swapped → ready with no request ever landing mid-swap.
 func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if _, ok := s.manager.StagedEpoch(); !ok {
-		writeError(w, http.StatusConflict, "no staged epoch to activate")
+		WriteError(w, http.StatusConflict, "no staged epoch to activate")
 		return
 	}
 	s.draining.Store(true)
@@ -575,7 +564,7 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			s.draining.Store(false)
-			writeError(w, http.StatusUnprocessableEntity, "activate cancelled: %v", r.Context().Err())
+			WriteError(w, http.StatusUnprocessableEntity, "activate cancelled: %v", r.Context().Err())
 			return
 		case <-time.After(2 * time.Millisecond):
 		}
@@ -583,10 +572,10 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 	e, err := s.manager.ActivateStaged()
 	s.draining.Store(false)
 	if err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"epoch": e.Number()})
+	WriteJSON(w, http.StatusOK, map[string]any{"epoch": e.Number()})
 }
 
 // handleCacheLookup serves GET /v1/cache/lookup?target=&fp=&epoch=: the
@@ -597,26 +586,26 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 // first place.
 func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+		WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	q := r.URL.Query()
 	target := q.Get("target")
 	if target == "" {
-		writeError(w, http.StatusBadRequest, "missing target")
+		WriteError(w, http.StatusBadRequest, "missing target")
 		return
 	}
 	epoch, err := strconv.ParseUint(q.Get("epoch"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad epoch: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad epoch: %v", err)
 		return
 	}
 	res, ok := s.engine.Peek(target, q.Get("fp"), epoch)
 	if !ok {
-		writeError(w, http.StatusNotFound, "miss")
+		WriteError(w, http.StatusNotFound, "miss")
 		return
 	}
-	writeJSON(w, http.StatusOK, ToTargetResultV2(batch.Item{
+	WriteJSON(w, http.StatusOK, ToTargetResultV2(batch.Item{
 		Target: target,
 		Result: res,
 		Epoch:  epoch,
@@ -629,7 +618,7 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 // /v1/readyz; a draining node is alive but not ready.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	e := s.manager.Current()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"landmarks": e.Survey.N(),
 		"epoch":     e.Number(),
@@ -658,26 +647,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		rd.Reason = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, rd)
-}
-
-// statsPayload is the /v1/stats wire shape: the engine's counters plus,
-// when the serving Localizer measures through a concurrent scheduler,
-// its probe counters under "measure". Existing consumers decoding into
-// batch.Stats are unaffected — the embedded fields keep their keys.
-type statsPayload struct {
-	batch.Stats
-	Measure *measure.Stats `json:"measure,omitempty"`
+	WriteJSON(w, status, rd)
 }
 
 // handleStats serves GET /v1/stats: the engine's counters, cache hit
-// rate, in-flight count, latency quantiles, and the measurement
-// scheduler's probe/cache/dedup counters.
+// rate, in-flight count and latency quantiles, plus the measurement
+// scheduler's probe/cache/dedup counters under "measure" (consumers
+// decoding into batch.Stats are unaffected — the embedded fields keep
+// their keys).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := statsPayload{Stats: s.engine.Stats()}
-	if sched := s.manager.CurrentLocalizer().MeasureScheduler(); sched != nil {
-		ms := sched.Stats()
-		st.Measure = &ms
-	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, struct {
+		batch.Stats
+		Measure measure.Stats `json:"measure"`
+	}{s.engine.Stats(), s.manager.CurrentLocalizer().MeasureScheduler().Stats()})
 }

@@ -58,7 +58,7 @@ func buildStack(seed uint64, holdout int) (testStack, error) {
 	seq := make(map[string]*core.Result, len(targets))
 	loc := manager.CurrentLocalizer()
 	for _, tgt := range targets {
-		res, err := loc.Localize(tgt)
+		res, err := loc.LocalizeContext(context.Background(), tgt)
 		if err != nil {
 			return testStack{}, err
 		}

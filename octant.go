@@ -46,17 +46,13 @@
 //	    octant.WithExplain(),                            // fill res.Provenance
 //	)
 //
-// The older Localize(target) and LocalizeWithSecondary methods remain as
-// deprecated shims over this path; a default-options LocalizeContext is
-// bit-identical to them.
-//
 // # Serving
 //
-// For batch and serving workloads, wrap a Localizer in a BatchEngine: a
-// bounded worker pool that fans targets across goroutines sharing one
-// immutable Survey, with per-target timeout/cancellation, streamed
-// results, an LRU cache of recent localizations, and coalescing of
-// concurrent duplicate requests.
+// For batch and serving workloads, wrap a Localizer in a BatchEngine: one
+// request path for one target or many, measuring up to Workers targets
+// at once against one immutable Survey, with per-target
+// timeout/cancellation, streamed results, an LRU cache of recent
+// localizations, and coalescing of concurrent duplicate requests.
 //
 //	engine := octant.NewBatchEngine(loc, octant.BatchOptions{Workers: 8})
 //	for item := range engine.Run(ctx, targets) {
@@ -368,7 +364,7 @@ func WithConstraints(cs ...Constraint) LocalizeOption { return core.WithConstrai
 func WithEvidenceSource(s EvidenceSource) LocalizeOption { return core.WithEvidenceSource(s) }
 
 // WithSecondary folds a §2 secondary landmark (region beta + RTT) into
-// the request, replacing the deprecated LocalizeWithSecondary method.
+// the request.
 func WithSecondary(beta *Region, rttMs float64) LocalizeOption {
 	return core.WithSecondary(beta, rttMs)
 }

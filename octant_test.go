@@ -1,6 +1,7 @@
 package octant_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	loc := octant.NewLocalizer(prober, survey, octant.Config{})
-	res, err := loc.Localize(target.Name)
+	res, err := loc.LocalizeContext(context.Background(), target.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
