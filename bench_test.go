@@ -228,30 +228,6 @@ func BenchmarkAblationGeoConstraints(b *testing.B) {
 	ablationBench(b, core.Config{DisableWhois: true, DisableOceans: true})
 }
 
-// BenchmarkAblationSolverEngine uses the exact arrangement solver on a
-// reduced landmark set (the exact engine is exponential in constraints).
-func BenchmarkAblationSolverEngine(b *testing.B) {
-	d := sharedDeployment(b)
-	target := d.Landmarks[2]
-	idx := []int{0, 5, 10, 20, 30, 40, 50}
-	sub, err := d.Survey.Subset(idx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	loc := core.NewLocalizer(d.Prober, sub, core.Config{
-		Exact:            true,
-		DisablePiecewise: true,
-		DisableOceans:    true,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := loc.LocalizeContext(context.Background(), target.Addr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // pacedProber adds a fixed delay to every Ping call, emulating the
 // wire-time a real measurement spends waiting on the network (the
 // simulator itself answers instantly). This is the latency the batch
@@ -278,7 +254,7 @@ var (
 
 // batchFixture holds 8 hosts out of the survey as targets and builds a
 // localizer whose prober pays 5 ms of wire time per ping train (plus a
-// serialized-measurement twin for the fan-out speedup gate and an
+// one-worker-scheduler twin for the paced serial/parallel pair and an
 // unpaced twin for allocation measurements).
 func batchFixture(b testing.TB) (*core.Localizer, []string) {
 	b.Helper()
@@ -351,9 +327,7 @@ func BenchmarkBatchLocalize(b *testing.B) {
 
 // BenchmarkLocalizeBatchFused measures the fused multi-target solve over
 // the same paced fixture as BenchmarkBatchLocalize, so the two reports are
-// directly comparable: the CI bulk gate requires workers-8 here to beat
-// BenchmarkBatchLocalize/sequential by ≥ 5× on ns/op. The fused path skips
-// the batch engine entirely — no cache, no flight table — so this is the
+// directly comparable. The fused path skips the batch engine entirely — no cache, no flight table — so this is the
 // floor cost of a homogeneous group.
 func BenchmarkLocalizeBatchFused(b *testing.B) {
 	loc, targets := batchFixture(b)
@@ -391,8 +365,8 @@ func BenchmarkLocalizePacedSerial(b *testing.B) {
 
 // BenchmarkLocalizePacedParallel is the same single-target workload with
 // the concurrent measurement scheduler fanning the landmark probes out.
-// CI gates it against BenchmarkLocalizePacedSerial in the same report:
-// the fan-out must cut paced latency by ≥ 4×.
+// That the trains overlap is asserted by counting, not timing:
+// measure.TestFanoutOverlapsTrains.
 func BenchmarkLocalizePacedParallel(b *testing.B) {
 	loc, targets := batchFixture(b)
 	b.ReportAllocs()
@@ -445,6 +419,12 @@ func BenchmarkMeasureFanout(b *testing.B) {
 func TestLocalizeBatchAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state benchmark run under -short")
+	}
+	if raceDetector {
+		// Under -race sync.Pool drops a quarter of its Puts at random, so
+		// the pooled grids this budget counts on are reallocated (≈ 250
+		// allocs/target). CI checks the budgets in a step without -race.
+		t.Skip("allocation budget is not meaningful under the race detector")
 	}
 	batchFixture(t)
 	loc, targets := batchFixRawLoc, batchFixTargets
@@ -532,9 +512,9 @@ func BenchmarkLocalize(b *testing.B) {
 // BenchmarkLocalizeWithHints measures one end-to-end localization with
 // the hint-rich stages live: the target carries a gazetteer-matching
 // reverse name (rDNS hint → RTT cross-validation → weighted disk) and a
-// synthetic geo-DB provider answers for it. CI gates it against
-// BenchmarkLocalize in the same report via octant-eval -bench-within —
-// the two extra evidence stages must cost <5% ns/op on an unpaced solve.
+// synthetic geo-DB provider answers for it. Its allocation cost over
+// BenchmarkLocalize is budgeted by TestLocalizeWithHintsAllocBudget; its
+// time is ungated (see docs/PERFORMANCE.md).
 func BenchmarkLocalizeWithHints(b *testing.B) {
 	w := netsim.NewWorld(netsim.Config{Seed: 1, HostRDNSHintFrac: 0.85})
 	p := probe.NewSimProber(w)
@@ -573,6 +553,23 @@ func BenchmarkLocalizeWithHints(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestLocalizeWithHintsAllocBudget bounds what the hint stages (parse,
+// RTT cross-validation, two extra weighted disks) may add to a
+// localization: at most 200 allocs/op over the hint-free workload.
+func TestLocalizeWithHintsAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("testing.Benchmark run is not short")
+	}
+	base := testing.Benchmark(BenchmarkLocalize).AllocsPerOp()
+	hinted := testing.Benchmark(BenchmarkLocalizeWithHints).AllocsPerOp()
+	const maxExtraAllocs = 200
+	if hinted > base+maxExtraAllocs {
+		t.Errorf("LocalizeWithHints allocates %d/op, Localize %d/op: the hint stages add %d, budget is %d",
+			hinted, base, hinted-base, maxExtraAllocs)
+	}
+	t.Logf("LocalizeWithHints %d allocs/op vs Localize %d allocs/op", hinted, base)
 }
 
 // BenchmarkRegionIntersectClip measures exact pairwise disk intersection.

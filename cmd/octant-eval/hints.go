@@ -3,7 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"time"
+	"io"
 
 	"octant/internal/core"
 	"octant/internal/geodb"
@@ -14,8 +14,7 @@ import (
 
 // runHints is the -hints mode: score the hint-rich evidence stages (rDNS
 // gazetteer hints + passive geo-DB priors) against the latency-only
-// pipeline on two synthetic worlds, and emit both legs as bench-format
-// lines for the archive.
+// pipeline on two synthetic worlds.
 //
 // Leg 1 (truthful): a world whose eligible end hosts carry hint-bearing
 // reverse names and a fresh synthetic geo-DB. Gate: the hint-enabled
@@ -27,7 +26,7 @@ import (
 // must actually fire (dropped priors observed in Provenance), and the
 // poisoned median must stay within wrongTolerance of the hint-free
 // baseline — bad hints cost the hint, not the answer.
-func runHints(seed uint64) error {
+func runHints(stdout io.Writer, seed uint64) error {
 	const (
 		hold           = 16
 		hintFrac       = 0.85
@@ -49,14 +48,7 @@ func runHints(seed uint64) error {
 		return err
 	}
 
-	emit := func(name string, leg *hintLeg) {
-		fmt.Printf("Benchmark%s \t       1\t%d ns/op\t%.2f hinted-km\t%.2f baseline-km\t%d dropped\n",
-			name, leg.elapsed.Nanoseconds(), leg.hintedMedianKm, leg.baseMedianKm, leg.dropped)
-	}
-	emit("HintsTruthful", truthful)
-	emit("HintsPoisoned", poisoned)
-
-	fmt.Printf("hints: truthful median %.1f km hinted vs %.1f km baseline; poisoned median %.1f km hinted vs %.1f km baseline, %d priors dropped\n",
+	fmt.Fprintf(stdout, "hints: truthful median %.1f km hinted vs %.1f km baseline; poisoned median %.1f km hinted vs %.1f km baseline, %d priors dropped\n",
 		truthful.hintedMedianKm, truthful.baseMedianKm,
 		poisoned.hintedMedianKm, poisoned.baseMedianKm, poisoned.dropped)
 
@@ -71,7 +63,7 @@ func runHints(seed uint64) error {
 		return fmt.Errorf("hints gate: poisoned hints degraded the median beyond %.0f%%: %.2f km hinted vs %.2f km baseline",
 			100*wrongTolerance, poisoned.hintedMedianKm, poisoned.baseMedianKm)
 	}
-	fmt.Println("hints: gates OK")
+	fmt.Fprintln(stdout, "hints: gates OK")
 	return nil
 }
 
@@ -83,7 +75,6 @@ type hintLeg struct {
 	// dropped counts exogenous priors the RTT cross-validation rejected
 	// across the hinted pass (Provenance.DroppedHints).
 	dropped int
-	elapsed time.Duration
 }
 
 // newHintLeg builds a world, holds the first hold hosts out of the survey
@@ -115,7 +106,6 @@ func newHintLeg(cfg netsim.Config, hold int, mkDB func(*netsim.World) geodb.Prov
 	ctx := context.Background()
 	leg := &hintLeg{}
 	var hintedErrs, baseErrs []float64
-	start := time.Now()
 	for _, h := range hosts[:hold] {
 		hres, err := hinted.LocalizeContext(ctx, h.Name)
 		if err != nil {
@@ -131,7 +121,6 @@ func newHintLeg(cfg netsim.Config, hold int, mkDB func(*netsim.World) geodb.Prov
 		}
 		baseErrs = append(baseErrs, bres.Point.DistanceKm(h.Loc))
 	}
-	leg.elapsed = time.Since(start)
 	leg.hintedMedianKm = stats.Percentile(hintedErrs, 50)
 	leg.baseMedianKm = stats.Percentile(baseErrs, 50)
 	return leg, nil

@@ -52,10 +52,10 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"octant/internal/core"
+	"octant/internal/measure"
 )
 
 // Options configures an Engine. The zero value is usable: 4 workers,
@@ -108,7 +108,7 @@ type Engine struct {
 	provider Provider
 	opts     Options
 	cache    *lruCache
-	flight   flightGroup
+	flight   measure.Flight[string, *core.Result]
 	metrics  metrics
 }
 
@@ -127,7 +127,6 @@ func NewWithProvider(p Provider, opts Options) *Engine {
 	if opts.CacheSize > 0 {
 		e.cache = newLRU(opts.CacheSize, opts.TTL)
 	}
-	e.flight.calls = make(map[string]*flightCall)
 	return e
 }
 
@@ -230,7 +229,7 @@ type waiter struct {
 	// tuned ones. Unused when the options are not cacheable.
 	key  string
 	idx  []int
-	call *flightCall
+	call *measure.FlightCall[string, *core.Result]
 }
 
 // serve is the engine's one request path. It borrows the provider's
@@ -333,7 +332,7 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 				// Epoch-qualified coalescing: a follower never receives a
 				// result computed on a snapshot — or under options — it
 				// did not ask for.
-				w.call, leader = e.flight.join(strconv.FormatUint(epoch, 36) + "\x00" + w.key)
+				w.call, leader = e.flight.Join(strconv.FormatUint(epoch, 36) + "\x00" + w.key)
 			}
 			if leader {
 				led = append(led, w)
@@ -367,7 +366,7 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 					}
 				}
 				if w.call != nil {
-					e.flight.finish(w.call, res, err)
+					e.flight.Finish(w.call, res, err)
 				}
 				deliver(w, res, err, false)
 			})
@@ -377,16 +376,16 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 		for i := range following {
 			w := &following[i]
 			select {
-			case <-w.call.done:
+			case <-w.call.Done():
 			case <-ctx.Done():
 				deliver(w, nil, ctx.Err(), true)
 				continue
 			}
-			if ctxSentinel(w.call.err) != nil {
+			if ctxSentinel(w.call.Err) != nil {
 				pending = append(pending, *w)
 				continue
 			}
-			deliver(w, w.call.res, w.call.err, true)
+			deliver(w, w.call.Val, w.call.Err, true)
 		}
 	}
 }
@@ -442,44 +441,4 @@ func (e *Engine) Stats() Stats {
 	s.LandMasks = loc.LandMasks().Stats()
 	s.Solver = loc.LandMasks().SolverStats()
 	return s
-}
-
-// flightGroup coalesces concurrent measurements of the same key onto one
-// execution (the singleflight shape, split into join and finish so one
-// call can lead some keys and follow others). Followers share the
-// leader's result and error — except cancellation: a leader whose context
-// was cancelled does not poison healthy followers (see Engine.serve).
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[string]*flightCall
-}
-
-type flightCall struct {
-	key  string
-	done chan struct{}
-	res  *core.Result
-	err  error
-}
-
-// join returns the flight for key, registering a new one — which the
-// caller then leads and must finish — when none is in the air.
-func (g *flightGroup) join(key string) (c *flightCall, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.calls[key]; ok {
-		return c, false
-	}
-	c = &flightCall{key: key, done: make(chan struct{})}
-	g.calls[key] = c
-	return c, true
-}
-
-// finish lands a led flight: later joins start afresh, current followers
-// wake to the outcome.
-func (g *flightGroup) finish(c *flightCall, res *core.Result, err error) {
-	c.res, c.err = res, err
-	g.mu.Lock()
-	delete(g.calls, c.key)
-	g.mu.Unlock()
-	close(c.done)
 }

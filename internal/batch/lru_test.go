@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"octant/internal/core"
+	"octant/internal/measure"
 )
 
 // resAt mints a result whose Weight encodes the epoch it was "computed"
@@ -128,17 +129,17 @@ func TestLRUConcurrentMixedEpochs(t *testing.T) {
 // caller a result under options it did not ask for — while calls under
 // the SAME fingerprint coalesce onto one measurement.
 func TestFlightKeyUniqueness(t *testing.T) {
-	g := flightGroup{calls: make(map[string]*flightCall)}
+	var g measure.Flight[string, *core.Result]
 	// do drives one key through join/finish the way a one-target call
 	// does: lead and finish, or follow and share.
 	do := func(key string, fn func() (*core.Result, error)) (*core.Result, error, bool) {
-		c, leader := g.join(key)
+		c, leader := g.Join(key)
 		if !leader {
-			<-c.done
-			return c.res, c.err, true
+			<-c.Done()
+			return c.Val, c.Err, true
 		}
 		res, err := fn()
-		g.finish(c, res, err)
+		g.Finish(c, res, err)
 		return res, err, false
 	}
 	flightKey := func(epoch uint64, target, fp string) string {

@@ -140,6 +140,39 @@ func TestConcurrentBatchesShareMeasurements(t *testing.T) {
 	}
 }
 
+// TestBatchOverlapsAcrossTargets: under the default configuration an
+// 8-target batch has trains to at least two distinct targets in flight at
+// once — the fact the retired fused-bulk (≥ 5×) and per-node (≥ 3×)
+// throughput floors timed. Only each target's first train parks (holding
+// one of the scheduler's 16 probe slots until the gate opens), so the
+// count does not depend on which target's fan-out wins the other slots;
+// a serialized engine or a one-worker scheduler parks one train, ever.
+func TestBatchOverlapsAcrossTargets(t *testing.T) {
+	f := sharedFixture(t)
+	gp := newGatedProber(f.prober, func(_ string, nth int) bool { return nth == 1 })
+	eng := batch.New(core.NewLocalizer(gp, f.survey, core.Config{}), batch.Options{CacheSize: -1})
+	targets := f.targets[:8]
+
+	items := eng.Run(context.Background(), targets)
+	inFlight := map[string]bool{}
+	timeout := time.After(10 * time.Second)
+	for len(inFlight) < 2 {
+		select {
+		case dst := <-gp.parked:
+			inFlight[dst] = true
+		case <-timeout:
+			close(gp.gate)
+			t.Fatalf("trains to %d distinct targets in flight at once, want ≥ 2: the batch is measuring one target at a time", len(inFlight))
+		}
+	}
+	close(gp.gate)
+	for item := range items {
+		if item.Err != nil {
+			t.Errorf("%s: %v", item.Target, item.Err)
+		}
+	}
+}
+
 // TestCancelledLeaderDoesNotPoisonBatchFollower holds batches to the
 // contract TestCancelledLeaderDoesNotPoisonFollowers holds single calls
 // to: a batch following another call's in-flight measurement re-runs that

@@ -198,7 +198,9 @@ func (n *NodeClient) Stats(ctx context.Context) (batch.Stats, error) {
 	return st, err
 }
 
-// Snapshot pulls the node's current survey epoch in snapshot form.
+// Snapshot pulls the node's current survey epoch in snapshot form. A body
+// over serve.MaxSnapshotBody — more than any node would accept back on
+// install — is an error, never a truncated snapshot.
 func (n *NodeClient) Snapshot(ctx context.Context) ([]byte, uint64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.BaseURL+"/v1/survey/snapshot", nil)
 	if err != nil {
@@ -216,9 +218,12 @@ func (n *NodeClient) Snapshot(ctx context.Context) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: bad Octant-Epoch header: %w", n.Name, err)
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxSnapshotBody+1))
 	if err != nil {
 		return nil, 0, err
+	}
+	if len(data) > serve.MaxSnapshotBody {
+		return nil, 0, fmt.Errorf("%s: snapshot exceeds %d bytes", n.Name, serve.MaxSnapshotBody)
 	}
 	return data, epoch, nil
 }

@@ -363,3 +363,26 @@ func TestOversizedBodyIs413(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotReadIsCapped: a peer that streams one byte more than the
+// 64 MiB /v1/survey/install accepts gets an error from NodeClient.Snapshot,
+// not 64 MiB of truncated snapshot.
+func TestSnapshotReadIsCapped(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Octant-Epoch", "7")
+		chunk := bytes.Repeat([]byte{' '}, 1<<20)
+		for left := serve.MaxSnapshotBody + 1; left > 0; left -= len(chunk) {
+			if left < len(chunk) {
+				chunk = chunk[:left]
+			}
+			if _, err := w.Write(chunk); err != nil {
+				return // the client stopped reading at the cap
+			}
+		}
+	}))
+	defer srv.Close()
+	data, _, err := (&NodeClient{Name: "peer", BaseURL: srv.URL}).Snapshot(context.Background())
+	if err == nil || data != nil {
+		t.Errorf("Snapshot over the cap returned %d bytes, err %v; want an error and no data", len(data), err)
+	}
+}

@@ -32,60 +32,12 @@ type FleetConfig struct {
 	// ActivateDrain bounds each node's epoch-activation drain
 	// (0 = serve default).
 	ActivateDrain time.Duration
-	// ProbePace gives each node a bounded measurement pipeline: the node
-	// has ProbeLanes concurrent probing lanes and every ping train
-	// occupies one lane for this long (the initial survey builds
-	// unpaced). The simulator answers instantly, so without pacing
-	// co-resident nodes just contend for CPU and fleet size proves
-	// nothing; with it, every node has a fixed measurement capacity —
-	// the shape a real deployment gets from a small pool of raw-socket
-	// pingers per machine — and scaling curves become
-	// machine-independent.
-	ProbePace time.Duration
-	// ProbeLanes is the node's concurrent train capacity when ProbePace
-	// is set (0 = default 4; 1 reproduces the single serialized pinger
-	// the pre-scheduler deployment model had). A concurrent fan-out
-	// overlaps up to this many trains' wire time; a serialized
-	// measurement loop pays it train by train regardless.
-	ProbeLanes int
-	// SerializedMeasurement gives each node's localizer a one-worker
-	// measurement scheduler: one probe train at a time. The cluster
-	// benchmark uses it as the baseline leg its per-node throughput gate
-	// compares the default fan-out against.
-	SerializedMeasurement bool
 	// RetryAttempts wraps every node's prober in probe.WithRetry with
 	// this attempt budget (0/1 = no retries). The chaos harness uses it
 	// so transient loss injected into the world is absorbed below the
 	// quorum layer. Backoffs are kept tiny (1ms base, 10ms cap) because
 	// the simulated wire has no real propagation delay to wait out.
 	RetryAttempts int
-}
-
-// pacedProber models a node's measurement pipeline: a fixed pool of
-// probing lanes, each of which carries one ping train at a time, every
-// train occupying its lane for a fixed wire time. Concurrent callers
-// overlap up to len(lanes) trains; beyond that they queue, which is
-// what makes per-node measurement capacity (lanes/pace trains per
-// second) the binding resource in the scaling harness. The underlying
-// simulator answers instantly outside the lane.
-type pacedProber struct {
-	probe.Prober
-	pace  time.Duration
-	lanes chan struct{}
-}
-
-func newPacedProber(p probe.Prober, pace time.Duration, width int) *pacedProber {
-	if width < 1 {
-		width = 4
-	}
-	return &pacedProber{Prober: p, pace: pace, lanes: make(chan struct{}, width)}
-}
-
-func (p *pacedProber) Ping(src, dst string, n int) ([]float64, error) {
-	p.lanes <- struct{}{}
-	time.Sleep(p.pace)
-	<-p.lanes
-	return p.Prober.Ping(src, dst, n)
 }
 
 // FleetNode is one in-process serving node of a LocalFleet.
@@ -150,8 +102,8 @@ func (n *FleetNode) Down() bool {
 // every node is a full serve stack (lifecycle manager, batch engine,
 // HTTP listener on 127.0.0.1) over one shared simulated world, so
 // cluster behaviour — routing, peer caching, rolling swaps — is
-// exercised over genuine HTTP with genuine concurrency. Tests and the
-// octant-eval cluster harness both build on it.
+// exercised over genuine HTTP with genuine concurrency. The cluster tests
+// and the chaos harness build on it.
 type LocalFleet struct {
 	World   *netsim.World
 	Nodes   []*FleetNode
@@ -205,9 +157,6 @@ func StartLocalFleet(cfg FleetConfig) (*LocalFleet, error) {
 			}
 		}
 		nodeProber := prober
-		if cfg.ProbePace > 0 {
-			nodeProber = newPacedProber(prober, cfg.ProbePace, cfg.ProbeLanes)
-		}
 		if cfg.RetryAttempts > 1 {
 			nodeProber = probe.WithRetry(nodeProber, probe.RetryOptions{
 				Attempts:    cfg.RetryAttempts,
@@ -215,11 +164,7 @@ func StartLocalFleet(cfg FleetConfig) (*LocalFleet, error) {
 				MaxBackoff:  10 * time.Millisecond,
 			})
 		}
-		nodeCfg := core.Config{Probes: 10}
-		if cfg.SerializedMeasurement {
-			nodeCfg.MeasureWorkers = 1
-		}
-		manager := lifecycle.New(nodeProber, nodeSurvey, nodeCfg, lifecycle.Options{Probes: 10})
+		manager := lifecycle.New(nodeProber, nodeSurvey, core.Config{Probes: 10}, lifecycle.Options{Probes: 10})
 		engine := batch.NewWithProvider(manager, batch.Options{
 			Workers:   cfg.Workers,
 			CacheSize: cfg.CacheSize,

@@ -38,8 +38,6 @@ type Config struct {
 	// positive constraints to hold — the brittle discrete system §2.4
 	// warns about (one bad constraint empties the estimate).
 	Unweighted bool
-	// Exact uses the exact arrangement solver instead of the raster one.
-	Exact bool
 
 	// WeightHalfLifeMs is the latency at which constraint confidence
 	// halves (default 20 ms).
@@ -539,7 +537,7 @@ func appendConstraints(acc, cs []Constraint) []Constraint {
 // solverOpts assembles the §2.4 solver options from the config and the
 // request's overrides.
 func (l *Localizer) solverOpts(cfg *Config, o *LocalizeOptions) SolverOpts {
-	sopts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, Exact: cfg.Exact, Masks: l.masks}
+	sopts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, Masks: l.masks}
 	if o.MinAreaKm2 > 0 {
 		sopts.MinAreaKm2 = o.MinAreaKm2
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"octant/internal/geo"
 )
@@ -14,16 +13,12 @@ import (
 // weights over the plane and returns the union of the highest-weight
 // regions, descending by weight, until the result exceeds a size threshold.
 //
-// Two engines implement this:
-//
-//   - the raster engine overlays constraints on a weight grid
-//     (positive add, negative subtract, hard masks exclude), then extracts
-//     a level set — robust for dozens of overlapping constraints, and
-//     refined in a second pass at fine resolution around the first answer;
-//   - the exact engine maintains the full arrangement of constraint
-//     regions as disjoint (region, weight) cells via pairwise boolean
-//     operations — exponential in the worst case, usable for small
-//     constraint counts and for cross-validating the raster engine.
+// The solver overlays constraints on a weight grid (positive add, negative
+// subtract, hard masks exclude), then extracts a level set — robust for
+// dozens of overlapping constraints, and refined in a second pass at fine
+// resolution around the first answer. An arrangement solver over pairwise
+// boolean operations (exponential in the worst case) cross-validates it on
+// generated constraint sets in the tests.
 
 // SolverOpts configures the weighted solve.
 type SolverOpts struct {
@@ -36,8 +31,6 @@ type SolverOpts struct {
 	// FineCellKm is the resolution of the refinement pass (default 4 km,
 	// clamped so the fine grid stays within budget).
 	FineCellKm float64
-	// Exact switches to the exact arrangement engine.
-	Exact bool
 	// LandRegions, when non-empty, restricts solutions to the union of
 	// these regions (the §2.5 ocean/uninhabitable negative constraint,
 	// applied as a hard mask).
@@ -81,9 +74,6 @@ func Solve(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 	fills, min, max, ok := prepareFills(buf[:0], constraints)
 	if !ok {
 		return nil, fmt.Errorf("core: no positive constraints to solve")
-	}
-	if opts.Exact {
-		return solveExact(constraints, opts)
 	}
 	for i := range fills {
 		opts.Masks.countRoute(&fills[i])
@@ -139,26 +129,6 @@ func quantizeCellKm(raw, fine float64) float64 {
 		k = 0
 	}
 	return fine * math.Exp2(k)
-}
-
-// constraintExtent returns the union bounding box of constraint regions.
-func constraintExtent(cs []Constraint) (min, max geo.Vec2) {
-	first := true
-	for _, c := range cs {
-		lo, hi, ok := c.Region.BoundingBox()
-		if !ok {
-			continue
-		}
-		if first {
-			min, max, first = lo, hi, false
-			continue
-		}
-		min.X = math.Min(min.X, lo.X)
-		min.Y = math.Min(min.Y, lo.Y)
-		max.X = math.Max(max.X, hi.X)
-		max.Y = math.Max(max.Y, hi.Y)
-	}
-	return min, max
 }
 
 // prepareFills walks the constraints once: it drops the empty ones, signs
@@ -271,86 +241,4 @@ func (p *gridPass) solution() *Solution {
 		pt = region.Centroid()
 	}
 	return &Solution{Region: region, Weight: best, Point: pt, CellKm: p.cellKm}
-}
-
-// solveExact maintains the exact arrangement of constraints as disjoint
-// weighted cells. Worst-case exponential; intended for ≤ ~12 constraints
-// and for cross-validation.
-func solveExact(constraints []Constraint, opts SolverOpts) (*Solution, error) {
-	type cell struct {
-		region *geo.Region
-		weight float64
-	}
-	min, max := constraintExtent(constraints)
-	pad := math.Max(max.X-min.X, max.Y-min.Y)*0.05 + 10
-	universe := geo.Rect(geo.V2(min.X-pad, min.Y-pad), geo.V2(max.X+pad, max.Y+pad))
-	cells := []cell{{region: universe, weight: 0}}
-	bopts := &geo.BoolOpts{}
-	const maxCells = 4096
-	for _, c := range constraints {
-		if c.Region.IsEmpty() {
-			continue
-		}
-		delta := c.Weight
-		if c.Kind == Negative {
-			delta = -c.Weight
-		}
-		var next []cell
-		for _, cl := range cells {
-			in := geo.Intersect(cl.region, c.Region, bopts)
-			out := geo.Subtract(cl.region, c.Region, bopts)
-			if !in.IsEmpty() {
-				next = append(next, cell{in, cl.weight + delta})
-			}
-			if !out.IsEmpty() {
-				next = append(next, cell{out, cl.weight})
-			}
-		}
-		if len(next) > maxCells {
-			return nil, fmt.Errorf("core: exact solver arrangement exploded (%d cells); use the raster engine", len(next))
-		}
-		cells = next
-	}
-	// Mask to land if requested.
-	if len(opts.LandRegions) > 0 {
-		land := geo.UnionAll(opts.LandRegions, bopts)
-		var masked []cell
-		for _, cl := range cells {
-			in := geo.Intersect(cl.region, land, bopts)
-			if !in.IsEmpty() {
-				masked = append(masked, cell{in, cl.weight})
-			}
-		}
-		cells = masked
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].weight > cells[j].weight })
-	if len(cells) == 0 || cells[0].weight <= 0 {
-		return &Solution{Region: geo.EmptyRegion()}, nil
-	}
-	var acc *geo.Region
-	var area float64
-	level := cells[0].weight
-	for _, cl := range cells {
-		if cl.weight <= 0 {
-			break
-		}
-		if area >= opts.MinAreaKm2 && cl.weight < level {
-			break
-		}
-		level = cl.weight
-		if acc == nil {
-			acc = cl.region.Clone()
-		} else {
-			acc = geo.Union(acc, cl.region, bopts)
-		}
-		area = acc.Area()
-	}
-	if acc == nil {
-		acc = geo.EmptyRegion()
-	}
-	return &Solution{
-		Region: acc,
-		Weight: cells[0].weight,
-		Point:  acc.Centroid(),
-	}, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"octant/internal/geo"
@@ -234,4 +236,112 @@ func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// constraintExtent returns the union bounding box of constraint regions.
+func constraintExtent(cs []Constraint) (min, max geo.Vec2) {
+	first := true
+	for _, c := range cs {
+		lo, hi, ok := c.Region.BoundingBox()
+		if !ok {
+			continue
+		}
+		if first {
+			min, max, first = lo, hi, false
+			continue
+		}
+		min.X = math.Min(min.X, lo.X)
+		min.Y = math.Min(min.Y, lo.Y)
+		max.X = math.Max(max.X, hi.X)
+		max.Y = math.Max(max.Y, hi.Y)
+	}
+	return min, max
+}
+
+// oracleCellKm is the resolution solveExact's boolean operations
+// rasterize at whenever a region has more than one ring (single-ring
+// pairs are clipped exactly) — half the solver's fine cell.
+const oracleCellKm = 2
+
+// solveExact is the arrangement solver that served Config.Exact, kept as
+// the reference TestSolveExactMatchesRaster holds the raster solver to:
+// it maintains the arrangement of constraints as disjoint weighted cells.
+// Worst-case exponential; intended for ≤ ~12 constraints.
+func solveExact(constraints []Constraint, opts SolverOpts) (*Solution, error) {
+	type cell struct {
+		region *geo.Region
+		weight float64
+	}
+	min, max := constraintExtent(constraints)
+	pad := math.Max(max.X-min.X, max.Y-min.Y)*0.05 + 10
+	universe := geo.Rect(geo.V2(min.X-pad, min.Y-pad), geo.V2(max.X+pad, max.Y+pad))
+	cells := []cell{{region: universe, weight: 0}}
+	bopts := &geo.BoolOpts{CellKm: oracleCellKm}
+	const maxCells = 4096
+	for _, c := range constraints {
+		if c.Region.IsEmpty() {
+			continue
+		}
+		delta := c.Weight
+		if c.Kind == Negative {
+			delta = -c.Weight
+		}
+		var next []cell
+		for _, cl := range cells {
+			in := geo.Intersect(cl.region, c.Region, bopts)
+			out := geo.Subtract(cl.region, c.Region, bopts)
+			if !in.IsEmpty() {
+				next = append(next, cell{in, cl.weight + delta})
+			}
+			if !out.IsEmpty() {
+				next = append(next, cell{out, cl.weight})
+			}
+		}
+		if len(next) > maxCells {
+			return nil, fmt.Errorf("core: exact solver arrangement exploded (%d cells); use the raster engine", len(next))
+		}
+		cells = next
+	}
+	// Mask to land if requested.
+	if len(opts.LandRegions) > 0 {
+		land := geo.UnionAll(opts.LandRegions, bopts)
+		var masked []cell
+		for _, cl := range cells {
+			in := geo.Intersect(cl.region, land, bopts)
+			if !in.IsEmpty() {
+				masked = append(masked, cell{in, cl.weight})
+			}
+		}
+		cells = masked
+	}
+	sort.Slice(cells, func(i, j int) bool { return cells[i].weight > cells[j].weight })
+	if len(cells) == 0 || cells[0].weight <= 0 {
+		return &Solution{Region: geo.EmptyRegion()}, nil
+	}
+	var acc *geo.Region
+	var area float64
+	level := cells[0].weight
+	for _, cl := range cells {
+		if cl.weight <= 0 {
+			break
+		}
+		if area >= opts.MinAreaKm2 && cl.weight < level {
+			break
+		}
+		level = cl.weight
+		if acc == nil {
+			acc = cl.region.Clone()
+		} else {
+			acc = geo.Union(acc, cl.region, bopts)
+		}
+		area = acc.Area()
+	}
+	if acc == nil {
+		acc = geo.EmptyRegion()
+	}
+	return &Solution{
+		Region: acc,
+		Weight: cells[0].weight,
+		Point:  acc.Centroid(),
+	}, nil
 }

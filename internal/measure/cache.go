@@ -104,45 +104,3 @@ func (c *rttCache) len() int {
 	defer c.mu.RUnlock()
 	return len(c.m)
 }
-
-// flightGroup is in-flight singleflight dedup: concurrent probes of one
-// rttKey elect a leader that measures while followers wait on its call.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[rttKey]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{}
-	min  float64
-	err  error
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[rttKey]*flightCall)}
-}
-
-// join returns the key's in-flight call and whether the caller is its
-// leader (first joiner, responsible for measuring and leaving).
-func (g *flightGroup) join(key rttKey) (*flightCall, bool) {
-	g.mu.Lock()
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		return c, false
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.m[key] = c
-	g.mu.Unlock()
-	return c, true
-}
-
-// leave publishes the leader's result: the key is removed before done is
-// closed, so a post-completion joiner starts a fresh measurement rather
-// than adopting a finished one (the cache, not the flight group, is the
-// reuse layer).
-func (g *flightGroup) leave(key rttKey, c *flightCall) {
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
-}

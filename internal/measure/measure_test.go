@@ -21,6 +21,8 @@ import (
 // counts, globally and per source).
 type fakeProber struct {
 	delay time.Duration
+	// gate, when non-nil, holds every Ping in flight until it is closed.
+	gate chan struct{}
 
 	mu      sync.Mutex
 	calls   int
@@ -66,6 +68,9 @@ func (f *fakeProber) Ping(src, dst string, n int) ([]float64, error) {
 
 	if f.delay > 0 {
 		time.Sleep(f.delay)
+	}
+	if f.gate != nil {
+		<-f.gate
 	}
 
 	f.mu.Lock()
@@ -180,6 +185,63 @@ func TestConcurrencyCaps(t *testing.T) {
 		if m > 2 {
 			t.Errorf("source %s saw %d concurrent trains, per-landmark cap is 2", src, m)
 		}
+	}
+}
+
+// TestFanoutOverlapsTrains is the lower bound TestConcurrencyCaps lacks:
+// one round holds min(workers, sources) trains in flight at once — no
+// fewer — and a one-worker scheduler holds exactly one. It counts trains
+// parked on a gate, so nothing depends on how long a probe takes. This is
+// the structural fact the retired paced-latency (≥ 4×), fused-bulk (≥ 5×)
+// and per-node (≥ 3×) timing floors each measured with a stopwatch.
+func TestFanoutOverlapsTrains(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		cfg           Config
+		sources, want int
+	}{
+		{"default pool, fewer sources than workers", Config{}, 12, 12},
+		{"default pool, more sources than workers", Config{}, 24, 16},
+		{"one worker", Config{Workers: 1}, 12, 1},
+	} {
+		p := newFakeProber(0)
+		p.gate = make(chan struct{})
+		s := New(c.cfg)
+		srcs := srcNames(c.sources)
+		out := make([]float64, len(srcs))
+		errs := make([]error, len(srcs))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.PingMinInto(context.Background(), p, srcs, "target", 4, 0, out, errs)
+		}()
+
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			p.mu.Lock()
+			in := p.in
+			p.mu.Unlock()
+			if in == c.want {
+				break
+			}
+			if time.Now().After(deadline) {
+				close(p.gate)
+				<-done
+				t.Fatalf("%s: %d trains in flight at once, want %d — the fan-out is not overlapping its probes", c.name, in, c.want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(p.gate)
+		<-done
+
+		p.mu.Lock()
+		if p.max != c.want {
+			t.Errorf("%s: peak %d trains in flight, want exactly %d", c.name, p.max, c.want)
+		}
+		if p.calls != c.sources {
+			t.Errorf("%s: %d trains issued, want %d", c.name, p.calls, c.sources)
+		}
+		p.mu.Unlock()
 	}
 }
 

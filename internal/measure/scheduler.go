@@ -94,8 +94,8 @@ type Scheduler struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	cache  *rttCache // nil when CacheTTL == 0
-	flight *flightGroup
+	cache  *rttCache // nil when CacheTTL == 0; the flight is used only with it
+	flight Flight[rttKey, float64]
 
 	pings          atomic.Uint64
 	pingFailures   atomic.Uint64
@@ -118,7 +118,6 @@ func New(cfg Config) *Scheduler {
 	}
 	if cfg.CacheTTL > 0 {
 		s.cache = newRTTCache(cfg.CacheTTL)
-		s.flight = newFlightGroup()
 	}
 	return s
 }
@@ -344,64 +343,42 @@ func (s *Scheduler) pingMinSlot(ctx context.Context, p probe.Prober, src, dst st
 		return v, nil
 	}
 	s.cacheMisses.Add(1)
-	c, leader := s.flight.join(key)
-	if !leader {
-		s.deduped.Add(1)
-		var done <-chan struct{}
-		if ctx != nil {
-			done = ctx.Done()
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	deduped := false
+	for {
+		c, leader := s.flight.Join(key)
+		if leader {
+			min, err := s.pingMinProbe(ctx, p, src, dst, n)
+			s.flight.Finish(c, min, err)
+			if err == nil {
+				st.add(key, min)
+			}
+			return min, err
+		}
+		if !deduped {
+			deduped = true
+			s.deduped.Add(1)
 		}
 		select {
-		case <-c.done:
+		case <-c.Done():
 		case <-done:
 			return 0, ctx.Err()
 		}
-		if c.err != nil && isCtxErr(c.err) && (ctx == nil || ctx.Err() == nil) {
+		if isCtxErr(c.Err) && (ctx == nil || ctx.Err() == nil) {
 			// The leader's round was cancelled but ours was not: its
-			// abort is not our measurement failure. Probe ourselves.
-			return s.pingMinLed(ctx, p, key, st)
+			// abort is not our measurement failure. Join again, so
+			// concurrent orphaned followers elect one new leader among
+			// themselves instead of all probing.
+			continue
 		}
-		if c.err == nil {
-			st.add(key, c.min)
+		if c.Err == nil {
+			st.add(key, c.Val)
 		}
-		return c.min, c.err
+		return c.Val, c.Err
 	}
-	min, err := s.pingMinProbe(ctx, p, src, dst, n)
-	c.min, c.err = min, err
-	s.flight.leave(key, c)
-	if err == nil {
-		st.add(key, min)
-	}
-	return min, err
-}
-
-// pingMinLed is a follower re-probing after its leader was cancelled; it
-// goes through join again so concurrent orphaned followers elect one new
-// leader among themselves instead of all probing.
-func (s *Scheduler) pingMinLed(ctx context.Context, p probe.Prober, key rttKey, st *stagedEntries) (float64, error) {
-	c, leader := s.flight.join(key)
-	if !leader {
-		var done <-chan struct{}
-		if ctx != nil {
-			done = ctx.Done()
-		}
-		select {
-		case <-c.done:
-		case <-done:
-			return 0, ctx.Err()
-		}
-		if c.err == nil {
-			st.add(key, c.min)
-		}
-		return c.min, c.err
-	}
-	min, err := s.pingMinProbe(ctx, p, key.src, key.dst, key.n)
-	c.min, c.err = min, err
-	s.flight.leave(key, c)
-	if err == nil {
-		st.add(key, min)
-	}
-	return min, err
 }
 
 func isCtxErr(err error) bool {

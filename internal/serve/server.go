@@ -309,10 +309,12 @@ func ToTargetResultV2(item batch.Item) TargetResultV2 {
 
 // Request body caps. Localize bodies are a target list plus options —
 // MaxBatch host names fit many times over; a survey snapshot carries an
-// n² RTT matrix and every calibration sample.
+// n² RTT matrix and every calibration sample. MaxSnapshotBody is exported
+// because the cap binds both directions: what /v1/survey/install accepts
+// and what a cluster client will read off /v1/survey/snapshot.
 const (
 	maxRequestBody  = 1 << 20
-	maxSnapshotBody = 64 << 20
+	MaxSnapshotBody = 64 << 20
 )
 
 // DecodeJSON reads one JSON request body of at most maxRequestBody bytes
@@ -528,7 +530,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	survey, err := core.ReadSnapshot(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
+	survey, err := core.ReadSnapshot(http.MaxBytesReader(w, r.Body, MaxSnapshotBody))
 	if err != nil {
 		writeBodyError(w, err, "bad snapshot")
 		return
