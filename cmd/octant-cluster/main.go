@@ -37,8 +37,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -54,22 +56,39 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("octant-cluster: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole front door: parse args, build the router and the
+// coordinator over -nodes, serve until ctx is cancelled, then drain. Its
+// progress lines go to logw; a nil return means every accepted request
+// finished.
+func run(ctx context.Context, args []string, logw io.Writer) error {
+	logger := log.New(logw, "octant-cluster: ", 0)
+	fs := flag.NewFlagSet("octant-cluster", flag.ContinueOnError)
+	fs.SetOutput(logw)
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		nodeSpec   = flag.String("nodes", "", "comma-separated fleet members, each name=url or url (required)")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per member on the hash ring (0 = default 128)")
-		loadFactor = flag.Float64("load-factor", 0, "bounded-load ceiling as a multiple of mean load (0 = default 1.25, negative = unbounded)")
-		cacheSize  = flag.Int("cache", 4096, "front-door L1 result-cache entries (negative disables)")
-		maxBatch   = flag.Int("max-batch", 1024, "maximum targets per batch request")
-		readyTTL   = flag.Duration("ready-ttl", 500*time.Millisecond, "how long a node readiness verdict is trusted before re-probing")
-		rollout    = flag.Duration("rollout", 0, "periodic coordinated epoch rollout interval (0 = on-demand only, via POST /v1/rollout)")
-		grace      = flag.Duration("shutdown-grace", 30*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
+		addr       = fs.String("addr", ":8080", "listen address")
+		nodeSpec   = fs.String("nodes", "", "comma-separated fleet members, each name=url or url (required)")
+		vnodes     = fs.Int("vnodes", 0, "virtual nodes per member on the hash ring (0 = default 128)")
+		loadFactor = fs.Float64("load-factor", 0, "bounded-load ceiling as a multiple of mean load (0 = default 1.25, negative = unbounded)")
+		cacheSize  = fs.Int("cache", 4096, "front-door L1 result-cache entries (negative disables)")
+		maxBatch   = fs.Int("max-batch", 1024, "maximum targets per batch request")
+		readyTTL   = fs.Duration("ready-ttl", 500*time.Millisecond, "how long a node readiness verdict is trusted before re-probing")
+		rollout    = fs.Duration("rollout", 0, "periodic coordinated epoch rollout interval (0 = on-demand only, via POST /v1/rollout)")
+		grace      = fs.Duration("shutdown-grace", 30*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	nodes, err := parseNodes(*nodeSpec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	router, err := cluster.NewRouter(nodes, cluster.RouterConfig{
 		VNodes:     *vnodes,
@@ -79,18 +98,16 @@ func main() {
 		ReadyTTL:   *readyTTL,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	coord, err := cluster.NewCoordinator(nodes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	front := cluster.NewFront(router, coord)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if *rollout > 0 {
-		log.Printf("rolling the fleet every %v (source %s)", *rollout, nodes[0].Name)
+		logger.Printf("rolling the fleet every %v (source %s)", *rollout, nodes[0].Name)
 		go func() {
 			tick := time.NewTicker(*rollout)
 			defer tick.Stop()
@@ -103,9 +120,9 @@ func main() {
 				report, err := coord.Rollout(ctx, cluster.RolloutOptions{})
 				switch {
 				case err != nil:
-					log.Printf("rollout failed: %v", err)
+					logger.Printf("rollout failed: %v", err)
 				case report.Refreshed:
-					log.Printf("rolled fleet to epoch %d in %.0f ms", report.Epoch, report.ElapsedMs)
+					logger.Printf("rolled fleet to epoch %d in %.0f ms", report.Epoch, report.ElapsedMs)
 				}
 			}
 		}()
@@ -113,13 +130,14 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("fronting %d nodes on %s (L1 cache %d)", len(nodes), ln.Addr(), *cacheSize)
+	logger.Printf("fronting %d nodes on %s (L1 cache %d)", len(nodes), ln.Addr(), *cacheSize)
 	if err := serve.ServeUntilShutdown(ctx, serve.HTTPServer(front.Handler()), ln, *grace); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("drained, exiting")
+	logger.Printf("drained, exiting")
+	return nil
 }
 
 // parseNodes turns "-nodes a=http://…,b=http://…" (or bare URLs) into

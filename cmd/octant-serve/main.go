@@ -47,7 +47,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -66,34 +68,51 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("octant-serve: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole daemon: parse args, build or warm-load the survey,
+// serve until ctx is cancelled, then drain. The daemon's own progress
+// lines (listening, epochs, drained) go to logw; a nil return means every
+// accepted request finished.
+func run(ctx context.Context, args []string, logw io.Writer) error {
+	logger := log.New(logw, "octant-serve: ", 0)
+	fs := flag.NewFlagSet("octant-serve", flag.ContinueOnError)
+	fs.SetOutput(logw)
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		proberKnd = flag.String("prober", "sim", "measurement source: sim|tcp")
-		seed      = flag.Uint64("seed", 1, "world seed (sim prober)")
-		holdout   = flag.Int("holdout", 8, "sim hosts excluded from the survey so they stay localizable targets")
-		lmFile    = flag.String("landmarks", "", "landmark CSV for -prober tcp: addr,name,lat,lon per line")
-		probes    = flag.Int("probes", 10, "ping probes per measurement")
-		workers   = flag.Int("workers", 8, "concurrent localizations")
-		cacheSize = flag.Int("cache", 1024, "LRU result-cache entries (negative disables)")
-		cacheTTL  = flag.Duration("cache-ttl", 0, "result-cache entry lifetime (0 = no expiry)")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-target localization timeout (0 = none)")
-		maxBatch  = flag.Int("max-batch", 1024, "maximum targets per batch request")
-		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ for live profiling")
-		snapshot  = flag.String("survey-snapshot", "", "survey snapshot file: loaded at startup when present (warm start, no probing), rewritten on every published epoch")
-		refresh   = flag.Duration("refresh", 0, "periodic survey recalibration interval (0 = on-demand only, via POST /v1/survey/refresh)")
-		driftTol  = flag.Duration("drift-tolerance", 500*time.Microsecond, "min per-pair RTT drift for a refresh to count a landmark dirty (0 = any change counts)")
-		drain     = flag.Duration("activate-drain", 2*time.Second, "in-flight drain budget before an epoch activation swaps anyway")
-		grace     = flag.Duration("shutdown-grace", 30*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
-		retries   = flag.Int("probe-retries", 3, "attempts per measurement (1 disables retrying); transient probe failures back off and retry, so one lost train doesn't degrade a localization or void a survey refresh")
-		measureW  = flag.Int("measure-workers", 0, "concurrent probes per localization fan-out (0 = scheduler default, 16; 1 = one probe train at a time)")
-		rttTTL    = flag.Duration("rtt-cache-ttl", 0, "measurement-scheduler RTT cache lifetime (0 disables caching and in-flight dedup; entries are epoch-qualified so a survey swap never serves stale minima)")
-		geodbFile = flag.String("geodb", "", "passive geolocation database JSON (geodb.LoadFile format); records feed the geodb evidence source, RTT cross-validated per target")
+		addr      = fs.String("addr", ":8080", "listen address")
+		proberKnd = fs.String("prober", "sim", "measurement source: sim|tcp")
+		seed      = fs.Uint64("seed", 1, "world seed (sim prober)")
+		holdout   = fs.Int("holdout", 8, "sim hosts excluded from the survey so they stay localizable targets")
+		lmFile    = fs.String("landmarks", "", "landmark CSV for -prober tcp: addr,name,lat,lon per line")
+		probes    = fs.Int("probes", 10, "ping probes per measurement")
+		workers   = fs.Int("workers", 8, "concurrent localizations")
+		cacheSize = fs.Int("cache", 1024, "LRU result-cache entries (negative disables)")
+		cacheTTL  = fs.Duration("cache-ttl", 0, "result-cache entry lifetime (0 = no expiry)")
+		timeout   = fs.Duration("timeout", 30*time.Second, "per-target localization timeout (0 = none)")
+		maxBatch  = fs.Int("max-batch", 1024, "maximum targets per batch request")
+		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ for live profiling")
+		snapshot  = fs.String("survey-snapshot", "", "survey snapshot file: loaded at startup when present (warm start, no probing), rewritten on every published epoch")
+		refresh   = fs.Duration("refresh", 0, "periodic survey recalibration interval (0 = on-demand only, via POST /v1/survey/refresh)")
+		driftTol  = fs.Duration("drift-tolerance", 500*time.Microsecond, "min per-pair RTT drift for a refresh to count a landmark dirty (0 = any change counts)")
+		drain     = fs.Duration("activate-drain", 2*time.Second, "in-flight drain budget before an epoch activation swaps anyway")
+		grace     = fs.Duration("shutdown-grace", 30*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
+		retries   = fs.Int("probe-retries", 3, "attempts per measurement (1 disables retrying); transient probe failures back off and retry, so one lost train doesn't degrade a localization or void a survey refresh")
+		measureW  = fs.Int("measure-workers", 0, "concurrent probes per localization fan-out (0 = scheduler default, 16; 1 = one probe train at a time)")
+		rttTTL    = fs.Duration("rtt-cache-ttl", 0, "measurement-scheduler RTT cache lifetime (0 disables caching and in-flight dedup; entries are epoch-qualified so a survey swap never serves stale minima)")
+		geodbFile = fs.String("geodb", "", "passive geolocation database JSON (geodb.LoadFile format); records feed the geodb evidence source, RTT cross-validated per target")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	prober, landmarks, err := serve.BuildProber(*proberKnd, *seed, *holdout, *lmFile)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *retries > 1 {
 		// Wrapping here covers every measurement path: the initial survey
@@ -103,7 +122,7 @@ func main() {
 
 	survey, err := serve.LoadOrProbeSurvey(prober, landmarks, *probes, *snapshot)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	driftTolMs := float64(*driftTol) / float64(time.Millisecond)
@@ -120,10 +139,10 @@ func main() {
 	if *geodbFile != "" {
 		provider, err := geodb.LoadFile(*geodbFile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cfg.GeoDB = geodb.NewCached(provider, 0)
-		log.Printf("geodb: %d records from %s", provider.Len(), *geodbFile)
+		logger.Printf("geodb: %d records from %s", provider.Len(), *geodbFile)
 	}
 	manager := lifecycle.New(prober, survey, cfg, lifecycle.Options{
 		Probes:           *probes,
@@ -135,14 +154,14 @@ func main() {
 				return // initial epoch, already logged
 			}
 			if r.Installed {
-				log.Printf("epoch %d installed from pushed snapshot (%d landmarks)",
+				logger.Printf("epoch %d installed from pushed snapshot (%d landmarks)",
 					e.Number(), e.Survey.N())
 			} else {
-				log.Printf("epoch %d published: %d/%d landmarks dirty, %d calibrations refitted (%.0f ms)",
+				logger.Printf("epoch %d published: %d/%d landmarks dirty, %d calibrations refitted (%.0f ms)",
 					e.Number(), len(r.DirtyLandmarks), e.Survey.N(), r.RebuiltCalibs, r.ElapsedMs)
 			}
 			if r.SnapshotError != "" {
-				log.Printf("snapshot autosave failed: %s", r.SnapshotError)
+				logger.Printf("snapshot autosave failed: %s", r.SnapshotError)
 			}
 		},
 	})
@@ -158,30 +177,27 @@ func main() {
 		ActivateDrain: *drain,
 	})
 	if *pprofOn {
-		log.Printf("pprof enabled at /debug/pprof/")
+		logger.Printf("pprof enabled at /debug/pprof/")
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if *refresh > 0 {
-		log.Printf("recalibrating every %v", *refresh)
+		logger.Printf("recalibrating every %v", *refresh)
 		go manager.Run(ctx)
 	}
-	go func() {
-		// Fail readiness as soon as shutdown starts so fleet routers stop
-		// sending new work while the listener drains.
-		<-ctx.Done()
-		srv.SetDraining(true)
-	}()
+	// Fail readiness as soon as shutdown starts so fleet routers stop
+	// sending new work while the listener drains.
+	stopDrainHook := context.AfterFunc(ctx, func() { srv.SetDraining(true) })
+	defer stopDrainHook()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("listening on %s (%d workers, cache %d, epoch %d)",
+	logger.Printf("listening on %s (%d workers, cache %d, epoch %d)",
 		ln.Addr(), *workers, *cacheSize, manager.Current().Number())
 	if err := serve.ServeUntilShutdown(ctx, serve.HTTPServer(srv.Handler()), ln, *grace); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("drained, exiting")
+	logger.Printf("drained, exiting")
+	return nil
 }

@@ -13,20 +13,21 @@
 // passes); -no-routers and -no-geo disable the corresponding evidence
 // sources per request; -explain prints the per-source provenance table.
 //
-// Multiple comma-separated targets run through the concurrent batch
-// engine:
+// Several comma-separated targets take the same path — -target is
+// -targets of one — and report one line each instead of the detailed
+// form:
 //
 //	octant -targets host1,host2,host3 -parallel 8
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
-	"time"
 
 	"octant/internal/batch"
 	"octant/internal/core"
@@ -35,23 +36,35 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("octant: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "octant:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: parse args, hold the targets out of the
+// survey, localize them through the batch engine, and write the report to
+// stdout — the detailed one for a single result, one line each for
+// several. -target is -targets of one.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("octant", flag.ContinueOnError)
 	var (
-		target    = flag.String("target", "planetlab2.cs.cornell.edu", "host name of the target (one of the simulated sites)")
-		targets   = flag.String("targets", "", "comma-separated target list; overrides -target and runs the batch engine")
-		parallel  = flag.Int("parallel", 4, "concurrent localizations for multi-target runs")
-		seed      = flag.Uint64("seed", 1, "world seed")
-		probes    = flag.Int("probes", 10, "ping probes per measurement")
-		geoOut    = flag.String("geojson", "", "write the estimated region as GeoJSON to this file")
-		disable   = flag.String("disable", "", "comma-separated mechanisms to disable: heights,negative,piecewise,whois,oceans")
-		timeout   = flag.Duration("timeout", 0, "overall localization deadline per target, enforced through the request context (0 = none)")
-		noRouters = flag.Bool("no-routers", false, "disable the §2.3 router evidence source for this run")
-		noGeo     = flag.Bool("no-geo", false, "disable the §2.5 ocean/land mask evidence source for this run")
-		explain   = flag.Bool("explain", false, "print the per-source evidence provenance table")
-		list      = flag.Bool("list", false, "list available target hosts and exit")
+		target    = fs.String("target", "planetlab2.cs.cornell.edu", "host name of the target (one of the simulated sites)")
+		targets   = fs.String("targets", "", "comma-separated target list; overrides -target")
+		parallel  = fs.Int("parallel", 4, "concurrent localizations for multi-target runs")
+		seed      = fs.Uint64("seed", 1, "world seed")
+		probes    = fs.Int("probes", 10, "ping probes per measurement")
+		geoOut    = fs.String("geojson", "", "write the estimated region as GeoJSON to this file (single target)")
+		disable   = fs.String("disable", "", "comma-separated mechanisms to disable: heights,negative,piecewise,whois,oceans")
+		timeout   = fs.Duration("timeout", 0, "overall localization deadline per target, enforced through the request context (0 = none)")
+		noRouters = fs.Bool("no-routers", false, "disable the §2.3 router evidence source for this run")
+		noGeo     = fs.Bool("no-geo", false, "disable the §2.5 ocean/land mask evidence source for this run")
+		explain   = fs.Bool("explain", false, "print the per-source evidence provenance table")
+		list      = fs.Bool("list", false, "list available target hosts and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	world := netsim.NewWorld(netsim.Config{Seed: *seed})
 	prober := probe.NewSimProber(world)
@@ -59,9 +72,9 @@ func main() {
 
 	if *list {
 		for _, h := range hosts {
-			fmt.Printf("%-40s %-16s %s\n", h.Name, h.Inst, h.Loc)
+			fmt.Fprintf(stdout, "%-40s %-16s %s\n", h.Name, h.Inst, h.Loc)
 		}
-		return
+		return nil
 	}
 
 	cfg := core.Config{Probes: *probes}
@@ -79,12 +92,12 @@ func main() {
 		case "oceans":
 			cfg.DisableOceans = true
 		default:
-			log.Fatalf("unknown mechanism %q (want heights|negative|piecewise|whois|oceans)", d)
+			return fmt.Errorf("unknown mechanism %q (want heights|negative|piecewise|whois|oceans)", d)
 		}
 	}
 
 	// Per-request options: source toggles and provenance ride the v2
-	// options API; the timeout rides the context.
+	// options API; the timeout rides each target's context in the engine.
 	var opts []core.LocalizeOption
 	if *noRouters {
 		opts = append(opts, core.WithoutSource(core.SourceRouter))
@@ -95,158 +108,128 @@ func main() {
 	if *explain {
 		opts = append(opts, core.WithExplain())
 	}
-	ctx := context.Background()
 
-	// Multi-target mode: hold every requested target out of the survey and
-	// fan the batch across the worker-pool engine.
-	if *targets != "" {
-		runBatch(ctx, world, prober, cfg, strings.Split(*targets, ","), *probes, *parallel, *timeout, opts)
-		return
+	if *targets == "" {
+		*targets = *target
 	}
-
-	var truth *netsim.Node
+	want := make(map[string]bool)
+	var names []string
+	for _, t := range strings.Split(*targets, ",") {
+		if t = strings.TrimSpace(t); t != "" && !want[t] {
+			want[t] = true
+			names = append(names, t)
+		}
+	}
+	if len(names) == 0 {
+		return errors.New("no targets")
+	}
+	// Every requested target is held out of the survey; the remaining hosts
+	// are the landmarks.
+	truthByName := make(map[string]*netsim.Node, len(names))
 	var landmarks []core.Landmark
 	for _, h := range hosts {
-		if h.Name == *target {
-			truth = h
-			continue
-		}
-		landmarks = append(landmarks, core.Landmark{Addr: h.Name, Name: h.Inst, Loc: h.Loc})
-	}
-	if truth == nil {
-		log.Fatalf("unknown target %q (use -list to see hosts)", *target)
-	}
-
-	survey, err := core.NewSurvey(prober, landmarks, core.SurveyOpts{Probes: *probes, UseHeights: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	loc := core.NewLocalizer(prober, survey, cfg)
-	if *timeout > 0 {
-		// The deadline governs the whole request through the ctx-first
-		// API — measurement, routers, and solve — rather than relying on
-		// any prober-level socket deadline.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	res, err := loc.LocalizeContext(ctx, *target, opts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("target          %s\n", *target)
-	fmt.Printf("landmarks       %d (κ=%.2f)\n", survey.N(), survey.Kappa)
-	fmt.Printf("point estimate  %s\n", res.Point)
-	fmt.Printf("true location   %s\n", truth.Loc)
-	fmt.Printf("error           %.1f miles (%.1f km)\n",
-		res.Point.DistanceMiles(truth.Loc), res.Point.DistanceKm(truth.Loc))
-	fmt.Printf("region area     %.0f km² (%.0f mi²), %d ring(s)\n",
-		res.AreaKm2, res.AreaKm2*0.386102, len(res.Region.Rings))
-	fmt.Printf("contains truth  %v\n", res.ContainsTruth(truth.Loc))
-	fmt.Printf("target height   %.2f ms (true access delay %.2f ms)\n",
-		res.TargetHeightMs, world.AccessHeight(truth.ID))
-	fmt.Printf("constraints     %d\n", len(res.Constraints))
-	if res.Provenance != nil {
-		fmt.Printf("\nevidence provenance (%d constraints, %.2f ms measuring, %.2f ms solving):\n",
-			res.Provenance.TotalConstraints, res.Provenance.MeasureMs, res.Provenance.SolveMs)
-		fmt.Printf("  %-12s %11s %8s %14s %9s %10s  %s\n", "source", "constraints", "weight", "area km²", "ms", "measure ms", "note")
-		for _, rep := range res.Provenance.Sources {
-			fmt.Printf("  %-12s %11d %8.3f %14.0f %9.2f %10.2f  %s\n",
-				rep.Source, rep.Constraints, rep.Weight, rep.AreaKm2, rep.ElapsedMs, rep.MeasureMs, rep.Skipped)
-		}
-		for _, dh := range res.Provenance.DroppedHints {
-			fmt.Printf("  dropped %-12s %s\n", dh.Hint, dh.Reason)
-		}
-		if d := res.Provenance.Disagreement; d != nil {
-			fmt.Printf("  disagreement    %.0f km (hint↔geodb %.0f, hint↔latency %.0f, geodb↔latency %.0f)",
-				d.DisagreementKm, d.HintGeoDBKm, d.HintLatencyKm, d.GeoDBLatencyKm)
-			if d.Conflict {
-				fmt.Printf("  CONFLICT")
-			}
-			fmt.Println()
-		}
-	}
-
-	if *geoOut != "" {
-		props := map[string]any{
-			"target":  *target,
-			"area_mi": res.AreaKm2 * 0.386102,
-		}
-		js, err := res.Region.ToGeoJSON(res.Projection, props)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*geoOut, js, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("geojson         %s (%d bytes)\n", *geoOut, len(js))
-	}
-}
-
-// runBatch localizes several targets concurrently: the targets are held
-// out of the survey, the remaining hosts become landmarks, and the batch
-// engine fans the work across -parallel workers. One line per target, in
-// submission order, with per-target errors inline. opts apply to every
-// target and timeout bounds each one through the engine's per-target
-// context.
-func runBatch(ctx context.Context, world *netsim.World, prober probe.Prober, cfg core.Config, targetList []string, probes, parallel int, timeout time.Duration, opts []core.LocalizeOption) {
-	want := make(map[string]bool, len(targetList))
-	targets := targetList[:0]
-	for _, t := range targetList {
-		t = strings.TrimSpace(t)
-		if t == "" || want[t] {
-			continue
-		}
-		want[t] = true
-		targets = append(targets, t)
-	}
-	if len(targets) == 0 {
-		log.Fatal("no targets")
-	}
-	truthByName := make(map[string]*netsim.Node, len(targets))
-	var landmarks []core.Landmark
-	for _, h := range world.HostNodes() {
 		if want[h.Name] {
 			truthByName[h.Name] = h
 			continue
 		}
 		landmarks = append(landmarks, core.Landmark{Addr: h.Name, Name: h.Inst, Loc: h.Loc})
 	}
-	for _, t := range targets {
+	for _, t := range names {
 		if truthByName[t] == nil {
-			log.Fatalf("unknown target %q (use -list to see hosts)", t)
+			return fmt.Errorf("unknown target %q (use -list to see hosts)", t)
 		}
 	}
-	survey, err := core.NewSurvey(prober, landmarks, core.SurveyOpts{Probes: probes, UseHeights: true})
+	survey, err := core.NewSurvey(prober, landmarks, core.SurveyOpts{Probes: *probes, UseHeights: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	eng := batch.New(core.NewLocalizer(prober, survey, cfg),
-		batch.Options{Workers: parallel, TargetTimeout: timeout})
-	results, errs := eng.Collect(ctx, targets, opts...)
-	for i, t := range targets {
+		batch.Options{Workers: *parallel, TargetTimeout: *timeout})
+	results, errs := eng.Collect(context.Background(), names, opts...)
+
+	if len(names) == 1 {
+		if errs[0] != nil {
+			return errs[0]
+		}
+		return reportOne(stdout, names[0], results[0], truthByName[names[0]], world, survey, *geoOut)
+	}
+	for i, t := range names {
 		if errs[i] != nil {
-			fmt.Printf("%-40s ERROR %v\n", t, errs[i])
+			fmt.Fprintf(stdout, "%-40s ERROR %v\n", t, errs[i])
 			continue
 		}
 		res, truth := results[i], truthByName[t]
-		fmt.Printf("%-40s %s  err %6.1f mi  area %8.0f km²  contains %v\n",
+		fmt.Fprintf(stdout, "%-40s %s  err %6.1f mi  area %8.0f km²  contains %v\n",
 			t, res.Point, res.Point.DistanceMiles(truth.Loc), res.AreaKm2, res.ContainsTruth(truth.Loc))
 		if res.Provenance != nil {
 			for _, rep := range res.Provenance.Sources {
-				fmt.Printf("    %-12s %3d constraints  w %7.3f  area %12.0f km²  %s\n",
+				fmt.Fprintf(stdout, "    %-12s %3d constraints  w %7.3f  area %12.0f km²  %s\n",
 					rep.Source, rep.Constraints, rep.Weight, rep.AreaKm2, rep.Skipped)
 			}
 			for _, dh := range res.Provenance.DroppedHints {
-				fmt.Printf("    dropped %-12s %s\n", dh.Hint, dh.Reason)
+				fmt.Fprintf(stdout, "    dropped %-12s %s\n", dh.Hint, dh.Reason)
 			}
 			if d := res.Provenance.Disagreement; d != nil && d.Conflict {
-				fmt.Printf("    disagreement %.0f km CONFLICT\n", d.DisagreementKm)
+				fmt.Fprintf(stdout, "    disagreement %.0f km CONFLICT\n", d.DisagreementKm)
 			}
 		}
 	}
 	s := eng.Stats()
-	fmt.Printf("\n%d targets, %d workers, %d landmarks, p50 %.0f ms, p99 %.0f ms\n",
-		len(targets), s.Workers, survey.N(), s.P50Ms, s.P99Ms)
+	fmt.Fprintf(stdout, "\n%d targets, %d workers, %d landmarks, p50 %.0f ms, p99 %.0f ms\n",
+		len(names), s.Workers, survey.N(), s.P50Ms, s.P99Ms)
+	return nil
+}
+
+// reportOne prints the detailed report for a lone result: estimate against
+// truth, the solved height, the provenance table when the request asked
+// to explain itself, and the region as GeoJSON when geoOut names a file.
+func reportOne(stdout io.Writer, target string, res *core.Result, truth *netsim.Node, world *netsim.World, survey *core.Survey, geoOut string) error {
+	fmt.Fprintf(stdout, "target          %s\n", target)
+	fmt.Fprintf(stdout, "landmarks       %d (κ=%.2f)\n", survey.N(), survey.Kappa)
+	fmt.Fprintf(stdout, "point estimate  %s\n", res.Point)
+	fmt.Fprintf(stdout, "true location   %s\n", truth.Loc)
+	fmt.Fprintf(stdout, "error           %.1f miles (%.1f km)\n",
+		res.Point.DistanceMiles(truth.Loc), res.Point.DistanceKm(truth.Loc))
+	fmt.Fprintf(stdout, "region area     %.0f km² (%.0f mi²), %d ring(s)\n",
+		res.AreaKm2, res.AreaKm2*0.386102, len(res.Region.Rings))
+	fmt.Fprintf(stdout, "contains truth  %v\n", res.ContainsTruth(truth.Loc))
+	fmt.Fprintf(stdout, "target height   %.2f ms (true access delay %.2f ms)\n",
+		res.TargetHeightMs, world.AccessHeight(truth.ID))
+	fmt.Fprintf(stdout, "constraints     %d\n", len(res.Constraints))
+	if res.Provenance != nil {
+		fmt.Fprintf(stdout, "\nevidence provenance (%d constraints, %.2f ms measuring, %.2f ms solving):\n",
+			res.Provenance.TotalConstraints, res.Provenance.MeasureMs, res.Provenance.SolveMs)
+		fmt.Fprintf(stdout, "  %-12s %11s %8s %14s %9s %10s  %s\n", "source", "constraints", "weight", "area km²", "ms", "measure ms", "note")
+		for _, rep := range res.Provenance.Sources {
+			fmt.Fprintf(stdout, "  %-12s %11d %8.3f %14.0f %9.2f %10.2f  %s\n",
+				rep.Source, rep.Constraints, rep.Weight, rep.AreaKm2, rep.ElapsedMs, rep.MeasureMs, rep.Skipped)
+		}
+		for _, dh := range res.Provenance.DroppedHints {
+			fmt.Fprintf(stdout, "  dropped %-12s %s\n", dh.Hint, dh.Reason)
+		}
+		if d := res.Provenance.Disagreement; d != nil {
+			fmt.Fprintf(stdout, "  disagreement    %.0f km (hint↔geodb %.0f, hint↔latency %.0f, geodb↔latency %.0f)",
+				d.DisagreementKm, d.HintGeoDBKm, d.HintLatencyKm, d.GeoDBLatencyKm)
+			if d.Conflict {
+				fmt.Fprintf(stdout, "  CONFLICT")
+			}
+			fmt.Fprintln(stdout)
+		}
+	}
+	if geoOut == "" {
+		return nil
+	}
+	props := map[string]any{
+		"target":  target,
+		"area_mi": res.AreaKm2 * 0.386102,
+	}
+	js, err := res.Region.ToGeoJSON(res.Projection, props)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(geoOut, js, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "geojson         %s (%d bytes)\n", geoOut, len(js))
+	return nil
 }

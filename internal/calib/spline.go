@@ -110,11 +110,6 @@ func (s *Spline) derivAt(i int) float64 {
 	}
 }
 
-// Knots returns the spline's knot coordinates.
-func (s *Spline) Knots() (xs, ys []float64) {
-	return append([]float64(nil), s.xs...), append([]float64(nil), s.ys...)
-}
-
 // SplineApproximation bins the calibration scatter into nBins latency bins
 // and fits a natural cubic spline through the bin means — the Figure 2
 // overlay curve. It returns nil when the scatter is too sparse.

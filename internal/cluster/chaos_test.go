@@ -28,7 +28,7 @@ func TestBreakerKillRevive(t *testing.T) {
 	owner := nodeByName(t, fleet, ownerName)
 
 	// Warm: the owner serves and is cached ready for the next minute.
-	if _, err := r.route(ctx, target, nil, "", false); err != nil {
+	if _, err := gatherOne(ctx, r, target, "", false); err != nil {
 		t.Fatalf("warm localize: %v", err)
 	}
 
@@ -36,7 +36,7 @@ func TestBreakerKillRevive(t *testing.T) {
 	// request dispatches to it, fails, opens the breaker (threshold 1),
 	// and fails over — with no client-visible error.
 	owner.Kill()
-	if _, err := r.route(ctx, target, nil, "", false); err != nil {
+	if _, err := gatherOne(ctx, r, target, "", false); err != nil {
 		t.Fatalf("localize during owner outage: %v", err)
 	}
 	st := r.Stats(ctx)
@@ -55,7 +55,7 @@ func TestBreakerKillRevive(t *testing.T) {
 	if err := owner.Revive(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.route(ctx, target, nil, "", false); err != nil {
+	if _, err := gatherOne(ctx, r, target, "", false); err != nil {
 		t.Fatalf("localize right after revive: %v", err)
 	}
 
@@ -65,7 +65,7 @@ func TestBreakerKillRevive(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, err := r.route(ctx, target, nil, "", false); err != nil {
+		if _, err := gatherOne(ctx, r, target, "", false); err != nil {
 			t.Fatalf("localize after cooldown: %v", err)
 		}
 		st = r.Stats(ctx)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -57,7 +58,30 @@ func decodeError(resp *http.Response) error {
 	return &apiError{Status: resp.StatusCode, Message: msg}
 }
 
-func (n *NodeClient) postJSON(ctx context.Context, path string, body any, out any) error {
+// do issues one request and returns its 200 response, whose body the
+// caller closes; any other status comes back as an *apiError.
+func (n *NodeClient) do(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, n.BaseURL+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := n.client().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, decodeError(resp)
+	}
+	return resp, nil
+}
+
+// roundTrip sends body (nil = none) as JSON and decodes the answer into
+// out (nil = discard it).
+func (n *NodeClient) roundTrip(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -66,37 +90,13 @@ func (n *NodeClient) postJSON(ctx context.Context, path string, body any, out an
 		}
 		rd = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.BaseURL+path, rd)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client().Do(req)
+	resp, err := n.do(ctx, method, path, rd)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
 	if out == nil {
 		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func (n *NodeClient) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := n.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -104,7 +104,7 @@ func (n *NodeClient) getJSON(ctx context.Context, path string, out any) error {
 // LocalizeV2 runs one localization on the node.
 func (n *NodeClient) LocalizeV2(ctx context.Context, target string, opts *serve.WireOptions) (serve.TargetResultV2, error) {
 	var tr serve.TargetResultV2
-	err := n.postJSON(ctx, "/v2/localize", map[string]any{"target": target, "options": opts}, &tr)
+	err := n.roundTrip(ctx, http.MethodPost, "/v2/localize", map[string]any{"target": target, "options": opts}, &tr)
 	return tr, err
 }
 
@@ -115,19 +115,11 @@ func (n *NodeClient) BatchV2(ctx context.Context, targets []string, opts *serve.
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.BaseURL+"/v2/localize/batch", bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client().Do(req)
+	resp, err := n.do(ctx, http.MethodPost, "/v2/localize/batch", bytes.NewReader(b))
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -142,6 +134,27 @@ func (n *NodeClient) BatchV2(ctx context.Context, targets []string, opts *serve.
 	return sc.Err()
 }
 
+// localize runs targets on the node and hands fn one line per target —
+// the router's only dispatch call. Input size picks the endpoint: one
+// target rides /v2/localize, the hop a single request has always taken,
+// and the 422 that endpoint answers for a failed target becomes the error
+// line /v2/localize/batch would have streamed for it; more targets ride
+// the batch endpoint.
+func (n *NodeClient) localize(ctx context.Context, targets []string, opts *serve.WireOptions, fn func(serve.TargetResultV2) error) error {
+	if len(targets) != 1 {
+		return n.BatchV2(ctx, targets, opts, fn)
+	}
+	tr, err := n.LocalizeV2(ctx, targets[0], opts)
+	var ae *apiError
+	if errors.As(err, &ae) && ae.Status == http.StatusUnprocessableEntity {
+		tr, err = serve.TargetResultV2{TargetResult: serve.TargetResult{Target: targets[0], Error: ae.Message}}, nil
+	}
+	if err != nil {
+		return err
+	}
+	return fn(tr)
+}
+
 // CacheLookup probes the node's result cache for key without triggering
 // any measurement. ok is false on a clean miss.
 func (n *NodeClient) CacheLookup(ctx context.Context, key Key) (serve.TargetResultV2, bool, error) {
@@ -152,24 +165,15 @@ func (n *NodeClient) CacheLookup(ctx context.Context, key Key) (serve.TargetResu
 	}
 	q.Set("epoch", strconv.FormatUint(key.Epoch, 10))
 	var tr serve.TargetResultV2
-	err := n.getJSON(ctx, "/v1/cache/lookup?"+q.Encode(), &tr)
+	err := n.roundTrip(ctx, http.MethodGet, "/v1/cache/lookup?"+q.Encode(), nil, &tr)
 	if err != nil {
 		var ae *apiError
-		if asAPIError(err, &ae) && ae.Status == http.StatusNotFound {
+		if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
 			return serve.TargetResultV2{}, false, nil
 		}
 		return serve.TargetResultV2{}, false, err
 	}
 	return tr, true, nil
-}
-
-// asAPIError is errors.As without the import dance for the one local type.
-func asAPIError(err error, out **apiError) bool {
-	ae, ok := err.(*apiError)
-	if ok {
-		*out = ae
-	}
-	return ok
 }
 
 // Ready fetches the node's readiness. A 503 is a valid (not-ready)
@@ -194,7 +198,7 @@ func (n *NodeClient) Ready(ctx context.Context) (serve.Readiness, error) {
 // Stats fetches the node's engine counters.
 func (n *NodeClient) Stats(ctx context.Context) (batch.Stats, error) {
 	var st batch.Stats
-	err := n.getJSON(ctx, "/v1/stats", &st)
+	err := n.roundTrip(ctx, http.MethodGet, "/v1/stats", nil, &st)
 	return st, err
 }
 
@@ -202,18 +206,11 @@ func (n *NodeClient) Stats(ctx context.Context) (batch.Stats, error) {
 // over serve.MaxSnapshotBody — more than any node would accept back on
 // install — is an error, never a truncated snapshot.
 func (n *NodeClient) Snapshot(ctx context.Context) ([]byte, uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.BaseURL+"/v1/survey/snapshot", nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := n.client().Do(req)
+	resp, err := n.do(ctx, http.MethodGet, "/v1/survey/snapshot", nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, decodeError(resp)
-	}
 	epoch, err := strconv.ParseUint(resp.Header.Get("Octant-Epoch"), 10, 64)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: bad Octant-Epoch header: %w", n.Name, err)
@@ -230,19 +227,11 @@ func (n *NodeClient) Snapshot(ctx context.Context) ([]byte, uint64, error) {
 
 // Install stages a snapshot on the node for a later Activate.
 func (n *NodeClient) Install(ctx context.Context, snapshot []byte) (staged uint64, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.BaseURL+"/v1/survey/install", bytes.NewReader(snapshot))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client().Do(req)
+	resp, err := n.do(ctx, http.MethodPost, "/v1/survey/install", bytes.NewReader(snapshot))
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, decodeError(resp)
-	}
 	var out struct {
 		Staged uint64 `json:"staged_epoch"`
 	}
@@ -257,7 +246,7 @@ func (n *NodeClient) Activate(ctx context.Context) (uint64, error) {
 	var out struct {
 		Epoch uint64 `json:"epoch"`
 	}
-	if err := n.postJSON(ctx, "/v1/survey/activate", nil, &out); err != nil {
+	if err := n.roundTrip(ctx, http.MethodPost, "/v1/survey/activate", nil, &out); err != nil {
 		return 0, err
 	}
 	return out.Epoch, nil
@@ -266,6 +255,6 @@ func (n *NodeClient) Activate(ctx context.Context) (uint64, error) {
 // Refresh triggers a full reprobe + recalibration on the node.
 func (n *NodeClient) Refresh(ctx context.Context) (lifecycle.RefreshReport, error) {
 	var rep lifecycle.RefreshReport
-	err := n.postJSON(ctx, "/v1/survey/refresh", map[string]any{}, &rep)
+	err := n.roundTrip(ctx, http.MethodPost, "/v1/survey/refresh", map[string]any{}, &rep)
 	return rep, err
 }

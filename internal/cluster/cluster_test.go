@@ -36,6 +36,17 @@ func nodeByName(t *testing.T, fleet *LocalFleet, name string) *FleetNode {
 	return nil
 }
 
+// gatherOne drives the router's one request path for a single target with
+// the cache identity given outright, which is how tests reach the
+// non-cacheable bypass that wire options cannot express.
+func gatherOne(ctx context.Context, r *Router, target, fp string, cacheable bool) (serve.TargetResultV2, error) {
+	results, err := r.gather(ctx, []string{target}, nil, fp, cacheable)
+	if err != nil {
+		return serve.TargetResultV2{}, err
+	}
+	return results[0], nil
+}
+
 // TestClusterCacheComputedOnAServedForB is the shared-cache acceptance
 // check: a result computed on the key's owner node is later served, for
 // the same key, through a different node's request path via the L2 peer
@@ -154,7 +165,7 @@ func TestNonCacheableNeverEntersSharedTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.route(ctx, target, nil, fp, false); err != nil {
+	if _, err := gatherOne(ctx, r, target, fp, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.cache.Len(); got != 0 {
@@ -168,7 +179,7 @@ func TestNonCacheableNeverEntersSharedTier(t *testing.T) {
 		t.Errorf("bypassed = %d, want 1", got)
 	}
 	// Running it again must dispatch again, not hit any cache.
-	tr, err := r.route(ctx, target, nil, fp, false)
+	tr, err := gatherOne(ctx, r, target, fp, false)
 	if err != nil {
 		t.Fatal(err)
 	}

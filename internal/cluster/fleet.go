@@ -25,8 +25,6 @@ type FleetConfig struct {
 	// Holdout hosts are excluded from the survey so they stay
 	// localizable targets (0 = default 8).
 	Holdout int
-	// Workers per node engine (0 = default 4).
-	Workers int
 	// CacheSize per node engine LRU (0 = default 1024).
 	CacheSize int
 	// ActivateDrain bounds each node's epoch-activation drain
@@ -48,9 +46,8 @@ type FleetNode struct {
 
 	mu   sync.Mutex
 	addr string // the node's fixed listen address, kept across Kill/Revive
-	down bool
 	ln   net.Listener
-	hs   *http.Server
+	hs   *http.Server // nil while the node is killed
 }
 
 // Kill drops the node off the network abruptly: the listener closes and
@@ -60,16 +57,11 @@ type FleetNode struct {
 func (n *FleetNode) Kill() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.down {
+	if n.hs == nil {
 		return
 	}
-	n.down = true
-	if n.hs != nil {
-		_ = n.hs.Close()
-	}
-	if n.ln != nil {
-		_ = n.ln.Close()
-	}
+	_ = n.hs.Close()
+	_ = n.ln.Close()
 	n.hs, n.ln = nil, nil
 }
 
@@ -78,7 +70,7 @@ func (n *FleetNode) Kill() {
 func (n *FleetNode) Revive() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.down {
+	if n.hs != nil {
 		return nil
 	}
 	ln, err := net.Listen("tcp", n.addr)
@@ -87,15 +79,8 @@ func (n *FleetNode) Revive() error {
 	}
 	hs := serve.HTTPServer(n.Server.Handler())
 	go func() { _ = hs.Serve(ln) }()
-	n.ln, n.hs, n.down = ln, hs, false
+	n.ln, n.hs = ln, hs
 	return nil
-}
-
-// Down reports whether the node is currently killed.
-func (n *FleetNode) Down() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.down
 }
 
 // LocalFleet is a real multi-node Octant fleet running in one process:
@@ -120,9 +105,6 @@ func StartLocalFleet(cfg FleetConfig) (*LocalFleet, error) {
 	}
 	if cfg.Holdout == 0 {
 		cfg.Holdout = 8
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 4
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 1024
@@ -166,7 +148,7 @@ func StartLocalFleet(cfg FleetConfig) (*LocalFleet, error) {
 		}
 		manager := lifecycle.New(nodeProber, nodeSurvey, core.Config{Probes: 10}, lifecycle.Options{Probes: 10})
 		engine := batch.NewWithProvider(manager, batch.Options{
-			Workers:   cfg.Workers,
+			Workers:   4,
 			CacheSize: cfg.CacheSize,
 		})
 		srv := serve.New(engine, manager, serve.Options{ActivateDrain: cfg.ActivateDrain})

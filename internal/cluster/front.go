@@ -36,8 +36,8 @@ func NewFront(router *Router, coord *Coordinator) *Front {
 // Handler builds the front door's route table.
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v2/localize", f.handleLocalize)
-	mux.HandleFunc("/v2/localize/batch", f.handleBatch)
+	mux.HandleFunc("/v2/localize", f.localizeHandler(false))
+	mux.HandleFunc("/v2/localize/batch", f.localizeHandler(true))
 	mux.HandleFunc("/v1/stats", f.handleStats)
 	mux.HandleFunc("/v1/cluster", f.handleCluster)
 	mux.HandleFunc("/v1/rollout", f.handleRollout)
@@ -55,52 +55,49 @@ func writeRouteError(w http.ResponseWriter, err error) {
 	serve.WriteError(w, http.StatusInternalServerError, "%v", err)
 }
 
-func (f *Front) handleLocalize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req struct {
-		Target  string             `json:"target"`
-		Options *serve.WireOptions `json:"options"`
-	}
-	if !serve.DecodeJSON(w, r, true, &req) {
-		return
-	}
-	tr, err := f.router.Localize(r.Context(), req.Target, req.Options)
-	if err != nil {
-		writeRouteError(w, err)
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, tr)
-}
-
-func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req struct {
-		Targets []string           `json:"targets"`
-		Options *serve.WireOptions `json:"options"`
-	}
-	if !serve.DecodeJSON(w, r, true, &req) {
-		return
-	}
-	// The router gathers before emitting (epoch coherence needs the whole
-	// response in hand), so the stream starts only once the batch is
-	// complete — same wire shape as a node, different latency profile.
-	results, err := f.router.Batch(r.Context(), req.Targets, req.Options)
-	if err != nil {
-		writeRouteError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for _, tr := range results {
-		if err := enc.Encode(tr); err != nil {
+// localizeHandler serves both localize routes: decode, run the request
+// through the router, answer one object (single) or an NDJSON stream
+// (batch). The body is the node's — "target" for the single route,
+// "targets" for the batch route, "options" for both.
+func (f *Front) localizeHandler(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 			return
+		}
+		var req struct {
+			Target  string             `json:"target"`
+			Targets []string           `json:"targets"`
+			Options *serve.WireOptions `json:"options"`
+		}
+		if !serve.DecodeJSON(w, r, true, &req) {
+			return
+		}
+		if !batch {
+			tr, err := f.router.Localize(r.Context(), req.Target, req.Options)
+			if err != nil {
+				writeRouteError(w, err)
+				return
+			}
+			serve.WriteJSON(w, http.StatusOK, tr)
+			return
+		}
+		// The router gathers before emitting (epoch coherence needs the
+		// whole response in hand), so the stream starts only once the batch
+		// is complete — same wire shape as a node, different latency
+		// profile.
+		results, err := f.router.Batch(r.Context(), req.Targets, req.Options)
+		if err != nil {
+			writeRouteError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		enc := json.NewEncoder(w)
+		for _, tr := range results {
+			if err := enc.Encode(tr); err != nil {
+				return
+			}
 		}
 	}
 }

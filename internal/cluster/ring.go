@@ -8,7 +8,6 @@
 package cluster
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
@@ -42,8 +41,8 @@ type Ring struct {
 	cfg    RingConfig
 	points []ringPoint // sorted by hash
 	nodes  map[string]bool
-	// load tracks keys currently checked out via Acquire, for the
-	// bounded-load walk.
+	// load tracks keys currently booked via Reserve, for the bounded-load
+	// placement rule.
 	load  map[string]int
 	total int
 }
@@ -122,8 +121,8 @@ func (r *Ring) Len() int {
 }
 
 // Owner returns the key's owner: the member of the first virtual node at
-// or clockwise of the key's hash. It ignores load — use Acquire for the
-// bounded-load assignment.
+// or clockwise of the key's hash. It ignores load and health; the
+// router's placement rule starts from it.
 func (r *Ring) Owner(key string) (string, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -168,69 +167,40 @@ func (r *Ring) Preference(key string, n int) []string {
 	return out
 }
 
-// Acquire checks out the key against the bounded-load rule: walk the
-// key's preference order, skip members the eligible filter rejects
-// (nil = all eligible), and take the first whose checked-out load stays
-// within ⌈LoadFactor · (total+1)/n⌉. The returned release must be called
-// when the routed work completes. With a non-positive LoadFactor it
-// degenerates to readiness-filtered consistent hashing.
-func (r *Ring) Acquire(key string, eligible func(string) bool) (string, func(), error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.points) == 0 {
-		return "", nil, fmt.Errorf("ring is empty")
+// HasRoom reports whether one more routed key keeps the member under the
+// bounded-load ceiling: no member should hold more than
+// LoadFactor · (total+1)/n, and never less than 1 so an idle fleet can
+// take its first key. Always true with a non-positive LoadFactor, which
+// degenerates placement to plain consistent hashing.
+func (r *Ring) HasRoom(node string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.cfg.LoadFactor <= 0 {
+		return true
 	}
-	limit := 0
-	if r.cfg.LoadFactor > 0 {
-		limit = int(r.cfg.LoadFactor * float64(r.total+1) / float64(len(r.nodes)))
-		if limit < 1 {
-			limit = 1
-		}
-	}
-	start := r.search(hash64(key))
-	pick, fallback := "", ""
-	seen := make(map[string]bool, len(r.nodes))
-	for i := 0; i < len(r.points) && len(seen) < len(r.nodes); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if seen[p.node] {
-			continue
-		}
-		seen[p.node] = true
-		if eligible != nil && !eligible(p.node) {
-			continue
-		}
-		if fallback == "" {
-			fallback = p.node
-		}
-		if limit == 0 || r.load[p.node] < limit {
-			pick = p.node
-			break
-		}
-	}
-	if pick == "" {
-		// Every eligible member is at the ceiling (tiny fleets, bursty
-		// load): fall back to the owner-most eligible node rather than
-		// failing the request.
-		pick = fallback
-	}
-	if pick == "" {
-		return "", nil, fmt.Errorf("no eligible node for key")
-	}
-	r.load[pick]++
-	r.total++
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			r.mu.Lock()
-			r.load[pick]--
-			r.total--
-			r.mu.Unlock()
-		})
-	}
-	return pick, release, nil
+	limit := int(r.cfg.LoadFactor * float64(r.total+1) / float64(len(r.nodes)))
+	return r.load[node] < max(limit, 1)
 }
 
-// Loads returns a snapshot of checked-out load per member.
+// Reserve books n routed keys against the member and returns the release
+// to call, once, when the routed work completes. It never refuses: the
+// router decides placement (reading HasRoom) and the ring only keeps the
+// books, so every critical section here is a few map operations — the
+// ring never calls out while holding its lock.
+func (r *Ring) Reserve(node string, n int) (release func()) {
+	r.mu.Lock()
+	r.load[node] += n
+	r.total += n
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		r.load[node] -= n
+		r.total -= n
+		r.mu.Unlock()
+	}
+}
+
+// Loads returns a snapshot of reserved load per member.
 func (r *Ring) Loads() map[string]int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -96,6 +96,18 @@ func TestRingMovementOnJoinLeave(t *testing.T) {
 	}
 }
 
+// acquire places key and books it against the chosen member — the two
+// steps the router's scatter and dispatch take in turn. ok is false when
+// nothing is eligible.
+func acquire(r *Ring, key string, eligible func(string) bool) (node string, release func(), ok bool) {
+	if node = place(r, key, eligible); node == "" {
+		return "", nil, false
+	}
+	return node, r.Reserve(node, 1), true
+}
+
+func anyNode(string) bool { return true }
+
 // TestRingBoundedLoad: a single hot key spills to other members once the
 // owner hits the load ceiling, and never does when the bound is off.
 func TestRingBoundedLoad(t *testing.T) {
@@ -105,9 +117,9 @@ func TestRingBoundedLoad(t *testing.T) {
 	}
 	var releases []func()
 	for i := 0; i < 100; i++ {
-		node, release, err := bounded.Acquire("hot-key", nil)
-		if err != nil {
-			t.Fatal(err)
+		node, release, ok := acquire(bounded, "hot-key", anyNode)
+		if !ok {
+			t.Fatal("nothing eligible on a ring of four")
 		}
 		if node == "" {
 			t.Fatal("empty assignment")
@@ -142,15 +154,15 @@ func TestRingBoundedLoad(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		unbounded.Add(fmt.Sprintf("node-%d", i))
 	}
-	first, rel, err := unbounded.Acquire("hot-key", nil)
-	if err != nil {
-		t.Fatal(err)
+	first, rel, ok := acquire(unbounded, "hot-key", anyNode)
+	if !ok {
+		t.Fatal("nothing eligible on a ring of four")
 	}
 	defer rel()
 	for i := 0; i < 50; i++ {
-		n, rel, err := unbounded.Acquire("hot-key", nil)
-		if err != nil {
-			t.Fatal(err)
+		n, rel, ok := acquire(unbounded, "hot-key", anyNode)
+		if !ok {
+			t.Fatal("nothing eligible on a ring of four")
 		}
 		defer rel()
 		if n != first {
@@ -160,21 +172,36 @@ func TestRingBoundedLoad(t *testing.T) {
 }
 
 // TestRingAcquireEligibility: the eligibility filter routes around
-// rejected members and errors when nothing is eligible.
+// rejected members, nothing eligible is "no node", and when every
+// eligible member is at the ceiling the owner-most eligible one is taken
+// rather than none.
 func TestRingAcquireEligibility(t *testing.T) {
 	r := NewRing(RingConfig{VNodes: 64})
 	r.Add("node-0")
 	r.Add("node-1")
 	owner, _ := r.Owner("some-key")
-	n, rel, err := r.Acquire("some-key", func(name string) bool { return name != owner })
-	if err != nil {
-		t.Fatal(err)
+	notOwner := func(name string) bool { return name != owner }
+	n, rel, ok := acquire(r, "some-key", notOwner)
+	if !ok {
+		t.Fatal("acquire found nothing with one member eligible")
 	}
 	defer rel()
 	if n == owner {
 		t.Errorf("acquire returned ineligible owner %s", n)
 	}
-	if _, _, err := r.Acquire("some-key", func(string) bool { return false }); err == nil {
-		t.Error("acquire with nothing eligible should error")
+	if _, _, ok := acquire(r, "some-key", func(string) bool { return false }); ok {
+		t.Error("acquire with nothing eligible should find no node")
+	}
+	// n now holds load 1 of a ceiling of 1 and is the only eligible
+	// member: the fallback still places the key on it.
+	if r.HasRoom(n) {
+		t.Fatalf("%s has room at load 1 of 1", n)
+	}
+	again, rel2, ok := acquire(r, "some-key", notOwner)
+	if !ok || again != n {
+		t.Errorf("with every eligible member at the ceiling acquire = %q, %v; want %s", again, ok, n)
+	}
+	if ok {
+		rel2()
 	}
 }

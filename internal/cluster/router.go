@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -30,9 +31,6 @@ type RouterConfig struct {
 	// rolling swaps shed traffic faster; longer means fewer probe
 	// round-trips per request.
 	ReadyTTL time.Duration
-	// Retries bounds how many distinct nodes one request may be
-	// dispatched to before the router reports failure (0 = every node).
-	Retries int
 	// BreakerThreshold is how many consecutive dispatch failures open a
 	// node's circuit breaker (0 = default 3, negative disables breakers).
 	// An open breaker sheds the node's traffic without probing it; after
@@ -125,11 +123,10 @@ type Router struct {
 	mu    sync.Mutex
 	ready map[string]readyState
 
-	l1Hits, l1Misses, peerFetches atomic.Uint64
-	dispatched, failovers         atomic.Uint64
-	epochRepairs, bypassed        atomic.Uint64
-	breakerOpens, breakerTrials   atomic.Uint64
-	degradedServed                atomic.Uint64
+	peerFetches, dispatched, failovers atomic.Uint64
+	epochRepairs, bypassed             atomic.Uint64
+	breakerOpens, breakerTrials        atomic.Uint64
+	degradedServed                     atomic.Uint64
 }
 
 // NewRouter builds a router over the given fleet members.
@@ -145,9 +142,6 @@ func NewRouter(nodes []*NodeClient, cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.ReadyTTL <= 0 {
 		cfg.ReadyTTL = 500 * time.Millisecond
-	}
-	if cfg.Retries <= 0 || cfg.Retries > len(nodes) {
-		cfg.Retries = len(nodes)
 	}
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 3
@@ -321,16 +315,6 @@ func (r *Router) failoverSleep(ctx context.Context, failures int) error {
 	}
 }
 
-// freshEpoch returns the router's epoch watermark after making sure it
-// is no staler than ReadyTTL: a readiness probe of the given node
-// (TTL-cached, so at most one round-trip per node per TTL) carries the
-// node's current epoch, so even a 100%-cache-hit workload observes a
-// rolling swap within one TTL instead of serving the old epoch forever.
-func (r *Router) freshEpoch(ctx context.Context, node string) uint64 {
-	r.isReady(ctx, node)
-	return r.epoch.Load()
-}
-
 // routeKey is the composite the ring hashes: target plus options
 // fingerprint, so differently-tuned requests for one target can land on
 // different owners but identical requests always converge.
@@ -370,121 +354,34 @@ func resolveWire(wo *serve.WireOptions) (fp string, cacheable bool, err error) {
 	return o.Fingerprint(), o.Cacheable(), nil
 }
 
-// Localize routes one localization through the cluster: L1 front-door
-// cache, L2 owner-cache peer fetch (when the dispatch node differs from
-// the key's owner), then a bounded-load, readiness-filtered dispatch
-// with failover. Errors are *RouteError with the status to serve.
+// Localize routes one localization through the cluster. A single target
+// is a batch of one — the same validation, cache tiers, placement and
+// failover as Batch — with the lone line unwrapped: a target the node
+// could not localize is the 422 the node's own single endpoint answers.
+// Errors are *RouteError with the status to serve.
 func (r *Router) Localize(ctx context.Context, target string, wo *serve.WireOptions) (serve.TargetResultV2, error) {
 	if target == "" {
 		return serve.TargetResultV2{}, routeErrorf(http.StatusBadRequest, "missing target")
 	}
-	fp, cacheable, err := resolveWire(wo)
+	results, err := r.Batch(ctx, []string{target}, wo)
 	if err != nil {
-		return serve.TargetResultV2{}, routeErrorf(http.StatusBadRequest, "bad options: %v", err)
+		return serve.TargetResultV2{}, err
 	}
-	return r.route(ctx, target, wo, fp, cacheable)
+	if results[0].Error != "" {
+		return serve.TargetResultV2{}, routeErrorf(http.StatusUnprocessableEntity, "%s", results[0].Error)
+	}
+	return results[0], nil
 }
 
-// route is Localize after validation; tests drive it directly to
-// exercise the non-cacheable bypass, which wire options cannot express.
-func (r *Router) route(ctx context.Context, target string, wo *serve.WireOptions, fp string, cacheable bool) (serve.TargetResultV2, error) {
-	key := routeKey(target, fp)
-	owner, _ := r.ring.Owner(key)
-	epoch := r.freshEpoch(ctx, owner)
-	if cacheable {
-		if res, ok := r.cache.Get(Key{Target: target, Fingerprint: fp, Epoch: epoch}); ok {
-			r.l1Hits.Add(1)
-			return res, nil
-		}
-		r.l1Misses.Add(1)
-	} else {
-		r.bypassed.Add(1)
-	}
-
-	var lastErr error
-	failures := 0
-	tried := make(map[string]bool, r.cfg.Retries)
-	for attempt := 0; attempt < r.cfg.Retries; attempt++ {
-		if lastErr != nil {
-			// Back off before re-dispatching so a failover storm doesn't
-			// hammer the surviving nodes in a tight loop.
-			if serr := r.failoverSleep(ctx, failures); serr != nil {
-				return serve.TargetResultV2{}, routeErrorf(http.StatusBadGateway,
-					"cancelled during failover backoff: %v", serr)
-			}
-		}
-		node, release, err := r.ring.Acquire(key, func(name string) bool {
-			return !tried[name] && r.admit(ctx, name)
-		})
-		if err != nil {
-			// Readiness can be transiently all-false mid-swap (one node
-			// draining while another's probe times out); fall back to any
-			// untried node whose breaker admits it rather than failing the
-			// request outright.
-			node, release, err = r.ring.Acquire(key, func(name string) bool {
-				return !tried[name] && r.breakerAllows(name)
-			})
-			if err != nil {
-				break // every node tried or breaker-rejected
-			}
-		}
-		tried[node] = true
-
-		// L2: the key's owner holds the cluster's canonical cached copy.
-		// When load or readiness routed us elsewhere, probe the owner's
-		// cache before computing — even a draining owner still answers
-		// lookups. Dispatching to the owner itself makes the probe
-		// redundant (its engine checks the same LRU first).
-		if cacheable && node != owner {
-			if res, ok, err := r.nodes[owner].CacheLookup(ctx, Key{Target: target, Fingerprint: fp, Epoch: epoch}); err == nil && ok {
-				release()
-				r.peerFetches.Add(1)
-				r.cache.Put(Key{Target: target, Fingerprint: fp, Epoch: epoch}, res)
-				return res, nil
-			}
-		}
-
-		r.dispatched.Add(1)
-		tr, err := r.nodes[node].LocalizeV2(ctx, target, wo)
-		release()
-		if err == nil {
-			r.noteDispatch(node, true)
-			r.observeEpoch(tr.Epoch)
-			if tr.Degraded {
-				// Served from partial evidence: hand it to the caller but
-				// never cache it — the faults it reflects are transient.
-				r.degradedServed.Add(1)
-			} else if cacheable {
-				r.cache.Put(Key{Target: target, Fingerprint: fp, Epoch: tr.Epoch}, tr)
-			}
-			return tr, nil
-		}
-		var ae *apiError
-		if asAPIError(err, &ae) && ae.Status < http.StatusInternalServerError && ae.Status != http.StatusServiceUnavailable {
-			// The node understood the request and rejected it (bad target,
-			// bad options): another node will say the same thing.
-			return serve.TargetResultV2{}, routeErrorf(ae.Status, "%s", ae.Message)
-		}
-		// Node trouble: mark it not-ready, tell its breaker, and fail over.
-		r.markReady(node, false)
-		r.noteDispatch(node, false)
-		r.failovers.Add(1)
-		failures++
-		lastErr = err
-	}
-	if lastErr != nil {
-		return serve.TargetResultV2{}, routeErrorf(http.StatusBadGateway, "all nodes failed: %v", lastErr)
-	}
-	return serve.TargetResultV2{}, routeErrorf(http.StatusServiceUnavailable, "no ready node")
-}
-
-// Batch scatter-gathers a batch across the fleet: cacheable targets are
-// served from the front-door cache where possible, the rest are grouped
-// by owner node and dispatched as per-node sub-batches, and the merged
-// response is epoch-repaired so one batch never mixes survey epochs —
-// the per-node engines guarantee that within a node, and the repair pass
-// extends it across nodes mid-rollout. Results come back in submission
-// order.
+// Batch scatter-gathers targets across the fleet: cacheable targets are
+// served from the front-door cache (L1) where possible, the rest are
+// placed, grouped by node and dispatched as per-node sub-requests, and
+// the merged response is epoch-repaired so one batch never mixes survey
+// epochs — the per-node engines guarantee that within a node, and the
+// repair pass extends it across nodes mid-rollout. Results come back in
+// submission order; a target that could not be localized is a line with
+// Error set, never a failed batch. Errors are *RouteError with the status
+// to serve.
 func (r *Router) Batch(ctx context.Context, targets []string, wo *serve.WireOptions) ([]serve.TargetResultV2, error) {
 	if len(targets) == 0 {
 		return nil, routeErrorf(http.StatusBadRequest, "missing targets")
@@ -497,189 +394,270 @@ func (r *Router) Batch(ctx context.Context, targets []string, wo *serve.WireOpti
 	if err != nil {
 		return nil, routeErrorf(http.StatusBadRequest, "bad options: %v", err)
 	}
-
 	for i, tgt := range targets {
 		if tgt == "" {
 			return nil, routeErrorf(http.StatusBadRequest, "empty target at index %d", i)
 		}
 	}
-	results := make([]serve.TargetResultV2, len(targets))
-	filled := make([]bool, len(targets))
+	return r.gather(ctx, targets, wo, fp, cacheable)
+}
+
+// call is one Batch in flight: what was asked, and what has been answered
+// so far. results[i].Target stays "" until targets[i] has its line.
+type call struct {
+	targets   []string
+	wo        *serve.WireOptions
+	fp        string
+	cacheable bool
+	results   []serve.TargetResultV2
+}
+
+// gather is Batch after validation; tests drive it directly to exercise
+// the non-cacheable bypass, which wire options cannot express.
+func (r *Router) gather(ctx context.Context, targets []string, wo *serve.WireOptions, fp string, cacheable bool) ([]serve.TargetResultV2, error) {
+	c := &call{targets: targets, wo: wo, fp: fp, cacheable: cacheable, results: make([]serve.TargetResultV2, len(targets))}
+	// Keep the epoch watermark no staler than ReadyTTL: a readiness probe
+	// (TTL-cached, so at most one round-trip per node per TTL) carries the
+	// node's current epoch, so even a 100%-cache-hit workload observes a
+	// rolling swap within one TTL instead of serving the old epoch forever.
 	firstOwner, _ := r.ring.Owner(routeKey(targets[0], fp))
-	epoch := r.freshEpoch(ctx, firstOwner)
+	r.isReady(ctx, firstOwner)
+	epoch := r.epoch.Load()
 	var pending []int
 	for i, tgt := range targets {
-		if cacheable {
-			if res, ok := r.cache.Get(Key{Target: tgt, Fingerprint: fp, Epoch: epoch}); ok {
-				r.l1Hits.Add(1)
-				results[i], filled[i] = res, true
-				continue
-			}
-			r.l1Misses.Add(1)
-		} else {
+		if !cacheable {
 			r.bypassed.Add(1)
+		} else if res, ok := r.cache.Get(Key{Target: tgt, Fingerprint: fp, Epoch: epoch}); ok {
+			c.results[i] = res
+			continue
 		}
 		pending = append(pending, i)
 	}
-
-	if err := r.scatter(ctx, targets, wo, fp, pending, results, filled); err != nil {
+	if err := r.scatter(ctx, c, pending); err != nil {
 		return nil, err
 	}
 
 	// Epoch repair: if a rolling swap landed mid-batch, some lines carry
-	// the old epoch (computed or cached). Recompute them, pinned to the
-	// fleet's newest epoch, until the whole response is single-epoch.
-	for round := 0; round < 4; round++ {
+	// the old epoch (computed or cached). Recompute them, with the fleet's
+	// newest epoch observed, until the whole response is single-epoch. An
+	// error line carries no answer that could differ between epochs, so it
+	// is neither repaired nor held against the batch.
+	for round := 0; ; round++ {
 		maxE := uint64(0)
-		for _, res := range results {
+		for _, res := range c.results {
 			if res.Epoch > maxE {
 				maxE = res.Epoch
 			}
 		}
 		var stale []int
-		for i, res := range results {
-			if res.Epoch < maxE {
+		for i, res := range c.results {
+			if res.Error == "" && res.Epoch < maxE {
 				stale = append(stale, i)
-				filled[i] = false
 			}
 		}
 		if len(stale) == 0 {
 			break
 		}
+		if round == 4 {
+			return nil, routeErrorf(http.StatusBadGateway,
+				"fleet would not converge on one epoch (%d vs %d)", c.results[stale[0]].Epoch, maxE)
+		}
 		r.epochRepairs.Add(uint64(len(stale)))
 		r.observeEpoch(maxE)
-		if err := r.scatter(ctx, targets, wo, fp, stale, results, filled); err != nil {
+		for _, i := range stale {
+			c.results[i] = serve.TargetResultV2{}
+		}
+		if err := r.scatter(ctx, c, stale); err != nil {
 			return nil, err
 		}
 	}
-	maxE := uint64(0)
-	for _, res := range results {
-		if res.Epoch > maxE {
-			maxE = res.Epoch
-		}
-	}
-	for _, res := range results {
-		if res.Epoch != maxE {
-			return nil, routeErrorf(http.StatusBadGateway,
-				"fleet would not converge on one epoch (%d vs %d)", res.Epoch, maxE)
-		}
-	}
-	for _, res := range results {
-		if res.Degraded {
-			// Served from partial evidence: delivered, never cached.
+	for _, res := range c.results {
+		switch {
+		case res.Error != "":
+			// The target failed, perhaps transiently: nothing to cache.
+		case res.Degraded:
+			// Served from partial evidence: delivered, never cached — the
+			// faults it reflects are transient.
 			r.degradedServed.Add(1)
-		} else if cacheable {
+		case cacheable:
 			r.cache.Put(Key{Target: res.Target, Fingerprint: fp, Epoch: res.Epoch}, res)
 		}
 	}
-	return results, nil
+	return c.results, nil
 }
 
-// scatter dispatches the pending target indices as per-owner sub-batches
-// and fills results. Node failures re-group the node's targets onto the
-// rest of the fleet; it fails only when every node is unusable.
-func (r *Router) scatter(ctx context.Context, targets []string, wo *serve.WireOptions, fp string, pending []int, results []serve.TargetResultV2, filled []bool) error {
+// place picks the node for key — the package's one placement rule. It
+// walks the key's preference order and takes the first eligible member
+// with room under the bounded-load ceiling; when every eligible member is
+// at the ceiling (tiny fleets, bursty load), the owner-most eligible one;
+// "" when nothing is eligible. It runs outside any lock: eligible may
+// probe a node over HTTP, and a hung node must stall only the request
+// that asked about it.
+func place(ring *Ring, key string, eligible func(node string) bool) string {
+	fallback := ""
+	for _, cand := range ring.Preference(key, ring.Len()) {
+		if !eligible(cand) {
+			continue
+		}
+		if ring.HasRoom(cand) {
+			return cand
+		}
+		if fallback == "" {
+			fallback = cand
+		}
+	}
+	return fallback
+}
+
+// scatter answers the pending targets of c — the router's one dispatch
+// loop, for one target or a thousand. Each round places every unanswered
+// target, sends one sub-request per chosen node, and on node failure
+// excludes the node, backs off and regroups what it left unanswered. It
+// fails only when no node is left to try or a node rejects the request
+// itself.
+func (r *Router) scatter(ctx context.Context, c *call, pending []int) error {
 	excluded := make(map[string]bool)
-	for attempt := 0; attempt <= len(r.nodes); attempt++ {
-		var left []int
-		for _, i := range pending {
-			if !filled[i] {
-				left = append(left, i)
-			}
-		}
-		if len(left) == 0 {
-			return nil
-		}
+	admitted := func(node string) bool { return !excluded[node] && r.admit(ctx, node) }
+	// Readiness can be transiently all-false mid-swap (one node draining
+	// while another's probe times out); rather than failing the request,
+	// fall back to any node not yet tried whose breaker admits it. An open
+	// breaker keeps its node out even here.
+	allowed := func(node string) bool { return !excluded[node] && r.breakerAllows(node) }
+	var lastErr error
+	for {
 		groups := make(map[string][]int)
-		for _, i := range left {
-			var node string
-			for _, cand := range r.ring.Preference(routeKey(targets[i], fp), len(r.nodes)) {
-				if !excluded[cand] && r.admit(ctx, cand) {
-					node = cand
-					break
-				}
+		for _, i := range pending {
+			if c.results[i].Target != "" {
+				continue
+			}
+			key := routeKey(c.targets[i], c.fp)
+			node := place(r.ring, key, admitted)
+			if node == "" {
+				node = place(r.ring, key, allowed)
 			}
 			if node == "" {
-				// Readiness may be transiently all-false mid-swap; fall back
-				// to any non-excluded node whose breaker admits it rather
-				// than failing the batch.
-				for _, cand := range r.ring.Preference(routeKey(targets[i], fp), len(r.nodes)) {
-					if !excluded[cand] && r.breakerAllows(cand) {
-						node = cand
-						break
-					}
+				if lastErr != nil {
+					return routeErrorf(http.StatusBadGateway, "all nodes failed: %v", lastErr)
 				}
-			}
-			if node == "" {
-				return routeErrorf(http.StatusBadGateway, "no usable node for %s", targets[i])
+				return routeErrorf(http.StatusServiceUnavailable, "no ready node")
 			}
 			groups[node] = append(groups[node], i)
 		}
-
-		type groupResult struct {
-			node string
-			err  error
+		if len(groups) == 0 {
+			return nil
 		}
+
+		nodes := make([]string, 0, len(groups))
+		for node := range groups {
+			nodes = append(nodes, node)
+		}
+		errs := make([]error, len(nodes))
 		var wg sync.WaitGroup
-		resc := make(chan groupResult, len(groups))
-		for node, idxs := range groups {
+		for g, node := range nodes {
 			wg.Add(1)
-			go func(node string, idxs []int) {
+			go func() {
 				defer wg.Done()
-				byTarget := make(map[string][]int, len(idxs))
-				sub := make([]string, 0, len(idxs))
-				for _, i := range idxs {
-					if prior := byTarget[targets[i]]; len(prior) == 0 {
-						sub = append(sub, targets[i])
-					}
-					byTarget[targets[i]] = append(byTarget[targets[i]], i)
-				}
-				r.dispatched.Add(uint64(len(sub)))
-				err := r.nodes[node].BatchV2(ctx, sub, wo, func(tr serve.TargetResultV2) error {
-					for _, i := range byTarget[tr.Target] {
-						results[i], filled[i] = tr, true
-					}
-					return nil
-				})
-				resc <- groupResult{node: node, err: err}
-			}(node, idxs)
+				errs[g] = r.dispatch(ctx, c, node, groups[node])
+			}()
 		}
 		wg.Wait()
-		close(resc)
-		anyErr := false
-		for gr := range resc {
-			if gr.err != nil {
-				var ae *apiError
-				if asAPIError(gr.err, &ae) && ae.Status < http.StatusInternalServerError && ae.Status != http.StatusServiceUnavailable {
-					return routeErrorf(ae.Status, "%s", ae.Message)
+
+		failed := false
+		for g, err := range errs {
+			if err == nil {
+				continue
+			}
+			if re, ok := err.(*RouteError); ok {
+				return re
+			}
+			excluded[nodes[g]] = true
+			failed, lastErr = true, err
+		}
+		if !failed {
+			return nil
+		}
+		// Back off before regrouping so a failover storm doesn't hammer the
+		// surviving nodes in a tight loop.
+		if serr := r.failoverSleep(ctx, len(excluded)); serr != nil {
+			return routeErrorf(http.StatusBadGateway, "cancelled during failover backoff: %v", serr)
+		}
+	}
+}
+
+// dispatch answers one node's share of a call, holding ring load for
+// those targets until it returns. A cacheable target displaced from its
+// owner (by load, readiness or failover) first tries the owner's cache
+// (L2): the owner holds the cluster's canonical copy, and even a draining
+// owner still answers lookups. Dispatching to the owner itself makes the
+// lookup redundant — its engine checks the same LRU first. What is left
+// goes to the node as one sub-request. It returns a *RouteError when the
+// node understood the request and rejected it (another node would say the
+// same); any other error is node trouble, already reported to the node's
+// readiness and breaker, and every target it leaves unanswered is the
+// caller's to regroup.
+func (r *Router) dispatch(ctx context.Context, c *call, node string, idxs []int) error {
+	release := r.ring.Reserve(node, len(idxs))
+	defer release()
+
+	byTarget := make(map[string][]int, len(idxs))
+	sub := make([]string, 0, len(idxs))
+	for _, i := range idxs {
+		t := c.targets[i]
+		if len(byTarget[t]) == 0 {
+			sub = append(sub, t)
+		}
+		byTarget[t] = append(byTarget[t], i)
+	}
+	fill := func(tr serve.TargetResultV2) {
+		for _, i := range byTarget[tr.Target] {
+			c.results[i] = tr
+		}
+	}
+	if c.cacheable {
+		epoch := r.epoch.Load()
+		kept := sub[:0]
+		for _, t := range sub {
+			if owner, _ := r.ring.Owner(routeKey(t, c.fp)); owner != node {
+				if res, ok, err := r.nodes[owner].CacheLookup(ctx, Key{Target: t, Fingerprint: c.fp, Epoch: epoch}); err == nil && ok {
+					r.peerFetches.Add(1)
+					fill(res)
+					continue
 				}
-				r.markReady(gr.node, false)
-				r.noteDispatch(gr.node, false)
-				r.failovers.Add(1)
-				excluded[gr.node] = true
-				anyErr = true
-			} else {
-				r.noteDispatch(gr.node, true)
 			}
+			kept = append(kept, t)
 		}
-		if anyErr && len(excluded) >= len(r.nodes) {
-			return routeErrorf(http.StatusBadGateway, "all nodes failed")
-		}
-		// Observe the newest epoch the sub-batches reported.
-		for _, i := range pending {
-			if filled[i] {
-				r.observeEpoch(results[i].Epoch)
-			}
-		}
-		if anyErr {
-			// Back off before re-grouping the failed node's targets so the
-			// retry round doesn't land while the fleet is still unwell.
-			if serr := r.failoverSleep(ctx, len(excluded)); serr != nil {
-				return routeErrorf(http.StatusBadGateway, "cancelled during failover backoff: %v", serr)
+		sub = kept
+	}
+	if len(sub) == 0 {
+		return nil
+	}
+
+	r.dispatched.Add(uint64(len(sub)))
+	err := r.nodes[node].localize(ctx, sub, c.wo, func(tr serve.TargetResultV2) error {
+		r.observeEpoch(tr.Epoch)
+		fill(tr)
+		return nil
+	})
+	if err == nil {
+		for _, t := range sub {
+			if c.results[byTarget[t][0]].Target == "" {
+				err = fmt.Errorf("%s: response ended without a line for %s", node, t)
+				break
 			}
 		}
 	}
-	return routeErrorf(http.StatusBadGateway, "batch did not complete")
+	if err == nil {
+		r.noteDispatch(node, true)
+		return nil
+	}
+	var ae *apiError
+	if errors.As(err, &ae) && ae.Status < http.StatusInternalServerError {
+		return routeErrorf(ae.Status, "%s", ae.Message)
+	}
+	r.markReady(node, false)
+	r.noteDispatch(node, false)
+	r.failovers.Add(1)
+	return err
 }
 
 // Stats merges the router's counters with every node's engine stats.

@@ -212,8 +212,7 @@ func AnnulusConstraints(pr *geo.Projection, center geo.Point, minKm, maxKm, weig
 
 // LatencyWeight is the paper's §2.4 weighting: confidence decreases
 // exponentially with latency, so nearby landmarks dominate when present.
-// halfLifeMs is the RTT at which weight halves (30 ms by default in
-// Config).
+// halfLifeMs is the RTT at which weight halves (the pipeline uses 20 ms).
 func LatencyWeight(rttMs, halfLifeMs float64) float64 {
 	if halfLifeMs <= 0 {
 		return 1

@@ -383,9 +383,9 @@ func (LatencySource) Constraints(ctx context.Context, req *Request) ([]Constrain
 		}
 		rawMax := s.Calibs[i].MaxDistanceKm(adjPos[i])
 		rawMin := s.Calibs[i].MinDistanceKm(adjNeg[i])
-		maxKm := rawMax*(1+cfg.PadFrac) + cfg.PadKm
-		minKm := rawMin*cfg.NegativeShrink*(1-cfg.PadFrac) - cfg.PadKm
-		w := LatencyWeight(rtts[i], cfg.WeightHalfLifeMs)
+		maxKm := rawMax*(1+padFrac) + padKm
+		minKm := rawMin*negativeShrink*(1-padFrac) - padKm
+		w := LatencyWeight(rtts[i], weightHalfLifeMs)
 		if cfg.Unweighted {
 			w = 1
 		}
@@ -395,7 +395,7 @@ func (LatencySource) Constraints(ctx context.Context, req *Request) ([]Constrain
 		lf := req.PCtx.LandmarkFrames[i]
 		out = append(out, req.disk(Positive, cf, lf, maxKm, w, lm.Name))
 		if !cfg.DisableNegative && minKm > 0 && minKm < maxKm {
-			wn := w * cfg.NegativeWeightFactor
+			wn := w * negativeWeightFactor
 			if cfg.Unweighted {
 				wn = 1
 			}
@@ -452,16 +452,16 @@ func (HintSource) Constraints(ctx context.Context, req *Request) ([]Constraint, 
 	var out []Constraint
 	if !cfg.DisableWhois {
 		if loc, _, ok := req.Prober.Whois(req.Target); ok && loc.Valid() {
-			out = append(out, req.priorDisk(loc, cfg.WhoisRadiusKm, cfg.WhoisWeight, "whois"))
+			out = append(out, req.priorDisk(loc, whoisRadiusKm, whoisWeight, "whois"))
 		}
 	}
 	for _, h := range req.Opts.Hints {
 		radius, weight, label := h.RadiusKm, h.Weight, h.Label
 		if radius <= 0 {
-			radius = cfg.WhoisRadiusKm
+			radius = whoisRadiusKm
 		}
 		if weight <= 0 {
-			weight = cfg.WhoisWeight
+			weight = whoisWeight
 		}
 		if label == "" {
 			label = "hint"

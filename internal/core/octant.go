@@ -39,92 +39,27 @@ type Config struct {
 	// warns about (one bad constraint empties the estimate).
 	Unweighted bool
 
-	// WeightHalfLifeMs is the latency at which constraint confidence
-	// halves (default 20 ms).
-	WeightHalfLifeMs float64
 	// MinRegionAreaKm2 is the §2.4 size threshold (default 25000 km²).
 	MinRegionAreaKm2 float64
-	// PadKm widens every latency constraint conservatively: R grows and r
-	// shrinks by this amount (default 15 km). The convex hull bounds only
-	// the *observed* peer pairs exactly; unseen target pairs draw new
-	// inflation noise, and the pad absorbs that generalization error.
-	PadKm float64
-	// PadFrac additionally widens constraints proportionally (default
-	// 0.06): inflation noise scales with distance, so a 3000 km bound
-	// deserves a far larger allowance than a 100 km one.
-	PadFrac float64
-	// WhoisRadiusKm is the positive-constraint radius around a WHOIS
-	// location (default 60 km).
-	WhoisRadiusKm float64
-	// RouterCityRadiusKm pads router-derived constraints for the
-	// imprecision of "router is in city X" (default 60 km).
-	RouterCityRadiusKm float64
-	// RouterWeightFactor scales down router-derived constraint weights
-	// (default 0.9): secondary landmarks are slightly less trustworthy.
-	RouterWeightFactor float64
-	// NegativeWeightFactor scales down negative-constraint weights
-	// (default 0.5): the lower hull generalizes worse than the upper (a
-	// single fast pair pins it), so exclusion claims deserve less
-	// confidence than inclusion claims.
-	NegativeWeightFactor float64
-	// NegativeShrink scales the negative-constraint radius r(d) (default
-	// 0.75): the lower hull is the most aggressive exclusion consistent
-	// with observed peers, and unseen targets routinely undershoot it.
-	NegativeShrink float64
 	// NegHeightPercentile is the excess-latency percentile used as the
 	// target-height estimate when deflating latencies for negative
 	// constraints (default 80). Higher percentiles deflate more, keeping
 	// exclusion radii conservative for targets with indirect access paths.
 	NegHeightPercentile float64
-	// WhoisWeight is the (moderate) weight of the WHOIS constraint
-	// (default 0.8): city-level, 85%-ish accurate evidence.
-	WhoisWeight float64
-	// RDNSRadiusKm is the positive-constraint radius around a city token
-	// mined from the target's reverse-DNS name (default 100 km — a pool
-	// name's city code places the subscriber in the metro area, not at
-	// the city centroid).
-	RDNSRadiusKm float64
-	// RDNSWeight is the weight of an RTT-validated reverse-DNS hint
-	// (default 0.7): operator naming is informative but unaudited.
-	RDNSWeight float64
 	// GeoDB is the default passive geolocation provider the GeoDBSource
 	// consults (nil — the default — skips the source; WithGeoDB
 	// overrides it per request).
 	GeoDB geodb.Provider
-	// GeoDBRadiusKm is the constraint radius for geo-DB records that do
-	// not state their own precision (default 50 km).
-	GeoDBRadiusKm float64
-	// GeoDBWeight is the base weight of a geo-DB prior (default 0.8);
-	// Weighted providers scale it by their per-provider trust and
-	// staleness decay.
-	GeoDBWeight float64
 	// DisagreementConflictKm is the evidence-disagreement distance above
 	// which Provenance.Disagreement sets its Conflict flag (default
 	// 500 km — different-metro territory).
 	DisagreementConflictKm float64
-	// TracerouteLandmarks is how many of the lowest-latency landmarks
-	// issue traceroutes for piecewise localization (default 3).
-	TracerouteLandmarks int
-	// MaxRouterHeightDeflationMs caps how much of the solved target
-	// height is subtracted from router residuals (default 3 ms — a
-	// generous last-mile delay). A solved height beyond that usually
-	// hides access-path *propagation* (the target is homed far from its
-	// POP), and subtracting it would turn the router constraint into a
-	// tight pin at the wrong city.
-	MaxRouterHeightDeflationMs float64
 
 	// MeasureWorkers caps concurrent probes during measurement fan-out
 	// (0 = the scheduler default, 16). One worker probes one train at a
 	// time in landmark order — the serialized baseline the benchmarks
 	// compare against; a negative count means one.
 	MeasureWorkers int
-	// MeasurePerLandmark caps concurrent probe trains issued from one
-	// landmark (0 = the scheduler default, 4), so target fan-out never
-	// hammers a single vantage point.
-	MeasurePerLandmark int
-	// MeasureMinInterval additionally spaces successive probe starts
-	// from one landmark (0 = no spacing).
-	MeasureMinInterval time.Duration
 	// RTTCacheTTL enables the scheduler's epoch-qualified min-RTT cache
 	// (and in-flight probe dedup) with this entry lifetime. 0 — the
 	// default — disables both: requests stay allocation-lean and every
@@ -137,61 +72,79 @@ func (c *Config) fillDefaults() {
 	if c.Probes == 0 {
 		c.Probes = 10
 	}
-	if c.WeightHalfLifeMs == 0 {
-		c.WeightHalfLifeMs = 20
-	}
 	if c.MinRegionAreaKm2 == 0 {
 		c.MinRegionAreaKm2 = 25000
-	}
-	if c.PadKm == 0 {
-		c.PadKm = 15
-	}
-	if c.PadFrac == 0 {
-		c.PadFrac = 0.06
-	}
-	if c.WhoisRadiusKm == 0 {
-		c.WhoisRadiusKm = 60
-	}
-	if c.RouterCityRadiusKm == 0 {
-		c.RouterCityRadiusKm = 60
-	}
-	if c.RouterWeightFactor == 0 {
-		c.RouterWeightFactor = 0.9
-	}
-	if c.NegativeWeightFactor == 0 {
-		c.NegativeWeightFactor = 0.5
-	}
-	if c.NegativeShrink == 0 {
-		c.NegativeShrink = 0.75
 	}
 	if c.NegHeightPercentile == 0 {
 		c.NegHeightPercentile = 80
 	}
-	if c.WhoisWeight == 0 {
-		c.WhoisWeight = 0.8
-	}
-	if c.RDNSRadiusKm == 0 {
-		c.RDNSRadiusKm = 100
-	}
-	if c.RDNSWeight == 0 {
-		c.RDNSWeight = 0.7
-	}
-	if c.GeoDBRadiusKm == 0 {
-		c.GeoDBRadiusKm = 50
-	}
-	if c.GeoDBWeight == 0 {
-		c.GeoDBWeight = 0.8
-	}
 	if c.DisagreementConflictKm == 0 {
 		c.DisagreementConflictKm = 500
 	}
-	if c.TracerouteLandmarks == 0 {
-		c.TracerouteLandmarks = 3
-	}
-	if c.MaxRouterHeightDeflationMs == 0 {
-		c.MaxRouterHeightDeflationMs = 3
-	}
 }
+
+// The model's fixed parameters. Each was a Config field no caller ever
+// set; the values are the ones every figure, golden and benchmark was
+// produced with. They are typed so that expressions over them round
+// exactly as the field reads did.
+const (
+	// weightHalfLifeMs is the latency at which constraint confidence
+	// halves (§2.4: weights decrease exponentially with latency).
+	weightHalfLifeMs float64 = 20
+	// padKm widens every latency constraint conservatively (§2.1): R grows
+	// and r shrinks by this amount. The convex hull bounds only the
+	// *observed* peer pairs exactly; unseen target pairs draw new
+	// inflation noise, and the pad absorbs that generalization error.
+	padKm float64 = 15
+	// padFrac additionally widens constraints proportionally: inflation
+	// noise scales with distance, so a 3000 km bound deserves a far larger
+	// allowance than a 100 km one.
+	padFrac float64 = 0.06
+	// negativeWeightFactor scales down negative-constraint weights (§2.1):
+	// the lower hull generalizes worse than the upper (a single fast pair
+	// pins it), so exclusion claims deserve less confidence than inclusion
+	// claims.
+	negativeWeightFactor float64 = 0.5
+	// negativeShrink scales the negative-constraint radius r(d): the lower
+	// hull is the most aggressive exclusion consistent with observed
+	// peers, and unseen targets routinely undershoot it.
+	negativeShrink float64 = 0.75
+
+	// tracerouteLandmarks is how many of the lowest-latency landmarks
+	// issue traceroutes for piecewise localization (§2.3).
+	tracerouteLandmarks = 3
+	// routerCityRadiusKm pads router-derived constraints for the
+	// imprecision of "router is in city X" (§2.3).
+	routerCityRadiusKm float64 = 60
+	// routerWeightFactor scales down router-derived constraint weights:
+	// secondary landmarks are slightly less trustworthy (§2.3).
+	routerWeightFactor float64 = 0.9
+	// maxRouterHeightDeflationMs caps how much of the solved target height
+	// is subtracted from router residuals — a generous last-mile delay. A
+	// solved height beyond that usually hides access-path *propagation*
+	// (the target is homed far from its POP), and subtracting it would
+	// turn the router constraint into a tight pin at the wrong city.
+	maxRouterHeightDeflationMs float64 = 3
+
+	// whoisRadiusKm and whoisWeight shape the §2.5 WHOIS positive
+	// constraint: city-level, 85%-ish accurate evidence, so a moderate
+	// weight.
+	whoisRadiusKm float64 = 60
+	whoisWeight   float64 = 0.8
+	// rdnsRadiusKm is the positive-constraint radius around a city token
+	// mined from the target's reverse-DNS name — a pool name's city code
+	// places the subscriber in the metro area, not at the city centroid —
+	// and rdnsWeight the weight of such a hint once RTT-validated:
+	// operator naming is informative but unaudited.
+	rdnsRadiusKm float64 = 100
+	rdnsWeight   float64 = 0.7
+	// geoDBRadiusKm is the constraint radius for geo-DB records that do
+	// not state their own precision, and geoDBWeight the base weight of a
+	// geo-DB prior; Weighted providers scale it by their per-provider
+	// trust and staleness decay.
+	geoDBRadiusKm float64 = 50
+	geoDBWeight   float64 = 0.8
+)
 
 // Localizer runs Octant localizations against a prober using a calibrated
 // landmark survey.
@@ -240,12 +193,7 @@ func NewLocalizer(p probe.Prober, s *Survey, cfg Config) *Localizer {
 		Resolver: undns.NewResolver(),
 		Hints:    hints.NewEngine(),
 		masks:    NewLandMaskCache(),
-		sched: measure.New(measure.Config{
-			Workers:     cfg.MeasureWorkers,
-			PerLandmark: cfg.MeasurePerLandmark,
-			MinInterval: cfg.MeasureMinInterval,
-			CacheTTL:    cfg.RTTCacheTTL,
-		}),
+		sched:    measure.New(measure.Config{Workers: cfg.MeasureWorkers, CacheTTL: cfg.RTTCacheTTL}),
 	}
 	if s != nil && s.N() > 0 {
 		l.pctx = NewProjectionContext(s)
@@ -560,7 +508,7 @@ func (l *Localizer) applySecondary(res *Result, req *Request) error {
 	sec := req.Opts.Secondary
 	cfg := &req.Cfg
 	minKm, maxKm := req.Survey.Global.Band(sec.RTTMs)
-	w := LatencyWeight(sec.RTTMs, cfg.WeightHalfLifeMs) * cfg.RouterWeightFactor
+	w := LatencyWeight(sec.RTTMs, weightHalfLifeMs) * routerWeightFactor
 	before := len(res.Constraints)
 	cons := append([]Constraint(nil), res.Constraints...)
 	cons = append(cons, PositiveFromRegion(sec.Beta, maxKm, w, "secondary"))
@@ -663,7 +611,7 @@ func routerConstraints(ctx context.Context, req *Request, timing bool) (cons []C
 		resid float64
 	}
 	best := make(map[string]routerCons) // per city code, keep the tightest
-	nTr := cfg.TracerouteLandmarks
+	nTr := tracerouteLandmarks
 	if nTr > len(order) {
 		nTr = len(order)
 	}
@@ -695,7 +643,7 @@ func routerConstraints(ctx context.Context, req *Request, timing bool) (cons []C
 			continue
 		}
 		total := hops[len(hops)-1].RTTMs
-		deflate := math.Min(tHeight, cfg.MaxRouterHeightDeflationMs)
+		deflate := math.Min(tHeight, maxRouterHeightDeflationMs)
 		for _, h := range hops[:len(hops)-1] {
 			loc, ok := resolver.Resolve(h.Name)
 			if !ok {
@@ -705,7 +653,7 @@ func routerConstraints(ctx context.Context, req *Request, timing bool) (cons []C
 			if residual < 0.2 {
 				residual = 0.2
 			}
-			maxKm := s.Global.MaxDistanceKm(residual) + cfg.RouterCityRadiusKm
+			maxKm := s.Global.MaxDistanceKm(residual) + routerCityRadiusKm
 			if prev, ok := best[loc.Code]; !ok || maxKm < prev.maxKm {
 				best[loc.Code] = routerCons{loc: loc, maxKm: maxKm, resid: residual}
 			}
@@ -718,7 +666,7 @@ func routerConstraints(ctx context.Context, req *Request, timing bool) (cons []C
 	sort.Strings(codes) // deterministic constraint order
 	for _, code := range codes {
 		rc := best[code]
-		w := LatencyWeight(rc.resid, cfg.WeightHalfLifeMs) * cfg.RouterWeightFactor
+		w := LatencyWeight(rc.resid, weightHalfLifeMs) * routerWeightFactor
 		if cfg.Unweighted {
 			w = 1
 		}

@@ -19,8 +19,8 @@ type LocalizeOption func(*LocalizeOptions)
 
 // Hint is an exogenous positive prior for the HintSource: "registry-style
 // information places the target near Loc". Zero RadiusKm and Weight fall
-// back to the Config WHOIS defaults (WhoisRadiusKm, WhoisWeight), which
-// is the calibrated confidence for city-level registration data.
+// back to the WHOIS constraint's own (60 km, 0.8), the calibrated
+// confidence for city-level registration data.
 type Hint struct {
 	Loc      geo.Point
 	RadiusKm float64

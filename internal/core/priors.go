@@ -152,15 +152,14 @@ func (RDNSSource) Constraints(ctx context.Context, req *Request) ([]Constraint, 
 		rep.Skipped = "no geographic tokens in reverse name"
 		return nil, rep, nil
 	}
-	cfg := &req.Cfg
 	var out []Constraint
 	for _, h := range hs {
 		label := "rdns:" + h.Code
-		if reason := req.validatePrior(h.Loc, cfg.RDNSRadiusKm); reason != "" {
+		if reason := req.validatePrior(h.Loc, rdnsRadiusKm); reason != "" {
 			req.dropped = append(req.dropped, DroppedHint{Hint: label, Reason: reason})
 			continue
 		}
-		out = append(out, req.priorDisk(h.Loc, cfg.RDNSRadiusKm, cfg.RDNSWeight, label))
+		out = append(out, req.priorDisk(h.Loc, rdnsRadiusKm, rdnsWeight, label))
 		req.hintLocs = append(req.hintLocs, h.Loc)
 	}
 	if len(out) == 0 {
@@ -191,7 +190,6 @@ func (GeoDBSource) Constraints(ctx context.Context, req *Request) ([]Constraint,
 		rep.Skipped = "no provider configured"
 		return nil, rep, nil
 	}
-	cfg := &req.Cfg
 	var rec geodb.Record
 	var trust float64
 	var ok bool
@@ -206,9 +204,9 @@ func (GeoDBSource) Constraints(ctx context.Context, req *Request) ([]Constraint,
 	}
 	radius := rec.RadiusKm
 	if radius <= 0 {
-		radius = cfg.GeoDBRadiusKm
+		radius = geoDBRadiusKm
 	}
-	weight := cfg.GeoDBWeight
+	weight := geoDBWeight
 	if trust > 0 {
 		weight *= trust
 	}

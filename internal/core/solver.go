@@ -25,9 +25,6 @@ type SolverOpts struct {
 	// MinAreaKm2 is the size threshold: weight levels are unioned in
 	// descending order until the region reaches this area (default 500).
 	MinAreaKm2 float64
-	// CoarseCells is the target cell count across the larger extent axis
-	// for the first raster pass (default 384).
-	CoarseCells int
 	// FineCellKm is the resolution of the refinement pass (default 4 km,
 	// clamped so the fine grid stays within budget).
 	FineCellKm float64
@@ -42,12 +39,13 @@ type SolverOpts struct {
 	Masks *LandMaskCache
 }
 
+// coarseCells is the target cell count across the larger extent axis for
+// the first raster pass.
+const coarseCells = 384
+
 func (o *SolverOpts) fillDefaults() {
 	if o.MinAreaKm2 == 0 {
 		o.MinAreaKm2 = 500
-	}
-	if o.CoarseCells == 0 {
-		o.CoarseCells = 384
 	}
 	if o.FineCellKm == 0 {
 		o.FineCellKm = 4
@@ -80,13 +78,13 @@ func Solve(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 	}
 
 	// Pass 1: coarse grid over the union of positive-constraint extents.
-	// The raw cell size span/CoarseCells is quantized onto the
+	// The raw cell size span/coarseCells is quantized onto the
 	// {FineCellKm · 2^k} lattice the fine pass already uses, so the land
 	// masks rasterized at coarse resolution are shared across targets
 	// (each target's constraint extent differs, but the handful of
 	// quantized cell sizes repeat).
 	span := math.Max(max.X-min.X, max.Y-min.Y)
-	coarse := quantizeCellKm(span/float64(opts.CoarseCells), opts.FineCellKm)
+	coarse := quantizeCellKm(span/coarseCells, opts.FineCellKm)
 	cp := solveOnGrid(fills, min, max, coarse, &opts)
 	defer cp.g.Release()
 	if cp.empty() {

@@ -100,7 +100,7 @@ func referenceSolve(constraints []Constraint, opts SolverOpts) *Solution {
 	}
 	min, max := constraintExtent(positives)
 	span := math.Max(max.X-min.X, max.Y-min.Y)
-	coarse := quantizeCellKm(span/float64(opts.CoarseCells), opts.FineCellKm)
+	coarse := quantizeCellKm(span/coarseCells, opts.FineCellKm)
 	sol := referenceSolveOnGrid(constraints, min, max, coarse, opts)
 	if sol.Region.IsEmpty() {
 		return sol
@@ -228,7 +228,7 @@ func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 				o.fillDefaults()
 				_, min, max, _ := prepareFills(nil, res.Constraints)
 				span := math.Max(max.X-min.X, max.Y-min.Y)
-				coarse := quantizeCellKm(span/float64(o.CoarseCells), o.FineCellKm)
+				coarse := quantizeCellKm(span/coarseCells, o.FineCellKm)
 				checkPass(t, name+"/coarse", res.Constraints, min, max, coarse, sopts)
 			}
 			if general := loc.LandMasks().SolverStats().GeneralFills; (general > 0) != (tc.opts != nil) {

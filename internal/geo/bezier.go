@@ -358,16 +358,3 @@ func (r *Region) BezierBoundary(tol float64) []BezierPath {
 	}
 	return out
 }
-
-// RegionFromBezier builds a region by flattening Bezier boundary paths at
-// tolerance tol.
-func RegionFromBezier(paths []BezierPath, tol float64) *Region {
-	rings := make([]Ring, 0, len(paths))
-	for _, bp := range paths {
-		ring := bp.Flatten(tol)
-		if len(ring) >= 3 {
-			rings = append(rings, ring)
-		}
-	}
-	return NewRegion(rings...)
-}

@@ -58,25 +58,6 @@ func (pr *Projection) Inverse(v Vec2) Point {
 	return pr.Center.Destination(bearing, d)
 }
 
-// ForwardAll projects a slice of points.
-func (pr *Projection) ForwardAll(pts []Point) []Vec2 {
-	f := pr.Frame()
-	out := make([]Vec2, len(pts))
-	for i, p := range pts {
-		out[i] = f.Forward(p)
-	}
-	return out
-}
-
-// InverseAll unprojects a slice of plane coordinates.
-func (pr *Projection) InverseAll(vs []Vec2) []Point {
-	out := make([]Point, len(vs))
-	for i, v := range vs {
-		out[i] = pr.Inverse(v)
-	}
-	return out
-}
-
 // GeoCircle returns a polygonal approximation (n vertices, counter-clockwise)
 // of the set of plane points at great-circle distance radiusKm from the
 // geographic point center. The circle is sampled on the sphere and each

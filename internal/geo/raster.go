@@ -190,18 +190,6 @@ func (g *Grid) MaskRegion(r *Region, value float64) {
 	})
 }
 
-// MaxWeight returns the maximum cell weight (0 for an empty grid).
-func (g *Grid) MaxWeight() float64 {
-	var m float64
-	first := true
-	for _, w := range g.Weight {
-		if first || w > m {
-			m, first = w, false
-		}
-	}
-	return m
-}
-
 // LevelSets returns the distinct quantized cell weights in descending
 // order and, parallel to it, the number of cells with raw weight at or
 // above each level — cells[i] equals AreaAtOrAbove(levels[i])/CellArea(),
@@ -276,12 +264,6 @@ func (g *Grid) LevelSets() (levels []float64, cells []int) {
 		exact[i] += exact[i-1]
 	}
 	return levels, exact
-}
-
-// WeightLevels returns the distinct weight values present, descending.
-func (g *Grid) WeightLevels() []float64 {
-	levels, _ := g.LevelSets()
-	return levels
 }
 
 // quantizeWeight collapses floating-point dust so that equal-weight cells

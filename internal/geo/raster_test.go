@@ -24,8 +24,9 @@ func TestGridWeightAccumulation(t *testing.T) {
 	g := NewGrid(V2(-30, -30), V2(30, 30), 0.5)
 	g.AddRegion(Disk(V2(-5, 0), 12, 128), 1)
 	g.AddRegion(Disk(V2(5, 0), 12, 128), 1)
-	if m := g.MaxWeight(); m != 2 {
-		t.Fatalf("MaxWeight = %v, want 2", m)
+	levels, _ := g.LevelSets()
+	if len(levels) != 3 || levels[0] != 2 || levels[1] != 1 || levels[2] != 0 {
+		t.Fatalf("LevelSets levels = %v, want 2, 1, 0", levels)
 	}
 	// Weight-2 region is the lens.
 	lens := g.Threshold(2)
@@ -38,10 +39,6 @@ func TestGridWeightAccumulation(t *testing.T) {
 	wantU := 2*math.Pi*144 - want
 	if got := union.Area(); math.Abs(got-wantU) > wantU*0.05 {
 		t.Errorf("union area %v, want %v", got, wantU)
-	}
-	levels := g.WeightLevels()
-	if len(levels) != 3 || levels[0] != 2 || levels[1] != 1 || levels[2] != 0 {
-		t.Errorf("WeightLevels = %v", levels)
 	}
 }
 

@@ -51,9 +51,6 @@ func (v Vec2) Lerp(w Vec2, t float64) Vec2 {
 	return Vec2{v.X + (w.X-v.X)*t, v.Y + (w.Y-v.Y)*t}
 }
 
-// Angle returns the angle of v in radians in (-π, π].
-func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
-
 // segDistance returns the distance from point p to the segment a-b.
 func segDistance(p, a, b Vec2) float64 {
 	ab := b.Sub(a)
@@ -63,25 +60,4 @@ func segDistance(p, a, b Vec2) float64 {
 	}
 	t := clamp(p.Sub(a).Dot(ab)/l2, 0, 1)
 	return p.Dist(a.Add(ab.Scale(t)))
-}
-
-// segIntersect computes the intersection of segments p1-p2 and q1-q2. It
-// returns the parametric positions (s along p, t along q) and whether the
-// segments properly intersect (both parameters strictly inside (0,1) up to
-// eps tolerance).
-func segIntersect(p1, p2, q1, q2 Vec2) (s, t float64, ok bool) {
-	d1 := p2.Sub(p1)
-	d2 := q2.Sub(q1)
-	den := d1.Cross(d2)
-	if math.Abs(den) < 1e-12 {
-		return 0, 0, false
-	}
-	w := q1.Sub(p1)
-	s = w.Cross(d2) / den
-	t = w.Cross(d1) / den
-	const eps = 1e-9
-	if s < eps || s > 1-eps || t < eps || t > 1-eps {
-		return s, t, false
-	}
-	return s, t, true
 }

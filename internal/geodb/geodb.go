@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -235,21 +234,6 @@ func (c *Composite) LookupWeighted(addr string) (Record, float64, bool) {
 	return Record{}, 0, false
 }
 
-// LookupAll returns every member's decayed claim for an address, in
-// registration order — the disagreement-inspection view.
-func (c *Composite) LookupAll(addr string) ([]Record, []float64) {
-	var recs []Record
-	var ws []float64
-	for i := range c.members {
-		sub := Composite{members: c.members[i : i+1], opts: c.opts}
-		if rec, w, ok := sub.LookupWeighted(addr); ok {
-			recs = append(recs, rec)
-			ws = append(ws, w)
-		}
-	}
-	return recs, ws
-}
-
 // halveOver returns 0.5^(age/halfLife).
 func halveOver(age, halfLife time.Duration) float64 {
 	return math.Exp2(-float64(age) / float64(halfLife))
@@ -338,15 +322,4 @@ func (c *Cached) Stats() (hits, misses uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.ll.Len()
-}
-
-// SortedAddrs returns a static provider's covered addresses in sorted
-// order (test and tooling convenience).
-func (s *Static) SortedAddrs() []string {
-	out := make([]string, 0, len(s.recs))
-	for a := range s.recs {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }

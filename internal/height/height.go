@@ -18,21 +18,15 @@ import (
 	"octant/internal/linalg"
 )
 
-// QueuingDelay returns q = measured RTT − great-circle transmission
-// estimate between two known positions, clamped at 0. This is the
-// [a,b] − (a,b) residual of §2.2 (it absorbs route inflation as well as
-// queuing — footnote 1 of the paper).
-func QueuingDelay(rttMs float64, a, b geo.Point) float64 {
-	return QueuingDelayK(rttMs, 1, a, b)
-}
-
-// QueuingDelayK is QueuingDelay with a calibrated transmission model:
-// transmission ≈ κ × great-circle fiber time, where κ ≥ 1 is the typical
-// route inflation (EstimateInflation). Footnote 1 of the paper observes
-// that the raw residual "might embody some additional transmission delays
-// stemming from the use of indirect paths"; removing the typical inflation
-// before the height solve keeps the distance-proportional part of the
-// residual out of the per-node heights.
+// QueuingDelayK returns q = measured RTT − transmission estimate between
+// two known positions, clamped at 0: the [a,b] − (a,b) residual of §2.2
+// under a calibrated transmission model, transmission ≈ κ × great-circle
+// fiber time, where κ ≥ 1 is the typical route inflation
+// (EstimateInflation). Footnote 1 of the paper observes that the raw
+// residual "might embody some additional transmission delays stemming
+// from the use of indirect paths"; removing the typical inflation before
+// the height solve keeps the distance-proportional part of the residual
+// out of the per-node heights.
 func QueuingDelayK(rttMs, kappa float64, a, b geo.Point) float64 {
 	q := rttMs - kappa*geo.DistanceToMinLatencyMs(a.DistanceKm(b))
 	if q < 0 {
@@ -157,20 +151,16 @@ type TargetResult struct {
 	Residual float64   // RMS residual of the fit in ms
 }
 
-// SolveTarget fits (t′, t_lat, t_long) minimizing the residual of
+// SolveTargetK fits (t′, t_lat, t_long) minimizing the residual of
 //
-//	h_i + t′ + (L_i, t) ≈ [L_i, t]   for every landmark i,
+//	h_i + t′ + κ·(L_i, t) ≈ [L_i, t]   for every landmark i,
 //
-// where (L_i, t) is the great-circle transmission estimate. landmarks,
-// heights and rttMs must be parallel slices with ≥ 3 entries.
-func SolveTarget(landmarks []geo.Point, heights, rttMs []float64) (TargetResult, error) {
-	return SolveTargetK(landmarks, heights, rttMs, 1)
-}
-
-// SolveTargetK is SolveTarget with a calibrated transmission inflation κ
-// (see EstimateInflation). Residual terms are weighted by proximity
-// (1/(1+rtt)): nearby landmarks see little route inflation, so they anchor
-// the height; distant ones mostly carry inflation noise.
+// where (L_i, t) is the great-circle transmission estimate and κ the
+// calibrated transmission inflation (see EstimateInflation). landmarks,
+// heights and rttMs must be parallel slices with ≥ 3 entries. Residual
+// terms are weighted by proximity (1/(1+rtt)): nearby landmarks see little
+// route inflation, so they anchor the height; distant ones mostly carry
+// inflation noise.
 func SolveTargetK(landmarks []geo.Point, heights, rttMs []float64, kappa float64) (TargetResult, error) {
 	n := len(landmarks)
 	if n < 3 || len(heights) != n || len(rttMs) != n {

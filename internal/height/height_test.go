@@ -13,11 +13,11 @@ func TestQueuingDelay(t *testing.T) {
 	a := geo.Pt(40, -75)
 	b := geo.Pt(41, -76)
 	base := geo.DistanceToMinLatencyMs(a.DistanceKm(b))
-	if got := QueuingDelay(base+3, a, b); math.Abs(got-3) > 1e-9 {
+	if got := QueuingDelayK(base+3, 1, a, b); math.Abs(got-3) > 1e-9 {
 		t.Errorf("QueuingDelay = %v, want 3", got)
 	}
 	// Faster-than-light measurement clamps to 0, never negative.
-	if got := QueuingDelay(base-1, a, b); got != 0 {
+	if got := QueuingDelayK(base-1, 1, a, b); got != 0 {
 		t.Errorf("negative queuing delay should clamp: %v", got)
 	}
 }
@@ -147,7 +147,7 @@ func TestSolveTargetRecoversPosition(t *testing.T) {
 	for i, l := range landmarks {
 		rtts[i] = heights[i] + tHeight + geo.DistanceToMinLatencyMs(l.DistanceKm(truth))
 	}
-	res, err := SolveTarget(landmarks, heights, rtts)
+	res, err := SolveTargetK(landmarks, heights, rtts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestSolveTargetRecoversPosition(t *testing.T) {
 
 func TestSolveTargetValidation(t *testing.T) {
 	ls := []geo.Point{geo.Pt(0, 0), geo.Pt(1, 1)}
-	if _, err := SolveTarget(ls, []float64{0, 0}, []float64{1, 1}); err == nil {
+	if _, err := SolveTargetK(ls, []float64{0, 0}, []float64{1, 1}, 1); err == nil {
 		t.Error("n=2 should error")
 	}
 	ls = append(ls, geo.Pt(2, 2))
-	if _, err := SolveTarget(ls, []float64{0}, []float64{1, 1, 1}); err == nil {
+	if _, err := SolveTargetK(ls, []float64{0}, []float64{1, 1, 1}, 1); err == nil {
 		t.Error("length mismatch should error")
 	}
 }

@@ -194,11 +194,7 @@ func New(p probe.Prober, survey *core.Survey, cfg core.Config, opts Options) *Ma
 		opts.Probes = survey.Probes
 	}
 	opts.fillDefaults()
-	m := &Manager{prober: p, cfg: cfg, opts: opts, sched: measure.New(measure.Config{
-		Workers:     cfg.MeasureWorkers,
-		PerLandmark: cfg.MeasurePerLandmark,
-		MinInterval: cfg.MeasureMinInterval,
-	})}
+	m := &Manager{prober: p, cfg: cfg, opts: opts, sched: measure.New(measure.Config{Workers: cfg.MeasureWorkers})}
 	e := &Epoch{
 		Survey:    survey,
 		Localizer: core.NewLocalizer(p, survey, cfg),
@@ -464,12 +460,6 @@ func (m *Manager) Run(ctx context.Context) {
 			m.lastErr.Store(&msg)
 		}
 	}
-}
-
-// SaveSnapshot persists the current epoch's survey to path (see
-// core.Survey.SaveSnapshotFile).
-func (m *Manager) SaveSnapshot(path string) error {
-	return m.Current().Survey.SaveSnapshotFile(path)
 }
 
 // Stats returns a snapshot of the lifecycle's state and counters.

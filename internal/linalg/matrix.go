@@ -71,37 +71,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	return out
 }
 
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic("linalg: dimension mismatch in Mul")
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * b.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
 // ErrSingular is returned when a solve encounters a (numerically) singular
 // system.
 var ErrSingular = errors.New("linalg: singular or rank-deficient system")

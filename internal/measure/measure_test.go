@@ -245,49 +245,6 @@ func TestFanoutOverlapsTrains(t *testing.T) {
 	}
 }
 
-// TestMinIntervalPacing asserts the bucket pacer spaces successive train
-// starts from one source by at least MinInterval.
-func TestMinIntervalPacing(t *testing.T) {
-	p := newFakeProber(0)
-	const interval = 5 * time.Millisecond
-	s := New(Config{Workers: 8, PerLandmark: 4, MinInterval: interval})
-
-	const rounds = 4
-	var wg sync.WaitGroup
-	for r := 0; r < rounds; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := make([]float64, 1)
-			errs := make([]error, 1)
-			s.PingMinInto(context.Background(), p, []string{"lm-00"}, "target", 4, 0, out, errs)
-		}()
-	}
-	wg.Wait()
-
-	p.mu.Lock()
-	starts := append([]time.Time(nil), p.starts["lm-00"]...)
-	p.mu.Unlock()
-	if len(starts) != rounds {
-		t.Fatalf("got %d trains, want %d", len(starts), rounds)
-	}
-	var first, last time.Time
-	for _, at := range starts {
-		if first.IsZero() || at.Before(first) {
-			first = at
-		}
-		if at.After(last) {
-			last = at
-		}
-	}
-	// All four trains share one source, so the pacer must stretch the
-	// burst over at least (rounds-1) intervals. Sleep-based timing only
-	// ever overshoots, so the lower bound is safe to assert.
-	if spread := last.Sub(first); spread < (rounds-1)*interval {
-		t.Errorf("4 paced trains started within %v, want ≥ %v", spread, (rounds-1)*interval)
-	}
-}
-
 // TestCacheTTLAndEpoch covers the reuse-before-reprobe rules: a warm key
 // is served from cache, a different survey epoch misses, and an expired
 // entry is re-probed.

@@ -13,9 +13,8 @@
 //
 //   - Bounded fan-out. A global in-flight cap (Config.Workers) bounds
 //     concurrent probes across every round sharing the scheduler, and a
-//     per-landmark token bucket (Config.PerLandmark concurrent trains,
-//     optionally spaced Config.MinInterval apart) keeps parallelism from
-//     hammering any single vantage point — the property a real
+//     per-landmark token bucket (Config.PerLandmark concurrent trains)
+//     keeps parallelism from hammering any single vantage point — the property a real
 //     deployment needs so 16-way target fan-out never looks like an
 //     attack to one landmark's rate limiter.
 //
@@ -50,7 +49,7 @@ import (
 )
 
 // Config shapes a Scheduler. The zero value means "defaults": 16
-// concurrent probes, 4 per landmark, no pacing interval, no cache.
+// concurrent probes, 4 per landmark, no cache.
 type Config struct {
 	// Workers caps concurrent probes across all rounds sharing the
 	// scheduler (default 16). One worker is the serialized probe loop —
@@ -59,10 +58,6 @@ type Config struct {
 	// PerLandmark caps concurrent probe trains issued from one source
 	// landmark (default 4).
 	PerLandmark int
-	// MinInterval additionally spaces successive probe starts from one
-	// source landmark (0 = no spacing, the buckets act as pure
-	// concurrency limits).
-	MinInterval time.Duration
 	// CacheTTL enables the epoch-qualified min-RTT cache (and in-flight
 	// singleflight dedup) with this entry lifetime. 0 disables both.
 	CacheTTL time.Duration
@@ -172,11 +167,9 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // bucket is one landmark's token bucket: a semaphore bounding concurrent
-// trains plus, when MinInterval is set, a pacer spacing their starts.
+// trains.
 type bucket struct {
-	sem  chan struct{}
-	mu   sync.Mutex
-	next time.Time // earliest next start (MinInterval mode)
+	sem chan struct{}
 }
 
 func (s *Scheduler) bucket(src string) *bucket {
@@ -204,26 +197,6 @@ func (s *Scheduler) acquire(ctx context.Context, src string) (*bucket, error) {
 	case b.sem <- struct{}{}:
 	case <-done:
 		return nil, ctx.Err()
-	}
-	if s.cfg.MinInterval > 0 {
-		b.mu.Lock()
-		now := time.Now()
-		at := b.next
-		if at.Before(now) {
-			at = now
-		}
-		b.next = at.Add(s.cfg.MinInterval)
-		b.mu.Unlock()
-		if d := time.Until(at); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-done:
-				t.Stop()
-				<-b.sem
-				return nil, ctx.Err()
-			}
-		}
 	}
 	select {
 	case s.global <- struct{}{}:

@@ -10,7 +10,6 @@ package probe
 
 import (
 	"fmt"
-	"sort"
 
 	"octant/internal/geo"
 )
@@ -50,18 +49,4 @@ func MinRTT(samples []float64) (float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// MedianRTT returns the median of samples, or an error for empty input.
-func MedianRTT(samples []float64) (float64, error) {
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("probe: no samples")
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2], nil
-	}
-	return (s[n/2-1] + s[n/2]) / 2, nil
 }

@@ -79,49 +79,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF over xs.
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1).
-func (c *CDF) Quantile(q float64) float64 {
-	return Percentile(c.sorted, q*100)
-}
-
-// Points returns (x, F(x)) pairs at every distinct data value, suitable for
-// plotting the CDF as the paper does in Figure 3.
-func (c *CDF) Points() [][2]float64 {
-	n := len(c.sorted)
-	out := make([][2]float64, 0, n)
-	for i, x := range c.sorted {
-		if i+1 < n && c.sorted[i+1] == x {
-			continue
-		}
-		out = append(out, [2]float64{x, float64(i+1) / float64(n)})
-	}
-	return out
-}
-
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.sorted) }
-
 // Summary holds the row shape of the paper's §3 accuracy table.
 type Summary struct {
 	Name   string

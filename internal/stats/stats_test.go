@@ -49,56 +49,6 @@ func TestMeanMinMaxMedian(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{10, 20, 30, 40})
-	cases := map[float64]float64{5: 0, 10: 0.25, 25: 0.5, 40: 1, 100: 1}
-	for x, want := range cases {
-		if got := c.At(x); math.Abs(got-want) > 1e-9 {
-			t.Errorf("At(%v) = %v, want %v", x, got, want)
-		}
-	}
-	if c.N() != 4 {
-		t.Errorf("N = %d", c.N())
-	}
-	if got := c.Quantile(0.5); math.Abs(got-25) > 1e-9 {
-		t.Errorf("Quantile(0.5) = %v", got)
-	}
-	pts := c.Points()
-	if len(pts) != 4 || pts[0] != [2]float64{10, 0.25} || pts[3] != [2]float64{40, 1} {
-		t.Errorf("Points = %v", pts)
-	}
-	// Duplicates collapse.
-	d := NewCDF([]float64{1, 1, 2})
-	if got := d.Points(); len(got) != 2 || got[0][1] != 2.0/3.0 {
-		t.Errorf("dup Points = %v", got)
-	}
-}
-
-// Property: CDF is monotone and Quantile∘At ≈ identity on data points.
-func TestCDFMonotone(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 1))
-		n := 1 + rng.IntN(60)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64() * 1000
-		}
-		c := NewCDF(xs)
-		prev := -1.0
-		for x := 0.0; x <= 1000; x += 50 {
-			v := c.At(x)
-			if v < prev-1e-12 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: percentile is monotone in p and bounded by min/max.
 func TestPercentileMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
