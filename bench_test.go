@@ -496,8 +496,10 @@ func localizeFixture(b *testing.B) (*core.Localizer, string) {
 	return loc, target.Addr
 }
 
-// BenchmarkLocalize measures one end-to-end localization (50 landmarks,
-// full default pipeline, default options) against a pre-built survey.
+// BenchmarkLocalize measures one end-to-end localization against a
+// pre-built survey: the default 51-site world's first host, localized from
+// the other 50 sites as landmarks (heights surveyed), full default pipeline,
+// default options, lazy state built by one untimed call.
 func BenchmarkLocalize(b *testing.B) {
 	loc, target := localizeFixture(b)
 	b.ReportAllocs()

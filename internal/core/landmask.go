@@ -115,10 +115,14 @@ type SolverStats struct {
 	// GeneralFills counts constraints rasterized through the edge table
 	// because their region is not a single two-turn ring. Disks never are.
 	GeneralFills uint64 `json:"general_fills"`
+	// RowsResolved of RowsTotal grid rows: the kernel skips the others, whose
+	// weight bound cannot reach the level it returns.
+	RowsResolved uint64 `json:"rows_resolved"`
+	RowsTotal    uint64 `json:"rows_total"`
 }
 
 type solverCounters struct {
-	passes, underflows, coarseTraces, maxDepth, generalFills atomic.Uint64
+	passes, underflows, coarseTraces, maxDepth, generalFills, rows, rowsTotal atomic.Uint64
 }
 
 // SolverStats returns the solver counters of every solve that was handed
@@ -133,14 +137,18 @@ func (c *LandMaskCache) SolverStats() SolverStats {
 		CoarseTraces:     c.solver.coarseTraces.Load(),
 		MaxWalkDepth:     c.solver.maxDepth.Load(),
 		GeneralFills:     c.solver.generalFills.Load(),
+		RowsResolved:     c.solver.rows.Load(),
+		RowsTotal:        c.solver.rowsTotal.Load(),
 	}
 }
 
-func (c *LandMaskCache) countPass(top geo.TopLevel) {
+func (c *LandMaskCache) countPass(top geo.TopLevel, gridRows int) {
 	if c == nil {
 		return
 	}
 	c.solver.passes.Add(1)
+	c.solver.rows.Add(uint64(top.Rows))
+	c.solver.rowsTotal.Add(uint64(gridRows))
 	if top.Underflow {
 		c.solver.underflows.Add(1)
 	}

@@ -197,7 +197,7 @@ func solveOnGrid(fills []geo.Fill, min, max geo.Vec2, cellKm float64, opts *Solv
 		}
 	}
 	top := g.ResolveTop(fills, land, excluded, opts.MinAreaKm2)
-	opts.Masks.countPass(top)
+	opts.Masks.countPass(top, g.H)
 	return gridPass{g: g, cellKm: cellKm, top: top}
 }
 

@@ -88,6 +88,61 @@ func TestFusedTraps(t *testing.T) {
 	}
 }
 
+// TestFusedPruningTraps sets the traps of geo.Grid.ResolveTop's row pruning:
+// each 12×24 grid goes through the oracle like the ones above, and the count
+// of rows the pass resolved shows that it took the branch the case is about.
+// (A fill's row range runs one row past its last row of cells.)
+func TestFusedPruningTraps(t *testing.T) {
+	// Rows 8–9 are the scout's band in most cases: a 1.0 peak on two cells
+	// over a 0.3 layer of 24, so that a threshold of 20 cells is reached
+	// there at L1 = 0.3.
+	peak, layer, faint := cellRect(5, 8, 6, 8, 1), cellRect(0, 8, 11, 9, 0.3), cellRect(0, 21, 11, 22, 0.1)
+	blobs := Constraint{Kind: Positive, Weight: 0.4, Source: "pos", Region: &geo.Region{Rings: []geo.Ring{
+		cellRect(1, 2, 3, 4, 1).Region.Rings[0], cellRect(7, 12, 10, 14, 1).Region.Rings[0],
+	}}}
+	var flat []Constraint
+	for y := 0; y < 24; y += 4 {
+		flat = append(flat, cellRect(y%5, y, 6+y%5, y+3, 0.5))
+	}
+	for _, tc := range []struct {
+		name      string
+		cs        []Constraint
+		area      float64
+		wantLevel float64
+		wantRows  int
+	}{
+		// A heavy negative sinks the whole scout band: the scout finds
+		// nothing positive and every remaining row is resolved.
+		{"negative-over-scout", []Constraint{peak, layer, cellRect(0, 8, 11, 9, -2), cellRect(2, 1, 9, 5, 0.2), cellRect(4, 15, 5, 16, 0.25)}, 20, 0.2, 24},
+		// Two more clusters, lighter and larger, one on each side of the
+		// band: the scout reaches the area at 0.3, the second sweep's rows
+		// 1–4, 10 and 14–20 lift the level to 0.8, and the faint rows are
+		// never resolved.
+		{"second-sweep-lifts-level", []Constraint{peak, layer, cellRect(1, 14, 5, 19, 0.8), cellRect(1, 1, 4, 3, 0.8), faint}, 20, 0.8, 14},
+		// The layer is a disk: rows 8–9 scout it, the second sweep goes back
+		// below them for the rest of it, its chain cursors rewound.
+		{"disk-across-both-sweeps", []Constraint{peak, {Kind: Positive, Region: geo.Disk(geo.V2(6, 9), 5.7, 48), Weight: 0.3, Source: "pos"}, faint}, 20, 0.3, 13},
+		// Equal weights tiling the rows: the bound is flat, the scout is
+		// every row.
+		{"flat-bound", flat, 20, 0.5, 24},
+		// A threshold no walk can reach: every row, lowest positive level.
+		{"area-beyond-grid", []Constraint{peak, layer, faint}, 1e9, 0.1, 24},
+		// An edge-table fill between two-cursor ones: its table must be
+		// stepped through every row, so the pass does not prune.
+		{"general-fill", []Constraint{peak, blobs, layer, faint}, 20, 0.4, 24},
+		// Raw values within 1e-9 of L1 on rows the bound only just admits:
+		// 0.3 − 4e-10 names the level without clearing it, 0.3 + 3e-10
+		// clears it, 0.3 − 1.6e-9 is inside ε; 0.3 − 2.5e-9 is outside and
+		// its rows are skipped: 8–10, 2–3, 4–5 and 12–13 remain.
+		{"dust-at-the-bound", []Constraint{peak, layer, cellRect(0, 2, 3, 2, 0.3-4e-10), cellRect(0, 4, 3, 4, 0.3-1.6e-9), cellRect(0, 12, 3, 12, 0.3+3e-10), cellRect(0, 14, 3, 14, 0.3-2.5e-9)}, 20, 0.3, 9},
+	} {
+		top := unitPass(t, tc.name, tc.cs, 12, 24, SolverOpts{MinAreaKm2: tc.area})
+		if top.Level != tc.wantLevel || top.Rows != tc.wantRows || top.Underflow {
+			t.Errorf("%s: level %v from %d rows (underflow %v), want %v from %d", tc.name, top.Level, top.Rows, top.Underflow, tc.wantLevel, tc.wantRows)
+		}
+	}
+}
+
 // TestFusedLandMaskPaths: the hard mask through a shared cache, through
 // direct rasterization (Masks == nil), and excluding the whole grid.
 func TestFusedLandMaskPaths(t *testing.T) {
@@ -237,12 +292,49 @@ func TestNoGeneralFillsOnBenchWorld(t *testing.T) {
 	}
 }
 
+// TestSolveSkipsMostRows gates the row pruning by counting, not by
+// stopwatch: on the benchmark world's 16 targets the kernel resolves only
+// the rows whose weight bound can reach the level it returns — a small part
+// of a coarse grid, which one far landmark's disk stretches over most of the
+// plane, and half or less of all rows. With the second sweep's bound taken
+// out of geo.Grid.ResolveTop both ratios read 1.
+func TestSolveSkipsMostRows(t *testing.T) {
+	loc, targets := fusedFixture(t, 1, 16, 16)
+	cfg := Config{}
+	cfg.fillDefaults()
+	// The coarse passes again, alone, counted on a cache of their own.
+	opts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: NewLandMaskCache()}
+	opts.fillDefaults()
+	for _, target := range targets {
+		res, err := loc.LocalizeContext(context.Background(), target)
+		if err != nil {
+			t.Fatalf("%s: %v", target, err)
+		}
+		fills, min, max, coarse := coarseGrid(res.Constraints, opts)
+		p := solveOnGrid(fills, min, max, coarse, &opts)
+		p.g.Release()
+	}
+	all, coarse := loc.LandMasks().SolverStats(), opts.Masks.SolverStats()
+	t.Logf("rows resolved: coarse %d of %d, all passes %d of %d", coarse.RowsResolved, coarse.RowsTotal, all.RowsResolved, all.RowsTotal)
+	if all.Passes != 32 || coarse.Passes != 16 {
+		t.Fatalf("%d passes, %d of them coarse: want 32 and 16", all.Passes, coarse.Passes)
+	}
+	if coarse.RowsResolved*5 > coarse.RowsTotal {
+		t.Errorf("coarse passes resolved %d of %d rows, want at most 20 %%", coarse.RowsResolved, coarse.RowsTotal)
+	}
+	if all.RowsResolved*2 > all.RowsTotal {
+		t.Errorf("all passes resolved %d of %d rows, want at most 50 %%", all.RowsResolved, all.RowsTotal)
+	}
+}
+
 // FuzzFusedCensus builds a small unit grid from the fuzz input — rectangles
 // with weights drawn from a few values plus sub-1e-9 dust, an optional land
 // mask, a random area threshold — and holds the fused pass against the
-// oracle. Input bytes, in order: width, height, threshold, mask kind, then
-// six per rectangle (x0, y0, width, height, weight, dust); with no
-// rectangle every cell gets a value of its own. The seed corpus is
+// oracle. Input bytes, in order: width, height, threshold, mask kind, tower,
+// then six per rectangle (x0, y0, width, height, weight, dust); with no
+// rectangle every cell gets a value of its own. A non-zero tower byte stacks
+// a heavy rectangle one or two cells wide over up to a third of the rows, so
+// that the kernel has rows to prune. The seed corpus is
 // testdata/fuzz/FuzzFusedCensus.
 func FuzzFusedCensus(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -264,6 +356,10 @@ func FuzzFusedCensus(f *testing.F) {
 			opts.Masks = NewLandMaskCache()
 		}
 		var cs []Constraint
+		if tb := next(); tb != 0 {
+			x0, y0 := tb%w, (tb>>3)%h
+			cs = append(cs, cellRect(x0, y0, min(x0+tb>>7, w-1), min(y0+h/3, h-1), 7+float64(tb%8)*1e-10))
+		}
 		if len(data) == 0 {
 			// No rectangles given: one distinct value per cell.
 			for i := 0; i < w*h; i++ {

@@ -224,11 +224,7 @@ func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 				sameSolution(t, name, got, referenceSolve(res.Constraints, sopts))
 
 				// And pass by pass, for the coarse bounding box.
-				o := sopts
-				o.fillDefaults()
-				_, min, max, _ := prepareFills(nil, res.Constraints)
-				span := math.Max(max.X-min.X, max.Y-min.Y)
-				coarse := quantizeCellKm(span/coarseCells, o.FineCellKm)
+				_, min, max, coarse := coarseGrid(res.Constraints, sopts)
 				checkPass(t, name+"/coarse", res.Constraints, min, max, coarse, sopts)
 			}
 			if general := loc.LandMasks().SolverStats().GeneralFills; (general > 0) != (tc.opts != nil) {
@@ -236,6 +232,15 @@ func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// coarseGrid returns the fills, extent and cell size of the coarse pass Solve
+// runs for the constraints under opts.
+func coarseGrid(cs []Constraint, opts SolverOpts) (fills []geo.Fill, min, max geo.Vec2, cellKm float64) {
+	opts.fillDefaults()
+	fills, min, max, _ = prepareFills(nil, cs)
+	span := math.Max(max.X-min.X, max.Y-min.Y)
+	return fills, min, max, quantizeCellKm(span/coarseCells, opts.FineCellKm)
 }
 
 // constraintExtent returns the union bounding box of constraint regions.

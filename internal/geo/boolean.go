@@ -106,21 +106,6 @@ func boolOp(a, b *Region, op BoolOp, opts *BoolOpts) *Region {
 	}
 }
 
-// IntersectAll intersects all regions in order, short-circuiting on empty.
-func IntersectAll(regions []*Region, opts *BoolOpts) *Region {
-	if len(regions) == 0 {
-		return EmptyRegion()
-	}
-	acc := regions[0].Clone()
-	for _, r := range regions[1:] {
-		acc = Intersect(acc, r, opts)
-		if acc.IsEmpty() {
-			return EmptyRegion()
-		}
-	}
-	return acc
-}
-
 // UnionAll unions all regions (divide and conquer to keep intermediate
 // complexity balanced).
 func UnionAll(regions []*Region, opts *BoolOpts) *Region {

@@ -169,26 +169,6 @@ func TestInclusionExclusion(t *testing.T) {
 	}
 }
 
-func TestIntersectAllShortCircuits(t *testing.T) {
-	regs := []*Region{
-		Disk(V2(0, 0), 10, 64),
-		Disk(V2(5, 0), 10, 64),
-		Disk(V2(100, 0), 2, 64), // disjoint: forces empty
-		Disk(V2(0, 0), 1, 64),
-	}
-	if got := IntersectAll(regs, nil); !got.IsEmpty() {
-		t.Errorf("expected empty intersection, got %v", got.Area())
-	}
-	two := IntersectAll(regs[:2], nil)
-	want := lensArea(10, 5)
-	if math.Abs(two.Area()-want) > want*0.05 {
-		t.Errorf("2-way intersection area %v, want %v", two.Area(), want)
-	}
-	if !IntersectAll(nil, nil).IsEmpty() {
-		t.Error("IntersectAll(nil) should be empty")
-	}
-}
-
 func TestUnionAll(t *testing.T) {
 	regs := []*Region{
 		Disk(V2(0, 0), 5, 64),

@@ -224,8 +224,7 @@ func emitSpans(g *Grid, buf []crossing, y int, fn func(y, x0, x1 int)) {
 
 // forEachSpan rasterizes r over the grid, rows ascending, invoking
 // fn(y, x0, x1) for every maximal inside-run of cells. This is the single
-// span visitor behind AddRegion, AddRegionBatched, MaskRegion, and
-// RasterizeRegion.
+// span visitor behind AddRegion, AddRegionBatched and RasterizeRegion.
 func (g *Grid) forEachSpan(r *Region, fn func(y, x0, x1 int)) {
 	min, max, ok := r.BoundingBox()
 	if !ok {
@@ -362,8 +361,8 @@ func ringEdge(ring Ring, i int) (a, b Vec2) {
 // General reports whether the fill takes the edge-table route.
 func (f *Fill) General() bool { return f.down < 0 }
 
-// begin readies the fill for a pass over g, rows ascending; the caller
-// releases the table it may draw.
+// begin readies the fill for a sweep over g, rows ascending, gaps allowed on
+// the two-cursor route; the caller releases the table it may draw.
 func (f *Fill) begin(g *Grid) {
 	y0, y1 := g.rowRange(f.Min, f.Max)
 	f.y0, f.y1, f.table = int32(y0), int32(y1), nil

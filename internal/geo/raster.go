@@ -151,7 +151,10 @@ func (g *Grid) AddRegion(r *Region, w float64) {
 // row-difference updates: two writes per span instead of one per cell.
 // The additions take effect only after FlushAdds resolves the buffer with
 // one prefix-sum pass. The solver does the same a row at a time inside
-// ResolveTop; its oracle and the benchmark's replay use this whole-grid form.
+// ResolveTop, but only on the rows that can reach the level it returns: the
+// two fields agree bit for bit in every cell within levelSlack of that level
+// or above it, and a cell below may read 0 there. Its oracle and the
+// benchmark's replay use this whole-grid form.
 func (g *Grid) AddRegionBatched(r *Region, w float64) {
 	diff, stride := g.batchDiff(), g.W+1
 	g.forEachSpan(r, func(y, x0, x1 int) {
@@ -177,17 +180,6 @@ func (g *Grid) FlushAdds() {
 		}
 	}
 	g.releaseDiff()
-}
-
-// MaskRegion forces the weight of every cell inside r to the given value
-// (used for hard negative constraints: cells ruled out entirely).
-func (g *Grid) MaskRegion(r *Region, value float64) {
-	g.forEachSpan(r, func(y, x0, x1 int) {
-		row := g.Weight[y*g.W+x0 : y*g.W+x1+1]
-		for i := range row {
-			row[i] = value
-		}
-	})
 }
 
 // LevelSets returns the distinct quantized cell weights in descending

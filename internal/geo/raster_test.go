@@ -42,20 +42,6 @@ func TestGridWeightAccumulation(t *testing.T) {
 	}
 }
 
-func TestGridMaskRegion(t *testing.T) {
-	g := NewGrid(V2(-30, -30), V2(30, 30), 0.5)
-	g.AddRegion(Disk(V2(0, 0), 20, 128), 1)
-	g.MaskRegion(Disk(V2(0, 0), 8, 128), -1000)
-	out := g.Threshold(1)
-	want := math.Pi * (400 - 64)
-	if got := out.Area(); math.Abs(got-want) > want*0.05 {
-		t.Errorf("masked area %v, want %v", got, want)
-	}
-	if out.Contains(V2(0, 0)) {
-		t.Error("masked centre should be excluded")
-	}
-}
-
 func TestGridThresholdHole(t *testing.T) {
 	g := NewGrid(V2(-30, -30), V2(30, 30), 0.25)
 	g.AddRegion(Annulus(V2(0, 0), 10, 20, 128), 1)

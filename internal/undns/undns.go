@@ -125,15 +125,3 @@ func (r *Resolver) Resolve(name string) (Location, bool) {
 	}
 	return Location{}, false
 }
-
-// ResolvePath resolves every hop name it can, returning parallel slices of
-// the input indices that resolved and their locations.
-func (r *Resolver) ResolvePath(names []string) (idx []int, locs []Location) {
-	for i, n := range names {
-		if loc, ok := r.Resolve(n); ok {
-			idx = append(idx, i)
-			locs = append(locs, loc)
-		}
-	}
-	return idx, locs
-}

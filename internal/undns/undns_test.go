@@ -90,23 +90,6 @@ func TestAddCustomCity(t *testing.T) {
 	}
 }
 
-func TestResolvePath(t *testing.T) {
-	r := NewResolver()
-	names := []string{
-		"unknown.example.com",
-		"so-0-1-0.bb1.den.simnet.net",
-		"",
-		"so-0-1-0.bb1.sfo.simnet.net",
-	}
-	idx, locs := r.ResolvePath(names)
-	if len(idx) != 2 || idx[0] != 1 || idx[1] != 3 {
-		t.Fatalf("idx = %v", idx)
-	}
-	if locs[0].City != "Denver" || locs[1].City != "San Francisco" {
-		t.Errorf("locs = %v", locs)
-	}
-}
-
 // Colliding registrations must resolve the same way regardless of
 // insertion order: the winner is picked by comparing the entries (city,
 // then country), never by which Add happened first. Regression test for
