@@ -574,29 +574,15 @@ func TestLocalizeWithHintsAllocBudget(t *testing.T) {
 	t.Logf("LocalizeWithHints %d allocs/op vs Localize %d allocs/op", hinted, base)
 }
 
-// BenchmarkRegionIntersectClip measures exact pairwise disk intersection.
-func BenchmarkRegionIntersectClip(b *testing.B) {
-	r1 := geo.Disk(geo.V2(0, 0), 100, 128)
-	r2 := geo.Disk(geo.V2(120, 0), 100, 128)
-	opts := &geo.BoolOpts{Engine: geo.EngineClip}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if geo.Intersect(r1, r2, opts).IsEmpty() {
-			b.Fatal("unexpected empty")
-		}
-	}
-}
-
-// BenchmarkRegionIntersectRaster measures raster-engine disk intersection.
+// BenchmarkRegionIntersectRaster measures pairwise disk intersection at the
+// automatic cell.
 func BenchmarkRegionIntersectRaster(b *testing.B) {
 	r1 := geo.Disk(geo.V2(0, 0), 100, 128)
 	r2 := geo.Disk(geo.V2(120, 0), 100, 128)
-	opts := &geo.BoolOpts{Engine: geo.EngineRaster}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if geo.Intersect(r1, r2, opts).IsEmpty() {
+		if geo.Intersect(r1, r2, nil).IsEmpty() {
 			b.Fatal("unexpected empty")
 		}
 	}

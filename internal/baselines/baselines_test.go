@@ -58,23 +58,42 @@ func TestGeoLimBestlinesValid(t *testing.T) {
 }
 
 func TestGeoLimLocalize(t *testing.T) {
-	p, s, target := testSetup(t, 20)
-	gl := NewGeoLim(s)
-	res, err := gl.Localize(p, target.Name, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := res.Point.DistanceMiles(target.Loc); e > 1200 {
-		t.Errorf("GeoLim error %.0f mi absurd", e)
-	}
-	// A non-empty region must contain its own centroid-ish point.
-	if !res.Region.IsEmpty() {
-		if res.AreaKm2 <= 0 {
-			t.Error("inconsistent area")
+	// Host 20's bounds over-constrain; host 25's overlap.
+	for _, tc := range []struct {
+		idx     int
+		overlap bool
+	}{{20, false}, {25, true}} {
+		idx, overlap := tc.idx, tc.overlap
+		p, s, target := testSetup(t, idx)
+		gl := NewGeoLim(s)
+		res, err := gl.Localize(p, target.Name, 10)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := gl.Localize(p, "bogus.example.org", 3); err == nil {
-		t.Error("unknown target should error")
+		if e := res.Point.DistanceMiles(target.Loc); e > 1200 {
+			t.Errorf("host %d: GeoLim error %.0f mi absurd", idx, e)
+		}
+		if !res.Region.IsEmpty() != overlap || res.AreaKm2 > 0 != overlap {
+			t.Errorf("host %d: region %v, area %v; bounds overlap: %v", idx, res.Region, res.AreaKm2, overlap)
+		}
+		// The region is the intersection of the bound disks: every vertex of
+		// it — a corner of a cell whose centre is inside every disk, on the
+		// solver's 4 km fine lattice — is within a cell's diagonal of every
+		// bound.
+		rtts := minRTTs(t, p, s, target.Name)
+		for _, ring := range res.Region.Rings {
+			for _, v := range ring {
+				pt := res.Projection.Inverse(v)
+				for i, lm := range s.Landmarks {
+					if d, bound := lm.Loc.DistanceKm(pt), gl.Bound(i, rtts[i]); d > bound+4*math.Sqrt2 {
+						t.Fatalf("host %d: vertex %v is %.1f km from %s, bound %.1f km", idx, pt, d, lm.Name, bound)
+					}
+				}
+			}
+		}
+		if _, err := gl.Localize(p, "bogus.example.org", 3); err == nil {
+			t.Error("unknown target should error")
+		}
 	}
 }
 
@@ -96,6 +115,46 @@ func TestGeoLimOverconstraintFallback(t *testing.T) {
 	if !res.Point.Valid() {
 		t.Errorf("fallback point invalid: %v", res.Point)
 	}
+
+	// A sliver: two flat bestlines whose bounds overlap by 1 km, less than
+	// the solver's 4 km cell. Whether or not a cell centre lands in the lens,
+	// the point returned must break no bound by as much as a cell.
+	two := &core.Survey{Landmarks: s.Landmarks[:2]}
+	rtts := minRTTs(t, p, two, target.Name)
+	// Split the landmarks' distance + 1 km in proportion to the speed-of-light
+	// caps, which Bound applies and which together span that distance.
+	cap0, cap1 := geo.LatencyToMaxDistanceKm(rtts[0]), geo.LatencyToMaxDistanceKm(rtts[1])
+	reach := two.Landmarks[0].Loc.DistanceKm(two.Landmarks[1].Loc) + 1
+	gl = &GeoLim{Survey: two, bestlines: [][2]float64{{0, reach * cap0 / (cap0 + cap1)}, {0, reach * cap1 / (cap0 + cap1)}}}
+	if got := gl.Bound(0, rtts[0]) + gl.Bound(1, rtts[1]); math.Abs(got-reach) > 1e-6 {
+		t.Fatalf("bounds sum to %.3f km, want %.3f: the caps cut them", got, reach)
+	}
+	res, err = gl.Localize(p, target.Name, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lm := range two.Landmarks {
+		if viol := lm.Loc.DistanceKm(res.Point) - gl.Bound(i, rtts[i]); !(viol < 4) {
+			t.Errorf("sliver: point %v breaks %s's bound by %.2f km", res.Point, lm.Name, viol)
+		}
+	}
+}
+
+// minRTTs re-measures what GeoLim.Localize measures: the simulated world
+// answers a repeated ping train identically.
+func minRTTs(t *testing.T, p probe.Prober, s *core.Survey, target string) []float64 {
+	t.Helper()
+	rtts := make([]float64, s.N())
+	for i, lm := range s.Landmarks {
+		samples, err := p.Ping(lm.Addr, target, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rtts[i], err = probe.MinRTT(samples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rtts
 }
 
 func TestGeoPingPicksNearbyLandmark(t *testing.T) {

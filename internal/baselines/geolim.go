@@ -143,27 +143,20 @@ func (g *GeoLim) Localize(p probe.Prober, targetAddr string, probes int) (*GeoLi
 		}
 		rtts[i] = min
 	}
-	// Intersect the disks in increasing-radius order (tightest first, so
-	// over-constraint shows up early).
-	type diskSpec struct {
-		center geo.Point
-		radius float64
-	}
-	disks := make([]diskSpec, s.N())
+	// The intersection of the N bound disks is where N unit-weight positive
+	// constraints reach weight N — §3's reading of GeoLim as Octant with equal
+	// weights and no negative information — so the solver finds it: its top
+	// level, accepted when that weight is N and over-constrained otherwise.
+	disks := make([]core.Constraint, s.N())
 	for i, lm := range s.Landmarks {
-		disks[i] = diskSpec{lm.Loc, g.Bound(i, rtts[i])}
+		ring := pr.GeoCircle(lm.Loc, math.Max(g.Bound(i, rtts[i]), 1), 96)
+		disks[i] = core.Constraint{Kind: core.Positive, Region: geo.RegionFromRing(ring), Weight: 1}
 	}
-	region := geo.RegionFromRing(pr.GeoCircle(disks[0].center, math.Max(disks[0].radius, 1), 96))
-	for _, d := range disks[1:] {
-		next := geo.RegionFromRing(pr.GeoCircle(d.center, math.Max(d.radius, 1), 96))
-		region = geo.Intersect(region, next, nil)
-		if region.IsEmpty() {
-			break
-		}
-	}
-	res := &GeoLimResult{Target: targetAddr, Region: region, Projection: pr, AreaKm2: region.Area()}
-	if !region.IsEmpty() {
-		res.Point = pr.Inverse(region.Centroid())
+	res := &GeoLimResult{Target: targetAddr, Region: geo.EmptyRegion(), Projection: pr}
+	// MinAreaKm2 under one cell's area takes only the top weight level.
+	if sol, err := core.Solve(disks, core.SolverOpts{MinAreaKm2: 1}); err == nil && sol.Weight == float64(s.N()) {
+		res.Region, res.AreaKm2 = sol.Region, sol.Region.Area()
+		res.Point = pr.Inverse(sol.Region.Centroid())
 		return res, nil
 	}
 	// Over-constrained: report the point minimizing the maximum bound

@@ -163,18 +163,22 @@ func PositiveFromRegion(beta *geo.Region, radiusKm, weight float64, source strin
 // landmark region beta: only points within radiusKm of EVERY point of beta
 // are ruled out (γ = ⋂_{(x,y)∈β} c(x,y,d)). Because Euclidean distance is
 // convex, the intersection equals the intersection of disks centred at the
-// vertices of beta's convex hull.
+// vertices of beta's convex hull — which is where k unit-weight positive
+// disks reach weight k, so the solver finds it: the top level, accepted when
+// its weight is k and empty (radiusKm too small to span beta) otherwise.
 func NegativeFromRegion(beta *geo.Region, radiusKm, weight float64, source string) Constraint {
 	verts := hullVertices(beta)
-	if len(verts) == 0 {
-		return Constraint{Kind: Negative, Region: geo.EmptyRegion(), Weight: weight, Source: source}
+	disks := make([]Constraint, len(verts))
+	for i, v := range verts {
+		disks[i] = Constraint{Kind: Positive, Region: geo.Disk(v, radiusKm, circleSegments), Weight: 1}
 	}
-	region := geo.Disk(verts[0], radiusKm, circleSegments)
-	for _, v := range verts[1:] {
-		region = geo.Intersect(region, geo.Disk(v, radiusKm, circleSegments), nil)
-		if region.IsEmpty() {
-			break
-		}
+	// γ is at most as wide as one disk, so a hundredth of the radius, kept
+	// within [0.2, 4] km, resolves it; one such cell's area as MinAreaKm2
+	// stops the level walk at the top level, which always holds a cell.
+	cell := math.Min(math.Max(radiusKm/100, 0.2), 4)
+	region := geo.EmptyRegion()
+	if sol, err := Solve(disks, SolverOpts{FineCellKm: cell, MinAreaKm2: cell * cell}); err == nil && sol.Weight == float64(len(verts)) {
+		region = sol.Region
 	}
 	return Constraint{Kind: Negative, Region: region, Weight: weight, Source: source}
 }

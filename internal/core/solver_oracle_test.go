@@ -263,14 +263,16 @@ func constraintExtent(cs []Constraint) (min, max geo.Vec2) {
 	return min, max
 }
 
-// oracleCellKm is the resolution solveExact's boolean operations
-// rasterize at whenever a region has more than one ring (single-ring
-// pairs are clipped exactly) — half the solver's fine cell.
+// oracleCellKm is the resolution every boolean operation of solveExact
+// rasterizes at, each on a lattice placed by its own operands — half the
+// solver's fine cell.
 const oracleCellKm = 2
 
 // solveExact is the arrangement solver that served Config.Exact, kept as
 // the reference TestSolveExactMatchesRaster holds the raster solver to:
-// it maintains the arrangement of constraints as disjoint weighted cells.
+// it maintains the arrangement of constraints as disjoint weighted cells,
+// split and merged by pairwise raster booleans — exact in name only, an
+// independent route to the same answer at twice the resolution.
 // Worst-case exponential; intended for ≤ ~12 constraints.
 func solveExact(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 	type cell struct {

@@ -239,20 +239,27 @@ func TestSecondaryLandmarkConstraints(t *testing.T) {
 	if got := pos.Region.Area(); math.Abs(got-want) > want*0.08 {
 		t.Errorf("dilated area %v, want ≈ %v", got, want)
 	}
-	neg := NegativeFromRegion(beta, 100, 1, "sec")
-	// Intersection of 100-disks at all hull points of a 50-disk: points
-	// within 100 of EVERY point of beta → disk of radius 50 around centre.
-	wantN := math.Pi * 50 * 50
-	if got := neg.Region.Area(); math.Abs(got-wantN) > wantN*0.15 {
-		t.Errorf("erosion-style area %v, want ≈ %v", got, wantN)
-	}
-	if !neg.Region.Contains(geo.V2(0, 0)) {
-		t.Error("negative region should contain beta's centre")
-	}
-	// Radius smaller than beta's extent ⇒ empty intersection.
-	negEmpty := NegativeFromRegion(beta, 20, 1, "sec")
-	if !negEmpty.Region.IsEmpty() {
-		t.Errorf("r < region extent should give empty exclusion, got %v", negEmpty.Region.Area())
+	// Intersection of r-disks at all hull points of a ρ-disk at c: the points
+	// within r of EVERY point of beta → the disk of radius r − ρ around c,
+	// traced on the cell NegativeFromRegion solves at; nothing when r < ρ.
+	for _, tc := range []struct{ rho, r float64 }{{50, 100}, {50, 60}, {90, 400}, {140, 1500}, {10, 30}} {
+		c := geo.V2(3*tc.rho, -tc.r/7)
+		beta := disk(c.X, c.Y, tc.rho)
+		cell := math.Min(math.Max(tc.r/100, 0.2), 4)
+		neg := NegativeFromRegion(beta, tc.r, 1, "sec").Region
+		in := tc.r - tc.rho
+		if got, want := neg.Area(), math.Pi*in*in; math.Abs(got-want) > 2*math.Pi*in*cell {
+			t.Errorf("ρ=%v r=%v: area %.1f, want %.1f ± %.1f", tc.rho, tc.r, got, want, 2*math.Pi*in*cell)
+		}
+		if d := neg.Centroid().Dist(c); d > cell {
+			t.Errorf("ρ=%v r=%v: centroid %.2f km from beta's centre, cell %.2f km", tc.rho, tc.r, d, cell)
+		}
+		if len(neg.Rings) != 1 {
+			t.Errorf("ρ=%v r=%v: %d rings, want 1", tc.rho, tc.r, len(neg.Rings))
+		}
+		if empty := NegativeFromRegion(beta, 0.4*tc.rho, 1, "sec").Region; !empty.IsEmpty() {
+			t.Errorf("ρ=%v: r < ρ should give empty exclusion, got %v", tc.rho, empty.Area())
+		}
 	}
 	if got := PositiveFromRegion(geo.EmptyRegion(), 100, 1, "x"); !got.Region.IsEmpty() {
 		t.Error("empty beta should stay empty")

@@ -2,108 +2,27 @@ package geo
 
 import "math"
 
-// Engine selects which boolean-operation implementation to use.
-type Engine int
-
-// Boolean engines.
-const (
-	// EngineAuto uses exact clipping for single-ring pairs and the raster
-	// engine otherwise.
-	EngineAuto Engine = iota
-	// EngineClip forces Greiner–Hormann clipping (single-ring pairs only;
-	// falls back to raster when it cannot apply).
-	EngineClip
-	// EngineRaster forces the raster engine.
-	EngineRaster
-)
-
 // BoolOpts configures boolean operations.
 type BoolOpts struct {
-	Engine Engine
 	// CellKm is the raster resolution. ≤0 chooses automatically from the
-	// operand extents (≈1/400 of the bounding-box diagonal, clamped to
+	// box the result can occupy (≈1/400 of its diagonal, clamped to
 	// [0.2km, 25km]).
 	CellKm float64
 }
 
-// autoCell picks a raster resolution from the combined extent of operands.
-func autoCell(a, b *Region, requested float64) float64 {
-	if requested > 0 {
-		return requested
-	}
-	min, max, ok := unionBBox(a, b)
-	if !ok {
-		return 1
-	}
-	diag := max.Sub(min).Len()
-	return clamp(diag/400, 0.2, 25)
-}
-
 // Intersect returns a ∩ b.
 func Intersect(a, b *Region, opts *BoolOpts) *Region {
-	return boolOp(a, b, OpIntersect, opts)
+	return rasterBool(a, b, opts, func(x, y bool) bool { return x && y })
 }
 
 // Union returns a ∪ b.
 func Union(a, b *Region, opts *BoolOpts) *Region {
-	return boolOp(a, b, OpUnion, opts)
+	return rasterBool(a, b, opts, func(x, y bool) bool { return x || y })
 }
 
 // Subtract returns a \ b.
 func Subtract(a, b *Region, opts *BoolOpts) *Region {
-	return boolOp(a, b, OpSubtract, opts)
-}
-
-func boolOp(a, b *Region, op BoolOp, opts *BoolOpts) *Region {
-	if opts == nil {
-		opts = &BoolOpts{}
-	}
-	aEmpty := a.IsEmpty()
-	bEmpty := b.IsEmpty()
-	switch op {
-	case OpIntersect:
-		if aEmpty || bEmpty {
-			return EmptyRegion()
-		}
-	case OpUnion:
-		if aEmpty && bEmpty {
-			return EmptyRegion()
-		}
-		if aEmpty {
-			return b.Clone()
-		}
-		if bEmpty {
-			return a.Clone()
-		}
-	case OpSubtract:
-		if aEmpty {
-			return EmptyRegion()
-		}
-		if bEmpty {
-			return a.Clone()
-		}
-	}
-	useClip := false
-	switch opts.Engine {
-	case EngineClip:
-		useClip = true
-	case EngineAuto:
-		useClip = len(a.Rings) == 1 && len(b.Rings) == 1
-	}
-	if useClip && len(a.Rings) == 1 && len(b.Rings) == 1 {
-		if reg, ok := clipRings(a.Rings[0], b.Rings[0], op); ok {
-			return reg
-		}
-	}
-	cell := autoCell(a, b, opts.CellKm)
-	switch op {
-	case OpIntersect:
-		return rasterBool(a, b, cell, func(x, y bool) bool { return x && y })
-	case OpUnion:
-		return rasterBool(a, b, cell, func(x, y bool) bool { return x || y })
-	default:
-		return rasterBool(a, b, cell, func(x, y bool) bool { return x && !y })
-	}
+	return rasterBool(a, b, opts, func(x, y bool) bool { return x && !y })
 }
 
 // UnionAll unions all regions (divide and conquer to keep intermediate
@@ -142,9 +61,7 @@ func Buffer(r *Region, d float64, cellKm float64) *Region {
 	if cellKm <= 0 {
 		diag := max.Sub(min).Len()
 		cellKm = clamp(diag/400, 0.2, 25)
-		if d != 0 {
-			cellKm = math.Min(cellKm, math.Abs(d)/3)
-		}
+		cellKm = math.Min(cellKm, math.Abs(d)/3)
 		cellKm = math.Max(cellKm, 0.05)
 	}
 	g := NewGrid(min, max, cellKm)

@@ -1,8 +1,9 @@
 // Package geo implements the geometric substrate of the Octant framework:
 // spherical primitives (great-circle distance, bearings, destination points),
 // an azimuthal equidistant projection used to bring the localization problem
-// into the plane, Bezier curves, polygonal regions with boolean operations
-// (two independent engines: Greiner–Hormann clipping and a raster engine),
+// into the plane, Bezier curves, polygonal regions, the weight grid the §2.4
+// solver runs on (every "where do these regions all hold" question is a solve
+// on it), pairwise raster booleans for the façade and the tests,
 // morphological buffering for secondary-landmark constraints, and GeoJSON
 // export.
 //

@@ -540,28 +540,42 @@ func (g *Grid) RasterizeRegionInto(r *Region, mask []bool) {
 	})
 }
 
-// rasterBool combines two regions with a boolean cell operation on a shared
-// grid and traces the result.
-func rasterBool(a, b *Region, cellKm float64, op func(x, y bool) bool) *Region {
-	min, max, ok := unionBBox(a, b)
-	if !ok {
-		// One or both empty.
-		if op(true, false) { // op keeps a-only cells: result is a (or b by symmetry)
-			if a != nil && !a.IsEmpty() {
-				return a.Clone()
-			}
+// rasterBool combines two regions cell by cell with op, on a grid over the
+// box the result can occupy — both boxes' overlap, widened to the whole box
+// of an operand op keeps where it stands alone — and traces the result.
+// Where the operands cannot meet (one is empty, or their boxes are disjoint)
+// the result is, exactly, each operand that op keeps alone.
+func rasterBool(a, b *Region, opts *BoolOpts, op func(x, y bool) bool) *Region {
+	onlyA, onlyB := op(true, false), op(false, true)
+	amin, amax, _ := a.BoundingBox()
+	bmin, bmax, _ := b.BoundingBox()
+	lo := Vec2{max(amin.X, bmin.X), max(amin.Y, bmin.Y)}
+	hi := Vec2{min(amax.X, bmax.X), min(amax.Y, bmax.Y)}
+	if aEmpty, bEmpty := a.IsEmpty(), b.IsEmpty(); aEmpty || bEmpty || lo.X >= hi.X || lo.Y >= hi.Y {
+		out := EmptyRegion()
+		if onlyA && !aEmpty {
+			out.Rings = a.Clone().Rings
 		}
-		if op(false, true) {
-			if b != nil && !b.IsEmpty() {
-				return b.Clone()
-			}
+		if onlyB && !bEmpty {
+			out.Rings = append(out.Rings, b.Clone().Rings...)
 		}
-		return EmptyRegion()
+		return out
+	}
+	if onlyA {
+		lo, hi = amin, amax
+	}
+	if onlyB {
+		lo, hi = Vec2{min(lo.X, bmin.X), min(lo.Y, bmin.Y)}, Vec2{max(hi.X, bmax.X), max(hi.Y, bmax.Y)}
+	}
+	var cellKm float64
+	if opts != nil {
+		cellKm = opts.CellKm
+	}
+	if cellKm <= 0 {
+		cellKm = clamp(hi.Sub(lo).Len()/400, 0.2, 25)
 	}
 	pad := cellKm * 2
-	min = Vec2{min.X - pad, min.Y - pad}
-	max = Vec2{max.X + pad, max.Y + pad}
-	g := NewGrid(min, max, cellKm)
+	g := NewGrid(Vec2{lo.X - pad, lo.Y - pad}, Vec2{hi.X + pad, hi.Y + pad}, cellKm)
 	defer g.Release()
 	var bufs [3]*[]bool // a's mask, b's mask, the combination
 	for i := range bufs {
@@ -582,20 +596,4 @@ func rasterBool(a, b *Region, cellKm float64, op func(x, y bool) bool) *Region {
 		return EmptyRegion()
 	}
 	return g.traceBoundary(out)
-}
-
-// unionBBox returns the combined bounding box of two regions.
-func unionBBox(a, b *Region) (min, max Vec2, ok bool) {
-	amin, amax, aok := a.BoundingBox()
-	bmin, bmax, bok := b.BoundingBox()
-	switch {
-	case aok && bok:
-		return Vec2{math.Min(amin.X, bmin.X), math.Min(amin.Y, bmin.Y)},
-			Vec2{math.Max(amax.X, bmax.X), math.Max(amax.Y, bmax.Y)}, true
-	case aok:
-		return amin, amax, true
-	case bok:
-		return bmin, bmax, true
-	}
-	return Vec2{}, Vec2{}, false
 }

@@ -30,7 +30,7 @@ func TestGridWeightAccumulation(t *testing.T) {
 	}
 	// Weight-2 region is the lens.
 	lens := g.Threshold(2)
-	want := lensArea(12, 10)
+	want := lensArea(12, 12, 10)
 	if got := lens.Area(); math.Abs(got-want) > want*0.05 {
 		t.Errorf("lens area %v, want %v", got, want)
 	}

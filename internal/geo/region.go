@@ -12,8 +12,9 @@ import (
 // disconnected regions").
 //
 // Rings are stored as adaptively sampled polylines; a compact Bezier boundary
-// is available via BezierBoundary (and is how regions serialize). Boolean
-// operations run on the polyline form.
+// is available via BezierBoundary (and is how regions serialize). Regions
+// are combined on a raster: many at once by the solver's weight grid, two at
+// a time by Intersect, Union and Subtract.
 type Region struct {
 	Rings []Ring
 }
