@@ -168,9 +168,10 @@ func BenchmarkFig4LandmarkSweep(b *testing.B) {
 	}
 }
 
-// ablationBench localizes a fixed target under a config variant; the
-// b.Log line reports the accuracy effect of the ablated mechanism.
-func ablationBench(b *testing.B, cfg core.Config) {
+// ablationBench localizes a fixed target under a config variant and
+// per-request options; the b.Log line reports the accuracy effect of the
+// ablated mechanism.
+func ablationBench(b *testing.B, cfg core.Config, opts ...core.LocalizeOption) {
 	d := sharedDeployment(b)
 	const ti = 2 // rochester
 	target := d.Landmarks[ti]
@@ -188,7 +189,7 @@ func ablationBench(b *testing.B, cfg core.Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := loc.LocalizeContext(context.Background(), target.Addr)
+		res, err := loc.LocalizeContext(context.Background(), target.Addr, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +217,7 @@ func BenchmarkAblationNegative(b *testing.B) { ablationBench(b, core.Config{Disa
 
 // BenchmarkAblationPiecewise disables §2.3 router localization.
 func BenchmarkAblationPiecewise(b *testing.B) {
-	ablationBench(b, core.Config{DisablePiecewise: true})
+	ablationBench(b, core.Config{}, core.WithoutSource(core.SourceRouter))
 }
 
 // BenchmarkAblationWeights uses the brittle discrete (unweighted) solver
@@ -225,7 +226,7 @@ func BenchmarkAblationWeights(b *testing.B) { ablationBench(b, core.Config{Unwei
 
 // BenchmarkAblationGeoConstraints disables §2.5 WHOIS + ocean constraints.
 func BenchmarkAblationGeoConstraints(b *testing.B) {
-	ablationBench(b, core.Config{DisableWhois: true, DisableOceans: true})
+	ablationBench(b, core.Config{DisableWhois: true}, core.WithoutSource(core.SourceGeography))
 }
 
 // pacedProber adds a fixed delay to every Ping call, emulating the

@@ -6,12 +6,13 @@
 //
 //	octant -target planetlab2.cs.cornell.edu [-seed 1] [-probes 10]
 //	       [-geojson out.json] [-disable heights,negative,piecewise,whois,oceans]
-//	       [-timeout 30s] [-no-routers] [-no-geo] [-explain]
+//	       [-timeout 30s] [-explain]
 //
 // -timeout bounds the whole localization through the context-first v2
 // API (the measurement aborts at its next probe when the deadline
-// passes); -no-routers and -no-geo disable the corresponding evidence
-// sources per request; -explain prints the per-source provenance table.
+// passes); -disable piecewise and -disable oceans switch the router and
+// geography evidence sources off per request, the other three are model
+// switches; -explain prints the per-source provenance table.
 //
 // Several comma-separated targets take the same path — -target is
 // -targets of one — and report one line each instead of the detailed
@@ -49,18 +50,16 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("octant", flag.ContinueOnError)
 	var (
-		target    = fs.String("target", "planetlab2.cs.cornell.edu", "host name of the target (one of the simulated sites)")
-		targets   = fs.String("targets", "", "comma-separated target list; overrides -target")
-		parallel  = fs.Int("parallel", 4, "concurrent localizations for multi-target runs")
-		seed      = fs.Uint64("seed", 1, "world seed")
-		probes    = fs.Int("probes", 10, "ping probes per measurement")
-		geoOut    = fs.String("geojson", "", "write the estimated region as GeoJSON to this file (single target)")
-		disable   = fs.String("disable", "", "comma-separated mechanisms to disable: heights,negative,piecewise,whois,oceans")
-		timeout   = fs.Duration("timeout", 0, "overall localization deadline per target, enforced through the request context (0 = none)")
-		noRouters = fs.Bool("no-routers", false, "disable the §2.3 router evidence source for this run")
-		noGeo     = fs.Bool("no-geo", false, "disable the §2.5 ocean/land mask evidence source for this run")
-		explain   = fs.Bool("explain", false, "print the per-source evidence provenance table")
-		list      = fs.Bool("list", false, "list available target hosts and exit")
+		target   = fs.String("target", "planetlab2.cs.cornell.edu", "host name of the target (one of the simulated sites)")
+		targets  = fs.String("targets", "", "comma-separated target list; overrides -target")
+		parallel = fs.Int("parallel", 4, "concurrent localizations for multi-target runs")
+		seed     = fs.Uint64("seed", 1, "world seed")
+		probes   = fs.Int("probes", 10, "ping probes per measurement")
+		geoOut   = fs.String("geojson", "", "write the estimated region as GeoJSON to this file (single target)")
+		disable  = fs.String("disable", "", "comma-separated mechanisms to disable: heights,negative,piecewise,whois,oceans")
+		timeout  = fs.Duration("timeout", 0, "overall localization deadline per target, enforced through the request context (0 = none)")
+		explain  = fs.Bool("explain", false, "print the per-source evidence provenance table")
+		list     = fs.Bool("list", false, "list available target hosts and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -77,7 +76,11 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	// Model switches ride the Config; evidence-source switches and
+	// provenance ride the v2 per-request options; the timeout rides each
+	// target's context in the engine.
 	cfg := core.Config{Probes: *probes}
+	var opts []core.LocalizeOption
 	for _, d := range strings.Split(*disable, ",") {
 		switch strings.TrimSpace(d) {
 		case "":
@@ -86,25 +89,16 @@ func run(args []string, stdout io.Writer) error {
 		case "negative":
 			cfg.DisableNegative = true
 		case "piecewise":
-			cfg.DisablePiecewise = true
+			opts = append(opts, core.WithoutSource(core.SourceRouter))
 		case "whois":
 			cfg.DisableWhois = true
 		case "oceans":
-			cfg.DisableOceans = true
+			opts = append(opts, core.WithoutSource(core.SourceGeography))
 		default:
 			return fmt.Errorf("unknown mechanism %q (want heights|negative|piecewise|whois|oceans)", d)
 		}
 	}
 
-	// Per-request options: source toggles and provenance ride the v2
-	// options API; the timeout rides each target's context in the engine.
-	var opts []core.LocalizeOption
-	if *noRouters {
-		opts = append(opts, core.WithoutSource(core.SourceRouter))
-	}
-	if *noGeo {
-		opts = append(opts, core.WithoutSource(core.SourceGeography))
-	}
 	if *explain {
 		opts = append(opts, core.WithExplain())
 	}

@@ -5,21 +5,22 @@ import (
 
 	"octant/internal/core"
 	"octant/internal/geo"
+	"octant/internal/hints"
 	"octant/internal/probe"
-	"octant/internal/undns"
 )
 
 // GeoTrack (IP2Geo) traceroutes to the target, extracts geographic hints
 // from router DNS names, and localizes the target at the last router on
-// the path whose position is known.
+// the path whose position is known. It reads names through the same
+// engine Octant's router source does, so the two see the same routers.
 type GeoTrack struct {
 	Survey   *core.Survey
-	Resolver *undns.Resolver
+	Resolver *hints.Engine
 }
 
-// NewGeoTrack wraps a survey with the default undns resolver.
+// NewGeoTrack wraps a survey with the default name→city engine.
 func NewGeoTrack(s *core.Survey) *GeoTrack {
-	return &GeoTrack{Survey: s, Resolver: undns.NewResolver()}
+	return &GeoTrack{Survey: s, Resolver: hints.NewEngine()}
 }
 
 // GeoTrackResult is a GeoTrack outcome.
@@ -28,7 +29,7 @@ type GeoTrackResult struct {
 	Point  geo.Point
 	// RouterName is the DNS name of the last resolvable router.
 	RouterName string
-	// City is the undns city the estimate comes from.
+	// City is the city the last resolvable router name carries.
 	City string
 	// Hops is the traceroute length used.
 	Hops int

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
+	"sort"
 	"time"
 
 	"octant/internal/geo"
@@ -14,7 +14,6 @@ import (
 	"octant/internal/measure"
 	"octant/internal/probe"
 	"octant/internal/stats"
-	"octant/internal/undns"
 )
 
 // Built-in evidence source names, usable with WithoutSource and
@@ -67,10 +66,9 @@ type Request struct {
 	// context can be cancelled it is the context-bound prober, so
 	// sources need no ctx plumbing of their own for measurement calls.
 	Prober probe.Prober
-	// Resolver maps router DNS names to locations for the RouterSource.
-	Resolver *undns.Resolver
-	// Hints parses end-host reverse names for the RDNSSource. Nil means
-	// the source skips (a zero-value Localizer has no engine).
+	// Hints maps router names to cities for the RouterSource and parses
+	// the target's reverse name for the RDNSSource. Nil means both skip
+	// (a zero-value Localizer has no engine).
 	Hints *hints.Engine
 
 	// RTTs is the min-filtered RTT from each survey landmark, in
@@ -406,9 +404,20 @@ func (LatencySource) Constraints(ctx context.Context, req *Request) ([]Constrain
 }
 
 // RouterSource issues traceroutes from the lowest-latency landmarks and
-// converts undns-localized routers on the paths into extra positive
-// constraints (§2.3). It requires the LatencySource's RTT vector for
-// landmark ranking and height deflation.
+// converts the routers whose names resolve to a city (req.Hints) into
+// extra positive constraints (§2.3). It requires the LatencySource's RTT
+// vector for landmark ranking and height deflation. The residual latency
+// from a router at hop k to the target is the end-to-end RTT minus the
+// cumulative RTT at hop k — the piece of the path the landmark's
+// measurements cannot see. The target's solved height is removed from the
+// residual before the distance lookup: the last router before a campus is
+// often one metro away, and without the height deflation its constraint
+// would be hundreds of km too loose.
+//
+// The traceroutes fan out through the request's measurement scheduler —
+// slot-indexed placement restores rank order before any hop is processed,
+// so the per-city best-constraint map (and therefore the output) does not
+// depend on completion order.
 type RouterSource struct{}
 
 // Name implements EvidenceSource.
@@ -417,24 +426,111 @@ func (RouterSource) Name() string { return SourceRouter }
 // Constraints implements EvidenceSource.
 func (RouterSource) Constraints(ctx context.Context, req *Request) ([]Constraint, SourceReport, error) {
 	rep := SourceReport{Source: SourceRouter}
-	if req.Cfg.DisablePiecewise {
-		rep.Skipped = "disabled by config"
+	if req.Hints == nil {
+		rep.Skipped = "no hint engine"
 		return nil, rep, nil
 	}
 	if len(req.RTTs) == 0 {
 		rep.Skipped = "no latency measurements"
 		return nil, rep, nil
 	}
-	cs, failed, measureNs := routerConstraints(ctx, req, req.Opts.Explain)
-	rep.MeasureMs = float64(measureNs) / float64(time.Millisecond)
-	// A failed traceroute is a skip-with-reason, never a request abort:
-	// router evidence is supplementary, and the remaining landmarks'
-	// traces (plus the latency constraints) still bound the target.
-	rep.Failures = failed
-	if len(cs) == 0 && len(failed) > 0 && rep.Skipped == "" {
+	s := req.Survey
+	// Rank landmarks by latency to the target. NaN slots are landmarks
+	// whose measurement failed (degraded mode): they cannot be ranked —
+	// and must not be, since NaN comparisons would silently corrupt the
+	// sort below.
+	type lmDist struct {
+		idx int
+		rtt float64
+	}
+	order := make([]lmDist, 0, len(req.RTTs))
+	for i, r := range req.RTTs {
+		if math.IsNaN(r) {
+			continue
+		}
+		order = append(order, lmDist{i, r})
+	}
+	for i := 1; i < len(order); i++ { // insertion sort: n ≤ ~50
+		for j := i; j > 0 && order[j].rtt < order[j-1].rtt; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	type routerCons struct {
+		loc   geo.Point
+		maxKm float64
+		resid float64
+	}
+	best := make(map[string]routerCons) // per city code, keep the tightest
+	nTr := tracerouteLandmarks
+	if nTr > len(order) {
+		nTr = len(order)
+	}
+	// Measure first, process after: hop processing is pure computation
+	// over per-slot hop lists, so rank order is restored before any hop is
+	// read and completion order changes wall-clock only.
+	srcs := make([]string, nTr)
+	for k := 0; k < nTr; k++ {
+		srcs[k] = s.Landmarks[order[k].idx].Addr
+	}
+	hopLists := make([][]probe.Hop, nTr)
+	terrs := make([]error, nTr)
+	var mt0 time.Time
+	if req.Opts.Explain {
+		mt0 = time.Now()
+	}
+	req.sched.TracerouteInto(ctx, req.Prober, srcs, req.Target, hopLists, terrs)
+	if req.Opts.Explain {
+		rep.MeasureMs = float64(time.Since(mt0)) / float64(time.Millisecond)
+	}
+	for k := 0; k < nTr; k++ {
+		lm := s.Landmarks[order[k].idx]
+		hops, err := hopLists[k], terrs[k]
+		if err != nil {
+			// A failed traceroute is a skip-with-reason, never a request
+			// abort: router evidence is supplementary, and the remaining
+			// landmarks' traces (plus the latency constraints) still
+			// bound the target.
+			rep.Failures = append(rep.Failures, ProbeFailure{Landmark: lm.Name, Reason: "traceroute: " + err.Error()})
+			continue
+		}
+		if len(hops) == 0 {
+			continue
+		}
+		total := hops[len(hops)-1].RTTMs
+		deflate := math.Min(req.TargetHeightMs, maxRouterHeightDeflationMs)
+		for _, h := range hops[:len(hops)-1] {
+			city, ok := req.Hints.Resolve(h.Name)
+			if !ok {
+				continue
+			}
+			residual := total - h.RTTMs - deflate - 0.3 // 0.3ms: downstream queuing allowance
+			if residual < 0.2 {
+				residual = 0.2
+			}
+			maxKm := s.Global.MaxDistanceKm(residual) + routerCityRadiusKm
+			if prev, ok := best[city.Code]; !ok || maxKm < prev.maxKm {
+				best[city.Code] = routerCons{loc: city.Loc, maxKm: maxKm, resid: residual}
+			}
+		}
+	}
+	codes := make([]string, 0, len(best))
+	for code := range best {
+		codes = append(codes, code)
+	}
+	sort.Strings(codes) // deterministic constraint order
+	var cons []Constraint
+	for _, code := range codes {
+		rc := best[code]
+		w := LatencyWeight(rc.resid, weightHalfLifeMs) * routerWeightFactor
+		if req.Cfg.Unweighted {
+			w = 1
+		}
+		cons = append(cons, req.disk(Positive, req.PCtx.Center, geo.NewFrame(rc.loc), rc.maxKm, w, "router:"+code))
+	}
+	if len(cons) == 0 && len(rep.Failures) > 0 {
 		rep.Skipped = "all traceroutes failed"
 	}
-	return cs, rep, nil
+	return cons, rep, nil
 }
 
 // HintSource contributes exogenous positive priors: the §2.5 WHOIS
@@ -490,10 +586,6 @@ func (GeographySource) Name() string { return SourceGeography }
 // Constraints implements EvidenceSource.
 func (GeographySource) Constraints(ctx context.Context, req *Request) ([]Constraint, SourceReport, error) {
 	rep := SourceReport{Source: SourceGeography}
-	if req.Cfg.DisableOceans {
-		rep.Skipped = "disabled by config"
-		return nil, rep, nil
-	}
 	req.Land = req.PCtx.Land
 	return nil, rep, nil
 }

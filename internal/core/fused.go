@@ -133,15 +133,14 @@ func (l *Localizer) localizeBatch(ctx context.Context, targets []string, workers
 			prober = probe.WithContext(tctx, l.Prober)
 		}
 		req := &Request{
-			Target:   targets[i],
-			Cfg:      cfg,
-			Survey:   s,
-			PCtx:     pctx,
-			Prober:   prober,
-			Resolver: l.Resolver,
-			Hints:    l.Hints,
-			arena:    arena,
-			sched:    l.sched,
+			Target: targets[i],
+			Cfg:    cfg,
+			Survey: s,
+			PCtx:   pctx,
+			Prober: prober,
+			Hints:  l.Hints,
+			arena:  arena,
+			sched:  l.sched,
 		}
 		if o != nil {
 			req.Opts = *o

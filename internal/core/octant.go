@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"octant/internal/geo"
@@ -12,7 +11,6 @@ import (
 	"octant/internal/hints"
 	"octant/internal/measure"
 	"octant/internal/probe"
-	"octant/internal/undns"
 )
 
 // Config controls which of the paper's mechanisms a Localizer applies.
@@ -28,12 +26,8 @@ type Config struct {
 	// DisableNegative turns off negative constraints, reducing Octant to
 	// positive-information-only (the prior-work regime).
 	DisableNegative bool
-	// DisablePiecewise turns off §2.3 router localization.
-	DisablePiecewise bool
 	// DisableWhois turns off the §2.5 WHOIS positive constraint.
 	DisableWhois bool
-	// DisableOceans turns off the §2.5 geographic negative constraints.
-	DisableOceans bool
 	// Unweighted makes every constraint weight 1 and requires all
 	// positive constraints to hold — the brittle discrete system §2.4
 	// warns about (one bad constraint empties the estimate).
@@ -151,17 +145,17 @@ const (
 //
 // A Localizer is safe for concurrent use by multiple goroutines provided
 // its Prober is (both bundled probers are): Localize reads but never
-// writes the Localizer, the Survey, and the Resolver. Concurrent callers
+// writes the Localizer, the Survey, and the Hints engine. Concurrent callers
 // wanting bounded parallelism, caching, and cancellation should use the
 // batch engine rather than raw goroutines.
 type Localizer struct {
-	Prober   probe.Prober
-	Survey   *Survey
-	Cfg      Config
-	Resolver *undns.Resolver // router-name resolver; defaults to undns.NewResolver()
-	// Hints parses end-host reverse names for the RDNSSource; defaults
-	// to hints.NewEngine(). Nil (a zero-value Localizer) skips the
-	// source.
+	Prober probe.Prober
+	Survey *Survey
+	Cfg    Config
+	// Hints is the name→city engine: the RouterSource resolves router
+	// names through it (§2.3) and the RDNSSource parses the target's
+	// reverse name. Defaults to hints.NewEngine(); nil (a zero-value
+	// Localizer) skips both sources.
 	Hints *hints.Engine
 
 	// masks caches rasterized §2.5 land masks across the solver's coarse
@@ -187,13 +181,12 @@ type Localizer struct {
 func NewLocalizer(p probe.Prober, s *Survey, cfg Config) *Localizer {
 	cfg.fillDefaults()
 	l := &Localizer{
-		Prober:   p,
-		Survey:   s,
-		Cfg:      cfg,
-		Resolver: undns.NewResolver(),
-		Hints:    hints.NewEngine(),
-		masks:    NewLandMaskCache(),
-		sched:    measure.New(measure.Config{Workers: cfg.MeasureWorkers, CacheTTL: cfg.RTTCacheTTL}),
+		Prober: p,
+		Survey: s,
+		Cfg:    cfg,
+		Hints:  hints.NewEngine(),
+		masks:  NewLandMaskCache(),
+		sched:  measure.New(measure.Config{Workers: cfg.MeasureWorkers, CacheTTL: cfg.RTTCacheTTL}),
 	}
 	if s != nil && s.N() > 0 {
 		l.pctx = NewProjectionContext(s)
@@ -202,7 +195,7 @@ func NewLocalizer(p probe.Prober, s *Survey, cfg Config) *Localizer {
 }
 
 // NewLocalizerReusing builds a Localizer over s that inherits prev's
-// land-mask cache and router-name resolver instead of starting cold.
+// land-mask cache and name→city engine instead of starting cold.
 // Mask masters are keyed by projected geometry, so carrying the cache
 // across survey epochs is safe: an epoch with the same landmarks projects
 // identical land outlines and reuses the masters outright, while any
@@ -213,9 +206,6 @@ func NewLocalizerReusing(p probe.Prober, s *Survey, cfg Config, prev *Localizer)
 	if prev != nil {
 		if prev.masks != nil {
 			l.masks = prev.masks
-		}
-		if prev.Resolver != nil {
-			l.Resolver = prev.Resolver
 		}
 		if prev.Hints != nil {
 			l.Hints = prev.Hints
@@ -314,41 +304,27 @@ func (l *Localizer) localizeRequest(ctx context.Context, req *Request) (*Result,
 	}
 
 	// Evidence pipeline: each source contributes weighted constraints
-	// in a fixed order (latency, router, hint, geography, then any
-	// request-scoped extra sources).
+	// in a fixed order (latency, router, hint, the cross-validated priors,
+	// geography, then any request-scoped extra sources).
 	var constraints []Constraint
-	for _, src := range defaultSources {
-		if name := src.Name(); name != SourceLatency && req.Opts.sourceOff(name) {
+	for _, srcs := range [2][]EvidenceSource{defaultSources[:], req.Opts.ExtraSources} {
+		for _, src := range srcs {
 			// The LatencySource handles its own disable internally: it
 			// must still measure for downstream sources.
-			if explain {
-				prov.Sources = append(prov.Sources, SourceReport{Source: name, Skipped: "disabled by request"})
+			if src != (LatencySource{}) && req.Opts.sourceOff(src.Name()) {
+				if explain {
+					prov.Sources = append(prov.Sources, SourceReport{Source: src.Name(), Skipped: "disabled by request"})
+				}
+				continue
 			}
-			continue
-		}
-		cs, rep, err := runSource(ctx, src, req, explain)
-		if err != nil {
-			return nil, err
-		}
-		constraints = appendConstraints(constraints, cs)
-		if explain {
-			prov.Sources = append(prov.Sources, rep)
-		}
-	}
-	for _, src := range req.Opts.ExtraSources {
-		if req.Opts.sourceOff(src.Name()) {
-			if explain {
-				prov.Sources = append(prov.Sources, SourceReport{Source: src.Name(), Skipped: "disabled by request"})
+			cs, rep, err := runSource(ctx, src, req, explain)
+			if err != nil {
+				return nil, err
 			}
-			continue
-		}
-		cs, rep, err := runSource(ctx, src, req, explain)
-		if err != nil {
-			return nil, err
-		}
-		constraints = appendConstraints(constraints, cs)
-		if explain {
-			prov.Sources = append(prov.Sources, rep)
+			constraints = appendConstraints(constraints, cs)
+			if explain {
+				prov.Sources = append(prov.Sources, rep)
+			}
 		}
 	}
 	if n := len(req.Opts.Extra); n > 0 {
@@ -556,121 +532,4 @@ func (l *Localizer) applySecondary(res *Result, req *Request) error {
 		res.Point = res.Projection.Inverse(sol.Point)
 	}
 	return nil
-}
-
-// routerConstraints issues traceroutes from the lowest-latency landmarks
-// and converts undns-localized routers on the paths into extra constraints
-// (§2.3). The residual latency from a router at hop k to the target is the
-// end-to-end RTT minus the cumulative RTT at hop k — the piece of the path
-// the landmark's measurements cannot see. The target's solved height is
-// removed from the residual before the distance lookup: the last router
-// before a campus is often one metro away, and without the height
-// deflation its constraint would be hundreds of km too loose.
-//
-// It also returns the traceroutes that failed, as skip-with-reason
-// entries for the RouterSource's report; a failure never aborts the
-// request. The traceroutes themselves fan out through the request's
-// measurement scheduler — slot-indexed placement restores rank order
-// before any hop is processed, so the per-city best-constraint map (and
-// therefore the output) does not depend on completion order. measureNs,
-// filled only when timing is set, is the wall time spent in traceroute
-// measurement.
-func routerConstraints(ctx context.Context, req *Request, timing bool) (cons []Constraint, failed []ProbeFailure, measureNs int64) {
-	s := req.Survey
-	cfg := &req.Cfg
-	rtts := req.RTTs
-	cf := req.PCtx.Center
-	tHeight := req.TargetHeightMs
-	// Rank landmarks by latency to the target. NaN slots are landmarks
-	// whose measurement failed (degraded mode): they cannot be ranked —
-	// and must not be, since NaN comparisons would silently corrupt the
-	// sort below.
-	type lmDist struct {
-		idx int
-		rtt float64
-	}
-	order := make([]lmDist, 0, len(rtts))
-	for i, r := range rtts {
-		if math.IsNaN(r) {
-			continue
-		}
-		order = append(order, lmDist{i, r})
-	}
-	for i := 1; i < len(order); i++ { // insertion sort: n ≤ ~50
-		for j := i; j > 0 && order[j].rtt < order[j-1].rtt; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	resolver := req.Resolver
-	if resolver == nil {
-		resolver = undns.NewResolver()
-	}
-	type routerCons struct {
-		loc   undns.Location
-		maxKm float64
-		resid float64
-	}
-	best := make(map[string]routerCons) // per city code, keep the tightest
-	nTr := tracerouteLandmarks
-	if nTr > len(order) {
-		nTr = len(order)
-	}
-	// Measure first, process after: hop processing is pure computation
-	// over per-slot hop lists, so rank order is restored before any hop is
-	// read and completion order changes wall-clock only.
-	srcs := make([]string, nTr)
-	for k := 0; k < nTr; k++ {
-		srcs[k] = s.Landmarks[order[k].idx].Addr
-	}
-	hopLists := make([][]probe.Hop, nTr)
-	terrs := make([]error, nTr)
-	var mt0 time.Time
-	if timing {
-		mt0 = time.Now()
-	}
-	req.sched.TracerouteInto(ctx, req.Prober, srcs, req.Target, hopLists, terrs)
-	if timing {
-		measureNs = int64(time.Since(mt0))
-	}
-	for k := 0; k < nTr; k++ {
-		lm := s.Landmarks[order[k].idx]
-		hops, err := hopLists[k], terrs[k]
-		if err != nil {
-			failed = append(failed, ProbeFailure{Landmark: lm.Name, Reason: "traceroute: " + err.Error()})
-			continue
-		}
-		if len(hops) == 0 {
-			continue
-		}
-		total := hops[len(hops)-1].RTTMs
-		deflate := math.Min(tHeight, maxRouterHeightDeflationMs)
-		for _, h := range hops[:len(hops)-1] {
-			loc, ok := resolver.Resolve(h.Name)
-			if !ok {
-				continue
-			}
-			residual := total - h.RTTMs - deflate - 0.3 // 0.3ms: downstream queuing allowance
-			if residual < 0.2 {
-				residual = 0.2
-			}
-			maxKm := s.Global.MaxDistanceKm(residual) + routerCityRadiusKm
-			if prev, ok := best[loc.Code]; !ok || maxKm < prev.maxKm {
-				best[loc.Code] = routerCons{loc: loc, maxKm: maxKm, resid: residual}
-			}
-		}
-	}
-	codes := make([]string, 0, len(best))
-	for code := range best {
-		codes = append(codes, code)
-	}
-	sort.Strings(codes) // deterministic constraint order
-	for _, code := range codes {
-		rc := best[code]
-		w := LatencyWeight(rc.resid, weightHalfLifeMs) * routerWeightFactor
-		if cfg.Unweighted {
-			w = 1
-		}
-		cons = append(cons, req.disk(Positive, cf, geo.NewFrame(rc.loc.Loc), rc.maxKm, w, "router:"+code))
-	}
-	return cons, failed, measureNs
 }

@@ -170,16 +170,19 @@ func TestLocalizeAblationsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := map[string]Config{
-		"no-heights":   {DisableHeights: true},
-		"no-negative":  {DisableNegative: true},
-		"no-piecewise": {DisablePiecewise: true},
-		"no-whois":     {DisableWhois: true},
-		"no-oceans":    {DisableOceans: true},
+	cases := map[string]struct {
+		cfg  Config
+		opts []LocalizeOption
+	}{
+		"no-heights":   {cfg: Config{DisableHeights: true}},
+		"no-negative":  {cfg: Config{DisableNegative: true}},
+		"no-piecewise": {opts: []LocalizeOption{WithoutSource(SourceRouter)}},
+		"no-whois":     {cfg: Config{DisableWhois: true}},
+		"no-oceans":    {opts: []LocalizeOption{WithoutSource(SourceGeography)}},
 	}
-	for name, cfg := range cfgs {
-		loc := NewLocalizer(p, s, cfg)
-		res, err := loc.LocalizeContext(context.Background(), target.Name)
+	for name, tc := range cases {
+		loc := NewLocalizer(p, s, tc.cfg)
+		res, err := loc.LocalizeContext(context.Background(), target.Name, tc.opts...)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

@@ -97,21 +97,7 @@ func RebuildSurvey(prev *Survey, rtt [][]float64, dirty []bool, epoch uint64) (*
 	s.Calibs = make([]*calib.Calibration, n)
 	copy(s.Calibs, prev.Calibs)
 	for _, i := range st.Dirty {
-		samples := make([]calib.Sample, 0, n-1)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			r := s.RTT[i][j]
-			if s.UseHeights {
-				r = height.AdjustRTT(r, s.Heights[i], s.Heights[j])
-			}
-			samples = append(samples, calib.Sample{
-				LatencyMs:  r,
-				DistanceKm: s.Landmarks[i].Loc.DistanceKm(s.Landmarks[j].Loc),
-			})
-		}
-		c, err := prev.Calibs[i].Rebuild(samples)
+		c, err := prev.Calibs[i].Rebuild(s.samples(i))
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: recalibrating %s: %w", s.Landmarks[i].Name, err)
 		}

@@ -80,21 +80,36 @@ func ReadSnapshot(r io.Reader) (*Survey, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("core: survey snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
-	n := len(snap.Landmarks)
-	if n < 3 {
-		return nil, fmt.Errorf("core: survey snapshot has %d landmarks, need ≥ 3", n)
+	// A snapshot is outside input — a hand-edited file, a half-finished
+	// /v1/survey/install — so everything a probed survey holds by
+	// construction is checked here. The comparisons are written so that
+	// NaN fails them.
+	if err := CheckMesh(snap.Landmarks); err != nil {
+		return nil, fmt.Errorf("core: survey snapshot: %w", err)
 	}
+	n := len(snap.Landmarks)
 	if len(snap.RTT) != n || len(snap.Heights) != n || len(snap.CalibSamples) != n {
 		return nil, fmt.Errorf("core: survey snapshot dimensions disagree (%d landmarks, %d rtt rows, %d heights, %d calibrations)",
 			n, len(snap.RTT), len(snap.Heights), len(snap.CalibSamples))
+	}
+	if snap.Probes <= 0 {
+		return nil, fmt.Errorf("core: survey snapshot probes = %d is not a valid sample count", snap.Probes)
+	}
+	if !(snap.Kappa > 0) || math.IsInf(snap.Kappa, 1) {
+		return nil, fmt.Errorf("core: survey snapshot kappa = %v is not a valid inflation factor", snap.Kappa)
 	}
 	for i, row := range snap.RTT {
 		if len(row) != n {
 			return nil, fmt.Errorf("core: survey snapshot rtt row %d has %d cols, want %d", i, len(row), n)
 		}
+		if h := snap.Heights[i]; !(h >= 0) || math.IsInf(h, 1) {
+			return nil, fmt.Errorf("core: survey snapshot heights[%d] = %v is not a valid height", i, h)
+		}
+	}
+	for i, row := range snap.RTT { // every row is n wide: rtt[j][i] exists
 		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return nil, fmt.Errorf("core: survey snapshot rtt[%d][%d] = %v is not a valid RTT", i, j, v)
+			if !(v >= 0) || math.IsInf(v, 1) || v != snap.RTT[j][i] || (i == j && v != 0) {
+				return nil, fmt.Errorf("core: survey snapshot rtt[%d][%d] = %v is not a valid RTT (finite, ≥ 0, symmetric, 0 on the diagonal)", i, j, v)
 			}
 		}
 	}

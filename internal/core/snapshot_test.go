@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -144,4 +145,42 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated snapshot: want error")
 	}
+}
+
+// FuzzReadSnapshot feeds ReadSnapshot hostile bytes — what a half-written
+// install or a hand-edited file looks like. It must never panic, and
+// whatever it accepts must be a survey the rest of the tree can trust: it
+// describes its own mesh (SameMesh, so no NaN coordinate or duplicate
+// landmark slipped through) and re-serializes to a fixed point. The
+// committed corpus holds a valid three-landmark snapshot, the rejected
+// shapes the issue names, and every input that once broke a property.
+func FuzzReadSnapshot(f *testing.F) {
+	pinned, err := os.ReadFile("testdata/survey_v1.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pinned)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := s.SameMesh(s.Landmarks, s.Probes); err != nil {
+			t.Fatalf("accepted a survey that is not its own mesh: %v", err)
+		}
+		var first, second bytes.Buffer
+		if err := s.WriteSnapshot(&first); err != nil {
+			t.Fatalf("accepted a survey that does not serialize: %v", err)
+		}
+		again, err := ReadSnapshot(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("accepted a survey whose own snapshot is rejected: %v", err)
+		}
+		if err := again.WriteSnapshot(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("snapshot is not a fixed point:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -190,7 +190,7 @@ func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 		{"default", Config{}, nil},
 		{"min-area-500", Config{MinRegionAreaKm2: 500}, nil},
 		{"min-area-2e6", Config{MinRegionAreaKm2: 2e6}, nil},
-		{"no-oceans", Config{DisableOceans: true}, nil},
+		{"no-oceans", Config{}, []LocalizeOption{WithoutSource(SourceGeography)}},
 		{"unweighted", Config{Unweighted: true}, nil},
 		{"secondary", Config{}, []LocalizeOption{WithSecondary(blobs, 12)}},
 	}
@@ -201,7 +201,8 @@ func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 			cfg := tc.cfg
 			cfg.fillDefaults()
 			sopts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, Masks: loc.LandMasks()}
-			if !cfg.DisableOceans {
+			o := NewLocalizeOptions(tc.opts...)
+			if !o.sourceOff(SourceGeography) {
 				sopts.LandRegions = loc.projContext().Land
 			}
 			if cfg.Unweighted {
@@ -227,7 +228,7 @@ func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 				_, min, max, coarse := coarseGrid(res.Constraints, sopts)
 				checkPass(t, name+"/coarse", res.Constraints, min, max, coarse, sopts)
 			}
-			if general := loc.LandMasks().SolverStats().GeneralFills; (general > 0) != (tc.opts != nil) {
+			if general := loc.LandMasks().SolverStats().GeneralFills; (general > 0) != (o.Secondary != nil) {
 				t.Errorf("%s: %d constraints took the edge-table route", tc.name, general)
 			}
 		}

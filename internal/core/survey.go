@@ -99,109 +99,125 @@ func NewSurvey(p probe.Prober, landmarks []Landmark, opts SurveyOpts) (*Survey, 
 	}
 	s := &Survey{
 		Landmarks:  append([]Landmark(nil), landmarks...),
+		RTT:        make([][]float64, n),
 		UseHeights: opts.UseHeights,
 		Probes:     opts.Probes,
 	}
-	s.RTT = make([][]float64, n)
+	pairs := make([][2]int, 0, n*(n-1)/2)
 	for i := range s.RTT {
 		s.RTT[i] = make([]float64, n)
+		for j := i + 1; j < n; j++ {
+			pairs = append(pairs, [2]int{i, j})
+		}
 	}
-	if err := surveyPairs(p, landmarks, opts, s.RTT); err != nil {
+	// An ephemeral scheduler with no cache: a survey is the baseline other
+	// measurements are compared against, so every pair is probed fresh.
+	sched := measure.New(measure.Config{Workers: opts.Workers})
+	mins, err := MeasurePairs(context.Background(), sched, p, landmarks, pairs, opts.Probes)
+	if err != nil {
 		return nil, err
 	}
+	for k, pr := range pairs {
+		s.RTT[pr[0]][pr[1]], s.RTT[pr[1]][pr[0]] = mins[k], mins[k]
+	}
+	if err := s.fit(opts.CutoffPercentile); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
+// MeasurePairs measures the min-filtered RTT of each listed landmark pair
+// (indices into landmarks) once and returns them in pairs order — the one
+// landmark↔landmark sweep, run by NewSurvey over every pair and by a
+// lifecycle refresh over the pairs in its scope. The pings fan out through
+// sched, paced per source landmark; the first failing pair in pairs order
+// aborts the sweep (the scheduler dispatches slots in order and reports
+// the lowest errored one). ctx bounds dispatch only; bind it to p as well
+// (probe.WithContext) to abort pings already queued.
+func MeasurePairs(ctx context.Context, sched *measure.Scheduler, p probe.Prober, landmarks []Landmark, pairs [][2]int, probes int) ([]float64, error) {
+	mins := make([]float64, len(pairs))
+	_, err := sched.Run(ctx, len(pairs), func(slot int) error {
+		a, b := landmarks[pairs[slot][0]], landmarks[pairs[slot][1]]
+		return sched.Paced(ctx, a.Addr, func() error {
+			samples, err := p.Ping(a.Addr, b.Addr, probes)
+			if err != nil {
+				return fmt.Errorf("core: landmark ping %s→%s: %w", a.Name, b.Name, err)
+			}
+			// Each slot writes only its own element, so concurrent
+			// slots never contend.
+			mins[slot], err = probe.MinRTT(samples)
+			return err
+		})
+	})
+	return mins, err
+}
+
+// fit derives everything a survey computes from its RTT matrix — κ,
+// heights, one calibration per landmark and the pooled global one
+// (§2.1–2.2) — and is the only place that happens. RebuildSurvey
+// deliberately does not call it (it carries κ and the clean landmarks
+// forward) but draws its dirty rows from the same samples.
+func (s *Survey) fit(cutoff float64) error {
+	n := s.N()
 	// Heights from pairwise queuing-delay residuals (§2.2), after
 	// removing the typical route inflation κ so heights stay per-node.
 	locs := make([]geo.Point, n)
-	for i := range landmarks {
-		locs[i] = landmarks[i].Loc
+	for i := range s.Landmarks {
+		locs[i] = s.Landmarks[i].Loc
 	}
 	s.Kappa = height.EstimateInflation(s.RTT, locs, 0)
 	q := make([][]float64, n)
 	for i := range q {
 		q[i] = make([]float64, n)
 		for j := range q[i] {
-			if i == j {
-				continue
+			if i != j {
+				q[i][j] = height.QueuingDelayK(s.RTT[i][j], s.Kappa, locs[i], locs[j])
 			}
-			q[i][j] = height.QueuingDelayK(s.RTT[i][j], s.Kappa, landmarks[i].Loc, landmarks[j].Loc)
 		}
 	}
-	h, err := height.SolveLandmarks(q)
-	if err != nil {
-		return nil, err
+	var err error
+	if s.Heights, err = height.SolveLandmarks(q); err != nil {
+		return err
 	}
-	s.Heights = h
 
 	// Per-landmark calibration from (optionally height-adjusted)
 	// latencies against known inter-landmark distances (§2.1).
+	opts := calib.Options{CutoffPercentile: cutoff}
 	s.Calibs = make([]*calib.Calibration, n)
 	var pooled []calib.Sample
-	for i := 0; i < n; i++ {
-		samples := make([]calib.Sample, 0, n-1)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			rtt := s.RTT[i][j]
-			if opts.UseHeights {
-				rtt = height.AdjustRTT(rtt, h[i], h[j])
-			}
-			samples = append(samples, calib.Sample{
-				LatencyMs:  rtt,
-				DistanceKm: landmarks[i].Loc.DistanceKm(landmarks[j].Loc),
-			})
+	for i := range s.Calibs {
+		samples := s.samples(i)
+		if s.Calibs[i], err = calib.New(samples, opts); err != nil {
+			return fmt.Errorf("core: calibrating %s: %w", s.Landmarks[i].Name, err)
 		}
-		c, err := calib.New(samples, calib.Options{CutoffPercentile: opts.CutoffPercentile})
-		if err != nil {
-			return nil, fmt.Errorf("core: calibrating %s: %w", landmarks[i].Name, err)
-		}
-		s.Calibs[i] = c
 		pooled = append(pooled, samples...)
 	}
-	g, err := calib.New(pooled, calib.Options{CutoffPercentile: opts.CutoffPercentile})
-	if err != nil {
-		return nil, fmt.Errorf("core: global calibration: %w", err)
+	if s.Global, err = calib.New(pooled, opts); err != nil {
+		return fmt.Errorf("core: global calibration: %w", err)
 	}
-	s.Global = g
-	return s, nil
+	return nil
 }
 
-// surveyPairs measures every landmark pair once and fills the symmetric
-// RTT matrix. The O(k²) pings fan out through an ephemeral measurement
-// scheduler (no cache — a survey is the baseline other measurements are
-// compared against, so every pair is probed fresh). The first failing
-// pair in (i, j) iteration order aborts the build: the scheduler
-// dispatches slots in order and reports the lowest errored one.
-func surveyPairs(p probe.Prober, landmarks []Landmark, opts SurveyOpts, rtt [][]float64) error {
-	n := len(landmarks)
-	type pair struct{ i, j int }
-	pairs := make([]pair, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, pair{i, j})
+// samples returns landmark i's calibration samples: its RTT row
+// (height-adjusted when UseHeights) against the known distances to every
+// other landmark, in landmark order.
+func (s *Survey) samples(i int) []calib.Sample {
+	n := s.N()
+	out := make([]calib.Sample, 0, n-1)
+	for j := 0; j < n; j++ {
+		if i == j {
+			continue
 		}
-	}
-	sched := measure.New(measure.Config{Workers: opts.Workers})
-	_, err := sched.Run(context.Background(), len(pairs), func(slot int) error {
-		i, j := pairs[slot].i, pairs[slot].j
-		return sched.Paced(context.Background(), landmarks[i].Addr, func() error {
-			samples, err := p.Ping(landmarks[i].Addr, landmarks[j].Addr, opts.Probes)
-			if err != nil {
-				return fmt.Errorf("core: survey ping %s→%s: %w",
-					landmarks[i].Name, landmarks[j].Name, err)
-			}
-			min, err := probe.MinRTT(samples)
-			if err != nil {
-				return err
-			}
-			// Distinct pairs write distinct (i,j)/(j,i) cells, so concurrent
-			// slots never contend.
-			rtt[i][j], rtt[j][i] = min, min
-			return nil
+		rtt := s.RTT[i][j]
+		if s.UseHeights {
+			rtt = height.AdjustRTT(rtt, s.Heights[i], s.Heights[j])
+		}
+		out = append(out, calib.Sample{
+			LatencyMs:  rtt,
+			DistanceKm: s.Landmarks[i].Loc.DistanceKm(s.Landmarks[j].Loc),
 		})
-	})
-	return err
+	}
+	return out
 }
 
 // Subset returns a survey restricted to the landmark indices in idx,
@@ -226,56 +242,59 @@ func (s *Survey) Subset(idx []int) (*Survey, error) {
 			sub.RTT[a][b] = s.RTT[i][j]
 		}
 	}
-	locs := make([]geo.Point, n)
-	for a := range sub.Landmarks {
-		locs[a] = sub.Landmarks[a].Loc
-	}
-	sub.Kappa = height.EstimateInflation(sub.RTT, locs, 0)
-	q := make([][]float64, n)
-	for a := range q {
-		q[a] = make([]float64, n)
-		for b := range q[a] {
-			if a == b {
-				continue
-			}
-			q[a][b] = height.QueuingDelayK(sub.RTT[a][b], sub.Kappa, sub.Landmarks[a].Loc, sub.Landmarks[b].Loc)
-		}
-	}
-	h, err := height.SolveLandmarks(q)
-	if err != nil {
+	if err := sub.fit(s.calibCutoff()); err != nil {
 		return nil, err
 	}
-	sub.Heights = h
-	sub.Calibs = make([]*calib.Calibration, n)
-	var pooled []calib.Sample
-	for a := 0; a < n; a++ {
-		samples := make([]calib.Sample, 0, n-1)
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			rtt := sub.RTT[a][b]
-			if sub.UseHeights {
-				rtt = height.AdjustRTT(rtt, h[a], h[b])
-			}
-			samples = append(samples, calib.Sample{
-				LatencyMs:  rtt,
-				DistanceKm: sub.Landmarks[a].Loc.DistanceKm(sub.Landmarks[b].Loc),
-			})
-		}
-		c, err := calib.New(samples, calib.Options{CutoffPercentile: s.calibCutoff()})
-		if err != nil {
-			return nil, err
-		}
-		sub.Calibs[a] = c
-		pooled = append(pooled, samples...)
-	}
-	g, err := calib.New(pooled, calib.Options{CutoffPercentile: s.calibCutoff()})
-	if err != nil {
-		return nil, err
-	}
-	sub.Global = g
 	return sub, nil
+}
+
+// CheckMesh reports the first reason landmarks cannot be a survey's mesh:
+// fewer than three, an invalid position, or a name or address used twice
+// — names address landmarks in the admin API (scoped refresh) and
+// addresses identify probe endpoints, so ambiguity in either would
+// silently misdirect recalibration. Every landmark set that arrives from
+// outside the program (a landmark file, a snapshot) passes through it.
+func CheckMesh(landmarks []Landmark) error {
+	if len(landmarks) < 3 {
+		return fmt.Errorf("need ≥ 3 landmarks, have %d", len(landmarks))
+	}
+	names, addrs := make(map[string]int), make(map[string]int)
+	for i, lm := range landmarks {
+		if !lm.Loc.Valid() {
+			return fmt.Errorf("landmark %d (%s) at %v is not a valid position", i, lm.Name, lm.Loc)
+		}
+		if j, dup := names[lm.Name]; dup {
+			return fmt.Errorf("landmarks %d and %d share the name %q", j, i, lm.Name)
+		}
+		if j, dup := addrs[lm.Addr]; dup {
+			return fmt.Errorf("landmarks %d and %d share the address %q", j, i, lm.Addr)
+		}
+		names[lm.Name], addrs[lm.Addr] = i, i
+	}
+	return nil
+}
+
+// SameMesh reports whether s was measured over exactly the given mesh —
+// same landmark count, order, names, addresses and positions — at the
+// given ping-sample count per pair; the error names the first mismatch.
+// Every survey from outside (a snapshot file, a coordinator's push) is
+// asked this before it stands in for the configured or serving one:
+// calibrations hold only for the mesh they were fitted on, and min-of-n
+// RTTs compare only at the same n.
+func (s *Survey) SameMesh(landmarks []Landmark, probes int) error {
+	if len(s.Landmarks) != len(landmarks) {
+		return fmt.Errorf("survey has %d landmarks, want %d", len(s.Landmarks), len(landmarks))
+	}
+	for i, lm := range landmarks {
+		if got := s.Landmarks[i]; got != lm {
+			return fmt.Errorf("landmark %d is %s (%s) at %s, want %s (%s) at %s",
+				i, got.Name, got.Addr, got.Loc, lm.Name, lm.Addr, lm.Loc)
+		}
+	}
+	if s.Probes != probes {
+		return fmt.Errorf("survey was measured with %d probes per pair, want %d", s.Probes, probes)
+	}
+	return nil
 }
 
 // calibCutoff recovers the cutoff percentile used at construction (all

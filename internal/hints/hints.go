@@ -1,8 +1,18 @@
-// Package hints mines geographic hints from end-host reverse-DNS names,
-// the HLOC-style complement to undns's router-name rules: ISPs embed city
-// tokens — IATA airport codes ("pool-17.chi.edge.isp.net") and CLLI place
-// prefixes ("dsl-42.chcgil01.access.telco.net") — in the operator names
-// they assign to subscriber and access gear.
+// Package hints maps DNS names to cities by the tokens operators embed in
+// them. It is the tree's one name→city engine, replacing the closed-source
+// undns tool the paper uses for router names (§2.3) and serving HLOC-style
+// end-host hints from the same walk and the same gazetteer:
+//
+//	sl-bb21-chi-14-0.sprintlink.net       → Chicago  (router, IATA token)
+//	pool-17.chi.edge.isp.net              → Chicago  (subscriber pool)
+//	dsl-42.chcgil01.access.telco.net      → Chicago  (CLLI place prefix)
+//	core1.chicago.backbone.example.net    → Chicago  (spelled-out name)
+//
+// Names are tokenized on [.-], the TLD and registrable domain are dropped
+// (operator site codes sit in the host-specific labels), and labels are
+// read from the one nearest the operator domain inward. Resolve returns
+// the first token that names a city — the router question — and Parse
+// every distinct one — the end-host question.
 //
 // A hint is never trusted on its own. The core pipeline cross-validates
 // each hint disk against the speed-of-light bound implied by measured
@@ -55,31 +65,22 @@ type Hint struct {
 	Loc geo.Point
 }
 
-// entry is one gazetteer city.
-type entry struct {
-	code string
-	city string
-	loc  geo.Point
-}
-
-// Engine parses reverse names against IATA, CLLI, and city-name tables.
-// Parse is a pure lookup, so an Engine is safe for concurrent use once
-// populated; call AddCity only before sharing it across goroutines.
+// Engine parses names against IATA, CLLI, and city-name tables. Resolve
+// and Parse are pure lookups, so an Engine is safe for concurrent use
+// once populated; call AddCity only before sharing it across goroutines.
 type Engine struct {
-	byIATA map[string]entry
-	byCLLI map[string]entry
+	byIATA map[string]Hint
+	byCLLI map[string]Hint
 	byName map[string]string // city-name alias (≥ 4 chars) → IATA code
-	skip   map[string]bool
 }
 
 // NewEngine builds an engine over the simulator's POP city table: every
 // city's IATA code, CLLI prefix (netsim.CLLIByCode), and full-name alias.
 func NewEngine() *Engine {
 	e := &Engine{
-		byIATA: make(map[string]entry),
-		byCLLI: make(map[string]entry),
+		byIATA: make(map[string]Hint),
+		byCLLI: make(map[string]Hint),
 		byName: make(map[string]string),
-		skip:   operatorSuffixes(),
 	}
 	for _, c := range netsim.POPCities {
 		e.AddCity(c.Code, netsim.CLLIByCode[c.Code], c.Name, c.Loc())
@@ -89,52 +90,86 @@ func NewEngine() *Engine {
 
 // AddCity registers a city under its IATA code, optional CLLI prefix, and
 // full-name alias (lowercase, spaces stripped, ≥ 4 chars).
+//
+// Collisions resolve order-independently: when two cities register the
+// same code, CLLI prefix or alias, the winner is picked by comparing the
+// entries (less), never by insertion order, so an Engine populated from
+// an unordered source (a map of custom rules) always builds the same
+// tables.
 func (e *Engine) AddCity(code, clli, name string, loc geo.Point) {
-	ent := entry{code: strings.ToLower(code), city: name, loc: loc}
-	e.byIATA[ent.code] = ent
-	if clli != "" {
-		e.byCLLI[strings.ToLower(clli)] = ent
+	h := Hint{Code: strings.ToLower(code), City: name, Kind: KindIATA, Loc: loc}
+	if prev, ok := e.byIATA[h.Code]; !ok || less(h, prev) {
+		e.byIATA[h.Code] = h
 	}
-	alias := strings.ToLower(strings.ReplaceAll(name, " ", ""))
-	if len(alias) >= 4 {
-		e.byName[alias] = ent.code
+	if clli = strings.ToLower(clli); clli != "" {
+		h.Kind = KindCLLI
+		if prev, ok := e.byCLLI[clli]; !ok || less(h, prev) {
+			e.byCLLI[clli] = h
+		}
+	}
+	if alias := strings.ToLower(strings.ReplaceAll(name, " ", "")); len(alias) >= 4 {
+		if prev, ok := e.byName[alias]; !ok || h.Code < prev {
+			e.byName[alias] = h.Code
+		}
 	}
 }
 
-// operatorSuffixes are label fragments that never carry geography: the
-// undns set plus the access-network vocabulary of subscriber pool names.
-func operatorSuffixes() map[string]bool {
-	return map[string]bool{
-		"net": true, "com": true, "org": true, "edu": true, "gov": true,
-		"ip": true, "bb": true, "core": true, "gw": true, "rtr": true,
-		"router": true, "gin": true, "alter": true, "ntt": true,
-		"simnet": true, "sprintlink": true, "level3": true, "cogentco": true,
-		"edge": true, "access": true, "pool": true, "dsl": true,
-		"cable": true, "static": true, "dyn": true, "dynamic": true,
-		"res": true, "hsd": true, "host": true, "cust": true, "dhcp": true,
-	}
+// less orders colliding cities by name, then code.
+func less(a, b Hint) bool { return a.City < b.City || a.City == b.City && a.Code < b.Code }
+
+// operatorSuffixes are label fragments that never carry geography:
+// backbone operator vocabulary plus that of subscriber pool names.
+var operatorSuffixes = map[string]bool{
+	"net": true, "com": true, "org": true, "edu": true, "gov": true,
+	"ip": true, "bb": true, "core": true, "gw": true, "rtr": true,
+	"router": true, "gin": true, "alter": true, "ntt": true,
+	"simnet": true, "sprintlink": true, "level3": true, "cogentco": true,
+	"edge": true, "access": true, "pool": true, "dsl": true,
+	"cable": true, "static": true, "dyn": true, "dynamic": true,
+	"res": true, "hsd": true, "host": true, "cust": true, "dhcp": true,
+}
+
+// Resolve returns the most site-specific city token in name (rightmost
+// label, leftmost token) — where a router with that name stands. ok is
+// false when no token matches. It does not allocate.
+func (e *Engine) Resolve(name string) (h Hint, ok bool) {
+	e.scan(name, func(m Hint) bool {
+		h, ok = m, true
+		return false
+	})
+	return h, ok
 }
 
 // Parse extracts every geographic hint from a reverse-DNS name,
-// deduplicated by city code, most site-specific (rightmost label,
-// leftmost token) first. It returns nil — without allocating — when the
-// name carries no recognizable token, which is the common case.
-func (e *Engine) Parse(name string) []Hint {
+// deduplicated by city code, most site-specific first. It returns nil —
+// without allocating — when the name carries no recognizable token, which
+// is the common case.
+func (e *Engine) Parse(name string) (out []Hint) {
+	e.scan(name, func(h Hint) bool {
+		for _, seen := range out {
+			if seen.Code == h.Code {
+				return true
+			}
+		}
+		out = append(out, h)
+		return true
+	})
+	return out
+}
+
+// scan walks name's host-specific labels from the rightmost (closest to
+// the operator domain, where site codes conventionally sit) inward and
+// each label's tokens left to right, calling yield with every token that
+// names a city until yield returns false. Label and token boundaries are
+// sliced by hand, so the walk itself costs no allocations.
+func (e *Engine) scan(name string, yield func(Hint) bool) {
 	name = strings.ToLower(strings.TrimSuffix(name, "."))
-	if name == "" {
-		return nil
-	}
 	// Drop the TLD and registrable domain: geography never lives there.
 	if last := strings.LastIndexByte(name, '.'); last >= 0 {
 		if prev := strings.LastIndexByte(name[:last], '.'); prev >= 0 {
 			name = name[:prev]
 		}
 	}
-	var out []Hint
-	// Scan host-specific labels from the rightmost (closest to the
-	// operator domain, where site codes conventionally sit) inward,
-	// slicing label and token boundaries by hand so a hintless name
-	// costs no allocations.
 	for len(name) > 0 {
 		label := name
 		if i := strings.LastIndexByte(name, '.'); i >= 0 {
@@ -152,43 +187,27 @@ func (e *Engine) Parse(name string) []Hint {
 				label = ""
 			}
 			tok = strings.TrimFunc(tok, func(r rune) bool { return r >= '0' && r <= '9' })
-			if tok == "" || e.skip[tok] {
+			if tok == "" || operatorSuffixes[tok] {
 				continue
 			}
-			if h, ok := e.match(tok); ok && !containsCode(out, h.Code) {
-				out = append(out, h)
+			if h, ok := e.match(tok); ok && !yield(h) {
+				return
 			}
 		}
 	}
-	return out
 }
 
 // match resolves one cleaned token against the three tables.
-func (e *Engine) match(tok string) (Hint, bool) {
-	switch {
-	case len(tok) == 3:
-		if ent, ok := e.byIATA[tok]; ok {
-			return Hint{Code: ent.code, City: ent.city, Kind: KindIATA, Loc: ent.loc}, true
-		}
-	case len(tok) == 6:
-		if ent, ok := e.byCLLI[tok]; ok {
-			return Hint{Code: ent.code, City: ent.city, Kind: KindCLLI, Loc: ent.loc}, true
-		}
+func (e *Engine) match(tok string) (h Hint, ok bool) {
+	switch len(tok) {
+	case 3:
+		h, ok = e.byIATA[tok]
+	case 6:
+		h, ok = e.byCLLI[tok]
 	}
-	if len(tok) >= 4 {
-		if code, ok := e.byName[tok]; ok {
-			ent := e.byIATA[code]
-			return Hint{Code: ent.code, City: ent.city, Kind: KindName, Loc: ent.loc}, true
-		}
+	if code, found := e.byName[tok]; !ok && found {
+		h, ok = e.byIATA[code], true
+		h.Kind = KindName
 	}
-	return Hint{}, false
-}
-
-func containsCode(hs []Hint, code string) bool {
-	for _, h := range hs {
-		if h.Code == code {
-			return true
-		}
-	}
-	return false
+	return h, ok
 }

@@ -1,6 +1,7 @@
-package undns
+package hints
 
 import (
+	"strings"
 	"testing"
 
 	"octant/internal/geo"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestResolveSimulatorNames(t *testing.T) {
-	r := NewResolver()
+	r := NewEngine()
 	cases := map[string]string{
 		"so-0-1-0.bb1.chi.simnet.net":           "Chicago",
 		"so-0-2-0.bb2.nyc.simnet.net":           "New York",
@@ -28,7 +29,7 @@ func TestResolveSimulatorNames(t *testing.T) {
 }
 
 func TestResolveRealWorldShapes(t *testing.T) {
-	r := NewResolver()
+	r := NewEngine()
 	cases := map[string]string{
 		"sl-bb21-chi-14-0.sprintlink.net":    "Chicago",
 		"ae-2.r20.nyc5.alter.net":            "New York",
@@ -48,7 +49,7 @@ func TestResolveRealWorldShapes(t *testing.T) {
 }
 
 func TestResolveFullCityNames(t *testing.T) {
-	r := NewResolver()
+	r := NewEngine()
 	loc, ok := r.Resolve("core1.chicago.backbone.example.net")
 	if !ok || loc.City != "Chicago" {
 		t.Errorf("full-name resolve = %v %v", loc, ok)
@@ -56,7 +57,7 @@ func TestResolveFullCityNames(t *testing.T) {
 }
 
 func TestResolveNegative(t *testing.T) {
-	r := NewResolver()
+	r := NewEngine()
 	for _, name := range []string{
 		"",
 		"planetlab1.cs.cornell.edu", // host, no POP token
@@ -70,7 +71,7 @@ func TestResolveNegative(t *testing.T) {
 }
 
 func TestResolveDoesNotMatchDomainTokens(t *testing.T) {
-	r := NewResolver()
+	r := NewEngine()
 	// "lon" appears in the registrable domain here; must not match.
 	if loc, ok := r.Resolve("router1.lon-net.com"); ok {
 		t.Errorf("domain token matched: %v", loc)
@@ -78,8 +79,8 @@ func TestResolveDoesNotMatchDomainTokens(t *testing.T) {
 }
 
 func TestAddCustomCity(t *testing.T) {
-	r := NewResolver()
-	r.Add("ith", "Ithaca", "US", geo.Pt(42.4440, -76.5019))
+	r := NewEngine()
+	r.AddCity("ith", "", "Ithaca", geo.Pt(42.4440, -76.5019))
 	loc, ok := r.Resolve("ge-0-0-0.car2.ith.simnet.net")
 	if !ok || loc.City != "Ithaca" {
 		t.Errorf("custom city resolve = %v %v", loc, ok)
@@ -91,20 +92,20 @@ func TestAddCustomCity(t *testing.T) {
 }
 
 // Colliding registrations must resolve the same way regardless of
-// insertion order: the winner is picked by comparing the entries (city,
-// then country), never by which Add happened first. Regression test for
+// insertion order: the winner is picked by comparing the entries (city
+// first), never by which AddCity happened first. Regression test for
 // the map-iteration nondeterminism a caller populating from a Go map
 // would otherwise inherit.
 func TestAddCollisionOrderIndependent(t *testing.T) {
-	a := Location{City: "Aachen", Code: "aaa", Country: "DE", Loc: geo.Pt(50.78, 6.08)}
-	b := Location{City: "Zagreb", Code: "aaa", Country: "HR", Loc: geo.Pt(45.81, 15.98)}
+	a := Hint{City: "Aachen", Code: "aaa", Loc: geo.Pt(50.78, 6.08)}
+	b := Hint{City: "Zagreb", Code: "aaa", Loc: geo.Pt(45.81, 15.98)}
 
-	r1 := NewResolver()
-	r1.Add(a.Code, a.City, a.Country, a.Loc)
-	r1.Add(b.Code, b.City, b.Country, b.Loc)
-	r2 := NewResolver()
-	r2.Add(b.Code, b.City, b.Country, b.Loc)
-	r2.Add(a.Code, a.City, a.Country, a.Loc)
+	r1 := NewEngine()
+	r1.AddCity(a.Code, "", a.City, a.Loc)
+	r1.AddCity(b.Code, "", b.City, b.Loc)
+	r2 := NewEngine()
+	r2.AddCity(b.Code, "", b.City, b.Loc)
+	r2.AddCity(a.Code, "", a.City, a.Loc)
 
 	for _, name := range []string{
 		"so-0-1-0.bb1.aaa.simnet.net", // code token
@@ -124,7 +125,7 @@ func TestAddCollisionOrderIndependent(t *testing.T) {
 }
 
 func TestAllPOPCodesResolve(t *testing.T) {
-	r := NewResolver()
+	r := NewEngine()
 	for _, c := range netsim.POPCities {
 		name := "so-1-1-1.bb3." + c.Code + ".simnet.net"
 		loc, ok := r.Resolve(name)
@@ -134,6 +135,73 @@ func TestAllPOPCodesResolve(t *testing.T) {
 		}
 		if loc.Loc.DistanceKm(c.Loc()) > 1 {
 			t.Errorf("POP %q resolved to wrong location", c.Code)
+		}
+	}
+}
+
+// The simulator knows where every router stands and which city token, if
+// any, it wrote into the name; the engine must agree with both. This is
+// the ground truth the old router-only resolver was compared against
+// before it was deleted.
+func TestResolveMatchesRouterGroundTruth(t *testing.T) {
+	e := NewEngine()
+	routers, resolved := 0, 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		w := netsim.NewWorld(netsim.Config{Seed: seed, HostRDNSHintFrac: 1})
+		for _, n := range w.Nodes {
+			if n.Kind == netsim.KindHost {
+				if n.RDNS == "" {
+					continue
+				}
+				// A truthful pool name carries the nearest POP's IATA
+				// code or CLLI prefix, and says which by its first label.
+				want, wantKind := "", KindIATA
+				best := -1.0
+				for _, c := range netsim.POPCities {
+					if d := n.Loc.DistanceKm(c.Loc()); best < 0 || d < best {
+						best, want = d, c.Code
+					}
+				}
+				if strings.HasPrefix(n.RDNS, "dsl-") {
+					wantKind = KindCLLI
+				}
+				hs := e.Parse(n.RDNS)
+				if len(hs) == 0 || hs[0].Code != want || hs[0].Kind != wantKind {
+					t.Errorf("seed %d: Parse(%q) = %v, want %s/%s first", seed, n.RDNS, hs, want, wantKind)
+				}
+				continue
+			}
+			routers++
+			h, ok := e.Resolve(n.Name)
+			if !ok {
+				continue // opaque name: no city token to find
+			}
+			resolved++
+			if h.Code != n.Code {
+				t.Errorf("seed %d: Resolve(%q) = %s, router stands at %s", seed, n.Name, h.Code, n.Code)
+			}
+		}
+	}
+	if resolved*2 < routers {
+		t.Errorf("only %d of %d router names resolved", resolved, routers)
+	}
+}
+
+// The router stage resolves every hop of every traceroute, so Resolve
+// must not allocate on any name shape the simulator emits, matching or
+// opaque.
+func TestResolveAllocFree(t *testing.T) {
+	e := NewEngine()
+	for _, name := range []string{
+		"so-0-1-0.bb1.chi.simnet.net",           // backbone
+		"p64-3-0-0.r23.simnet.net",              // opaque backbone
+		"ge-2-3.car1.cornell-gw.alb.simnet.net", // access
+		"ge-2-3.car1.cornell-gw.simnet.net",     // opaque access
+		"pool-17.chi.edge.simnet.net",           // IATA pool name
+		"dsl-17.chcgil01.access.simnet.net",     // CLLI pool name
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { e.Resolve(name) }); allocs != 0 {
+			t.Errorf("Resolve(%q) allocates %.1f/op, want 0", name, allocs)
 		}
 	}
 }

@@ -246,79 +246,48 @@ func (m *Manager) Refresh(ctx context.Context, scope []int) (*RefreshReport, err
 	n := s.N()
 
 	inScope := make([]bool, n)
-	if scope == nil {
-		for i := range inScope {
-			inScope[i] = true
+	for _, i := range scope {
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("lifecycle: refresh scope index %d out of range [0, %d)", i, n)
 		}
-	} else {
-		for _, i := range scope {
-			if i < 0 || i >= n {
-				return nil, fmt.Errorf("lifecycle: refresh scope index %d out of range [0, %d)", i, n)
-			}
-			inScope[i] = true
-		}
+		inScope[i] = true
 	}
 
-	p := probe.WithContext(ctx, m.prober)
+	// Remeasure the in-scope pairs through the manager's scheduler
+	// (core.MeasurePairs, the sweep NewSurvey runs); the drift comparison
+	// below runs single-threaded, so dirty marking is deterministic.
+	var pairs [][2]int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if scope == nil || inScope[i] || inScope[j] {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	mins, err := core.MeasurePairs(ctx, m.sched, probe.WithContext(ctx, m.prober), s.Landmarks, pairs, m.opts.Probes)
+	if err != nil {
+		return nil, err
+	}
 	tol := math.Max(0, m.opts.DriftToleranceMs)
 	newRTT := make([][]float64, n)
 	for i := range newRTT {
 		newRTT[i] = append([]float64(nil), s.RTT[i]...)
 	}
-
-	// Collect the in-scope pairs, then remeasure them through the
-	// manager's scheduler. Fresh min-RTTs land in a flat per-pair slice;
-	// the drift comparison below runs single-threaded, so dirty marking
-	// is deterministic and race-free.
-	type pair struct{ i, j int }
-	var pairs []pair
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !inScope[i] && !inScope[j] {
-				continue
-			}
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	mins := make([]float64, len(pairs))
-	if _, err := m.sched.Run(ctx, len(pairs), func(slot int) error {
-		pr := pairs[slot]
-		return m.sched.Paced(ctx, s.Landmarks[pr.i].Addr, func() error {
-			samples, err := p.Ping(s.Landmarks[pr.i].Addr, s.Landmarks[pr.j].Addr, m.opts.Probes)
-			if err != nil {
-				return fmt.Errorf("lifecycle: refresh ping %s→%s: %w",
-					s.Landmarks[pr.i].Name, s.Landmarks[pr.j].Name, err)
-			}
-			min, err := probe.MinRTT(samples)
-			if err != nil {
-				return err
-			}
-			mins[slot] = min
-			return nil
-		})
-	}); err != nil {
-		return nil, err
-	}
 	dirty := make([]bool, n)
-	probed := len(pairs)
-	for slot, pr := range pairs {
-		if math.Abs(mins[slot]-s.RTT[pr.i][pr.j]) > tol {
-			newRTT[pr.i][pr.j], newRTT[pr.j][pr.i] = mins[slot], mins[slot]
-			dirty[pr.i], dirty[pr.j] = true, true
+	anyDirty := false
+	for k, pr := range pairs {
+		i, j := pr[0], pr[1]
+		if math.Abs(mins[k]-s.RTT[i][j]) > tol {
+			newRTT[i][j], newRTT[j][i] = mins[k], mins[k]
+			dirty[i], dirty[j], anyDirty = true, true, true
 		}
 	}
 	m.refreshes.Add(1)
 
-	report := &RefreshReport{PrevEpoch: s.Epoch, Epoch: s.Epoch, ProbedPairs: probed}
-	elapse := func() { report.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond) }
-	defer func() { m.lastReport.Store(report) }()
-
-	anyDirty := false
-	for _, d := range dirty {
-		anyDirty = anyDirty || d
-	}
+	report := &RefreshReport{PrevEpoch: s.Epoch, Epoch: s.Epoch, ProbedPairs: len(pairs)}
 	if !anyDirty {
-		elapse()
+		report.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
+		m.lastReport.Store(report)
 		return report, nil
 	}
 
@@ -330,17 +299,25 @@ func (m *Manager) Refresh(ctx context.Context, scope []int) (*RefreshReport, err
 		report.DirtyLandmarks = append(report.DirtyLandmarks, s.Landmarks[i].Name)
 	}
 	report.RebuiltCalibs = rst.RebuiltCalibs
-	report.Epoch = next.Epoch
-	report.Swapped = true
+	m.publish(cur, next, report, start)
+	return report, nil
+}
 
+// publish makes next the current epoch: the one place an epoch is built,
+// persisted, swapped in, counted and announced, for a local refresh and a
+// coordinator's install alike. The new Localizer reuses the superseded
+// epoch's land-mask masters, name engine and scheduler — the landmarks
+// (hence the projection and outlines) are unchanged, so the new epoch
+// serves its first solve warm. report is completed here (Epoch, Swapped,
+// SnapshotError, ElapsedMs since start) before any observer sees it.
+// Callers hold m.mu.
+func (m *Manager) publish(cur *Epoch, next *core.Survey, report *RefreshReport, start time.Time) *Epoch {
 	e := &Epoch{
-		Survey: next,
-		// Reuse the superseded epoch's land-mask masters and resolver:
-		// the landmarks (hence the projection and outlines) are
-		// unchanged, so the new epoch serves its first solve warm.
+		Survey:    next,
 		Localizer: core.NewLocalizerReusing(m.prober, next, m.cfg, cur.Localizer),
 		Published: time.Now(),
 	}
+	report.Epoch, report.Swapped = next.Epoch, true
 	if m.opts.SnapshotPath != "" {
 		if err := next.SaveSnapshotFile(m.opts.SnapshotPath); err != nil {
 			report.SnapshotError = err.Error()
@@ -348,11 +325,12 @@ func (m *Manager) Refresh(ctx context.Context, scope []int) (*RefreshReport, err
 	}
 	m.cur.Store(e)
 	m.swaps.Add(1)
-	elapse() // before OnSwap, so observers see the real refresh duration
+	report.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
+	m.lastReport.Store(report)
 	if m.opts.OnSwap != nil {
 		m.opts.OnSwap(e, report)
 	}
-	return report, nil
+	return e
 }
 
 // Stage validates and parks a coordinator-pushed survey snapshot for a
@@ -366,17 +344,8 @@ func (m *Manager) Stage(survey *core.Survey) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := m.Current().Survey
-	if survey.N() != cur.N() {
-		return fmt.Errorf("lifecycle: staged survey has %d landmarks, serving survey has %d", survey.N(), cur.N())
-	}
-	for i := range cur.Landmarks {
-		if survey.Landmarks[i] != cur.Landmarks[i] {
-			return fmt.Errorf("lifecycle: staged landmark %d is %s (%s), serving survey says %s (%s)",
-				i, survey.Landmarks[i].Name, survey.Landmarks[i].Addr, cur.Landmarks[i].Name, cur.Landmarks[i].Addr)
-		}
-	}
-	if survey.Probes != cur.Probes {
-		return fmt.Errorf("lifecycle: staged survey was measured with %d probes/pair, serving survey with %d", survey.Probes, cur.Probes)
+	if err := survey.SameMesh(cur.Landmarks, cur.Probes); err != nil {
+		return fmt.Errorf("lifecycle: staged survey does not match the serving one: %w", err)
 	}
 	if survey.Epoch <= cur.Epoch {
 		return fmt.Errorf("lifecycle: staged epoch %d is not newer than serving epoch %d", survey.Epoch, cur.Epoch)
@@ -396,13 +365,13 @@ func (m *Manager) StagedEpoch() (uint64, bool) {
 // ActivateStaged publishes the staged snapshot as the current epoch with
 // the same RCU swap a local refresh uses: in-flight requests finish on
 // the epoch they borrowed, new requests pick up the staged one, and
-// epoch-qualified caches invalidate lazily. The new epoch reuses the
-// superseded Localizer's land-mask masters and resolver (the mesh is
-// unchanged — Stage verified it), so it serves its first solve warm.
-// Fails if nothing is staged or a newer epoch was published meanwhile.
+// epoch-qualified caches invalidate lazily (see publish; the mesh is
+// unchanged — Stage verified it). Fails if nothing is staged or a newer
+// epoch was published meanwhile.
 func (m *Manager) ActivateStaged() (*Epoch, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	start := time.Now()
 	staged := m.staged.Load()
 	if staged == nil {
 		return nil, fmt.Errorf("lifecycle: no staged epoch to activate")
@@ -412,26 +381,10 @@ func (m *Manager) ActivateStaged() (*Epoch, error) {
 		m.staged.Store(nil)
 		return nil, fmt.Errorf("lifecycle: staged epoch %d superseded by serving epoch %d", staged.Epoch, cur.Survey.Epoch)
 	}
-	e := &Epoch{
-		Survey:    staged,
-		Localizer: core.NewLocalizerReusing(m.prober, staged, m.cfg, cur.Localizer),
-		Published: time.Now(),
-	}
-	report := &RefreshReport{PrevEpoch: cur.Survey.Epoch, Epoch: staged.Epoch, Swapped: true, Installed: true}
-	if m.opts.SnapshotPath != "" {
-		if err := staged.SaveSnapshotFile(m.opts.SnapshotPath); err != nil {
-			report.SnapshotError = err.Error()
-		}
-	}
 	m.staged.Store(nil)
-	m.cur.Store(e)
-	m.swaps.Add(1)
 	m.installs.Add(1)
-	m.lastReport.Store(report)
-	if m.opts.OnSwap != nil {
-		m.opts.OnSwap(e, report)
-	}
-	return e, nil
+	report := &RefreshReport{PrevEpoch: cur.Survey.Epoch, Installed: true}
+	return m.publish(cur, staged, report, start), nil
 }
 
 // Run refreshes all pairs every Options.Interval until ctx is done. A
@@ -476,9 +429,7 @@ func (m *Manager) Stats() Stats {
 		Installs:    m.installs.Load(),
 		LastRefresh: m.lastReport.Load(),
 	}
-	if s := m.staged.Load(); s != nil {
-		st.StagedEpoch = s.Epoch
-	}
+	st.StagedEpoch, _ = m.StagedEpoch()
 	if s := m.lastErr.Load(); s != nil {
 		st.LastError = *s
 	}

@@ -66,30 +66,24 @@ func ServeUntilShutdown(ctx context.Context, httpSrv *http.Server, ln net.Listen
 // on every recalibrated epoch).
 func LoadOrProbeSurvey(prober probe.Prober, landmarks []core.Landmark, probes int, snapshot string) (*core.Survey, error) {
 	if snapshot != "" {
-		switch _, err := os.Stat(snapshot); {
-		case err == nil:
-			survey, err := core.LoadSnapshotFile(snapshot)
-			if err != nil {
-				return nil, fmt.Errorf("%s exists but is unusable (%w); move it aside to reprobe", snapshot, err)
-			}
+		survey, err := core.LoadSnapshotFile(snapshot)
+		if err == nil {
 			// A snapshot silently overriding the configured landmark set
 			// would make the -seed/-holdout/-landmarks flags dead and the
-			// calibrations wrong for the mesh the operator asked for.
-			if err := landmarksMatch(survey.Landmarks, landmarks); err != nil {
-				return nil, fmt.Errorf("%s does not match the configured landmark set (%w); move it aside to reprobe", snapshot, err)
-			}
-			// Min-of-n RTTs are only comparable at the same n: a probe
-			// count mismatch would bias every later drift comparison.
-			if survey.Probes != probes {
-				return nil, fmt.Errorf("%s was measured with -probes %d, configuration says %d; move it aside to reprobe", snapshot, survey.Probes, probes)
-			}
+			// calibrations wrong for the mesh the operator asked for; one
+			// at another -probes would bias every later drift comparison.
+			err = survey.SameMesh(landmarks, probes)
+		}
+		switch {
+		case err == nil:
 			log.Printf("warm start from %s: epoch %d, %d landmarks, no probing (κ=%.2f)",
 				snapshot, survey.Epoch, survey.N(), survey.Kappa)
 			return survey, nil
 		case !errors.Is(err, fs.ErrNotExist):
-			// Permission or I/O trouble is a misconfiguration to surface,
-			// not a license to reprobe on every restart.
-			return nil, fmt.Errorf("checking snapshot %s: %w", snapshot, err)
+			// A corrupt, mismatched or unreadable snapshot is a
+			// misconfiguration to surface, not a license to reprobe on
+			// every restart.
+			return nil, fmt.Errorf("snapshot %s is unusable here (%w); move it aside to reprobe", snapshot, err)
 		}
 	}
 	log.Printf("surveying %d landmarks (O(n²) pings + calibration)…", len(landmarks))
@@ -106,21 +100,6 @@ func LoadOrProbeSurvey(prober probe.Prober, landmarks []core.Landmark, probes in
 		log.Printf("seeded snapshot %s", snapshot)
 	}
 	return survey, nil
-}
-
-// landmarksMatch reports whether a snapshot's landmark set is exactly the
-// configured one (same order, addresses, names, positions).
-func landmarksMatch(snap, cfg []core.Landmark) error {
-	if len(snap) != len(cfg) {
-		return fmt.Errorf("snapshot has %d landmarks, configuration has %d", len(snap), len(cfg))
-	}
-	for i := range snap {
-		if snap[i] != cfg[i] {
-			return fmt.Errorf("landmark %d is %s (%s), configuration says %s (%s)",
-				i, snap[i].Name, snap[i].Addr, cfg[i].Name, cfg[i].Addr)
-		}
-	}
-	return nil
 }
 
 // BuildProber assembles the measurement source and its landmark set.
@@ -161,8 +140,6 @@ func LoadLandmarks(path string) ([]core.Landmark, error) {
 		return nil, err
 	}
 	var out []core.Landmark
-	seenName := make(map[string]int)
-	seenAddr := make(map[string]int)
 	for ln, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -177,25 +154,14 @@ func LoadLandmarks(path string) ([]core.Landmark, error) {
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("%s:%d: bad coordinates", path, ln+1)
 		}
-		lm := core.Landmark{
+		out = append(out, core.Landmark{
 			Addr: strings.TrimSpace(parts[0]),
 			Name: strings.TrimSpace(parts[1]),
 			Loc:  geo.Pt(lat, lon),
-		}
-		// Names address landmarks in the admin API (scoped refresh) and
-		// addresses identify probe endpoints; ambiguity in either would
-		// silently misdirect recalibration.
-		if prev, ok := seenName[lm.Name]; ok {
-			return nil, fmt.Errorf("%s:%d: duplicate landmark name %q (first at line %d)", path, ln+1, lm.Name, prev)
-		}
-		if prev, ok := seenAddr[lm.Addr]; ok {
-			return nil, fmt.Errorf("%s:%d: duplicate landmark address %q (first at line %d)", path, ln+1, lm.Addr, prev)
-		}
-		seenName[lm.Name], seenAddr[lm.Addr] = ln+1, ln+1
-		out = append(out, lm)
+		})
 	}
-	if len(out) < 3 {
-		return nil, fmt.Errorf("%s: need ≥ 3 landmarks, have %d", path, len(out))
+	if err := core.CheckMesh(out); err != nil {
+		return nil, fmt.Errorf("%s: %w (landmarks count from 0, comments and blank lines skipped)", path, err)
 	}
 	return out, nil
 }

@@ -621,23 +621,63 @@ func TestWarmStartSkipsProbing(t *testing.T) {
 	if _, err := LoadOrProbeSurvey(prober, landmarks, 10, path); err == nil {
 		t.Error("corrupt snapshot silently ignored")
 	}
-	// So must a snapshot for a different landmark set: the flags, not
-	// the stale file, define the mesh.
-	if err := cold.SaveSnapshotFile(path); err != nil {
+	// A snapshot for another mesh or probe count is refused too:
+	// TestStageAndWarmStartRefuseTheSameMeshes.
+}
+
+// TestStageAndWarmStartRefuseTheSameMeshes: the two doors a survey from
+// outside comes in by — a coordinator's push (Manager.Stage) and a
+// snapshot file at startup (LoadOrProbeSurvey) — ask one question
+// (Survey.SameMesh), so each of the five ways a mesh can differ is
+// refused at both, and the matching mesh is let in at both.
+func TestStageAndWarmStartRefuseTheSameMeshes(t *testing.T) {
+	prober, landmarks, err := BuildProber("sim", 13, 45, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadOrProbeSurvey(prober, landmarks[1:], 10, path); err == nil {
-		t.Error("snapshot with mismatched landmark set silently served")
+	world := prober.(*probe.SimProber).World
+	path := t.TempDir() + "/survey.json"
+	base, err := LoadOrProbeSurvey(prober, landmarks, 10, path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	renamed := append([]core.Landmark(nil), landmarks...)
-	renamed[0].Name = "someone-else"
-	if _, err := LoadOrProbeSurvey(prober, renamed, 10, path); err == nil {
-		t.Error("snapshot with renamed landmark silently served")
+	manager := lifecycle.New(prober, base, core.Config{}, lifecycle.Options{})
+
+	edit := func(f func(lms []core.Landmark)) []core.Landmark {
+		lms := append([]core.Landmark(nil), landmarks...)
+		f(lms)
+		return lms
 	}
-	// …and so must a probe-count mismatch: min-of-n baselines are only
-	// drift-comparable at the same n.
-	if _, err := LoadOrProbeSurvey(prober, landmarks, 30, path); err == nil {
-		t.Error("snapshot with different probe count silently served")
+	cases := []struct {
+		name      string
+		landmarks []core.Landmark
+		probes    int
+		refused   bool
+	}{
+		{"same mesh", landmarks, 10, false},
+		{"count", landmarks[1:], 10, true},
+		{"order", edit(func(l []core.Landmark) { l[0], l[1] = l[1], l[0] }), 10, true},
+		{"name", edit(func(l []core.Landmark) { l[2].Name = "someone-else" }), 10, true},
+		{"position", edit(func(l []core.Landmark) { l[3].Loc.Lat += 0.01 }), 10, true},
+		{"probe count", landmarks, 30, true},
+	}
+	for _, tc := range cases {
+		// The pushed survey: the serving one's measurements, next epoch,
+		// claiming the case's mesh.
+		pushed := *base
+		pushed.Epoch, pushed.Landmarks, pushed.Probes = base.Epoch+1, tc.landmarks, tc.probes
+		if err := manager.Stage(&pushed); (err != nil) != tc.refused {
+			t.Errorf("%s: Stage error = %v, want refused = %v", tc.name, err, tc.refused)
+		}
+		// The warm start: the serving survey's file, a configuration
+		// claiming the case's mesh. A refusal must not reprobe either.
+		before := world.PingCalls()
+		if _, err := LoadOrProbeSurvey(prober, tc.landmarks, tc.probes, path); (err != nil) != tc.refused {
+			t.Errorf("%s: LoadOrProbeSurvey error = %v, want refused = %v", tc.name, err, tc.refused)
+		}
+		if got := world.PingCalls() - before; got != 0 {
+			t.Errorf("%s: warm start issued %d probes, want 0", tc.name, got)
+		}
 	}
 }
 

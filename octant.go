@@ -46,6 +46,10 @@
 //	    octant.WithExplain(),                            // fill res.Provenance
 //	)
 //
+// Router names on traceroute paths (§2.3) and the target's own reverse
+// name are read by one name→city engine, HintEngine; UndnsResolver is
+// the same type under the paper's name for the job.
+//
 // # Serving
 //
 // For batch and serving workloads, wrap a Localizer in a BatchEngine: one
@@ -97,7 +101,6 @@ import (
 	"octant/internal/lifecycle"
 	"octant/internal/netsim"
 	"octant/internal/probe"
-	"octant/internal/undns"
 )
 
 // Geometry substrate.
@@ -189,8 +192,9 @@ type (
 	// Disagreement quantifies how far the hint, geo-DB, and latency
 	// evidence point apart (Provenance.Disagreement).
 	Disagreement = core.Disagreement
-	// HintEngine parses reverse-DNS names into location hints against an
-	// IATA/CLLI/city-name gazetteer.
+	// HintEngine maps DNS names to cities against an IATA/CLLI/city-name
+	// gazetteer: Resolve places a router by its name (§2.3), Parse mines
+	// an end host's reverse name for every hint it carries.
 	HintEngine = hints.Engine
 	// GazetteerHint is one parsed reverse-DNS location hint.
 	GazetteerHint = hints.Hint
@@ -258,8 +262,9 @@ type (
 	WorldConfig = netsim.Config
 	// SiteSpec describes one simulated host site.
 	SiteSpec = netsim.SiteSpec
-	// UndnsResolver maps router DNS names to locations.
-	UndnsResolver = undns.Resolver
+	// UndnsResolver maps router DNS names to locations; it is the
+	// HintEngine under its §2.3 name.
+	UndnsResolver = hints.Engine
 )
 
 // Batch and serving types.
@@ -461,7 +466,7 @@ func NewGeoTrack(s *Survey) *GeoTrack { return baselines.NewGeoTrack(s) }
 func NewDeployment(seed uint64) (*Deployment, error) { return eval.NewDeployment(seed) }
 
 // NewUndnsResolver returns the router-DNS-name → city resolver.
-func NewUndnsResolver() *UndnsResolver { return undns.NewResolver() }
+func NewUndnsResolver() *UndnsResolver { return hints.NewEngine() }
 
 // DefaultSites is the 51-site deployment used throughout the evaluation.
 var DefaultSites = netsim.DefaultSites
