@@ -512,6 +512,28 @@ func BenchmarkLocalize(b *testing.B) {
 	}
 }
 
+// TestLocalizeAllocBudget pins a lone localization at ≤ 300 allocs/op, the
+// number ROADMAP item 6 asked of BenchmarkLocalize: 481 until a request's
+// latency disks — three heap objects each, a hundred disks here — came from
+// three exact-size blocks (183 after).
+func TestLocalizeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("testing.Benchmark run is not short")
+	}
+	if raceDetector {
+		// Under -race sync.Pool drops a quarter of its Puts at random, so
+		// pooled grids and scratch are reallocated; CI checks the budgets in
+		// a step without -race.
+		t.Skip("allocation budget is not meaningful under the race detector")
+	}
+	const maxAllocs = 300
+	if a := testing.Benchmark(BenchmarkLocalize).AllocsPerOp(); a > maxAllocs {
+		t.Errorf("Localize allocates %d allocs/op, budget is %d", a, maxAllocs)
+	} else {
+		t.Logf("Localize: %d allocs/op", a)
+	}
+}
+
 // BenchmarkLocalizeWithHints measures one end-to-end localization with
 // the hint-rich stages live: the target carries a gazetteer-matching
 // reverse name (rDNS hint → RTT cross-validation → weighted disk) and a

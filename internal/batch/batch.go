@@ -41,7 +41,7 @@
 // multi-target groups (FusedGroups, FusedTargets) and the mask cache's
 // hit rate.
 //
-// Safety: Survey, Calibration, and the undns Resolver are immutable after
+// Safety: Survey, Calibration, and the hints.Engine are immutable after
 // construction, and netsim.World guards its route cache internally, so
 // concurrent localizations are safe as long as the Prober is (both
 // bundled probers are). Engine never mutates the Localizer it wraps.

@@ -64,13 +64,14 @@ const circleChordTolKm = 1.0
 
 // diskConstraint builds a disk constraint through the unit-vector fast
 // path: the ring is generated directly at its adaptive size (no oversized
-// scratch, no clone) and handed to the region whole.
-func diskConstraint(kind Kind, cf, lf geo.Frame, radiusKm, weight float64, source string) Constraint {
+// scratch, no clone), comes back counter-clockwise, and is the region as it
+// stands.
+func diskConstraint(kind Kind, cf, lf *geo.Frame, radiusKm, weight float64, source string) Constraint {
 	n := geo.CircleSegments(radiusKm, circleChordTolKm)
 	ring := geo.Ring(cf.AppendGeoCircle(make([]geo.Vec2, 0, n), lf, radiusKm, n))
 	return Constraint{
 		Kind:   kind,
-		Region: geo.NewRegion(ring),
+		Region: &geo.Region{Rings: []geo.Ring{ring}},
 		Weight: weight,
 		Source: source,
 	}
@@ -102,7 +103,7 @@ type constraintArena struct {
 // disk is diskConstraint with every piece carved from the arena. The ring
 // contents, orientation, and the resulting Constraint value are
 // bit-identical to diskConstraint's; only the backing allocations differ.
-func (a *constraintArena) disk(kind Kind, cf, lf geo.Frame, radiusKm, weight float64, source string) Constraint {
+func (a *constraintArena) disk(kind Kind, cf, lf *geo.Frame, radiusKm, weight float64, source string) Constraint {
 	n := geo.CircleSegments(radiusKm, circleChordTolKm)
 	if len(a.vecs)+n > cap(a.vecs) {
 		c := arenaVecChunk
@@ -127,7 +128,7 @@ func (a *constraintArena) disk(kind Kind, cf, lf geo.Frame, radiusKm, weight flo
 	a.regions = append(a.regions, geo.Region{Rings: rs})
 	return Constraint{
 		Kind:   kind,
-		Region: geo.NormalizeRegion(&a.regions[len(a.regions)-1]),
+		Region: &a.regions[len(a.regions)-1],
 		Weight: weight,
 		Source: source,
 	}
@@ -136,14 +137,16 @@ func (a *constraintArena) disk(kind Kind, cf, lf geo.Frame, radiusKm, weight flo
 // PositiveDisk builds a positive constraint: target within radiusKm of a
 // pinpoint-known landmark at center.
 func PositiveDisk(pr *geo.Projection, center geo.Point, radiusKm, weight float64, source string) Constraint {
-	return diskConstraint(Positive, pr.Frame(), geo.NewFrame(center), radiusKm, weight, source)
+	cf, lf := pr.Frame(), geo.NewFrame(center)
+	return diskConstraint(Positive, &cf, &lf, radiusKm, weight, source)
 }
 
 // NegativeDisk builds a negative constraint: target further than radiusKm
 // from a pinpoint-known landmark at center (the excluded region is the
 // disk itself).
 func NegativeDisk(pr *geo.Projection, center geo.Point, radiusKm, weight float64, source string) Constraint {
-	return diskConstraint(Negative, pr.Frame(), geo.NewFrame(center), radiusKm, weight, source)
+	cf, lf := pr.Frame(), geo.NewFrame(center)
+	return diskConstraint(Negative, &cf, &lf, radiusKm, weight, source)
 }
 
 // PositiveFromRegion builds the positive constraint induced by a secondary

@@ -94,8 +94,8 @@ type Request struct {
 
 	// arena, when non-nil, bump-allocates disk-constraint memory. A
 	// group of several targets sets it (one arena per worker, alive for
-	// the whole group); a group of one leaves it nil and allocates per
-	// disk.
+	// the whole group); a group of one leaves it nil: its latency disks
+	// share an exact-size arena, the few others are allocated per disk.
 	arena *constraintArena
 
 	// sched is the Localizer's measurement scheduler: the LatencySource
@@ -115,19 +115,19 @@ type Request struct {
 // the request's arena when one is attached. Evidence sources should
 // prefer it over diskConstraint so their constraints fuse into batch
 // arenas automatically.
-func (req *Request) disk(kind Kind, cf, lf geo.Frame, radiusKm, weight float64, source string) Constraint {
+func (req *Request) disk(kind Kind, cf, lf *geo.Frame, radiusKm, weight float64, source string) Constraint {
 	if req.arena != nil {
 		return req.arena.disk(kind, cf, lf, radiusKm, weight, source)
 	}
 	return diskConstraint(kind, cf, lf, radiusKm, weight, source)
 }
 
-// priorDisk builds the standard exogenous positive prior — a weighted
-// disk of the given radius around a claimed location — shared by the
-// WHOIS, caller-hint, rDNS-hint, and geo-DB sources, so the prior-style
-// evidence classes stay geometrically consistent.
+// priorDisk builds the standard positive disk about a claimed location —
+// shared by the router, WHOIS, caller-hint, rDNS-hint, and geo-DB sources,
+// so the prior-style evidence classes stay geometrically consistent.
 func (req *Request) priorDisk(loc geo.Point, radiusKm, weight float64, label string) Constraint {
-	return req.disk(Positive, req.PCtx.Center, geo.NewFrame(loc), radiusKm, weight, label)
+	lf := geo.NewFrame(loc)
+	return req.disk(Positive, &req.PCtx.Center, &lf, radiusKm, weight, label)
 }
 
 // SourceReport is one evidence source's provenance entry. Sources fill
@@ -369,35 +369,55 @@ func (LatencySource) Constraints(ctx context.Context, req *Request) ([]Constrain
 		return nil, rep, nil
 	}
 
-	// 3. Latency constraints from every landmark (§2.1). Sized for the
-	// worst case (positive + negative per landmark), with headroom the
-	// later pipeline stages' appends reuse through appendConstraints'
-	// ownership transfer.
-	out := make([]Constraint, 0, 2*n)
-	cf := req.PCtx.Center
-	for i, lm := range s.Landmarks {
-		if math.IsNaN(rtts[i]) {
-			continue // failed landmark (degraded mode); in rep.Failures
+	// 3. Latency constraints from every landmark (§2.1): the radii first, so
+	// that a request on its own carves every disk — ring, ring header, region
+	// — from three blocks of exactly their total size, pinning nothing the
+	// Result does not retain. (A group's arena is already attached.)
+	var rbuf [128]float64
+	radii := rbuf[:0] // maxKm, minKm per landmark; 0 where there is no such disk
+	verts, disks := 0, 0
+	for i := range s.Landmarks {
+		var maxKm, minKm float64
+		if !math.IsNaN(rtts[i]) { // NaN: failed landmark (degraded mode); in rep.Failures
+			maxKm = max(s.Calibs[i].MaxDistanceKm(adjPos[i])*(1+padFrac)+padKm, 0)
+			minKm = s.Calibs[i].MinDistanceKm(adjNeg[i])*negativeShrink*(1-padFrac) - padKm
 		}
-		rawMax := s.Calibs[i].MaxDistanceKm(adjPos[i])
-		rawMin := s.Calibs[i].MinDistanceKm(adjNeg[i])
-		maxKm := rawMax*(1+padFrac) + padKm
-		minKm := rawMin*negativeShrink*(1-padFrac) - padKm
+		if maxKm == 0 || cfg.DisableNegative || !(minKm > 0 && minKm < maxKm) {
+			minKm = 0
+		}
+		for _, r := range [2]float64{maxKm, minKm} {
+			if r != 0 {
+				verts, disks = verts+geo.CircleSegments(r, circleChordTolKm), disks+1
+			}
+		}
+		radii = append(radii, maxKm, minKm)
+	}
+	arena := req.arena
+	if arena == nil {
+		arena = &constraintArena{vecs: make([]geo.Vec2, 0, verts), rings: make([]geo.Ring, 0, disks), regions: make([]geo.Region, 0, disks)}
+	}
+	// Sized for the worst case (positive + negative per landmark), with
+	// headroom the later pipeline stages' appends reuse through
+	// appendConstraints' ownership transfer.
+	out := make([]Constraint, 0, 2*n)
+	cf := &req.PCtx.Center
+	for i, lm := range s.Landmarks {
+		maxKm, minKm := radii[2*i], radii[2*i+1]
+		if maxKm == 0 {
+			continue
+		}
 		w := LatencyWeight(rtts[i], weightHalfLifeMs)
 		if cfg.Unweighted {
 			w = 1
 		}
-		if maxKm <= 0 {
-			continue
-		}
-		lf := req.PCtx.LandmarkFrames[i]
-		out = append(out, req.disk(Positive, cf, lf, maxKm, w, lm.Name))
-		if !cfg.DisableNegative && minKm > 0 && minKm < maxKm {
+		lf := &req.PCtx.LandmarkFrames[i]
+		out = append(out, arena.disk(Positive, cf, lf, maxKm, w, lm.Name))
+		if minKm != 0 {
 			wn := w * negativeWeightFactor
 			if cfg.Unweighted {
 				wn = 1
 			}
-			out = append(out, req.disk(Negative, cf, lf, minKm, wn, req.PCtx.NegSources[i]))
+			out = append(out, arena.disk(Negative, cf, lf, minKm, wn, req.PCtx.NegSources[i]))
 		}
 	}
 	return out, rep, nil
@@ -525,7 +545,7 @@ func (RouterSource) Constraints(ctx context.Context, req *Request) ([]Constraint
 		if req.Cfg.Unweighted {
 			w = 1
 		}
-		cons = append(cons, req.disk(Positive, req.PCtx.Center, geo.NewFrame(rc.loc), rc.maxKm, w, "router:"+code))
+		cons = append(cons, req.priorDisk(rc.loc, rc.maxKm, w, "router:"+code))
 	}
 	if len(cons) == 0 && len(rep.Failures) > 0 {
 		rep.Skipped = "all traceroutes failed"

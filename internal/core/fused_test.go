@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"octant/internal/geo"
@@ -228,6 +230,58 @@ func TestLocalizeBatchNoSurvey(t *testing.T) {
 	for i := range errs {
 		if errs[i] == nil || results[i] != nil {
 			t.Errorf("target %d: err %v, result %v", i, errs[i], results[i])
+		}
+	}
+}
+
+// TestDiskConstructorsAgree: a disk is the same bytes whichever way its
+// memory is drawn — one allocation per piece (diskConstraint), the group
+// arena's chunks, or a lone request's exact-size block — over random centres
+// and radii, antimeridian and high-latitude projections, and disks wide
+// enough to hold the projection centre's antipode, where the generated ring
+// is kept as it is instead of reversed. The exact block must come out full
+// and never regrown.
+func TestDiskConstructorsAgree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 5))
+	for _, c := range []geo.Point{geo.Pt(41.8, -74), geo.Pt(12, 179.8), geo.Pt(-33, -179.9), geo.Pt(82, 10), geo.Pt(-78, -130)} {
+		cf := geo.NewFrame(c)
+		type spec struct {
+			lf     geo.Frame
+			radius float64
+			kind   Kind
+		}
+		var specs []spec
+		verts, kept := 0, 0
+		for i := 0; i < 300; i++ {
+			radius := []float64{3, 60, 400, 2500, 9000, 19500}[i%6] * (0.5 + rng.Float64())
+			lm := c.Destination(2*math.Pi*rng.Float64(), 19000*rng.Float64())
+			specs = append(specs, spec{geo.NewFrame(lm), radius, Kind(i % 2)})
+			verts += geo.CircleSegments(radius, circleChordTolKm)
+		}
+		chunked := &constraintArena{}
+		exact := &constraintArena{vecs: make([]geo.Vec2, 0, verts), rings: make([]geo.Ring, 0, len(specs)), regions: make([]geo.Region, 0, len(specs))}
+		block := &exact.vecs[:1][0]
+		for i, s := range specs {
+			plain := diskConstraint(s.kind, &cf, &s.lf, s.radius, 0.5, "src")
+			ring := plain.Region.Rings[0]
+			if len(plain.Region.Rings) != 1 || len(ring) != geo.CircleSegments(s.radius, circleChordTolKm) || !ring.IsCCW() {
+				t.Fatalf("centre %v disk %d: %d rings, %d vertices, ccw %v", c, i, len(plain.Region.Rings), len(ring), ring.IsCCW())
+			}
+			if c.DistanceKm(s.lf.Origin)+s.radius > math.Pi*geo.EarthRadiusKm {
+				kept++ // holds the antipode
+			}
+			for name, a := range map[string]*constraintArena{"chunked": chunked, "exact": exact} {
+				got := a.disk(s.kind, &cf, &s.lf, s.radius, 0.5, "src")
+				if got.Kind != plain.Kind || got.Weight != plain.Weight || got.Source != plain.Source || !reflect.DeepEqual(got.Region.Rings, plain.Region.Rings) {
+					t.Fatalf("centre %v disk %d: %s arena's constraint differs from diskConstraint's", c, i, name)
+				}
+			}
+		}
+		if len(exact.vecs) != verts || cap(exact.vecs) != verts || &exact.vecs[0] != block || len(exact.regions) != cap(exact.regions) {
+			t.Errorf("centre %v: the exact block holds %d of %d vertices (cap %d), regrown %v", c, len(exact.vecs), verts, cap(exact.vecs), &exact.vecs[0] != block)
+		}
+		if kept < 10 {
+			t.Errorf("centre %v: %d disks held the antipode: the suite should exercise the kept orientation", c, kept)
 		}
 	}
 }

@@ -67,6 +67,12 @@ type Solution struct {
 
 // Solve runs the weighted solver over the constraints.
 func Solve(constraints []Constraint, opts SolverOpts) (*Solution, error) {
+	return solve(constraints, opts, geo.NewResolveGrid)
+}
+
+// solve is Solve on grids drawn by newGrid: unzeroed, since ResolveTop stores
+// every cell a pass goes on to read (the tests draw them poisoned).
+func solve(constraints []Constraint, opts SolverOpts, newGrid func(min, max geo.Vec2, cellKm float64) *geo.Grid) (*Solution, error) {
 	opts.fillDefaults()
 	var buf [128]geo.Fill // a localization's hundred-odd constraints, off the heap
 	fills, min, max, ok := prepareFills(buf[:0], constraints)
@@ -85,7 +91,7 @@ func Solve(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 	// quantized cell sizes repeat).
 	span := math.Max(max.X-min.X, max.Y-min.Y)
 	coarse := quantizeCellKm(span/coarseCells, opts.FineCellKm)
-	cp := solveOnGrid(fills, min, max, coarse, &opts)
+	cp := solveOnGrid(newGrid(min, max, coarse), fills, coarse, &opts)
 	defer cp.g.Release()
 	if cp.empty() {
 		return cp.solution(), nil
@@ -104,7 +110,7 @@ func Solve(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 		fine *= 2
 	}
 	if fine < coarse {
-		fp := solveOnGrid(fills, rmin, rmax, fine, &opts)
+		fp := solveOnGrid(newGrid(rmin, rmax, fine), fills, fine, &opts)
 		defer fp.g.Release()
 		if !fp.empty() {
 			return fp.solution(), nil
@@ -175,12 +181,11 @@ type gridPass struct {
 // excluded marks cells ruled out by the hard land mask.
 const excluded = -math.MaxFloat64
 
-// solveOnGrid accumulates constraint weights on one grid and finds the
-// best level set exceeding the size threshold — one pass over the grid
-// (geo.Grid.ResolveTop). Extraction is left to solution, which the coarse
-// pass of a refined solve never needs.
-func solveOnGrid(fills []geo.Fill, min, max geo.Vec2, cellKm float64, opts *SolverOpts) gridPass {
-	g := geo.NewGrid(min, max, cellKm)
+// solveOnGrid sums the constraint weights on g, asked for at cellKm, and
+// finds the best level set exceeding the size threshold — one pass over the
+// grid (geo.Grid.ResolveTop). Extraction is left to solution, which the
+// coarse pass of a refined solve never needs.
+func solveOnGrid(g *geo.Grid, fills []geo.Fill, cellKm float64, opts *SolverOpts) gridPass {
 	// Hard mask: rule out everything outside land, resolving land
 	// membership from the shared mask cache when one is available.
 	var land *geo.MaskLattice

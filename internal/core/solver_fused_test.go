@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"octant/internal/geo"
@@ -88,11 +89,17 @@ func TestFusedTraps(t *testing.T) {
 	}
 }
 
-// TestFusedPruningTraps sets the traps of geo.Grid.ResolveTop's row pruning:
-// each 12×24 grid goes through the oracle like the ones above, and the count
-// of rows the pass resolved shows that it took the branch the case is about.
-// (A fill's row range runs one row past its last row of cells.)
-func TestFusedPruningTraps(t *testing.T) {
+// pruningTrap is one 12×24 unit grid that takes a particular branch of
+// geo.Grid.ResolveTop's row pruning.
+type pruningTrap struct {
+	name      string
+	cs        []Constraint
+	area      float64
+	wantLevel float64
+	wantRows  int
+}
+
+func pruningTraps() []pruningTrap {
 	// Rows 8–9 are the scout's band in most cases: a 1.0 peak on two cells
 	// over a 0.3 layer of 24, so that a threshold of 20 cells is reached
 	// there at L1 = 0.3.
@@ -104,13 +111,7 @@ func TestFusedPruningTraps(t *testing.T) {
 	for y := 0; y < 24; y += 4 {
 		flat = append(flat, cellRect(y%5, y, 6+y%5, y+3, 0.5))
 	}
-	for _, tc := range []struct {
-		name      string
-		cs        []Constraint
-		area      float64
-		wantLevel float64
-		wantRows  int
-	}{
+	return []pruningTrap{
 		// A heavy negative sinks the whole scout band: the scout finds
 		// nothing positive and every remaining row is resolved.
 		{"negative-over-scout", []Constraint{peak, layer, cellRect(0, 8, 11, 9, -2), cellRect(2, 1, 9, 5, 0.2), cellRect(4, 15, 5, 16, 0.25)}, 20, 0.2, 24},
@@ -135,11 +136,100 @@ func TestFusedPruningTraps(t *testing.T) {
 		// clears it, 0.3 − 1.6e-9 is inside ε; 0.3 − 2.5e-9 is outside and
 		// its rows are skipped: 8–10, 2–3, 4–5 and 12–13 remain.
 		{"dust-at-the-bound", []Constraint{peak, layer, cellRect(0, 2, 3, 2, 0.3-4e-10), cellRect(0, 4, 3, 4, 0.3-1.6e-9), cellRect(0, 12, 3, 12, 0.3+3e-10), cellRect(0, 14, 3, 14, 0.3-2.5e-9)}, 20, 0.3, 9},
-	} {
+	}
+}
+
+// TestFusedPruningTraps sets the traps of geo.Grid.ResolveTop's row pruning:
+// each 12×24 grid goes through the oracle like the ones above, and the count
+// of rows the pass resolved shows that it took the branch the case is about.
+// (A fill's row range runs one row past its last row of cells.)
+func TestFusedPruningTraps(t *testing.T) {
+	for _, tc := range pruningTraps() {
 		top := unitPass(t, tc.name, tc.cs, 12, 24, SolverOpts{MinAreaKm2: tc.area})
 		if top.Level != tc.wantLevel || top.Rows != tc.wantRows || top.Underflow {
 			t.Errorf("%s: level %v from %d rows (underflow %v), want %v from %d", tc.name, top.Level, top.Rows, top.Underflow, tc.wantLevel, tc.wantRows)
 		}
+	}
+}
+
+// poisonedGrid is geo.NewGrid with the weights a pooled buffer might hold at
+// its worst: NaN and a huge positive value, alternating.
+func poisonedGrid(min, max geo.Vec2, cellKm float64) *geo.Grid {
+	g := geo.NewGrid(min, max, cellKm)
+	for i := range g.Weight {
+		g.Weight[i] = [2]float64{math.NaN(), 1e300}[i%2]
+	}
+	return g
+}
+
+// TestResolveTopReadsNoStaleCell: geo.Grid.ResolveTop is handed unzeroed
+// grids, so whatever a pass goes on to read it must have stored. Whole solves
+// of the benchmark world's 16 targets, their coarse passes alone, the seven
+// pruning traps and a pass forced through the census fallback with rows
+// pruned run on poisoned grids and on zeroed ones: region, point, weight,
+// level, box and counts must agree bit for bit.
+func TestResolveTopReadsNoStaleCell(t *testing.T) {
+	samePass := func(name string, cs []Constraint, min, max geo.Vec2, cellKm float64, opts SolverOpts) (top geo.TopLevel, h int) {
+		t.Helper()
+		opts.fillDefaults()
+		fills, _, _, _ := prepareFills(nil, cs)
+		got := solveOnGrid(poisonedGrid(min, max, cellKm), fills, cellKm, &opts)
+		want := solveOnGrid(geo.NewGrid(min, max, cellKm), fills, cellKm, &opts)
+		defer got.g.Release()
+		defer want.g.Release()
+		if got.top != want.top {
+			t.Errorf("%s: walk on a poisoned grid %+v, on a zeroed one %+v", name, got.top, want.top)
+		}
+		sameSolution(t, name, got.solution(), want.solution())
+		return got.top, got.g.H
+	}
+
+	loc, targets := fusedFixture(t, 1, 16, 16)
+	cfg := Config{}
+	cfg.fillDefaults()
+	opts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: NewLandMaskCache()}
+	pruned := 0
+	for _, target := range targets {
+		res, err := loc.LocalizeContext(context.Background(), target)
+		if err != nil {
+			t.Fatalf("%s: %v", target, err)
+		}
+		got, err := solve(res.Constraints, opts, poisonedGrid)
+		if err != nil {
+			t.Fatalf("%s: %v", target, err)
+		}
+		want, _ := solve(res.Constraints, opts, geo.NewGrid)
+		sameSolution(t, target, got, want)
+		if !reflect.DeepEqual(got.Region.Rings, res.Region.Rings) {
+			t.Errorf("%s: solve on poisoned grids differs from Localize's region", target)
+		}
+		_, min, max, coarse := coarseGrid(res.Constraints, opts)
+		if top, h := samePass(target+"/coarse", res.Constraints, min, max, coarse, opts); top.Rows*2 > h {
+			t.Errorf("%s: coarse pass resolved %d of %d rows: the case should leave most of them stale", target, top.Rows, h)
+		}
+	}
+	for _, tc := range pruningTraps() {
+		if top, h := samePass(tc.name, tc.cs, geo.V2(0, 0), geo.V2(12, 24), 1, SolverOpts{MinAreaKm2: tc.area}); top.Rows < h {
+			pruned++
+		}
+	}
+	if pruned != 3 {
+		t.Errorf("%d of the pruning traps left rows unresolved, want 3", pruned)
+	}
+
+	// The census fallback reads the whole field. Rows 2–5 scout a 100-high
+	// tower (at the rows' end: no dust after it) over a 0.3 layer of 160
+	// cells and reach a 150-cell threshold at 0.3; the second sweep then
+	// brings in 200 cells of 200 distinct values above it, which the
+	// 96-entry table cannot walk 150 cells down; the faint rows 20–23 stay
+	// unresolved and must read 0 to the census.
+	cs := []Constraint{cellRect(38, 2, 39, 4, 100), cellRect(0, 2, 39, 5, 0.3), cellRect(0, 20, 39, 22, 0.1)}
+	for i := 0; i < 200; i++ {
+		cs = append(cs, cellRect(i%40, 10+i/40, i%40, 10+i/40, 1+float64(i)*0.001))
+	}
+	top, h := samePass("census-fallback", cs, geo.V2(0, 0), geo.V2(40, 30), 1, SolverOpts{MinAreaKm2: 150})
+	if !top.Underflow || top.Rows >= h || top.Cells != 150 {
+		t.Errorf("census-fallback: %+v, want an underflow with rows pruned and 150 cells", top)
 	}
 }
 
@@ -311,7 +401,7 @@ func TestSolveSkipsMostRows(t *testing.T) {
 			t.Fatalf("%s: %v", target, err)
 		}
 		fills, min, max, coarse := coarseGrid(res.Constraints, opts)
-		p := solveOnGrid(fills, min, max, coarse, &opts)
+		p := solveOnGrid(geo.NewResolveGrid(min, max, coarse), fills, coarse, &opts)
 		p.g.Release()
 	}
 	all, coarse := loc.LandMasks().SolverStats(), opts.Masks.SolverStats()
@@ -379,4 +469,33 @@ func FuzzFusedCensus(f *testing.F) {
 		cs = append(cs, cellRect(0, 0, 0, 0, 0.05)) // Solve's contract: one positive
 		unitPass(t, "fuzz", cs, w, h, opts)
 	})
+}
+
+// BenchmarkSolve is the solver alone — prepare the fills, both grid passes,
+// trace, point estimate — over the retained constraints of the benchmark
+// world's 16 targets under the options Localize solves them with: one
+// iteration is 16 solves. The developer number for a solver change; the
+// height solve, the probes and disk construction are not in it.
+func BenchmarkSolve(b *testing.B) {
+	loc, targets := fusedFixture(b, 1, 16, 16)
+	cfg := Config{}
+	cfg.fillDefaults()
+	opts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: loc.LandMasks()}
+	sets := make([][]Constraint, len(targets))
+	for i, target := range targets {
+		res, err := loc.LocalizeContext(context.Background(), target)
+		if err != nil {
+			b.Fatalf("%s: %v", target, err)
+		}
+		sets[i] = res.Constraints
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cs := range sets {
+			if sol, err := Solve(cs, opts); err != nil || sol.Region.IsEmpty() {
+				b.Fatalf("solve: %v, region %v", err, sol)
+			}
+		}
+	}
 }

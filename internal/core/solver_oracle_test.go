@@ -145,14 +145,15 @@ func sameSolution(t testing.TB, name string, got, want *Solution) {
 	}
 }
 
-// checkPass runs one grid pass through the fused kernel and through the
-// oracle and compares them, including the bounding box a coarse pass would
+// checkPass runs one grid pass through the fused kernel — on a poisoned
+// grid: the kernel stores what it goes on to read — and through the oracle
+// and compares them, including the bounding box a coarse pass would
 // hand the fine one. It returns the fused pass's level read-out.
 func checkPass(t testing.TB, name string, cs []Constraint, min, max geo.Vec2, cellKm float64, opts SolverOpts) geo.TopLevel {
 	t.Helper()
 	opts.fillDefaults()
 	fills, _, _, _ := prepareFills(nil, cs)
-	p := solveOnGrid(fills, min, max, cellKm, &opts)
+	p := solveOnGrid(poisonedGrid(min, max, cellKm), fills, cellKm, &opts)
 	defer p.g.Release()
 	got := p.solution()
 	want := referenceSolveOnGrid(cs, min, max, cellKm, opts)

@@ -268,6 +268,13 @@ func (g *Grid) rowRange(min, max Vec2) (y0, y1 int) {
 // replace the edge table. The property is tested per ring, never assumed;
 // any other region steps an EdgeTable. Both routes use scanRow's expressions
 // and agree with it cell for cell.
+//
+// Whole rows. A chain edge a cell or more left of column 0's centres (max x
+// <= left) or right of the last column's (min x >= right) has no crossing
+// that spanCells does not clamp to column 0, or W−1: a crossing strays a few
+// ulps from its edge's x-range, which the cell of margin absorbs (begin
+// refuses rings so far out that ulps are no small part of a cell). With one
+// cursor clear on each side the span is the row, and is not computed.
 type Fill struct {
 	Region   *Region
 	Weight   float64
@@ -279,16 +286,19 @@ type Fill struct {
 	up, down int32
 
 	// The pass in progress: rows y0..y1 can hold spans; asc and desc are the
-	// chain edges under the scanline, table the other route's sweep.
-	y0, y1    int32
-	asc, desc chainEdge
-	table     *EdgeTable
+	// chain edges under the scanline, table the other route's sweep; an edge
+	// wholly at or beyond left or right is clear of the grid on that side.
+	y0, y1      int32
+	asc, desc   chainEdge
+	left, right float64
+	table       *EdgeTable
 }
 
 // chainEdge is the edge of a monotone chain that the scanline currently
 // crosses, as the operands of the crossing expression.
 type chainEdge struct {
 	i              int32   // edge index in the ring
+	side           int8    // −1: clear of the grid on the left, +1: on the right
 	ax, ay, dx, dy float64 // a, and b − a
 	hi             float64 // the scanline is past the edge once yc >= hi
 }
@@ -372,12 +382,17 @@ func (f *Fill) begin(g *Grid) {
 	// Both cursors wait below the bottom turn — the ascending chain's first
 	// edge, the descending chain's last — for the first row inside the ring.
 	f.asc, f.desc = chainEdge{i: f.up - 1, hi: math.Inf(-1)}, chainEdge{i: f.up, hi: math.Inf(-1)}
+	f.left, f.right = g.Min.X-g.CellKm, g.Min.X+float64(g.W+1)*g.CellKm
+	if far := 0x1p40 * g.CellKm; f.Min.X < -far || f.Max.X > far { // ulps there: cell/2¹¹
+		f.left, f.right = math.Inf(-1), math.Inf(1)
+	}
 }
 
-// advance moves along the chain — step +1 in ring order for the ascending
+// advance moves c along its chain — step +1 in ring order for the ascending
 // chain, −1 for the descending one, both upward — to the first edge the
 // scanline yc has not passed; addRow only asks below Max.Y, so there is one.
-func (c *chainEdge) advance(ring Ring, step int, yc float64) {
+func (f *Fill) advance(c *chainEdge, step int, yc float64) {
+	ring := f.Region.Rings[0]
 	n, i := len(ring), int(c.i)
 	for {
 		i += step
@@ -389,6 +404,11 @@ func (c *chainEdge) advance(ring Ring, step int, yc float64) {
 		a, b := ringEdge(ring, i)
 		if hi := max(a.Y, b.Y); a.Y != b.Y && yc < hi {
 			*c = chainEdge{i: int32(i), ax: a.X, ay: a.Y, dx: b.X - a.X, dy: b.Y - a.Y, hi: hi}
+			if max(a.X, b.X) <= f.left {
+				c.side = -1
+			} else if min(a.X, b.X) >= f.right {
+				c.side = 1
+			}
 			return
 		}
 	}
@@ -409,10 +429,15 @@ func (f *Fill) addRow(g *Grid, y int, yc float64, d []float64) {
 		return // the turns are the ring's lowest and highest vertices
 	}
 	if yc >= f.asc.hi {
-		f.asc.advance(f.Region.Rings[0], 1, yc)
+		f.advance(&f.asc, 1, yc)
 	}
 	if yc >= f.desc.hi {
-		f.desc.advance(f.Region.Rings[0], -1, yc)
+		f.advance(&f.desc, -1, yc)
+	}
+	if f.asc.side*f.desc.side < 0 { // one clear on each side: the whole row
+		d[0] += w
+		d[g.W] -= w
+		return
 	}
 	// scanRow's crossing expression, on the same operands.
 	lo := f.asc.ax + (yc-f.asc.ay)/f.asc.dy*f.asc.dx

@@ -16,11 +16,12 @@ func signedArea(r []Vec2) float64 {
 		return 0
 	}
 	var a float64
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		a += r[i].X*r[j].Y - r[j].X*r[i].Y
+	p := r[0]
+	for _, q := range r[1:] {
+		a += p.X*q.Y - q.X*p.Y
+		p = q
 	}
-	return a / 2
+	return (a + (p.X*r[0].Y - r[0].X*p.Y)) / 2
 }
 
 // Area returns the absolute area of the ring in km².

@@ -67,7 +67,8 @@ func (pr *Projection) GeoCircle(center Point, radiusKm float64, n int) []Vec2 {
 	if n < 3 {
 		n = 3
 	}
-	return pr.Frame().AppendGeoCircle(make([]Vec2, 0, n), NewFrame(center), radiusKm, n)
+	cf, lf := pr.Frame(), NewFrame(center)
+	return cf.AppendGeoCircle(make([]Vec2, 0, n), &lf, radiusKm, n)
 }
 
 // ensureCCW reverses ring in place if it is clockwise.

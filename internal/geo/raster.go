@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -36,24 +35,33 @@ var (
 	maskPool   sync.Pool // *[]bool
 )
 
-// getBuf draws a zeroed buffer of length n from pool.
-func getBuf[T any](pool *sync.Pool, n int) *[]T {
+// getBuf draws a buffer of length n from pool: zeroed when zero is set, else
+// holding whatever its last user left — for callers that store every entry
+// they read (ResolveTop's weight field and column map).
+func getBuf[T any](pool *sync.Pool, n int, zero bool) *[]T {
 	p, _ := pool.Get().(*[]T)
 	if p == nil {
 		p = new([]T)
 	}
 	if cap(*p) < n {
 		*p = make([]T, n)
-	} else {
-		*p = (*p)[:n]
+	} else if *p = (*p)[:n]; zero {
 		clear(*p)
 	}
 	return p
 }
 
-// NewGrid creates a grid covering [min, max] with the given cell size.
-// The extent is expanded to a whole number of cells.
-func NewGrid(min, max Vec2, cellKm float64) *Grid {
+// NewGrid creates a grid covering [min, max] with the given cell size, every
+// weight 0 — what AddRegion, AddRegionBatched and the raster booleans add
+// onto. The extent is expanded to a whole number of cells.
+func NewGrid(min, max Vec2, cellKm float64) *Grid { return newGrid(min, max, cellKm, true) }
+
+// NewResolveGrid is NewGrid without the zeroing, for ResolveTop, which stores
+// every cell it specifies: the weights are whatever the pooled buffer's last
+// user left.
+func NewResolveGrid(min, max Vec2, cellKm float64) *Grid { return newGrid(min, max, cellKm, false) }
+
+func newGrid(min, max Vec2, cellKm float64, zero bool) *Grid {
 	if cellKm <= 0 {
 		cellKm = 1
 	}
@@ -77,7 +85,7 @@ func NewGrid(min, max Vec2, cellKm float64) *Grid {
 			h = 1
 		}
 	}
-	buf := getBuf[float64](&weightPool, w*h)
+	buf := getBuf[float64](&weightPool, w*h, zero)
 	return &Grid{Min: min, CellKm: cellKm, W: w, H: h, Weight: *buf, weightBuf: buf}
 }
 
@@ -107,7 +115,7 @@ func (g *Grid) releaseDiff() {
 // batchDiff returns the difference buffer, drawing it on first use.
 func (g *Grid) batchDiff() []float64 {
 	if g.diff == nil {
-		g.diff = getBuf[float64](&weightPool, (g.W+1)*g.H)
+		g.diff = getBuf[float64](&weightPool, (g.W+1)*g.H, true)
 	}
 	return *g.diff
 }
@@ -150,10 +158,12 @@ func (g *Grid) AddRegion(r *Region, w float64) {
 // AddRegionBatched records the same weight addition as AddRegion but as
 // row-difference updates: two writes per span instead of one per cell.
 // The additions take effect only after FlushAdds resolves the buffer with
-// one prefix-sum pass. The solver does the same a row at a time inside
-// ResolveTop, but only on the rows that can reach the level it returns: the
-// two fields agree bit for bit in every cell within levelSlack of that level
-// or above it, and a cell below may read 0 there. Its oracle and the
+// one prefix-sum pass, onto the zeros of NewGrid or whatever the grid holds.
+// The solver does the same a row at a time inside ResolveTop, which stores
+// instead of adding and only on the rows that can reach the level it returns:
+// on the rows of that level's box the two fields agree bit for bit in every
+// cell within levelSlack of the level or above it, and a cell below may read
+// 0 there; ResolveTop's other rows are unspecified. Its oracle and the
 // benchmark's replay use this whole-grid form.
 func (g *Grid) AddRegionBatched(r *Region, w float64) {
 	diff, stride := g.batchDiff(), g.W+1
@@ -279,7 +289,7 @@ func (g *Grid) ThresholdIn(level float64, box CellBox) *Region {
 		return EmptyRegion()
 	}
 	bw, bh := box.X1-box.X0+1, box.Y1-box.Y0+1
-	buf := getBuf[bool](&maskPool, bw*bh)
+	buf := getBuf[bool](&maskPool, bw*bh, true)
 	defer maskPool.Put(buf)
 	inside := *buf
 	any := false
@@ -319,41 +329,26 @@ type vkey struct{ x, y int32 }
 // dirEdge is one directed boundary edge between grid vertices.
 type dirEdge struct{ from, to vkey }
 
-// vkeyLess orders vertices row-major (y, then x).
-func vkeyLess(a, b vkey) bool {
-	return a.y < b.y || (a.y == b.y && a.x < b.x)
-}
-
-// edgesByFrom stable-sorts boundary edges by start vertex. The concrete
-// sort.Interface shares the stable-sort template with the sort.SliceStable
-// call it replaced, so the edge order — and every ring traced from it —
-// is byte-identical, without the per-call closure/swapper allocations.
-type edgesByFrom []dirEdge
-
-func (e edgesByFrom) Len() int           { return len(e) }
-func (e edgesByFrom) Less(i, j int) bool { return vkeyLess(e[i].from, e[j].from) }
-func (e edgesByFrom) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }
-
-// traceScratch pools the per-trace working set: the directed-edge table,
-// its used bitmap, and the current loop as vertex keys and as plane points.
-// Rings are retained by the caller and stay off the scratch.
+// traceScratch pools the per-trace working set: the directed-edge table with
+// its per-vertex-row offsets, an all-outside mask row, and the current loop
+// as vertex keys and as plane points. Rings are retained by the caller and
+// stay off the scratch.
 type traceScratch struct {
-	edges []dirEdge
-	used  []bool
-	loop  []vkey
-	pts   Ring
+	edges    []dirEdge
+	rowStart []int32
+	outside  []bool
+	loop     []vkey
+	pts      Ring
 }
+
+// taken, as its end's x, marks an edge a loop has used.
+const taken = math.MinInt32
 
 var tracePool = sync.Pool{New: func() any { return new(traceScratch) }}
 
 // traceBoundary converts a binary cell mask into a Region. Directed
 // boundary edges are emitted with the inside on the left, then linked into
 // loops, producing CCW outer rings and CW holes without post-processing.
-//
-// Edges live in one flat slice sorted by start vertex (a map of per-vertex
-// adjacency lists costs an allocation per boundary vertex, which dominated
-// the solver's allocation profile); tracing consumes them via binary search
-// over the sorted slice plus a used bitmap.
 func (g *Grid) traceBoundary(inside []bool) *Region {
 	return g.traceWindow(inside, g.FullBox())
 }
@@ -362,68 +357,93 @@ func (g *Grid) traceBoundary(inside []bool) *Region {
 // (row-major, box-relative); everything outside the box counts as outside.
 // Vertex keys stay absolute grid coordinates, so a window around the same
 // cells traces the same rings as the whole-grid mask.
+//
+// The edge table is indexed, not sorted: it is built a vertex row at a time
+// from the two mask rows that meet there, so edges come out ordered by start
+// vertex (row, then x), and rowStart[r] is where vertex row r begins — "the
+// edges starting at v" is a search of that row's few edges. At one vertex the
+// four possible edges are listed as a row-major walk over the cells (bottom,
+// top, left, right edge of each) meets them: that is the candidate order the
+// saddle rule sees, and with the loop starts below it fixes every ring byte
+// for byte (traceWindowReference in the tests sorts such a walk and agrees).
 func (g *Grid) traceWindow(inside []bool, box CellBox) *Region {
 	bw, bh := box.X1-box.X0+1, box.Y1-box.Y0+1
-	in := func(x, y int) bool {
-		if x < 0 || y < 0 || x >= bw || y >= bh {
-			return false
-		}
-		return inside[y*bw+x]
-	}
 	ts := tracePool.Get().(*traceScratch)
 	defer tracePool.Put(ts)
-	edges := ts.edges[:0]
-	for wy := 0; wy < bh; wy++ {
-		for wx := 0; wx < bw; wx++ {
-			if !in(wx, wy) {
-				continue
-			}
-			x, y := box.X0+wx, box.Y0+wy
-			if !in(wx, wy-1) { // bottom edge, rightward
-				edges = append(edges, dirEdge{vkey{int32(x), int32(y)}, vkey{int32(x + 1), int32(y)}})
-			}
-			if !in(wx, wy+1) { // top edge, leftward
-				edges = append(edges, dirEdge{vkey{int32(x + 1), int32(y + 1)}, vkey{int32(x), int32(y + 1)}})
-			}
-			if !in(wx-1, wy) { // left edge, downward
-				edges = append(edges, dirEdge{vkey{int32(x), int32(y + 1)}, vkey{int32(x), int32(y)}})
-			}
-			if !in(wx+1, wy) { // right edge, upward
-				edges = append(edges, dirEdge{vkey{int32(x + 1), int32(y)}, vkey{int32(x + 1), int32(y + 1)}})
-			}
+	if cap(ts.outside) < bw {
+		ts.outside = make([]bool, bw)
+	}
+	edges, rowStart := ts.edges[:0], resize32(ts.rowStart, bh+2)
+	// emit lists the edges that start at vertex (x, y), given the cells around
+	// it, sw and se below the vertex row, nw and ne above: leftward along sw's
+	// top, down se's left, up nw's right, rightward along ne's bottom.
+	emit := func(x, y int32, sw, se, nw, ne bool) {
+		if sw && !nw {
+			edges = append(edges, dirEdge{vkey{x, y}, vkey{x - 1, y}})
+		}
+		if se && !sw {
+			edges = append(edges, dirEdge{vkey{x, y}, vkey{x, y - 1}})
+		}
+		if nw && !ne {
+			edges = append(edges, dirEdge{vkey{x, y}, vkey{x, y + 1}})
+		}
+		if ne && !se {
+			edges = append(edges, dirEdge{vkey{x, y}, vkey{x + 1, y}})
 		}
 	}
-	ts.edges = edges
-	// Stable sort keeps edges sharing a start vertex in emission order, so
-	// saddle resolution sees candidates in the same order the adjacency-map
-	// representation produced (and ring output stays byte-identical).
-	sort.Stable(edgesByFrom(edges))
-	// findFrom returns the [i, j) range of edges starting at v.
+	below := ts.outside[:bw]
+	for vy := 0; vy <= bh; vy++ {
+		rowStart[vy] = int32(len(edges))
+		above := ts.outside[:bw]
+		if vy < bh {
+			above = inside[vy*bw:][:bw]
+		}
+		y := int32(box.Y0 + vy)
+		sw, nw := false, false
+		for vx, se := range below {
+			ne := above[vx]
+			if sw != se || nw != ne || sw != nw { // a boundary passes through
+				emit(int32(box.X0+vx), y, sw, se, nw, ne)
+			}
+			sw, nw = se, ne
+		}
+		if sw || nw {
+			emit(int32(box.X1+1), y, sw, false, nw, false)
+		}
+		below = above
+	}
+	rowStart[bh+1] = int32(len(edges))
+	ts.edges, ts.rowStart = edges, rowStart
+	// findFrom returns the [i, j) range of edges starting at v: a bisection
+	// of its vertex row's edges down to a handful, then a scan.
 	findFrom := func(v vkey) (int, int) {
-		i := sort.Search(len(edges), func(k int) bool { return !vkeyLess(edges[k].from, v) })
+		r := int(v.y) - box.Y0
+		i, end := int(rowStart[r]), int(rowStart[r+1])
+		for hi := end; hi-i > 8; {
+			if mid := int(uint(i+hi) >> 1); edges[mid].from.x < v.x {
+				i = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		for i < end && edges[i].from.x < v.x {
+			i++
+		}
 		j := i
-		for j < len(edges) && edges[j].from == v {
+		for j < end && edges[j].from.x == v.x {
 			j++
 		}
 		return i, j
 	}
-	used := ts.used
-	if cap(used) >= len(edges) {
-		used = used[:len(edges)]
-		clear(used)
-	} else {
-		used = make([]bool, len(edges))
-	}
-	ts.used = used
 	remaining := len(edges)
-	cursor := 0 // edges before cursor are all used
+	cursor := 0 // edges before cursor are all taken
 	var rings []Ring
 	loop := ts.loop
 	for remaining > 0 {
-		for used[cursor] {
+		for edges[cursor].to.x == taken {
 			cursor++
 		}
-		// Sorted order makes edges[cursor].from the smallest keyed vertex
+		// Edge order makes edges[cursor].from the smallest keyed vertex
 		// remaining, so ring order and vertex rotation are deterministic:
 		// varying start points would vary the float accumulation order of
 		// Area/centroid sums between runs, making identical localizations
@@ -438,7 +458,7 @@ func (g *Grid) traceWindow(inside []bool, box CellBox) *Region {
 			nc := 0
 			var cands [4]int
 			for k := i; k < j; k++ {
-				if !used[k] {
+				if edges[k].to.x != taken {
 					cands[nc] = k
 					nc++
 				}
@@ -468,11 +488,10 @@ func (g *Grid) traceWindow(inside []bool, box CellBox) *Region {
 					}
 				}
 			}
-			used[pick] = true
 			remaining--
 			loop = append(loop, cur)
-			prev = cur
-			cur = edges[pick].to
+			prev, cur = cur, edges[pick].to
+			edges[pick].to.x = taken
 			if cur == start {
 				break
 			}
@@ -504,13 +523,13 @@ func collapseCollinear(ring Ring) Ring {
 		return ring.Clone()
 	}
 	out := make(Ring, 0, n)
-	for i := 0; i < n; i++ {
-		a := ring[(i+n-1)%n]
-		b := ring[i]
-		c := ring[(i+1)%n]
+	a := ring[n-1]
+	for i := range ring {
+		b, c := ringEdge(ring, i)
 		if math.Abs(isLeft(a, c, b)) > 1e-12 {
 			out = append(out, b)
 		}
+		a = b
 	}
 	if len(out) < 3 {
 		return append(out[:0], ring...)
@@ -579,7 +598,7 @@ func rasterBool(a, b *Region, opts *BoolOpts, op func(x, y bool) bool) *Region {
 	defer g.Release()
 	var bufs [3]*[]bool // a's mask, b's mask, the combination
 	for i := range bufs {
-		bufs[i] = getBuf[bool](&maskPool, g.W*g.H)
+		bufs[i] = getBuf[bool](&maskPool, g.W*g.H, true)
 		defer maskPool.Put(bufs[i])
 	}
 	ma, mb, out := *bufs[0], *bufs[1], *bufs[2]

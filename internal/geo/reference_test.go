@@ -75,3 +75,40 @@ func (pr *Projection) geoCircleReference(center Point, radiusKm float64, n int) 
 	ensureCCW(out)
 	return out
 }
+
+// appendGeoCircleReference is AppendGeoCircle as it ran before it took its
+// orientation from the generating loop: frames by value, each vertex through
+// ForwardVec, then ensureCCW's shoelace walk — after which the disk
+// constructors' NewRegion (since deleted) walked the ring once more and
+// reversed it unless its area was positive. AppendGeoCircle must return the
+// bytes those two steps left.
+func (f Frame) appendGeoCircleReference(dst []Vec2, lm Frame, radiusKm float64, n int) []Vec2 {
+	if n < 3 {
+		n = 3
+	}
+	sinA, cosA := math.Sincos(radiusKm / EarthRadiusKm)
+	stride := 0
+	if n <= circleTableN && circleTableN%n == 0 {
+		stride = circleTableN / n
+	}
+	base := len(dst)
+	for i, ti := 0, 0; i < n; i, ti = i+1, ti+stride {
+		var st, ct float64
+		if stride > 0 {
+			st, ct = circleSin[ti], circleCos[ti]
+		} else {
+			st, ct = math.Sincos(2 * math.Pi * float64(i) / float64(n))
+		}
+		v := Vec3{
+			X: cosA*lm.U.X + sinA*(ct*lm.N.X+st*lm.E.X),
+			Y: cosA*lm.U.Y + sinA*(ct*lm.N.Y+st*lm.E.Y),
+			Z: cosA*lm.U.Z + sinA*(ct*lm.N.Z+st*lm.E.Z),
+		}
+		dst = append(dst, f.ForwardVec(v))
+	}
+	ensureCCW(dst[base:])
+	if ring := Ring(dst[base:]); !ring.IsCCW() {
+		reverseRing(ring)
+	}
+	return dst
+}

@@ -22,65 +22,11 @@ type Region struct {
 // EmptyRegion returns a region with no area.
 func EmptyRegion() *Region { return &Region{} }
 
-// NewRegion builds a region from rings, normalizing ring orientation so that
-// rings that enclose area are CCW and rings inside an odd number of other
-// rings are CW holes.
-func NewRegion(rings ...Ring) *Region {
-	r := &Region{Rings: rings}
-	r.normalize()
-	return r
-}
-
-// NormalizeRegion orients r's rings in place exactly as NewRegion does
-// (area rings CCW, odd-depth rings CW holes) and returns r. It exists for
-// callers that place the Region header and ring slice in caller-owned
-// memory (the constraint arena) instead of letting NewRegion allocate
-// them.
-func NormalizeRegion(r *Region) *Region {
-	r.normalize()
-	return r
-}
-
 // RegionFromRing wraps a single ring (made CCW) as a region.
 func RegionFromRing(ring Ring) *Region {
 	rr := ring.Clone()
 	ensureCCW(rr)
 	return &Region{Rings: []Ring{rr}}
-}
-
-// normalize orients rings by containment depth: a ring contained in an even
-// number of other rings is an outer boundary (CCW); odd, a hole (CW). A ring
-// can only be contained in a ring of strictly larger area, so the area guard
-// prevents a large ring's interior point (which may fall inside a smaller
-// ring) from inverting the nesting test.
-func (r *Region) normalize() {
-	if len(r.Rings) == 1 { // nothing to nest in: depth 0, one orientation walk
-		if ring := r.Rings[0]; len(ring) >= 3 && !ring.IsCCW() {
-			reverseRing(ring)
-		}
-		return
-	}
-	for i, ring := range r.Rings {
-		if len(ring) < 3 {
-			continue
-		}
-		depth := 0
-		p := ring[0]
-		area := ring.Area()
-		for j, other := range r.Rings {
-			if i == j || len(other) < 3 || other.Area() <= area {
-				continue
-			}
-			if other.Contains(p) {
-				depth++
-			}
-		}
-		ccw := ring.IsCCW()
-		wantCCW := depth%2 == 0
-		if ccw != wantCCW {
-			reverseRing(r.Rings[i])
-		}
-	}
 }
 
 // ringInteriorPoint returns a point in the interior of the ring (the centroid

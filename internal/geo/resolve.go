@@ -34,8 +34,15 @@ import (
 // reached, so Level >= L1; and a skipped row's cells, below L1 − ε, are no
 // members of Level, name no level at or above it and could only have raised
 // dropMax. So Best, Level, Cells, Box and Depth are the unpruned kernel's,
-// Underflow can differ only true → false, and skipped rows keep NewGrid's
-// zeros, which ThresholdIn, the point estimate and censusTop read as below.
+// and Underflow can differ only true → false.
+//
+// The field. A resolved cell is stored, never added to what the buffer held,
+// so the grid may come unzeroed (NewResolveGrid), and what is left is
+// specified on the rows of Box only: resolved rows hold their weights, pruned
+// rows among them are cleared to 0 — below Level, like the cells they stand
+// for — and other rows are whatever the pooled buffer held. ThresholdIn over
+// Box, the point estimate and BoxBounds read nothing else; the rare censusTop
+// fallback does, and every pruned row is cleared before it.
 //
 // Exactness. Levels are quantizeWeight(raw) but a cell belongs to a level
 // when raw >= level, and prefix-sum dust makes raw values less than 1e-9
@@ -223,15 +230,17 @@ const scoutFrac float64 = 0.9
 // additions) and of its bound (H, 2·len(fills)): 2^-53 of Σ|Weight| at most each.
 const levelSlack, addSlack float64 = 2e-9, 0x1p-52
 
-// ResolveTop adds the fills to the weight field of a grid fresh from NewGrid,
-// writes excluded into every cell whose centre is off land (land == nil
-// keeps every cell), and returns the level the solver's walk settles on for
-// the area threshold minAreaKm2, with the bounding box of that level's cells
-// — the walk over the field that AddRegionBatched per fill, FlushAdds and a
-// mask pass produce. A cell at or above Level − levelSlack in that field
-// holds its weight bit for bit (each row's fills enter its difference buffer
-// in fill order); a cell below holds that weight or, its row pruned, 0: so
-// Threshold, ThresholdIn and LevelSets read the level's cells as they would.
+// ResolveTop stores the sum of the fills into the weight field (no cell is
+// read first: NewResolveGrid suffices), writes excluded into every cell whose
+// centre is off land (land == nil keeps every cell), and returns the level the
+// solver's walk settles on for the area threshold minAreaKm2, with the
+// bounding box of that level's cells — the walk over the field that
+// AddRegionBatched per fill on a zeroed grid, FlushAdds and a mask pass
+// produce. On the rows of Box (every row after an Underflow) a cell at or
+// above Level − levelSlack in that field holds its weight bit for bit (each
+// row's fills enter its difference buffer in fill order) and a cell below
+// holds that weight or, its row pruned, 0: ThresholdIn over Box reads the
+// level's cells as Threshold would there. Other rows are unspecified.
 func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 float64) TopLevel {
 	// cols[x] is the lattice column under grid column x, -1 off the
 	// lattice: (cx-MinX)/cell for x = 0, advancing by exactly 1 per cell,
@@ -239,7 +248,7 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 	var cols []int32
 	invCell := 1 / g.CellKm
 	if land != nil {
-		buf := getBuf[int32](&colsPool, g.W)
+		buf := getBuf[int32](&colsPool, g.W, false)
 		defer colsPool.Put(buf)
 		cols = *buf
 		fx := (g.Min.X - land.MinX + 0.5*g.CellKm) * invCell
@@ -251,7 +260,7 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 			cols[x] = int32(mx)
 		}
 	}
-	dbuf := getBuf[float64](&rowPool, g.W+1+g.H+1)
+	dbuf := getBuf[float64](&rowPool, g.W+1+g.H+1, true)
 	defer rowPool.Put(dbuf)
 	diff, bound := (*dbuf)[:g.W+1], (*dbuf)[g.W+1:]
 	// The bounds, as a difference buffer over the rows and its prefix sum.
@@ -276,13 +285,15 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 	}
 	var activeBuf [128]int32
 	t := topTable{floor: math.SmallestNonzeroFloat64}
+	// A sweep over [lo, hi) passes the rows whose bound is outside it.
+	outside := func(b, lo, hi float64) bool { return b < lo || b >= hi }
 	// sweep resolves the rows with lo <= bound < hi, ascending, and counts them.
 	sweep := func(lo, hi float64) (rows int) {
 		// active lists, in fill order, the fills whose rows include y; it is
 		// rebuilt once y passes a row where a fill starts or ends (change).
 		active, change := activeBuf[:0], 0
 		for y := 0; y < g.H; y++ {
-			if b := bound[y]; b < lo || b >= hi {
+			if outside(bound[y], lo, hi) {
 				continue
 			}
 			rows++
@@ -318,7 +329,7 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 			// The buffer's last entry only ends spans.
 			for x, d := range diff[:g.W] {
 				run += d
-				w := wrow[x] + run
+				w := run
 				if mrow != nil {
 					if m := cols[x]; m < 0 || !mrow[m] {
 						w = excluded
@@ -342,9 +353,8 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 		}
 		return rows
 	}
-	rows := sweep(scout, math.Inf(1))
+	rows, rest := sweep(scout, math.Inf(1)), math.Inf(-1)
 	if rows < g.H {
-		rest := math.Inf(-1)
 		if l1, ok := t.walk(g.CellArea(), minAreaKm2); ok && l1.Level > 0 && float64(l1.Cells)*g.CellArea() >= minAreaKm2 {
 			rest = l1.Level - (levelSlack + addSlack*float64(g.W+g.H+4*len(fills))*sumAbs)
 		}
@@ -360,6 +370,17 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 	}
 
 	top, ok := t.walk(g.CellArea(), minAreaKm2)
+	// Clear the rows neither sweep resolved where they can be read: in the
+	// box, or — the census reads the whole field — everywhere.
+	y0, y1 := top.Box.Y0, top.Box.Y1
+	if !ok {
+		y0, y1 = 0, g.H-1
+	}
+	for y := y0; y <= y1 && rows < g.H; y++ {
+		if b := bound[y]; outside(b, scout, math.Inf(1)) && outside(b, rest, scout) {
+			clear(g.Weight[y*g.W : (y+1)*g.W])
+		}
+	}
 	if !ok {
 		top = g.censusTop(minAreaKm2)
 	}

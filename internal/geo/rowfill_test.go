@@ -11,13 +11,19 @@ import (
 // The row kernel (Fill, Grid.ResolveTop) against the naive reference
 // (scanRow via rowSpans), cell for cell, on both of its routes.
 
-// resolveOne resolves f alone, with weight 1, on a fresh grid and returns
+// resolveOne resolves f alone, with weight 1, on a poisoned grid and returns
 // the field: how many spans cover each cell (spans of one row can share an
-// end cell where the ring touches itself on a cell centre).
+// end cell where the ring touches itself on a cell centre). The threshold no
+// walk can reach takes the level down to 1 and its box around every covered
+// cell; the rows outside the box are unspecified and come back as 0, which
+// is what the naive count must hold there.
 func resolveOne(min, max Vec2, cell float64, f *Fill) (*Grid, []float64) {
-	g := NewGrid(min, max, cell)
+	g := poisonedGrid(min, max, cell)
 	f.Weight = 1
-	g.ResolveTop([]Fill{*f}, nil, 0, 1)
+	top := g.ResolveTop([]Fill{*f}, nil, 0, math.Inf(1))
+	y0, y1 := specifiedRows(g, top)
+	clear(g.Weight[:y0*g.W])
+	clear(g.Weight[(y1+1)*g.W:])
 	return g, g.Weight
 }
 
@@ -247,8 +253,18 @@ func TestResolveTopKeepsFillOrder(t *testing.T) {
 	band := func(y0, y1 float64) *Region { return Rect(V2(-5.2, y0), V2(5.3, y1)) }
 	two := &Region{Rings: []Ring{band(-8, -1).Rings[0], band(1, 8).Rings[0]}}
 	regions := []*Region{band(-5, 5), two, band(-6, 6)}
-	field := func(weights []float64, order []int, rowMajor bool) []float64 {
+	// field is the weights and the rows of them that are specified: every
+	// row of the whole-grid form; of the row-major one, on a poisoned grid
+	// and walked down to the lowest positive level, the rows of its box.
+	type rows struct {
+		w      []float64
+		y0, y1 int
+	}
+	field := func(weights []float64, order []int, rowMajor bool) rows {
 		g := NewGrid(V2(-12, -12), V2(12, 12), 0.5)
+		if rowMajor {
+			g = poisonedGrid(V2(-12, -12), V2(12, 12), 0.5)
+		}
 		var fills []Fill
 		for _, i := range order {
 			f, ok := PrepareFill(regions[i], weights[i])
@@ -261,15 +277,22 @@ func TestResolveTopKeepsFillOrder(t *testing.T) {
 			}
 		}
 		if rowMajor {
-			g.ResolveTop(fills, nil, 0, 1)
-		} else {
-			g.FlushAdds()
+			y0, y1 := specifiedRows(g, g.ResolveTop(fills, nil, 0, math.Inf(1)))
+			return rows{g.Weight, y0, y1}
 		}
-		return g.Weight
+		g.FlushAdds()
+		return rows{g.Weight, 0, g.H - 1}
 	}
-	same := func(a, b []float64) bool {
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+	// same compares the rows specified on both sides; the bands where the
+	// order of additions shows lie between the outermost positive cells.
+	same := func(a, b rows) bool {
+		w := len(a.w) / 48
+		y0, y1 := max(a.y0, b.y0), min(a.y1, b.y1)
+		if y1-y0 < 30 {
+			t.Fatalf("only rows %d–%d specified on both sides", y0, y1)
+		}
+		for i := y0 * w; i < (y1+1)*w; i++ {
+			if math.Float64bits(a.w[i]) != math.Float64bits(b.w[i]) {
 				return false
 			}
 		}
@@ -334,4 +357,67 @@ func FuzzRowFill(f *testing.F) {
 		}
 		checkRowFill(t, "fuzz", r, grids)
 	})
+}
+
+// TestWholeRowShortcut sets the traps of addRow's whole-row shortcut, on both
+// of the suite's grids: rings whose chain edges sit exactly on the one-cell
+// margin, a hair inside and a hair outside it, on either side; a disk that
+// covers the grid in every row; the ascending chain on the right (any
+// counter-clockwise ring) and on the left (the upper lobe of a bow-tie); a
+// ring that spans some rows and not others; and a ring that clears the margin
+// but reaches so far out that its crossing rounds back into the grid. Each is
+// held to the naive scanRow cell for cell on both routes, and a mid-height
+// row is asked whether it took the shortcut.
+func TestWholeRowShortcut(t *testing.T) {
+	for _, gd := range rowFillGrids {
+		g := NewGrid(V2(gd[0], gd[1]), V2(gd[0]+16, gd[1]+16), gd[2])
+		left, right := g.Min.X-g.CellKm, g.Min.X+float64(g.W+1)*g.CellKm
+		in := math.Nextafter                   // in(x, towards): a hair off x
+		hexagon := func(xl, xr float64) Ring { // upright sides at xl and xr over the grid's rows
+			return Ring{{xl, -12}, {xr, -12}, {xr, 14}, {(xl + xr) / 2, 15}, {xl, 14}}
+		}
+		slanted := func(xl, xr float64) Ring { // sides that lean away from the grid, nearest at one end
+			return Ring{{xl, -12}, {xr, -12}, {xr + 7, 14}, {xl - 5, 14}}
+		}
+		bowtie := Ring{{-100, -100}, {100, -100}, {left - 11, -13}, {left - 21, 12}, {right + 21, 12}, {right + 11, -13}}
+		cases := []struct {
+			name  string
+			ring  Ring
+			whole bool // the row through y = 0.4 is filled by the shortcut
+		}{
+			{"on the margin", hexagon(left, right), true},
+			{"a hair outside the margin", hexagon(in(left, -1e9), in(right, 1e9)), true},
+			{"left side a hair inside", hexagon(in(left, 1e9), right), false},
+			{"right side a hair inside", hexagon(left, in(right, -1e9)), false},
+			{"slanted, on the margin", slanted(left, right), true},
+			{"slanted, left a hair inside", slanted(in(left, 1e9), right), false},
+			{"slanted, right a hair inside", slanted(left, in(right, -1e9)), false},
+			{"disk over the grid", Disk(V2(gd[0]+8, gd[1]+8), 40, 96).Rings[0], true},
+			{"ascending chain on the left", bowtie, true},
+			{"whole rows below, partial above", Ring{{-30, -20}, {30, -20}, {30, gd[1] + 4}, {gd[0] + 9, gd[1] + 12}, {gd[0] + 7, gd[1] + 12}, {-30, gd[1] + 4}}, false},
+			{"clear of the margin, too far out", Ring{{-12, -20}, {40, -20}, {40, 30}, {-1e18, 1e18}}, false},
+		}
+		for _, tc := range cases {
+			name := fmt.Sprintf("%s/cell-%v", tc.name, gd[2])
+			r := &Region{Rings: []Ring{tc.ring}}
+			if general, ok := checkRowFill(t, name, r, [2][3]float64{gd, gd}); !ok || general {
+				t.Fatalf("%s: prepared %v, general %v: want a two-cursor fill", name, ok, general)
+			}
+			f, _ := PrepareFill(r, 1)
+			f.begin(g)
+			y := int(math.Floor((0.4 - g.Min.Y) / g.CellKm))
+			if tc.name == "whole rows below, partial above" {
+				y = int(math.Floor((gd[1] + 8 - g.Min.Y) / g.CellKm)) // a partial row; the whole ones are the other cases'
+			}
+			d := make([]float64, g.W+1)
+			f.addRow(g, y, g.rowCentre(y), d)
+			if whole := f.asc.side*f.desc.side < 0; whole != tc.whole {
+				t.Errorf("%s: row %d took the shortcut: %v, want %v (sides %d, %d)", name, y, whole, tc.whole, f.asc.side, f.desc.side)
+			}
+			if tc.name == "ascending chain on the left" && !(f.asc.side < 0 && f.desc.side > 0) {
+				t.Errorf("%s: sides %d, %d: the ascending chain should be the left one", name, f.asc.side, f.desc.side)
+			}
+		}
+		g.Release()
+	}
 }

@@ -82,10 +82,11 @@ func NewFrame(p Point) Frame {
 // (km east, km north of f.Origin): the angular distance comes from one
 // atan2 and the direction from the vector's components in f's tangent
 // frame — no haversine/bearing chain.
-func (f Frame) ForwardVec(v Vec3) Vec2 {
-	e := v.Dot(f.E)
-	n := v.Dot(f.N)
-	u := v.Dot(f.U)
+func (f Frame) ForwardVec(v Vec3) Vec2 { return azimuthal(v.Dot(f.E), v.Dot(f.N), v.Dot(f.U)) }
+
+// azimuthal maps a unit vector, given by its components along a frame's east
+// and north tangents and its position vector, into that frame's plane.
+func azimuthal(e, n, u float64) Vec2 {
 	rho := math.Sqrt(e*e + n*n)
 	if rho == 0 {
 		if u >= 0 {
@@ -152,7 +153,12 @@ func CircleSegments(radiusKm, chordTolKm float64) int {
 // only when n does not divide the table size), one atan2 + one sqrt per
 // vertex for the projection. Equivalent to the reference
 // Destination→DistanceKm→BearingTo chain to well under a metre.
-func (f Frame) AppendGeoCircle(dst []Vec2, lm Frame, radiusKm float64, n int) []Vec2 {
+//
+// The ring is finished when it is returned: signedArea's sum is taken, term
+// for term, as the vertices are generated — clockwise in the plane, as
+// bearings run, unless the disk holds f's antipode — and a ring whose sum is
+// not positive is reversed; a caller can wrap it in a Region as it stands.
+func (f *Frame) AppendGeoCircle(dst []Vec2, lm *Frame, radiusKm float64, n int) []Vec2 {
 	if n < 3 {
 		n = 3
 	}
@@ -162,6 +168,8 @@ func (f Frame) AppendGeoCircle(dst []Vec2, lm Frame, radiusKm float64, n int) []
 		stride = circleTableN / n
 	}
 	base := len(dst)
+	var area float64
+	var prev Vec2 // the zero vector before vertex 0: a first term of 0
 	for i, ti := 0, 0; i < n; i, ti = i+1, ti+stride {
 		var st, ct float64
 		if stride > 0 {
@@ -176,9 +184,14 @@ func (f Frame) AppendGeoCircle(dst []Vec2, lm Frame, radiusKm float64, n int) []
 			Y: cosA*lm.U.Y + sinA*(ct*lm.N.Y+st*lm.E.Y),
 			Z: cosA*lm.U.Z + sinA*(ct*lm.N.Z+st*lm.E.Z),
 		}
-		dst = append(dst, f.ForwardVec(v))
+		p := azimuthal(v.Dot(f.E), v.Dot(f.N), v.Dot(f.U))
+		area += prev.X*p.Y - p.X*prev.Y
+		prev = p
+		dst = append(dst, p)
 	}
-	ensureCCW(dst[base:])
+	if first := dst[base]; !(area+(prev.X*first.Y-first.X*prev.Y) > 0) {
+		reverseRing(dst[base:])
+	}
 	return dst
 }
 

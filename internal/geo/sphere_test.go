@@ -146,3 +146,54 @@ func TestUnitVecRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendGeoCircleBitIdentical: the single-walk circle against the
+// three-walk reference, byte for byte, over random centres, landmarks and
+// radii — city pins to disks wider than a hemisphere, antimeridian and
+// high-latitude centres, table and non-table vertex counts. Bearings run
+// clockwise, so an ordinary disk is generated clockwise in the plane and
+// reversed; one that holds the projection centre's antipode is generated
+// counter-clockwise and kept: both outcomes are exercised, and the result is
+// counter-clockwise either way.
+func TestAppendGeoCircleBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	kept, reversed := 0, 0
+	for _, c := range propertyCenters {
+		cf := NewFrame(c)
+		for i := 0; i < 400; i++ {
+			lm := c.Destination(2*math.Pi*rng.Float64(), 19000*rng.Float64())
+			lf := NewFrame(lm)
+			r := []float64{1, 30, 250, 3000, 9000, 15000, 19500}[i%7] * (0.5 + rng.Float64())
+			n := []int{24, 32, 48, 96, 17}[i%5]
+			prefix := []Vec2{{1, 2}} // appended to, not overwritten
+			got := cf.AppendGeoCircle(prefix, &lf, r, n)
+			want := cf.appendGeoCircleReference(prefix[:1:1], lf, r, n)
+			if len(got) != n+1 || got[0] != prefix[0] {
+				t.Fatalf("centre %v landmark %v r=%.0f n=%d: %d vertices after a prefix of 1", c, lm, r, n, len(got))
+			}
+			for j := range want {
+				if math.Float64bits(got[j].X) != math.Float64bits(want[j].X) || math.Float64bits(got[j].Y) != math.Float64bits(want[j].Y) {
+					t.Fatalf("centre %v landmark %v r=%.0f n=%d: vertex %d is %v, reference %v", c, lm, r, n, j-1, got[j], want[j])
+				}
+			}
+			ring := Ring(got[1:])
+			if !ring.IsCCW() {
+				t.Fatalf("centre %v landmark %v r=%.0f n=%d: ring is not counter-clockwise", c, lm, r, n)
+			}
+			// Vertex 0 of the generating loop is the point r due north of lm.
+			sinA, cosA := math.Sincos(r / EarthRadiusKm)
+			north := cf.ForwardVec(Vec3{cosA*lf.U.X + sinA*lf.N.X, cosA*lf.U.Y + sinA*lf.N.Y, cosA*lf.U.Z + sinA*lf.N.Z})
+			switch north {
+			case ring[0]:
+				kept++
+			case ring[n-1]:
+				reversed++
+			default:
+				t.Fatalf("centre %v landmark %v r=%.0f n=%d: the due-north vertex %v is neither first nor last", c, lm, r, n, north)
+			}
+		}
+	}
+	if kept < 100 || reversed < 1000 {
+		t.Errorf("%d rings kept their order and %d were reversed: the suite should exercise both", kept, reversed)
+	}
+}
