@@ -21,15 +21,15 @@
 // because each request borrows exactly one snapshot for its whole
 // lifetime, an epoch hot-swap never torn-reads a request: in-flight
 // targets finish on the epoch they started with, later requests see the
-// new one. Cache entries and coalescing keys are epoch-qualified, so a
-// swap implicitly invalidates stale cached results instead of serving
-// them from the superseded calibration.
+// new one. Cache entries and coalescing keys are one Key — target,
+// options fingerprint, epoch — so a swap never serves a result from the
+// superseded calibration: the new epoch's requests cannot name the old
+// entries, which age out of the LRU by disuse.
 //
 // Requests may carry per-request core.LocalizeOption values: options are
-// resolved once per call, and both the LRU and the coalescing keys are
-// additionally qualified by the options fingerprint, so the same target
-// tuned two ways never shares a result, while identical tunings still hit
-// and coalesce. Options that cannot be fingerprinted (custom evidence
+// resolved once per call, and the options fingerprint is part of the
+// Key, so the same target tuned two ways never shares a result, while
+// identical tunings still hit and coalesce. Options that cannot be fingerprinted (custom evidence
 // sources) bypass sharing entirely.
 //
 // A group is homogeneous by construction — one borrowed epoch, one
@@ -51,12 +51,25 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"octant/internal/core"
+	"octant/internal/lru"
 	"octant/internal/measure"
 )
+
+// Key names one cacheable localization result: the target, the options
+// fingerprint ("" for a default request) and the survey epoch it was
+// computed under. The engine's LRU and its coalescing flight, the
+// /v1/cache/lookup peer read and the cluster front door's L1 all key on
+// it, so every tier names a result the same way. A borrower at epoch E
+// can only name E's entries; a straggler's result lands under its own
+// epoch. Non-cacheable requests never get a Key.
+type Key struct {
+	Target      string
+	Fingerprint string
+	Epoch       uint64
+}
 
 // Options configures an Engine. The zero value is usable: 4 workers,
 // a 1024-entry cache, no per-target timeout.
@@ -107,8 +120,8 @@ func (p staticProvider) CurrentLocalizer() *core.Localizer { return p.loc }
 type Engine struct {
 	provider Provider
 	opts     Options
-	cache    *lruCache
-	flight   measure.Flight[string, *core.Result]
+	cache    *lru.Cache[Key, *core.Result]
+	flight   measure.Flight[Key, *core.Result]
 	metrics  metrics
 }
 
@@ -123,11 +136,9 @@ func New(loc *core.Localizer, opts Options) *Engine {
 // zero interruption to in-flight work.
 func NewWithProvider(p Provider, opts Options) *Engine {
 	opts.fillDefaults()
-	e := &Engine{provider: p, opts: opts}
-	if opts.CacheSize > 0 {
-		e.cache = newLRU(opts.CacheSize, opts.TTL)
-	}
-	return e
+	// Results are cached by pointer: they are never mutated after the
+	// solve returns, so sharing them is safe.
+	return &Engine{provider: p, opts: opts, cache: lru.New[Key, *core.Result](opts.CacheSize, opts.TTL)}
 }
 
 // Item is one streamed batch outcome. Exactly one of Result/Err is set.
@@ -222,14 +233,11 @@ func resolveOpts(opts []core.LocalizeOption) resolved {
 
 // waiter is one distinct key a call could not answer from the cache: the
 // submitted positions that want it and, once joined, the flight it rides.
+// Only key.Target is meaningful when the options are not cacheable.
 type waiter struct {
-	target string
-	// key is the LRU key: the bare target under default options (so v1
-	// traffic keys exactly as it always has), target + fingerprint under
-	// tuned ones. Unused when the options are not cacheable.
-	key  string
+	key  Key
 	idx  []int
-	call *measure.FlightCall[string, *core.Result]
+	call *measure.FlightCall[Key, *core.Result]
 }
 
 // serve is the engine's one request path. It borrows the provider's
@@ -261,20 +269,15 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 
 	// Cache partition plus within-call coalescing.
 	var pending []waiter
-	var seen map[string]int // key → position in pending; multi-target calls only
+	var seen map[Key]int // key → position in pending; multi-target calls only
 	for i, t := range targets {
-		key := t
+		key := Key{Target: t, Fingerprint: ro.fp, Epoch: epoch}
 		if ro.cacheable {
-			if ro.fp != "" {
-				key = t + "\x1f" + ro.fp
-			}
-			if e.cache != nil {
-				if res, ok := e.cache.get(key, epoch); ok {
-					e.metrics.hit()
-					emit(Item{Index: i, Target: t, Epoch: epoch, Result: res, Cached: true, Elapsed: time.Since(start)})
-					e.metrics.end()
-					continue
-				}
+			if res, ok := e.cache.Get(key); ok {
+				e.metrics.hit()
+				emit(Item{Index: i, Target: t, Epoch: epoch, Result: res, Cached: true, Elapsed: time.Since(start)})
+				e.metrics.end()
+				continue
 			}
 			if j, dup := seen[key]; dup {
 				e.metrics.miss()
@@ -283,13 +286,13 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 			}
 			if len(targets) > 1 {
 				if seen == nil {
-					seen = make(map[string]int)
+					seen = make(map[Key]int)
 				}
 				seen[key] = len(pending)
 			}
 		}
 		e.metrics.miss()
-		pending = append(pending, waiter{target: t, key: key, idx: []int{i}})
+		pending = append(pending, waiter{key: key, idx: []int{i}})
 	}
 
 	// deliver emits one settled outcome to every position waiting on it.
@@ -301,7 +304,7 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 			if shared || n > 0 {
 				e.metrics.coalesce()
 			}
-			item := Item{Index: i, Target: w.target, Epoch: epoch, Elapsed: elapsed}
+			item := Item{Index: i, Target: w.key.Target, Epoch: epoch, Elapsed: elapsed}
 			if err != nil {
 				e.metrics.fail()
 				item.Err = err
@@ -329,10 +332,10 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 		for _, w := range pending {
 			leader := true
 			if ro.cacheable {
-				// Epoch-qualified coalescing: a follower never receives a
-				// result computed on a snapshot — or under options — it
-				// did not ask for.
-				w.call, leader = e.flight.Join(strconv.FormatUint(epoch, 36) + "\x00" + w.key)
+				// The Key carries the epoch and the fingerprint: a follower
+				// never receives a result computed on a snapshot — or
+				// under options — it did not ask for.
+				w.call, leader = e.flight.Join(w.key)
 			}
 			if leader {
 				led = append(led, w)
@@ -344,7 +347,7 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 		if len(led) > 0 {
 			measure := make([]string, len(led))
 			for j := range led {
-				measure[j] = led[j].target
+				measure[j] = led[j].key.Target
 			}
 			loc.LocalizeBatchDeadline(ctx, measure, e.opts.Workers, e.opts.TargetTimeout, ro.opts, func(j int, res *core.Result, err error) {
 				w := &led[j]
@@ -352,17 +355,17 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 					// Cancellations and per-target deadline expiries
 					// surface as "batch: <target>: <ctx error>".
 					if sentinel := ctxSentinel(err); sentinel != nil {
-						err = fmt.Errorf("batch: %s: %w", w.target, sentinel)
+						err = fmt.Errorf("batch: %s: %w", w.key.Target, sentinel)
 					}
 				} else {
 					// Once per computed result, not per delivery.
 					e.metrics.observePriors(res)
-					if e.cache != nil && ro.cacheable && !res.Degraded {
+					if ro.cacheable && !res.Degraded {
 						// Degraded results are served but never cached:
 						// the failure that degraded them is transient, and
 						// a cached entry would keep answering from partial
 						// evidence long after the network healed.
-						e.cache.put(w.key, epoch, res)
+						e.cache.Put(w.key, res)
 					}
 				}
 				if w.call != nil {
@@ -400,23 +403,15 @@ func ctxSentinel(err error) error {
 	return nil
 }
 
-// Peek looks up a cached result for (target, fingerprint, epoch) without
-// measuring, coalescing, or counting a request. It is the cluster tier's
-// peer-fetch read path: a sibling node (or the fleet router) may ask
-// whether this engine already holds a result it can reuse. Entries from
-// non-cacheable requests never exist (they bypass the LRU on insert), so
-// Peek can never leak an un-shareable result. The lookup follows the
-// cache's epoch discipline: an entry from an older epoch than asked for
-// is evicted as stale, an entry from a newer one is left alone.
-func (e *Engine) Peek(target, fingerprint string, epoch uint64) (*core.Result, bool) {
-	if e.cache == nil {
-		return nil, false
-	}
-	key := target
-	if fingerprint != "" {
-		key = target + "\x1f" + fingerprint
-	}
-	res, ok := e.cache.get(key, epoch)
+// Peek looks up the cached result for key without measuring, coalescing,
+// or counting a request. It is the cluster tier's peer-fetch read path: a
+// sibling node (or the fleet router) may ask whether this engine already
+// holds a result it can reuse. Entries from non-cacheable requests never
+// exist (they bypass the LRU on insert), so Peek can never leak an
+// un-shareable result. It finds only the entry computed under key.Epoch,
+// never one from another epoch.
+func (e *Engine) Peek(key Key) (*core.Result, bool) {
+	res, ok := e.cache.Get(key)
 	if ok {
 		e.metrics.peerHit()
 	}
@@ -431,10 +426,7 @@ func (e *Engine) InFlight() int64 { return e.metrics.inFlight.Load() }
 // Stats returns a snapshot of the engine's counters and latency quantiles.
 func (e *Engine) Stats() Stats {
 	s := e.metrics.snapshot()
-	if e.cache != nil {
-		s.CacheLen = e.cache.len()
-		s.CacheCap = e.cache.cap
-	}
+	s.CacheLen, s.CacheCap = e.cache.Len(), e.cache.Cap()
 	s.Workers = e.opts.Workers
 	loc := e.provider.CurrentLocalizer()
 	s.Epoch = loc.Survey.Epoch

@@ -3,12 +3,12 @@ package batch
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"octant/internal/core"
+	"octant/internal/lru"
 	"octant/internal/measure"
 )
 
@@ -18,51 +18,73 @@ func resAt(epoch uint64) *core.Result {
 	return &core.Result{Weight: float64(epoch)}
 }
 
-// TestLRUEpochDiscipline pins the cache's per-entry epoch rules in both
-// directions: an entry from a NEWER epoch than the requester's snapshot
-// is a miss that leaves the entry alone (it is exactly what current
-// requests want), an entry from an OLDER epoch is a miss that evicts the
-// stale entry, and a put can never clobber a fresher entry with a
-// straggler's superseded result.
-func TestLRUEpochDiscipline(t *testing.T) {
-	c := newLRU(8, 0)
-	c.put("k", 1, resAt(1))
+// newLRU is the engine's result cache, as NewWithProvider builds it.
+func newLRU(capacity int, ttl time.Duration) *lru.Cache[Key, *core.Result] {
+	return lru.New[Key, *core.Result](capacity, ttl)
+}
 
-	if _, ok := c.get("k", 0); ok {
+// at is the Key of target "k" under fingerprint fp at epoch e.
+func at(fp string, e uint64) Key { return Key{Target: "k", Fingerprint: fp, Epoch: e} }
+
+// TestLRUEpochDiscipline pins the epoch rules the Key gives the cache: a
+// borrower at epoch E reads only E's entry, whichever epochs hold the
+// same target; a straggler's put lands under its own epoch and leaves the
+// fresher entry alone; and superseded entries age out in LRU order. (The
+// pre-Key cache also evicted an older-epoch entry on first touch; with
+// the epoch in the key no reader can touch it, so that rule is gone.)
+func TestLRUEpochDiscipline(t *testing.T) {
+	c := newLRU(2, 0)
+	c.Put(at("", 1), resAt(1))
+
+	if _, ok := c.Get(at("", 0)); ok {
 		t.Fatal("epoch-0 borrower hit an epoch-1 entry")
 	}
-	if c.len() != 1 {
-		t.Fatalf("newer entry was evicted by an older request (len %d)", c.len())
-	}
-	if res, ok := c.get("k", 1); !ok || res.Weight != 1 {
+	if res, ok := c.Get(at("", 1)); !ok || res.Weight != 1 {
 		t.Fatalf("same-epoch get = %v, %v; want the epoch-1 result", res, ok)
 	}
-	if _, ok := c.get("k", 2); ok {
+	if _, ok := c.Get(at("", 2)); ok {
 		t.Fatal("epoch-2 borrower hit a stale epoch-1 entry")
 	}
-	if c.len() != 0 {
-		t.Fatalf("stale entry not evicted on first touch (len %d)", c.len())
+	if _, ok := c.Get(at("fp", 1)); ok {
+		t.Fatal("tuned borrower hit the default request's entry")
 	}
 
-	c.put("k", 2, resAt(2))
-	c.put("k", 1, resAt(1)) // straggler from before the swap
-	if res, ok := c.get("k", 2); !ok || res.Weight != 2 {
+	c.Put(at("", 2), resAt(2))
+	c.Put(at("", 1), resAt(1)) // straggler from before the swap
+	if res, ok := c.Get(at("", 2)); !ok || res.Weight != 2 {
 		t.Fatalf("straggler clobbered the fresh entry: get = %v, %v", res, ok)
+	}
+	if res, ok := c.Get(at("", 1)); !ok || res.Weight != 1 {
+		t.Fatalf("straggler's put = %v, %v; want it under its own epoch", res, ok)
+	}
+
+	// Epoch 3 traffic only: the superseded entries go first, oldest use
+	// first, and the cache never outgrows its capacity.
+	c.Put(at("", 3), resAt(3))
+	c.Put(Key{Target: "other", Epoch: 3}, resAt(3))
+	if _, ok := c.Get(at("", 2)); ok {
+		t.Error("epoch-2 entry survived two epoch-3 puts into a full cache")
+	}
+	if _, ok := c.Get(at("", 1)); ok {
+		t.Error("epoch-1 entry survived two epoch-3 puts into a full cache")
+	}
+	if res, ok := c.Get(at("", 3)); !ok || res.Weight != 3 || c.Len() != 2 {
+		t.Errorf("epoch-3 get = %v, %v with %d entries; want the epoch-3 result, 2 entries", res, ok, c.Len())
 	}
 }
 
 func TestLRUTTLExpiry(t *testing.T) {
 	c := newLRU(8, 10*time.Millisecond)
-	c.put("k", 0, resAt(0))
-	if _, ok := c.get("k", 0); !ok {
+	c.Put(at("", 0), resAt(0))
+	if _, ok := c.Get(at("", 0)); !ok {
 		t.Fatal("fresh entry missed")
 	}
 	time.Sleep(20 * time.Millisecond)
-	if _, ok := c.get("k", 0); ok {
+	if _, ok := c.Get(at("", 0)); ok {
 		t.Fatal("expired entry served")
 	}
-	if c.len() != 0 {
-		t.Fatalf("expired entry not evicted (len %d)", c.len())
+	if c.Len() != 0 {
+		t.Fatalf("expired entry not evicted (len %d)", c.Len())
 	}
 }
 
@@ -88,19 +110,17 @@ func TestLRUConcurrentMixedEpochs(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < iters; i++ {
-				// Fingerprint-qualified and bare keys mixed, as the engine
-				// composes them.
-				key := fmt.Sprintf("target-%d", rng.Intn(nKeys))
+				// Fingerprint-qualified and default keys mixed.
+				key := Key{Target: fmt.Sprintf("target-%d", rng.Intn(nKeys)), Epoch: uint64(rng.Intn(maxE + 1))}
 				if rng.Intn(2) == 0 {
-					key += "\x1f" + "fpA"
+					key.Fingerprint = "fpA"
 				}
-				epoch := uint64(rng.Intn(maxE + 1))
 				if rng.Intn(2) == 0 {
-					c.put(key, epoch, resAt(epoch))
+					c.Put(key, resAt(key.Epoch))
 					continue
 				}
-				if res, ok := c.get(key, epoch); ok && res.Weight != float64(epoch) {
-					violations.Store(fmt.Sprintf("epoch %d served weight %v", epoch, res.Weight), true)
+				if res, ok := c.Get(key); ok && res.Weight != float64(key.Epoch) {
+					violations.Store(fmt.Sprintf("epoch %d served weight %v", key.Epoch, res.Weight), true)
 				}
 			}
 		}(w)
@@ -110,29 +130,28 @@ func TestLRUConcurrentMixedEpochs(t *testing.T) {
 		t.Errorf("cross-epoch hit: %s", k)
 		return true
 	})
-	if c.len() > nKeys/2 {
-		t.Errorf("cache over capacity after churn: %d > %d", c.len(), nKeys/2)
+	if c.Len() > nKeys/2 {
+		t.Errorf("cache over capacity after churn: %d > %d", c.Len(), nKeys/2)
 	}
 	// Whatever survived, a max-epoch reader can only ever see max-epoch
-	// results (older entries evict on touch).
+	// results.
 	for i := 0; i < nKeys; i++ {
-		if res, ok := c.get(fmt.Sprintf("target-%d", i), maxE); ok && res.Weight != maxE {
+		if res, ok := c.Get(Key{Target: fmt.Sprintf("target-%d", i), Epoch: maxE}); ok && res.Weight != maxE {
 			t.Errorf("target-%d: max-epoch get returned epoch-%v result", i, res.Weight)
 		}
 	}
 }
 
-// TestFlightKeyUniqueness exercises the singleflight group with keys
-// composed exactly as the engine does (epoch + target + options
-// fingerprint): concurrent calls for one target under DIFFERENT
-// fingerprints must run independently — coalescing them would hand a
-// caller a result under options it did not ask for — while calls under
-// the SAME fingerprint coalesce onto one measurement.
+// TestFlightKeyUniqueness exercises the engine's flight over Key:
+// concurrent calls for one target under DIFFERENT fingerprints or epochs
+// must run independently — coalescing them would hand a caller a result
+// under options it did not ask for — while calls under the SAME Key
+// coalesce onto one measurement.
 func TestFlightKeyUniqueness(t *testing.T) {
-	var g measure.Flight[string, *core.Result]
+	var g measure.Flight[Key, *core.Result]
 	// do drives one key through join/finish the way a one-target call
 	// does: lead and finish, or follow and share.
-	do := func(key string, fn func() (*core.Result, error)) (*core.Result, error, bool) {
+	do := func(key Key, fn func() (*core.Result, error)) (*core.Result, error, bool) {
 		c, leader := g.Join(key)
 		if !leader {
 			<-c.Done()
@@ -142,19 +161,15 @@ func TestFlightKeyUniqueness(t *testing.T) {
 		g.Finish(c, res, err)
 		return res, err, false
 	}
-	flightKey := func(epoch uint64, target, fp string) string {
-		key := target
-		if fp != "" {
-			key += "\x1f" + fp
-		}
-		return strconv.FormatUint(epoch, 36) + "\x00" + key
+	flightKey := func(epoch uint64, target, fp string) Key {
+		return Key{Target: target, Fingerprint: fp, Epoch: epoch}
 	}
 
 	// Distinct fingerprints (and distinct epochs) for one target: every
 	// leader must run its own fn. Leaders block on gate so the calls are
 	// genuinely concurrent — coalescing would deadlock-free but report
 	// shared=true and return another key's result.
-	keys := []string{
+	keys := []Key{
 		flightKey(0, "host", ""),
 		flightKey(0, "host", "fpA"),
 		flightKey(0, "host", "fpB"),
@@ -167,7 +182,7 @@ func TestFlightKeyUniqueness(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, key := range keys {
 		wg.Add(1)
-		go func(i int, key string) {
+		go func(i int, key Key) {
 			defer wg.Done()
 			want := resAt(uint64(i))
 			results[i], _, shareds[i] = do(key, func() (*core.Result, error) {

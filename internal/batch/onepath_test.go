@@ -140,6 +140,86 @@ func TestConcurrentBatchesShareMeasurements(t *testing.T) {
 	}
 }
 
+// TestCyclicBatchesJoinAndFinish is the join/finish stress: N concurrent
+// batches per epoch, over two epochs, whose target sets overlap in a ring
+// — batch i shares a target with batch i−1 and one with batch i+1, and
+// has one of its own. Each epoch measures through its own gated prober,
+// whose first train per target parks until every batch of both epochs
+// has made its joins, so every leader waits on its own trains while it
+// is some other batch's follower. Every call must return, each (target,
+// epoch) must be measured exactly once, and no result may cross epochs.
+func TestCyclicBatchesJoinAndFinish(t *testing.T) {
+	f := sharedFixture(t)
+	const N = 8
+	own, ring := f.targets[:N], f.targets[N:2*N]
+	next, _, err := core.RebuildSurvey(f.survey, f.survey.RTT, make([]bool, f.survey.N()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := func(_ string, nth int) bool { return nth == 1 }
+	probers := []*gatedProber{newGatedProber(f.prober, first), newGatedProber(f.prober, first)}
+	surveys := []*core.Survey{f.survey, next}
+	prov := &swapProvider{}
+	eng := batch.NewWithProvider(prov, batch.Options{Workers: 4})
+
+	var mu sync.Mutex
+	got := map[batch.Key][]*core.Result{}
+	var wg sync.WaitGroup
+	for e, gp := range probers {
+		prov.publish(core.NewLocalizer(gp, surveys[e], wideOpen))
+		for i := 0; i < N; i++ {
+			wg.Add(1)
+			go func(targets []string) {
+				defer wg.Done()
+				for item := range eng.Run(context.Background(), targets) {
+					if item.Err != nil || item.Epoch != uint64(e) {
+						t.Errorf("%s: epoch %d err %v, want epoch %d", item.Target, item.Epoch, item.Err, e)
+						continue
+					}
+					mu.Lock()
+					key := batch.Key{Target: item.Target, Epoch: item.Epoch}
+					got[key] = append(got[key], item.Result)
+					mu.Unlock()
+				}
+			}([]string{ring[i], own[i], ring[(i+1)%N]})
+		}
+		// Each own target is led by its one batch: once they all park, every
+		// batch of this epoch has borrowed it and joined its flights.
+		gp.awaitParked(t, own...)
+	}
+	for _, gp := range probers {
+		close(gp.gate)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("cyclically overlapping batches did not all return: join/finish deadlock")
+	}
+
+	n := f.survey.N()
+	for e, gp := range probers {
+		for _, tgt := range f.targets[:2*N] {
+			if trains := gp.trains(tgt); trains != n {
+				t.Errorf("epoch %d, %s: %d ping trains, want %d (one measurement)", e, tgt, trains, n)
+			}
+		}
+		for _, tgt := range ring {
+			rs := got[batch.Key{Target: tgt, Epoch: uint64(e)}]
+			if len(rs) != 2 || rs[0] != rs[1] {
+				t.Errorf("epoch %d, %s: the two batches did not share one *Result: %v", e, tgt, rs)
+			}
+			if other := got[batch.Key{Target: tgt, Epoch: uint64(1 - e)}]; len(rs) > 0 && len(other) > 0 && rs[0] == other[0] {
+				t.Errorf("%s: epochs 0 and 1 share a result", tgt)
+			}
+		}
+	}
+	if s := eng.Stats(); s.Coalesced != 2*N || s.Requests != 2*3*N {
+		t.Errorf("stats = %d coalesced / %d requests, want %d / %d", s.Coalesced, s.Requests, 2*N, 2*3*N)
+	}
+}
+
 // TestBatchOverlapsAcrossTargets: under the default configuration an
 // 8-target batch has trains to at least two distinct targets in flight at
 // once — the fact the retired fused-bulk (≥ 5×) and per-node (≥ 3×)

@@ -33,7 +33,9 @@ type Stats struct {
 	InFlight int64  `json:"in_flight"`
 	// CacheLen and CacheCap are the LRU's occupancy and capacity;
 	// CacheLen/CacheCap is how full the cache is, which the fleet router
-	// and the soak harness read when judging node balance.
+	// and the soak harness read when judging node balance. After a survey
+	// swap CacheLen still counts the superseded epoch's entries until they
+	// age out.
 	CacheLen int `json:"cache_len"`
 	CacheCap int `json:"cache_cap"`
 	// PeerHits counts cache entries served to cluster peers through Peek

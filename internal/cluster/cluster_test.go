@@ -149,7 +149,7 @@ func TestNonCacheableNeverEntersSharedTier(t *testing.T) {
 		t.Fatal("options with a custom source report cacheable")
 	}
 	fp := o.Fingerprint()
-	if _, ok := node.Server.Engine().Peek(target, fp, item.Epoch); ok {
+	if _, ok := node.Server.Engine().Peek(Key{Target: target, Fingerprint: fp, Epoch: item.Epoch}); ok {
 		t.Error("non-cacheable result served from the engine LRU")
 	}
 	client := fleet.Clients()[0]

@@ -12,8 +12,17 @@ import (
 
 	"octant/internal/batch"
 	"octant/internal/core"
+	"octant/internal/lru"
 	"octant/internal/serve"
 )
+
+// Key identifies one cacheable localization result cluster-wide: the
+// engine's own batch.Key (target, options fingerprint, survey epoch), so
+// the front door's L1, a node's LRU and a peer lookup name the same result
+// the same way. Non-cacheable requests (custom evidence sources) never get
+// a Key: the router bypasses every cache tier for them, exactly as the
+// batch engine does.
+type Key = batch.Key
 
 // RouterConfig tunes a Router. The zero value is usable.
 type RouterConfig struct {
@@ -109,7 +118,10 @@ type readyState struct {
 type Router struct {
 	ring  *Ring
 	nodes map[string]*NodeClient
-	cache *Cache
+	// cache is the front door's L1: wire-form results, so a hit is served
+	// without touching any node. Epoch is part of the key, so entries of a
+	// superseded epoch age out by disuse instead of needing invalidation.
+	cache *lru.Cache[Key, serve.TargetResultV2]
 	cfg   RouterConfig
 	// breakers holds one circuit breaker per node (nil when disabled).
 	// The map is immutable after NewRouter; each breaker locks itself.
@@ -155,7 +167,7 @@ func NewRouter(nodes []*NodeClient, cfg RouterConfig) (*Router, error) {
 	r := &Router{
 		ring:  NewRing(RingConfig{VNodes: cfg.VNodes, LoadFactor: cfg.LoadFactor}),
 		nodes: make(map[string]*NodeClient, len(nodes)),
-		cache: NewCache(cfg.CacheSize),
+		cache: lru.New[Key, serve.TargetResultV2](cfg.CacheSize, 0),
 		cfg:   cfg,
 		ready: make(map[string]readyState, len(nodes)),
 	}
@@ -669,7 +681,7 @@ func (r *Router) Stats(ctx context.Context) ClusterStats {
 			L1Hits:        hits,
 			L1Misses:      misses,
 			L1Len:         r.cache.Len(),
-			L1Cap:         r.cfg.CacheSize,
+			L1Cap:         r.cache.Cap(),
 			PeerFetches:   r.peerFetches.Load(),
 			Dispatched:    r.dispatched.Load(),
 			Failovers:     r.failovers.Load(),

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"octant/internal/geo"
+	"octant/internal/lru"
 )
 
 // The §2.5 ocean/land mask is a fixed input: the same coarse landmass
@@ -42,9 +43,8 @@ type maskKey struct {
 
 // maskEntry is one rasterized master; once built it is immutable.
 type maskEntry struct {
-	once    sync.Once
-	lat     geo.MaskLattice
-	lastUse uint64
+	once sync.Once
+	lat  geo.MaskLattice
 }
 
 // landKey is the cell-size-independent part of a maskKey, remembered for
@@ -63,19 +63,19 @@ type landKey struct {
 // batch engine's workers all hit the one cache their shared Localizer
 // carries. A nil *LandMaskCache is valid and caches nothing.
 type LandMaskCache struct {
+	// mu makes get-or-insert one step, so each master is built once.
 	mu      sync.Mutex
-	entries map[maskKey]*maskEntry
-	cap     int
-	tick    uint64
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	lastKey atomic.Pointer[landKey]
-	solver  solverCounters
+	masters *lru.Cache[maskKey, *maskEntry]
+	// oversized counts lookups refused before the cache: a miss, but not
+	// the cache's.
+	oversized atomic.Uint64
+	lastKey   atomic.Pointer[landKey]
+	solver    solverCounters
 }
 
 // NewLandMaskCache returns an empty cache retaining up to 16 masters.
 func NewLandMaskCache() *LandMaskCache {
-	return &LandMaskCache{entries: make(map[maskKey]*maskEntry), cap: defaultMaskCap}
+	return &LandMaskCache{masters: lru.New[maskKey, *maskEntry](defaultMaskCap, 0)}
 }
 
 // LandMaskStats is a snapshot of cache effectiveness, surfaced through
@@ -91,10 +91,8 @@ func (c *LandMaskCache) Stats() LandMaskStats {
 	if c == nil {
 		return LandMaskStats{}
 	}
-	c.mu.Lock()
-	n := len(c.entries)
-	c.mu.Unlock()
-	return LandMaskStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
+	hits, misses := c.masters.Counters()
+	return LandMaskStats{Hits: hits, Misses: misses + c.oversized.Load(), Entries: c.masters.Len()}
 }
 
 // SolverStats counts what the raster solver's passes did, surfaced beside
@@ -234,67 +232,31 @@ func (c *LandMaskCache) lattice(regions []*geo.Region, cellKm float64) *geo.Mask
 	// rejected before it can evict a resident master to make room for an
 	// entry whose build is doomed.
 	if w, h := masterDims(key); w < 1 || h < 1 || w*h > maxMasterCells {
-		c.misses.Add(1)
+		c.oversized.Add(1)
 		return nil
 	}
 	c.mu.Lock()
-	e, found := c.entries[key]
+	e, found := c.masters.Get(key)
 	if !found {
 		e = &maskEntry{}
-		if len(c.entries) >= c.cap {
-			c.evictLocked()
-		}
-		c.entries[key] = e
+		c.masters.Put(key, e)
 	}
-	c.tick++
-	e.lastUse = c.tick
 	c.mu.Unlock()
 	// Build outside the cache lock (a master rasterization can take
 	// milliseconds); per-entry Once keeps concurrent first users from
 	// duplicating the work without blocking other keys.
 	e.once.Do(func() { e.build(key, regions) })
-	if e.lat.Cells == nil {
-		// Unbuildable (bounding box too large at this resolution): drop
-		// the entry so it neither occupies LRU capacity nor reads as a
-		// hit while every solve falls back to direct rasterization.
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil
-	}
-	if found {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 	return &e.lat
 }
 
-// evictLocked drops the least-recently-used master. Caller holds c.mu.
-func (c *LandMaskCache) evictLocked() {
-	var oldest maskKey
-	var oldestUse uint64 = math.MaxUint64
-	for k, e := range c.entries {
-		if e.lastUse < oldestUse {
-			oldest, oldestUse = k, e.lastUse
-		}
-	}
-	delete(c.entries, oldest)
-}
-
 // build rasterizes the master lattice: the region set's bounding box
-// padded by one cell, at the key's cell size.
+// padded by one cell, at the key's cell size. lattice has checked the
+// dimensions.
 func (e *maskEntry) build(key maskKey, regions []*geo.Region) {
 	cell := key.cellKm
 	minX := key.minX - cell
 	minY := key.minY - cell
 	w, h := masterDims(key)
-	if w < 1 || h < 1 || w*h > maxMasterCells {
-		return // leave mask nil: callers fall back to direct rasterization
-	}
 	// A weightless Grid carries just the lattice geometry for the fill.
 	g := &geo.Grid{Min: geo.V2(minX, minY), CellKm: cell, W: w, H: h}
 	mask := make([]bool, w*h)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -429,6 +430,13 @@ func TestFingerprint(t *testing.T) {
 		mk(WithHint(geo.Pt(1, 2), 50, 0.5, "y")),
 		mk(WithSecondary(geo.Disk(geo.V2(0, 0), 10, 16), 2)),
 		mk(WithSecondary(geo.Disk(geo.V2(0, 0), 10, 16), 3)),
+		// Names and labels that spell the encoding's separators.
+		mk(WithoutSource("hint,router")),
+		mk(WithoutSource("router"), WithoutSource("hint")),
+		mk(WithSourceWeight("a:0x1p+00,b", 2)),
+		mk(WithSourceWeight("a", 1), WithSourceWeight("b", 2)),
+		mk(WithHint(geo.Pt(10, 20), 0, 0, "x"), WithHint(geo.Pt(40, 80), 0, 0, "y")),
+		mk(WithHint(geo.Pt(10, 20), 0, 0, "x\x00"+hashedFloats(40, 80, 0, 0)+"y")),
 	}
 	seen := map[string]int{}
 	for i, fp := range distinct {
@@ -437,4 +445,15 @@ func TestFingerprint(t *testing.T) {
 		}
 		seen[fp] = i
 	}
+}
+
+// hashedFloats is the bytes a NUL-terminated-label hint encoding hashed
+// for these coordinates, radius and weight: a label carrying them between
+// two real labels used to pass for two hints.
+func hashedFloats(fs ...float64) string {
+	var b []byte
+	for _, f := range fs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return string(b)
 }

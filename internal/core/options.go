@@ -239,6 +239,11 @@ func (o *LocalizeOptions) Cacheable() bool {
 // the hot path pays no formatting cost. The batch engine qualifies its
 // LRU and singleflight keys with it so differently-tuned requests never
 // collide, while identical tunings still coalesce.
+//
+// Every string is length-prefixed, so no source name or hint label can
+// spell a separator and pass for another options set; everything the
+// wire can express is encoded exactly. Caller-supplied constraints and
+// secondary regions are reduced to a 64-bit hash.
 func (o *LocalizeOptions) Fingerprint() string {
 	if o.isZero() {
 		return ""
@@ -253,7 +258,9 @@ func (o *LocalizeOptions) Fingerprint() string {
 		}
 		sort.Strings(names)
 		b.WriteString("d=")
-		b.WriteString(strings.Join(names, ","))
+		for _, name := range names {
+			fpString(&b, name)
+		}
 		b.WriteByte(';')
 	}
 	if len(o.WeightScale) > 0 {
@@ -263,13 +270,9 @@ func (o *LocalizeOptions) Fingerprint() string {
 		}
 		sort.Strings(names)
 		b.WriteString("w=")
-		for i, name := range names {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(name)
-			b.WriteByte(':')
-			b.WriteString(fpFloat(o.WeightScale[name]))
+		for _, name := range names {
+			fpString(&b, name)
+			b.WriteString(fpFloat(o.WeightScale[name]) + ",")
 		}
 		b.WriteByte(';')
 	}
@@ -289,16 +292,14 @@ func (o *LocalizeOptions) Fingerprint() string {
 		b.WriteString("e;")
 	}
 	if len(o.Hints) > 0 {
-		h := fnv.New64a()
-		for _, hint := range o.Hints {
-			hashFloat(h, hint.Loc.Lat)
-			hashFloat(h, hint.Loc.Lon)
-			hashFloat(h, hint.RadiusKm)
-			hashFloat(h, hint.Weight)
-			h.Write([]byte(hint.Label))
-			h.Write([]byte{0})
+		b.WriteString("h=")
+		for _, h := range o.Hints {
+			for _, f := range [...]float64{h.Loc.Lat, h.Loc.Lon, h.RadiusKm, h.Weight} {
+				b.WriteString(fpFloat(f) + ",")
+			}
+			fpString(&b, h.Label)
 		}
-		b.WriteString("h=" + strconv.FormatUint(h.Sum64(), 36) + ";")
+		b.WriteByte(';')
 	}
 	if len(o.Extra) > 0 {
 		h := fnv.New64a()
@@ -315,7 +316,9 @@ func (o *LocalizeOptions) Fingerprint() string {
 	if o.GeoDB != nil {
 		// Same caveat as ExtraSources: the provider's name keeps the
 		// encoding lossless, but Cacheable() is false.
-		b.WriteString("g=" + o.GeoDB.Name() + ";")
+		b.WriteString("g=")
+		fpString(&b, o.GeoDB.Name())
+		b.WriteByte(';')
 	}
 	if o.Secondary != nil {
 		h := fnv.New64a()
@@ -328,27 +331,36 @@ func (o *LocalizeOptions) Fingerprint() string {
 // fpFloat renders a float64 exactly (hex form) for fingerprints.
 func fpFloat(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
 
+// fpString writes s as "len:s".
+func fpString(b *strings.Builder, s string) {
+	b.WriteString(strconv.Itoa(len(s)) + ":" + s)
+}
+
 type hash64 interface {
 	Write([]byte) (int, error)
 	Sum64() uint64
 }
 
-func hashFloat(h hash64, f float64) {
+func hashUint(h hash64, u uint64) {
 	var buf [8]byte
-	bits := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(bits >> (8 * i))
+	for i := range buf {
+		buf[i] = byte(u >> (8 * i))
 	}
 	h.Write(buf[:])
 }
 
+func hashFloat(h hash64, f float64) { hashUint(h, math.Float64bits(f)) }
+
+// hashRegion hashes the ring count, then each ring's vertex count and
+// vertices; a nil region hashes as an empty one.
 func hashRegion(h hash64, r *geo.Region) {
-	if r == nil {
-		return
+	var rings []geo.Ring
+	if r != nil {
+		rings = r.Rings
 	}
-	for _, ring := range r.Rings {
-		var buf [1]byte
-		h.Write(buf[:]) // ring separator
+	hashUint(h, uint64(len(rings)))
+	for _, ring := range rings {
+		hashUint(h, uint64(len(ring)))
 		for _, v := range ring {
 			hashFloat(h, v.X)
 			hashFloat(h, v.Y)
@@ -359,7 +371,7 @@ func hashRegion(h hash64, r *geo.Region) {
 func hashConstraint(h hash64, c *Constraint) {
 	h.Write([]byte{byte(c.Kind)})
 	hashFloat(h, c.Weight)
+	hashUint(h, uint64(len(c.Source)))
 	h.Write([]byte(c.Source))
-	h.Write([]byte{0})
 	hashRegion(h, c.Region)
 }

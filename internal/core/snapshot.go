@@ -152,6 +152,13 @@ func (s *Survey) SaveSnapshotFile(path string) error {
 		tmp.Close()
 		return fmt.Errorf("core: saving survey snapshot: %w", err)
 	}
+	// The rename can reach the disk before the data it names: without the
+	// Sync a power cut can leave path naming an empty or partial file — the
+	// truncated snapshot the rename exists to rule out.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("core: saving survey snapshot: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("core: saving survey snapshot: %w", err)
 	}

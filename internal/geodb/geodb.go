@@ -12,16 +12,15 @@
 package geodb
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"octant/internal/geo"
+	"octant/internal/lru"
 )
 
 // Record is one provider's claim about an address.
@@ -244,21 +243,14 @@ func halveOver(age, halfLife time.Duration) float64 {
 // localization, and the working set of targets is small.
 type Cached struct {
 	inner Provider
-	cap   int
-
-	mu  sync.Mutex
-	ll  *list.List // front = most recent; values are *cacheEntry
-	idx map[string]*list.Element
-
-	hits, misses uint64
+	memo  *lru.Cache[string, cacheEntry]
 }
 
 // cacheEntry is one memoized lookup, hit or miss.
 type cacheEntry struct {
-	addr string
-	rec  Record
-	w    float64
-	ok   bool
+	rec Record
+	w   float64
+	ok  bool
 }
 
 // NewCached wraps inner with an LRU of the given capacity (≤ 0 defaults
@@ -267,7 +259,7 @@ func NewCached(inner Provider, capacity int) *Cached {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Cached{inner: inner, cap: capacity, ll: list.New(), idx: make(map[string]*list.Element)}
+	return &Cached{inner: inner, memo: lru.New[string, cacheEntry](capacity, 0)}
 }
 
 // Name implements Provider.
@@ -281,45 +273,23 @@ func (c *Cached) Lookup(addr string) (Record, bool) {
 
 // LookupWeighted implements Weighted. When the inner provider is not
 // Weighted the cached weight is 0 ("use your default"), matching what the
-// consumer would get from the raw provider.
+// consumer would get from the raw provider. Two concurrent first lookups
+// of one address both ask inner; the provider answers both the same.
 func (c *Cached) LookupWeighted(addr string) (Record, float64, bool) {
-	c.mu.Lock()
-	if el, ok := c.idx[addr]; ok {
-		c.ll.MoveToFront(el)
-		ent := el.Value.(*cacheEntry)
-		c.hits++
-		c.mu.Unlock()
-		return ent.rec, ent.w, ent.ok
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	ent := &cacheEntry{addr: addr}
-	if w, ok := c.inner.(Weighted); ok {
-		ent.rec, ent.w, ent.ok = w.LookupWeighted(addr)
-	} else {
-		ent.rec, ent.ok = c.inner.Lookup(addr)
-	}
-
-	c.mu.Lock()
-	if el, ok := c.idx[addr]; ok {
-		// Raced with another looker-up; keep the resident entry.
-		c.ll.MoveToFront(el)
-	} else {
-		c.idx[addr] = c.ll.PushFront(ent)
-		if c.ll.Len() > c.cap {
-			old := c.ll.Back()
-			c.ll.Remove(old)
-			delete(c.idx, old.Value.(*cacheEntry).addr)
+	ent, ok := c.memo.Get(addr)
+	if !ok {
+		if w, weighted := c.inner.(Weighted); weighted {
+			ent.rec, ent.w, ent.ok = w.LookupWeighted(addr)
+		} else {
+			ent.rec, ent.ok = c.inner.Lookup(addr)
 		}
+		c.memo.Put(addr, ent)
 	}
-	c.mu.Unlock()
 	return ent.rec, ent.w, ent.ok
 }
 
 // Stats reports the cache's hit/miss counters and occupancy.
 func (c *Cached) Stats() (hits, misses uint64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len()
+	hits, misses = c.memo.Counters()
+	return hits, misses, c.memo.Len()
 }

@@ -2,7 +2,8 @@ package measure
 
 import (
 	"sync"
-	"time"
+
+	"octant/internal/lru"
 )
 
 // rttKey identifies one cached min-RTT: the probing source, the target,
@@ -15,38 +16,9 @@ type rttKey struct {
 	epoch    uint64
 }
 
-type rttEntry struct {
-	min float64
-	at  time.Time
-}
-
-// rttCache is the TTL'd min-RTT cache. Entries expire lazily on read;
-// commit sweeps expired entries whenever occupancy crosses the high-water
-// mark, which bounds memory without a background goroutine.
-type rttCache struct {
-	ttl time.Duration
-
-	mu sync.RWMutex
-	m  map[rttKey]rttEntry
-}
-
-// cacheHighWater is the occupancy at which a commit sweeps expired
-// entries.
+// cacheHighWater is the RTT cache's capacity: past it, the least recently
+// used minimum goes, expired or not.
 const cacheHighWater = 1 << 16
-
-func newRTTCache(ttl time.Duration) *rttCache {
-	return &rttCache{ttl: ttl, m: make(map[rttKey]rttEntry)}
-}
-
-func (c *rttCache) get(key rttKey) (float64, bool) {
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if !ok || time.Since(e.at) > c.ttl {
-		return 0, false
-	}
-	return e.min, true
-}
 
 // stagedEntries is a round's pending cache writes. Rounds stage
 // successful min-RTTs locally and commit the whole set only after the
@@ -76,31 +48,13 @@ func (st *stagedEntries) add(key rttKey, min float64) {
 	st.mu.Unlock()
 }
 
-func (c *rttCache) commit(st *stagedEntries) {
+// commit writes the staged round into c.
+func (st *stagedEntries) commit(c *lru.Cache[rttKey, float64]) {
 	st.mu.Lock()
 	keys, entries := st.keys, st.entries
 	st.keys, st.entries = nil, nil
 	st.mu.Unlock()
-	if len(keys) == 0 {
-		return
-	}
-	now := time.Now()
-	c.mu.Lock()
 	for i, k := range keys {
-		c.m[k] = rttEntry{min: entries[i], at: now}
+		c.Put(k, entries[i])
 	}
-	if len(c.m) > cacheHighWater {
-		for k, e := range c.m {
-			if now.Sub(e.at) > c.ttl {
-				delete(c.m, k)
-			}
-		}
-	}
-	c.mu.Unlock()
-}
-
-func (c *rttCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
 }

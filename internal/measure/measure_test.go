@@ -289,6 +289,31 @@ func TestCacheTTLAndEpoch(t *testing.T) {
 	}
 }
 
+// TestRTTCacheBounded: however many fresh minima arrive within their TTL,
+// the cache holds at most cacheHighWater of them, and the ones it keeps
+// are the most recent.
+func TestRTTCacheBounded(t *testing.T) {
+	p := newFakeProber(0)
+	srcs := srcNames(1 << 10)
+	s := New(Config{CacheTTL: time.Hour})
+	ctx := context.Background()
+	out := make([]float64, len(srcs))
+	errs := make([]error, len(srcs))
+	last := ""
+	for d := 0; d*len(srcs) <= cacheHighWater; d++ {
+		last = fmt.Sprintf("target-%d", d)
+		s.PingMinInto(ctx, p, srcs, last, 1, 0, out, errs)
+	}
+	if st := s.Stats(); st.CacheEntries > cacheHighWater {
+		t.Errorf("%d cached minima after %d fresh ones, want ≤ %d", st.CacheEntries, p.totalCalls(), cacheHighWater)
+	}
+	calls := p.totalCalls()
+	s.PingMinInto(ctx, p, srcs, last, 1, 0, out, errs)
+	if got := p.totalCalls() - calls; got != 0 {
+		t.Errorf("the latest round re-probed %d of its %d trains, want 0 (most recent entries resident)", got, len(srcs))
+	}
+}
+
 // TestSingleflightDedup runs two concurrent rounds over the same keys
 // against a slow prober: the second must piggyback on the first's
 // in-flight trains instead of probing itself.

@@ -27,9 +27,9 @@
 //     the sequential code reported (slots are dispatched in order, so
 //     every slot below a failed one was dispatched before it).
 //
-//   - Reuse before re-probe. An optional TTL'd cache keyed by
-//     (src, dst, probe count, survey epoch) lets fused batches and
-//     back-to-back requests reuse fresh min-RTTs, and in-flight
+//   - Reuse before re-probe. An optional TTL'd LRU of at most 2¹⁶
+//     minima keyed by (src, dst, probe count, survey epoch) lets fused
+//     batches and back-to-back requests reuse fresh min-RTTs, and in-flight
 //     singleflight dedup lets concurrent requests for the same (src,
 //     dst) share one train. Cache commits are staged per round and
 //     applied only when the round finishes un-cancelled, so a cancelled
@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"octant/internal/lru"
 	"octant/internal/probe"
 )
 
@@ -89,15 +90,13 @@ type Scheduler struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	cache  *rttCache // nil when CacheTTL == 0; the flight is used only with it
+	cache  *lru.Cache[rttKey, float64] // nil when CacheTTL == 0; the flight is used only with it
 	flight Flight[rttKey, float64]
 
 	pings          atomic.Uint64
 	pingFailures   atomic.Uint64
 	traceroutes    atomic.Uint64
 	traceFailures  atomic.Uint64
-	cacheHits      atomic.Uint64
-	cacheMisses    atomic.Uint64
 	deduped        atomic.Uint64
 	rounds         atomic.Uint64
 	cancelledRound atomic.Uint64
@@ -112,7 +111,7 @@ func New(cfg Config) *Scheduler {
 		buckets: make(map[string]*bucket),
 	}
 	if cfg.CacheTTL > 0 {
-		s.cache = newRTTCache(cfg.CacheTTL)
+		s.cache = lru.New[rttKey, float64](cacheHighWater, cfg.CacheTTL)
 	}
 	return s
 }
@@ -154,14 +153,13 @@ func (s *Scheduler) Stats() Stats {
 		PingFailures:       s.pingFailures.Load(),
 		Traceroutes:        s.traceroutes.Load(),
 		TracerouteFailures: s.traceFailures.Load(),
-		CacheHits:          s.cacheHits.Load(),
-		CacheMisses:        s.cacheMisses.Load(),
 		Deduped:            s.deduped.Load(),
 		Rounds:             s.rounds.Load(),
 		CancelledRounds:    s.cancelledRound.Load(),
 	}
 	if s.cache != nil {
-		st.CacheEntries = s.cache.len()
+		st.CacheHits, st.CacheMisses = s.cache.Counters()
+		st.CacheEntries = s.cache.Len()
 	}
 	return st
 }
@@ -300,7 +298,7 @@ func (s *Scheduler) PingMinInto(ctx context.Context, p probe.Prober, srcs []stri
 	}
 	s.run(f)
 	if st != nil && (ctx == nil || ctx.Err() == nil) {
-		s.cache.commit(st)
+		st.commit(s.cache)
 	}
 }
 
@@ -311,11 +309,9 @@ func (s *Scheduler) pingMinSlot(ctx context.Context, p probe.Prober, src, dst st
 		return s.pingMinProbe(ctx, p, src, dst, n)
 	}
 	key := rttKey{src: src, dst: dst, n: n, epoch: epoch}
-	if v, ok := s.cache.get(key); ok {
-		s.cacheHits.Add(1)
+	if v, ok := s.cache.Get(key); ok {
 		return v, nil
 	}
-	s.cacheMisses.Add(1)
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()

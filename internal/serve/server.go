@@ -582,7 +582,8 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 
 // handleCacheLookup serves GET /v1/cache/lookup?target=&fp=&epoch=: the
 // cluster cache tier's peer-fetch read path. It consults the engine's
-// LRU without measuring; a hit answers with the full v2 wire result
+// LRU under the query's batch.Key without measuring; a hit answers with
+// the full v2 wire result
 // (marked cached), a miss is 404. Results from non-cacheable requests
 // can never be served here — they are never inserted into the LRU in the
 // first place.
@@ -602,7 +603,7 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad epoch: %v", err)
 		return
 	}
-	res, ok := s.engine.Peek(target, q.Get("fp"), epoch)
+	res, ok := s.engine.Peek(batch.Key{Target: target, Fingerprint: q.Get("fp"), Epoch: epoch})
 	if !ok {
 		WriteError(w, http.StatusNotFound, "miss")
 		return
