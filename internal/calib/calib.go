@@ -65,12 +65,22 @@ type Calibration struct {
 // ErrTooFewSamples is returned when calibration lacks data.
 var ErrTooFewSamples = fmt.Errorf("calib: need at least 2 samples")
 
-// New fits a calibration from peer measurements.
+// New fits a calibration from peer measurements. It refuses what no survey
+// measures — a cutoff percentile outside (0, 100], a latency that is not a
+// finite RTT ≥ 0, a distance outside [0, π·R] — as a snapshot can carry it.
 func New(samples []Sample, opts Options) (*Calibration, error) {
 	if len(samples) < 2 {
 		return nil, ErrTooFewSamples
 	}
 	opts.fillDefaults()
+	if p := opts.CutoffPercentile; !(p > 0 && p <= 100) {
+		return nil, fmt.Errorf("calib: cutoff percentile %v is outside (0, 100]", p)
+	}
+	for i, s := range samples {
+		if !(s.LatencyMs >= 0 && s.LatencyMs <= math.MaxFloat64 && s.DistanceKm >= 0 && s.DistanceKm <= math.Pi*geo.EarthRadiusKm) {
+			return nil, fmt.Errorf("calib: sample %d (%v ms, %v km) is no RTT ≥ 0 over a distance in [0, π·R]", i, s.LatencyMs, s.DistanceKm)
+		}
+	}
 	c := &Calibration{Samples: append([]Sample(nil), samples...), Opts: opts}
 
 	pts := make([]hull.P, len(samples))

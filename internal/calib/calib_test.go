@@ -34,6 +34,29 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesImpossibleInput: what a survey snapshot can carry but no
+// measurement can produce is refused, and the limits themselves are not.
+func TestNewRefusesImpossibleInput(t *testing.T) {
+	ok := Sample{LatencyMs: 2, DistanceKm: 150}
+	for _, p := range []float64{-5, 150, 1e308, math.NaN(), math.Inf(1)} {
+		if _, err := New([]Sample{{1, 100}, ok}, Options{CutoffPercentile: p}); err == nil {
+			t.Errorf("cutoff percentile %v accepted", p)
+		}
+	}
+	for _, s := range []Sample{
+		{-1, 100}, {math.NaN(), 100}, {math.Inf(1), 100}, {math.Inf(-1), 100},
+		{1, -1}, {1, math.NaN()}, {1, math.Inf(1)}, {1, 1e300}, {1, math.Nextafter(math.Pi*geo.EarthRadiusKm, math.Inf(1))},
+	} {
+		if _, err := New([]Sample{s, ok}, Options{}); err == nil {
+			t.Errorf("sample %+v accepted", s)
+		}
+	}
+	antipode := geo.Pt(0, 0).DistanceKm(geo.Pt(0, 180))
+	if _, err := New([]Sample{{0, 0}, {300, antipode}, ok}, Options{CutoffPercentile: 100}); err != nil {
+		t.Errorf("zero latency, an antipodal distance (%v km) and a 100th-percentile cutoff refused: %v", antipode, err)
+	}
+}
+
 func TestBandsBracketSamples(t *testing.T) {
 	samples := syntheticScatter(1, 60)
 	c, err := New(samples, Options{})

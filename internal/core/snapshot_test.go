@@ -152,8 +152,10 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 // whatever it accepts must be a survey the rest of the tree can trust: it
 // describes its own mesh (SameMesh, so no NaN coordinate or duplicate
 // landmark slipped through) and re-serializes to a fixed point. The
-// committed corpus holds a valid three-landmark snapshot, the rejected
-// shapes the issue names, and every input that once broke a property.
+// committed corpus holds a valid three-landmark snapshot, shapes that must
+// be rejected (among them a cutoff percentile of 150, a negative sample
+// latency and a 1e300 km sample distance, which calib.New refuses), and
+// every input that once broke a property.
 func FuzzReadSnapshot(f *testing.F) {
 	pinned, err := os.ReadFile("testdata/survey_v1.json")
 	if err != nil {

@@ -289,24 +289,25 @@ func (g *Grid) ThresholdIn(level float64, box CellBox) *Region {
 		return EmptyRegion()
 	}
 	bw, bh := box.X1-box.X0+1, box.Y1-box.Y0+1
-	buf := getBuf[bool](&maskPool, bw*bh, true)
+	buf := getBuf[bool](&maskPool, bw*bh+bh, true)
 	defer maskPool.Put(buf)
-	inside := *buf
+	inside, filled := (*buf)[:bw*bh], (*buf)[bw*bh:]
 	any := false
 	for y := 0; y < bh; y++ {
 		wrow := g.Weight[(box.Y0+y)*g.W+box.X0:][:bw]
 		irow := inside[y*bw:][:bw]
+		row := false
 		for x, w := range wrow {
 			if w >= level {
-				irow[x] = true
-				any = true
+				irow[x], row = true, true
 			}
 		}
+		filled[y], any = row, any || row
 	}
 	if !any {
 		return EmptyRegion()
 	}
-	return g.traceWindow(inside, box)
+	return g.traceWindow(inside, box, filled)
 }
 
 // CellArea returns the area of one cell in km².
@@ -350,13 +351,15 @@ var tracePool = sync.Pool{New: func() any { return new(traceScratch) }}
 // boundary edges are emitted with the inside on the left, then linked into
 // loops, producing CCW outer rings and CW holes without post-processing.
 func (g *Grid) traceBoundary(inside []bool) *Region {
-	return g.traceWindow(inside, g.FullBox())
+	return g.traceWindow(inside, g.FullBox(), nil)
 }
 
 // traceWindow is traceBoundary for a mask covering only the cells of box
 // (row-major, box-relative); everything outside the box counts as outside.
 // Vertex keys stay absolute grid coordinates, so a window around the same
-// cells traces the same rings as the whole-grid mask.
+// cells traces the same rings as the whole-grid mask. filled, when not nil,
+// tells which mask rows hold a cell: a vertex row between two empty rows
+// starts no edge and is not scanned.
 //
 // The edge table is indexed, not sorted: it is built a vertex row at a time
 // from the two mask rows that meet there, so edges come out ordered by start
@@ -366,7 +369,7 @@ func (g *Grid) traceBoundary(inside []bool) *Region {
 // top, left, right edge of each) meets them: that is the candidate order the
 // saddle rule sees, and with the loop starts below it fixes every ring byte
 // for byte (traceWindowReference in the tests sorts such a walk and agrees).
-func (g *Grid) traceWindow(inside []bool, box CellBox) *Region {
+func (g *Grid) traceWindow(inside []bool, box CellBox, filled []bool) *Region {
 	bw, bh := box.X1-box.X0+1, box.Y1-box.Y0+1
 	ts := tracePool.Get().(*traceScratch)
 	defer tracePool.Put(ts)
@@ -398,17 +401,19 @@ func (g *Grid) traceWindow(inside []bool, box CellBox) *Region {
 		if vy < bh {
 			above = inside[vy*bw:][:bw]
 		}
-		y := int32(box.Y0 + vy)
-		sw, nw := false, false
-		for vx, se := range below {
-			ne := above[vx]
-			if sw != se || nw != ne || sw != nw { // a boundary passes through
-				emit(int32(box.X0+vx), y, sw, se, nw, ne)
+		if filled == nil || (vy > 0 && filled[vy-1]) || (vy < bh && filled[vy]) {
+			y := int32(box.Y0 + vy)
+			sw, nw := false, false
+			for vx, se := range below {
+				ne := above[vx]
+				if sw != se || nw != ne || sw != nw { // a boundary passes through
+					emit(int32(box.X0+vx), y, sw, se, nw, ne)
+				}
+				sw, nw = se, ne
 			}
-			sw, nw = se, ne
-		}
-		if sw || nw {
-			emit(int32(box.X1+1), y, sw, false, nw, false)
+			if sw || nw {
+				emit(int32(box.X1+1), y, sw, false, nw, false)
+			}
 		}
 		below = above
 	}

@@ -295,33 +295,37 @@ func collapseCollinearReference(ring Ring) Ring {
 	return out
 }
 
-// traceMask is a box of a grid with a cell mask over it.
+// traceMask is a box of a grid with a cell mask over it, and which of the
+// mask's rows hold a cell.
 type traceMask struct {
-	g      *Grid
-	box    CellBox
-	inside []bool
+	g              *Grid
+	box            CellBox
+	inside, filled []bool
 }
 
 // newTraceMask places a bw×bh box at (x0, y0) of a grid a few cells larger,
 // at an origin and cell size that make vertex coordinates inexact.
 func newTraceMask(bw, bh, x0, y0 int, in func(x, y int) bool) traceMask {
 	g := &Grid{Min: V2(-1234.567, 0.1+0.2), CellKm: 64.0 / 3, W: x0 + bw + 2, H: y0 + bh + 2}
-	m := traceMask{g: g, box: CellBox{x0, y0, x0 + bw - 1, y0 + bh - 1}, inside: make([]bool, bw*bh)}
+	m := traceMask{g: g, box: CellBox{x0, y0, x0 + bw - 1, y0 + bh - 1}, inside: make([]bool, bw*bh), filled: make([]bool, bh)}
 	for y := 0; y < bh; y++ {
 		for x := 0; x < bw; x++ {
 			m.inside[y*bw+x] = in(x, y)
+			m.filled[y] = m.filled[y] || m.inside[y*bw+x]
 		}
 	}
 	return m
 }
 
-// checkTrace holds the indexed tracer to the reference: same rings, same
-// order, same start vertices, same bytes.
+// checkTrace holds the indexed tracer to the reference, told which rows are
+// filled and not: same rings, same order, same start vertices, same bytes.
 func checkTrace(t testing.TB, name string, m traceMask) {
 	t.Helper()
-	got, want := m.g.traceWindow(m.inside, m.box), m.g.traceWindowReference(m.inside, m.box)
-	if !reflect.DeepEqual(got.Rings, want.Rings) {
-		t.Fatalf("%s: box %+v mask %v:\n traced   %v\n reference %v", name, m.box, m.inside, got.Rings, want.Rings)
+	want := m.g.traceWindowReference(m.inside, m.box)
+	for _, filled := range [][]bool{m.filled, nil} {
+		if got := m.g.traceWindow(m.inside, m.box, filled); !reflect.DeepEqual(got.Rings, want.Rings) {
+			t.Fatalf("%s: box %+v mask %v filled %v:\n traced   %v\n reference %v", name, m.box, m.inside, filled, got.Rings, want.Rings)
+		}
 	}
 }
 
@@ -398,22 +402,29 @@ func FuzzTraceWindow(f *testing.F) {
 }
 
 // BenchmarkTraceWindow traces a box the size of a serving answer's (≈ 15 k
-// cells): a blob with a ragged rim and a few holes.
+// cells): a blob with a ragged rim and a few holes; and, as "sparse", a
+// whole 305 × 280 grid's mask holding one 7,900-cell blob.
 func BenchmarkTraceWindow(b *testing.B) {
 	m := newTraceMask(122, 122, 3, 2, func(x, y int) bool {
 		d := (x-60)*(x-60) + (y-64)*(y-64)
 		return d < 2500 && !(d > 2000 && (x*7+y*13)%5 == 0) && (x-40)*(x-40)+(y-50)*(y-50) > 30
 	})
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.g.traceWindow(m.inside, m.box)
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.g.traceWindowReference(m.inside, m.box)
-		}
-	})
+	sparse := newTraceMask(305, 280, 0, 0, func(x, y int) bool { return (x-200)*(x-200)+(y-90)*(y-90) < 2500 })
+	for _, tc := range []struct {
+		name string
+		m    traceMask
+	}{{"", m}, {"sparse/", sparse}} {
+		b.Run(tc.name+"indexed", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tc.m.g.traceWindow(tc.m.inside, tc.m.box, tc.m.filled)
+			}
+		})
+		b.Run(tc.name+"reference", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tc.m.g.traceWindowReference(tc.m.inside, tc.m.box)
+			}
+		})
+	}
 }

@@ -36,6 +36,14 @@ import (
 // dropMax. So Best, Level, Cells, Box and Depth are the unpruned kernel's,
 // and Underflow can differ only true → false.
 //
+// The running floor: the same argument after every row that changed the
+// table. Once its walk is vouched and reaches the threshold at L, Level >= L,
+// so the floor rises to L − ε and the entries under it go to dropMax; what
+// the table turns away lies more than ε under every level the final walk
+// visits, which — Underflow included — stays the walk without the floor. L
+// must be a vouched walk's: a raw value just under a level quantizes up past
+// it, so a raw entry's cumulative count is not a level's.
+//
 // The field. A resolved cell is stored, never added to what the buffer held,
 // so the grid may come unzeroed (NewResolveGrid), and what is left is
 // specified on the rows of Box only: resolved rows hold their weights, pruned
@@ -118,21 +126,34 @@ type topEntry struct {
 }
 
 // topTable is the census: the largest distinct raw run values seen so far,
-// descending.
+// descending, down to the floor.
 type topTable struct {
 	e [topK]topEntry
 	n int
 	// floor is the smallest value a run needs to enter the table: the
-	// smallest positive float while there is room (only positive weights
-	// can matter to the walk), the smallest tracked value once full.
+	// smallest positive float at first (only positive weights can matter to
+	// the walk), the smallest tracked value once full, and never below
+	// L − ε once a vouched walk has reached the area threshold at L (raise).
 	floor float64
 	// dropMax is the largest positive value that was refused or evicted.
 	dropMax float64
+	// grew is set by add and cleared by raise.
+	grew bool
+}
+
+// fold censuses the run of value v over cells [x0, x1] of row y.
+func (t *topTable) fold(v float64, y, x0, x1 int) {
+	if v >= t.floor {
+		t.add(v, y, x0, x1)
+	} else if v > t.dropMax {
+		t.dropMax = v
+	}
 }
 
 // add folds the run of value v over cells [x0, x1] of row y into the table.
 // The caller has checked v >= t.floor.
 func (t *topTable) add(v float64, y, x0, x1 int) {
+	t.grew = true
 	lo, hi := 0, t.n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -215,9 +236,41 @@ func (t *topTable) walk(cellArea, minAreaKm2 float64) (top TopLevel, ok bool) {
 	return top, !dropped
 }
 
-// colsPool recycles the per-grid master-column map ResolveTop builds, and
-// rowPool the one-row difference buffer with the row bounds behind it.
-var colsPool, rowPool sync.Pool // *[]int32, *[]float64
+// reached returns the level at which the walk reaches the area threshold; ok
+// is false when the walk underflows or ends short of the threshold.
+func (t *topTable) reached(cellArea, minAreaKm2 float64) (level float64, ok bool) {
+	top, ok := t.walk(cellArea, minAreaKm2)
+	return top.Level, ok && top.Level > 0 && float64(top.Cells)*cellArea >= minAreaKm2
+}
+
+// raise lifts the floor to L − eps when the walk reaches the threshold at a
+// vouched level L, and evicts the entries below it into dropMax.
+func (t *topTable) raise(cellArea, minAreaKm2, eps float64) {
+	t.grew = false
+	l, ok := t.reached(cellArea, minAreaKm2)
+	if !ok || l-eps <= t.floor {
+		return
+	}
+	t.floor = l - eps
+	n := t.n
+	for n > 0 && t.e[n-1].v < t.floor {
+		n--
+	}
+	if n < t.n {
+		t.dropMax = max(t.dropMax, t.e[n].v)
+		t.n = n
+	}
+}
+
+// rowPool recycles the one-row difference buffer and the row bounds.
+var rowPool sync.Pool // *[]float64
+
+// maskRun is a stretch [x0, x1) of a grid's columns whose land-lattice
+// column is x + off, or, with on unset, off the lattice.
+type maskRun struct {
+	x0, x1, off int
+	on          bool
+}
 
 // scoutFrac picks the scout's rows: bound >= scoutFrac × the largest. On the
 // benchmark's world (seed 1, 16 targets, 9,050 rows) 0.9 leaves 31 % of the
@@ -240,24 +293,33 @@ const levelSlack, addSlack float64 = 2e-9, 0x1p-52
 // above Level − levelSlack in that field holds its weight bit for bit (each
 // row's fills enter its difference buffer in fill order) and a cell below
 // holds that weight or, its row pruned, 0: ThresholdIn over Box reads the
-// level's cells as Threshold would there. Other rows are unspecified.
+// level's cells as Threshold would there. Other rows are unspecified. The
+// census keeps a running floor (above); mask rows are read as column runs.
 func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 float64) TopLevel {
-	// cols[x] is the lattice column under grid column x, -1 off the
-	// lattice: (cx-MinX)/cell for x = 0, advancing by exactly 1 per cell,
-	// the same arithmetic row by row as the retained mask application.
-	var cols []int32
+	// The lattice column under grid column x is floor(fx + x), the retained
+	// mask application's arithmetic: runs are the stretches where it is
+	// x + off, cut wherever it steps otherwise, and those off the lattice.
+	var runBuf [8]maskRun
+	runs, keep := runBuf[:0], []bool(nil)
 	invCell := 1 / g.CellKm
-	if land != nil {
-		buf := getBuf[int32](&colsPool, g.W, false)
-		defer colsPool.Put(buf)
-		cols = *buf
+	if land == nil {
+		buf := getBuf[bool](&maskPool, g.W, false)
+		defer maskPool.Put(buf)
+		keep = *buf
+		for x := range keep {
+			keep[x] = true
+		}
+		runs = append(runs, maskRun{x1: g.W, on: true})
+	} else {
 		fx := (g.Min.X - land.MinX + 0.5*g.CellKm) * invCell
-		for x := range cols {
+		for x := 0; x < g.W; x++ {
 			mx := int(math.Floor(fx + float64(x)))
-			if mx < 0 || mx >= land.W {
-				mx = -1
+			r := maskRun{x0: x, x1: x + 1, off: mx - x, on: mx >= 0 && mx < land.W}
+			if k := len(runs) - 1; k >= 0 && runs[k].on == r.on && runs[k].off == r.off {
+				runs[k].x1++
+			} else {
+				runs = append(runs, r)
 			}
-			cols[x] = int32(mx)
 		}
 	}
 	dbuf := getBuf[float64](&rowPool, g.W+1+g.H+1, true)
@@ -283,6 +345,7 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 	if general {
 		scout = math.Inf(-1) // EdgeTable.row must be stepped through every row
 	}
+	cellArea, eps := g.CellArea(), levelSlack+addSlack*float64(g.W+g.H+4*len(fills))*sumAbs
 	var activeBuf [128]int32
 	t := topTable{floor: math.SmallestNonzeroFloat64}
 	// A sweep over [lo, hi) passes the rows whose bound is outside it.
@@ -313,7 +376,7 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 				fills[i].addRow(g, y, yc, diff)
 			}
 			wrow := g.Weight[y*g.W : (y+1)*g.W]
-			var mrow []bool
+			mrow := keep
 			if land != nil {
 				my := int(math.Floor((yc - land.MinY) * invCell))
 				if my < 0 || my >= land.H {
@@ -326,37 +389,48 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 			}
 			run := 0.0
 			cur, start := math.NaN(), 0 // the open run of equal weights
-			// The buffer's last entry only ends spans.
-			for x, d := range diff[:g.W] {
-				run += d
-				w := run
-				if mrow != nil {
-					if m := cols[x]; m < 0 || !mrow[m] {
+			for _, r := range runs {
+				d, wr := diff[r.x0:r.x1], wrow[r.x0:r.x1]
+				if !r.on { // every cell excluded: one run
+					for _, di := range d {
+						run += di
+					}
+					for x := range wr {
+						wr[x] = excluded
+					}
+					if cur != excluded {
+						t.fold(cur, y, start, r.x0-1)
+						cur, start = excluded, r.x0
+					}
+					continue
+				}
+				m := mrow[r.x0+r.off : r.x1+r.off]
+				m, wr = m[:len(d)], wr[:len(d)]
+				for x, di := range d {
+					run += di
+					w := run
+					if !m[x] {
 						w = excluded
 					}
-				}
-				wrow[x] = w
-				if w != cur {
-					if cur >= t.floor {
-						t.add(cur, y, start, x-1)
-					} else if cur > t.dropMax {
-						t.dropMax = cur
+					wr[x] = w
+					if w != cur {
+						t.fold(cur, y, start, r.x0+x-1)
+						cur, start = w, r.x0+x
 					}
-					cur, start = w, x
 				}
 			}
-			if cur >= t.floor {
-				t.add(cur, y, start, g.W-1)
-			} else if cur > t.dropMax {
-				t.dropMax = cur
+			// The buffer's last entry only ends spans.
+			t.fold(cur, y, start, g.W-1)
+			if t.grew {
+				t.raise(cellArea, minAreaKm2, eps)
 			}
 		}
 		return rows
 	}
 	rows, rest := sweep(scout, math.Inf(1)), math.Inf(-1)
 	if rows < g.H {
-		if l1, ok := t.walk(g.CellArea(), minAreaKm2); ok && l1.Level > 0 && float64(l1.Cells)*g.CellArea() >= minAreaKm2 {
-			rest = l1.Level - (levelSlack + addSlack*float64(g.W+g.H+4*len(fills))*sumAbs)
+		if l1, ok := t.reached(cellArea, minAreaKm2); ok {
+			rest = l1 - eps
 		}
 		for i := range fills {
 			fills[i].begin(g) // never an edge-table fill's: those scout every row
@@ -369,7 +443,7 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 		}
 	}
 
-	top, ok := t.walk(g.CellArea(), minAreaKm2)
+	top, ok := t.walk(cellArea, minAreaKm2)
 	// Clear the rows neither sweep resolved where they can be read: in the
 	// box, or — the census reads the whole field — everywhere.
 	y0, y1 := top.Box.Y0, top.Box.Y1

@@ -154,17 +154,147 @@ func TestResolveTopMatchesSeparatePasses(t *testing.T) {
 	}
 }
 
+// FuzzResolveTop holds the fused kernel to the separate passes on a unit grid
+// decoded from the input. Bytes, in order: width, height, threshold; mask
+// (none when 0 mod 3, else six more: the lattice's x origin in quarter cells,
+// a nudge of it by whole steps of 2⁻⁵², its y origin in quarter cells, its
+// width, its height, a seed for its cells); tower (0: none); then six per
+// rectangle: x0, y0, width, height, weight (tenths, negative from 128) and
+// dust (−8e-10 … +7e-10 on the weight). The seed corpus is
+// testdata/fuzz/FuzzResolveTop.
+func FuzzResolveTop(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		w, h := 1+next()%40, 1+next()%40
+		minArea := float64(1 + next()%(w*h+20))
+		var land *MaskLattice
+		if next()%3 != 0 {
+			land = &MaskLattice{
+				MinX: float64(next()%32-16)/4 + float64(next()%5-2)*0x1p-52,
+				MinY: float64(next()%32-16) / 4,
+				W:    1 + next()%40,
+				H:    1 + next()%40,
+			}
+			rng := rand.New(rand.NewPCG(uint64(next()), 13))
+			land.Cells = make([]bool, land.W*land.H)
+			for i := range land.Cells {
+				land.Cells[i] = rng.IntN(5) != 0
+			}
+		}
+		var fills []Fill
+		rect := func(x0, y0, x1, y1 int, weight float64) {
+			fill, ok := PrepareFill(Rect(V2(float64(x0)+0.25, float64(y0)+0.25), V2(float64(x1)+0.75, float64(y1)+0.75)), weight)
+			if !ok {
+				t.Fatal("a rectangle prepares")
+			}
+			fills = append(fills, fill)
+		}
+		if tb := next(); tb != 0 {
+			x0, y0 := tb%w, (tb>>3)%h
+			rect(x0, y0, min(x0+tb>>6, w-1), min(y0+h/3, h-1), 100+float64(tb%8)*1e-10)
+		}
+		for len(data) >= 6 && len(fills) < 400 {
+			x0, y0 := next()%w, next()%h
+			x1, y1 := x0+next()%(w-x0), y0+next()%(h-y0)
+			wb, dust := next(), next()
+			weight := float64(1+wb%10)/10 + float64(dust%16-8)*1e-10
+			if wb >= 128 {
+				weight = -weight
+			}
+			rect(x0, y0, x1, y1, weight)
+		}
+		checkResolveTop(t, fills, w, h, land, minArea)
+	})
+}
+
+// checkResolveTop runs ResolveTop on a poisoned w×h unit grid and holds it
+// to the separate passes: FlushAdds on a zeroed grid, the land mask applied
+// cell by cell with the retained application's arithmetic, and the census
+// walk. Best, Level, Cells, Box and Depth must agree exactly, and so must
+// the field on the box's rows as TestResolveTopMatchesSeparatePasses reads
+// it. Underflow may only be what a table without the running floor or the
+// row pruning, fed every run of the reference, reports — or false.
+func checkResolveTop(t *testing.T, fills []Fill, w, h int, land *MaskLattice, minArea float64) {
+	t.Helper()
+	const excluded = -math.MaxFloat64
+	fused := poisonedGrid(V2(0, 0), V2(float64(w), float64(h)), 1)
+	got := fused.ResolveTop(fills, land, excluded, minArea)
+
+	ref := NewGrid(V2(0, 0), V2(float64(w), float64(h)), 1)
+	for _, f := range fills {
+		ref.AddRegionBatched(f.Region, f.Weight)
+	}
+	ref.FlushAdds()
+	if land != nil {
+		invCell := 1 / ref.CellKm
+		fx := (ref.Min.X - land.MinX + 0.5*ref.CellKm) * invCell
+		for y := 0; y < h; y++ {
+			my := int(math.Floor((ref.rowCentre(y) - land.MinY) * invCell))
+			for x := 0; x < w; x++ {
+				mx := int(math.Floor(fx + float64(x)))
+				if my < 0 || my >= land.H || mx < 0 || mx >= land.W || !land.Cells[my*land.W+mx] {
+					ref.Weight[y*w+x] = excluded
+				}
+			}
+		}
+	}
+	want := ref.censusTop(minArea)
+
+	plain := topTable{floor: math.SmallestNonzeroFloat64}
+	for y := 0; y < h; y++ {
+		row := ref.Weight[y*w : (y+1)*w]
+		for x0 := 0; x0 < w; {
+			x1 := x0
+			for x1+1 < w && row[x1+1] == row[x0] {
+				x1++
+			}
+			plain.fold(row[x0], y, x0, x1)
+			x0 = x1 + 1
+		}
+	}
+	if _, ok := plain.walk(1, minArea); ok && got.Underflow {
+		t.Fatalf("underflowed where the plain table vouches for its walk: %+v", got)
+	}
+
+	y0, y1 := specifiedRows(fused, got)
+	for i, rw := range ref.Weight {
+		if y := i / w; y < y0 || y > y1 {
+			if want.Best > 0 && rw >= want.Level {
+				t.Fatalf("cell (%d, %d) holds %v of level %v outside the box's rows %d–%d", i%w, y, rw, want.Level, y0, y1)
+			}
+			continue
+		}
+		if fw := fused.Weight[i]; math.Float64bits(fw) != math.Float64bits(rw) && (fw != 0 || rw >= want.Level-levelSlack) {
+			t.Fatalf("cell (%d, %d) resolved to %v, reference %v, level %v", i%w, i/w, fw, rw, want.Level)
+		}
+	}
+	want.Rows, want.Underflow = got.Rows, got.Underflow
+	if got.Best <= 0 && want.Best <= 0 {
+		return // nothing positive: the value of Best is unspecified
+	}
+	if got.Cells == 0 {
+		got.Box, want.Box = CellBox{}, CellBox{} // both empty, spelled differently
+	}
+	if got != want {
+		t.Fatalf("fused walk %+v, census walk %+v", got, want)
+	}
+	if !reflect.DeepEqual(fused.ThresholdIn(got.Level, got.Box).Rings, ref.Threshold(want.Level).Rings) {
+		t.Fatal("windowed trace differs from the whole-grid trace")
+	}
+}
+
 // TestTopTableTrust: the table may only answer for levels no dropped value
 // can reach or name.
 func TestTopTableTrust(t *testing.T) {
 	tbl := topTable{floor: math.SmallestNonzeroFloat64}
-	feed := func(v float64, y int) {
-		if v >= tbl.floor {
-			tbl.add(v, y, y, y)
-		} else if v > tbl.dropMax {
-			tbl.dropMax = v
-		}
-	}
+	feed := func(v float64, y int) { tbl.fold(v, y, y, y) }
 	// topK+4 distinct values ascending: every insertion past topK evicts
 	// the smallest.
 	val := func(i int) float64 { return 1 + float64(i)*0.01 }

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"octant/internal/netsim"
@@ -9,12 +10,15 @@ import (
 
 // TestConcurrentPingWithFaultsRace is the measurement stack's shared-state
 // audit in executable form (run under -race in CI): many goroutines ping
-// through one RetryProber over one simulated world while another goroutine
-// injects and clears node-down, blackhole, and loss faults mid-flight.
-// The world's fault maps, its probe/loss counters, and the retry
-// prober's stats are all supposed to be independently synchronized; this
-// test is what holds them to it. It also pins the coherence of the retry
-// counters themselves: every retry and every exhaustion implies a
+// through one RetryProber over one simulated world, and every flipEvery-th
+// ping, counted across all of them, applies the next step of a fault
+// schedule while the other goroutines' probes are in flight. The world's
+// fault maps, its probe/loss counters, and the retry prober's stats are all
+// supposed to be independently synchronized; this test is what holds them
+// to it. The schedule is a function of the ping count, not of the
+// goroutine scheduler: every step is applied exactly once, in order, and
+// leaves the world in the state it names. It also pins the coherence of the
+// retry counters themselves: every retry and every exhaustion implies a
 // counted attempt.
 func TestConcurrentPingWithFaultsRace(t *testing.T) {
 	w := netsim.NewWorld(netsim.Config{Seed: 2})
@@ -30,42 +34,53 @@ func TestConcurrentPingWithFaultsRace(t *testing.T) {
 	target := hosts[0]
 	landmarks := hosts[1:8]
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	injectorDone := make(chan struct{})
-
-	// Fault injector: cycles each landmark→target path through loss,
-	// blackhole, node-down, and healthy states while probes are in flight.
-	go func() {
-		defer close(injectorDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			lm := landmarks[i%len(landmarks)]
-			switch i % 4 {
-			case 0:
-				w.SetPairLossRate(lm.ID, target.ID, 0.5)
-			case 1:
-				w.SetPairLossRate(lm.ID, target.ID, 0)
-				w.SetPairBlackhole(lm.ID, target.ID, true)
-			case 2:
-				w.SetPairBlackhole(lm.ID, target.ID, false)
-				w.SetNodeDown(lm.ID, true)
-			case 3:
-				w.SetNodeDown(lm.ID, false)
-			}
+	const goroutines, pings, flipEvery = 8, 50, 10
+	// Step k sets every fault knob of landmark k mod 7's path to the target
+	// for state (k / 7) mod 4 — loss, blackhole, node down, healthy — so
+	// each landmark goes through all four states in turn.
+	state := func(k int) int { return k / len(landmarks) % 4 }
+	var seen [4]int
+	step := func(k int) {
+		lm, s := landmarks[k%len(landmarks)], state(k)
+		loss := 0.0
+		if s == 0 {
+			loss = 0.5
 		}
-	}()
+		w.SetPairLossRate(lm.ID, target.ID, loss)
+		w.SetPairBlackhole(lm.ID, target.ID, s == 1)
+		w.SetNodeDown(lm.ID, s == 2)
+		want := [4]string{"", "path blackholed", "node " + lm.Name + " down", ""}[s]
+		if f := w.PathFault(lm.ID, target.ID); f != want || w.PairLossRate(lm.ID, target.ID) != loss {
+			t.Errorf("step %d: %s→%s reads fault %q loss %v, want %q %v", k, lm.Name, target.Name, f, w.PairLossRate(lm.ID, target.ID), want, loss)
+		}
+		seen[s]++
+	}
+	var (
+		started atomic.Int64 // pings started, across goroutines
+		mu      sync.Mutex   // serializes the steps
+		applied int          // steps applied; guarded by mu
+	)
+	// due counts a ping and applies, in order, every step the count has
+	// reached. Only every flipEvery-th ping takes the lock, so the probes
+	// between steps stay unordered with one another for the race detector.
+	due := func() {
+		if n := int(started.Add(1)); n%flipEvery == 0 {
+			mu.Lock()
+			for ; applied < n/flipEvery; applied++ {
+				step(applied)
+			}
+			mu.Unlock()
+		}
+	}
 
-	for g := 0; g < 8; g++ {
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
+			for i := 0; i < pings; i++ {
 				lm := landmarks[(g+i)%len(landmarks)]
+				due()
 				// Errors are expected while faults are active; what this
 				// test asserts is that concurrent faulted probing is
 				// race-free and the counters stay coherent.
@@ -83,11 +98,24 @@ func TestConcurrentPingWithFaultsRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// Stop the injector only after every prober goroutine drained, so
-	// probes race against live fault flips for the whole test.
 	wg.Wait()
-	close(stop)
-	<-injectorDone
+
+	steps := goroutines * pings / flipEvery
+	if applied != steps {
+		t.Fatalf("%d fault steps applied over %d pings, want %d", applied, goroutines*pings, steps)
+	}
+	for s, n := range seen {
+		if n < len(landmarks) {
+			t.Errorf("state %d applied %d times, want every landmark through it at least once", s, n)
+		}
+	}
+	// Each path is left as its landmark's last step set it.
+	for k := steps - len(landmarks); k < steps; k++ {
+		lm := landmarks[k%len(landmarks)]
+		if faulted, want := w.PathFault(lm.ID, target.ID) != "" || w.PairLossRate(lm.ID, target.ID) > 0, state(k) != 3; faulted != want {
+			t.Errorf("path %s→%s faulted %v after the last step, want %v", lm.Name, target.Name, faulted, want)
+		}
+	}
 
 	st := p.Stats()
 	if st.Attempts == 0 {
