@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -104,5 +106,64 @@ func TestSolverRegionWithinPositiveUnion(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the answer does not flip with the last bits of a weight. On
+// generated worlds, each constraint of each target's solve in turn has its
+// weight scaled by 1 + k·2⁻³⁰ (|k| ≤ 16: a change no one would call a change
+// of evidence, but enough to move a sum across a rounding boundary of the
+// levels' 1e-9 quantization). The chosen level's cells — the traced region,
+// on a fine grid placed by the coarse level's cells — must not change, and the
+// point estimate must stay within one fine cell.
+func TestTopLevelStableUnderWeightPerturbation(t *testing.T) {
+	worlds := []uint64{1, 2, 5}
+	if testing.Short() {
+		worlds = worlds[:1]
+	}
+	for _, seed := range worlds {
+		loc, targets := fusedFixture(t, seed, 8, 8)
+		cfg := Config{}
+		cfg.fillDefaults()
+		opts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: loc.LandMasks()}
+		opts.fillDefaults()
+		moved := 0
+		for ti, target := range targets {
+			res, err := loc.LocalizeContext(context.Background(), target)
+			if err != nil {
+				t.Fatalf("world %d %s: %v", seed, target, err)
+			}
+			base, err := Solve(res.Constraints, opts)
+			if err != nil {
+				t.Fatalf("world %d %s: %v", seed, target, err)
+			}
+			cs := append([]Constraint(nil), res.Constraints...)
+			for i := range cs {
+				k := float64(1 + (i*7+ti)%16)
+				if i%2 == 1 {
+					k = -k
+				}
+				w := cs[i].Weight
+				cs[i].Weight = w * (1 + k*0x1p-30)
+				got, err := Solve(cs, opts)
+				cs[i].Weight = w
+				if err != nil {
+					t.Fatalf("world %d %s: constraint %d: %v", seed, target, i, err)
+				}
+				if !reflect.DeepEqual(got.Region.Rings, base.Region.Rings) || got.CellKm != base.CellKm {
+					moved++
+					t.Errorf("world %d %s: constraint %d (%s, weight %v) × (1 %+v·2⁻³⁰) changes the level's cells: area %.0f → %.0f km²",
+						seed, target, i, cs[i].Source, w, k, base.Region.Area(), got.Region.Area())
+				}
+				if d := got.Point.Dist(base.Point); d > opts.FineCellKm {
+					moved++
+					t.Errorf("world %d %s: constraint %d (%s, weight %v) × (1 %+v·2⁻³⁰) moves the point %.1f km",
+						seed, target, i, cs[i].Source, w, k, d)
+				}
+				if moved > 20 {
+					t.Fatalf("giving up after %d failures", moved)
+				}
+			}
+		}
 	}
 }

@@ -207,8 +207,8 @@ func solveOnGrid(g *geo.Grid, fills []geo.Fill, cellKm float64, opts *SolverOpts
 }
 
 // empty reports whether the pass's answer holds no cell: nothing on the
-// grid is positive, or the one positive level rounds above every cell.
-func (p *gridPass) empty() bool { return p.top.Best <= 0 || p.top.Cells == 0 }
+// grid is positive.
+func (p *gridPass) empty() bool { return p.top.Best <= 0 }
 
 // solution extracts the pass's answer: the chosen level set traced into a
 // region, and the point estimate. Both read only the level's bounding box.
@@ -221,12 +221,13 @@ func (p *gridPass) solution() *Solution {
 	region := g.ThresholdIn(p.top.Level, box)
 	// Point estimate from the HIGHEST-weight cells only: the size
 	// threshold grows the reported region (for containment guarantees)
-	// without diluting the point estimate.
+	// without diluting the point estimate. The cell that names best is one
+	// of them, so the weights sum to more than 0.
 	var sw, sx, sy float64
 	for y := box.Y0; y <= box.Y1; y++ {
 		for x := box.X0; x <= box.X1; x++ {
 			w := g.Weight[y*g.W+x]
-			if w < best {
+			if !geo.AtLevel(w, best) {
 				continue
 			}
 			c := g.CellCenter(x, y)
@@ -235,13 +236,5 @@ func (p *gridPass) solution() *Solution {
 			sy += w * c.Y
 		}
 	}
-	var pt geo.Vec2
-	if sw > 0 {
-		pt = geo.V2(sx/sw, sy/sw)
-	} else {
-		// best is a quantized level and can round above every raw cell;
-		// with no cell to average, fall back to the region's centroid.
-		pt = region.Centroid()
-	}
-	return &Solution{Region: region, Weight: best, Point: pt, CellKm: p.cellKm}
+	return &Solution{Region: region, Weight: best, Point: geo.V2(sx/sw, sy/sw), CellKm: p.cellKm}
 }

@@ -59,23 +59,30 @@ func TestFusedTraps(t *testing.T) {
 		unitPass(t, fmt.Sprintf("dust/area-%v", area), dust, 10, 4, SolverOpts{MinAreaKm2: area})
 	}
 
-	// The top level rounds above every raw cell. With a lower level under
-	// it the region is that level's and the point falls back to the
-	// region's centroid; alone, the region is empty but keeps the weight.
-	// (Before the fused kernel the fallback centroid was computed on every
-	// pass and thrown away on nearly all of them.)
+	// The top value rounds up to its level (0.8999999997 names 0.9): its
+	// cells belong to that level, alone or with a lower level under it, and
+	// the point averages them. (Until membership was quantized like the
+	// levels, no cell belonged to such a level: the walk went on to 0.5 and
+	// the point fell back to the region's centroid.)
 	roundsUp := []Constraint{cellRect(2, 2, 4, 4, below), cellRect(6, 6, 8, 7, 0.5)}
-	top := unitPass(t, "rounds-up/with-lower-level", roundsUp, 10, 10, SolverOpts{MinAreaKm2: 3})
-	if top.Best != 0.9 || top.Level != 0.5 || top.Cells != 15 {
-		t.Errorf("rounds-up: walk chose %+v, want best 0.9 and the 0.5 level's 15 cells", top)
-	}
-	top = unitPass(t, "rounds-up/alone", roundsUp[:1], 10, 10, SolverOpts{MinAreaKm2: 1})
-	if top.Best != 0.9 || top.Level != 0.9 || top.Cells != 0 {
-		t.Errorf("rounds-up alone: walk chose %+v, want the 0.9 level with no cell", top)
+	for _, tc := range []struct {
+		name        string
+		cs          []Constraint
+		area, level float64
+		cells       int
+	}{
+		{"rounds-up/with-lower-level", roundsUp, 3, 0.9, 9},
+		{"rounds-up/past-it", roundsUp, 10, 0.5, 15},
+		{"rounds-up/alone", roundsUp[:1], 1, 0.9, 9},
+	} {
+		top := unitPass(t, tc.name, tc.cs, 10, 10, SolverOpts{MinAreaKm2: tc.area})
+		if top.Best != 0.9 || top.Level != tc.level || top.Cells != tc.cells {
+			t.Errorf("%s: walk chose %+v, want best 0.9 and the %v level's %d cells", tc.name, top, tc.level, tc.cells)
+		}
 	}
 
 	// No positive cell: the negative outweighs the positive everywhere.
-	top = unitPass(t, "no-positive-cell", []Constraint{cellRect(0, 0, 5, 5, 1), cellRect(0, 0, 5, 5, -2)}, 6, 6, SolverOpts{MinAreaKm2: 1})
+	top := unitPass(t, "no-positive-cell", []Constraint{cellRect(0, 0, 5, 5, 1), cellRect(0, 0, 5, 5, -2)}, 6, 6, SolverOpts{MinAreaKm2: 1})
 	if top.Best > 0 {
 		t.Errorf("no positive cell: best %v", top.Best)
 	}

@@ -15,7 +15,8 @@ import (
 // exactly as it ran in production before geo.Grid.ResolveTop replaced it —
 // FlushAdds, LandMaskCache.Apply, LevelSets (two passes), Threshold, the
 // whole-grid centroid walk — and the two-pass driver that traced the
-// coarse pass eagerly. The production solver must agree with it bit for
+// coarse pass eagerly. Membership of a level is geo.AtLevel throughout, as
+// in the kernel, since levels and membership share one quantization. The production solver must agree with it bit for
 // bit: rings, point, weight, and the coarse bounding box the fine pass is
 // placed by.
 
@@ -72,7 +73,7 @@ func referenceSolveOnGrid(constraints []Constraint, min, max geo.Vec2, cellKm fl
 		for x := 0; x < g.W; x++ {
 			w := g.Weight[i]
 			i++
-			if w < best {
+			if !geo.AtLevel(w, best) {
 				continue
 			}
 			c := g.CellCenter(x, y)
@@ -81,11 +82,7 @@ func referenceSolveOnGrid(constraints []Constraint, min, max geo.Vec2, cellKm fl
 			sy += w * c.Y
 		}
 	}
-	pt := region.Centroid()
-	if sw > 0 {
-		pt = geo.V2(sx/sw, sy/sw)
-	}
-	return &Solution{Region: region, Weight: best, Point: pt, CellKm: cellKm}
+	return &Solution{Region: region, Weight: best, Point: geo.V2(sx/sw, sy/sw), CellKm: cellKm}
 }
 
 // referenceSolve is the raster half of Solve as it was: coarse pass traced

@@ -193,8 +193,8 @@ func (g *Grid) FlushAdds() {
 }
 
 // LevelSets returns the distinct quantized cell weights in descending
-// order and, parallel to it, the number of cells with raw weight at or
-// above each level — cells[i] equals AreaAtOrAbove(levels[i])/CellArea(),
+// order and, parallel to it, the number of cells at or above each level
+// (AtLevel) — cells[i] equals AreaAtOrAbove(levels[i])/CellArea(),
 // computed for every level in two grid passes instead of one scan per
 // level. Because fills write constant-weight spans, consecutive cells
 // usually repeat and cost a single comparison each.
@@ -229,34 +229,26 @@ func (g *Grid) LevelSets() (levels []float64, cells []int) {
 		copy(levels[lo+1:], levels[lo:])
 		levels[lo] = q
 	}
-	// Pass 2: census with the RAW >= comparison Threshold and
-	// AreaAtOrAbove use (a raw 0.89999… quantizes to the 0.9 level but
-	// does not clear it). Each cell is binned at the highest level its raw
-	// weight reaches; a descending prefix sum then yields the cumulative
-	// populations.
+	// Pass 2: each cell is binned at its own quantized weight — the highest
+	// level it belongs to (AtLevel) — and a descending prefix sum then yields
+	// the cumulative populations.
 	exact := make([]int, len(levels))
-	lastW := math.NaN()
-	lastIdx := -2
+	lastW, lastIdx := math.NaN(), 0
 	for _, w := range g.Weight {
-		if w == lastW {
-			if lastIdx >= 0 {
-				exact[lastIdx]++
+		if w != lastW {
+			q := quantizeWeight(w)
+			lo, hi := 0, len(levels)
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if levels[mid] < q {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
 			}
-			continue
+			lastW, lastIdx = w, lo
 		}
-		lo, hi := 0, len(levels)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if levels[mid] <= w {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		lastW, lastIdx = w, lo-1
-		if lastIdx >= 0 {
-			exact[lastIdx]++
-		}
+		exact[lastIdx]++
 	}
 	for i, j := 0, len(levels)-1; i < j; i, j = i+1, j-1 {
 		levels[i], levels[j] = levels[j], levels[i]
@@ -274,7 +266,18 @@ func quantizeWeight(w float64) float64 {
 	return math.Round(w*1e9) / 1e9
 }
 
-// Threshold extracts the region of all cells with weight ≥ level, tracing
+// AtLevel reports whether a cell of raw weight w belongs to level, a
+// quantized weight: whether w quantizes to level or above. Levels and
+// membership share the one quantization, so the cell that names a level
+// always belongs to it, and a change in the last bits of a weight moves a
+// cell across a level only together with the level it names. (The first two
+// comparisons settle all but the cells within 1e-9 under level: a value is
+// never more than half a step under its quantization.)
+func AtLevel(w, level float64) bool {
+	return w >= level || (w >= level-1e-9 && quantizeWeight(w) >= level)
+}
+
+// Threshold extracts the region of all cells at or above level (AtLevel), tracing
 // the cell boundary into properly oriented rings (outer CCW, holes CW).
 func (g *Grid) Threshold(level float64) *Region {
 	return g.ThresholdIn(level, g.FullBox())
@@ -298,7 +301,7 @@ func (g *Grid) ThresholdIn(level float64, box CellBox) *Region {
 		irow := inside[y*bw:][:bw]
 		row := false
 		for x, w := range wrow {
-			if w >= level {
+			if AtLevel(w, level) {
 				irow[x], row = true, true
 			}
 		}
@@ -313,11 +316,12 @@ func (g *Grid) ThresholdIn(level float64, box CellBox) *Region {
 // CellArea returns the area of one cell in km².
 func (g *Grid) CellArea() float64 { return g.CellKm * g.CellKm }
 
-// AreaAtOrAbove returns the total area of cells with weight ≥ level.
+// AreaAtOrAbove returns the total area of the cells at or above level
+// (AtLevel).
 func (g *Grid) AreaAtOrAbove(level float64) float64 {
 	n := 0
 	for _, w := range g.Weight {
-		if w >= level {
+		if AtLevel(w, level) {
 			n++
 		}
 	}

@@ -52,18 +52,17 @@ import (
 // Box, the point estimate and BoxBounds read nothing else; the rare censusTop
 // fallback does, and every pruned row is cleared before it.
 //
-// Exactness. Levels are quantizeWeight(raw) but a cell belongs to a level
-// when raw >= level, and prefix-sum dust makes raw values less than 1e-9
-// apart genuinely different (a raw 0.8999999999 names the 0.9 level but
-// does not clear it). The census therefore tracks exact raw values and
-// quantizes only at read-out: it keeps the topK largest distinct raw
+// Exactness. Levels are quantizeWeight(raw), and a cell belongs to a level
+// when its raw weight quantizes to it or above (AtLevel): prefix-sum dust
+// cannot move a cell across the level it names. The census tracks exact raw
+// values and quantizes at read-out: it keeps the topK largest distinct raw
 // values with their cell counts and cell bounding boxes, and remembers the
-// largest positive value it ever dropped. A level is read off the table
-// only while it lies above both that dropped value and its quantization —
-// then no untracked cell can reach the level and no untracked value can
-// name a level at or above it. When the walk needs a level the table
-// cannot vouch for, ResolveTop falls back to LevelSets on the grid it has
-// just resolved (no refill) and reports the underflow.
+// largest positive value it ever dropped. A level is read off the table only
+// while it lies above that dropped value's quantization — then no untracked
+// cell belongs to the level and no untracked value names a level at or above
+// it. When the walk needs a level the table cannot vouch for, ResolveTop
+// falls back to LevelSets on the grid it has just resolved (no refill) and
+// reports the underflow.
 
 // MaskLattice is a rasterized hard mask on its own lattice: cell (mx, my)
 // covers [MinX+mx·c, MinX+(mx+1)·c) × [MinY+my·c, …) for the cell size c of
@@ -101,8 +100,8 @@ type TopLevel struct {
 	// Level is where the descending walk stopped: the first level whose
 	// cells reach the area threshold, else the lowest positive level.
 	Level float64
-	// Cells counts the cells with raw weight >= Level and Box bounds them.
-	// Cells can be 0: Best may round above every raw weight.
+	// Cells counts the cells at or above Level (AtLevel) and Box bounds
+	// them; at least the cell that names Best is one of them.
 	Cells int
 	Box   CellBox
 	// Depth is how many levels below Best the walk went.
@@ -203,7 +202,7 @@ func (t *topTable) walk(cellArea, minAreaKm2 float64) (top TopLevel, ok bool) {
 	dropLevel := quantizeWeight(t.dropMax)
 	top.Box = CellBox{X0: math.MaxInt32, Y0: math.MaxInt32, X1: -1, Y1: -1}
 	depth := -1
-	folded := 0 // entries [0, folded) have v >= the current level
+	folded := 0 // entries [0, folded) are at or above the current level
 	last := math.NaN()
 	for k := 0; k < t.n; k++ {
 		l := quantizeWeight(t.e[k].v)
@@ -214,12 +213,12 @@ func (t *topTable) walk(cellArea, minAreaKm2 float64) (top TopLevel, ok bool) {
 		if l <= 0 {
 			return top, true
 		}
-		if dropped && !(l > t.dropMax && l > dropLevel) {
+		if dropped && !(l > dropLevel) {
 			return top, false
 		}
 		depth++
 		top.Level, top.Depth = l, depth
-		for ; folded < t.n && t.e[folded].v >= l; folded++ {
+		for ; folded < t.n && AtLevel(t.e[folded].v, l); folded++ {
 			e := &t.e[folded]
 			top.Cells += int(e.cells)
 			top.Box.X0 = min(top.Box.X0, int(e.x0))
@@ -482,7 +481,7 @@ func (g *Grid) censusTop(minAreaKm2 float64) TopLevel {
 	top.Box = CellBox{X0: g.W, Y0: g.H, X1: -1, Y1: -1}
 	for y := 0; y < g.H; y++ {
 		for x, w := range g.Weight[y*g.W : (y+1)*g.W] {
-			if w >= top.Level {
+			if AtLevel(w, top.Level) {
 				top.Box.X0 = min(top.Box.X0, x)
 				top.Box.Y0 = min(top.Box.Y0, y)
 				top.Box.X1 = max(top.Box.X1, x)
