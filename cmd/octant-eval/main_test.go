@@ -15,7 +15,9 @@ func TestRunFigures(t *testing.T) {
 		want, not string
 	}{
 		{[]string{"-fig", "2"}, "Figure 2", "Figure 3"},
-		{[]string{"-fig", "3", "-step", "17"}, "Octant     region contained truth for 3/3 targets", "Figure 4"},
+		// ucsb (target 17) left its region when the height fit moved off
+		// Nelder–Mead: its t′ went 0 → 0.88 ms, a lower objective.
+		{[]string{"-fig", "3", "-step", "17"}, "Octant     region contained truth for 2/3 targets", "Figure 4"},
 	}
 	for _, c := range cases {
 		var out bytes.Buffer

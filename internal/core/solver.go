@@ -224,10 +224,11 @@ func (p *gridPass) solution() *Solution {
 	// without diluting the point estimate. The cell that names best is one
 	// of them, so the weights sum to more than 0.
 	var sw, sx, sy float64
+	floor := geo.LevelFloor(best)
 	for y := box.Y0; y <= box.Y1; y++ {
 		for x := box.X0; x <= box.X1; x++ {
 			w := g.Weight[y*g.W+x]
-			if !geo.AtLevel(w, best) {
+			if w < floor {
 				continue
 			}
 			c := g.CellCenter(x, y)

@@ -15,8 +15,9 @@ import (
 // exactly as it ran in production before geo.Grid.ResolveTop replaced it —
 // FlushAdds, LandMaskCache.Apply, LevelSets (two passes), Threshold, the
 // whole-grid centroid walk — and the two-pass driver that traced the
-// coarse pass eagerly. Membership of a level is geo.AtLevel throughout, as
-// in the kernel, since levels and membership share one quantization. The production solver must agree with it bit for
+// coarse pass eagerly. Membership of a level is a raw weight at or above
+// geo.LevelFloor, as in the kernel, since levels and membership share one
+// quantization. The production solver must agree with it bit for
 // bit: rings, point, weight, and the coarse bounding box the fine pass is
 // placed by.
 
@@ -68,12 +69,13 @@ func referenceSolveOnGrid(constraints []Constraint, min, max geo.Vec2, cellKm fl
 	}
 	region := g.Threshold(level)
 	var sw, sx, sy float64
+	floor := geo.LevelFloor(best)
 	i := 0
 	for y := 0; y < g.H; y++ {
 		for x := 0; x < g.W; x++ {
 			w := g.Weight[i]
 			i++
-			if !geo.AtLevel(w, best) {
+			if w < floor {
 				continue
 			}
 			c := g.CellCenter(x, y)

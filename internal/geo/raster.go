@@ -194,7 +194,7 @@ func (g *Grid) FlushAdds() {
 
 // LevelSets returns the distinct quantized cell weights in descending
 // order and, parallel to it, the number of cells at or above each level
-// (AtLevel) — cells[i] equals AreaAtOrAbove(levels[i])/CellArea(),
+// (atLevel) — cells[i] equals AreaAtOrAbove(levels[i])/CellArea(),
 // computed for every level in two grid passes instead of one scan per
 // level. Because fills write constant-weight spans, consecutive cells
 // usually repeat and cost a single comparison each.
@@ -230,7 +230,7 @@ func (g *Grid) LevelSets() (levels []float64, cells []int) {
 		levels[lo] = q
 	}
 	// Pass 2: each cell is binned at its own quantized weight — the highest
-	// level it belongs to (AtLevel) — and a descending prefix sum then yields
+	// level it belongs to (atLevel) — and a descending prefix sum then yields
 	// the cumulative populations.
 	exact := make([]int, len(levels))
 	lastW, lastIdx := math.NaN(), 0
@@ -266,18 +266,35 @@ func quantizeWeight(w float64) float64 {
 	return math.Round(w*1e9) / 1e9
 }
 
-// AtLevel reports whether a cell of raw weight w belongs to level, a
+// atLevel reports whether a cell of raw weight w belongs to level, a
 // quantized weight: whether w quantizes to level or above. Levels and
 // membership share the one quantization, so the cell that names a level
 // always belongs to it, and a change in the last bits of a weight moves a
 // cell across a level only together with the level it names. (The first two
 // comparisons settle all but the cells within 1e-9 under level: a value is
 // never more than half a step under its quantization.)
-func AtLevel(w, level float64) bool {
+func atLevel(w, level float64) bool {
 	return w >= level || (w >= level-1e-9 && quantizeWeight(w) >= level)
 }
 
-// Threshold extracts the region of all cells at or above level (AtLevel), tracing
+// LevelFloor returns the least raw weight that belongs to level (atLevel):
+// a loop over cells tests membership as w >= LevelFloor(level), one
+// comparison per cell.
+func LevelFloor(level float64) float64 {
+	if math.IsInf(level, 0) || math.IsNaN(level) {
+		return level
+	}
+	w := level - 0.5e-9 // within an ulp or two of the rounding boundary
+	for quantizeWeight(w) >= level {
+		w = math.Nextafter(w, math.Inf(-1))
+	}
+	for quantizeWeight(w) < level {
+		w = math.Nextafter(w, math.Inf(1))
+	}
+	return w
+}
+
+// Threshold extracts the region of all cells at or above level (atLevel), tracing
 // the cell boundary into properly oriented rings (outer CCW, holes CW).
 func (g *Grid) Threshold(level float64) *Region {
 	return g.ThresholdIn(level, g.FullBox())
@@ -295,13 +312,13 @@ func (g *Grid) ThresholdIn(level float64, box CellBox) *Region {
 	buf := getBuf[bool](&maskPool, bw*bh+bh, true)
 	defer maskPool.Put(buf)
 	inside, filled := (*buf)[:bw*bh], (*buf)[bw*bh:]
-	any := false
+	any, floor := false, LevelFloor(level)
 	for y := 0; y < bh; y++ {
 		wrow := g.Weight[(box.Y0+y)*g.W+box.X0:][:bw]
 		irow := inside[y*bw:][:bw]
 		row := false
 		for x, w := range wrow {
-			if AtLevel(w, level) {
+			if w >= floor {
 				irow[x], row = true, true
 			}
 		}
@@ -317,11 +334,11 @@ func (g *Grid) ThresholdIn(level float64, box CellBox) *Region {
 func (g *Grid) CellArea() float64 { return g.CellKm * g.CellKm }
 
 // AreaAtOrAbove returns the total area of the cells at or above level
-// (AtLevel).
+// (atLevel).
 func (g *Grid) AreaAtOrAbove(level float64) float64 {
-	n := 0
+	n, floor := 0, LevelFloor(level)
 	for _, w := range g.Weight {
-		if AtLevel(w, level) {
+		if w >= floor {
 			n++
 		}
 	}

@@ -76,12 +76,48 @@ func (pr *Projection) geoCircleReference(center Point, radiusKm float64, n int) 
 	return out
 }
 
+// azimuthalReference is a copy of the projection kernel, azimuthal with
+// its polynomial arc tangent, kept here so that appendGeoCircleReference
+// does not lean on the code it checks.
+func azimuthalReference(e, n, u float64) Vec2 {
+	rho := math.Sqrt(e*e + n*n)
+	if rho == 0 {
+		if u >= 0 {
+			return Vec2{}
+		}
+		return Vec2{X: 0, Y: math.Pi * EarthRadiusKm}
+	}
+	au := math.Abs(u)
+	t := rho / au
+	if rho > au {
+		t = au / rho
+	}
+	z := t * t
+	p := -0.00026660196719267425
+	for _, c := range []float64{0.002162794422156479, -0.008241899893996813,
+		0.01993744283625617, -0.03526772086942244, 0.050455577528416146,
+		-0.06366092236096826, 0.07614250199003121, -0.09076798876650477,
+		0.11109428364330506, -0.14285592394282529, 0.19999995340385063,
+		-0.333333332624797, 0.9999999999981967} {
+		p = p*z + c
+	}
+	a := t * p
+	if rho > au {
+		a = math.Pi/2 - a
+	}
+	if u < 0 {
+		a = math.Pi - a
+	}
+	s := EarthRadiusKm * a / rho
+	return Vec2{X: e * s, Y: n * s}
+}
+
 // appendGeoCircleReference is AppendGeoCircle as it ran before it took its
 // orientation from the generating loop: frames by value, each vertex through
-// ForwardVec, then ensureCCW's shoelace walk — after which the disk
-// constructors' NewRegion (since deleted) walked the ring once more and
-// reversed it unless its area was positive. AppendGeoCircle must return the
-// bytes those two steps left.
+// the projection (azimuthalReference), then ensureCCW's shoelace walk —
+// after which the disk constructors' NewRegion (since deleted) walked the
+// ring once more and reversed it unless its area was positive.
+// AppendGeoCircle must return the bytes those two steps left.
 func (f Frame) appendGeoCircleReference(dst []Vec2, lm Frame, radiusKm float64, n int) []Vec2 {
 	if n < 3 {
 		n = 3
@@ -104,7 +140,7 @@ func (f Frame) appendGeoCircleReference(dst []Vec2, lm Frame, radiusKm float64, 
 			Y: cosA*lm.U.Y + sinA*(ct*lm.N.Y+st*lm.E.Y),
 			Z: cosA*lm.U.Z + sinA*(ct*lm.N.Z+st*lm.E.Z),
 		}
-		dst = append(dst, f.ForwardVec(v))
+		dst = append(dst, azimuthalReference(v.Dot(f.E), v.Dot(f.N), v.Dot(f.U)))
 	}
 	ensureCCW(dst[base:])
 	if ring := Ring(dst[base:]); !ring.IsCCW() {

@@ -45,18 +45,29 @@ func TestFrameForwardMatchesReference(t *testing.T) {
 }
 
 // TestFusedGeoCircleMatchesReference checks the fused unit-vector circle
-// construction (frame circle + tangent-plane projection) vertex-by-vertex
-// against the reference Destination→Forward chain, across the adaptive
-// vertex counts and radii from city disks to continental bounds.
+// construction (frame circle + tangent-plane projection, its polynomial arc
+// tangent included) vertex-by-vertex against the reference Destination→Forward
+// chain to under a metre, across the adaptive vertex counts, non-divisor
+// counts and radii from city disks to continental bounds, around centres at
+// the equator, at ±75° and astride the antimeridian. The last disks of each
+// centre lie 15,000–17,000 km out with radii that reach past the centre's
+// antipode: their vertices sit behind the far side of the map.
 func TestFusedGeoCircleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	radii := []float64{1, 30, 60, 250, 1000, 3000, 6000}
+	antipodal := 0
 	for _, c := range propertyCenters {
 		pr := NewProjection(c)
-		for i := 0; i < 40; i++ {
+		anti := Pt(-c.Lat, c.Lon+180)
+		for i := 0; i < 48; i++ {
 			lm := c.Destination(2*math.Pi*rng.Float64(), 5000*rng.Float64())
 			r := radii[i%len(radii)] * (0.5 + rng.Float64())
-			for _, n := range []int{24, 32, 48, 96} {
+			if i >= 40 {
+				lm = c.Destination(2*math.Pi*rng.Float64(), 15000+2000*rng.Float64())
+				r = lm.DistanceKm(anti) + 1000 + 3000*rng.Float64()
+				antipodal++
+			}
+			for _, n := range []int{24, 32, 48, 96, 17, 50} {
 				fast := pr.GeoCircle(lm, r, n)
 				ref := pr.geoCircleReference(lm, r, n)
 				if len(fast) != len(ref) {
@@ -70,6 +81,9 @@ func TestFusedGeoCircleMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+	if antipodal == 0 {
+		t.Error("no disk held a centre's antipode")
 	}
 }
 
@@ -148,7 +162,8 @@ func TestUnitVecRoundTrip(t *testing.T) {
 }
 
 // TestAppendGeoCircleBitIdentical: the single-walk circle against the
-// three-walk reference, byte for byte, over random centres, landmarks and
+// three-walk reference (with its own copy of the projection kernel), byte for
+// byte, over random centres, landmarks and
 // radii — city pins to disks wider than a hemisphere, antimeridian and
 // high-latitude centres, table and non-table vertex counts. Bearings run
 // clockwise, so an ordinary disk is generated clockwise in the plane and
