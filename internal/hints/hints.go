@@ -23,6 +23,8 @@ package hints
 
 import (
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"octant/internal/geo"
 	"octant/internal/netsim"
@@ -161,9 +163,13 @@ func (e *Engine) Parse(name string) (out []Hint) {
 // the operator domain, where site codes conventionally sit) inward and
 // each label's tokens left to right, calling yield with every token that
 // names a city until yield returns false. Label and token boundaries are
-// sliced by hand, so the walk itself costs no allocations.
+// sliced by hand and each token is lower-cased into a stack buffer, as
+// strings.ToLower would the whole name, so the walk itself costs no
+// allocations. A token that lower-cases past the buffer's 128 bytes — twice
+// a DNS label — names no city.
 func (e *Engine) scan(name string, yield func(Hint) bool) {
-	name = strings.ToLower(strings.TrimSuffix(name, "."))
+	var buf [128]byte
+	name = strings.TrimSuffix(name, ".")
 	// Drop the TLD and registrable domain: geography never lives there.
 	if last := strings.LastIndexByte(name, '.'); last >= 0 {
 		if prev := strings.LastIndexByte(name[:last], '.'); prev >= 0 {
@@ -187,25 +193,44 @@ func (e *Engine) scan(name string, yield func(Hint) bool) {
 				label = ""
 			}
 			tok = strings.TrimFunc(tok, func(r rune) bool { return r >= '0' && r <= '9' })
-			if tok == "" || operatorSuffixes[tok] {
+			low, fits := lower(buf[:0], tok)
+			if !fits || len(low) == 0 || operatorSuffixes[string(low)] {
 				continue
 			}
-			if h, ok := e.match(tok); ok && !yield(h) {
+			if h, ok := e.match(low); ok && !yield(h) {
 				return
 			}
 		}
 	}
 }
 
-// match resolves one cleaned token against the three tables.
-func (e *Engine) match(tok string) (h Hint, ok bool) {
+// lower appends s lower-cased to dst, rune by rune as strings.ToLower maps
+// it (invalid UTF-8 included, as U+FFFD); fits is false, and dst is left
+// short, when that would outgrow dst's capacity.
+func lower(dst []byte, s string) (_ []byte, fits bool) {
+	for i := 0; i < len(s); {
+		r, n := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(s[i:])
+		}
+		r = unicode.ToLower(r)
+		if len(dst)+utf8.RuneLen(r) > cap(dst) {
+			return dst, false
+		}
+		dst, i = utf8.AppendRune(dst, r), i+n
+	}
+	return dst, true
+}
+
+// match resolves one cleaned, lower-cased token against the three tables.
+func (e *Engine) match(tok []byte) (h Hint, ok bool) {
 	switch len(tok) {
 	case 3:
-		h, ok = e.byIATA[tok]
+		h, ok = e.byIATA[string(tok)]
 	case 6:
-		h, ok = e.byCLLI[tok]
+		h, ok = e.byCLLI[string(tok)]
 	}
-	if code, found := e.byName[tok]; !ok && found {
+	if code, found := e.byName[string(tok)]; !ok && found {
 		h, ok = e.byIATA[code], true
 		h.Kind = KindName
 	}

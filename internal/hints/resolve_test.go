@@ -1,6 +1,7 @@
 package hints
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,4 +205,32 @@ func TestResolveAllocFree(t *testing.T) {
 			t.Errorf("Resolve(%q) allocates %.1f/op, want 0", name, allocs)
 		}
 	}
+}
+
+// FuzzResolve feeds reverse names — label soup, IDNA and Unicode labels,
+// upper case, invalid UTF-8, names at DNS's 253-byte limit, a token longer
+// than the walk's lower-casing buffer — through both questions the engine
+// answers: Resolve must return Parse's first hint (or nothing when Parse
+// finds none), must not allocate on any name of at most 253 bytes, and
+// neither may depend on the name's case (the walk lower-cases token by token
+// what strings.ToLower would lower-case whole). The corpus is
+// testdata/fuzz/FuzzResolve; its upper-case seed allocated before the walk
+// lower-cased tokens into a stack buffer.
+func FuzzResolve(f *testing.F) {
+	e := NewEngine()
+	f.Fuzz(func(t *testing.T, name string) {
+		h, ok := e.Resolve(name)
+		all := e.Parse(name)
+		if ok != (len(all) > 0) || ok && h != all[0] {
+			t.Fatalf("Resolve(%q) = %+v, %v; Parse = %+v", name, h, ok, all)
+		}
+		if low := e.Parse(strings.ToLower(name)); !reflect.DeepEqual(low, all) {
+			t.Fatalf("Parse(%q) = %+v, lower-cased %+v", name, all, low)
+		}
+		if len(name) <= 253 {
+			if allocs := testing.AllocsPerRun(1, func() { e.Resolve(name) }); allocs != 0 {
+				t.Fatalf("Resolve(%q) allocates %.0f/op", name, allocs)
+			}
+		}
+	})
 }
