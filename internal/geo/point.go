@@ -57,24 +57,11 @@ func rad2deg(r float64) float64 { return r * 180 / math.Pi }
 
 // DistanceKm returns the great-circle distance between p and q in kilometres,
 // computed with the haversine formula (numerically stable for small angles).
-func (p Point) DistanceKm(q Point) float64 { return p.Radians().DistanceKm(q.Radians()) }
-
-// Radians is a Point in radians with the cosine of its latitude: the part of
-// the haversine formula that depends on one endpoint only, for callers that
-// measure many distances from the same points.
-type Radians struct{ Lat, Lon, CosLat float64 }
-
-// Radians converts p.
-func (p Point) Radians() Radians {
-	lat := deg2rad(p.Lat)
-	return Radians{Lat: lat, Lon: deg2rad(p.Lon), CosLat: math.Cos(lat)}
-}
-
-// DistanceKm is Point.DistanceKm on converted points, bit for bit.
-func (p Radians) DistanceKm(q Radians) float64 {
-	s1 := math.Sin((q.Lat - p.Lat) / 2)
-	s2 := math.Sin((q.Lon - p.Lon) / 2)
-	h := s1*s1 + p.CosLat*q.CosLat*s2*s2
+func (p Point) DistanceKm(q Point) float64 {
+	lat1, lat2 := deg2rad(p.Lat), deg2rad(q.Lat)
+	s1 := math.Sin((lat2 - lat1) / 2)
+	s2 := math.Sin((deg2rad(q.Lon) - deg2rad(p.Lon)) / 2)
+	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
 	if h > 1 {
 		h = 1
 	}

@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -204,60 +203,5 @@ func TestGeoCircle(t *testing.T) {
 	// Area should approximate πr².
 	if a := ring.Area(); !almostEq(a, math.Pi*r*r, math.Pi*r*r*0.02) {
 		t.Errorf("circle area %.1f, want ≈ %.1f", a, math.Pi*r*r)
-	}
-}
-
-// haversineReference is Point.DistanceKm as it was written before the
-// per-endpoint half moved into Radians: every conversion and cosine
-// recomputed per call.
-func haversineReference(p, q Point) float64 {
-	lat1, lon1 := deg2rad(p.Lat), deg2rad(p.Lon)
-	lat2, lon2 := deg2rad(q.Lat), deg2rad(q.Lon)
-	dLat := lat2 - lat1
-	dLon := lon2 - lon1
-	s1 := math.Sin(dLat / 2)
-	s2 := math.Sin(dLon / 2)
-	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
-	if h > 1 {
-		h = 1
-	}
-	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
-}
-
-// TestRadiansDistanceBitIdentical: converting the endpoints once and
-// measuring from the converted points gives the distance the one-shot
-// formula gives, bit for bit — the height solve's simplex path depends on
-// it. Random pairs plus the poles, the antimeridian, antipodes and
-// coincident points.
-func TestRadiansDistanceBitIdentical(t *testing.T) {
-	special := []Point{
-		Pt(90, 0), Pt(-90, 0), Pt(90, 180), Pt(-90, -180), Pt(89.9, 179.99), Pt(-89.9, -179.99),
-		Pt(0, 180), Pt(0, -180), Pt(0, 179.9999999), Pt(0, -179.9999999), Pt(0, 0), Pt(1e-9, -1e-9),
-		Pt(42.44, -76.5), Pt(-42.44, 103.5),
-	}
-	rng := rand.New(rand.NewSource(7))
-	pts := append([]Point{}, special...)
-	for len(pts) < 160 {
-		pts = append(pts, Pt(rng.Float64()*180-90, rng.Float64()*360-180))
-	}
-	rads := make([]Radians, len(pts))
-	for i, p := range pts {
-		rads[i] = p.Radians()
-	}
-	pairs := 0
-	for i, p := range pts {
-		for j, q := range pts {
-			want := math.Float64bits(haversineReference(p, q))
-			if got := math.Float64bits(rads[i].DistanceKm(rads[j])); got != want {
-				t.Fatalf("%v → %v: converted-once distance %x, reference %x", p, q, got, want)
-			}
-			if got := math.Float64bits(p.DistanceKm(q)); got != want {
-				t.Fatalf("%v → %v: Point.DistanceKm %x, reference %x", p, q, got, want)
-			}
-			pairs++
-		}
-	}
-	if pairs < 10000 {
-		t.Fatalf("only %d pairs", pairs)
 	}
 }

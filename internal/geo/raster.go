@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -194,70 +195,36 @@ func (g *Grid) FlushAdds() {
 
 // LevelSets returns the distinct quantized cell weights in descending
 // order and, parallel to it, the number of cells at or above each level
-// (atLevel) — cells[i] equals AreaAtOrAbove(levels[i])/CellArea(),
-// computed for every level in two grid passes instead of one scan per
-// level. Because fills write constant-weight spans, consecutive cells
-// usually repeat and cost a single comparison each.
+// (LevelFloor) — cells[i] equals AreaAtOrAbove(levels[i])/CellArea(),
+// computed for every level in one grid pass instead of one scan per level:
+// each cell is binned at its own quantized weight, the highest level it
+// belongs to, and the bins are summed from the top. Because fills write
+// constant-weight spans, consecutive cells usually repeat and cost a single
+// comparison each.
 func (g *Grid) LevelSets() (levels []float64, cells []int) {
-	// Pass 1: distinct quantized weights, kept ascending. The raw-value
-	// cache makes span-constant runs skip the quantization rounding too.
-	lastRaw := math.NaN()
-	last := math.NaN()
-	for _, w := range g.Weight {
-		if w == lastRaw {
-			continue
-		}
-		lastRaw = w
-		q := quantizeWeight(w)
-		if q == last {
-			continue
-		}
-		last = q
-		lo, hi := 0, len(levels)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if levels[mid] < q {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(levels) && levels[lo] == q {
-			continue
-		}
-		levels = append(levels, 0)
-		copy(levels[lo+1:], levels[lo:])
-		levels[lo] = q
-	}
-	// Pass 2: each cell is binned at its own quantized weight — the highest
-	// level it belongs to (atLevel) — and a descending prefix sum then yields
-	// the cumulative populations.
-	exact := make([]int, len(levels))
-	lastW, lastIdx := math.NaN(), 0
+	lastW, bin := math.NaN(), 0
 	for _, w := range g.Weight {
 		if w != lastW {
 			q := quantizeWeight(w)
 			lo, hi := 0, len(levels)
 			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if levels[mid] < q {
+				if mid := int(uint(lo+hi) >> 1); levels[mid] > q {
 					lo = mid + 1
 				} else {
 					hi = mid
 				}
 			}
-			lastW, lastIdx = w, lo
+			if lo == len(levels) || levels[lo] != q {
+				levels, cells = slices.Insert(levels, lo, q), slices.Insert(cells, lo, 0)
+			}
+			lastW, bin = w, lo
 		}
-		exact[lastIdx]++
+		cells[bin]++
 	}
-	for i, j := 0, len(levels)-1; i < j; i, j = i+1, j-1 {
-		levels[i], levels[j] = levels[j], levels[i]
-		exact[i], exact[j] = exact[j], exact[i]
+	for i := 1; i < len(cells); i++ {
+		cells[i] += cells[i-1]
 	}
-	for i := 1; i < len(exact); i++ {
-		exact[i] += exact[i-1]
-	}
-	return levels, exact
+	return levels, cells
 }
 
 // quantizeWeight collapses floating-point dust so that equal-weight cells
@@ -266,20 +233,10 @@ func quantizeWeight(w float64) float64 {
 	return math.Round(w*1e9) / 1e9
 }
 
-// atLevel reports whether a cell of raw weight w belongs to level, a
-// quantized weight: whether w quantizes to level or above. Levels and
-// membership share the one quantization, so the cell that names a level
-// always belongs to it, and a change in the last bits of a weight moves a
-// cell across a level only together with the level it names. (The first two
-// comparisons settle all but the cells within 1e-9 under level: a value is
-// never more than half a step under its quantization.)
-func atLevel(w, level float64) bool {
-	return w >= level || (w >= level-1e-9 && quantizeWeight(w) >= level)
-}
-
-// LevelFloor returns the least raw weight that belongs to level (atLevel):
-// a loop over cells tests membership as w >= LevelFloor(level), one
-// comparison per cell.
+// LevelFloor returns the least raw weight that belongs to level, a quantized
+// weight: a cell belongs to a level when its weight quantizes to it or above,
+// so the cell that names a level always belongs to it, and the last bits of a
+// weight move a cell across a level only with the level it names.
 func LevelFloor(level float64) float64 {
 	if math.IsInf(level, 0) || math.IsNaN(level) {
 		return level
@@ -294,7 +251,7 @@ func LevelFloor(level float64) float64 {
 	return w
 }
 
-// Threshold extracts the region of all cells at or above level (atLevel), tracing
+// Threshold extracts the region of all cells at or above level (LevelFloor), tracing
 // the cell boundary into properly oriented rings (outer CCW, holes CW).
 func (g *Grid) Threshold(level float64) *Region {
 	return g.ThresholdIn(level, g.FullBox())
@@ -334,7 +291,7 @@ func (g *Grid) ThresholdIn(level float64, box CellBox) *Region {
 func (g *Grid) CellArea() float64 { return g.CellKm * g.CellKm }
 
 // AreaAtOrAbove returns the total area of the cells at or above level
-// (atLevel).
+// (LevelFloor).
 func (g *Grid) AreaAtOrAbove(level float64) float64 {
 	n, floor := 0, LevelFloor(level)
 	for _, w := range g.Weight {

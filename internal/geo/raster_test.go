@@ -430,7 +430,7 @@ func BenchmarkTraceWindow(b *testing.B) {
 }
 
 // TestLevelFloorIsAtLevel: the one comparison the cell loops make, w >=
-// LevelFloor(level), is atLevel's quantized membership, for weights within a
+// LevelFloor(level), is quantized membership, quantizeWeight(w) >= level, for weights within a
 // few quanta of levels across magnitudes, on both sides of every rounding
 // boundary.
 func TestLevelFloorIsAtLevel(t *testing.T) {
@@ -438,13 +438,13 @@ func TestLevelFloorIsAtLevel(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		level := quantizeWeight(math.Pow(10, rng.Float64()*8-4) * float64(1-2*(i%2)))
 		floor := LevelFloor(level)
-		if !atLevel(floor, level) || atLevel(math.Nextafter(floor, math.Inf(-1)), level) {
+		if quantizeWeight(floor) < level || quantizeWeight(math.Nextafter(floor, math.Inf(-1))) >= level {
 			t.Fatalf("level %v: floor %v is not the least weight at the level", level, floor)
 		}
 		for j := 0; j < 8; j++ {
 			w := level + (rng.Float64()-0.5)*4e-9
-			if got, want := w >= floor, atLevel(w, level); got != want {
-				t.Fatalf("level %v, weight %v: w >= floor %v, atLevel %v", level, w, got, want)
+			if got, want := w >= floor, quantizeWeight(w) >= level; got != want {
+				t.Fatalf("level %v, weight %v: w >= floor %v, quantized %v", level, w, got, want)
 			}
 		}
 	}

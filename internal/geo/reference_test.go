@@ -92,16 +92,13 @@ func azimuthalReference(e, n, u float64) Vec2 {
 	if rho > au {
 		t = au / rho
 	}
+	c := [12]float64{0.9999999999293037, -0.3333333129088999, 0.19999901102171555, -0.14283813255743194,
+		0.11091922963683302, -0.08974171958363882, 0.07228278345377252, -0.05395668057137172,
+		0.033826218952786875, -0.015828322749149415, 0.00473248419342192, -0.0006633954571104787}
 	z := t * t
-	p := -0.00026660196719267425
-	for _, c := range []float64{0.002162794422156479, -0.008241899893996813,
-		0.01993744283625617, -0.03526772086942244, 0.050455577528416146,
-		-0.06366092236096826, 0.07614250199003121, -0.09076798876650477,
-		0.11109428364330506, -0.14285592394282529, 0.19999995340385063,
-		-0.333333332624797, 0.9999999999981967} {
-		p = p*z + c
-	}
-	a := t * p
+	z2 := z * z
+	z4 := z2 * z2
+	a := t * (c[0] + c[1]*z + (c[2]+c[3]*z)*z2 + z4*(c[4]+c[5]*z+(c[6]+c[7]*z)*z2+z4*(c[8]+c[9]*z+(c[10]+c[11]*z)*z2)))
 	if rho > au {
 		a = math.Pi/2 - a
 	}

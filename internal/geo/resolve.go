@@ -53,7 +53,7 @@ import (
 // fallback does, and every pruned row is cleared before it.
 //
 // Exactness. Levels are quantizeWeight(raw), and a cell belongs to a level
-// when its raw weight quantizes to it or above (atLevel): prefix-sum dust
+// when its raw weight quantizes to it or above (LevelFloor): prefix-sum dust
 // cannot move a cell across the level it names. The census tracks exact raw
 // values and quantizes at read-out: it keeps the topK largest distinct raw
 // values with their cell counts and cell bounding boxes, and remembers the
@@ -100,7 +100,7 @@ type TopLevel struct {
 	// Level is where the descending walk stopped: the first level whose
 	// cells reach the area threshold, else the lowest positive level.
 	Level float64
-	// Cells counts the cells at or above Level (atLevel) and Box bounds
+	// Cells counts the cells at or above Level (LevelFloor) and Box bounds
 	// them; at least the cell that names Best is one of them.
 	Cells int
 	Box   CellBox
@@ -218,7 +218,7 @@ func (t *topTable) walk(cellArea, minAreaKm2 float64) (top TopLevel, ok bool) {
 		}
 		depth++
 		top.Level, top.Depth = l, depth
-		for ; folded < t.n && atLevel(t.e[folded].v, l); folded++ {
+		for ; folded < t.n && quantizeWeight(t.e[folded].v) >= l; folded++ {
 			e := &t.e[folded]
 			top.Cells += int(e.cells)
 			top.Box.X0 = min(top.Box.X0, int(e.x0))

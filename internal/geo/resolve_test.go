@@ -115,7 +115,7 @@ func TestResolveTopMatchesSeparatePasses(t *testing.T) {
 		y0, y1 := specifiedRows(fused, got)
 		for i, rw := range ref.Weight {
 			if y := i / w; y < y0 || y > y1 {
-				if want.Best > 0 && atLevel(rw, want.Level) {
+				if want.Best > 0 && quantizeWeight(rw) >= want.Level {
 					t.Fatalf("seed %d: cell (%d, %d) holds %v of level %v outside the box's rows %d–%d", seed, i%w, y, rw, want.Level, y0, y1)
 				}
 				continue
@@ -266,7 +266,7 @@ func checkResolveTop(t *testing.T, fills []Fill, w, h int, land *MaskLattice, mi
 	y0, y1 := specifiedRows(fused, got)
 	for i, rw := range ref.Weight {
 		if y := i / w; y < y0 || y > y1 {
-			if want.Best > 0 && atLevel(rw, want.Level) {
+			if want.Best > 0 && quantizeWeight(rw) >= want.Level {
 				t.Fatalf("cell (%d, %d) holds %v of level %v outside the box's rows %d–%d", i%w, y, rw, want.Level, y0, y1)
 			}
 			continue

@@ -162,106 +162,82 @@ type TargetResult struct {
 // route inflation, so they anchor the height; distant ones mostly carry
 // inflation noise.
 //
-// The fit is Levenberg–Marquardt on the analytic derivatives (descend),
-// from t′ = 1 at the latency-weighted centroid and from beside the nearest
-// landmark. The arcs make the objective non-convex, and the basin a descent
-// ends in is not always the lowest near it, so around the better end the
-// objective is probed (t′ at its optimum in closed form) on a 5×5 lattice 1°
-// apart and at four points half a degree out, and the descent is repeated
-// from each lattice point lower than its four neighbours and each half-step
-// point lower than the end; the lowest end wins. Against the Nelder–Mead
-// simplex it replaced, run to convergence, that ends lower on about one
-// Figure 3 target in 25 and higher on about one in 2,500.
+// The fit is Levenberg–Marquardt (descend) from t′ = 1 at the
+// latency-weighted centroid and from beside the nearest landmark. The arcs
+// make the objective non-convex, so it is probed around the better end (t′
+// in closed form) on a 5×5 lattice 1° apart and four points 0.5° out, and
+// descends again from each lattice point under its four neighbours and each
+// half-step point under the end; the lowest end wins.
 func SolveTargetK(landmarks []geo.Point, heights, rttMs []float64, kappa float64) (TargetResult, error) {
 	n := len(landmarks)
 	if n < 3 || len(heights) != n || len(rttMs) != n {
 		return TargetResult{}, fmt.Errorf("height: need ≥ 3 parallel landmark entries (have %d/%d/%d)",
 			len(landmarks), len(heights), len(rttMs))
 	}
-	if kappa < 1 {
-		kappa = 1
-	}
-	f := targetFit{terms: make([]fitTerm, n)}
+	f := targetFit{terms: make([]fitTerm, n), msPerRad: max(kappa, 1) * geo.DistanceToMinLatencyMs(geo.EarthRadiusKm)}
 	var latSum, lonSum float64
+	near := 0
 	for i, p := range landmarks {
 		w := 1 / (1 + rttMs[i])
 		f.terms[i] = fitTerm{w, heights[i] - rttMs[i], geo.UnitVec(p)}
-		latSum += p.Lat * w
-		lonSum += p.Lon * w
-		f.wSum += w
-	}
-	f.msPerRad = kappa * geo.DistanceToMinLatencyMs(geo.EarthRadiusKm)
-	// Descend from the latency-weighted centroid (nearby landmarks dominate)
-	// and from beside the nearest landmark; keep the lower end.
-	near := 0
-	for i := range rttMs {
+		latSum, lonSum, f.wSum = latSum+p.Lat*w, lonSum+p.Lon*w, f.wSum+w
 		if rttMs[i] < rttMs[near] {
 			near = i
 		}
 	}
 	x, ss := f.descend([3]float64{1, clampF(latSum/f.wSum, -maxLat, maxLat), lonSum / f.wSum})
-	f.try(&x, &ss, f.start(landmarks[near].Lat+0.01, landmarks[near].Lon+0.01))
-	// Probe around it for a lower basin: a 5×5 lattice 1° apart, descending
-	// from each lattice point lower than its neighbours, and four points half
-	// a degree out, descending from each lower than the end.
-	const side = 5
-	var lattice [side][side]float64
-	var at [side][side][3]float64
+	try := func(p [3]float64) {
+		if y, yss := f.descend(p); yss < ss {
+			x, ss = y, yss
+		}
+	}
+	p, _ := f.at(landmarks[near].Lat+0.01, landmarks[near].Lon+0.01)
+	try(p)
+	lattice, at := [5][5]float64{}, [5][5][3]float64{}
 	c := x
 	for i := range lattice {
 		for j := range lattice[i] {
-			at[i][j], lattice[i][j] = f.at(c[1]+float64(i-side/2), c[2]+float64(j-side/2))
+			at[i][j], lattice[i][j] = f.at(c[1]+float64(i-2), c[2]+float64(j-2))
 		}
 	}
 	for i := range lattice {
 		for j, v := range lattice[i] {
-			if (i == side/2 && j == side/2) || (i > 0 && lattice[i-1][j] < v) || (i < side-1 && lattice[i+1][j] < v) ||
-				(j > 0 && lattice[i][j-1] < v) || (j < side-1 && lattice[i][j+1] < v) {
-				continue
+			if (i != 2 || j != 2) && (i == 0 || lattice[i-1][j] >= v) && (i == 4 || lattice[i+1][j] >= v) &&
+				(j == 0 || lattice[i][j-1] >= v) && (j == 4 || lattice[i][j+1] >= v) {
+				try(at[i][j])
 			}
-			f.try(&x, &ss, at[i][j])
 		}
 	}
 	for _, o := range [4][2]float64{{0.5, 0}, {-0.5, 0}, {0, 0.5}, {0, -0.5}} {
 		if p, v := f.at(c[1]+o[0], c[2]+o[1]); v < ss {
-			f.try(&x, &ss, p)
+			try(p)
 		}
 	}
-	// On a landmark the arc has no derivative and a descent can stop with t′
-	// short of its optimum there; t′ is set in closed form at the end.
+	// On a landmark, where σ has no derivative, a descent can stop short of t′'s optimum.
 	if p, v := f.at(x[1], x[2]); v < ss {
 		x, ss = p, v
 	}
-	return TargetResult{
-		HeightMs: x[0],
-		Coarse:   geo.Pt(x[1], wrapLon(x[2])),
-		Residual: math.Sqrt(ss / f.wSum),
-	}, nil
+	return TargetResult{HeightMs: x[0], Coarse: geo.Pt(x[1], wrapLon(x[2])), Residual: math.Sqrt(ss / f.wSum)}, nil
 }
 
-// maxLat bounds the fitted latitude, in degrees.
-const maxLat = 89.9
+const maxLat = 89.9 // bounds the fitted latitude, in degrees
 
-// fitTerm is one landmark of the target fit: its weight, its residual at
-// t′ = 0 and distance 0, and its position.
+// fitTerm is a landmark's weight, residual at t′ = 0 and distance 0, and position.
 type fitTerm struct {
 	w, r0 float64
 	at    geo.Vec3
 }
 
 // targetFit is SolveTargetK's objective Σ w·r² over x = (t′ ms, lat °,
-// lon °), where r = r0 + t′ + msPerRad·σ and σ is the arc from the landmark.
+// lon °), where r = r0 + t′ + msPerRad·σ and σ is the arc to the landmark.
 type targetFit struct {
 	terms          []fitTerm
 	wSum, msPerRad float64
 }
 
 // eval returns the objective at x, half its gradient g = JᵀWr, half its
-// Hessian h and the diagonal d of the Gauss–Newton part JᵀWJ of h. The
-// second-order part Σ w·r·∂²r is kept: residuals of several milliseconds
-// against the arcs' curvature make a Gauss–Newton step zig-zag for dozens of
-// iterations. On a landmark (or its antipode) σ has no derivative, and its
-// term is t′'s alone.
+// Hessian h and the diagonal d of JᵀWJ. h keeps Σ w·r·∂²r: against residuals
+// of several milliseconds the arcs' curvature makes Gauss–Newton zig-zag.
 func (f *targetFit) eval(x [3]float64) (ss float64, h [3][3]float64, g, d [3]float64) {
 	fr := geo.NewFrame(geo.Pt(x[1], x[2]))
 	cosLat, sinLat := fr.N.Z, fr.U.Z
@@ -273,8 +249,7 @@ func (f *targetFit) eval(x [3]float64) (ss float64, h [3][3]float64, g, d [3]flo
 		j := [3]float64{1, 0, 0}
 		ss += t.w * r * r
 		if rho > 0 {
-			// cos σ = t.at·T(lat, lon): its derivatives c1 and c2 per radian,
-			// then σ's by σ = acos(cos σ).
+			// c1, c2: cos σ's derivatives per radian; σ's follow from acos.
 			c1 := [2]float64{n, cosLat * e}
 			c2 := [2][2]float64{{-u, -sinLat * e}, {-sinLat * e, cosLat * (sinLat*n - cosLat*u)}}
 			k := t.w * r * f.msPerRad * rad * rad
@@ -296,59 +271,39 @@ func (f *targetFit) eval(x [3]float64) (ss float64, h [3][3]float64, g, d [3]flo
 	return ss, h, g, d
 }
 
-// at returns the point (t′, lat, lon) with lat clamped and t′ at its
-// optimum for that position, max(0, −Σ w·(r0 + msPerRad·σ)/Σ w), and the
-// objective there.
+// at returns (t′, lat, lon) with lat clamped and t′ at its optimum there,
+// max(0, −Σ w·(r0 + msPerRad·σ)/Σ w), and the objective at it.
 func (f *targetFit) at(lat, lon float64) (x [3]float64, ss float64) {
 	x[1], x[2] = clampF(lat, -maxLat, maxLat), lon
 	fr := geo.NewFrame(geo.Pt(x[1], x[2]))
-	var s1, s2 float64 // Σ w·a and Σ w·a² for a = r0 + msPerRad·σ
+	var s1, s2 float64 // Σ w·a and Σ w·a², a = r0 + msPerRad·σ
 	for _, t := range f.terms {
 		e, n := t.at.Dot(fr.E), t.at.Dot(fr.N)
 		a := t.r0 + f.msPerRad*math.Atan2(math.Sqrt(e*e+n*n), t.at.Dot(fr.U))
-		s1 += t.w * a
-		s2 += t.w * a * a
+		s1, s2 = s1+t.w*a, s2+t.w*a*a
 	}
 	x[0] = math.Max(0, -s1/f.wSum)
 	return x, math.Max(0, s2+x[0]*(2*s1+x[0]*f.wSum))
 }
 
-// start is at's point alone.
-func (f *targetFit) start(lat, lon float64) [3]float64 {
-	x, _ := f.at(lat, lon)
-	return x
-}
-
-// try descends from p and keeps the end in (x, ss) if it is lower.
-func (f *targetFit) try(x *[3]float64, ss *float64, p [3]float64) {
-	if y, yss := f.descend(p); yss < *ss {
-		*x, *ss = y, yss
-	}
-}
-
-// descend runs Levenberg–Marquardt from x: (h + μ·diag(JᵀWJ))·δ = −g over
-// the parameters off their bounds (t′ ≥ 0, |lat| ≤ maxLat; one on its bound
-// that the gradient pushes outwards sits the step out), a step accepted
-// only when it lowers the objective. It stops when a step no longer moves
-// x or lowers the objective by more than 1e-14 of itself.
+// descend runs Levenberg–Marquardt from x, (h + μ·diag(JᵀWJ))·δ = −g over the
+// parameters the gradient does not hold on a bound (t′ ≥ 0, |lat| ≤ maxLat),
+// μ set by the gain ratio of a step's decrease to the model's (Nielsen), until
+// a step no longer moves x or lowers the objective by 1e-14 of itself.
 func (f *targetFit) descend(x [3]float64) ([3]float64, float64) {
 	lo, hi := [3]float64{0, -maxLat, math.Inf(-1)}, [3]float64{math.Inf(1), maxLat, math.Inf(1)}
 	ss, h, g, d := f.eval(x)
 	for iter, mu := 0, 1e-3; iter < 100 && mu < 1e12; iter++ {
 		m, b := h, [3]float64{-g[0], -g[1], -g[2]}
-		floor := 1e-12 * (d[0] + d[1] + d[2])
 		for p := range m {
 			if (x[p] <= lo[p] && g[p] > 0) || (x[p] >= hi[p] && g[p] < 0) {
-				m[p], b[p] = [3]float64{}, 0
-				for q := range m {
-					m[q][p] = 0
-				}
+				m[p], m[0][p], m[1][p], m[2][p], b[p] = [3]float64{}, 0, 0, 0, 0
 				m[p][p] = 1
-				continue
+			} else {
+				m[p][p] += mu * (d[p] + 1e-12*(d[0]+d[1]+d[2]))
 			}
-			m[p][p] += mu * (d[p] + floor)
 		}
-		step, ok := solveSPD3(m, b)
+		step, ok := solve3(m, b)
 		if !ok { // h is not positive definite here: damp harder
 			mu *= 8
 			continue
@@ -361,66 +316,45 @@ func (f *targetFit) descend(x [3]float64) ([3]float64, float64) {
 			break
 		}
 		ssNext, hNext, gNext, dNext := f.eval(next)
-		if !(ssNext < ss) {
+		if !(ssNext < ss) { // rejected
 			mu *= 8
 			continue
 		}
-		// The gain ratio of the decrease to the one the quadratic model
-		// promised, 2·gᵀδ + δᵀhδ below ss, sets the damping (Nielsen): a step
-		// the model foresaw relaxes it, one that fell well short — a zig-zag
-		// across a landmark's kink — tightens it.
-		var pred float64
-		for p := range step {
-			step[p] = next[p] - x[p]
-			pred -= 2 * g[p] * step[p]
-			for q := range step {
-				pred -= step[p] * h[p][q] * step[q]
-			}
-		}
-		z := 1.0 // 2·gain − 1
-		if pred > 0 {
+		z := 1.0 // 2·gain − 1, the promise 2·gᵀδ + δᵀhδ below ss
+		if pred := -2*dot3(g, sub3(next, x)) - quad3(h, sub3(next, x)); pred > 0 {
 			z = 2*(ss-ssNext)/pred - 1
 		}
 		done := ss-ssNext <= 1e-14*ss
 		x, ss, h, g, d = next, ssNext, hNext, gNext, dNext
-		mu = math.Max(mu*math.Max(1.0/3, 1-z*z*z), 1e-9)
-		if done {
+		if mu = math.Max(mu*math.Max(1.0/3, 1-z*z*z), 1e-9); done {
 			break
 		}
 	}
 	return x, ss
 }
 
-// solveSPD3 solves m·x = b by Cholesky; ok is false unless m is symmetric
-// positive definite.
-func solveSPD3(m [3][3]float64, b [3]float64) (x [3]float64, ok bool) {
-	var l [3][3]float64
-	for i := range l {
-		for j := 0; j <= i; j++ {
-			s := m[i][j]
-			for k := 0; k < j; k++ {
-				s -= l[i][k] * l[j][k]
-			}
-			if i > j {
-				l[i][j] = s / l[j][j]
-			} else if l[i][i] = math.Sqrt(s); !(s > 0) {
-				return x, false
-			}
-		}
+func sub3(a, b [3]float64) [3]float64 { return [3]float64{a[0] - b[0], a[1] - b[1], a[2] - b[2]} }
+func dot3(a, b [3]float64) float64    { return a[0]*b[0] + a[1]*b[1] + a[2]*b[2] }
+
+// quad3 is vᵀmv.
+func quad3(m [3][3]float64, v [3]float64) float64 {
+	return dot3(v, [3]float64{dot3(m[0], v), dot3(m[1], v), dot3(m[2], v)})
+}
+
+// solve3 solves m·x = b for a symmetric m by its adjugate; ok is false
+// unless m is positive definite (its leading minors positive).
+func solve3(m [3][3]float64, b [3]float64) (x [3]float64, ok bool) {
+	c00, c11, c22 := m[1][1]*m[2][2]-m[1][2]*m[1][2], m[0][0]*m[2][2]-m[0][2]*m[0][2], m[0][0]*m[1][1]-m[0][1]*m[0][1]
+	c01, c02, c12 := m[0][2]*m[1][2]-m[0][1]*m[2][2], m[0][1]*m[1][2]-m[0][2]*m[1][1], m[0][1]*m[0][2]-m[0][0]*m[1][2]
+	det := m[0][0]*c00 + m[0][1]*c01 + m[0][2]*c02
+	if !(m[0][0] > 0 && c22 > 0 && det > 0) {
+		return x, false
 	}
-	for i := range x {
-		for k := 0; k < i; k++ {
-			b[i] -= l[i][k] * x[k]
-		}
-		x[i] = b[i] / l[i][i]
-	}
-	for i := len(x) - 1; i >= 0; i-- {
-		for k := i + 1; k < len(x); k++ {
-			x[i] -= l[k][i] * x[k]
-		}
-		x[i] /= l[i][i]
-	}
-	return x, true
+	return [3]float64{
+		(c00*b[0] + c01*b[1] + c02*b[2]) / det,
+		(c01*b[0] + c11*b[1] + c12*b[2]) / det,
+		(c02*b[0] + c12*b[1] + c22*b[2]) / det,
+	}, true
 }
 
 // AdjustRTT deflates a raw RTT by the heights of both endpoints, yielding a

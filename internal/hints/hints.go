@@ -163,10 +163,8 @@ func (e *Engine) Parse(name string) (out []Hint) {
 // the operator domain, where site codes conventionally sit) inward and
 // each label's tokens left to right, calling yield with every token that
 // names a city until yield returns false. Label and token boundaries are
-// sliced by hand and each token is lower-cased into a stack buffer, as
-// strings.ToLower would the whole name, so the walk itself costs no
-// allocations. A token that lower-cases past the buffer's 128 bytes — twice
-// a DNS label — names no city.
+// sliced by hand and tokens lower-cased into a 128-byte stack buffer (one
+// that outgrows it names no city), so the walk costs no allocations.
 func (e *Engine) scan(name string, yield func(Hint) bool) {
 	var buf [128]byte
 	name = strings.TrimSuffix(name, ".")
@@ -204,20 +202,14 @@ func (e *Engine) scan(name string, yield func(Hint) bool) {
 	}
 }
 
-// lower appends s lower-cased to dst, rune by rune as strings.ToLower maps
-// it (invalid UTF-8 included, as U+FFFD); fits is false, and dst is left
-// short, when that would outgrow dst's capacity.
+// lower appends s to dst lower-cased rune by rune, as strings.ToLower maps
+// it; fits is false when that would outgrow dst's capacity.
 func lower(dst []byte, s string) (_ []byte, fits bool) {
-	for i := 0; i < len(s); {
-		r, n := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
-			r, n = utf8.DecodeRuneInString(s[i:])
-		}
-		r = unicode.ToLower(r)
-		if len(dst)+utf8.RuneLen(r) > cap(dst) {
+	for _, r := range s {
+		if r = unicode.ToLower(r); len(dst)+utf8.RuneLen(r) > cap(dst) {
 			return dst, false
 		}
-		dst, i = utf8.AppendRune(dst, r), i+n
+		dst = utf8.AppendRune(dst, r)
 	}
 	return dst, true
 }
