@@ -15,8 +15,7 @@ func TestRunFigures(t *testing.T) {
 		want, not string
 	}{
 		{[]string{"-fig", "2"}, "Figure 2", "Figure 3"},
-		// ucsb (target 17) left its region when the height fit moved off
-		// Nelder–Mead: its t′ went 0 → 0.88 ms, a lower objective.
+		// ucsb (target 17) lies outside its region.
 		{[]string{"-fig", "3", "-step", "17"}, "Octant     region contained truth for 2/3 targets", "Figure 4"},
 	}
 	for _, c := range cases {

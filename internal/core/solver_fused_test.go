@@ -61,9 +61,7 @@ func TestFusedTraps(t *testing.T) {
 
 	// The top value rounds up to its level (0.8999999997 names 0.9): its
 	// cells belong to that level, alone or with a lower level under it, and
-	// the point averages them. (Until membership was quantized like the
-	// levels, no cell belonged to such a level: the walk went on to 0.5 and
-	// the point fell back to the region's centroid.)
+	// the point averages them.
 	roundsUp := []Constraint{cellRect(2, 2, 4, 4, below), cellRect(6, 6, 8, 7, 0.5)}
 	for _, tc := range []struct {
 		name        string

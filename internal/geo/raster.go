@@ -251,8 +251,8 @@ func LevelFloor(level float64) float64 {
 	return w
 }
 
-// Threshold extracts the region of all cells at or above level (LevelFloor), tracing
-// the cell boundary into properly oriented rings (outer CCW, holes CW).
+// Threshold extracts the region of the cells at or above level (LevelFloor),
+// tracing the cell boundary into properly oriented rings (outer CCW, holes CW).
 func (g *Grid) Threshold(level float64) *Region {
 	return g.ThresholdIn(level, g.FullBox())
 }

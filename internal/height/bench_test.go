@@ -8,8 +8,8 @@ import (
 	"octant/internal/height"
 )
 
-// fig3Fits is every leave-one-out target fit of a Figure 3 deployment: the
-// other landmarks' positions, heights and RTTs to the target, and κ.
+// targetFitInput is one target fit: the landmarks' positions, heights and
+// RTTs to the target, and κ.
 type targetFitInput struct {
 	name    string
 	locs    []geo.Point
@@ -18,6 +18,8 @@ type targetFitInput struct {
 	kappa   float64
 }
 
+// fig3Fits is every leave-one-out target fit of the Figure 3 deployment of
+// seed: each site the target, the other 50 its landmarks.
 func fig3Fits(tb testing.TB, seed uint64) []targetFitInput {
 	tb.Helper()
 	d, err := eval.NewDeployment(seed)
@@ -46,9 +48,9 @@ func fig3Fits(tb testing.TB, seed uint64) []targetFitInput {
 	return out
 }
 
-// BenchmarkSolveTargetK is the target-height fit alone over the 35
-// leave-one-out targets of the seed-1 Figure 3 deployment (34 landmarks
-// each): one iteration is 35 fits.
+// BenchmarkSolveTargetK is the target-height fit alone over the
+// leave-one-out targets of the seed-1 Figure 3 deployment: one iteration is
+// one fit per site.
 func BenchmarkSolveTargetK(b *testing.B) {
 	fits := fig3Fits(b, 1)
 	b.ReportAllocs()
@@ -58,17 +60,6 @@ func BenchmarkSolveTargetK(b *testing.B) {
 			if _, err := height.SolveTargetK(in.locs, in.heights, in.rtts, in.kappa); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-func BenchmarkZZNelderMead(b *testing.B) {
-	fits := fig3Fits(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range fits {
-			referenceSolveTargetK(in.locs, in.heights, in.rtts, in.kappa)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func wrap(lon float64) float64 {
 // restarted from its own best with a fresh half-unit simplex until a restart
 // stops improving. The restarts make it a converged oracle: the objective is
 // flat in t′ < 0, and a simplex that wanders there stalls above the minimum
-// with t′ clamped at 0 — on about one Figure 3 target in eight. It returns the
+// with t′ clamped at 0 — on 43 of the 510 fits of the test below. It returns the
 // result and its objective.
 func referenceSolveTargetK(landmarks []geo.Point, heights, rttMs []float64, kappa float64) (height.TargetResult, float64) {
 	obj := targetObjective(landmarks, heights, rttMs, kappa)
