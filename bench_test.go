@@ -220,10 +220,6 @@ func BenchmarkAblationPiecewise(b *testing.B) {
 	ablationBench(b, core.Config{}, core.WithoutSource(core.SourceRouter))
 }
 
-// BenchmarkAblationWeights uses the brittle discrete (unweighted) solver
-// §2.4 argues against.
-func BenchmarkAblationWeights(b *testing.B) { ablationBench(b, core.Config{Unweighted: true}) }
-
 // BenchmarkAblationGeoConstraints disables §2.5 WHOIS + ocean constraints.
 func BenchmarkAblationGeoConstraints(b *testing.B) {
 	ablationBench(b, core.Config{DisableWhois: true}, core.WithoutSource(core.SourceGeography))

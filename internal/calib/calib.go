@@ -35,9 +35,6 @@ type Options struct {
 	// CutoffPercentile is the latency percentile ρ beyond which hull
 	// facets are considered statistically unsupported (default 90).
 	CutoffPercentile float64
-	// SentinelLatencyMs places the fictitious sentinel datapoint z
-	// (default: 4× the cutoff latency, at the speed-of-light distance).
-	SentinelLatencyMs float64
 }
 
 func (o *Options) fillDefaults() {
@@ -105,15 +102,10 @@ func New(samples []Sample, opts Options) (*Calibration, error) {
 	c.rAtRho = math.Min(c.fullUpper.Eval(c.rho), geo.LatencyToMaxDistanceKm(c.rho))
 	c.rLow = math.Max(0, c.fullLower.Eval(c.rho))
 
-	// Sentinel z on the speed-of-light line, far to the right; the R_L
-	// blend approaches the conservative bound smoothly (§2.1).
-	xz := opts.SentinelLatencyMs
-	if xz <= c.rho {
-		xz = 4 * c.rho
-		if xz < c.rho+50 {
-			xz = c.rho + 50
-		}
-	}
+	// Sentinel z on the speed-of-light line at 4ρ (at least ρ + 50 ms),
+	// far to the right; the R_L blend approaches the conservative bound
+	// smoothly (§2.1).
+	xz := max(4*c.rho, c.rho+50)
 	yz := geo.LatencyToMaxDistanceKm(xz)
 	c.slopeR = (yz - c.rAtRho) / (xz - c.rho)
 	return c, nil

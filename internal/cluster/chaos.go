@@ -33,12 +33,14 @@ type ChaosConfig struct {
 	// LandmarkFrac is the fraction of survey landmarks downed during the
 	// landmark-fault phase (0 = default 0.2).
 	LandmarkFrac float64
-	// Quorum is the min_landmarks every request carries (0 = default 3).
-	Quorum int
 	// Log, when set, receives progress lines (the -chaos CLI wires it to
 	// stdout; tests usually leave it nil).
 	Log func(format string, args ...any)
 }
+
+// chaosQuorum is the min_landmarks every soak request carries; the
+// landmark-fault phase leaves at least this many landmarks up.
+const chaosQuorum = 3
 
 // ChaosReport is what a chaos soak measured. RunChaos only returns it
 // alongside a nil error when every invariant held: zero client-visible
@@ -86,9 +88,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.LandmarkFrac <= 0 {
 		cfg.LandmarkFrac = 0.2
 	}
-	if cfg.Quorum <= 0 {
-		cfg.Quorum = 3
-	}
 	logf := cfg.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -125,7 +124,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	for _, h := range fleet.World.HostNodes()[:holdout] {
 		truth[h.Name] = h.Loc
 	}
-	wo := &serve.WireOptions{MinLandmarks: cfg.Quorum}
+	wo := &serve.WireOptions{MinLandmarks: chaosQuorum}
 	ctx := context.Background()
 
 	// Healthy baseline: every holdout target once, no faults anywhere.
@@ -221,7 +220,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if nDown < 1 {
 		nDown = 1
 	}
-	if maxDown := len(landmarks) - cfg.Quorum; nDown > maxDown {
+	if maxDown := len(landmarks) - chaosQuorum; nDown > maxDown {
 		nDown = maxDown
 	}
 	logf("phase 1: downing %d/%d landmarks for %v", nDown, len(landmarks), phase)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -167,6 +168,63 @@ func TestRingBoundedLoad(t *testing.T) {
 		defer rel()
 		if n != first {
 			t.Fatalf("unbounded ring moved the hot key: %s vs %s", n, first)
+		}
+	}
+}
+
+// TestConcurrentPlacementOvershootIsBounded: place reads HasRoom and the
+// caller reserves afterwards, outside the ring's lock, so placements
+// racing onto members at their ceiling can pass the same check. The soft
+// bound then gives by at most the number of racers: k goroutines piling
+// one hot key onto a three-member ring leave no member more than k above
+// the ceiling of the last check.
+func TestConcurrentPlacementOvershootIsBounded(t *testing.T) {
+	const k, each = 8, 50
+	r := NewRing(RingConfig{VNodes: 64, LoadFactor: 1.25})
+	for i := 0; i < 3; i++ {
+		r.Add(fmt.Sprintf("node-%d", i))
+	}
+	start := make(chan struct{})
+	releases := make([][]func(), k)
+	var wg sync.WaitGroup
+	for g := range releases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < each; i++ {
+				_, rel, ok := acquire(r, "hot-key", anyNode)
+				if !ok {
+					t.Error("nothing eligible on a ring of three")
+					return
+				}
+				releases[g] = append(releases[g], rel)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	// The last check saw at most k·each − 1 reserved keys: its ceiling
+	// was at most ⌊1.25 · k·each / 3⌋.
+	ceiling := 5 * k * each / 12
+	sum := 0
+	for n, l := range r.Loads() {
+		sum += l
+		if l > ceiling+k {
+			t.Errorf("%s holds %d keys, ceiling %d + %d racers", n, l, ceiling, k)
+		}
+	}
+	if sum != k*each {
+		t.Errorf("ring books %d keys, %d were reserved", sum, k*each)
+	}
+	for _, rels := range releases {
+		for _, rel := range rels {
+			rel()
+		}
+	}
+	for n, l := range r.Loads() {
+		if l != 0 {
+			t.Errorf("load leak on %s: %d after all releases", n, l)
 		}
 	}
 }

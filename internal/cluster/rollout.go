@@ -15,11 +15,11 @@ type RolloutOptions struct {
 	// diverged (a node restarted on an old snapshot, a push that failed
 	// half way).
 	SkipRefresh bool
-	// SettleTimeout bounds how long the coordinator waits for each node
-	// to come back ready at the new epoch after activation
-	// (0 = default 10s).
-	SettleTimeout time.Duration
 }
+
+// settleTimeout bounds how long the coordinator waits for each node to
+// come back ready at the new epoch after activation.
+const settleTimeout = 10 * time.Second
 
 // NodeRollout is one fleet member's leg of a rollout.
 type NodeRollout struct {
@@ -72,9 +72,6 @@ func NewCoordinator(nodes []*NodeClient) (*Coordinator, error) {
 // the no-op path (source refreshed but nothing drifted and every node is
 // already current).
 func (c *Coordinator) Rollout(ctx context.Context, opts RolloutOptions) (*RolloutReport, error) {
-	if opts.SettleTimeout <= 0 {
-		opts.SettleTimeout = 10 * time.Second
-	}
 	start := time.Now()
 	source := c.nodes[0]
 	report := &RolloutReport{Source: source.Name}
@@ -116,7 +113,7 @@ func (c *Coordinator) Rollout(ctx context.Context, opts RolloutOptions) (*Rollou
 		if _, err := node.Activate(ctx); err != nil {
 			return nil, fmt.Errorf("activate on %s: %w", node.Name, err)
 		}
-		if err := c.waitReadyAt(ctx, node, epoch, opts.SettleTimeout); err != nil {
+		if err := c.waitReadyAt(ctx, node, epoch); err != nil {
 			return nil, err
 		}
 		nr.ElapsedMs = float64(time.Since(nodeStart)) / float64(time.Millisecond)
@@ -126,18 +123,19 @@ func (c *Coordinator) Rollout(ctx context.Context, opts RolloutOptions) (*Rollou
 	return report, nil
 }
 
-// waitReadyAt polls the node until it reports ready at (or past) epoch.
-// The rolling wave does not advance to the next node before this one is
-// back in service — that is what keeps at most one node out at a time.
-func (c *Coordinator) waitReadyAt(ctx context.Context, node *NodeClient, epoch uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+// waitReadyAt polls the node until it reports ready at (or past) epoch,
+// for at most settleTimeout. The rolling wave does not advance to the
+// next node before this one is back in service — that is what keeps at
+// most one node out at a time.
+func (c *Coordinator) waitReadyAt(ctx context.Context, node *NodeClient, epoch uint64) error {
+	deadline := time.Now().Add(settleTimeout)
 	for {
 		rd, err := node.Ready(ctx)
 		if err == nil && rd.Ready && rd.Epoch >= epoch {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%s did not become ready at epoch %d within %v", node.Name, epoch, timeout)
+			return fmt.Errorf("%s did not become ready at epoch %d within %v", node.Name, epoch, settleTimeout)
 		}
 		select {
 		case <-ctx.Done():

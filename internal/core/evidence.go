@@ -53,8 +53,7 @@ const (
 type Request struct {
 	// Target is the address being localized.
 	Target string
-	// Cfg is the Localizer's Config with defaults filled and any
-	// per-request overrides (e.g. WithNegHeightPercentile) applied.
+	// Cfg is the Localizer's Config with defaults filled.
 	Cfg Config
 	// Opts are the request's resolved options.
 	Opts LocalizeOptions
@@ -355,7 +354,11 @@ func (LatencySource) Constraints(ctx context.Context, req *Request) ([]Constrain
 					s.Kappa*geo.DistanceToMinLatencyMs(lm.Loc.DistanceKm(hres.Coarse))
 			}
 			req.TargetHeightMs = hres.HeightMs
-			tNeg := math.Max(req.TargetHeightMs, stats.Percentile(excess, cfg.NegHeightPercentile))
+			pct := negHeightPercentile
+			if req.Opts.NegHeightPercentile > 0 {
+				pct = req.Opts.NegHeightPercentile
+			}
+			tNeg := math.Max(req.TargetHeightMs, stats.Percentile(excess, pct))
 			for i := range rtts {
 				adjPos[i] = height.AdjustRTT(rtts[i], s.Heights[i], req.TargetHeightMs)
 				adjNeg[i] = height.AdjustRTT(rtts[i], s.Heights[i], tNeg)
@@ -407,17 +410,10 @@ func (LatencySource) Constraints(ctx context.Context, req *Request) ([]Constrain
 			continue
 		}
 		w := LatencyWeight(rtts[i], weightHalfLifeMs)
-		if cfg.Unweighted {
-			w = 1
-		}
 		lf := &req.PCtx.LandmarkFrames[i]
 		out = append(out, arena.disk(Positive, cf, lf, maxKm, w, lm.Name))
 		if minKm != 0 {
-			wn := w * negativeWeightFactor
-			if cfg.Unweighted {
-				wn = 1
-			}
-			out = append(out, arena.disk(Negative, cf, lf, minKm, wn, req.PCtx.NegSources[i]))
+			out = append(out, arena.disk(Negative, cf, lf, minKm, w*negativeWeightFactor, req.PCtx.NegSources[i]))
 		}
 	}
 	return out, rep, nil
@@ -542,9 +538,6 @@ func (RouterSource) Constraints(ctx context.Context, req *Request) ([]Constraint
 	for _, code := range codes {
 		rc := best[code]
 		w := LatencyWeight(rc.resid, weightHalfLifeMs) * routerWeightFactor
-		if req.Cfg.Unweighted {
-			w = 1
-		}
 		cons = append(cons, req.priorDisk(rc.loc, rc.maxKm, w, "router:"+code))
 	}
 	if len(cons) == 0 && len(rep.Failures) > 0 {

@@ -17,8 +17,8 @@ import (
 //
 // What a group shares, computed or rasterized once instead of per target:
 //
-//   - the resolved Config (defaults filled, per-request overrides
-//     applied) and the resolved LocalizeOptions;
+//   - the resolved Config (defaults filled) and the resolved
+//     LocalizeOptions;
 //   - the projection context — survey-centroid frame, per-landmark
 //     tangent frames, land outlines projected into the plane;
 //   - the §2.5 land-mask master lattices: solver grids draw their cell
@@ -110,9 +110,6 @@ func (l *Localizer) localizeBatch(ctx context.Context, targets []string, workers
 
 	cfg := l.Cfg
 	cfg.fillDefaults()
-	if o != nil && o.NegHeightPercentile > 0 {
-		cfg.NegHeightPercentile = o.NegHeightPercentile
-	}
 	pctx := l.projContext()
 
 	one := func(i int, arena *constraintArena) (*Result, error) {

@@ -148,6 +148,48 @@ func TestWithSecondaryBitIdenticalToDeprecated(t *testing.T) {
 	}
 }
 
+// TestSecondaryIsOneSolve: a secondary landmark's constraints join the
+// request's one solve — the solver passes a WithSecondary localization
+// runs are those of one Solve over the constraints it returns, and that
+// Solve is its answer. The secondary stays last in the provenance and
+// takes no source weight.
+func TestSecondaryIsOneSolve(t *testing.T) {
+	loc, target := localizeFixture(t, 5, 12)
+	pctx := loc.projContext()
+	beta := geo.Disk(pctx.Proj.Forward(geo.Pt(42.44, -76.50)), 40, 64)
+	passes := func() uint64 { return loc.LandMasks().SolverStats().Passes }
+
+	before := passes()
+	res, err := loc.LocalizeContext(context.Background(), target, WithSecondary(beta, 2.5), WithExplain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	localized := passes() - before
+	before = passes()
+	sol, err := Solve(res.Constraints, SolverOpts{MinAreaKm2: minRegionAreaKm2, LandRegions: pctx.Land, Masks: loc.LandMasks()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solved := passes() - before; localized != solved {
+		t.Errorf("localization ran %d solver passes, one Solve of its constraints %d", localized, solved)
+	}
+	if !reflect.DeepEqual(sol.Region.Rings, res.Region.Rings) || res.Weight != sol.Weight {
+		t.Error("the returned region is not the Solve of the returned constraints")
+	}
+	srcs := res.Provenance.Sources
+	if last := srcs[len(srcs)-1]; last.Source != "secondary" || last.WeightScale != 1 {
+		t.Errorf("last provenance stage %+v, want the unscaled secondary", last)
+	}
+
+	scaled, err := loc.LocalizeContext(context.Background(), target, WithSecondary(beta, 2.5), WithSourceWeight("secondary", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scaled.Region.Rings, res.Region.Rings) {
+		t.Error(`WithSourceWeight("secondary") moved the answer`)
+	}
+}
+
 // TestExplainProvenance: WithExplain must fill per-source provenance
 // whose counts reconcile with the solved constraint system.
 func TestExplainProvenance(t *testing.T) {

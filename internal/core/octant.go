@@ -14,8 +14,8 @@ import (
 )
 
 // Config controls which of the paper's mechanisms a Localizer applies.
-// The zero value enables everything with the paper's defaults; the Use*
-// switches exist for the ablation benchmarks.
+// The zero value enables everything with the paper's defaults; the
+// Disable* switches exist for the ablation benchmarks.
 type Config struct {
 	// Probes per latency measurement (default 10, matching §3's "10
 	// time-dispersed round-trip measurements").
@@ -28,26 +28,11 @@ type Config struct {
 	DisableNegative bool
 	// DisableWhois turns off the §2.5 WHOIS positive constraint.
 	DisableWhois bool
-	// Unweighted makes every constraint weight 1 and requires all
-	// positive constraints to hold — the brittle discrete system §2.4
-	// warns about (one bad constraint empties the estimate).
-	Unweighted bool
 
-	// MinRegionAreaKm2 is the §2.4 size threshold (default 25000 km²).
-	MinRegionAreaKm2 float64
-	// NegHeightPercentile is the excess-latency percentile used as the
-	// target-height estimate when deflating latencies for negative
-	// constraints (default 80). Higher percentiles deflate more, keeping
-	// exclusion radii conservative for targets with indirect access paths.
-	NegHeightPercentile float64
 	// GeoDB is the default passive geolocation provider the GeoDBSource
 	// consults (nil — the default — skips the source; WithGeoDB
 	// overrides it per request).
 	GeoDB geodb.Provider
-	// DisagreementConflictKm is the evidence-disagreement distance above
-	// which Provenance.Disagreement sets its Conflict flag (default
-	// 500 km — different-metro territory).
-	DisagreementConflictKm float64
 
 	// MeasureWorkers caps concurrent probes during measurement fan-out
 	// (0 = the scheduler default, 16). One worker probes one train at a
@@ -65,15 +50,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Probes == 0 {
 		c.Probes = 10
-	}
-	if c.MinRegionAreaKm2 == 0 {
-		c.MinRegionAreaKm2 = 25000
-	}
-	if c.NegHeightPercentile == 0 {
-		c.NegHeightPercentile = 80
-	}
-	if c.DisagreementConflictKm == 0 {
-		c.DisagreementConflictKm = 500
 	}
 }
 
@@ -103,6 +79,19 @@ const (
 	// hull is the most aggressive exclusion consistent with observed
 	// peers, and unseen targets routinely undershoot it.
 	negativeShrink float64 = 0.75
+	// minRegionAreaKm2 is the §2.4 size threshold; WithMinAreaKm2
+	// overrides it per request.
+	minRegionAreaKm2 float64 = 25000
+	// negHeightPercentile is the excess-latency percentile used as the
+	// target-height estimate when deflating latencies for negative
+	// constraints. Higher percentiles deflate more, keeping exclusion radii
+	// conservative for targets with indirect access paths;
+	// WithNegHeightPercentile overrides it per request.
+	negHeightPercentile float64 = 80
+	// disagreementConflictKm is the evidence-disagreement distance above
+	// which Provenance.Disagreement sets its Conflict flag —
+	// different-metro territory.
+	disagreementConflictKm float64 = 500
 
 	// tracerouteLandmarks is how many of the lowest-latency landmarks
 	// issue traceroutes for piecewise localization (§2.3).
@@ -317,7 +306,7 @@ func (l *Localizer) localizeRequest(ctx context.Context, req *Request) (*Result,
 				}
 				continue
 			}
-			cs, rep, err := runSource(ctx, src, req, explain)
+			cs, rep, err := runSource(ctx, src, req, req.Opts.scaleFor(src.Name()), explain)
 			if err != nil {
 				return nil, err
 			}
@@ -337,17 +326,23 @@ func (l *Localizer) localizeRequest(ctx context.Context, req *Request) (*Result,
 		return nil, fmt.Errorf("core: no usable constraints for %s", req.Target)
 	}
 
-	// Solve (§2.4), masking oceans (§2.5) when the GeographySource ran.
-	sopts := l.solverOpts(&req.Cfg, &req.Opts)
-	sopts.LandRegions = req.Land
-	if req.Cfg.Unweighted {
-		// Discrete semantics: negatives are absolute vetoes.
-		for i := range constraints {
-			if constraints[i].Kind == Negative {
-				constraints[i].Weight = 1e9
-			}
+	if req.Opts.Secondary != nil {
+		// Behind the check above: a secondary landmark alone does not
+		// make a request solvable. The source returns no error.
+		cs, rep, _ := runSource(ctx, secondarySource{}, req, 1, explain)
+		constraints = append(constraints, cs...)
+		if explain {
+			prov.Sources = append(prov.Sources, rep)
 		}
-		sopts.MinAreaKm2 = 1 // take only the top weight level
+	}
+
+	// Solve (§2.4), masking oceans (§2.5) when the GeographySource ran.
+	sopts := SolverOpts{MinAreaKm2: minRegionAreaKm2, LandRegions: req.Land, Masks: l.masks}
+	if req.Opts.MinAreaKm2 > 0 {
+		sopts.MinAreaKm2 = req.Opts.MinAreaKm2
+	}
+	if req.Opts.FineCellKm > 0 {
+		sopts.FineCellKm = req.Opts.FineCellKm
 	}
 	var t0 time.Time
 	if explain {
@@ -396,24 +391,18 @@ func (l *Localizer) localizeRequest(ctx context.Context, req *Request) (*Result,
 		Degraded:       len(req.Failures) > 0,
 	}
 	if sol.Region.IsEmpty() {
-		// Brittle configurations (Unweighted) can produce an empty
-		// estimate; report it honestly with a NaN point.
+		// An empty estimate is reported honestly, with a NaN point.
 		res.Point = geo.Pt(math.NaN(), math.NaN())
 	} else {
 		res.Point = pr.Inverse(sol.Point)
 	}
-	if req.Opts.Secondary != nil {
-		if err := l.applySecondary(res, req); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 
-// runSource invokes one pipeline stage, applies the request's weight
-// scale for it, and (when provenance was requested) fills the report's
+// runSource invokes one pipeline stage, applies the weight scale to its
+// constraints, and (when provenance was requested) fills the report's
 // quantitative fields.
-func runSource(ctx context.Context, src EvidenceSource, req *Request, explain bool) ([]Constraint, SourceReport, error) {
+func runSource(ctx context.Context, src EvidenceSource, req *Request, scale float64, explain bool) ([]Constraint, SourceReport, error) {
 	var t0 time.Time
 	if explain {
 		t0 = time.Now()
@@ -425,7 +414,6 @@ func runSource(ctx context.Context, src EvidenceSource, req *Request, explain bo
 	if rep.Source == "" {
 		rep.Source = src.Name()
 	}
-	scale := req.Opts.scaleFor(src.Name())
 	if scale != 1 {
 		for i := range cs {
 			cs[i].Weight *= scale
@@ -458,78 +446,27 @@ func appendConstraints(acc, cs []Constraint) []Constraint {
 	return append(acc, cs...)
 }
 
-// solverOpts assembles the §2.4 solver options from the config and the
-// request's overrides.
-func (l *Localizer) solverOpts(cfg *Config, o *LocalizeOptions) SolverOpts {
-	sopts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, Masks: l.masks}
-	if o.MinAreaKm2 > 0 {
-		sopts.MinAreaKm2 = o.MinAreaKm2
-	}
-	if o.FineCellKm > 0 {
-		sopts.FineCellKm = o.FineCellKm
-	}
-	return sopts
-}
+// secondarySource turns a §2 secondary landmark — a node whose own
+// position is only known as an estimated region β, e.g. a previously
+// localized router — into ordinary constraints: β dilated by R(d) is
+// positive, and the points within r(d) of all of β are negative. It runs
+// only for a request carrying WithSecondary, after every other source,
+// with no weight scale; "secondary" names no source the options accept.
+type secondarySource struct{}
 
-// applySecondary folds the §2 constraints of a secondary landmark — a
-// node whose own position is only known as an estimated region beta,
-// e.g. a previously localized router — into an already solved result and
-// re-solves: positive constraints dilate beta by R(d), negative
-// constraints keep only points within r(d) of all of beta.
-func (l *Localizer) applySecondary(res *Result, req *Request) error {
-	var tStart time.Time
-	if res.Provenance != nil {
-		tStart = time.Now()
-	}
+// Name implements EvidenceSource.
+func (secondarySource) Name() string { return "secondary" }
+
+// Constraints implements EvidenceSource.
+func (secondarySource) Constraints(_ context.Context, req *Request) ([]Constraint, SourceReport, error) {
 	sec := req.Opts.Secondary
-	cfg := &req.Cfg
 	minKm, maxKm := req.Survey.Global.Band(sec.RTTMs)
 	w := LatencyWeight(sec.RTTMs, weightHalfLifeMs) * routerWeightFactor
-	before := len(res.Constraints)
-	cons := append([]Constraint(nil), res.Constraints...)
-	cons = append(cons, PositiveFromRegion(sec.Beta, maxKm, w, "secondary"))
-	if !cfg.DisableNegative && minKm > 0 {
-		neg := NegativeFromRegion(sec.Beta, minKm, w, "secondary/neg")
-		if !neg.Region.IsEmpty() {
-			cons = append(cons, neg)
+	cs := []Constraint{PositiveFromRegion(sec.Beta, maxKm, w, "secondary")}
+	if !req.Cfg.DisableNegative && minKm > 0 {
+		if neg := NegativeFromRegion(sec.Beta, minKm, w, "secondary/neg"); !neg.Region.IsEmpty() {
+			cs = append(cs, neg)
 		}
 	}
-	sopts := l.solverOpts(cfg, &req.Opts)
-	// res.Projection is the shared per-survey projection, so the
-	// context's pre-projected land outlines apply as-is.
-	sopts.LandRegions = req.Land
-	var tSolve time.Time
-	if res.Provenance != nil {
-		tSolve = time.Now()
-	}
-	sol, err := Solve(cons, sopts)
-	if err != nil {
-		return err
-	}
-	if prov := res.Provenance; prov != nil {
-		// Keep provenance consistent with the result actually returned:
-		// the secondary stage and its re-solve are part of this request.
-		// ElapsedMs covers only constraint construction (tStart→tSolve);
-		// the re-solve goes into SolveMs, keeping the two disjoint as
-		// they are for every other stage.
-		rep := SourceReport{Source: "secondary", Constraints: len(cons) - before, WeightScale: 1}
-		for _, c := range cons[before:] {
-			rep.Weight += c.Weight
-			if c.Kind == Positive {
-				rep.AreaKm2 += c.Region.Area()
-			}
-		}
-		rep.ElapsedMs = float64(tSolve.Sub(tStart)) / float64(time.Millisecond)
-		prov.Sources = append(prov.Sources, rep)
-		prov.TotalConstraints = len(cons)
-		prov.SolveMs += float64(time.Since(tSolve)) / float64(time.Millisecond)
-	}
-	res.Region = sol.Region
-	res.AreaKm2 = sol.Region.Area()
-	res.Constraints = cons
-	res.Weight = sol.Weight
-	if !sol.Region.IsEmpty() {
-		res.Point = res.Projection.Inverse(sol.Point)
-	}
-	return nil
+	return cs, SourceReport{}, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"octant/internal/geo"
@@ -193,24 +192,6 @@ func TestLocalizeAblationsRun(t *testing.T) {
 		if e := res.Point.DistanceMiles(target.Loc); e > 900 {
 			t.Errorf("%s: error %.0f mi", name, e)
 		}
-	}
-}
-
-func TestLocalizeUnweightedIsBrittleButRuns(t *testing.T) {
-	p, lms, target := testDeployment(t, 5, 3)
-	s, err := NewSurvey(p, lms, SurveyOpts{UseHeights: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loc := NewLocalizer(p, s, Config{Unweighted: true})
-	res, err := loc.LocalizeContext(context.Background(), target.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Either a (possibly empty) region, or a NaN point for the empty
-	// case — never a crash.
-	if res.Region.IsEmpty() && !math.IsNaN(res.Point.Lat) {
-		t.Error("empty region should carry NaN point")
 	}
 }
 

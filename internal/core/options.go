@@ -53,12 +53,13 @@ type LocalizeOptions struct {
 	// (keyed by source name; 0 or absent means 1). Down-weighting
 	// suspect traceroute evidence is WeightScale[SourceRouter] < 1.
 	WeightScale map[string]float64
-	// MinAreaKm2 overrides Config.MinRegionAreaKm2 (§2.4 size
-	// threshold) for this request when > 0.
+	// MinAreaKm2 overrides the §2.4 size threshold (25,000 km²) for
+	// this request when > 0.
 	MinAreaKm2 float64
 	// FineCellKm overrides the solver's refinement resolution when > 0.
 	FineCellKm float64
-	// NegHeightPercentile overrides Config.NegHeightPercentile when > 0.
+	// NegHeightPercentile overrides the excess-latency percentile (80)
+	// that deflates negative constraints when > 0.
 	NegHeightPercentile float64
 	// MinLandmarks is the degraded-mode quorum: the minimum number of
 	// landmarks that must answer for a localization to proceed when some
@@ -84,8 +85,8 @@ type LocalizeOptions struct {
 	// carrying extra sources are never cached or coalesced by the batch
 	// engine (arbitrary code cannot be fingerprinted).
 	ExtraSources []EvidenceSource
-	// Secondary, when non-nil, adds the §2 secondary-landmark
-	// constraints and re-solves.
+	// Secondary, when non-nil, appends the §2 secondary-landmark
+	// constraints before the request's one solve.
 	Secondary *Secondary
 }
 
@@ -138,7 +139,7 @@ func WithFineCellKm(km float64) LocalizeOption {
 }
 
 // WithNegHeightPercentile overrides the excess-latency percentile used
-// to deflate negative constraints (Config.NegHeightPercentile).
+// to deflate negative constraints (default 80).
 func WithNegHeightPercentile(p float64) LocalizeOption {
 	return func(o *LocalizeOptions) { o.NegHeightPercentile = p }
 }

@@ -48,7 +48,7 @@ type Disagreement struct {
 	GeoDBLatencyKm float64 `json:"geodb_latency_km,omitempty"`
 	// DisagreementKm is the largest of the pairwise distances present.
 	DisagreementKm float64 `json:"disagreement_km"`
-	// Conflict marks a disagreement beyond Config.DisagreementConflictKm
+	// Conflict marks a disagreement beyond 500 km
 	// — evidence classes pointing at different metros, worth surfacing
 	// to operators (/v1/stats counts these).
 	Conflict bool `json:"conflict,omitempty"`
@@ -122,7 +122,7 @@ func (req *Request) disagreement() *Disagreement {
 		d.GeoDBLatencyKm = geodbC.DistanceKm(anchor)
 	}
 	d.DisagreementKm = math.Max(d.HintGeoDBKm, math.Max(d.HintLatencyKm, d.GeoDBLatencyKm))
-	d.Conflict = d.DisagreementKm > req.Cfg.DisagreementConflictKm
+	d.Conflict = d.DisagreementKm > disagreementConflictKm
 	return d
 }
 

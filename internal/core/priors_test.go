@@ -206,17 +206,17 @@ func TestGeoDBCompositeWeightReachesConstraint(t *testing.T) {
 }
 
 // Conflicting evidence classes (hint city vs DB city far apart, both
-// feasible) must set the Conflict flag once past
-// DisagreementConflictKm.
+// feasible) must set the Conflict flag once more than 500 km apart.
 func TestDisagreementConflictFlag(t *testing.T) {
 	wcfg := netsim.Config{Seed: 1, HostRDNSHintFrac: 1}
 	ti := hintedTargetIdx(t, wcfg)
-	// A tiny conflict threshold turns even the honest hint-vs-DB spread
-	// into a flagged conflict — the flag wiring is what's under test.
-	loc, target, _ := hintDeployment(t, wcfg, Config{DisagreementConflictKm: 0.001}, ti)
-	w := netsim.NewWorld(wcfg)
-	res, err := loc.LocalizeContext(context.Background(), target.Name,
-		WithGeoDB(geodb.NewSynth(w, geodb.SynthOpts{Seed: 1})))
+	loc, target, _ := hintDeployment(t, wcfg, Config{}, ti)
+	// A record 700 km off with an 800 km radius: every landmark's RTT
+	// bound admits it, yet it names another metro than the honest
+	// reverse-name hint does.
+	far := geodb.NewStatic("far")
+	far.Add(target.Name, geodb.Record{Loc: target.Loc.Destination(0, 700), RadiusKm: 800})
+	res, err := loc.LocalizeContext(context.Background(), target.Name, WithGeoDB(far))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestDisagreementConflictFlag(t *testing.T) {
 	if d == nil || !d.Conflict {
 		t.Fatalf("conflict not flagged: %+v", d)
 	}
-	if d.DisagreementKm <= 0 || d.HintGeoDBKm <= 0 {
+	if d.DisagreementKm <= 500 || d.HintGeoDBKm <= 0 {
 		t.Errorf("disagreement distances not filled: %+v", d)
 	}
 }

@@ -123,9 +123,7 @@ func TestTopLevelStableUnderWeightPerturbation(t *testing.T) {
 	}
 	for _, seed := range worlds {
 		loc, targets := fusedFixture(t, seed, 8, 8)
-		cfg := Config{}
-		cfg.fillDefaults()
-		opts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: loc.LandMasks()}
+		opts := SolverOpts{MinAreaKm2: minRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: loc.LandMasks()}
 		opts.fillDefaults()
 		moved := 0
 		for ti, target := range targets {

@@ -40,9 +40,17 @@ type surveySnapshot struct {
 	Landmarks     []Landmark       `json:"landmarks"`
 	RTT           [][]float64      `json:"rtt"`
 	Heights       []float64        `json:"heights"`
-	CalibOpts     calib.Options    `json:"calib_opts"`
+	CalibOpts     snapshotCalib    `json:"calib_opts"`
 	CalibSamples  [][]calib.Sample `json:"calib_samples"`
 	GlobalSamples []calib.Sample   `json:"global_samples"`
+}
+
+// snapshotCalib is the on-disk shape of the calibration options. Format 1
+// also carries a sentinel latency, always 0: calib places the sentinel at
+// 4ρ.
+type snapshotCalib struct {
+	CutoffPercentile  float64
+	SentinelLatencyMs float64
 }
 
 // WriteSnapshot serializes the survey to w in the versioned JSON snapshot
@@ -57,7 +65,7 @@ func (s *Survey) WriteSnapshot(w io.Writer) error {
 		Landmarks:     s.Landmarks,
 		RTT:           s.RTT,
 		Heights:       s.Heights,
-		CalibOpts:     calib.Options{CutoffPercentile: s.calibCutoff()},
+		CalibOpts:     snapshotCalib{CutoffPercentile: s.calibCutoff()},
 		CalibSamples:  make([][]calib.Sample, len(s.Calibs)),
 		GlobalSamples: s.Global.Samples,
 	}
@@ -92,6 +100,9 @@ func ReadSnapshot(r io.Reader) (*Survey, error) {
 		return nil, fmt.Errorf("core: survey snapshot dimensions disagree (%d landmarks, %d rtt rows, %d heights, %d calibrations)",
 			n, len(snap.RTT), len(snap.Heights), len(snap.CalibSamples))
 	}
+	if snap.CalibOpts.SentinelLatencyMs != 0 {
+		return nil, fmt.Errorf("core: survey snapshot sentinel latency %v ms, want 0 (the sentinel sits at 4ρ)", snap.CalibOpts.SentinelLatencyMs)
+	}
 	if snap.Probes <= 0 {
 		return nil, fmt.Errorf("core: survey snapshot probes = %d is not a valid sample count", snap.Probes)
 	}
@@ -123,14 +134,15 @@ func ReadSnapshot(r io.Reader) (*Survey, error) {
 		Probes:     snap.Probes,
 		Calibs:     make([]*calib.Calibration, n),
 	}
+	opts := calib.Options{CutoffPercentile: snap.CalibOpts.CutoffPercentile}
 	for i, samples := range snap.CalibSamples {
-		c, err := calib.New(samples, snap.CalibOpts)
+		c, err := calib.New(samples, opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: refitting calibration %d (%s): %w", i, snap.Landmarks[i].Name, err)
 		}
 		s.Calibs[i] = c
 	}
-	g, err := calib.New(snap.GlobalSamples, snap.CalibOpts)
+	g, err := calib.New(snap.GlobalSamples, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: refitting global calibration: %w", err)
 	}

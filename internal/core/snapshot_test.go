@@ -145,6 +145,15 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated snapshot: want error")
 	}
+	// Format 1 carries a sentinel latency calib no longer reads: any value
+	// but the 0 every snapshot is written with is refused, not ignored.
+	moved := bytes.Replace(buf.Bytes(), []byte(`"SentinelLatencyMs":0`), []byte(`"SentinelLatencyMs":300`), 1)
+	if bytes.Equal(moved, buf.Bytes()) {
+		t.Fatal("snapshot carries no sentinel latency")
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(moved)); err == nil {
+		t.Error("snapshot with a 300 ms sentinel: want error")
+	}
 }
 
 // FuzzReadSnapshot feeds ReadSnapshot hostile bytes — what a half-written

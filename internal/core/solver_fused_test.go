@@ -190,9 +190,7 @@ func TestResolveTopReadsNoStaleCell(t *testing.T) {
 	}
 
 	loc, targets := fusedFixture(t, 1, 16, 16)
-	cfg := Config{}
-	cfg.fillDefaults()
-	opts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: NewLandMaskCache()}
+	opts := SolverOpts{MinAreaKm2: minRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: NewLandMaskCache()}
 	pruned := 0
 	for _, target := range targets {
 		res, err := loc.LocalizeContext(context.Background(), target)
@@ -395,10 +393,8 @@ func TestNoGeneralFillsOnBenchWorld(t *testing.T) {
 // out of geo.Grid.ResolveTop both ratios read 1.
 func TestSolveSkipsMostRows(t *testing.T) {
 	loc, targets := fusedFixture(t, 1, 16, 16)
-	cfg := Config{}
-	cfg.fillDefaults()
 	// The coarse passes again, alone, counted on a cache of their own.
-	opts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: NewLandMaskCache()}
+	opts := SolverOpts{MinAreaKm2: minRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: NewLandMaskCache()}
 	opts.fillDefaults()
 	for _, target := range targets {
 		res, err := loc.LocalizeContext(context.Background(), target)
@@ -483,9 +479,7 @@ func FuzzFusedCensus(f *testing.F) {
 // height solve, the probes and disk construction are not in it.
 func BenchmarkSolve(b *testing.B) {
 	loc, targets := fusedFixture(b, 1, 16, 16)
-	cfg := Config{}
-	cfg.fillDefaults()
-	opts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: loc.LandMasks()}
+	opts := SolverOpts{MinAreaKm2: minRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: loc.LandMasks()}
 	sets := make([][]Constraint, len(targets))
 	for i, target := range targets {
 		res, err := loc.LocalizeContext(context.Background(), target)

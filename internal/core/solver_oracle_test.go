@@ -173,7 +173,7 @@ func checkPass(t testing.TB, name string, cs []Constraint, min, max geo.Vec2, ce
 // by the six-pass oracle from the same constraint set.
 func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves 2 worlds × 6 configurations × 16 targets twice")
+		t.Skip("solves 2 worlds × 5 configurations × 16 targets twice")
 	}
 	// A secondary landmark known only as two blobs a continent apart: its
 	// dilation has several rings, so its constraint is one the row kernel
@@ -184,29 +184,25 @@ func TestFusedMatchesOracleOnWorlds(t *testing.T) {
 	}}
 	configs := []struct {
 		name string
-		cfg  Config
 		opts []LocalizeOption
 	}{
-		{"default", Config{}, nil},
-		{"min-area-500", Config{MinRegionAreaKm2: 500}, nil},
-		{"min-area-2e6", Config{MinRegionAreaKm2: 2e6}, nil},
-		{"no-oceans", Config{}, []LocalizeOption{WithoutSource(SourceGeography)}},
-		{"unweighted", Config{Unweighted: true}, nil},
-		{"secondary", Config{}, []LocalizeOption{WithSecondary(blobs, 12)}},
+		{"default", nil},
+		{"min-area-500", []LocalizeOption{WithMinAreaKm2(500)}},
+		{"min-area-2e6", []LocalizeOption{WithMinAreaKm2(2e6)}},
+		{"no-oceans", []LocalizeOption{WithoutSource(SourceGeography)}},
+		{"secondary", []LocalizeOption{WithSecondary(blobs, 12)}},
 	}
 	for _, seed := range []uint64{1, 9} {
 		base, targets := fusedFixture(t, seed, 16, 16)
 		for _, tc := range configs {
-			loc := NewLocalizer(base.Prober, base.Survey, tc.cfg)
-			cfg := tc.cfg
-			cfg.fillDefaults()
-			sopts := SolverOpts{MinAreaKm2: cfg.MinRegionAreaKm2, Masks: loc.LandMasks()}
+			loc := NewLocalizer(base.Prober, base.Survey, Config{})
 			o := NewLocalizeOptions(tc.opts...)
+			sopts := SolverOpts{MinAreaKm2: minRegionAreaKm2, Masks: loc.LandMasks()}
+			if o.MinAreaKm2 > 0 {
+				sopts.MinAreaKm2 = o.MinAreaKm2
+			}
 			if !o.sourceOff(SourceGeography) {
 				sopts.LandRegions = loc.projContext().Land
-			}
-			if cfg.Unweighted {
-				sopts.MinAreaKm2 = 1
 			}
 			for _, target := range targets {
 				name := tc.name + "/" + target

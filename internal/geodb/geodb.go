@@ -112,6 +112,11 @@ type fileDB struct {
 //	 "records": [{"addr": "10.1.1.2", "lat": 42.44, "lon": -76.5,
 //	              "radius_km": 25, "as_of": "2024-06-01T00:00:00Z",
 //	              "source": "registry"}]}
+//
+// It refuses a record whose position is no geographic coordinate or whose
+// radius_km is outside [0, π·R]: a disk is drawn from the radius's angle,
+// so a radius past half the globe would draw as a small disk that RTT
+// cross-validation can no longer judge.
 func LoadFile(path string) (*Static, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -127,6 +132,9 @@ func LoadFile(path string) (*Static, error) {
 	s := NewStatic(db.Name)
 	for _, fr := range db.Records {
 		rec := Record{Loc: geo.Pt(fr.Lat, fr.Lon), RadiusKm: fr.RadiusKm, Source: fr.Source}
+		if !rec.Loc.Valid() || !(rec.RadiusKm >= 0 && rec.RadiusKm <= math.Pi*geo.EarthRadiusKm) {
+			return nil, fmt.Errorf("geodb: %s: record %s: position (%v, %v) or radius %v km out of range", path, fr.Addr, fr.Lat, fr.Lon, fr.RadiusKm)
+		}
 		if fr.AsOf != "" {
 			t, err := time.Parse(time.RFC3339, fr.AsOf)
 			if err != nil {

@@ -68,6 +68,49 @@ func TestLoadFileBadDate(t *testing.T) {
 	}
 }
 
+// TestLoadFileRefusesOutOfRange: a record's position must be a geographic
+// coordinate and its radius in [0, π·R]. A 40,040 km radius — one
+// circumference and 10 km — would be drawn as a 10 km disk, which RTT
+// cross-validation cannot refuse.
+func TestLoadFileRefusesOutOfRange(t *testing.T) {
+	for _, rec := range []string{
+		`"lat": 1, "lon": 2, "radius_km": 40040`,
+		`"lat": 1, "lon": 2, "radius_km": -1`,
+		`"lat": 91, "lon": 2`,
+		`"lat": 1, "lon": -181`,
+	} {
+		path := filepath.Join(t.TempDir(), "db.json")
+		body := `{"records": [{"addr": "h1", ` + rec + `}]}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); err == nil {
+			t.Errorf("record {%s} loaded without error", rec)
+		}
+	}
+}
+
+// FuzzLoadFile: whatever bytes a database file holds, LoadFile does not
+// panic, and every record it accepts is a geographic coordinate with a
+// radius in [0, π·R].
+func FuzzLoadFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "db.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := LoadFile(path)
+		if err != nil {
+			return
+		}
+		for addr, rec := range s.recs {
+			if !rec.Loc.Valid() || !(rec.RadiusKm >= 0 && rec.RadiusKm <= math.Pi*geo.EarthRadiusKm) {
+				t.Fatalf("accepted record %q: %+v", addr, rec)
+			}
+		}
+	})
+}
+
 // The composite returns the first member hit, scaled by the member's
 // trust weight and decayed by the record's age under an injected clock.
 func TestCompositeWeightsAndStaleness(t *testing.T) {

@@ -12,10 +12,6 @@ import (
 type SynthOpts struct {
 	// Seed keys the generator's deterministic randomness.
 	Seed uint64
-	// OffsetKm bounds how far a correct record's claimed position is
-	// displaced from the host's true position (city-granular precision;
-	// default 18, matching the simulated WHOIS registry).
-	OffsetKm float64
 	// RadiusKm is the stated precision written into every record
 	// (default 40).
 	RadiusKm float64
@@ -24,33 +20,30 @@ type SynthOpts struct {
 	// re-verified.
 	WrongFrac float64
 	// StaleFrac is the fraction of records that are old: their AsOf is
-	// StaleAge before the base date and their claimed position has
-	// drifted by StaleOffsetKm — the Longitudinal Geo-DB failure mode the
+	// staleAge before the base date and their claimed position has
+	// drifted by staleOffsetKm — the Longitudinal Geo-DB failure mode the
 	// composite's decay is for.
 	StaleFrac float64
-	// StaleAge is how far in the past stale records are dated (default 3
-	// years).
-	StaleAge time.Duration
-	// StaleOffsetKm is how far stale records' positions have drifted
-	// (default 300).
-	StaleOffsetKm float64
 	// AsOf is the base date written into fresh records (default
 	// 2026-01-01 UTC, so generation is deterministic).
 	AsOf time.Time
 }
 
+// The synthetic records' fixed shape.
+const (
+	// offsetKm bounds how far a correct record's claimed position is
+	// displaced from the host's true position (city-granular precision,
+	// matching the simulated WHOIS registry).
+	offsetKm float64 = 18
+	// staleAge is how far in the past stale records are dated.
+	staleAge = 3 * 365 * 24 * time.Hour
+	// staleOffsetKm is how far stale records' positions have drifted.
+	staleOffsetKm float64 = 300
+)
+
 func (o *SynthOpts) fillDefaults() {
-	if o.OffsetKm == 0 {
-		o.OffsetKm = 18
-	}
 	if o.RadiusKm == 0 {
 		o.RadiusKm = 40
-	}
-	if o.StaleAge == 0 {
-		o.StaleAge = 3 * 365 * 24 * time.Hour
-	}
-	if o.StaleOffsetKm == 0 {
-		o.StaleOffsetKm = 300
 	}
 	if o.AsOf.IsZero() {
 		o.AsOf = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -70,7 +63,7 @@ func NewSynth(w *netsim.World, opts SynthOpts) *Static {
 		n := w.NodeByID(id)
 		bearing := rng.Float64() * 2 * math.Pi
 		rec := Record{
-			Loc:      n.Loc.Destination(bearing, 2+rng.Float64()*(opts.OffsetKm-2)),
+			Loc:      n.Loc.Destination(bearing, 2+rng.Float64()*(offsetKm-2)),
 			RadiusKm: opts.RadiusKm,
 			AsOf:     opts.AsOf,
 			Source:   "synth",
@@ -84,9 +77,9 @@ func NewSynth(w *netsim.World, opts SynthOpts) *Static {
 				rec.Source = "synth-wrong"
 			}
 		case r < opts.WrongFrac+opts.StaleFrac:
-			// Old record: dated StaleAge back, position drifted.
-			rec.AsOf = opts.AsOf.Add(-opts.StaleAge)
-			rec.Loc = n.Loc.Destination(rng.Float64()*2*math.Pi, opts.StaleOffsetKm)
+			// Old record: dated staleAge back, position drifted.
+			rec.AsOf = opts.AsOf.Add(-staleAge)
+			rec.Loc = n.Loc.Destination(rng.Float64()*2*math.Pi, staleOffsetKm)
 			rec.Source = "synth-stale"
 		}
 		s.Add(n.Name, rec)

@@ -160,9 +160,11 @@ func TestPingMinIntoMatchesSequential(t *testing.T) {
 // and asserts neither the global worker cap nor the per-landmark token
 // bucket is ever exceeded.
 func TestConcurrencyCaps(t *testing.T) {
+	// Eight rounds over four sources want 32 trains at once: both the
+	// global cap and each source's perLandmark bucket must hold them back.
 	p := newFakeProber(2 * time.Millisecond)
 	srcs := srcNames(4)
-	s := New(Config{Workers: 6, PerLandmark: 2})
+	s := New(Config{Workers: 12})
 
 	var wg sync.WaitGroup
 	for r := 0; r < 8; r++ {
@@ -178,12 +180,12 @@ func TestConcurrencyCaps(t *testing.T) {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.max > 6 {
-		t.Errorf("observed %d concurrent probes, global cap is 6", p.max)
+	if p.max > 12 {
+		t.Errorf("observed %d concurrent probes, global cap is 12", p.max)
 	}
 	for src, m := range p.maxSrc {
-		if m > 2 {
-			t.Errorf("source %s saw %d concurrent trains, per-landmark cap is 2", src, m)
+		if m > perLandmark {
+			t.Errorf("source %s saw %d concurrent trains, per-landmark cap is %d", src, m, perLandmark)
 		}
 	}
 }
@@ -522,7 +524,7 @@ func TestCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 func TestSchedulerRace(t *testing.T) {
 	p := newFakeProber(time.Millisecond)
 	srcs := srcNames(8)
-	s := New(Config{Workers: 8, PerLandmark: 2, CacheTTL: 20 * time.Millisecond})
+	s := New(Config{Workers: 8, CacheTTL: 20 * time.Millisecond})
 	var wg sync.WaitGroup
 	var epoch atomic.Uint64
 

@@ -13,7 +13,7 @@
 //
 //   - Bounded fan-out. A global in-flight cap (Config.Workers) bounds
 //     concurrent probes across every round sharing the scheduler, and a
-//     per-landmark token bucket (Config.PerLandmark concurrent trains)
+//     per-landmark token bucket (perLandmark concurrent trains)
 //     keeps parallelism from hammering any single vantage point — the property a real
 //     deployment needs so 16-way target fan-out never looks like an
 //     attack to one landmark's rate limiter.
@@ -56,9 +56,6 @@ type Config struct {
 	// scheduler (default 16). One worker is the serialized probe loop —
 	// slots run in order, one at a time — and a negative count means one.
 	Workers int
-	// PerLandmark caps concurrent probe trains issued from one source
-	// landmark (default 4).
-	PerLandmark int
 	// CacheTTL enables the epoch-qualified min-RTT cache (and in-flight
 	// singleflight dedup) with this entry lifetime. 0 disables both.
 	CacheTTL time.Duration
@@ -71,10 +68,11 @@ func (c *Config) fillDefaults() {
 	if c.Workers < 0 {
 		c.Workers = 1
 	}
-	if c.PerLandmark == 0 {
-		c.PerLandmark = 4
-	}
 }
+
+// perLandmark caps concurrent probe trains issued from one source
+// landmark.
+const perLandmark = 4
 
 // Scheduler is a concurrent probe scheduler. One Scheduler is shared by
 // everything measuring against one survey generation chain — every
@@ -119,7 +117,7 @@ func New(cfg Config) *Scheduler {
 // Stats is a point-in-time snapshot of scheduler activity, shaped for
 // the octant-serve /v1/stats "measure" section.
 type Stats struct {
-	// Workers and PerLandmark echo the configured caps.
+	// Workers and PerLandmark echo the caps.
 	Workers     int `json:"workers"`
 	PerLandmark int `json:"per_landmark"`
 	// Pings counts probe trains actually issued (cache hits and deduped
@@ -148,7 +146,7 @@ type Stats struct {
 func (s *Scheduler) Stats() Stats {
 	st := Stats{
 		Workers:            s.cfg.Workers,
-		PerLandmark:        s.cfg.PerLandmark,
+		PerLandmark:        perLandmark,
 		Pings:              s.pings.Load(),
 		PingFailures:       s.pingFailures.Load(),
 		Traceroutes:        s.traceroutes.Load(),
@@ -174,7 +172,7 @@ func (s *Scheduler) bucket(src string) *bucket {
 	s.mu.Lock()
 	b := s.buckets[src]
 	if b == nil {
-		b = &bucket{sem: make(chan struct{}, s.cfg.PerLandmark)}
+		b = &bucket{sem: make(chan struct{}, perLandmark)}
 		s.buckets[src] = b
 	}
 	s.mu.Unlock()

@@ -163,7 +163,7 @@ func (w *World) Ping(src, dst, n int) []float64 {
 	base := w.BaseRTTMs(src, dst)
 	p := getRNG(w.probeSeed(src, dst), 0xfeed)
 	for i := range out {
-		out[i] = base + jitter(p.rng, w.Cfg.JitterMeanMs)
+		out[i] = base + jitter(p.rng, jitterMeanMs)
 	}
 	prngPool.Put(p)
 	if rate := w.PairLossRate(src, dst); rate > 0 {
@@ -219,7 +219,7 @@ func (w *World) Traceroute(src, dst, nProbe int) []Hop {
 		}
 		best := math.Inf(1)
 		for p := 0; p < nProbe; p++ {
-			if v := base + jitter(rng, w.Cfg.JitterMeanMs); v < best {
+			if v := base + jitter(rng, jitterMeanMs); v < best {
 				best = v
 			}
 		}

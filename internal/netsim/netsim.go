@@ -70,26 +70,6 @@ type Config struct {
 	Seed  uint64
 	Sites []SiteSpec // defaults to DefaultSites
 
-	// MeanQueueMs is the mean of the exponential per-router minimum
-	// queuing delay (default 0.15 ms — research-network backbones run
-	// largely uncongested).
-	MeanQueueMs float64
-	// MaxAccessMs bounds the per-host access delay drawn uniformly from
-	// [0.1, MaxAccessMs] (default 3 ms).
-	MaxAccessMs float64
-	// FiberSlackMax bounds per-link fiber path inflation drawn uniformly
-	// from [1.05, FiberSlackMax] (default 1.25).
-	FiberSlackMax float64
-	// JitterMeanMs is the mean of the exponential per-probe jitter
-	// (default 0.5 ms), with a heavy tail (10% of probes ×8).
-	JitterMeanMs float64
-	// NeighborLinks is the number of nearest-neighbour backbone links per
-	// POP (default 3).
-	NeighborLinks int
-	// WhoisErrorRate is the fraction of WHOIS records pointing at the
-	// registrant's national HQ instead of the host city (default 0.15).
-	WhoisErrorRate float64
-
 	// HostRDNSHintFrac is the fraction of eligible end hosts (those whose
 	// nearest POP is close enough that its code is a truthful hint) given
 	// operator-style reverse-DNS names carrying an IATA or CLLI city
@@ -108,25 +88,31 @@ func (c *Config) fillDefaults() {
 	if c.Sites == nil {
 		c.Sites = DefaultSites
 	}
-	if c.MeanQueueMs == 0 {
-		c.MeanQueueMs = 0.15
-	}
-	if c.MaxAccessMs == 0 {
-		c.MaxAccessMs = 3
-	}
-	if c.FiberSlackMax == 0 {
-		c.FiberSlackMax = 1.25
-	}
-	if c.JitterMeanMs == 0 {
-		c.JitterMeanMs = 0.5
-	}
-	if c.NeighborLinks == 0 {
-		c.NeighborLinks = 3
-	}
-	if c.WhoisErrorRate == 0 {
-		c.WhoisErrorRate = 0.15
-	}
 }
+
+// The simulated Internet's fixed parameters. They are typed, so that an
+// expression over them rounds as it would over a float64 variable: a
+// seed's world does not depend on how its parameters are held.
+const (
+	// meanQueueMs is the mean of the exponential per-router minimum
+	// queuing delay — research-network backbones run largely uncongested.
+	meanQueueMs float64 = 0.15
+	// maxAccessMs bounds the per-host access delay drawn uniformly from
+	// [0.1, maxAccessMs].
+	maxAccessMs float64 = 3
+	// fiberSlackMax bounds per-link fiber path inflation drawn uniformly
+	// from [1.05, fiberSlackMax].
+	fiberSlackMax float64 = 1.25
+	// jitterMeanMs is the mean of the exponential per-probe jitter, with a
+	// heavy tail (10% of probes ×8).
+	jitterMeanMs float64 = 0.5
+	// neighborLinks is the number of nearest-neighbour backbone links per
+	// POP.
+	neighborLinks = 3
+	// whoisErrorRate is the fraction of WHOIS records pointing at the
+	// registrant's national HQ instead of the host city.
+	whoisErrorRate float64 = 0.15
+)
 
 // World is the simulated Internet. After NewWorld returns, the topology
 // and every lookup table are read-only; the lazily filled Dijkstra route
@@ -195,7 +181,7 @@ func NewWorld(cfg Config) *World {
 			Loc:        city.Loc(),
 			City:       city.Name,
 			Code:       city.Code,
-			minQueueMs: expClamped(rng, cfg.MeanQueueMs, 0.02, 2.5),
+			minQueueMs: expClamped(rng, meanQueueMs, 0.02, 2.5),
 		})
 		popID[city.Code] = id
 	}
@@ -214,11 +200,11 @@ func NewWorld(cfg Config) *World {
 			return
 		}
 		seen[pair{a, b}] = true
-		w.addLink(a, b, rng, cfg)
+		w.addLink(a, b, rng)
 	}
 	for _, city := range POPCities { // slice order: deterministic RNG use
 		id := popID[city.Code]
-		near := w.nearestPOPs(popID, city.Code, cfg.NeighborLinks)
+		near := w.nearestPOPs(popID, city.Code, neighborLinks)
 		for _, n := range near {
 			addBackboneLink(id, n)
 		}
@@ -262,9 +248,9 @@ func NewWorld(cfg Config) *World {
 			Loc:        site.Loc(),
 			City:       site.City,
 			Code:       w.Nodes[up].Code,
-			minQueueMs: expClamped(rng, cfg.MeanQueueMs*1.5, 0.05, 3),
+			minQueueMs: expClamped(rng, meanQueueMs*1.5, 0.05, 3),
 		})
-		w.addLink(access, up, rng, cfg)
+		w.addLink(access, up, rng)
 		host := w.addNode(&Node{
 			Kind:     KindHost,
 			Name:     site.Host,
@@ -273,14 +259,14 @@ func NewWorld(cfg Config) *World {
 			City:     site.City,
 			Zip:      site.Zip,
 			Inst:     site.Inst,
-			accessMs: 0.1 + rng.Float64()*(cfg.MaxAccessMs-0.1),
+			accessMs: 0.1 + rng.Float64()*(maxAccessMs-0.1),
 		})
-		w.addLink(host, access, rng, cfg)
+		w.addLink(host, access, rng)
 		w.Hosts = append(w.Hosts, host)
 	}
 	w.buildAdjacency()
-	w.ensureConnected(rng, cfg)
-	w.buildWhois(rng, cfg)
+	w.ensureConnected(rng)
+	w.buildWhois(rng)
 	// Host reverse-DNS names draw from their own dedicated stream, after
 	// all construction randomness above, so enabling them never perturbs
 	// the topology, delays, or WHOIS records of an existing seed.
@@ -300,10 +286,10 @@ func (w *World) addNode(n *Node) int {
 	return n.ID
 }
 
-func (w *World) addLink(a, b int, rng *rand.Rand, cfg Config) {
+func (w *World) addLink(a, b int, rng *rand.Rand) {
 	na, nb := w.Nodes[a], w.Nodes[b]
 	d := na.Loc.DistanceKm(nb.Loc)
-	slack := 1.05 + rng.Float64()*(cfg.FiberSlackMax-1.05)
+	slack := 1.05 + rng.Float64()*(fiberSlackMax-1.05)
 	// Policy bias: a few links are administratively expensive, diverting
 	// traffic through detours (the §2.3 indirect-route effect).
 	policy := 1.0
@@ -391,7 +377,7 @@ func (w *World) nearestPOPsToPoint(popID map[string]int, p geo.Point, k int) []i
 
 // ensureConnected links any disconnected components to the main one (safety
 // net; the default topology is connected by construction).
-func (w *World) ensureConnected(rng *rand.Rand, cfg Config) {
+func (w *World) ensureConnected(rng *rand.Rand) {
 	comp := make([]int, len(w.Nodes))
 	for i := range comp {
 		comp[i] = -1
@@ -438,7 +424,7 @@ func (w *World) ensureConnected(rng *rand.Rand, cfg Config) {
 			}
 		}
 		if bestA >= 0 {
-			w.addLink(bestA, bestB, rng, cfg)
+			w.addLink(bestA, bestB, rng)
 		}
 	}
 	w.buildAdjacency()

@@ -262,8 +262,8 @@ func TestAccessHeightGroundTruth(t *testing.T) {
 	w := testWorld(t)
 	for _, id := range w.Hosts {
 		h := w.AccessHeight(id)
-		if h < 0.1 || h > w.Cfg.MaxAccessMs {
-			t.Errorf("host %s height %.3f outside [0.1, %.1f]", w.Nodes[id].Name, h, w.Cfg.MaxAccessMs)
+		if h < 0.1 || h > maxAccessMs {
+			t.Errorf("host %s height %.3f outside [0.1, %.1f]", w.Nodes[id].Name, h, maxAccessMs)
 		}
 	}
 	// Routers have no access height.

@@ -30,7 +30,7 @@ const hqCityCode = "wdc"
 // centroid, displaced up to ~18 km from the actual machine — matching the
 // real registry precision that makes the paper treat WHOIS as a weak
 // constraint rather than an answer.
-func (w *World) buildWhois(rng *rand.Rand, cfg Config) {
+func (w *World) buildWhois(rng *rand.Rand) {
 	w.whois = make(map[string]WhoisRecord, len(w.Hosts))
 	hq := CityByCode(hqCityCode)
 	for _, id := range w.Hosts {
@@ -45,7 +45,7 @@ func (w *World) buildWhois(rng *rand.Rand, cfg Config) {
 			Loc:     n.Loc.Destination(bearing, offsetKm),
 			Correct: true,
 		}
-		if rng.Float64() < cfg.WhoisErrorRate {
+		if rng.Float64() < whoisErrorRate {
 			rec.City = hq.Name
 			rec.Zip = "20001"
 			rec.Loc = hq.Loc()

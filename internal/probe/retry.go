@@ -2,7 +2,6 @@ package probe
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync/atomic"
@@ -22,15 +21,6 @@ type RetryOptions struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the doubling (0 = default 2s).
 	MaxBackoff time.Duration
-	// Jitter spreads each backoff uniformly over ±Jitter fraction of its
-	// nominal value, de-synchronizing retry storms across landmarks
-	// (0 = default 0.2; negative disables).
-	Jitter float64
-	// AttemptTimeout bounds each individual attempt. An attempt that
-	// exceeds it is classified as a transient probe timeout — unlike the
-	// caller's own deadline, which stays permanent (0 = no per-attempt
-	// bound).
-	AttemptTimeout time.Duration
 
 	// Test seams: sleep replaces the inter-attempt wait and rand the
 	// jitter draw, so unit tests can run the backoff schedule against a
@@ -38,6 +28,10 @@ type RetryOptions struct {
 	sleep func(ctx context.Context, d time.Duration) error
 	rand  func() float64
 }
+
+// jitter spreads each backoff uniformly over ±20 % of its nominal value,
+// de-synchronizing retry storms across landmarks.
+const jitter = 0.2
 
 // RetryStats is a snapshot of a RetryProber's counters.
 type RetryStats struct {
@@ -51,8 +45,7 @@ type RetryStats struct {
 
 // RetryProber wraps a Prober with bounded retries: transient failures
 // (see Transient) are re-attempted up to Attempts times with capped
-// exponential backoff plus jitter, each attempt optionally bounded by
-// its own timeout. Permanent failures — unknown addresses, the caller's
+// exponential backoff plus jitter. Permanent failures — unknown addresses, the caller's
 // context expiring — return immediately. Survey calibration and the
 // evidence pipeline sit on top of this wrapper so a single lost probe
 // train does not void minutes of measurement work.
@@ -85,9 +78,6 @@ func WithRetry(p Prober, o RetryOptions) *RetryProber {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 2 * time.Second
 	}
-	if o.Jitter == 0 {
-		o.Jitter = 0.2
-	}
 	if o.sleep == nil {
 		o.sleep = sleepCtx
 	}
@@ -114,9 +104,9 @@ func (r *RetryProber) Ping(src, dst string, n int) ([]float64, error) {
 // PingContext implements ContextProber.
 func (r *RetryProber) PingContext(ctx context.Context, src, dst string, n int) ([]float64, error) {
 	var out []float64
-	err := r.retry(ctx, func(actx context.Context) error {
+	err := r.retry(ctx, func() error {
 		var e error
-		out, e = pingIn(actx, r.p, src, dst, n)
+		out, e = pingIn(ctx, r.p, src, dst, n)
 		return e
 	})
 	if err != nil {
@@ -133,9 +123,9 @@ func (r *RetryProber) Traceroute(src, dst string) ([]Hop, error) {
 // TracerouteContext implements ContextProber.
 func (r *RetryProber) TracerouteContext(ctx context.Context, src, dst string) ([]Hop, error) {
 	var out []Hop
-	err := r.retry(ctx, func(actx context.Context) error {
+	err := r.retry(ctx, func() error {
 		var e error
-		out, e = tracerouteIn(actx, r.p, src, dst)
+		out, e = tracerouteIn(ctx, r.p, src, dst)
 		return e
 	})
 	if err != nil {
@@ -153,12 +143,12 @@ func (r *RetryProber) Whois(addr string) (loc geo.Point, zip string, ok bool) { 
 
 // retry runs attempt until it succeeds, fails permanently, or the
 // attempt budget is spent.
-func (r *RetryProber) retry(ctx context.Context, attempt func(context.Context) error) error {
+func (r *RetryProber) retry(ctx context.Context, attempt func() error) error {
 	backoff := r.o.BaseBackoff
 	var err error
 	for a := 0; a < r.o.Attempts; a++ {
 		r.attempts.Add(1)
-		err = r.oneAttempt(ctx, attempt)
+		err = attempt()
 		if err == nil {
 			return nil
 		}
@@ -182,30 +172,9 @@ func (r *RetryProber) retry(ctx context.Context, attempt func(context.Context) e
 	return fmt.Errorf("probe: gave up after %d attempts: %w", r.o.Attempts, err)
 }
 
-// oneAttempt runs attempt under the per-attempt timeout, reclassifying a
-// blown per-attempt deadline as a transient probe timeout when the
-// caller's own context is still live.
-func (r *RetryProber) oneAttempt(ctx context.Context, attempt func(context.Context) error) error {
-	actx := ctx
-	var cancel context.CancelFunc
-	if r.o.AttemptTimeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, r.o.AttemptTimeout)
-		defer cancel()
-	}
-	err := attempt(actx)
-	if err != nil && cancel != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-		return fmt.Errorf("probe: attempt %w after %v", ErrTimeout, r.o.AttemptTimeout)
-	}
-	return err
-}
-
-// jittered spreads d over ±Jitter of its nominal value.
+// jittered spreads d over ±jitter of its nominal value.
 func (r *RetryProber) jittered(d time.Duration) time.Duration {
-	if r.o.Jitter <= 0 {
-		return d
-	}
-	f := 1 + r.o.Jitter*(2*r.o.rand()-1)
-	return time.Duration(float64(d) * f)
+	return time.Duration(float64(d) * (1 + jitter*(2*r.o.rand()-1)))
 }
 
 // pingIn issues one ping attempt under ctx, using the native

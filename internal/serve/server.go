@@ -282,8 +282,8 @@ func (wo *WireOptions) Options() ([]core.LocalizeOption, error) {
 		if !loc.Valid() {
 			return nil, fmt.Errorf("hint %d: invalid coordinates (%v, %v)", i, h.Lat, h.Lon)
 		}
-		if h.RadiusKm < 0 || h.Weight < 0 {
-			return nil, fmt.Errorf("hint %d: radius_km and weight must be ≥ 0", i)
+		if h.RadiusKm < 0 || h.RadiusKm > math.Pi*geo.EarthRadiusKm || h.Weight < 0 {
+			return nil, fmt.Errorf("hint %d: radius_km must be in [0, π·R] and weight ≥ 0", i)
 		}
 		opts = append(opts, core.WithHint(loc, h.RadiusKm, h.Weight, h.Label))
 	}

@@ -2,8 +2,16 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"testing"
+
+	"octant/internal/core"
+	"octant/internal/geo"
 )
 
 // TestV2NoOptionsMatchesV1: an empty v2 request is exactly a v1 request
@@ -96,6 +104,9 @@ func TestV2Validation(t *testing.T) {
 		{"target": tgt, "options": map[string]any{"min_area_km2": -5}},
 		{"target": tgt, "options": map[string]any{"neg_height_percentile": 150}},
 		{"target": tgt, "options": map[string]any{"hints": []map[string]any{{"lat": 200, "lon": 0}}}},
+		// One circumference and 10 km: a disk drawn from this radius is a
+		// 10 km disk.
+		{"target": tgt, "options": map[string]any{"hints": []map[string]any{{"lat": 42, "lon": -76, "radius_km": 40040}}}},
 		{"options": map[string]any{}},
 		// Misspelled option keys must 400 (DisallowUnknownFields), not
 		// silently run — and cache — the request under server defaults.
@@ -207,4 +218,49 @@ func TestV1CacheSharedWithDefaultV2(t *testing.T) {
 	if tuned.Cached {
 		t.Error("options-qualified request hit the default cache entry")
 	}
+}
+
+// FuzzDecodeV2: any body posted to a /v2 localize route goes through
+// DecodeJSON (strict) and WireOptions.Options and either passes, or is
+// answered 400, or 413 when it outgrows the cap — nothing else. Options
+// that pass carry in-range hints and resolve to the same Fingerprint
+// every time.
+func FuzzDecodeV2(f *testing.F) {
+	for _, name := range []string{"testdata/v2_localize_request.json", "testdata/v2_batch_request.json"} {
+		body, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"target":"` + string(bytes.Repeat([]byte("x"), maxRequestBody)) + `"}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		var req localizeRequest
+		if !DecodeJSON(w, httptest.NewRequest(http.MethodPost, "/v2/localize", bytes.NewReader(body)), true, &req) {
+			if w.Code != http.StatusBadRequest && w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("refused with %d", w.Code)
+			}
+			return
+		}
+		if len(body) > maxRequestBody {
+			t.Fatalf("decoded a %d-byte body", len(body))
+		}
+		opts, err := req.Options.Options()
+		if err != nil {
+			return // the handler's 400
+		}
+		if req.Options != nil {
+			for i, h := range req.Options.Hints {
+				if !geo.Pt(h.Lat, h.Lon).Valid() || !(h.RadiusKm >= 0 && h.RadiusKm <= math.Pi*geo.EarthRadiusKm) || !(h.Weight >= 0) {
+					t.Fatalf("accepted hint %d: %+v", i, h)
+				}
+			}
+		}
+		again, _ := req.Options.Options()
+		a, b := core.NewLocalizeOptions(opts...), core.NewLocalizeOptions(again...)
+		if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
+			t.Fatalf("one body, two fingerprints: %q, %q", fa, fb)
+		}
+	})
 }
