@@ -80,7 +80,7 @@ func TestGeoLimLocalize(t *testing.T) {
 		// it — a corner of a cell whose centre is inside every disk, on the
 		// solver's 4 km fine lattice — is within a cell's diagonal of every
 		// bound.
-		rtts := minRTTs(t, p, s, target.Name)
+		rtts := mustMinRTTs(t, p, s, target.Name)
 		for _, ring := range res.Region.Rings {
 			for _, v := range ring {
 				pt := res.Projection.Inverse(v)
@@ -120,7 +120,7 @@ func TestGeoLimOverconstraintFallback(t *testing.T) {
 	// the solver's 4 km cell. Whether or not a cell centre lands in the lens,
 	// the point returned must break no bound by as much as a cell.
 	two := &core.Survey{Landmarks: s.Landmarks[:2]}
-	rtts := minRTTs(t, p, two, target.Name)
+	rtts := mustMinRTTs(t, p, two, target.Name)
 	// Split the landmarks' distance + 1 km in proportion to the speed-of-light
 	// caps, which Bound applies and which together span that distance.
 	cap0, cap1 := geo.LatencyToMaxDistanceKm(rtts[0]), geo.LatencyToMaxDistanceKm(rtts[1])
@@ -140,19 +140,13 @@ func TestGeoLimOverconstraintFallback(t *testing.T) {
 	}
 }
 
-// minRTTs re-measures what GeoLim.Localize measures: the simulated world
-// answers a repeated ping train identically.
-func minRTTs(t *testing.T, p probe.Prober, s *core.Survey, target string) []float64 {
+// mustMinRTTs re-measures what GeoLim.Localize measures: the simulated
+// world answers a repeated ping train identically.
+func mustMinRTTs(t *testing.T, p probe.Prober, s *core.Survey, target string) []float64 {
 	t.Helper()
-	rtts := make([]float64, s.N())
-	for i, lm := range s.Landmarks {
-		samples, err := p.Ping(lm.Addr, target, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rtts[i], err = probe.MinRTT(samples); err != nil {
-			t.Fatal(err)
-		}
+	rtts, err := minRTTs(p, s, target, 10, "geolim ping")
+	if err != nil {
+		t.Fatal(err)
 	}
 	return rtts
 }

@@ -6,7 +6,6 @@
 package baselines
 
 import (
-	"fmt"
 	"math"
 
 	"octant/internal/core"
@@ -126,23 +125,12 @@ func (r *GeoLimResult) ContainsTruth(truth geo.Point) bool {
 
 // Localize runs constraint-based geolocation on a target.
 func (g *GeoLim) Localize(p probe.Prober, targetAddr string, probes int) (*GeoLimResult, error) {
-	if probes <= 0 {
-		probes = 10
-	}
 	s := g.Survey
-	pr := geo.NewProjection(s.Centroid())
-	rtts := make([]float64, s.N())
-	for i, lm := range s.Landmarks {
-		samples, err := p.Ping(lm.Addr, targetAddr, probes)
-		if err != nil {
-			return nil, fmt.Errorf("baselines: geolim ping %s→%s: %w", lm.Name, targetAddr, err)
-		}
-		min, err := probe.MinRTT(samples)
-		if err != nil {
-			return nil, err
-		}
-		rtts[i] = min
+	rtts, err := minRTTs(p, s, targetAddr, probes, "geolim ping")
+	if err != nil {
+		return nil, err
 	}
+	pr := geo.NewProjection(s.Centroid())
 	// The intersection of the N bound disks is where N unit-weight positive
 	// constraints reach weight N — §3's reading of GeoLim as Octant with equal
 	// weights and no negative information — so the solver finds it: its top

@@ -33,22 +33,11 @@ type GeoPingResult struct {
 
 // Localize maps targetAddr onto the most latency-similar landmark.
 func (g *GeoPing) Localize(p probe.Prober, targetAddr string, probes int) (*GeoPingResult, error) {
-	if probes <= 0 {
-		probes = 10
-	}
 	s := g.Survey
 	n := s.N()
-	sig := make([]float64, n)
-	for i, lm := range s.Landmarks {
-		samples, err := p.Ping(lm.Addr, targetAddr, probes)
-		if err != nil {
-			return nil, fmt.Errorf("baselines: geoping %s→%s: %w", lm.Name, targetAddr, err)
-		}
-		min, err := probe.MinRTT(samples)
-		if err != nil {
-			return nil, err
-		}
-		sig[i] = min
+	sig, err := minRTTs(p, s, targetAddr, probes, "geoping")
+	if err != nil {
+		return nil, err
 	}
 	best := -1
 	bestScore := math.Inf(1)
@@ -95,4 +84,25 @@ func (g *GeoPing) Localize(p probe.Prober, targetAddr string, probes int) (*GeoP
 		BestLandmark: best,
 		Score:        bestScore,
 	}, nil
+}
+
+// minRTTs pings targetAddr from every survey landmark in turn (probes
+// samples each, 0 = 10) and returns each landmark's minimum RTT in survey
+// order — the one probe loop of the three baselines. what names the
+// technique in a ping error.
+func minRTTs(p probe.Prober, s *core.Survey, targetAddr string, probes int, what string) ([]float64, error) {
+	if probes <= 0 {
+		probes = 10
+	}
+	rtts := make([]float64, s.N())
+	for i, lm := range s.Landmarks {
+		samples, err := p.Ping(lm.Addr, targetAddr, probes)
+		if err != nil {
+			return nil, fmt.Errorf("baselines: %s %s→%s: %w", what, lm.Name, targetAddr, err)
+		}
+		if rtts[i], err = probe.MinRTT(samples); err != nil {
+			return nil, err
+		}
+	}
+	return rtts, nil
 }

@@ -38,25 +38,17 @@ type GeoTrackResult struct {
 // Localize traceroutes from the lowest-latency landmark to the target and
 // returns the last resolvable router's city as the estimate.
 func (g *GeoTrack) Localize(p probe.Prober, targetAddr string, probes int) (*GeoTrackResult, error) {
-	if probes <= 0 {
-		probes = 10
-	}
 	s := g.Survey
+	rtts, err := minRTTs(p, s, targetAddr, probes, "geotrack ping")
+	if err != nil {
+		return nil, err
+	}
 	// Pick the landmark closest to the target by latency: its traceroute
 	// shares the most suffix with the target's location.
-	bestIdx := -1
-	bestRTT := 0.0
-	for i, lm := range s.Landmarks {
-		samples, err := p.Ping(lm.Addr, targetAddr, probes)
-		if err != nil {
-			return nil, fmt.Errorf("baselines: geotrack ping %s→%s: %w", lm.Name, targetAddr, err)
-		}
-		min, err := probe.MinRTT(samples)
-		if err != nil {
-			return nil, err
-		}
-		if bestIdx < 0 || min < bestRTT {
-			bestIdx, bestRTT = i, min
+	bestIdx := 0
+	for i, rtt := range rtts {
+		if rtt < rtts[bestIdx] {
+			bestIdx = i
 		}
 	}
 	hops, err := p.Traceroute(s.Landmarks[bestIdx].Addr, targetAddr)

@@ -121,15 +121,15 @@ type clusterNode struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
+// handleCluster answers /v1/cluster with a fresh readiness probe of every
+// member, each bounded by the router's probe timeout; a member that does
+// not answer in time is listed as not ready.
 func (f *Front) handleCluster(w http.ResponseWriter, r *http.Request) {
 	view := clusterView{Epoch: f.router.Epoch(), Loads: f.router.Ring().Loads()}
 	for _, name := range f.router.Ring().Nodes() {
-		node := f.router.nodes[name]
-		cn := clusterNode{Name: name, URL: node.BaseURL}
-		if rd, err := node.Ready(r.Context()); err == nil {
-			cn.Ready, cn.Epoch = rd.Ready, rd.Epoch
-		}
-		view.Nodes = append(view.Nodes, cn)
+		m := f.router.members[name]
+		rd := m.probe(r.Context())
+		view.Nodes = append(view.Nodes, clusterNode{Name: name, URL: m.node.BaseURL, Ready: rd.Ready, Epoch: rd.Epoch})
 	}
 	serve.WriteJSON(w, http.StatusOK, view)
 }
@@ -167,7 +167,7 @@ func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), f.router.cfg.ReadyTTL)
 	defer cancel()
 	for _, name := range f.router.Ring().Nodes() {
-		if f.router.isReady(ctx, name) {
+		if f.router.members[name].isReady(ctx) {
 			serve.WriteJSON(w, http.StatusOK, serve.Readiness{Ready: true, Epoch: f.router.Epoch()})
 			return
 		}

@@ -41,7 +41,7 @@ type RouterConfig struct {
 	// round-trips per request.
 	ReadyTTL time.Duration
 	// BreakerThreshold is how many consecutive dispatch failures open a
-	// node's circuit breaker (0 = default 3, negative disables breakers).
+	// node's circuit breaker (≤ 0 = default 3).
 	// An open breaker sheds the node's traffic without probing it; after
 	// BreakerCooldown one half-open trial re-probes readiness fresh.
 	BreakerThreshold int
@@ -90,7 +90,7 @@ type RouterStats struct {
 	// caller but never cached — see core.Result.Degraded.
 	Degraded uint64 `json:"degraded"`
 	// Breakers is each node's current breaker state
-	// (closed / open / half-open); omitted when breakers are disabled.
+	// (closed / open / half-open).
 	Breakers map[string]string `json:"breakers,omitempty"`
 }
 
@@ -105,39 +105,34 @@ type ClusterStats struct {
 	Unreachable []string `json:"unreachable,omitempty"`
 }
 
-// readyState is one node's cached readiness verdict.
-type readyState struct {
-	ready bool
-	at    time.Time
-}
-
 // Router is the cluster front door's brain: it owns the ring, routes
 // every (target, fingerprint) key to its owner node, consults the
 // cluster result cache before dispatching, and keeps batch responses
 // epoch-coherent during rolling swaps. It is safe for concurrent use.
 type Router struct {
-	ring  *Ring
-	nodes map[string]*NodeClient
+	ring *Ring
+	// members holds one record per fleet node; the map is immutable after
+	// NewRouter and each member locks itself.
+	members map[string]*member
 	// cache is the front door's L1: wire-form results, so a hit is served
 	// without touching any node. Epoch is part of the key, so entries of a
 	// superseded epoch age out by disuse instead of needing invalidation.
 	cache *lru.Cache[Key, serve.TargetResultV2]
 	cfg   RouterConfig
-	// breakers holds one circuit breaker per node (nil when disabled).
-	// The map is immutable after NewRouter; each breaker locks itself.
-	breakers map[string]*breaker
+	// probeTimeout bounds every call the router makes to a member on its
+	// own behalf — readiness probes and stats fetches: ReadyTTL, but at
+	// least 250ms. A short TTL means "re-check often", not "give up fast",
+	// and a loopback round-trip can exceed a millisecond-scale TTL under
+	// instrumentation.
+	probeTimeout time.Duration
 
 	// epoch is the newest epoch observed in any node response; cache
 	// lookups key on it, so the front door converges to a new epoch as
 	// soon as the first post-swap response arrives.
 	epoch atomic.Uint64
 
-	mu    sync.Mutex
-	ready map[string]readyState
-
 	peerFetches, dispatched, failovers atomic.Uint64
 	epochRepairs, bypassed             atomic.Uint64
-	breakerOpens, breakerTrials        atomic.Uint64
 	degradedServed                     atomic.Uint64
 }
 
@@ -155,7 +150,7 @@ func NewRouter(nodes []*NodeClient, cfg RouterConfig) (*Router, error) {
 	if cfg.ReadyTTL <= 0 {
 		cfg.ReadyTTL = 500 * time.Millisecond
 	}
-	if cfg.BreakerThreshold == 0 {
+	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 3
 	}
 	if cfg.BreakerCooldown <= 0 {
@@ -165,24 +160,18 @@ func NewRouter(nodes []*NodeClient, cfg RouterConfig) (*Router, error) {
 		cfg.FailoverBackoff = 25 * time.Millisecond
 	}
 	r := &Router{
-		ring:  NewRing(RingConfig{VNodes: cfg.VNodes, LoadFactor: cfg.LoadFactor}),
-		nodes: make(map[string]*NodeClient, len(nodes)),
-		cache: lru.New[Key, serve.TargetResultV2](cfg.CacheSize, 0),
-		cfg:   cfg,
-		ready: make(map[string]readyState, len(nodes)),
-	}
-	if cfg.BreakerThreshold > 0 {
-		r.breakers = make(map[string]*breaker, len(nodes))
+		ring:         NewRing(RingConfig{VNodes: cfg.VNodes, LoadFactor: cfg.LoadFactor}),
+		members:      make(map[string]*member, len(nodes)),
+		cache:        lru.New[Key, serve.TargetResultV2](cfg.CacheSize, 0),
+		cfg:          cfg,
+		probeTimeout: max(cfg.ReadyTTL, 250*time.Millisecond),
 	}
 	for _, n := range nodes {
-		if _, dup := r.nodes[n.Name]; dup {
+		if _, dup := r.members[n.Name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate node name %q", n.Name)
 		}
-		r.nodes[n.Name] = n
+		r.members[n.Name] = &member{node: n, r: r, state: breakerClosed}
 		r.ring.Add(n.Name)
-		if r.breakers != nil {
-			r.breakers[n.Name] = &breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown}
-		}
 	}
 	return r, nil
 }
@@ -200,109 +189,6 @@ func (r *Router) observeEpoch(e uint64) {
 		if e <= cur || r.epoch.CompareAndSwap(cur, e) {
 			return
 		}
-	}
-}
-
-// markReady records a readiness verdict for a node.
-func (r *Router) markReady(name string, ready bool) {
-	r.mu.Lock()
-	r.ready[name] = readyState{ready: ready, at: time.Now()}
-	r.mu.Unlock()
-}
-
-// isReady returns the node's cached readiness, re-probing /v1/readyz
-// when the verdict is older than ReadyTTL. Probe failures count as
-// not-ready (and stay cached, so a dead node costs one probe per TTL,
-// not one per request).
-func (r *Router) isReady(ctx context.Context, name string) bool {
-	r.mu.Lock()
-	st, ok := r.ready[name]
-	r.mu.Unlock()
-	if ok && time.Since(st.at) < r.cfg.ReadyTTL {
-		return st.ready
-	}
-	return r.probeReady(ctx, name)
-}
-
-// probeReady re-probes the node's /v1/readyz right now, ignoring any
-// cached verdict, and caches the fresh one. Breaker half-open trials
-// call it directly so a revived node re-enters rotation on the
-// breaker's cooldown clock even while the TTL cache still says down.
-func (r *Router) probeReady(ctx context.Context, name string) bool {
-	// The probe deadline is decoupled from the TTL: a short TTL means
-	// "re-check often", not "give up fast", and a loopback round-trip can
-	// exceed a millisecond-scale TTL under instrumentation.
-	timeout := r.cfg.ReadyTTL
-	if timeout < 250*time.Millisecond {
-		timeout = 250 * time.Millisecond
-	}
-	probeCtx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	rd, err := r.nodes[name].Ready(probeCtx)
-	ready := err == nil && rd.Ready
-	if err == nil {
-		r.observeEpoch(rd.Epoch)
-	}
-	r.markReady(name, ready)
-	return ready
-}
-
-// admit decides whether name may receive a dispatch: the circuit
-// breaker gates first, then readiness. The one call that flips a
-// cooled-down breaker to half-open verifies the node with a fresh
-// readiness probe (bypassing the TTL cache); a failed trial re-opens
-// the breaker immediately instead of waiting for a dispatch to fail.
-func (r *Router) admit(ctx context.Context, name string) bool {
-	b := r.breakers[name]
-	if b == nil {
-		return r.isReady(ctx, name)
-	}
-	ok, trial := b.allow(time.Now())
-	if !ok {
-		return false
-	}
-	if trial {
-		r.breakerTrials.Add(1)
-		if r.probeReady(ctx, name) {
-			return true
-		}
-		if b.failure(time.Now()) {
-			r.breakerOpens.Add(1)
-		}
-		return false
-	}
-	return r.isReady(ctx, name)
-}
-
-// breakerAllows is admit without the readiness check — the gate for the
-// desperation fallback paths that run when every node looks not-ready
-// mid-swap. An open breaker still keeps its node out even there; a
-// half-open transition is settled by the dispatch outcome instead of a
-// probe.
-func (r *Router) breakerAllows(name string) bool {
-	b := r.breakers[name]
-	if b == nil {
-		return true
-	}
-	ok, trial := b.allow(time.Now())
-	if trial {
-		r.breakerTrials.Add(1)
-	}
-	return ok
-}
-
-// noteDispatch reports a dispatch outcome to the node's breaker.
-func (r *Router) noteDispatch(name string, ok bool) {
-	b := r.breakers[name]
-	if b == nil {
-		return
-	}
-	if ok {
-		b.success()
-		return
-	}
-	if b.failure(time.Now()) {
-		r.breakerOpens.Add(1)
 	}
 }
 
@@ -433,7 +319,7 @@ func (r *Router) gather(ctx context.Context, targets []string, wo *serve.WireOpt
 	// node's current epoch, so even a 100%-cache-hit workload observes a
 	// rolling swap within one TTL instead of serving the old epoch forever.
 	firstOwner, _ := r.ring.Owner(routeKey(targets[0], fp))
-	r.isReady(ctx, firstOwner)
+	r.members[firstOwner].isReady(ctx)
 	epoch := r.epoch.Load()
 	var pending []int
 	for i, tgt := range targets {
@@ -529,12 +415,19 @@ func place(ring *Ring, key string, eligible func(node string) bool) string {
 // itself.
 func (r *Router) scatter(ctx context.Context, c *call, pending []int) error {
 	excluded := make(map[string]bool)
-	admitted := func(node string) bool { return !excluded[node] && r.admit(ctx, node) }
+	admitted := func(node string) bool { return !excluded[node] && r.members[node].admit(ctx) }
 	// Readiness can be transiently all-false mid-swap (one node draining
 	// while another's probe times out); rather than failing the request,
 	// fall back to any node not yet tried whose breaker admits it. An open
-	// breaker keeps its node out even here.
-	allowed := func(node string) bool { return !excluded[node] && r.breakerAllows(node) }
+	// breaker keeps its node out even here; a half-open trial admitted here
+	// is settled by its dispatch's outcome instead of a probe.
+	allowed := func(node string) bool {
+		if excluded[node] {
+			return false
+		}
+		ok, _ := r.members[node].allow(time.Now())
+		return ok
+	}
 	var lastErr error
 	for {
 		groups := make(map[string][]int)
@@ -605,8 +498,8 @@ func (r *Router) scatter(ctx context.Context, c *call, pending []int) error {
 // goes to the node as one sub-request. It returns a *RouteError when the
 // node understood the request and rejected it (another node would say the
 // same); any other error is node trouble, already reported to the node's
-// readiness and breaker, and every target it leaves unanswered is the
-// caller's to regroup.
+// member record, and every target it leaves unanswered is the caller's to
+// regroup.
 func (r *Router) dispatch(ctx context.Context, c *call, node string, idxs []int) error {
 	release := r.ring.Reserve(node, len(idxs))
 	defer release()
@@ -630,7 +523,7 @@ func (r *Router) dispatch(ctx context.Context, c *call, node string, idxs []int)
 		kept := sub[:0]
 		for _, t := range sub {
 			if owner, _ := r.ring.Owner(routeKey(t, c.fp)); owner != node {
-				if res, ok, err := r.nodes[owner].CacheLookup(ctx, Key{Target: t, Fingerprint: c.fp, Epoch: epoch}); err == nil && ok {
+				if res, ok, err := r.members[owner].node.CacheLookup(ctx, Key{Target: t, Fingerprint: c.fp, Epoch: epoch}); err == nil && ok {
 					r.peerFetches.Add(1)
 					fill(res)
 					continue
@@ -645,7 +538,8 @@ func (r *Router) dispatch(ctx context.Context, c *call, node string, idxs []int)
 	}
 
 	r.dispatched.Add(uint64(len(sub)))
-	err := r.nodes[node].localize(ctx, sub, c.wo, func(tr serve.TargetResultV2) error {
+	m := r.members[node]
+	err := m.node.localize(ctx, sub, c.wo, func(tr serve.TargetResultV2) error {
 		r.observeEpoch(tr.Epoch)
 		fill(tr)
 		return nil
@@ -658,49 +552,47 @@ func (r *Router) dispatch(ctx context.Context, c *call, node string, idxs []int)
 			}
 		}
 	}
-	if err == nil {
-		r.noteDispatch(node, true)
-		return nil
-	}
 	var ae *apiError
 	if errors.As(err, &ae) && ae.Status < http.StatusInternalServerError {
 		return routeErrorf(ae.Status, "%s", ae.Message)
 	}
-	r.markReady(node, false)
-	r.noteDispatch(node, false)
-	r.failovers.Add(1)
+	m.report(time.Now(), err == nil)
+	if err != nil {
+		r.failovers.Add(1)
+	}
 	return err
 }
 
-// Stats merges the router's counters with every node's engine stats.
+// Stats merges the router's counters with every node's engine stats. Each
+// node's fetch is bounded by the probe timeout; a node that does not answer
+// in time is listed as unreachable.
 func (r *Router) Stats(ctx context.Context) ClusterStats {
 	hits, misses := r.cache.Counters()
 	cs := ClusterStats{
 		Epoch: r.epoch.Load(),
 		Router: RouterStats{
-			L1Hits:        hits,
-			L1Misses:      misses,
-			L1Len:         r.cache.Len(),
-			L1Cap:         r.cache.Cap(),
-			PeerFetches:   r.peerFetches.Load(),
-			Dispatched:    r.dispatched.Load(),
-			Failovers:     r.failovers.Load(),
-			EpochRepairs:  r.epochRepairs.Load(),
-			Bypassed:      r.bypassed.Load(),
-			BreakerOpens:  r.breakerOpens.Load(),
-			BreakerTrials: r.breakerTrials.Load(),
-			Degraded:      r.degradedServed.Load(),
+			L1Hits:       hits,
+			L1Misses:     misses,
+			L1Len:        r.cache.Len(),
+			L1Cap:        r.cache.Cap(),
+			PeerFetches:  r.peerFetches.Load(),
+			Dispatched:   r.dispatched.Load(),
+			Failovers:    r.failovers.Load(),
+			EpochRepairs: r.epochRepairs.Load(),
+			Bypassed:     r.bypassed.Load(),
+			Degraded:     r.degradedServed.Load(),
+			Breakers:     make(map[string]string, len(r.members)),
 		},
-		Nodes: make(map[string]batch.Stats, len(r.nodes)),
+		Nodes: make(map[string]batch.Stats, len(r.members)),
 	}
-	if r.breakers != nil {
-		cs.Router.Breakers = make(map[string]string, len(r.breakers))
-		for name, b := range r.breakers {
-			cs.Router.Breakers[name] = b.current()
-		}
-	}
-	for name, node := range r.nodes {
-		st, err := node.Stats(ctx)
+	for name, m := range r.members {
+		state, opens, trials := m.breaker()
+		cs.Router.Breakers[name] = string(state)
+		cs.Router.BreakerOpens += opens
+		cs.Router.BreakerTrials += trials
+		fetchCtx, cancel := context.WithTimeout(ctx, r.probeTimeout)
+		st, err := m.node.Stats(fetchCtx)
+		cancel()
 		if err != nil {
 			cs.Unreachable = append(cs.Unreachable, name)
 			continue

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -317,17 +318,50 @@ const (
 	MaxSnapshotBody = 64 << 20
 )
 
-// DecodeJSON reads one JSON request body of at most maxRequestBody bytes
-// into dst and reports whether it could; on failure it has already
-// answered — 413 for a body over the cap, 400 for anything else. strict
-// rejects unknown fields. The cluster front door decodes through it too,
-// so a fleet and a node refuse the same bodies the same way.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, strict bool, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if strict {
-		dec.DisallowUnknownFields()
+// bodyReadTimeout bounds how long a handler waits for its request body
+// (HTTPServer bounds only the headers). It is a connection deadline set
+// and lifted around each body read rather than a server-wide ReadTimeout,
+// so nothing after the body — a batch stream that outlasts it included —
+// runs under it.
+var bodyReadTimeout = 30 * time.Second
+
+// readBody hands read the request body, capped at limit bytes, under a
+// connection read deadline bodyReadTimeout from now, so a client trickling
+// its body cannot hold a handler open. It then drains whatever read left
+// of the body inside the same bound and lifts the deadline. After a failed
+// read the deadline stays: the server's own drain of the unread body then
+// fails at once and the connection closes.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, read func(io.Reader) error) error {
+	rc := http.NewResponseController(w)
+	// Both calls fail only off a live connection (handler tests), where
+	// there is no connection to bound.
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	body := http.MaxBytesReader(w, r.Body, limit)
+	err := read(body)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
 	}
-	if err := dec.Decode(dst); err != nil {
+	if err == nil {
+		_ = rc.SetReadDeadline(time.Time{})
+	}
+	return err
+}
+
+// DecodeJSON reads one JSON request body of at most maxRequestBody bytes,
+// within bodyReadTimeout, into dst and reports whether it could; on
+// failure it has already answered — 413 for a body over the cap, 400 for
+// anything else, a body too slow to arrive included. strict rejects
+// unknown fields. The cluster front door decodes through it too, so a
+// fleet and a node refuse the same bodies the same way.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, strict bool, dst any) bool {
+	err := readBody(w, r, maxRequestBody, func(body io.Reader) error {
+		dec := json.NewDecoder(body)
+		if strict {
+			dec.DisallowUnknownFields()
+		}
+		return dec.Decode(dst)
+	})
+	if err != nil {
 		writeBodyError(w, err, "bad request body")
 		return false
 	}
@@ -530,7 +564,11 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	survey, err := core.ReadSnapshot(http.MaxBytesReader(w, r.Body, MaxSnapshotBody))
+	var survey *core.Survey
+	err := readBody(w, r, MaxSnapshotBody, func(body io.Reader) (err error) {
+		survey, err = core.ReadSnapshot(body)
+		return err
+	})
 	if err != nil {
 		writeBodyError(w, err, "bad snapshot")
 		return
