@@ -140,13 +140,20 @@ func TestGeoLimOverconstraintFallback(t *testing.T) {
 	}
 }
 
-// mustMinRTTs re-measures what GeoLim.Localize measures: the simulated
-// world answers a repeated ping train identically.
+// mustMinRTTs re-measures what GeoLim.Localize measures, with its own ping
+// loop rather than the package's helper: the simulated world answers a
+// repeated ping train identically.
 func mustMinRTTs(t *testing.T, p probe.Prober, s *core.Survey, target string) []float64 {
 	t.Helper()
-	rtts, err := minRTTs(p, s, target, 10, "geolim ping")
-	if err != nil {
-		t.Fatal(err)
+	rtts := make([]float64, s.N())
+	for i, lm := range s.Landmarks {
+		samples, err := p.Ping(lm.Addr, target, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rtts[i], err = probe.MinRTT(samples); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return rtts
 }

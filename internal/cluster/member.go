@@ -102,6 +102,8 @@ func (m *member) admit(ctx context.Context) bool {
 		return m.isReady(ctx)
 	case m.probe(ctx).Ready:
 		return true
+	case ctx.Err() != nil:
+		return false // the caller gave up, which says nothing about the node
 	}
 	m.report(time.Now(), false)
 	return false
@@ -122,13 +124,16 @@ func (m *member) isReady(ctx context.Context) bool {
 // probe asks the node's /v1/readyz now, within the router's probe timeout,
 // and caches the verdict. Transport trouble is a not-ready verdict, cached
 // like any other, so a dead node costs one probe per ReadyTTL rather than
-// one per request.
+// one per request. A probe cut short by the caller's own cancellation is
+// not cached: it says nothing about the node.
 func (m *member) probe(ctx context.Context) serve.Readiness {
-	ctx, cancel := context.WithTimeout(ctx, m.r.probeTimeout)
+	probeCtx, cancel := context.WithTimeout(ctx, m.r.probeTimeout)
 	defer cancel()
-	rd, err := m.node.Ready(ctx) // the zero Readiness on error
+	rd, err := m.node.Ready(probeCtx) // the zero Readiness on error
 	if err == nil {
 		m.r.observeEpoch(rd.Epoch)
+	} else if ctx.Err() != nil {
+		return rd
 	}
 	m.mu.Lock()
 	m.ready, m.readyAt = rd.Ready, time.Now()

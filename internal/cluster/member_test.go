@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -154,5 +155,46 @@ func TestHungMemberDoesNotStallStatsOrClusterView(t *testing.T) {
 	}
 	if want := map[string]bool{"hung": false, "ok": true}; !reflect.DeepEqual(ready, want) {
 		t.Errorf("/v1/cluster readiness = %v, want %v", ready, want)
+	}
+}
+
+// TestCancelledClusterViewCachesNothing: a /v1/cluster caller that gives
+// up mid-walk must not leave the members it had not reached cached as not
+// ready for ReadyTTL. Its cancellation says nothing about the nodes, and
+// such a verdict would drop healthy members from admission.
+func TestCancelledClusterViewCachesNothing(t *testing.T) {
+	okSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, serve.Readiness{Ready: true, Epoch: 1})
+	}))
+	t.Cleanup(okSrv.Close)
+	router, err := NewRouter([]*NodeClient{{Name: "a", BaseURL: okSrv.URL}, {Name: "b", BaseURL: okSrv.URL}},
+		RouterConfig{ReadyTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodGet, "/v1/cluster", nil).WithContext(ctx)
+	NewFront(router, nil).Handler().ServeHTTP(httptest.NewRecorder(), req)
+	for _, name := range []string{"a", "b"} {
+		if !router.members[name].admit(context.Background()) {
+			t.Errorf("healthy member %s not admitted after a cancelled /v1/cluster", name)
+		}
+	}
+
+	// Nor does a half-open trial whose caller gives up re-open the breaker:
+	// the next caller is admitted on a fresh verdict.
+	m, long := router.members["a"], time.Now().Add(-time.Hour)
+	for i := 0; i < router.cfg.BreakerThreshold; i++ {
+		m.report(long, false)
+	}
+	if m.admit(ctx) {
+		t.Fatal("a cancelled trial admitted the member")
+	}
+	if state, opens, trials := m.breaker(); state != breakerHalfOpen || opens != 1 || trials != 1 {
+		t.Fatalf("after a cancelled trial (state, opens, trials) = (%s, %d, %d), want (half-open, 1, 1)", state, opens, trials)
+	}
+	if !m.admit(context.Background()) {
+		t.Error("healthy member not admitted after a cancelled trial")
 	}
 }
