@@ -2,9 +2,9 @@
 // warm-loads) a calibrated landmark survey, then serves localizations
 // over HTTP from a concurrent batch engine with an LRU result cache. The
 // survey is a managed, versioned resource: a lifecycle manager reprobes
-// the landmark mesh periodically or on demand, incrementally rebuilds the
-// calibrations that drifted, and hot-swaps the new epoch under live
-// traffic with zero dropped requests.
+// the landmark mesh periodically or on demand, refits the survey when it
+// drifted, and hot-swaps the new epoch under live traffic with zero
+// dropped requests.
 //
 // Endpoints (see internal/serve for the full set, including the v2 API
 // and the cluster coordination surface):
@@ -157,8 +157,8 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 				logger.Printf("epoch %d installed from pushed snapshot (%d landmarks)",
 					e.Number(), e.Survey.N())
 			} else {
-				logger.Printf("epoch %d published: %d/%d landmarks dirty, %d calibrations refitted (%.0f ms)",
-					e.Number(), len(r.DirtyLandmarks), e.Survey.N(), r.RebuiltCalibs, r.ElapsedMs)
+				logger.Printf("epoch %d published: %d/%d landmarks dirty, survey refitted (κ %.3f, %.0f ms)",
+					e.Number(), len(r.DirtyLandmarks), e.Survey.N(), e.Survey.Kappa, r.ElapsedMs)
 			}
 			if r.SnapshotError != "" {
 				logger.Printf("snapshot autosave failed: %s", r.SnapshotError)

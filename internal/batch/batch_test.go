@@ -348,7 +348,7 @@ func TestEpochSwapInvalidatesCache(t *testing.T) {
 
 	// Publish epoch 1 over the same measurements: the stale entry must
 	// invalidate even though the target did not change.
-	next, _, err := core.RebuildSurvey(f.survey, f.survey.RTT, make([]bool, f.survey.N()), 1)
+	next, err := f.survey.Refit(f.survey.RTT, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestStragglerDoesNotClobberFreshCache(t *testing.T) {
 	f := sharedFixture(t)
 	cp := &countingProber{Prober: f.prober}
 	locOld := core.NewLocalizer(cp, f.survey, core.Config{})
-	next, _, err := core.RebuildSurvey(f.survey, f.survey.RTT, make([]bool, f.survey.N()), 1)
+	next, err := f.survey.Refit(f.survey.RTT, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

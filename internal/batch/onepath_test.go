@@ -152,7 +152,7 @@ func TestCyclicBatchesJoinAndFinish(t *testing.T) {
 	f := sharedFixture(t)
 	const N = 8
 	own, ring := f.targets[:N], f.targets[N:2*N]
-	next, _, err := core.RebuildSurvey(f.survey, f.survey.RTT, make([]bool, f.survey.N()), 1)
+	next, err := f.survey.Refit(f.survey.RTT, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

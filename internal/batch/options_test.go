@@ -226,7 +226,7 @@ func TestUncacheableSkipsCacheBothDirections(t *testing.T) {
 func TestMixedOptionsAcrossSwap(t *testing.T) {
 	f := sharedFixture(t)
 	locOld := core.NewLocalizer(f.prober, f.survey, core.Config{})
-	next, _, err := core.RebuildSurvey(f.survey, f.survey.RTT, make([]bool, f.survey.N()), 1)
+	next, err := f.survey.Refit(f.survey.RTT, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

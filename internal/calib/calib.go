@@ -111,30 +111,6 @@ func New(samples []Sample, opts Options) (*Calibration, error) {
 	return c, nil
 }
 
-// Rebuild returns the calibration fitted to samples, reusing c when the
-// sample set is unchanged: if samples equals c.Samples element-wise the
-// receiver itself is returned — hulls, cutoff, and sentinel blend intact,
-// with no refit work — otherwise a fresh calibration is fitted with c's
-// options, identical to calling New(samples, c.Opts) directly. This is
-// the incremental-recalibration primitive: a survey refresh calls Rebuild
-// on every landmark it reprobed and pays the hull fit only where the
-// measurements actually moved.
-func (c *Calibration) Rebuild(samples []Sample) (*Calibration, error) {
-	if len(samples) == len(c.Samples) {
-		same := true
-		for i, s := range samples {
-			if s != c.Samples[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return c, nil
-		}
-	}
-	return New(samples, c.Opts)
-}
-
 // Rho returns the percentile cutoff latency ρ.
 func (c *Calibration) Rho() float64 { return c.rho }
 

@@ -263,65 +263,6 @@ func TestLatencyPercentileBounds(t *testing.T) {
 	}
 }
 
-// TestRebuildEquivalence: Rebuild on changed samples must be
-// indistinguishable from a from-scratch New, and Rebuild on identical
-// samples must return the receiver itself.
-func TestRebuildEquivalence(t *testing.T) {
-	orig := syntheticScatter(21, 30)
-	c, err := New(orig, Options{CutoffPercentile: 85})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Identical samples (fresh slice, same values): pointer reuse.
-	same, err := c.Rebuild(append([]Sample(nil), orig...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != c {
-		t.Error("Rebuild with identical samples refit instead of reusing")
-	}
-
-	// Drifted samples: exact agreement with New under the same options.
-	drifted := append([]Sample(nil), orig...)
-	for i := range drifted {
-		if i%3 == 0 {
-			drifted[i].LatencyMs += 7.5
-		}
-	}
-	inc, err := c.Rebuild(drifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc == c {
-		t.Fatal("Rebuild with drifted samples returned the stale fit")
-	}
-	want, err := New(drifted, Options{CutoffPercentile: 85})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.Rho() != want.Rho() {
-		t.Errorf("rho %v != %v", inc.Rho(), want.Rho())
-	}
-	for rtt := 0.25; rtt < 300; rtt *= 1.3 {
-		if a, b := inc.MaxDistanceKm(rtt), want.MaxDistanceKm(rtt); a != b {
-			t.Errorf("R(%v): rebuild %v != new %v", rtt, a, b)
-		}
-		if a, b := inc.MinDistanceKm(rtt), want.MinDistanceKm(rtt); a != b {
-			t.Errorf("r(%v): rebuild %v != new %v", rtt, a, b)
-		}
-	}
-
-	// A sample-count change is a change.
-	shorter, err := c.Rebuild(orig[:len(orig)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shorter == c {
-		t.Error("Rebuild with fewer samples reused the old fit")
-	}
-}
-
 func TestSpline(t *testing.T) {
 	// Exact interpolation at knots.
 	s := NewSpline([]float64{0, 1, 2, 3}, []float64{0, 1, 4, 9})

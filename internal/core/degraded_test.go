@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -127,6 +129,49 @@ func TestQuorumFailureReturnsError(t *testing.T) {
 	}
 	if _, err := loc.LocalizeContext(ctx, target.Name, WithMinLandmarks(len(landmarks))); err == nil {
 		t.Fatal("full-quorum caller should error when any landmark fails")
+	}
+}
+
+// nanPinger answers every ping from src to dst with a train whose first
+// sample is NaN — a custom Prober gone wrong — and passes the rest
+// through.
+type nanPinger struct {
+	probe.Prober
+	src, dst string
+}
+
+func (p nanPinger) Ping(src, dst string, n int) ([]float64, error) {
+	samples, err := p.Prober.Ping(src, dst, n)
+	if err == nil && src == p.src && dst == p.dst {
+		samples[0] = math.NaN()
+	}
+	return samples, err
+}
+
+// TestNaNPingDegradesLikeABlackhole: a landmark whose ping train carries
+// a NaN is a failed landmark, named in the provenance, and the answer is
+// the one the same landmark gives when its path to the target is
+// blackholed.
+func TestNaNPingDegradesLikeABlackhole(t *testing.T) {
+	w, s, _, landmarks, target := degradedFixture(t, 3)
+	ctx := context.Background()
+	bad := landmarks[2]
+
+	res, err := NewLocalizer(nanPinger{probe.NewSimProber(w), bad.Name, target.Name}, s, Config{}).LocalizeContext(ctx, target.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || res.Provenance == nil || len(res.Provenance.Failures) != 1 || res.Provenance.Failures[0].Landmark != bad.Inst {
+		t.Fatalf("NaN ping from %s: degraded %v, provenance %+v; want %s as the one failure", bad.Inst, res.Degraded, res.Provenance, bad.Inst)
+	}
+
+	w.SetPairBlackhole(bad.ID, target.ID, true)
+	want, err := NewLocalizer(probe.NewSimProber(w), s, Config{}).LocalizeContext(ctx, target.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Region == nil || res.Point != want.Point || res.AreaKm2 != want.AreaKm2 || !reflect.DeepEqual(res.Region, want.Region) {
+		t.Errorf("NaN ping answers %v/%v km², blackhole %v/%v km²", res.Point, res.AreaKm2, want.Point, want.AreaKm2)
 	}
 }
 

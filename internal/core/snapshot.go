@@ -23,9 +23,11 @@ import (
 // calib.New is deterministic, so the refit reproduces the original hulls
 // and blend parameters exactly, and the snapshot stays robust to internal
 // calibration-representation changes. Per-landmark sample sets are stored
-// separately from the RTT matrix because after an incremental rebuild a
-// clean landmark's calibration legitimately lags the matrix on columns of
-// dirty peers (see RebuildSurvey).
+// separately from the RTT matrix because they need not match it: every
+// survey this version fits derives them from the matrix (Survey.fit), but
+// older versions refreshed incrementally and wrote snapshots whose sample
+// latencies lag the matrix on the columns of landmarks refreshed later
+// (testdata/survey_v1.json is one). Those load as written.
 
 // snapshotVersion is bumped on incompatible format changes.
 const snapshotVersion = 1
@@ -77,8 +79,10 @@ func (s *Survey) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot deserializes a survey written by WriteSnapshot, refitting
-// the calibrations from their stored sample sets. The result is immutable
-// and ready to serve, exactly like a freshly probed survey.
+// the calibrations from their stored sample sets — as written, so a
+// snapshot from an older version whose sample latencies lag the matrix
+// loads with those latencies. The result is immutable and ready to
+// serve, exactly like a freshly probed survey.
 func ReadSnapshot(r io.Reader) (*Survey, error) {
 	var snap surveySnapshot
 	dec := json.NewDecoder(r)
@@ -141,6 +145,30 @@ func ReadSnapshot(r io.Reader) (*Survey, error) {
 			return nil, fmt.Errorf("core: refitting calibration %d (%s): %w", i, snap.Landmarks[i].Name, err)
 		}
 		s.Calibs[i] = c
+	}
+	// Each calibration holds its landmark's n−1 samples against the other
+	// landmarks' distances, in landmark order, and the global pool is
+	// their concatenation: only the latencies may lag the matrix. (After
+	// the refits, so a sample calib.New refuses is reported as such.)
+	if len(snap.GlobalSamples) != n*(n-1) {
+		return nil, fmt.Errorf("core: survey snapshot global_samples holds %d samples, want %d", len(snap.GlobalSamples), n*(n-1))
+	}
+	for i, samples := range snap.CalibSamples {
+		if len(samples) != n-1 {
+			return nil, fmt.Errorf("core: survey snapshot calib_samples[%d] holds %d samples, want %d", i, len(samples), n-1)
+		}
+		for k, smp := range samples {
+			j := k // landmark i skips itself
+			if k >= i {
+				j++
+			}
+			if want := snap.Landmarks[i].Loc.DistanceKm(snap.Landmarks[j].Loc); smp.DistanceKm != want {
+				return nil, fmt.Errorf("core: survey snapshot calib_samples[%d][%d] distance %v km, want %v (landmark %d to %d)", i, k, smp.DistanceKm, want, i, j)
+			}
+			if g := i*(n-1) + k; snap.GlobalSamples[g] != smp {
+				return nil, fmt.Errorf("core: survey snapshot global_samples[%d] = %+v, want calib_samples[%d][%d] = %+v", g, snap.GlobalSamples[g], i, k, smp)
+			}
+		}
 	}
 	g, err := calib.New(snap.GlobalSamples, opts)
 	if err != nil {

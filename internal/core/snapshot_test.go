@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"octant/internal/calib"
 	"octant/internal/netsim"
 	"octant/internal/probe"
 )
@@ -85,10 +89,11 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSnapshotPreservesIncrementalCalibState: after an incremental
-// rebuild, a clean landmark's calibration samples legitimately lag the
-// RTT matrix; the snapshot must preserve that exactly rather than
-// re-deriving samples from the matrix.
+// TestSnapshotPreservesIncrementalCalibState: a refreshed epoch — Refit
+// over a drifted matrix — round-trips through a snapshot with every
+// calibration and its epoch intact. (Snapshots written before a refresh
+// refitted the whole survey may hold calibrations that lag the matrix;
+// TestSnapshotFormatPinned round-trips one.)
 func TestSnapshotPreservesIncrementalCalibState(t *testing.T) {
 	_, s, _ := snapshotFixture(t, 42)
 	n := s.N()
@@ -96,11 +101,9 @@ func TestSnapshotPreservesIncrementalCalibState(t *testing.T) {
 	for i := range rtt {
 		rtt[i] = append([]float64(nil), s.RTT[i]...)
 	}
-	dirty := make([]bool, n)
 	rtt[0][1] += 40
 	rtt[1][0] += 40
-	dirty[0], dirty[1] = true, true
-	next, _, err := RebuildSurvey(s, rtt, dirty, 1)
+	next, err := s.Refit(rtt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestSnapshotPreservesIncrementalCalibState(t *testing.T) {
 	for i := range next.Calibs {
 		for rttMs := 0.5; rttMs < 120; rttMs *= 2 {
 			if a, b := next.Calibs[i].MaxDistanceKm(rttMs), got.Calibs[i].MaxDistanceKm(rttMs); a != b {
-				t.Fatalf("calib %d R(%v) %v != %v after incremental round trip", i, rttMs, a, b)
+				t.Fatalf("calib %d R(%v) %v != %v after the round trip", i, rttMs, a, b)
 			}
 		}
 	}
@@ -156,15 +159,78 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsContradictingSamples: a calibration sample whose
+// distance is not its landmarks' distance, or a global pool that is not
+// the calibrations' samples, contradicts the snapshot's own landmarks and
+// is refused by name.
+func TestSnapshotRejectsContradictingSamples(t *testing.T) {
+	_, s, _ := snapshotFixture(t, 44)
+	for name, tc := range map[string]struct {
+		edit func(*surveySnapshot)
+		want string
+	}{
+		"moved distance": {func(snap *surveySnapshot) { snap.CalibSamples[3][5].DistanceKm += 1 }, "calib_samples[3][5]"},
+		"altered global": {func(snap *surveySnapshot) { snap.GlobalSamples[7].LatencyMs += 1 }, "global_samples[7]"},
+	} {
+		var buf bytes.Buffer
+		if err := s.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var snap surveySnapshot
+		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(&snap)
+		data, err := json.Marshal(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSnapshot(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %s", name, err, tc.want)
+		}
+	}
+}
+
+// sampleRuleViolation reports how s breaks the rules every written
+// snapshot keeps: landmark i's calibration holds one sample per other
+// landmark, in order, at their distance, and the global pool is the
+// calibrations' samples end to end.
+func sampleRuleViolation(s *Survey) string {
+	var pooled []calib.Sample
+	for i, c := range s.Calibs {
+		var dists []float64
+		for j, lm := range s.Landmarks {
+			if j != i {
+				dists = append(dists, s.Landmarks[i].Loc.DistanceKm(lm.Loc))
+			}
+		}
+		if len(c.Samples) != len(dists) {
+			return fmt.Sprintf("calibration %d holds %d samples for %d peers", i, len(c.Samples), len(dists))
+		}
+		for k, smp := range c.Samples {
+			if smp.DistanceKm != dists[k] {
+				return fmt.Sprintf("calibration %d sample %d at %v km, peer at %v km", i, k, smp.DistanceKm, dists[k])
+			}
+		}
+		pooled = append(pooled, c.Samples...)
+	}
+	if !reflect.DeepEqual(s.Global.Samples, pooled) {
+		return "global pool is not the calibrations' samples"
+	}
+	return ""
+}
+
 // FuzzReadSnapshot feeds ReadSnapshot hostile bytes — what a half-written
 // install or a hand-edited file looks like. It must never panic, and
 // whatever it accepts must be a survey the rest of the tree can trust: it
 // describes its own mesh (SameMesh, so no NaN coordinate or duplicate
-// landmark slipped through) and re-serializes to a fixed point. The
+// landmark slipped through), its samples agree with its landmarks
+// (sampleRuleViolation), and it re-serializes to a fixed point. The
 // committed corpus holds a valid three-landmark snapshot, shapes that must
 // be rejected (among them a cutoff percentile of 150, a negative sample
-// latency and a 1e300 km sample distance, which calib.New refuses), and
-// every input that once broke a property.
+// latency and a 1e300 km sample distance, which calib.New refuses, and a
+// moved sample distance and an altered global sample, which contradict
+// the landmarks), and every input that once broke a property.
 func FuzzReadSnapshot(f *testing.F) {
 	pinned, err := os.ReadFile("testdata/survey_v1.json")
 	if err != nil {
@@ -178,6 +244,9 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		if err := s.SameMesh(s.Landmarks, s.Probes); err != nil {
 			t.Fatalf("accepted a survey that is not its own mesh: %v", err)
+		}
+		if v := sampleRuleViolation(s); v != "" {
+			t.Fatalf("accepted samples that contradict the landmarks: %s", v)
 		}
 		var first, second bytes.Buffer
 		if err := s.WriteSnapshot(&first); err != nil {

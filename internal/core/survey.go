@@ -26,14 +26,14 @@ type Landmark struct {
 // It is shared by Octant and the baselines so all techniques see identical
 // measurements, as in the paper's evaluation.
 //
-// A Survey is immutable after NewSurvey (or Subset, or RebuildSurvey)
-// returns: no method writes to it, and every Calibration read path is
-// pure. Any number of goroutines may therefore localize against one
-// Survey concurrently without locking — the batch engine and octant-serve
-// rely on this. Callers must not mutate the exported fields after
+// A Survey is immutable after NewSurvey (or Subset, or Refit) returns:
+// no method writes to it, and every Calibration read path is pure. Any
+// number of goroutines may therefore localize against one Survey
+// concurrently without locking — the batch engine and octant-serve rely
+// on this. Callers must not mutate the exported fields after
 // construction. Refreshing measurements never modifies a Survey in place;
-// it produces a new snapshot with a higher Epoch (see RebuildSurvey and
-// the lifecycle manager).
+// it produces a new snapshot with a higher Epoch (see Refit and the
+// lifecycle manager).
 type Survey struct {
 	// Epoch versions the snapshot. A survey built by NewSurvey is epoch
 	// 0; each lifecycle recalibration publishes a successor with Epoch+1.
@@ -44,7 +44,10 @@ type Survey struct {
 	Landmarks []Landmark
 	RTT       [][]float64 // [i][j] min RTT between landmarks i and j, ms
 	Heights   []float64   // per-landmark queuing heights, ms
-	Calibs    []*calib.Calibration
+	// Calibs holds one calibration per landmark, fitted from its RTT row.
+	// A survey loaded from a snapshot written by an older version may
+	// hold calibrations whose latencies lag RTT (see ReadSnapshot).
+	Calibs []*calib.Calibration
 	// Global pools every pair's (latency, distance) sample into one
 	// calibration; used for nodes without their own calibration history,
 	// e.g. routers promoted to landmarks during piecewise localization.
@@ -154,9 +157,8 @@ func MeasurePairs(ctx context.Context, sched *measure.Scheduler, p probe.Prober,
 
 // fit derives everything a survey computes from its RTT matrix — κ,
 // heights, one calibration per landmark and the pooled global one
-// (§2.1–2.2) — and is the only place that happens. RebuildSurvey
-// deliberately does not call it (it carries κ and the clean landmarks
-// forward) but draws its dirty rows from the same samples.
+// (§2.1–2.2) — and is the only place that happens: NewSurvey, Subset and
+// Refit all end here.
 func (s *Survey) fit(cutoff float64) error {
 	n := s.N()
 	// Heights from pairwise queuing-delay residuals (§2.2), after
@@ -246,6 +248,35 @@ func (s *Survey) Subset(idx []int) (*Survey, error) {
 		return nil, err
 	}
 	return sub, nil
+}
+
+// Refit returns the survey NewSurvey would fit from rtt over s's
+// landmarks — same probe count, height mode and calibration cutoff —
+// under the given epoch: κ, every height and every calibration are
+// re-derived from the whole matrix. A lifecycle refresh publishes its
+// next epoch this way. rtt must be n×n; s is not modified.
+func (s *Survey) Refit(rtt [][]float64, epoch uint64) (*Survey, error) {
+	n := s.N()
+	if len(rtt) != n {
+		return nil, fmt.Errorf("core: refit rtt has %d rows, want %d", len(rtt), n)
+	}
+	next := &Survey{
+		Epoch:      epoch,
+		Landmarks:  append([]Landmark(nil), s.Landmarks...),
+		RTT:        make([][]float64, n),
+		UseHeights: s.UseHeights,
+		Probes:     s.Probes,
+	}
+	for i, row := range rtt {
+		if len(row) != n {
+			return nil, fmt.Errorf("core: refit rtt row %d has %d cols, want %d", i, len(row), n)
+		}
+		next.RTT[i] = append([]float64(nil), row...)
+	}
+	if err := next.fit(s.calibCutoff()); err != nil {
+		return nil, err
+	}
+	return next, nil
 }
 
 // CheckMesh reports the first reason landmarks cannot be a survey's mesh:

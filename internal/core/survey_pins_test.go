@@ -10,48 +10,16 @@ import (
 	"octant/internal/probe"
 )
 
-// pinnedSurvey is the survey testdata/survey_v1.json was written from:
-// the first eight hosts of the seed-1 world, surveyed, then rebuilt once
-// with landmark 2's whole row 12 ms slower and only landmark 2 marked
-// dirty — so every other landmark's calibration lags the matrix on
-// column 2, the case the format stores sample sets separately for.
-func pinnedSurvey(t *testing.T) *Survey {
-	t.Helper()
-	w := netsim.NewWorld(netsim.Config{Seed: 1})
-	var lms []Landmark
-	for _, h := range w.HostNodes()[:8] {
-		lms = append(lms, Landmark{Addr: h.Name, Name: h.Inst, Loc: h.Loc})
-	}
-	s, err := NewSurvey(probe.NewSimProber(w), lms, SurveyOpts{UseHeights: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := s.N()
-	rtt := make([][]float64, n)
-	for i := range rtt {
-		rtt[i] = append([]float64(nil), s.RTT[i]...)
-	}
-	const d = 2
-	for j := 0; j < n; j++ {
-		if j != d {
-			rtt[d][j] += 12
-			rtt[j][d] += 12
-		}
-	}
-	dirty := make([]bool, n)
-	dirty[d] = true
-	next, _, err := RebuildSurvey(s, rtt, dirty, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return next
-}
-
 // TestSnapshotFormatPinned holds the on-disk format and the numbers in it
-// still: testdata/survey_v1.json was written by WriteSnapshot at commit
-// 16ee79b (the last before the survey pipeline was folded into fit), and
-// both a reload of it and a rebuild of its survey from the simulator must
-// serialize to the same bytes.
+// still. testdata/survey_v1.json was written by WriteSnapshot at commit
+// 16ee79b from the first eight hosts of the seed-1 world, surveyed, then
+// rebuilt by the incremental path later removed: landmark 2's whole row
+// 12 ms slower, only landmark 2 refitted, so every other landmark's
+// calibration lags the matrix on column 2 — the case the format stores
+// sample sets separately for. A reload must serialize to the same bytes,
+// and a fresh survey of the same hosts must reproduce the file's κ, its
+// matrix (row and column 2 probed + 12 ms), and every height and
+// calibration sample set but landmark 2's.
 func TestSnapshotFormatPinned(t *testing.T) {
 	want, err := os.ReadFile("testdata/survey_v1.json")
 	if err != nil {
@@ -61,14 +29,58 @@ func TestSnapshotFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*Survey{"reloaded": loaded, "rebuilt from the simulator": pinnedSurvey(t)} {
-		var got bytes.Buffer
-		if err := s.WriteSnapshot(&got); err != nil {
-			t.Fatal(err)
+	var got bytes.Buffer
+	if err := loaded.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("reloaded survey does not serialize to testdata/survey_v1.json (%d vs %d bytes)", got.Len(), len(want))
+	}
+
+	w := netsim.NewWorld(netsim.Config{Seed: 1})
+	var lms []Landmark
+	for _, h := range w.HostNodes()[:8] {
+		lms = append(lms, Landmark{Addr: h.Name, Name: h.Inst, Loc: h.Loc})
+	}
+	fresh, err := NewSurvey(probe.NewSimProber(w), lms, SurveyOpts{UseHeights: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const d = 2
+	if fresh.Kappa != loaded.Kappa {
+		t.Errorf("κ = %v, file holds %v", fresh.Kappa, loaded.Kappa)
+	}
+	for i := range fresh.RTT {
+		for j, v := range fresh.RTT[i] {
+			if i != j && (i == d || j == d) {
+				v += 12
+			}
+			if v != loaded.RTT[i][j] {
+				t.Errorf("rtt[%d][%d] = %v, file holds %v", i, j, v, loaded.RTT[i][j])
+			}
 		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s survey does not serialize to testdata/survey_v1.json (%d vs %d bytes)", name, got.Len(), len(want))
+		if i == d {
+			continue
 		}
+		if fresh.Heights[i] != loaded.Heights[i] {
+			t.Errorf("height %d = %v, file holds %v", i, fresh.Heights[i], loaded.Heights[i])
+		}
+		if !reflect.DeepEqual(fresh.Calibs[i].Samples, loaded.Calibs[i].Samples) {
+			t.Errorf("calibration %d (%s) samples differ from the file's", i, fresh.Landmarks[i].Name)
+		}
+	}
+}
+
+// TestRebuildValidatesDimensions: Refit refuses a matrix that is not n×n.
+func TestRebuildValidatesDimensions(t *testing.T) {
+	_, s, _ := snapshotFixture(t, 54)
+	if _, err := s.Refit(s.RTT[:2], 1); err == nil {
+		t.Error("short rtt accepted")
+	}
+	ragged := append([][]float64(nil), s.RTT...)
+	ragged[1] = ragged[1][:2]
+	if _, err := s.Refit(ragged, 1); err == nil {
+		t.Error("ragged rtt accepted")
 	}
 }
 

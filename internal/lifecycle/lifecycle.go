@@ -13,10 +13,10 @@
 //     calibrations).
 //   - Refresh reprobes landmark↔landmark RTTs (all pairs, or only pairs
 //     touching an explicit scope of suspect landmarks), marks landmarks
-//     whose min-RTT moved beyond a drift tolerance as dirty, and asks
-//     core.RebuildSurvey for the next generation — refitting only the
-//     dirty landmarks' calibrations and carrying every clean fit forward
-//     by pointer.
+//     whose min-RTT moved beyond a drift tolerance as dirty, and refits
+//     the next generation from the updated matrix (core.Survey.Refit):
+//     κ, every height and every calibration, exactly as core.NewSurvey
+//     fits a freshly probed matrix.
 //   - The new epoch is published with an atomic RCU-style pointer swap.
 //     Readers (the batch engine, octant-serve) borrow one epoch per
 //     request via a single atomic load; in-flight requests finish on the
@@ -105,8 +105,9 @@ type RefreshReport struct {
 	// DirtyLandmarks names the landmarks whose measurements drifted
 	// beyond tolerance.
 	DirtyLandmarks []string `json:"dirty_landmarks,omitempty"`
-	// RebuiltCalibs counts per-landmark calibrations refitted; clean
-	// landmarks keep their previous fit untouched.
+	// RebuiltCalibs counts per-landmark calibrations refitted: every
+	// landmark's on a swap (a refresh refits the whole survey), none
+	// otherwise.
 	RebuiltCalibs int `json:"rebuilt_calibs"`
 	// SnapshotError carries a non-fatal autosave failure ("" if none,
 	// or if autosaving is off).
@@ -147,9 +148,9 @@ type Stats struct {
 }
 
 // Manager owns the survey lifecycle: it holds the current epoch, reprobes
-// landmark↔landmark RTTs periodically or on demand, incrementally rebuilds
-// the calibrations the drift invalidated (core.RebuildSurvey), and
-// publishes each new generation with an atomic RCU-style swap.
+// landmark↔landmark RTTs periodically or on demand, refits the survey
+// when they drifted (core.Survey.Refit), and publishes each new
+// generation with an atomic RCU-style swap.
 //
 // Readers never lock: Current and CurrentLocalizer are single atomic
 // loads, and the Epoch they return is immutable, so a swap neither blocks
@@ -232,11 +233,12 @@ func (m *Manager) CurrentLocalizer() *core.Localizer { return m.Current().Locali
 // on-demand recalibration of a few suspect landmarks O(k·n) probes
 // instead of O(n²).
 //
-// Only dirty landmarks' calibrations are refitted (see
-// core.RebuildSurvey); a refresh in which every pair held within
-// tolerance publishes nothing and leaves the current epoch — and every
-// cache keyed by it — untouched. Concurrent Refresh calls serialize;
-// readers are never blocked.
+// A drifted refresh refits the whole survey from the updated matrix
+// (core.Survey.Refit), so the new epoch is the survey core.NewSurvey
+// would fit from it; a refresh in which every pair held within tolerance
+// publishes nothing and leaves the current epoch — and every cache keyed
+// by it — untouched. Concurrent Refresh calls serialize; readers are
+// never blocked.
 func (m *Manager) Refresh(ctx context.Context, scope []int) (*RefreshReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -274,31 +276,32 @@ func (m *Manager) Refresh(ctx context.Context, scope []int) (*RefreshReport, err
 		newRTT[i] = append([]float64(nil), s.RTT[i]...)
 	}
 	dirty := make([]bool, n)
-	anyDirty := false
 	for k, pr := range pairs {
 		i, j := pr[0], pr[1]
 		if math.Abs(mins[k]-s.RTT[i][j]) > tol {
 			newRTT[i][j], newRTT[j][i] = mins[k], mins[k]
-			dirty[i], dirty[j], anyDirty = true, true, true
+			dirty[i], dirty[j] = true, true
 		}
 	}
 	m.refreshes.Add(1)
 
 	report := &RefreshReport{PrevEpoch: s.Epoch, Epoch: s.Epoch, ProbedPairs: len(pairs)}
-	if !anyDirty {
+	for i, d := range dirty {
+		if d {
+			report.DirtyLandmarks = append(report.DirtyLandmarks, s.Landmarks[i].Name)
+		}
+	}
+	if len(report.DirtyLandmarks) == 0 {
 		report.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
 		m.lastReport.Store(report)
 		return report, nil
 	}
 
-	next, rst, err := core.RebuildSurvey(s, newRTT, dirty, s.Epoch+1)
+	next, err := s.Refit(newRTT, s.Epoch+1)
 	if err != nil {
 		return nil, err
 	}
-	for _, i := range rst.Dirty {
-		report.DirtyLandmarks = append(report.DirtyLandmarks, s.Landmarks[i].Name)
-	}
-	report.RebuiltCalibs = rst.RebuiltCalibs
+	report.RebuiltCalibs = n
 	m.publish(cur, next, report, start)
 	return report, nil
 }

@@ -1,6 +1,7 @@
 package lifecycle_test
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
 	"sync"
@@ -121,54 +122,78 @@ func TestRefreshWithoutDriftKeepsEpoch(t *testing.T) {
 	}
 }
 
-// TestIncrementalRebuildOnlyDirty drifts one landmark pair and checks the
-// published epoch rebuilt exactly the two dirty landmarks' calibrations,
-// carrying every clean calibration and height forward untouched.
-func TestIncrementalRebuildOnlyDirty(t *testing.T) {
-	f := newFixture(t, 23, 16, 8)
-	m := lifecycle.New(f.prober, f.survey, core.Config{}, lifecycle.Options{})
-	prev := m.Current().Survey
-	const da, db = 1, 4
-	f.driftPair(da, db, 30)
-
-	rep, err := m.Refresh(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Swapped || rep.Epoch != 1 {
-		t.Fatalf("drift refresh did not publish: %+v", rep)
-	}
-	if len(rep.DirtyLandmarks) != 2 || rep.RebuiltCalibs != 2 {
-		t.Errorf("dirty=%v rebuilt=%d, want exactly the 2 drifted landmarks",
-			rep.DirtyLandmarks, rep.RebuiltCalibs)
-	}
-	cur := m.Current().Survey
-	if cur.Epoch != 1 || cur == prev {
-		t.Fatalf("expected a new epoch-1 survey snapshot")
-	}
-	for i := range cur.Calibs {
-		if i == da || i == db {
-			if cur.Calibs[i] == prev.Calibs[i] {
-				t.Errorf("dirty landmark %d calibration not rebuilt", i)
+// TestRefreshIsAFreshFit drifts every pair touching landmarks 1 and 4
+// and checks that the published epoch is, byte for byte, the survey
+// core.NewSurvey fits over the drifted world — κ, heights and every
+// calibration re-derived — whether epoch 0 was probed or warm-started
+// from a snapshot.
+func TestRefreshIsAFreshFit(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		name := map[bool]string{false: "probed", true: "warm"}[warm]
+		t.Run(name, func(t *testing.T) {
+			f := newFixture(t, 23, 16, 8)
+			prev := f.survey
+			if warm {
+				path := filepath.Join(t.TempDir(), "survey.json")
+				if err := f.survey.SaveSnapshotFile(path); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if prev, err = core.LoadSnapshotFile(path); err != nil {
+					t.Fatal(err)
+				}
 			}
-			continue
-		}
-		if cur.Calibs[i] != prev.Calibs[i] {
-			t.Errorf("clean landmark %d calibration rebuilt", i)
-		}
-		if cur.Heights[i] != prev.Heights[i] {
-			t.Errorf("clean landmark %d height changed: %v → %v", i, prev.Heights[i], cur.Heights[i])
-		}
-	}
-	if cur.RTT[da][db] != prev.RTT[da][db]+30 || cur.RTT[db][da] != cur.RTT[da][db] {
-		t.Errorf("drifted pair RTT %v → %v, want +30 symmetric", prev.RTT[da][db], cur.RTT[da][db])
-	}
-	if cur.Global == prev.Global {
-		t.Error("global calibration should refit when any landmark is dirty")
-	}
-	// prev remains fully usable after the swap (RCU safety).
-	if _, err := core.NewLocalizer(f.prober, prev, core.Config{}).LocalizeContext(context.Background(), f.targets[0]); err != nil {
-		t.Errorf("superseded epoch unusable: %v", err)
+			m := lifecycle.New(f.prober, prev, core.Config{}, lifecycle.Options{})
+			n := prev.N()
+			const da, db = 1, 4
+			for j := 0; j < n; j++ {
+				if j != da {
+					f.driftPair(da, j, 25)
+				}
+				if j != da && j != db {
+					f.driftPair(db, j, 25)
+				}
+			}
+
+			rep, err := m.Refresh(context.Background(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Swapped || rep.Epoch != 1 || len(rep.DirtyLandmarks) != n || rep.RebuiltCalibs != n {
+				t.Fatalf("drift refresh = %+v, want epoch 1 with all %d landmarks refitted", rep, n)
+			}
+			cur := m.Current().Survey
+			if cur.Epoch != 1 || cur == prev {
+				t.Fatalf("expected a new epoch-1 survey snapshot")
+			}
+			if cur.Kappa == prev.Kappa {
+				t.Fatalf("κ stayed %v: the drift does not exercise a refit", cur.Kappa)
+			}
+			t.Logf("κ %.3f → %.3f", prev.Kappa, cur.Kappa)
+			if cur.RTT[da][db] != prev.RTT[da][db]+25 || cur.RTT[db][da] != cur.RTT[da][db] {
+				t.Errorf("drifted pair RTT %v → %v, want +25 symmetric", prev.RTT[da][db], cur.RTT[da][db])
+			}
+
+			fresh, err := core.NewSurvey(f.prober, f.landmark, core.SurveyOpts{UseHeights: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh.Epoch = 1
+			var got, want bytes.Buffer
+			if err := cur.WriteSnapshot(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.WriteSnapshot(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("refreshed epoch (κ %v) is not the fresh survey of the drifted world (κ %v)", cur.Kappa, fresh.Kappa)
+			}
+			// prev remains fully usable after the swap (RCU safety).
+			if _, err := core.NewLocalizer(f.prober, prev, core.Config{}).LocalizeContext(context.Background(), f.targets[0]); err != nil {
+				t.Errorf("superseded epoch unusable: %v", err)
+			}
+		})
 	}
 }
 

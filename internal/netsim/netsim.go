@@ -150,7 +150,7 @@ type World struct {
 	faultCount atomic.Int64
 	// pingCalls / tracerouteCalls account every measurement issued
 	// against this world, so tests can assert how much probing a survey
-	// build or an incremental recalibration actually performed.
+	// build or a refresh actually performed.
 	pingCalls       atomic.Uint64
 	tracerouteCalls atomic.Uint64
 }

@@ -1,9 +1,11 @@
 package probe
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"octant/internal/netsim"
 )
@@ -13,19 +15,19 @@ import (
 // through one RetryProber over one simulated world, and every flipEvery-th
 // ping, counted across all of them, applies the next step of a fault
 // schedule while the other goroutines' probes are in flight. The world's
-// fault maps, its probe/loss counters, and the retry prober's stats are all
-// supposed to be independently synchronized; this test is what holds them
-// to it. The schedule is a function of the ping count, not of the
-// goroutine scheduler: every step is applied exactly once, in order, and
-// leaves the world in the state it names. It also pins the coherence of the
-// retry counters themselves: every retry and every exhaustion implies a
-// counted attempt.
+// fault maps and its probe/loss counters are supposed to be independently
+// synchronized; this test is what holds them to it. The schedule is a
+// function of the ping count, not of the goroutine scheduler: every step
+// is applied exactly once, in order, and leaves the world in the state it
+// names. It also pins the retry loop's accounting: every retry (a backoff
+// wait) and every exhaustion (a transient error returned) implies an
+// attempt that reached the prober.
 func TestConcurrentPingWithFaultsRace(t *testing.T) {
 	w := netsim.NewWorld(netsim.Config{Seed: 2})
-	p := WithRetry(NewSimProber(w), RetryOptions{
-		Attempts:    2,
-		BaseBackoff: 1, // nanoseconds: keep the schedule, skip the waiting
-		MaxBackoff:  1,
+	var attempts, retries, exhausted atomic.Int64
+	p := WithRetry(countingProber{NewSimProber(w), &attempts}, RetryOptions{
+		Attempts: 2,
+		sleep:    func(context.Context, time.Duration) error { retries.Add(1); return nil },
 	})
 	hosts := w.HostNodes()
 	if len(hosts) < 8 {
@@ -85,6 +87,9 @@ func TestConcurrentPingWithFaultsRace(t *testing.T) {
 				// test asserts is that concurrent faulted probing is
 				// race-free and the counters stay coherent.
 				samples, err := p.Ping(lm.Name, target.Name, 4)
+				if Transient(err) {
+					exhausted.Add(1)
+				}
 				if err == nil {
 					if _, merr := MinRTT(samples); merr != nil && len(samples) > 0 {
 						t.Errorf("MinRTT over %d samples: %v", len(samples), merr)
@@ -92,6 +97,9 @@ func TestConcurrentPingWithFaultsRace(t *testing.T) {
 				}
 				if (g+i)%3 == 0 {
 					if _, err := p.Traceroute(lm.Name, target.Name); err != nil {
+						if Transient(err) {
+							exhausted.Add(1)
+						}
 						continue // downed paths legitimately have no route
 					}
 				}
@@ -117,13 +125,12 @@ func TestConcurrentPingWithFaultsRace(t *testing.T) {
 		}
 	}
 
-	st := p.Stats()
-	if st.Attempts == 0 {
-		t.Fatal("retry prober counted no attempts")
+	if attempts.Load() == 0 {
+		t.Fatal("retry prober made no attempts")
 	}
-	if st.Retries+st.Exhausted > st.Attempts {
-		t.Errorf("incoherent retry stats: attempts=%d retries=%d exhausted=%d",
-			st.Attempts, st.Retries, st.Exhausted)
+	if retries.Load()+exhausted.Load() > attempts.Load() {
+		t.Errorf("incoherent retry accounting: attempts=%d retries=%d exhausted=%d",
+			attempts.Load(), retries.Load(), exhausted.Load())
 	}
 	if w.PingCalls() == 0 {
 		t.Error("world's ping counter never advanced under concurrent load")
@@ -138,4 +145,20 @@ func TestConcurrentPingWithFaultsRace(t *testing.T) {
 			t.Errorf("path %s→%s still faulted after clear: %s", lm.Name, target.Name, f)
 		}
 	}
+}
+
+// countingProber counts the measurement attempts that reach the prober.
+type countingProber struct {
+	Prober
+	n *atomic.Int64
+}
+
+func (c countingProber) Ping(src, dst string, n int) ([]float64, error) {
+	c.n.Add(1)
+	return c.Prober.Ping(src, dst, n)
+}
+
+func (c countingProber) Traceroute(src, dst string) ([]Hop, error) {
+	c.n.Add(1)
+	return c.Prober.Traceroute(src, dst)
 }

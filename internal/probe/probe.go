@@ -10,6 +10,7 @@ package probe
 
 import (
 	"fmt"
+	"math"
 
 	"octant/internal/geo"
 )
@@ -35,15 +36,20 @@ type Prober interface {
 	Whois(addr string) (loc geo.Point, zip string, ok bool)
 }
 
-// MinRTT returns the minimum of samples, or an error for empty input. The
-// min over time-dispersed probes is the estimator every technique in the
-// paper consumes.
+// MinRTT returns the minimum of samples, or an error for empty input or
+// for any sample that is not a finite RTT ≥ 0 (a Prober is pluggable, and
+// a NaN would otherwise pass every comparison). The min over
+// time-dispersed probes is the estimator every technique in the paper
+// consumes.
 func MinRTT(samples []float64) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("probe: no samples")
 	}
-	m := samples[0]
-	for _, s := range samples[1:] {
+	m := math.Inf(1)
+	for i, s := range samples {
+		if !(s >= 0) || math.IsInf(s, 1) {
+			return 0, fmt.Errorf("probe: sample %d = %v ms is not a valid RTT", i, s)
+		}
 		if s < m {
 			m = s
 		}

@@ -10,12 +10,27 @@ import (
 )
 
 func TestMinMedianRTT(t *testing.T) {
-	if _, err := MinRTT(nil); err == nil {
-		t.Error("MinRTT(nil) should error")
-	}
-	m, err := MinRTT([]float64{5, 3, 9})
-	if err != nil || m != 3 {
-		t.Errorf("MinRTT = %v %v", m, err)
+	for _, tc := range []struct {
+		samples []float64
+		want    float64 // NaN: an error
+	}{
+		{nil, math.NaN()},
+		{[]float64{5, 3, 9}, 3},
+		{[]float64{0, 3}, 0},
+		{[]float64{math.NaN(), 3}, math.NaN()},
+		{[]float64{3, math.NaN()}, math.NaN()},
+		{[]float64{3, math.Inf(1)}, math.NaN()},
+		{[]float64{math.Inf(-1), 3}, math.NaN()},
+		{[]float64{3, -1}, math.NaN()},
+	} {
+		m, err := MinRTT(tc.samples)
+		if math.IsNaN(tc.want) {
+			if err == nil {
+				t.Errorf("MinRTT(%v) = %v, want an error", tc.samples, m)
+			}
+		} else if err != nil || m != tc.want {
+			t.Errorf("MinRTT(%v) = %v, %v; want %v", tc.samples, m, err, tc.want)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync/atomic"
 	"time"
 
 	"octant/internal/geo"
@@ -33,16 +32,6 @@ type RetryOptions struct {
 // de-synchronizing retry storms across landmarks.
 const jitter = 0.2
 
-// RetryStats is a snapshot of a RetryProber's counters.
-type RetryStats struct {
-	// Attempts counts every measurement attempt issued, including firsts.
-	Attempts uint64
-	// Retries counts re-attempts after a transient failure.
-	Retries uint64
-	// Exhausted counts measurements that failed every attempt.
-	Exhausted uint64
-}
-
 // RetryProber wraps a Prober with bounded retries: transient failures
 // (see Transient) are re-attempted up to Attempts times with capped
 // exponential backoff plus jitter. Permanent failures — unknown addresses, the caller's
@@ -56,10 +45,6 @@ type RetryStats struct {
 type RetryProber struct {
 	p Prober
 	o RetryOptions
-
-	attempts  atomic.Uint64
-	retries   atomic.Uint64
-	exhausted atomic.Uint64
 }
 
 var (
@@ -85,15 +70,6 @@ func WithRetry(p Prober, o RetryOptions) *RetryProber {
 		o.rand = rand.Float64
 	}
 	return &RetryProber{p: p, o: o}
-}
-
-// Stats returns a snapshot of the retry counters.
-func (r *RetryProber) Stats() RetryStats {
-	return RetryStats{
-		Attempts:  r.attempts.Load(),
-		Retries:   r.retries.Load(),
-		Exhausted: r.exhausted.Load(),
-	}
 }
 
 // Ping implements Prober.
@@ -147,7 +123,6 @@ func (r *RetryProber) retry(ctx context.Context, attempt func() error) error {
 	backoff := r.o.BaseBackoff
 	var err error
 	for a := 0; a < r.o.Attempts; a++ {
-		r.attempts.Add(1)
 		err = attempt()
 		if err == nil {
 			return nil
@@ -158,7 +133,6 @@ func (r *RetryProber) retry(ctx context.Context, attempt func() error) error {
 		if a == r.o.Attempts-1 {
 			break
 		}
-		r.retries.Add(1)
 		if serr := r.o.sleep(ctx, r.jittered(backoff)); serr != nil {
 			// Cancelled mid-backoff: the caller's error wins over the
 			// transient one that triggered the wait.
@@ -168,7 +142,6 @@ func (r *RetryProber) retry(ctx context.Context, attempt func() error) error {
 			backoff = r.o.MaxBackoff
 		}
 	}
-	r.exhausted.Add(1)
 	return fmt.Errorf("probe: gave up after %d attempts: %w", r.o.Attempts, err)
 }
 

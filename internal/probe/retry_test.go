@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,9 +137,9 @@ func TestRetryBackoffSchedule(t *testing.T) {
 			t.Errorf("backoff %d = %v, want %v", i, slept[i], want[i])
 		}
 	}
-	st := r.Stats()
-	if st.Attempts != 5 || st.Retries != 4 || st.Exhausted != 1 {
-		t.Errorf("stats = %+v, want 5 attempts / 4 retries / 1 exhausted", st)
+	// 5 attempts, 4 retries (one wait each), exhausted.
+	if under.calls != 5 || len(slept) != 4 || !strings.Contains(err.Error(), "gave up after 5 attempts") {
+		t.Errorf("%d attempts / %d retries / err %v, want 5 / 4 / exhausted", under.calls, len(slept), err)
 	}
 }
 
@@ -164,16 +165,17 @@ func TestRetryJitterSpread(t *testing.T) {
 
 func TestRetryRecoversWithinBudget(t *testing.T) {
 	under := &flakyProber{failures: 2, err: fmt.Errorf("probe: %w", ErrUnreachable)}
+	retries := 0
 	r := WithRetry(under, RetryOptions{
 		Attempts: 3,
-		sleep:    func(ctx context.Context, d time.Duration) error { return nil },
+		sleep:    func(ctx context.Context, d time.Duration) error { retries++; return nil },
 	})
 	out, err := r.Ping("a", "b", 4)
 	if err != nil || len(out) != 1 || out[0] != 42 {
 		t.Fatalf("Ping = %v, %v; want the third attempt's samples", out, err)
 	}
-	if st := r.Stats(); st.Attempts != 3 || st.Retries != 2 || st.Exhausted != 0 {
-		t.Errorf("stats = %+v, want 3 attempts / 2 retries / 0 exhausted", st)
+	if under.calls != 3 || retries != 2 {
+		t.Errorf("%d attempts / %d retries, want 3 / 2", under.calls, retries)
 	}
 }
 

@@ -89,6 +89,7 @@ package octant
 
 import (
 	"context"
+	"fmt"
 
 	"octant/internal/baselines"
 	"octant/internal/batch"
@@ -228,7 +229,7 @@ const (
 // Survey lifecycle types.
 type (
 	// SurveyManager owns the survey as a versioned resource: epoch
-	// snapshots, incremental recalibration, atomic hot-swap.
+	// snapshots, recalibration on drift, atomic hot-swap.
 	SurveyManager = lifecycle.Manager
 	// SurveyEpoch is one immutable survey generation plus its Localizer.
 	SurveyEpoch = lifecycle.Epoch
@@ -239,8 +240,6 @@ type (
 	RefreshReport = lifecycle.RefreshReport
 	// SurveyStats is the lifecycle view served by GET /v1/survey.
 	SurveyStats = lifecycle.Stats
-	// RebuildStats reports what an incremental survey rebuild recomputed.
-	RebuildStats = core.RebuildStats
 )
 
 // Measurement types.
@@ -425,11 +424,35 @@ func NewSurveyManagerProbed(p Prober, landmarks []Landmark, sopts SurveyOpts, cf
 	return lifecycle.NewProbed(p, landmarks, sopts, cfg, opts)
 }
 
-// RebuildSurvey derives the next epoch of a survey from refreshed RTTs,
-// refitting only dirty landmarks' calibrations (most callers use
-// SurveyManager.Refresh instead).
+// RebuildStats reports what RebuildSurvey recomputed.
+//
+// Deprecated: RebuildSurvey refits the whole survey; use Survey.Refit.
+type RebuildStats struct {
+	Dirty         []int // indices marked dirty
+	RebuiltCalibs int   // every landmark's calibration
+	GlobalRebuilt bool  // always true
+}
+
+// RebuildSurvey returns the next epoch of prev refitted from rtt; dirty
+// only fills the stats.
+//
+// Deprecated: use prev.Refit(rtt, epoch), which fits every landmark as
+// NewSurvey does (most callers use SurveyManager.Refresh instead).
 func RebuildSurvey(prev *Survey, rtt [][]float64, dirty []bool, epoch uint64) (*Survey, *RebuildStats, error) {
-	return core.RebuildSurvey(prev, rtt, dirty, epoch)
+	if len(dirty) != prev.N() {
+		return nil, nil, fmt.Errorf("octant: %d dirty flags for %d landmarks", len(dirty), prev.N())
+	}
+	next, err := prev.Refit(rtt, epoch)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := &RebuildStats{RebuiltCalibs: next.N(), GlobalRebuilt: true}
+	for i, d := range dirty {
+		if d {
+			st.Dirty = append(st.Dirty, i)
+		}
+	}
+	return next, st, nil
 }
 
 // LoadSurveySnapshot reads a survey snapshot written by
