@@ -3,8 +3,8 @@
 // bounded-load consistent-hash ring, serves repeats from a cluster-wide
 // result cache (front-door L1, peer-fetch L2 against the key owner's
 // node cache), and coordinates epoch rollouts — one node reprobes, the
-// rest adopt its snapshot in a rolling wave that never takes two nodes
-// out at once.
+// rest adopt its snapshot in a rolling wave that takes no node out of
+// service.
 //
 // Clients speak the same /v2 wire format to the front door as to a
 // single node; batches are additionally epoch-coherent (one response

@@ -15,8 +15,7 @@
 //	POST /v2/localize/batch  per-request options           → NDJSON stream
 //	POST /v1/survey/refresh  {"landmarks": ["name", …]?}   → reprobe + recalibrate
 //	GET  /v1/survey/snapshot                               → versioned epoch snapshot
-//	POST /v1/survey/install  (snapshot body)               → stage a pushed epoch
-//	POST /v1/survey/activate                               → drain + swap to staged epoch
+//	POST /v1/survey/install  (snapshot body)               → validate + publish a pushed epoch
 //	GET  /v1/survey                                        → epoch, κ, swap/refresh counters
 //	GET  /v1/healthz                                       → liveness
 //	GET  /v1/readyz                                        → readiness (epoch published, not draining)
@@ -99,7 +98,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		snapshot  = fs.String("survey-snapshot", "", "survey snapshot file: loaded at startup when present (warm start, no probing), rewritten on every published epoch")
 		refresh   = fs.Duration("refresh", 0, "periodic survey recalibration interval (0 = on-demand only, via POST /v1/survey/refresh)")
 		driftTol  = fs.Duration("drift-tolerance", 500*time.Microsecond, "min per-pair RTT drift for a refresh to count a landmark dirty (0 = any change counts)")
-		drain     = fs.Duration("activate-drain", 2*time.Second, "in-flight drain budget before an epoch activation swaps anyway")
 		grace     = fs.Duration("shutdown-grace", 30*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 		retries   = fs.Int("probe-retries", 3, "attempts per measurement (1 disables retrying); transient probe failures back off and retry, so one lost train doesn't degrade a localization or void a survey refresh")
 		measureW  = fs.Int("measure-workers", 0, "concurrent probes per localization fan-out (0 = scheduler default, 16; 1 = one probe train at a time)")
@@ -172,9 +170,8 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		TargetTimeout: *timeout,
 	})
 	srv := serve.New(engine, manager, serve.Options{
-		MaxBatch:      *maxBatch,
-		Pprof:         *pprofOn,
-		ActivateDrain: *drain,
+		MaxBatch: *maxBatch,
+		Pprof:    *pprofOn,
 	})
 	if *pprofOn {
 		logger.Printf("pprof enabled at /debug/pprof/")

@@ -419,8 +419,7 @@ func (e *Engine) Peek(key Key) (*core.Result, bool) {
 }
 
 // InFlight reports how many requests the engine currently has in flight —
-// the cheap accessor drain loops poll (Stats snapshots the whole latency
-// window).
+// cheaper to poll than Stats, which snapshots the whole latency window.
 func (e *Engine) InFlight() int64 { return e.metrics.inFlight.Load() }
 
 // Stats returns a snapshot of the engine's counters and latency quantiles.

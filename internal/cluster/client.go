@@ -98,7 +98,36 @@ func (n *NodeClient) roundTrip(ctx context.Context, method, path string, body, o
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decodeCapped(resp.Body, out)
+}
+
+// maxResponseBody caps every JSON answer a node sends back except the
+// snapshot (serve.MaxSnapshotBody) and the batch stream (a 1 MiB line
+// cap): a misbehaving node must not make the caller allocate without
+// bound.
+const maxResponseBody = 1 << 20
+
+// decodeCapped decodes one JSON document of at most maxResponseBody bytes
+// into out.
+func decodeCapped(body io.Reader, out any) error {
+	data, err := readCapped(body, maxResponseBody)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
+}
+
+// readCapped reads body whole; more than limit bytes is an error, never a
+// truncated read.
+func readCapped(body io.Reader, limit int) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(body, int64(limit)+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > limit {
+		return nil, fmt.Errorf("response exceeds %d bytes", limit)
+	}
+	return data, nil
 }
 
 // LocalizeV2 runs one localization on the node.
@@ -189,7 +218,7 @@ func (n *NodeClient) Ready(ctx context.Context) (serve.Readiness, error) {
 	}
 	defer resp.Body.Close()
 	var rd serve.Readiness
-	if err := json.NewDecoder(resp.Body).Decode(&rd); err != nil {
+	if err := decodeCapped(resp.Body, &rd); err != nil {
 		return serve.Readiness{}, err
 	}
 	return rd, nil
@@ -215,38 +244,25 @@ func (n *NodeClient) Snapshot(ctx context.Context) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: bad Octant-Epoch header: %w", n.Name, err)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxSnapshotBody+1))
+	data, err := readCapped(resp.Body, serve.MaxSnapshotBody)
 	if err != nil {
-		return nil, 0, err
-	}
-	if len(data) > serve.MaxSnapshotBody {
-		return nil, 0, fmt.Errorf("%s: snapshot exceeds %d bytes", n.Name, serve.MaxSnapshotBody)
+		return nil, 0, fmt.Errorf("%s: snapshot: %w", n.Name, err)
 	}
 	return data, epoch, nil
 }
 
-// Install stages a snapshot on the node for a later Activate.
-func (n *NodeClient) Install(ctx context.Context, snapshot []byte) (staged uint64, err error) {
+// Install pushes a snapshot to the node, which publishes it as its
+// current epoch, and returns that epoch.
+func (n *NodeClient) Install(ctx context.Context, snapshot []byte) (uint64, error) {
 	resp, err := n.do(ctx, http.MethodPost, "/v1/survey/install", bytes.NewReader(snapshot))
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
 	var out struct {
-		Staged uint64 `json:"staged_epoch"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
-	}
-	return out.Staged, nil
-}
-
-// Activate drains the node and swaps its staged epoch in.
-func (n *NodeClient) Activate(ctx context.Context) (uint64, error) {
-	var out struct {
 		Epoch uint64 `json:"epoch"`
 	}
-	if err := n.roundTrip(ctx, http.MethodPost, "/v1/survey/activate", nil, &out); err != nil {
+	if err := decodeCapped(resp.Body, &out); err != nil {
 		return 0, err
 	}
 	return out.Epoch, nil

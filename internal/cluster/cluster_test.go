@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -395,5 +396,29 @@ func TestSnapshotReadIsCapped(t *testing.T) {
 	data, _, err := (&NodeClient{Name: "peer", BaseURL: srv.URL}).Snapshot(context.Background())
 	if err == nil || data != nil {
 		t.Errorf("Snapshot over the cap returned %d bytes, err %v; want an error and no data", len(data), err)
+	}
+}
+
+// TestNodeResponsesAreCapped: a node answering readyz, stats or a
+// localization with valid JSON one byte over the 1 MiB response cap gets
+// an error from its NodeClient, never a decoded (or truncated) answer.
+func TestNodeResponsesAreCapped(t *testing.T) {
+	head := `{"ready":true,"epoch":1,"target":"t","pad":"`
+	body := head + strings.Repeat("x", maxResponseBody+1-len(head)-2) + `"}`
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, body)
+	}))
+	defer srv.Close()
+	n := &NodeClient{Name: "big", BaseURL: srv.URL}
+	ctx := context.Background()
+	if rd, err := n.Ready(ctx); err == nil {
+		t.Errorf("Ready over the cap = %+v, want an error", rd)
+	}
+	if st, err := n.Stats(ctx); err == nil {
+		t.Errorf("Stats over the cap = %+v, want an error", st)
+	}
+	if _, err := n.LocalizeV2(ctx, "t", nil); err == nil {
+		t.Error("LocalizeV2 over the cap decoded, want an error")
 	}
 }

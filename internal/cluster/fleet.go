@@ -27,9 +27,6 @@ type FleetConfig struct {
 	Holdout int
 	// CacheSize per node engine LRU (0 = default 1024).
 	CacheSize int
-	// ActivateDrain bounds each node's epoch-activation drain
-	// (0 = serve default).
-	ActivateDrain time.Duration
 	// RetryAttempts wraps every node's prober in probe.WithRetry with
 	// this attempt budget (0/1 = no retries). The chaos harness uses it
 	// so transient loss injected into the world is absorbed below the
@@ -151,7 +148,7 @@ func StartLocalFleet(cfg FleetConfig) (*LocalFleet, error) {
 			Workers:   4,
 			CacheSize: cfg.CacheSize,
 		})
-		srv := serve.New(engine, manager, serve.Options{ActivateDrain: cfg.ActivateDrain})
+		srv := serve.New(engine, manager, serve.Options{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			f.Close()

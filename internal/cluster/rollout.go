@@ -17,10 +17,6 @@ type RolloutOptions struct {
 	SkipRefresh bool
 }
 
-// settleTimeout bounds how long the coordinator waits for each node to
-// come back ready at the new epoch after activation.
-const settleTimeout = 10 * time.Second
-
 // NodeRollout is one fleet member's leg of a rollout.
 type NodeRollout struct {
 	Node string `json:"node"`
@@ -47,14 +43,14 @@ type RolloutReport struct {
 	ElapsedMs float64                  `json:"elapsed_ms"`
 }
 
-// Coordinator pushes survey epochs through a fleet as a rolling wave:
-// refresh on one source node (the only node that probes), pull its
-// snapshot, then stage → drain → activate on each replica in turn.
-// Probing cost stays O(n²) once per epoch for the whole fleet instead
-// of per node, and because snapshot adoption refits calibrations
+// Coordinator pushes survey epochs through a fleet: refresh on one source
+// node (the only node that probes), pull its snapshot, then install it on
+// each replica in turn, which publishes it the way a refresh would.
+// Probing cost stays O(n²) once per epoch for the whole fleet instead of
+// per node, and because snapshot adoption refits calibrations
 // deterministically, every node serves bit-identical results for the
-// epoch. At most one node is draining at any moment, so a router that
-// honors readiness keeps the fleet serving throughout.
+// epoch. No node leaves service: each request borrows one epoch, and the
+// router repairs a batch that straddles a node's swap.
 type Coordinator struct {
 	nodes []*NodeClient
 }
@@ -99,48 +95,17 @@ func (c *Coordinator) Rollout(ctx context.Context, opts RolloutOptions) (*Rollou
 			return nil, fmt.Errorf("readiness of %s: %w", node.Name, err)
 		}
 		nr.FromEpoch = rd.Epoch
-		if rd.Epoch >= epoch {
-			// Already current (or ahead — a concurrent rollout); nothing to
-			// push.
-			nr.Skipped = true
-			nr.ElapsedMs = float64(time.Since(nodeStart)) / float64(time.Millisecond)
-			report.Nodes = append(report.Nodes, nr)
-			continue
-		}
-		if _, err := node.Install(ctx, snapshot); err != nil {
-			return nil, fmt.Errorf("install on %s: %w", node.Name, err)
-		}
-		if _, err := node.Activate(ctx); err != nil {
-			return nil, fmt.Errorf("activate on %s: %w", node.Name, err)
-		}
-		if err := c.waitReadyAt(ctx, node, epoch); err != nil {
-			return nil, err
+		// Already current (or ahead — a concurrent rollout): nothing to
+		// push.
+		nr.Skipped = rd.Epoch >= epoch
+		if !nr.Skipped {
+			if _, err := node.Install(ctx, snapshot); err != nil {
+				return nil, fmt.Errorf("install on %s: %w", node.Name, err)
+			}
 		}
 		nr.ElapsedMs = float64(time.Since(nodeStart)) / float64(time.Millisecond)
 		report.Nodes = append(report.Nodes, nr)
 	}
 	report.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
 	return report, nil
-}
-
-// waitReadyAt polls the node until it reports ready at (or past) epoch,
-// for at most settleTimeout. The rolling wave does not advance to the
-// next node before this one is back in service — that is what keeps at
-// most one node out at a time.
-func (c *Coordinator) waitReadyAt(ctx context.Context, node *NodeClient, epoch uint64) error {
-	deadline := time.Now().Add(settleTimeout)
-	for {
-		rd, err := node.Ready(ctx)
-		if err == nil && rd.Ready && rd.Epoch >= epoch {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s did not become ready at epoch %d within %v", node.Name, epoch, settleTimeout)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
 }

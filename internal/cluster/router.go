@@ -37,8 +37,8 @@ type RouterConfig struct {
 	MaxBatch int
 	// ReadyTTL is how long a node's readiness verdict is trusted before
 	// the router re-probes /v1/readyz (0 = default 500ms). Shorter means
-	// rolling swaps shed traffic faster; longer means fewer probe
-	// round-trips per request.
+	// a draining node sheds traffic, and a pushed epoch is observed,
+	// sooner; longer means fewer probe round-trips per request.
 	ReadyTTL time.Duration
 	// BreakerThreshold is how many consecutive dispatch failures open a
 	// node's circuit breaker (≤ 0 = default 3).
@@ -416,8 +416,8 @@ func place(ring *Ring, key string, eligible func(node string) bool) string {
 func (r *Router) scatter(ctx context.Context, c *call, pending []int) error {
 	excluded := make(map[string]bool)
 	admitted := func(node string) bool { return !excluded[node] && r.members[node].admit(ctx) }
-	// Readiness can be transiently all-false mid-swap (one node draining
-	// while another's probe times out); rather than failing the request,
+	// Readiness can be transiently all-false (one node draining for
+	// shutdown while another's probe times out); rather than failing the request,
 	// fall back to any node not yet tried whose breaker admits it. An open
 	// breaker keeps its node out even here; a half-open trial admitted here
 	// is settled by its dispatch's outcome instead of a probe.

@@ -29,10 +29,9 @@ type soakVal struct {
 // (target, fingerprint, epoch) across every node that answered.
 func TestClusterSoak(t *testing.T) {
 	fleet, err := StartLocalFleet(FleetConfig{
-		Nodes:         2,
-		Seed:          21,
-		Holdout:       40,
-		ActivateDrain: 200 * time.Millisecond,
+		Nodes:   2,
+		Seed:    21,
+		Holdout: 40,
 	})
 	if err != nil {
 		t.Fatal(err)

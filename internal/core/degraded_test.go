@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -132,46 +133,50 @@ func TestQuorumFailureReturnsError(t *testing.T) {
 	}
 }
 
-// nanPinger answers every ping from src to dst with a train whose first
-// sample is NaN — a custom Prober gone wrong — and passes the rest
-// through.
-type nanPinger struct {
+// plantPinger answers every ping from src to dst with a train whose first
+// sample is v — a custom Prober gone wrong — and passes the rest through.
+type plantPinger struct {
 	probe.Prober
 	src, dst string
+	v        float64
 }
 
-func (p nanPinger) Ping(src, dst string, n int) ([]float64, error) {
+func (p plantPinger) Ping(src, dst string, n int) ([]float64, error) {
 	samples, err := p.Prober.Ping(src, dst, n)
 	if err == nil && src == p.src && dst == p.dst {
-		samples[0] = math.NaN()
+		samples[0] = p.v
 	}
 	return samples, err
 }
 
 // TestNaNPingDegradesLikeABlackhole: a landmark whose ping train carries
-// a NaN is a failed landmark, named in the provenance, and the answer is
-// the one the same landmark gives when its path to the target is
-// blackholed.
+// a NaN or a zero is a failed landmark, named in the provenance, and the
+// answer is the one the same landmark gives when its path to the target
+// is blackholed.
 func TestNaNPingDegradesLikeABlackhole(t *testing.T) {
-	w, s, _, landmarks, target := degradedFixture(t, 3)
-	ctx := context.Background()
-	bad := landmarks[2]
+	for _, v := range []float64{math.NaN(), 0} {
+		t.Run(fmt.Sprint(v), func(t *testing.T) {
+			w, s, _, landmarks, target := degradedFixture(t, 3)
+			ctx := context.Background()
+			bad := landmarks[2]
 
-	res, err := NewLocalizer(nanPinger{probe.NewSimProber(w), bad.Name, target.Name}, s, Config{}).LocalizeContext(ctx, target.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || res.Provenance == nil || len(res.Provenance.Failures) != 1 || res.Provenance.Failures[0].Landmark != bad.Inst {
-		t.Fatalf("NaN ping from %s: degraded %v, provenance %+v; want %s as the one failure", bad.Inst, res.Degraded, res.Provenance, bad.Inst)
-	}
+			res, err := NewLocalizer(plantPinger{probe.NewSimProber(w), bad.Name, target.Name, v}, s, Config{}).LocalizeContext(ctx, target.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Degraded || res.Provenance == nil || len(res.Provenance.Failures) != 1 || res.Provenance.Failures[0].Landmark != bad.Inst {
+				t.Fatalf("%v ping from %s: degraded %v, provenance %+v; want %s as the one failure", v, bad.Inst, res.Degraded, res.Provenance, bad.Inst)
+			}
 
-	w.SetPairBlackhole(bad.ID, target.ID, true)
-	want, err := NewLocalizer(probe.NewSimProber(w), s, Config{}).LocalizeContext(ctx, target.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Region == nil || res.Point != want.Point || res.AreaKm2 != want.AreaKm2 || !reflect.DeepEqual(res.Region, want.Region) {
-		t.Errorf("NaN ping answers %v/%v km², blackhole %v/%v km²", res.Point, res.AreaKm2, want.Point, want.AreaKm2)
+			w.SetPairBlackhole(bad.ID, target.ID, true)
+			want, err := NewLocalizer(probe.NewSimProber(w), s, Config{}).LocalizeContext(ctx, target.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Region == nil || res.Point != want.Point || res.AreaKm2 != want.AreaKm2 || !reflect.DeepEqual(res.Region, want.Region) {
+				t.Errorf("%v ping answers %v/%v km², blackhole %v/%v km²", v, res.Point, res.AreaKm2, want.Point, want.AreaKm2)
+			}
+		})
 	}
 }
 

@@ -113,7 +113,7 @@ type RefreshReport struct {
 	// or if autosaving is off).
 	SnapshotError string `json:"snapshot_error,omitempty"`
 	// Installed marks an epoch that was pushed in from a cluster
-	// coordinator (Stage + ActivateStaged) rather than probed locally.
+	// coordinator (Install) rather than probed locally.
 	Installed bool `json:"installed,omitempty"`
 	// ElapsedMs is the refresh wall time, probing included.
 	ElapsedMs float64 `json:"elapsed_ms"`
@@ -135,10 +135,6 @@ type Stats struct {
 	// Installs counts epochs adopted from a cluster coordinator's push
 	// (a subset of Swaps).
 	Installs uint64 `json:"installs,omitempty"`
-	// StagedEpoch is a pushed epoch waiting for activation (0 = none;
-	// epoch numbers of staged snapshots are always > 0 because they must
-	// exceed the current epoch).
-	StagedEpoch uint64 `json:"staged_epoch,omitempty"`
 	// LastRefresh is the most recent refresh round's report (nil before
 	// the first).
 	LastRefresh *RefreshReport `json:"last_refresh,omitempty"`
@@ -169,8 +165,8 @@ type Manager struct {
 	sched *measure.Scheduler
 
 	cur atomic.Pointer[Epoch]
-	// mu serializes writers (Refresh, snapshot autosave); readers don't
-	// take it.
+	// mu serializes writers (Refresh, Install, snapshot autosave);
+	// readers don't take it.
 	mu sync.Mutex
 
 	swaps      atomic.Uint64
@@ -178,11 +174,6 @@ type Manager struct {
 	installs   atomic.Uint64
 	lastReport atomic.Pointer[RefreshReport]
 	lastErr    atomic.Pointer[string]
-
-	// staged is a coordinator-pushed survey awaiting ActivateStaged.
-	// Writers (Stage, ActivateStaged) serialize on mu; Stats reads the
-	// pointer lock-free, so it must never block behind a long reprobe.
-	staged atomic.Pointer[core.Survey]
 }
 
 // New starts a lifecycle around an existing survey — freshly probed by
@@ -336,58 +327,26 @@ func (m *Manager) publish(cur *Epoch, next *core.Survey, report *RefreshReport, 
 	return e
 }
 
-// Stage validates and parks a coordinator-pushed survey snapshot for a
-// later ActivateStaged — the first half of a coordinated epoch rollout.
-// The snapshot must describe the same landmark mesh (set, order,
-// positions) at the same per-pair probe count, and must carry a newer
-// epoch than the one currently serving; anything else is a configuration
-// error surfaced to the coordinator, never adopted silently. Staging
-// publishes nothing: traffic keeps serving the current epoch untouched.
-func (m *Manager) Stage(survey *core.Survey) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cur := m.Current().Survey
-	if err := survey.SameMesh(cur.Landmarks, cur.Probes); err != nil {
-		return fmt.Errorf("lifecycle: staged survey does not match the serving one: %w", err)
-	}
-	if survey.Epoch <= cur.Epoch {
-		return fmt.Errorf("lifecycle: staged epoch %d is not newer than serving epoch %d", survey.Epoch, cur.Epoch)
-	}
-	m.staged.Store(survey)
-	return nil
-}
-
-// StagedEpoch reports the epoch number of a staged snapshot, if any.
-func (m *Manager) StagedEpoch() (uint64, bool) {
-	if s := m.staged.Load(); s != nil {
-		return s.Epoch, true
-	}
-	return 0, false
-}
-
-// ActivateStaged publishes the staged snapshot as the current epoch with
-// the same RCU swap a local refresh uses: in-flight requests finish on
-// the epoch they borrowed, new requests pick up the staged one, and
-// epoch-qualified caches invalidate lazily (see publish; the mesh is
-// unchanged — Stage verified it). Fails if nothing is staged or a newer
-// epoch was published meanwhile.
-func (m *Manager) ActivateStaged() (*Epoch, error) {
+// Install publishes a coordinator-pushed survey as the current epoch,
+// exactly as a refresh publishes one (see publish): in-flight requests
+// finish on the epoch they borrowed, new requests pick up the pushed one.
+// The survey must describe the same landmark mesh (set, order, positions)
+// at the same per-pair probe count, and must carry a newer epoch than the
+// one serving; anything else is a configuration error surfaced to the
+// coordinator, never adopted silently.
+func (m *Manager) Install(survey *core.Survey) (*Epoch, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
-	staged := m.staged.Load()
-	if staged == nil {
-		return nil, fmt.Errorf("lifecycle: no staged epoch to activate")
-	}
 	cur := m.Current()
-	if staged.Epoch <= cur.Survey.Epoch {
-		m.staged.Store(nil)
-		return nil, fmt.Errorf("lifecycle: staged epoch %d superseded by serving epoch %d", staged.Epoch, cur.Survey.Epoch)
+	if err := survey.SameMesh(cur.Survey.Landmarks, cur.Survey.Probes); err != nil {
+		return nil, fmt.Errorf("lifecycle: pushed survey does not match the serving one: %w", err)
 	}
-	m.staged.Store(nil)
+	if survey.Epoch <= cur.Survey.Epoch {
+		return nil, fmt.Errorf("lifecycle: pushed epoch %d is not newer than serving epoch %d", survey.Epoch, cur.Survey.Epoch)
+	}
 	m.installs.Add(1)
-	report := &RefreshReport{PrevEpoch: cur.Survey.Epoch, Installed: true}
-	return m.publish(cur, staged, report, start), nil
+	return m.publish(cur, survey, &RefreshReport{PrevEpoch: cur.Survey.Epoch, Installed: true}, start), nil
 }
 
 // Run refreshes all pairs every Options.Interval until ctx is done. A
@@ -432,7 +391,6 @@ func (m *Manager) Stats() Stats {
 		Installs:    m.installs.Load(),
 		LastRefresh: m.lastReport.Load(),
 	}
-	st.StagedEpoch, _ = m.StagedEpoch()
 	if s := m.lastErr.Load(); s != nil {
 		st.LastError = *s
 	}

@@ -37,8 +37,9 @@ type Prober interface {
 }
 
 // MinRTT returns the minimum of samples, or an error for empty input or
-// for any sample that is not a finite RTT ≥ 0 (a Prober is pluggable, and
-// a NaN would otherwise pass every comparison). The min over
+// for any sample that is not a finite RTT > 0 (a Prober is pluggable: a
+// NaN would otherwise pass every comparison, and a zero would become the
+// heaviest, tightest constraint in the solve). The min over
 // time-dispersed probes is the estimator every technique in the paper
 // consumes.
 func MinRTT(samples []float64) (float64, error) {
@@ -47,7 +48,7 @@ func MinRTT(samples []float64) (float64, error) {
 	}
 	m := math.Inf(1)
 	for i, s := range samples {
-		if !(s >= 0) || math.IsInf(s, 1) {
+		if !(s > 0) || math.IsInf(s, 1) {
 			return 0, fmt.Errorf("probe: sample %d = %v ms is not a valid RTT", i, s)
 		}
 		if s < m {

@@ -16,7 +16,7 @@ func TestMinMedianRTT(t *testing.T) {
 	}{
 		{nil, math.NaN()},
 		{[]float64{5, 3, 9}, 3},
-		{[]float64{0, 3}, 0},
+		{[]float64{0, 3}, math.NaN()},
 		{[]float64{math.NaN(), 3}, math.NaN()},
 		{[]float64{3, math.NaN()}, math.NaN()},
 		{[]float64{3, math.Inf(1)}, math.NaN()},

@@ -13,8 +13,7 @@
 //	POST /v2/localize        {"target", "options"}         → result + epoch (+ provenance)
 //	POST /v2/localize/batch  {"targets", "options"}        → NDJSON stream of v2 results
 //	POST /v1/survey/refresh  {"landmarks": ["name", …]?}   → reprobe + recalibrate
-//	POST /v1/survey/install  (survey snapshot JSON)        → stage a pushed epoch
-//	POST /v1/survey/activate                               → drain + RCU-swap the staged epoch
+//	POST /v1/survey/install  (survey snapshot JSON)        → validate + publish a pushed epoch
 //	GET  /v1/survey/snapshot                               → current epoch as snapshot JSON
 //	GET  /v1/survey                                        → epoch, κ, swap/refresh counters
 //	GET  /v1/cache/lookup?target=&fp=&epoch=               → peer cache read (404 on miss)
@@ -50,13 +49,6 @@ type Options struct {
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ so
 	// production hot paths can be profiled live.
 	Pprof bool
-	// ActivateDrain bounds how long /v1/survey/activate waits for
-	// in-flight requests to finish before swapping the staged epoch
-	// (0 = default 2s). The wait is belt and braces — the engine's
-	// per-request epoch borrow already keeps every response
-	// single-epoch — but it lets a rolling rollout hand a quiesced node
-	// to the swap.
-	ActivateDrain time.Duration
 }
 
 // Server is the HTTP surface over a batch engine and its survey lifecycle
@@ -68,9 +60,9 @@ type Server struct {
 	manager *lifecycle.Manager
 	started time.Time
 	opts    Options
-	// draining flips readiness off while an epoch activation (or process
-	// shutdown) is quiescing the node; the cluster router routes around
-	// not-ready nodes, which is what makes rolling swaps zero-error.
+	// draining flips readiness off while process shutdown quiesces the
+	// node, so the cluster router routes around it before the listener
+	// closes.
 	draining atomic.Bool
 }
 
@@ -78,9 +70,6 @@ type Server struct {
 func New(engine *batch.Engine, manager *lifecycle.Manager, opts Options) *Server {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 1024
-	}
-	if opts.ActivateDrain <= 0 {
-		opts.ActivateDrain = 2 * time.Second
 	}
 	return &Server{engine: engine, manager: manager, started: time.Now(), opts: opts}
 }
@@ -106,7 +95,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/survey/refresh", s.handleRefresh)
 	mux.HandleFunc("/v1/survey/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/v1/survey/install", s.handleInstall)
-	mux.HandleFunc("/v1/survey/activate", s.handleActivate)
 	mux.HandleFunc("/v1/cache/lookup", s.handleCacheLookup)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/readyz", s.handleReadyz)
@@ -555,10 +543,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInstall serves POST /v1/survey/install: the request body is a
-// survey snapshot (the exact bytes /v1/survey/snapshot emits) which is
-// validated against the serving mesh and staged for a later activate.
-// Staging changes nothing observable — traffic stays on the current
-// epoch until /v1/survey/activate.
+// survey snapshot (the exact bytes /v1/survey/snapshot emits), validated
+// against the serving mesh and published as the current epoch the way a
+// refresh publishes one — in-flight requests finish on the epoch they
+// borrowed, so the node never leaves service. A snapshot for another mesh
+// or an epoch that is not newer is a 409.
 func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		WriteError(w, http.StatusMethodNotAllowed, "POST required")
@@ -573,44 +562,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err, "bad snapshot")
 		return
 	}
-	if err := s.manager.Stage(survey); err != nil {
-		WriteError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"staged_epoch":  survey.Epoch,
-		"serving_epoch": s.manager.Current().Number(),
-	})
-}
-
-// handleActivate serves POST /v1/survey/activate: flip readiness off,
-// give in-flight requests a bounded drain window, RCU-swap the staged
-// epoch in, and flip readiness back on. The drain is cooperative — the
-// engine's per-request epoch borrow already guarantees no response mixes
-// epochs — but it means a router honoring readiness sees the node go
-// not-ready → swapped → ready with no request ever landing mid-swap.
-func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if _, ok := s.manager.StagedEpoch(); !ok {
-		WriteError(w, http.StatusConflict, "no staged epoch to activate")
-		return
-	}
-	s.draining.Store(true)
-	deadline := time.Now().Add(s.opts.ActivateDrain)
-	for s.engine.InFlight() > 0 && time.Now().Before(deadline) {
-		select {
-		case <-r.Context().Done():
-			s.draining.Store(false)
-			WriteError(w, http.StatusUnprocessableEntity, "activate cancelled: %v", r.Context().Err())
-			return
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	e, err := s.manager.ActivateStaged()
-	s.draining.Store(false)
+	e, err := s.manager.Install(survey)
 	if err != nil {
 		WriteError(w, http.StatusConflict, "%v", err)
 		return
@@ -678,9 +630,8 @@ type Readiness struct {
 
 // handleReadyz serves GET /v1/readyz: 200 when the node should receive
 // traffic — a survey epoch is published and the engine is accepting work
-// — and 503 while draining (epoch activation or shutdown). Rolling
-// rollouts and the cluster router key off this, not healthz: a draining
-// node is still alive.
+// — and 503 while draining for shutdown. The cluster router keys off
+// this, not healthz: a draining node is still alive.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	rd := Readiness{Ready: !s.draining.Load(), Epoch: s.manager.Current().Number()}
 	status := http.StatusOK

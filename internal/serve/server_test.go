@@ -441,11 +441,11 @@ func TestSurveyRefreshEndpoints(t *testing.T) {
 	}
 }
 
-// TestSnapshotInstallActivate drives the cluster coordination surface on
-// one node pair: pull a snapshot from a source stack that has advanced an
-// epoch, install it on a second stack, activate, and verify the replica
-// serves the pushed epoch without having probed for it.
-func TestSnapshotInstallActivate(t *testing.T) {
+// TestSnapshotInstall drives the cluster coordination surface on one node
+// pair: pull a snapshot from a source stack that has advanced an epoch,
+// install it on a second stack, and verify the replica serves the pushed
+// epoch at once without having probed for it.
+func TestSnapshotInstall(t *testing.T) {
 	src, err := buildStack(19, 40)
 	if err != nil {
 		t.Fatal(err)
@@ -476,40 +476,33 @@ func TestSnapshotInstallActivate(t *testing.T) {
 	}
 	snap := rec.Body.Bytes()
 
-	// Install on the replica: staged, not yet serving.
+	// Install on the replica: validated and published in one step.
+	before := dst.world.PingCalls()
 	rec = httptest.NewRecorder()
 	hd.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/survey/install", bytes.NewReader(snap)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("install: %d %s", rec.Code, rec.Body)
 	}
 	var inst struct {
-		Staged  uint64 `json:"staged_epoch"`
-		Serving uint64 `json:"serving_epoch"`
+		Epoch uint64 `json:"epoch"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &inst); err != nil {
 		t.Fatal(err)
 	}
-	if inst.Staged != 1 || inst.Serving != 0 {
-		t.Errorf("install = %+v, want staged 1 serving 0", inst)
-	}
-	before := dst.world.PingCalls()
-
-	// Activate: the replica swaps to the staged epoch.
-	rec = postJSON(t, hd, "/v1/survey/activate", map[string]any{})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("activate: %d %s", rec.Code, rec.Body)
-	}
-	var act struct {
-		Epoch uint64 `json:"epoch"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &act); err != nil {
-		t.Fatal(err)
-	}
-	if act.Epoch != 1 {
-		t.Errorf("activated epoch %d, want 1", act.Epoch)
+	if inst.Epoch != 1 {
+		t.Errorf("installed epoch %d, want 1", inst.Epoch)
 	}
 	if got := dst.world.PingCalls() - before; got != 0 {
-		t.Errorf("install+activate issued %d probes, want 0 (probe-free rollout)", got)
+		t.Errorf("install issued %d probes, want 0 (probe-free rollout)", got)
+	}
+	rec = httptest.NewRecorder()
+	hd.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/readyz", nil))
+	var rd Readiness
+	if err := json.Unmarshal(rec.Body.Bytes(), &rd); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || !rd.Ready || rd.Epoch != 1 {
+		t.Errorf("replica readyz after install: %d %+v, want ready at epoch 1", rec.Code, rd)
 	}
 	rec = httptest.NewRecorder()
 	hd.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
@@ -521,15 +514,96 @@ func TestSnapshotInstallActivate(t *testing.T) {
 		t.Errorf("replica engine epoch %d, want 1", st.Epoch)
 	}
 
-	// A second activate with nothing staged is a conflict.
-	if rec := postJSON(t, hd, "/v1/survey/activate", map[string]any{}); rec.Code != http.StatusConflict {
-		t.Errorf("re-activate: %d, want 409", rec.Code)
-	}
 	// Re-installing the now-serving epoch is a conflict (epoch must advance).
 	rec = httptest.NewRecorder()
 	hd.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/survey/install", bytes.NewReader(snap)))
 	if rec.Code != http.StatusConflict {
 		t.Errorf("stale install: %d, want 409", rec.Code)
+	}
+	// There is no second step.
+	if rec := postJSON(t, hd, "/v1/survey/activate", map[string]any{}); rec.Code != http.StatusNotFound {
+		t.Errorf("/v1/survey/activate: %d, want 404", rec.Code)
+	}
+}
+
+// TestInstallWhileInFlight: an install lands while a localization is
+// measuring. The node never reports itself unready, the in-flight request
+// finishes on the epoch it borrowed, and the next request answers at the
+// installed one.
+func TestInstallWhileInFlight(t *testing.T) {
+	prober, landmarks, err := BuildProber("sim", 5, 45, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	survey, err := core.NewSurvey(prober, landmarks, core.SurveyOpts{UseHeights: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := survey.Refit(survey.RTT, survey.Epoch+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := next.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	manager := lifecycle.New(delayProber{Prober: prober, d: 100 * time.Millisecond}, survey, core.Config{}, lifecycle.Options{})
+	engine := batch.NewWithProvider(manager, batch.Options{Workers: 2})
+	srv := New(engine, manager, Options{})
+	h := srv.Handler()
+	hosts := prober.(*probe.SimProber).World.HostNodes()
+
+	localize := func(target string) TargetResultV2 {
+		rec := postJSON(t, h, "/v2/localize", map[string]string{"target": target})
+		var tr TargetResultV2
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &tr) != nil {
+			t.Errorf("localize %s: %d %s", target, rec.Code, rec.Body)
+		}
+		return tr
+	}
+	inflight := make(chan TargetResultV2, 1)
+	go func() { inflight <- localize(hosts[0].Name) }()
+	for engine.InFlight() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	// Poll readiness for as long as the install takes.
+	installed := make(chan struct{})
+	polls := make(chan []int, 1)
+	go func() {
+		var codes []int
+		for {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/readyz", nil))
+			codes = append(codes, rec.Code)
+			select {
+			case <-installed:
+				polls <- codes
+				return
+			default:
+			}
+		}
+	}()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/survey/install", &snap))
+	close(installed)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("install: %d %s", rec.Code, rec.Body)
+	}
+	if engine.InFlight() == 0 {
+		t.Fatal("the localization finished before the install landed; nothing was in flight")
+	}
+	for i, code := range <-polls {
+		if code != http.StatusOK {
+			t.Errorf("readyz poll %d during install: %d, want 200", i, code)
+		}
+	}
+
+	if tr := <-inflight; tr.Epoch != 0 {
+		t.Errorf("in-flight request answered at epoch %d, want 0 (the epoch it borrowed)", tr.Epoch)
+	}
+	if tr := localize(hosts[1].Name); tr.Epoch != 1 {
+		t.Errorf("request after the install answered at epoch %d, want 1", tr.Epoch)
 	}
 }
 
@@ -622,15 +696,17 @@ func TestWarmStartSkipsProbing(t *testing.T) {
 		t.Error("corrupt snapshot silently ignored")
 	}
 	// A snapshot for another mesh or probe count is refused too:
-	// TestStageAndWarmStartRefuseTheSameMeshes.
+	// TestInstallAndWarmStartRefuseTheSameMeshes.
 }
 
-// TestStageAndWarmStartRefuseTheSameMeshes: the two doors a survey from
-// outside comes in by — a coordinator's push (Manager.Stage) and a
+// TestInstallAndWarmStartRefuseTheSameMeshes: the two doors a survey from
+// outside comes in by — a coordinator's push (Manager.Install) and a
 // snapshot file at startup (LoadOrProbeSurvey) — ask one question
 // (Survey.SameMesh), so each of the five ways a mesh can differ is
-// refused at both, and the matching mesh is let in at both.
-func TestStageAndWarmStartRefuseTheSameMeshes(t *testing.T) {
+// refused at both, and the matching mesh is let in at both. Each case
+// pushes to a fresh manager, so a refusal is for its own mesh and never
+// for an epoch an earlier case published.
+func TestInstallAndWarmStartRefuseTheSameMeshes(t *testing.T) {
 	prober, landmarks, err := BuildProber("sim", 13, 45, "")
 	if err != nil {
 		t.Fatal(err)
@@ -641,7 +717,6 @@ func TestStageAndWarmStartRefuseTheSameMeshes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manager := lifecycle.New(prober, base, core.Config{}, lifecycle.Options{})
 
 	edit := func(f func(lms []core.Landmark)) []core.Landmark {
 		lms := append([]core.Landmark(nil), landmarks...)
@@ -664,10 +739,13 @@ func TestStageAndWarmStartRefuseTheSameMeshes(t *testing.T) {
 	for _, tc := range cases {
 		// The pushed survey: the serving one's measurements, next epoch,
 		// claiming the case's mesh.
+		manager := lifecycle.New(prober, base, core.Config{}, lifecycle.Options{})
 		pushed := *base
 		pushed.Epoch, pushed.Landmarks, pushed.Probes = base.Epoch+1, tc.landmarks, tc.probes
-		if err := manager.Stage(&pushed); (err != nil) != tc.refused {
-			t.Errorf("%s: Stage error = %v, want refused = %v", tc.name, err, tc.refused)
+		if _, err := manager.Install(&pushed); (err != nil) != tc.refused {
+			t.Errorf("%s: Install error = %v, want refused = %v", tc.name, err, tc.refused)
+		} else if err != nil && !strings.Contains(err.Error(), "does not match") {
+			t.Errorf("%s: Install refused for %v, want a mesh mismatch", tc.name, err)
 		}
 		// The warm start: the serving survey's file, a configuration
 		// claiming the case's mesh. A refusal must not reprobe either.
@@ -682,7 +760,7 @@ func TestStageAndWarmStartRefuseTheSameMeshes(t *testing.T) {
 }
 
 // delayProber slows Ping so a localization is reliably in flight when
-// shutdown starts.
+// shutdown starts or an install lands.
 type delayProber struct {
 	probe.Prober
 	d time.Duration
