@@ -70,21 +70,23 @@ func (g *gatedProber) trains(dst string) int {
 	return g.pings[dst]
 }
 
-// awaitParked blocks until every target in want has parked at least one
-// train.
-func (g *gatedProber) awaitParked(t *testing.T, want ...string) {
+// awaitParked blocks until every target in want has parked at least n
+// trains.
+func (g *gatedProber) awaitParked(t *testing.T, n int, want ...string) {
 	t.Helper()
-	missing := make(map[string]bool, len(want))
+	missing := make(map[string]int, len(want))
 	for _, w := range want {
-		missing[w] = true
+		missing[w] = n
 	}
 	timeout := time.After(10 * time.Second)
 	for len(missing) > 0 {
 		select {
 		case dst := <-g.parked:
-			delete(missing, dst)
+			if missing[dst]--; missing[dst] <= 0 {
+				delete(missing, dst)
+			}
 		case <-timeout:
-			t.Fatalf("no train parked for %v", missing)
+			t.Fatalf("trains still to park: %v", missing)
 		}
 	}
 }
@@ -106,11 +108,11 @@ func TestConcurrentBatchesShareMeasurements(t *testing.T) {
 	b := []string{f.targets[21], f.targets[22], f.targets[23]}
 
 	itemsA := eng.Run(ctx, a)
-	gp.awaitParked(t, a...)
+	gp.awaitParked(t, 1, a...)
 	// A now leads all three of its targets. B leads only its own; once
 	// that one is probing, B has joined A's flights for the other two.
 	itemsB := eng.Run(ctx, b)
-	gp.awaitParked(t, b[2])
+	gp.awaitParked(t, 1, b[2])
 	close(gp.gate)
 
 	got := map[string][]*core.Result{}
@@ -185,7 +187,7 @@ func TestCyclicBatchesJoinAndFinish(t *testing.T) {
 		}
 		// Each own target is led by its one batch: once they all park, every
 		// batch of this epoch has borrowed it and joined its flights.
-		gp.awaitParked(t, own...)
+		gp.awaitParked(t, 1, own...)
 	}
 	for _, gp := range probers {
 		close(gp.gate)
@@ -271,7 +273,9 @@ func TestCancelledLeaderDoesNotPoisonBatchFollower(t *testing.T) {
 		_, err := eng.Localize(leaderCtx, shared)
 		leaderDone <- err
 	}()
-	gp.awaitParked(t, shared)
+	// All n of the leader's trains, not just the first: the count below
+	// must not race the leader's fan-out.
+	gp.awaitParked(t, n, shared)
 
 	items := eng.Run(context.Background(), []string{own, shared})
 	first := <-items
@@ -341,7 +345,7 @@ func TestSingleTargetIsBatchOfOne(t *testing.T) {
 	eng := batch.New(core.NewLocalizer(gp, f.survey, core.Config{MeasureWorkers: 1}), batch.Options{Workers: 8})
 	before := runtime.NumGoroutine()
 	items := eng.Run(ctx, []string{tgt})
-	gp.awaitParked(t, tgt)
+	gp.awaitParked(t, 1, tgt)
 	if delta := runtime.NumGoroutine() - before; delta > 2 {
 		t.Errorf("one-target Run is holding %d goroutines, want ≤ 2 (no worker pool)", delta)
 	}

@@ -92,8 +92,8 @@ func New(samples []Sample, opts Options) (*Calibration, error) {
 	// highest-latency peer happens to be close by; as a *bound* on unseen
 	// nodes that descent is meaningless (extra latency never certifies a
 	// smaller maximum distance), so R_L uses the monotone envelope.
-	c.fullUpper = monotoneEnvelope(hull.Chain(hull.UpperFacets(pts)))
-	c.fullLower = hull.Chain(hull.LowerFacets(pts))
+	upper, lower := hull.Facets(pts)
+	c.fullUpper, c.fullLower = monotoneEnvelope(hull.Chain(upper)), hull.Chain(lower)
 	c.upper = c.fullUpper.TruncateRight(c.rho)
 	c.lower = c.fullLower.TruncateRight(c.rho)
 

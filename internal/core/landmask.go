@@ -44,7 +44,7 @@ type maskKey struct {
 // maskEntry is one rasterized master; once built it is immutable.
 type maskEntry struct {
 	once sync.Once
-	lat  geo.MaskLattice
+	lat  *geo.MaskLattice
 }
 
 // landKey is the cell-size-independent part of a maskKey, remembered for
@@ -246,7 +246,7 @@ func (c *LandMaskCache) lattice(regions []*geo.Region, cellKm float64) *geo.Mask
 	// milliseconds); per-entry Once keeps concurrent first users from
 	// duplicating the work without blocking other keys.
 	e.once.Do(func() { e.build(key, regions) })
-	return &e.lat
+	return e.lat
 }
 
 // build rasterizes the master lattice: the region set's bounding box
@@ -254,16 +254,10 @@ func (c *LandMaskCache) lattice(regions []*geo.Region, cellKm float64) *geo.Mask
 // dimensions.
 func (e *maskEntry) build(key maskKey, regions []*geo.Region) {
 	cell := key.cellKm
-	minX := key.minX - cell
-	minY := key.minY - cell
 	w, h := masterDims(key)
-	// A weightless Grid carries just the lattice geometry for the fill.
-	g := &geo.Grid{Min: geo.V2(minX, minY), CellKm: cell, W: w, H: h}
-	mask := make([]bool, w*h)
-	for _, r := range regions {
-		g.RasterizeRegionInto(r, mask)
-	}
-	e.lat = geo.MaskLattice{MinX: minX, MinY: minY, W: w, H: h, Cells: mask}
+	// A weightless Grid carries just the lattice geometry.
+	g := &geo.Grid{Min: geo.V2(key.minX-cell, key.minY-cell), CellKm: cell, W: w, H: h}
+	e.lat = geo.NewMaskLattice(g, regions)
 }
 
 // Apply writes excluded into every cell of g whose centre does not fall on
@@ -277,34 +271,14 @@ func (e *maskEntry) build(key maskKey, regions []*geo.Region) {
 // the coastline, well inside the deliberate coarseness of the §2.5
 // outlines.
 //
-// The solver itself masks inside geo.Grid.ResolveTop, from the same master
-// with the same arithmetic; Apply is the standalone form the differential
-// oracle and the benchmark's replay rung call.
+// Apply is geo.Grid.MaskOff on the master, the mask pass the solver makes
+// row by row inside geo.Grid.ResolveTop; the differential oracle and the
+// benchmark's replay rung call it.
 func (c *LandMaskCache) Apply(g *geo.Grid, regions []*geo.Region, excluded float64) bool {
 	e := c.lattice(regions, g.CellKm)
 	if e == nil {
 		return false
 	}
-	invCell := 1 / g.CellKm
-	for y := 0; y < g.H; y++ {
-		cy := g.Min.Y + (float64(y)+0.5)*g.CellKm
-		my := int(math.Floor((cy - e.MinY) * invCell))
-		row := g.Weight[y*g.W : (y+1)*g.W]
-		if my < 0 || my >= e.H {
-			for x := range row {
-				row[x] = excluded
-			}
-			continue
-		}
-		mrow := e.Cells[my*e.W : (my+1)*e.W]
-		// (cx-minX)/cell for x=0, advancing by exactly 1 per cell.
-		fx := (g.Min.X - e.MinX + 0.5*g.CellKm) * invCell
-		for x := range row {
-			mx := int(math.Floor(fx + float64(x)))
-			if mx < 0 || mx >= e.W || !mrow[mx] {
-				row[x] = excluded
-			}
-		}
-	}
+	g.MaskOff(e, excluded)
 	return true
 }

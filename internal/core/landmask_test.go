@@ -8,6 +8,18 @@ import (
 	"octant/internal/geo"
 )
 
+// landCells is the union of regions on g, rasterized region by region: the
+// reference every land mask is held to.
+func landCells(g *geo.Grid, regions []*geo.Region) []bool {
+	land := make([]bool, g.W*g.H)
+	for _, r := range regions {
+		for i, in := range g.RasterizeRegion(r) {
+			land[i] = land[i] || in
+		}
+	}
+	return land
+}
+
 // TestLandMaskCacheMatchesDirect checks the cached master-lattice mask
 // against direct per-grid rasterization: interior land and open ocean must
 // agree everywhere; disagreement is tolerated only on the thin coastline
@@ -27,10 +39,7 @@ func TestLandMaskCacheMatchesDirect(t *testing.T) {
 
 	direct := geo.NewGrid(geo.V2(-2500, -1800), geo.V2(2500, 1800), cellKm)
 	defer direct.Release()
-	land := make([]bool, direct.W*direct.H)
-	for _, lr := range regions {
-		direct.RasterizeRegionInto(lr, land)
-	}
+	land := landCells(direct, regions)
 
 	disagree := 0
 	for i := range land {
@@ -223,10 +232,7 @@ func TestLandMaskCacheMixedSizesConcurrentSurveys(t *testing.T) {
 					g.Release()
 					continue
 				}
-				land := make([]bool, g.W*g.H)
-				for _, r := range surveys[si] {
-					g.RasterizeRegionInto(r, land)
-				}
+				land := landCells(g, surveys[si])
 				for y := 0; y < g.H; y++ {
 					for x := 0; x < g.W; x++ {
 						j := y*g.W + x

@@ -194,11 +194,7 @@ func solveOnGrid(g *geo.Grid, fills []geo.Fill, cellKm float64, opts *SolverOpts
 		if land == nil {
 			// Rasterized onto the grid's own lattice, the mask maps
 			// cell for cell.
-			cells := make([]bool, g.W*g.H)
-			for _, lr := range opts.LandRegions {
-				g.RasterizeRegionInto(lr, cells)
-			}
-			land = &geo.MaskLattice{MinX: g.Min.X, MinY: g.Min.Y, W: g.W, H: g.H, Cells: cells}
+			land = geo.NewMaskLattice(g, opts.LandRegions)
 		}
 	}
 	top := g.ResolveTop(fills, land, excluded, opts.MinAreaKm2)

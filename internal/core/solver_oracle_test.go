@@ -38,10 +38,7 @@ func referenceSolveOnGrid(constraints []Constraint, min, max geo.Vec2, cellKm fl
 	g.FlushAdds()
 	if len(opts.LandRegions) > 0 {
 		if !opts.Masks.Apply(g, opts.LandRegions, excluded) {
-			land := make([]bool, g.W*g.H)
-			for _, lr := range opts.LandRegions {
-				g.RasterizeRegionInto(lr, land)
-			}
+			land := landCells(g, opts.LandRegions)
 			for i := range g.Weight {
 				if !land[i] {
 					g.Weight[i] = excluded

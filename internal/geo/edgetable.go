@@ -32,10 +32,11 @@ type tableEdge struct {
 	// predicate scanRow evaluates ((a.Y <= yc && b.Y > yc) for upward
 	// edges, (b.Y <= yc && a.Y > yc) for downward), on the same floats.
 	lo, hi float64
-	dir    int8 // winding direction: +1 upward (ay < by), -1 downward
+	dir    int8  // winding direction: +1 upward (ay < by), -1 downward
+	reg    int32 // index of the edge's region in the table's region list
 }
 
-// EdgeTable holds a region's edges bucketed by starting grid row, and the
+// EdgeTable holds regions' edges bucketed by starting grid row, and the
 // state of one scanline sweep over rows [y0, y1] of a grid. Buckets use a
 // CSR layout (starts/items) rather than a slice per row, so building a
 // table costs a handful of allocations no matter how many rows it spans.
@@ -70,43 +71,49 @@ func resize32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// newEdgeTable buckets the edges of r for sweeps over grid rows [y0, y1].
-// Bucket rows are conservative (an edge may enter its bucket a row early);
-// the sweep re-checks the exact crossing predicate every row, so the
-// bounds only have to never be late.
-func newEdgeTable(r *Region, g *Grid, y0, y1 int) *EdgeTable {
+// newEdgeTable buckets the edges of regions for sweeps over grid rows
+// [y0, y1]; each crossing names the region its edge came from. Bucket rows
+// are conservative (an edge may enter its bucket a row early); the sweep
+// re-checks the exact crossing predicate every row, so the bounds only have
+// to never be late.
+func newEdgeTable(regions []*Region, g *Grid, y0, y1 int) *EdgeTable {
 	t := edgeTablePool.Get().(*EdgeTable)
 	t.y0, t.y1 = y0, y1
 	t.edges, t.active = t.edges[:0], t.active[:0]
 	rowOf := t.rowOf[:0] // first eligible row per edge, relative to y0
 	inv := 1 / g.CellKm
-	for _, ring := range r.Rings {
-		n := len(ring)
-		for i := 0; i < n; i++ {
-			a := ring[i]
-			b := ring[(i+1)%n]
-			if a.Y == b.Y {
-				continue
+	for ri, r := range regions {
+		if r == nil {
+			continue
+		}
+		for _, ring := range r.Rings {
+			n := len(ring)
+			for i := 0; i < n; i++ {
+				a := ring[i]
+				b := ring[(i+1)%n]
+				if a.Y == b.Y {
+					continue
+				}
+				e := tableEdge{ax: a.X, ay: a.Y, bx: b.X, by: b.Y, reg: int32(ri)}
+				if a.Y < b.Y {
+					e.lo, e.hi, e.dir = a.Y, b.Y, 1
+				} else {
+					e.lo, e.hi, e.dir = b.Y, a.Y, -1
+				}
+				// Row y has centre yc = Min.Y + (y+0.5)·cell; the true active
+				// range solves lo <= yc < hi. Widen by one row on each side to
+				// absorb floating-point rounding of the division.
+				first := int(math.Floor((e.lo-g.Min.Y)*inv-0.5)) - 1
+				last := int(math.Ceil((e.hi-g.Min.Y)*inv-0.5)) + 1
+				if last < y0 || first > y1 {
+					continue
+				}
+				if first < y0 {
+					first = y0
+				}
+				t.edges = append(t.edges, e)
+				rowOf = append(rowOf, int32(first-y0))
 			}
-			e := tableEdge{ax: a.X, ay: a.Y, bx: b.X, by: b.Y}
-			if a.Y < b.Y {
-				e.lo, e.hi, e.dir = a.Y, b.Y, 1
-			} else {
-				e.lo, e.hi, e.dir = b.Y, a.Y, -1
-			}
-			// Row y has centre yc = Min.Y + (y+0.5)·cell; the true active
-			// range solves lo <= yc < hi. Widen by one row on each side to
-			// absorb floating-point rounding of the division.
-			first := int(math.Floor((e.lo-g.Min.Y)*inv-0.5)) - 1
-			last := int(math.Ceil((e.hi-g.Min.Y)*inv-0.5)) + 1
-			if last < y0 || first > y1 {
-				continue
-			}
-			if first < y0 {
-				first = y0
-			}
-			t.edges = append(t.edges, e)
-			rowOf = append(rowOf, int32(first-y0))
 		}
 	}
 	t.rowOf = rowOf
@@ -166,7 +173,7 @@ func (t *EdgeTable) row(g *Grid, y int) []crossing {
 		}
 		// Identical expression to scanRow, bit for bit.
 		tt := (yc - e.ay) / (e.by - e.ay)
-		cross = append(cross, crossing{x: e.ax + tt*(e.bx-e.ax), dir: int(e.dir)})
+		cross = append(cross, crossing{x: e.ax + tt*(e.bx-e.ax), dir: int(e.dir), reg: e.reg})
 	}
 	sortCrossings(cross)
 	t.active, t.cross = keep, cross
@@ -224,14 +231,15 @@ func emitSpans(g *Grid, buf []crossing, y int, fn func(y, x0, x1 int)) {
 
 // forEachSpan rasterizes r over the grid, rows ascending, invoking
 // fn(y, x0, x1) for every maximal inside-run of cells. This is the single
-// span visitor behind AddRegion, AddRegionBatched and RasterizeRegion.
+// span visitor behind AddRegion, AddRegionBatched and RasterizeRegion;
+// NewMaskLattice sweeps its own table over several regions at once.
 func (g *Grid) forEachSpan(r *Region, fn func(y, x0, x1 int)) {
 	min, max, ok := r.BoundingBox()
 	if !ok {
 		return
 	}
 	if y0, y1 := g.rowRange(min, max); y0 <= y1 {
-		t := newEdgeTable(r, g, y0, y1)
+		t := newEdgeTable([]*Region{r}, g, y0, y1)
 		t.sweep(g, fn)
 		t.release()
 	}
@@ -377,7 +385,7 @@ func (f *Fill) begin(g *Grid) {
 	y0, y1 := g.rowRange(f.Min, f.Max)
 	f.y0, f.y1, f.table = int32(y0), int32(y1), nil
 	if y0 <= y1 && f.General() {
-		f.table = newEdgeTable(f.Region, g, y0, y1)
+		f.table = newEdgeTable([]*Region{f.Region}, g, y0, y1)
 	}
 	// Both cursors wait below the bottom turn — the ascending chain's first
 	// edge, the descending chain's last — for the first row inside the ring.

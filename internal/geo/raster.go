@@ -38,7 +38,7 @@ var (
 
 // getBuf draws a buffer of length n from pool: zeroed when zero is set, else
 // holding whatever its last user left — for callers that store every entry
-// they read (ResolveTop's weight field and column map).
+// they read (ResolveTop's weight field).
 func getBuf[T any](pool *sync.Pool, n int, zero bool) *[]T {
 	p, _ := pool.Get().(*[]T)
 	if p == nil {
@@ -140,10 +140,12 @@ func (g *Grid) CellAt(p Vec2) (int, int) {
 }
 
 // crossing is an x-coordinate where a ring edge crosses a scanline, with the
-// winding direction of the edge.
+// winding direction of the edge and the index of its region in the table's
+// list (NewMaskLattice's sweep keeps a winding number per region).
 type crossing struct {
 	x   float64
 	dir int
+	reg int32
 }
 
 // AddRegion adds weight w to every cell whose centre lies inside r.
@@ -520,26 +522,17 @@ func collapseCollinear(ring Ring) Ring {
 	return out
 }
 
-// RasterizeRegion computes the binary inside-mask of r on grid geometry.
+// RasterizeRegion computes the binary inside-mask of r on grid geometry: a
+// cell is true when its centre lies inside r.
 func (g *Grid) RasterizeRegion(r *Region) []bool {
 	inside := make([]bool, g.W*g.H)
-	g.RasterizeRegionInto(r, inside)
-	return inside
-}
-
-// RasterizeRegionInto sets mask[i] = true for every cell whose centre lies
-// inside r, leaving other entries untouched (so masks of several regions
-// can be OR-combined without temporaries). mask must have length W*H.
-func (g *Grid) RasterizeRegionInto(r *Region, mask []bool) {
-	if r == nil {
-		return
-	}
 	g.forEachSpan(r, func(y, x0, x1 int) {
-		row := mask[y*g.W+x0 : y*g.W+x1+1]
+		row := inside[y*g.W+x0 : y*g.W+x1+1]
 		for i := range row {
 			row[i] = true
 		}
 	})
+	return inside
 }
 
 // rasterBool combines two regions cell by cell with op, on a grid over the
@@ -579,14 +572,9 @@ func rasterBool(a, b *Region, opts *BoolOpts, op func(x, y bool) bool) *Region {
 	pad := cellKm * 2
 	g := NewGrid(Vec2{lo.X - pad, lo.Y - pad}, Vec2{hi.X + pad, hi.Y + pad}, cellKm)
 	defer g.Release()
-	var bufs [3]*[]bool // a's mask, b's mask, the combination
-	for i := range bufs {
-		bufs[i] = getBuf[bool](&maskPool, g.W*g.H, true)
-		defer maskPool.Put(bufs[i])
-	}
-	ma, mb, out := *bufs[0], *bufs[1], *bufs[2]
-	g.RasterizeRegionInto(a, ma)
-	g.RasterizeRegionInto(b, mb)
+	buf := getBuf[bool](&maskPool, g.W*g.H, true) // the combination
+	defer maskPool.Put(buf)
+	ma, mb, out := g.RasterizeRegion(a), g.RasterizeRegion(b), *buf
 	any := false
 	for i := range out {
 		if op(ma[i], mb[i]) {

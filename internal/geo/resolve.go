@@ -66,13 +66,57 @@ import (
 
 // MaskLattice is a rasterized hard mask on its own lattice: cell (mx, my)
 // covers [MinX+mx·c, MinX+(mx+1)·c) × [MinY+my·c, …) for the cell size c of
-// the grid it is applied to, and Cells[my*W+mx] is true where weight is
-// kept. Grids of any origin and extent at that cell size sample it by
-// mapping each cell centre to the lattice cell containing it.
+// the grid it is applied to, and weight is kept on row my's runs
+// Spans[Rows[my]:Rows[my+1]], each the lattice columns [x0, x1), ascending,
+// disjoint and never adjacent. Grids of any origin and extent at that cell
+// size sample it by mapping each cell centre to the lattice cell containing
+// it.
 type MaskLattice struct {
 	MinX, MinY float64
 	W, H       int
-	Cells      []bool
+	Rows       []int32 // H+1 offsets into Spans
+	Spans      [][2]int32
+}
+
+// NewMaskLattice rasterizes the union of regions on g's geometry (its
+// weights are not read): a cell is kept when its centre lies inside one of
+// the regions, as RasterizeRegion decides region by region. One edge-table
+// sweep over every ring of every region keeps a winding number per region;
+// the union is open where one of them is non-zero, so each row's runs come
+// out sorted and merged, and no W·H buffer exists.
+func NewMaskLattice(g *Grid, regions []*Region) *MaskLattice {
+	m := &MaskLattice{MinX: g.Min.X, MinY: g.Min.Y, W: g.W, H: g.H, Rows: make([]int32, 1, g.H+1), Spans: make([][2]int32, 0, g.H)}
+	t := newEdgeTable(regions, g, 0, g.H-1)
+	defer t.release()
+	wind := make([]int, len(regions))
+	for y := 0; y < g.H; y++ {
+		clear(wind)
+		inside, open := 0, 0.0 // regions whose winding is non-zero; where the union opened
+		for _, c := range t.row(g, y) {
+			was := inside
+			if wind[c.reg] == 0 {
+				inside++
+			}
+			if wind[c.reg] += c.dir; wind[c.reg] == 0 {
+				inside--
+			}
+			switch {
+			case was == 0: // nothing was open, so this crossing opens the union
+				open = c.x
+			case inside == 0:
+				// The union closes. Unions that meet at a cell, or one
+				// apart, make one run.
+				x0, x1 := g.spanCells(open, c.x)
+				if k := len(m.Spans) - 1; x0 <= x1 && k >= int(m.Rows[y]) && int(m.Spans[k][1]) >= x0 {
+					m.Spans[k][1] = int32(x1 + 1)
+				} else if x0 <= x1 {
+					m.Spans = append(m.Spans, [2]int32{int32(x0), int32(x1 + 1)})
+				}
+			}
+		}
+		m.Rows = append(m.Rows, int32(len(m.Spans)))
+	}
+	return m
 }
 
 // CellBox is an inclusive rectangle of cell indices, empty when X1 < X0.
@@ -265,10 +309,64 @@ func (t *topTable) raise(cellArea, minAreaKm2, eps float64) {
 var rowPool sync.Pool // *[]float64
 
 // maskRun is a stretch [x0, x1) of a grid's columns whose land-lattice
-// column is x + off, or, with on unset, off the lattice.
-type maskRun struct {
-	x0, x1, off int
-	on          bool
+// column is x + off.
+type maskRun struct{ x0, x1, off int }
+
+// maskCols appends to runs the stretches of g's columns whose centres fall
+// on land's lattice. The lattice column under grid column x is
+// floor(fx + x), the retained mask application's arithmetic; a run is a
+// stretch where it is x + off, cut wherever it steps otherwise.
+func (g *Grid) maskCols(land *MaskLattice, runs []maskRun) []maskRun {
+	fx := (g.Min.X - land.MinX + 0.5*g.CellKm) * (1 / g.CellKm)
+	for x := 0; x < g.W; x++ {
+		mx := int(math.Floor(fx + float64(x)))
+		if mx < 0 || mx >= land.W {
+			continue
+		}
+		if k := len(runs) - 1; k >= 0 && runs[k].x1 == x && runs[k].off == mx-x {
+			runs[k].x1++
+		} else {
+			runs = append(runs, maskRun{x0: x, x1: x + 1, off: mx - x})
+		}
+	}
+	return runs
+}
+
+// keptCols appends to kept the stretches [x0, x1) of row y's columns whose
+// centres land keeps, ascending, then an empty stretch at W: the columns
+// between them are off land. runs is maskCols'.
+func (g *Grid) keptCols(land *MaskLattice, runs []maskRun, y int, kept [][2]int) [][2]int {
+	my := int(math.Floor((g.rowCentre(y) - land.MinY) * (1 / g.CellKm)))
+	if my < 0 || my >= land.H {
+		return append(kept, [2]int{g.W, g.W})
+	}
+	spans := land.Spans[land.Rows[my]:land.Rows[my+1]]
+	for _, r := range runs {
+		for _, s := range spans {
+			if a, b := max(r.x0, int(s[0])-r.off), min(r.x1, int(s[1])-r.off); a < b {
+				kept = append(kept, [2]int{a, b})
+			}
+		}
+	}
+	return append(kept, [2]int{g.W, g.W})
+}
+
+// MaskOff writes excluded into every cell whose centre is off land: the
+// mask pass ResolveTop makes row by row.
+func (g *Grid) MaskOff(land *MaskLattice, excluded float64) {
+	var runBuf [8]maskRun
+	var keptBuf [16][2]int
+	runs := g.maskCols(land, runBuf[:0])
+	for y := 0; y < g.H; y++ {
+		x := 0
+		for _, k := range g.keptCols(land, runs, y, keptBuf[:0]) {
+			row := g.Weight[y*g.W+x : y*g.W+k[0]]
+			for i := range row {
+				row[i] = excluded
+			}
+			x = k[1]
+		}
+	}
 }
 
 // scoutFrac picks the scout's rows: bound >= scoutFrac × the largest. On the
@@ -293,33 +391,16 @@ const levelSlack, addSlack float64 = 2e-9, 0x1p-52
 // row's fills enter its difference buffer in fill order) and a cell below
 // holds that weight or, its row pruned, 0: ThresholdIn over Box reads the
 // level's cells as Threshold would there. Other rows are unspecified. The
-// census keeps a running floor (above); mask rows are read as column runs.
+// census keeps a running floor (above); a row is read as stretches of kept
+// and excluded columns, and an excluded stretch folds once.
 func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 float64) TopLevel {
-	// The lattice column under grid column x is floor(fx + x), the retained
-	// mask application's arithmetic: runs are the stretches where it is
-	// x + off, cut wherever it steps otherwise, and those off the lattice.
+	// kept holds a row's stretches of kept columns (keptCols); with no land
+	// it is the whole row.
 	var runBuf [8]maskRun
-	runs, keep := runBuf[:0], []bool(nil)
-	invCell := 1 / g.CellKm
-	if land == nil {
-		buf := getBuf[bool](&maskPool, g.W, false)
-		defer maskPool.Put(buf)
-		keep = *buf
-		for x := range keep {
-			keep[x] = true
-		}
-		runs = append(runs, maskRun{x1: g.W, on: true})
-	} else {
-		fx := (g.Min.X - land.MinX + 0.5*g.CellKm) * invCell
-		for x := 0; x < g.W; x++ {
-			mx := int(math.Floor(fx + float64(x)))
-			r := maskRun{x0: x, x1: x + 1, off: mx - x, on: mx >= 0 && mx < land.W}
-			if k := len(runs) - 1; k >= 0 && runs[k].on == r.on && runs[k].off == r.off {
-				runs[k].x1++
-			} else {
-				runs = append(runs, r)
-			}
-		}
+	var keptBuf [16][2]int
+	runs, kept := runBuf[:0], append(keptBuf[:0], [2]int{0, g.W}, [2]int{g.W, g.W})
+	if land != nil {
+		runs = g.maskCols(land, runs)
 	}
 	dbuf := getBuf[float64](&rowPool, g.W+1+g.H+1, true)
 	defer rowPool.Put(dbuf)
@@ -375,48 +456,36 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 				fills[i].addRow(g, y, yc, diff)
 			}
 			wrow := g.Weight[y*g.W : (y+1)*g.W]
-			mrow := keep
 			if land != nil {
-				my := int(math.Floor((yc - land.MinY) * invCell))
-				if my < 0 || my >= land.H {
-					for x := range wrow {
-						wrow[x] = excluded
-					}
-					continue
-				}
-				mrow = land.Cells[my*land.W : (my+1)*land.W]
+				kept = g.keptCols(land, runs, y, kept[:0])
 			}
 			run := 0.0
 			cur, start := math.NaN(), 0 // the open run of equal weights
-			for _, r := range runs {
-				d, wr := diff[r.x0:r.x1], wrow[r.x0:r.x1]
-				if !r.on { // every cell excluded: one run
-					for _, di := range d {
+			x := 0
+			for _, k := range kept {
+				if x < k[0] { // an excluded stretch: one run
+					for _, di := range diff[x:k[0]] {
 						run += di
 					}
-					for x := range wr {
-						wr[x] = excluded
+					wr := wrow[x:k[0]]
+					for i := range wr {
+						wr[i] = excluded
 					}
 					if cur != excluded {
-						t.fold(cur, y, start, r.x0-1)
-						cur, start = excluded, r.x0
+						t.fold(cur, y, start, x-1)
+						cur, start = excluded, x
 					}
-					continue
 				}
-				m := mrow[r.x0+r.off : r.x1+r.off]
-				m, wr = m[:len(d)], wr[:len(d)]
-				for x, di := range d {
+				wr := wrow[k[0]:k[1]]
+				for i, di := range diff[k[0]:k[1]] {
 					run += di
-					w := run
-					if !m[x] {
-						w = excluded
-					}
-					wr[x] = w
-					if w != cur {
-						t.fold(cur, y, start, r.x0+x-1)
-						cur, start = w, r.x0+x
+					wr[i] = run
+					if run != cur {
+						t.fold(cur, y, start, k[0]+i-1)
+						cur, start = run, k[0]+i
 					}
 				}
+				x = k[1]
 			}
 			// The buffer's last entry only ends spans.
 			t.fold(cur, y, start, g.W-1)

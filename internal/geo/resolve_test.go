@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -81,14 +82,16 @@ func TestResolveTopMatchesSeparatePasses(t *testing.T) {
 			minArea = float64(1 + int(minArea)%8) // often within the tower's cells
 		}
 		var land *MaskLattice
+		var cells []bool // land's cells, drawn one by one
 		if seed%3 != 0 {
 			// Same cell size, arbitrary offset: every grid cell centre
 			// falls in some lattice cell or off the lattice.
 			land = &MaskLattice{MinX: rng.Float64()*6 - 3, MinY: rng.Float64()*6 - 3, W: 4 + rng.IntN(40), H: 4 + rng.IntN(40)}
-			land.Cells = make([]bool, land.W*land.H)
-			for i := range land.Cells {
-				land.Cells[i] = rng.IntN(5) != 0
+			cells = make([]bool, land.W*land.H)
+			for i := range cells {
+				cells[i] = rng.IntN(5) != 0
 			}
+			setRuns(land, cells)
 		}
 
 		fills := dustyFills(rand.New(rand.NewPCG(seed, 12)), w, h, rects, tower)
@@ -100,16 +103,18 @@ func TestResolveTopMatchesSeparatePasses(t *testing.T) {
 			ref.AddRegionBatched(f.Region, f.Weight)
 		}
 		ref.FlushAdds()
+		unmasked := slices.Clone(ref.Weight)
 		if land != nil {
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
 					c := ref.CellCenter(x, y)
 					mx, my := int(math.Floor(c.X-land.MinX)), int(math.Floor(c.Y-land.MinY))
-					if mx < 0 || my < 0 || mx >= land.W || my >= land.H || !land.Cells[my*land.W+mx] {
+					if mx < 0 || my < 0 || mx >= land.W || my >= land.H || !cells[my*land.W+mx] {
 						ref.Weight[y*w+x] = excluded
 					}
 				}
 			}
+			checkMaskOff(t, unmasked, ref, land, excluded)
 		}
 		want := ref.censusTop(minArea)
 		y0, y1 := specifiedRows(fused, got)
@@ -175,6 +180,7 @@ func FuzzResolveTop(f *testing.F) {
 		w, h := 1+next()%40, 1+next()%40
 		minArea := float64(1 + next()%(w*h+20))
 		var land *MaskLattice
+		var cells []bool
 		if next()%3 != 0 {
 			land = &MaskLattice{
 				MinX: float64(next()%32-16)/4 + float64(next()%5-2)*0x1p-52,
@@ -183,10 +189,11 @@ func FuzzResolveTop(f *testing.F) {
 				H:    1 + next()%40,
 			}
 			rng := rand.New(rand.NewPCG(uint64(next()), 13))
-			land.Cells = make([]bool, land.W*land.H)
-			for i := range land.Cells {
-				land.Cells[i] = rng.IntN(5) != 0
+			cells = make([]bool, land.W*land.H)
+			for i := range cells {
+				cells[i] = rng.IntN(5) != 0
 			}
+			setRuns(land, cells)
 		}
 		var fills []Fill
 		rect := func(x0, y0, x1, y1 int, weight float64) {
@@ -210,18 +217,51 @@ func FuzzResolveTop(f *testing.F) {
 			}
 			rect(x0, y0, x1, y1, weight)
 		}
-		checkResolveTop(t, fills, w, h, land, minArea)
+		checkResolveTop(t, fills, w, h, land, cells, minArea)
 	})
 }
 
+// setRuns stores cells, land's W × H raster row by row, as land's runs.
+func setRuns(land *MaskLattice, cells []bool) {
+	land.Rows, land.Spans = make([]int32, 1, land.H+1), nil
+	for my := 0; my < land.H; my++ {
+		row := cells[my*land.W : (my+1)*land.W]
+		for x := 0; x < len(row); x++ {
+			if !row[x] {
+				continue
+			}
+			x0 := x
+			for x < len(row) && row[x] {
+				x++
+			}
+			land.Spans = append(land.Spans, [2]int32{int32(x0), int32(x)})
+		}
+		land.Rows = append(land.Rows, int32(len(land.Spans)))
+	}
+}
+
+// checkMaskOff holds MaskOff on the unmasked field to the reference's mask
+// pass, cell by cell, bit for bit.
+func checkMaskOff(t *testing.T, unmasked []float64, ref *Grid, land *MaskLattice, excluded float64) {
+	t.Helper()
+	g := &Grid{Min: ref.Min, CellKm: ref.CellKm, W: ref.W, H: ref.H, Weight: unmasked}
+	g.MaskOff(land, excluded)
+	for i, w := range g.Weight {
+		if math.Float64bits(w) != math.Float64bits(ref.Weight[i]) {
+			t.Fatalf("MaskOff: cell (%d, %d) holds %v, the cell-by-cell pass %v", i%g.W, i/g.W, w, ref.Weight[i])
+		}
+	}
+}
+
 // checkResolveTop runs ResolveTop on a poisoned w×h unit grid and holds it
-// to the separate passes: FlushAdds on a zeroed grid, the land mask applied
-// cell by cell with the retained application's arithmetic, and the census
+// to the separate passes: FlushAdds on a zeroed grid, the land mask (cells,
+// land's raster) applied cell by cell with the retained application's
+// arithmetic, and the census
 // walk. Best, Level, Cells, Box and Depth must agree exactly, and so must
 // the field on the box's rows as TestResolveTopMatchesSeparatePasses reads
 // it. Underflow may only be what a table without the running floor or the
 // row pruning, fed every run of the reference, reports — or false.
-func checkResolveTop(t *testing.T, fills []Fill, w, h int, land *MaskLattice, minArea float64) {
+func checkResolveTop(t *testing.T, fills []Fill, w, h int, land *MaskLattice, cells []bool, minArea float64) {
 	t.Helper()
 	const excluded = -math.MaxFloat64
 	fused := poisonedGrid(V2(0, 0), V2(float64(w), float64(h)), 1)
@@ -232,6 +272,7 @@ func checkResolveTop(t *testing.T, fills []Fill, w, h int, land *MaskLattice, mi
 		ref.AddRegionBatched(f.Region, f.Weight)
 	}
 	ref.FlushAdds()
+	unmasked := slices.Clone(ref.Weight)
 	if land != nil {
 		invCell := 1 / ref.CellKm
 		fx := (ref.Min.X - land.MinX + 0.5*ref.CellKm) * invCell
@@ -239,11 +280,12 @@ func checkResolveTop(t *testing.T, fills []Fill, w, h int, land *MaskLattice, mi
 			my := int(math.Floor((ref.rowCentre(y) - land.MinY) * invCell))
 			for x := 0; x < w; x++ {
 				mx := int(math.Floor(fx + float64(x)))
-				if my < 0 || my >= land.H || mx < 0 || mx >= land.W || !land.Cells[my*land.W+mx] {
+				if my < 0 || my >= land.H || mx < 0 || mx >= land.W || !cells[my*land.W+mx] {
 					ref.Weight[y*w+x] = excluded
 				}
 			}
 		}
+		checkMaskOff(t, unmasked, ref, land, excluded)
 	}
 	want := ref.censusTop(minArea)
 

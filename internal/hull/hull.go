@@ -6,7 +6,9 @@
 package hull
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -28,13 +30,8 @@ func Convex(pts []P) []P {
 	if n == 0 {
 		return nil
 	}
-	sorted := append([]P(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
+	sorted := slices.Clone(pts)
+	slices.SortFunc(sorted, byXY)
 	// Dedupe.
 	uniq := sorted[:1]
 	for _, p := range sorted[1:] {
@@ -63,48 +60,55 @@ func Convex(pts []P) []P {
 	return append(lower[:len(lower)-1], upper[:len(upper)-1]...)
 }
 
+// byXY orders points by x, then y.
+func byXY(a, b P) int {
+	if c := cmp.Compare(a.X, b.X); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Y, b.Y)
+}
+
 // UpperFacets returns the upper hull chain of pts from the leftmost to the
 // rightmost point, sorted by increasing x. Evaluated as a function of x it
 // is the tightest concave upper bound on the scatter.
 func UpperFacets(pts []P) []P {
-	return monotoneChain(pts, true)
+	upper, _ := Facets(pts)
+	return upper
 }
 
 // LowerFacets returns the lower hull chain of pts from leftmost to
 // rightmost, sorted by increasing x: the tightest convex lower bound.
 func LowerFacets(pts []P) []P {
-	return monotoneChain(pts, false)
+	_, lower := Facets(pts)
+	return lower
 }
 
+// Facets returns UpperFacets(pts) and LowerFacets(pts) from one sort by
+// (x, y): of the points sharing an x, the upper chain keeps the last (the
+// highest) and the lower chain the first (the lowest).
+func Facets(pts []P) (upper, lower []P) {
+	if len(pts) == 0 {
+		return nil, nil
+	}
+	sorted := slices.Clone(pts)
+	slices.SortFunc(sorted, byXY)
+	upper, lower = make([]P, 0, len(sorted)), make([]P, 0, len(sorted))
+	for i, p := range sorted {
+		if i+1 == len(sorted) || sorted[i+1].X != p.X {
+			upper = append(upper, p)
+		}
+		if i == 0 || sorted[i-1].X != p.X {
+			lower = append(lower, p)
+		}
+	}
+	return monotoneChain(upper, true), monotoneChain(lower, false)
+}
+
+// monotoneChain reduces pts, at most one per x and ascending in x, to its
+// upper or lower hull chain in place.
 func monotoneChain(pts []P, upper bool) []P {
-	n := len(pts)
-	if n == 0 {
-		return nil
-	}
-	sorted := append([]P(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		if upper {
-			return sorted[i].Y < sorted[j].Y
-		}
-		return sorted[i].Y > sorted[j].Y
-	})
-	// For equal x keep the extreme y only.
-	uniq := sorted[:0:0]
-	for _, p := range sorted {
-		if len(uniq) > 0 && uniq[len(uniq)-1].X == p.X {
-			uniq[len(uniq)-1] = p // later sorts to the extreme for this x
-			continue
-		}
-		uniq = append(uniq, p)
-	}
-	if len(uniq) < 3 {
-		return uniq
-	}
-	chain := make([]P, 0, len(uniq))
-	for _, p := range uniq {
+	chain := pts[:0]
+	for _, p := range pts {
 		for len(chain) >= 2 {
 			c := cross(chain[len(chain)-2], chain[len(chain)-1], p)
 			if (upper && c >= 0) || (!upper && c <= 0) {

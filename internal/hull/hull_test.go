@@ -3,6 +3,9 @@ package hull
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -88,6 +91,84 @@ func TestFacetsBoundScatter(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refChain is the upper or lower chain as it was computed before Facets:
+// one sort per chain, y descending for the lower one, and the last point of
+// each x kept. Facets is held to it.
+func refChain(pts []P, upper bool) []P {
+	n := len(pts)
+	if n == 0 {
+		return nil
+	}
+	sorted := append([]P(nil), pts...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].X != sorted[j].X {
+			return sorted[i].X < sorted[j].X
+		}
+		if upper {
+			return sorted[i].Y < sorted[j].Y
+		}
+		return sorted[i].Y > sorted[j].Y
+	})
+	// For equal x keep the extreme y only.
+	uniq := sorted[:0:0]
+	for _, p := range sorted {
+		if len(uniq) > 0 && uniq[len(uniq)-1].X == p.X {
+			uniq[len(uniq)-1] = p // later sorts to the extreme for this x
+			continue
+		}
+		uniq = append(uniq, p)
+	}
+	if len(uniq) < 3 {
+		return uniq
+	}
+	chain := make([]P, 0, len(uniq))
+	for _, p := range uniq {
+		for len(chain) >= 2 {
+			c := cross(chain[len(chain)-2], chain[len(chain)-1], p)
+			if (upper && c >= 0) || (!upper && c <= 0) {
+				chain = chain[:len(chain)-1]
+				continue
+			}
+			break
+		}
+		chain = append(chain, p)
+	}
+	return chain
+}
+
+// TestFacetsMatchTwoSorts: one sort gives both chains the two sorts gave,
+// on scatters with repeated x values, duplicate points and collinear runs,
+// and leaves its input as it was.
+func TestFacetsMatchTwoSorts(t *testing.T) {
+	for seed := uint64(0); seed < 2000; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 41))
+		n := rng.IntN(40)
+		pts := make([]P, n)
+		for i := range pts {
+			// Few distinct x and y values: repeated x, duplicates and
+			// collinear points are common.
+			pts[i] = P{X: float64(1 + rng.IntN(1+n/3)), Y: float64(1+rng.IntN(8)) * 0.5}
+			if rng.IntN(3) == 0 {
+				pts[i].Y = rng.Float64() * 100
+			}
+			if i > 0 && rng.IntN(5) == 0 {
+				pts[i] = pts[rng.IntN(i)]
+			}
+		}
+		in := append([]P(nil), pts...)
+		up, lo := Facets(pts)
+		if !slices.Equal(pts, in) {
+			t.Fatalf("seed %d: Facets reordered its input", seed)
+		}
+		if wantUp, wantLo := refChain(pts, true), refChain(pts, false); !reflect.DeepEqual(up, wantUp) || !reflect.DeepEqual(lo, wantLo) {
+			t.Fatalf("seed %d, %v:\nupper %v, two sorts %v\nlower %v, two sorts %v", seed, pts, up, wantUp, lo, wantLo)
+		}
+		if u, l := UpperFacets(pts), LowerFacets(pts); !reflect.DeepEqual(u, up) || !reflect.DeepEqual(l, lo) {
+			t.Fatalf("seed %d: UpperFacets/LowerFacets differ from Facets", seed)
+		}
 	}
 }
 
