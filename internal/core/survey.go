@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"octant/internal/calib"
 	"octant/internal/geo"
@@ -45,8 +46,6 @@ type Survey struct {
 	RTT       [][]float64 // [i][j] min RTT between landmarks i and j, ms
 	Heights   []float64   // per-landmark queuing heights, ms
 	// Calibs holds one calibration per landmark, fitted from its RTT row.
-	// A survey loaded from a snapshot written by an older version may
-	// hold calibrations whose latencies lag RTT (see ReadSnapshot).
 	Calibs []*calib.Calibration
 	// Global pools every pair's (latency, distance) sample into one
 	// calibration; used for nodes without their own calibration history,
@@ -157,8 +156,8 @@ func MeasurePairs(ctx context.Context, sched *measure.Scheduler, p probe.Prober,
 
 // fit derives everything a survey computes from its RTT matrix — κ,
 // heights, one calibration per landmark and the pooled global one
-// (§2.1–2.2) — and is the only place that happens: NewSurvey, Subset and
-// Refit all end here.
+// (§2.1–2.2) — and is the only place that happens: NewSurvey, Subset,
+// Refit and ReadSnapshot all end here.
 func (s *Survey) fit(cutoff float64) error {
 	n := s.N()
 	// Heights from pairwise queuing-delay residuals (§2.2), after
@@ -180,6 +179,14 @@ func (s *Survey) fit(cutoff float64) error {
 	var err error
 	if s.Heights, err = height.SolveLandmarks(q); err != nil {
 		return err
+	}
+	// Finite RTTs can still overflow the heights system's row sums (a
+	// 1e308 ms matrix does), and evidence subtracts heights whether or
+	// not UseHeights is set.
+	for i, h := range s.Heights {
+		if math.IsNaN(h) || math.IsInf(h, 0) {
+			return fmt.Errorf("core: height of %s = %v ms is not finite", s.Landmarks[i].Name, h)
+		}
 	}
 
 	// Per-landmark calibration from (optionally height-adjusted)

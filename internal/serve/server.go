@@ -298,7 +298,8 @@ func ToTargetResultV2(item batch.Item) TargetResultV2 {
 
 // Request body caps. Localize bodies are a target list plus options —
 // MaxBatch host names fit many times over; a survey snapshot carries an
-// n² RTT matrix and every calibration sample. MaxSnapshotBody is exported
+// n² RTT matrix (and a format-1 one every calibration sample besides,
+// about 7× that). MaxSnapshotBody is exported
 // because the cap binds both directions: what /v1/survey/install accepts
 // and what a cluster client will read off /v1/survey/snapshot.
 const (

@@ -73,9 +73,9 @@
 // Long-running deployments should not pin the survey they booted with:
 // the paper recomputes calibrations as network conditions change. Wrap
 // the survey in a SurveyManager and hand the manager to the engine — it
-// reprobes the landmark mesh periodically or on demand, refits only the
-// calibrations that drifted, and hot-swaps each new epoch atomically
-// under live traffic:
+// reprobes the landmark mesh periodically or on demand, refits the
+// survey when its measurements drifted, and hot-swaps each new epoch
+// atomically under live traffic:
 //
 //	manager := octant.NewSurveyManager(prober, survey, octant.Config{},
 //		octant.SurveyManagerOptions{Interval: 15 * time.Minute})
@@ -89,7 +89,6 @@ package octant
 
 import (
 	"context"
-	"fmt"
 
 	"octant/internal/baselines"
 	"octant/internal/batch"
@@ -422,37 +421,6 @@ func NewSurveyManager(p Prober, s *Survey, cfg Config, opts SurveyManagerOptions
 // survey lifecycle around the result.
 func NewSurveyManagerProbed(p Prober, landmarks []Landmark, sopts SurveyOpts, cfg Config, opts SurveyManagerOptions) (*SurveyManager, error) {
 	return lifecycle.NewProbed(p, landmarks, sopts, cfg, opts)
-}
-
-// RebuildStats reports what RebuildSurvey recomputed.
-//
-// Deprecated: RebuildSurvey refits the whole survey; use Survey.Refit.
-type RebuildStats struct {
-	Dirty         []int // indices marked dirty
-	RebuiltCalibs int   // every landmark's calibration
-	GlobalRebuilt bool  // always true
-}
-
-// RebuildSurvey returns the next epoch of prev refitted from rtt; dirty
-// only fills the stats.
-//
-// Deprecated: use prev.Refit(rtt, epoch), which fits every landmark as
-// NewSurvey does (most callers use SurveyManager.Refresh instead).
-func RebuildSurvey(prev *Survey, rtt [][]float64, dirty []bool, epoch uint64) (*Survey, *RebuildStats, error) {
-	if len(dirty) != prev.N() {
-		return nil, nil, fmt.Errorf("octant: %d dirty flags for %d landmarks", len(dirty), prev.N())
-	}
-	next, err := prev.Refit(rtt, epoch)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := &RebuildStats{RebuiltCalibs: next.N(), GlobalRebuilt: true}
-	for i, d := range dirty {
-		if d {
-			st.Dirty = append(st.Dirty, i)
-		}
-	}
-	return next, st, nil
 }
 
 // LoadSurveySnapshot reads a survey snapshot written by
