@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"octant/internal/calib"
 	"octant/internal/netsim"
 	"octant/internal/probe"
 )
@@ -34,66 +33,50 @@ func snapshotFixture(t *testing.T, seed uint64) (*probe.SimProber, *Survey, stri
 }
 
 // TestSnapshotRoundTripBitIdentical is the acceptance check: a survey
-// saved and reloaded from disk yields bit-identical Localize output.
+// saved and reloaded from disk is the survey saved, and yields
+// bit-identical Localize output — in both height modes and at a
+// non-default calibration cutoff, which the snapshot must carry.
 func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 	p, s, target := snapshotFixture(t, 41)
-	s.Epoch = 7 // non-zero epoch must survive the round trip
-
-	path := filepath.Join(t.TempDir(), "survey.json")
-	if err := s.SaveSnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSnapshotFile(path)
+	flat, err := NewSurvey(p, s.Landmarks, SurveyOpts{CutoffPercentile: 75})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, orig := range []*Survey{s, flat} {
+		orig.Epoch = 7 // non-zero epoch must survive the round trip
+		path := filepath.Join(t.TempDir(), "survey.json")
+		if err := orig.SaveSnapshotFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every field, κ, heights and each calibration's fitted curve
+		// included: the reload is the fit of the same matrix.
+		if !reflect.DeepEqual(got, orig) {
+			t.Fatalf("reloaded survey (use_heights %v) differs from the original", orig.UseHeights)
+		}
 
-	if got.Epoch != s.Epoch || got.Kappa != s.Kappa || got.UseHeights != s.UseHeights || got.N() != s.N() {
-		t.Fatalf("header fields differ: %+v vs %+v", got.Epoch, s.Epoch)
-	}
-	for i := range s.RTT {
-		for j := range s.RTT[i] {
-			if got.RTT[i][j] != s.RTT[i][j] {
-				t.Fatalf("rtt[%d][%d] %v != %v", i, j, got.RTT[i][j], s.RTT[i][j])
-			}
+		want, err := NewLocalizer(p, orig, Config{}).LocalizeContext(context.Background(), target)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.Heights[i] != s.Heights[i] {
-			t.Fatalf("height[%d] %v != %v", i, got.Heights[i], s.Heights[i])
+		res, err := NewLocalizer(p, got, Config{}).LocalizeContext(context.Background(), target)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Refitted calibrations must evaluate identically everywhere the
-	// solver queries them.
-	for i, c := range s.Calibs {
-		for rtt := 0.25; rtt < 200; rtt *= 1.7 {
-			if a, b := c.MaxDistanceKm(rtt), got.Calibs[i].MaxDistanceKm(rtt); a != b {
-				t.Fatalf("calib %d R(%v): %v != %v", i, rtt, a, b)
-			}
-			if a, b := c.MinDistanceKm(rtt), got.Calibs[i].MinDistanceKm(rtt); a != b {
-				t.Fatalf("calib %d r(%v): %v != %v", i, rtt, a, b)
-			}
+		if res.Point != want.Point || res.AreaKm2 != want.AreaKm2 ||
+			res.Weight != want.Weight || res.TargetHeightMs != want.TargetHeightMs {
+			t.Errorf("reloaded survey localizes %v/%v, original %v/%v",
+				res.Point, res.AreaKm2, want.Point, want.AreaKm2)
 		}
-	}
-
-	want, err := NewLocalizer(p, s, Config{}).LocalizeContext(context.Background(), target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewLocalizer(p, got, Config{}).LocalizeContext(context.Background(), target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Point != want.Point || res.AreaKm2 != want.AreaKm2 ||
-		res.Weight != want.Weight || res.TargetHeightMs != want.TargetHeightMs {
-		t.Errorf("reloaded survey localizes %v/%v, original %v/%v",
-			res.Point, res.AreaKm2, want.Point, want.AreaKm2)
 	}
 }
 
 // TestSnapshotPreservesIncrementalCalibState: a refreshed epoch — Refit
 // over a drifted matrix — round-trips through a snapshot with every
-// calibration and its epoch intact. (Snapshots written before a refresh
-// refitted the whole survey may hold calibrations that lag the matrix;
-// TestSnapshotFormatPinned round-trips one.)
+// calibration and its epoch intact.
 func TestSnapshotPreservesIncrementalCalibState(t *testing.T) {
 	_, s, _ := snapshotFixture(t, 42)
 	n := s.N()
@@ -148,95 +131,145 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated snapshot: want error")
 	}
-	// Format 1 carries a sentinel latency calib no longer reads: any value
-	// but the 0 every snapshot is written with is refused, not ignored.
-	moved := bytes.Replace(buf.Bytes(), []byte(`"SentinelLatencyMs":0`), []byte(`"SentinelLatencyMs":300`), 1)
-	if bytes.Equal(moved, buf.Bytes()) {
-		t.Fatal("snapshot carries no sentinel latency")
-	}
-	if _, err := ReadSnapshot(bytes.NewReader(moved)); err == nil {
-		t.Error("snapshot with a 300 ms sentinel: want error")
-	}
-}
-
-// TestSnapshotRejectsContradictingSamples: a calibration sample whose
-// distance is not its landmarks' distance, or a global pool that is not
-// the calibrations' samples, contradicts the snapshot's own landmarks and
-// is refused by name.
-func TestSnapshotRejectsContradictingSamples(t *testing.T) {
-	_, s, _ := snapshotFixture(t, 44)
-	for name, tc := range map[string]struct {
-		edit func(*surveySnapshot)
-		want string
-	}{
-		"moved distance": {func(snap *surveySnapshot) { snap.CalibSamples[3][5].DistanceKm += 1 }, "calib_samples[3][5]"},
-		"altered global": {func(snap *surveySnapshot) { snap.GlobalSamples[7].LatencyMs += 1 }, "global_samples[7]"},
+	// Nor must a matrix that no probing yields, or a probe count of zero.
+	for name, edit := range map[string]func(*surveySnapshot){
+		"asymmetric":        func(snap *surveySnapshot) { snap.RTT[0][1] += 1 },
+		"non-zero diagonal": func(snap *surveySnapshot) { snap.RTT[2][2] = 1 },
+		"negative":          func(snap *surveySnapshot) { snap.RTT[0][1], snap.RTT[1][0] = -1, -1 },
+		"ragged":            func(snap *surveySnapshot) { snap.RTT[1] = snap.RTT[1][:2] },
+		"short":             func(snap *surveySnapshot) { snap.RTT = snap.RTT[:2] },
+		"zero probes":       func(snap *surveySnapshot) { snap.Probes = 0 },
 	} {
-		var buf bytes.Buffer
-		if err := s.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
 		var snap surveySnapshot
 		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 			t.Fatal(err)
 		}
-		tc.edit(&snap)
+		edit(&snap)
 		data, err := json.Marshal(&snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadSnapshot(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want one naming %s", name, err, tc.want)
+		if _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: want error", name)
 		}
+	}
+	// Nor must a well-formed snapshot of a format this version does not know.
+	v3 := bytes.Replace(buf.Bytes(), []byte(`{"version":2,`), []byte(`{"version":3,`), 1)
+	if _, err := ReadSnapshot(bytes.NewReader(v3)); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("version-3 snapshot: err = %v, want the version refused", err)
 	}
 }
 
-// sampleRuleViolation reports how s breaks the rules every written
-// snapshot keeps: landmark i's calibration holds one sample per other
-// landmark, in order, at their distance, and the global pool is the
-// calibrations' samples end to end.
-func sampleRuleViolation(s *Survey) string {
-	var pooled []calib.Sample
-	for i, c := range s.Calibs {
-		var dists []float64
-		for j, lm := range s.Landmarks {
-			if j != i {
-				dists = append(dists, s.Landmarks[i].Loc.DistanceKm(lm.Loc))
+// overflowingMatrix is a format-2 snapshot over three landmarks whose
+// off-diagonal RTTs are all 1e308 ms: every value passes the matrix rules,
+// but the heights system's row sums overflow to +Inf.
+const overflowingMatrix = `{"version":2,"epoch":0,"use_heights":false,"probes":10,"landmarks":[` +
+	`{"Addr":"a","Name":"a","Loc":{"Lat":42.36,"Lon":-71.09}},` +
+	`{"Addr":"b","Name":"b","Loc":{"Lat":42.45,"Lon":-76.47}},` +
+	`{"Addr":"c","Name":"c","Loc":{"Lat":43.16,"Lon":-77.61}}],` +
+	`"rtt":[[0,1e308,1e308],[1e308,0,1e308],[1e308,1e308,0]],"calib_opts":{"CutoffPercentile":90}}`
+
+// TestRefitRefusesNonFiniteHeights: a finite matrix whose heights system
+// overflows is refused, not fitted to NaN heights the evidence stage
+// would subtract whatever UseHeights says.
+func TestRefitRefusesNonFiniteHeights(t *testing.T) {
+	_, s, _ := snapshotFixture(t, 45)
+	flat := *s
+	flat.UseHeights = false
+	rtt := make([][]float64, s.N())
+	for i := range rtt {
+		rtt[i] = make([]float64, s.N())
+		for j := range rtt[i] {
+			if i != j {
+				rtt[i][j] = 1e308
 			}
 		}
-		if len(c.Samples) != len(dists) {
-			return fmt.Sprintf("calibration %d holds %d samples for %d peers", i, len(c.Samples), len(dists))
-		}
-		for k, smp := range c.Samples {
-			if smp.DistanceKm != dists[k] {
-				return fmt.Sprintf("calibration %d sample %d at %v km, peer at %v km", i, k, smp.DistanceKm, dists[k])
-			}
-		}
-		pooled = append(pooled, c.Samples...)
 	}
-	if !reflect.DeepEqual(s.Global.Samples, pooled) {
-		return "global pool is not the calibrations' samples"
+	next, err := flat.Refit(rtt, 1)
+	if err == nil {
+		t.Fatalf("Refit of a 1e308 ms matrix fitted heights %v", next.Heights)
 	}
-	return ""
+	if !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("err = %v, want a non-finite height refused", err)
+	}
+}
+
+// TestSnapshotRefusesNonFiniteHeights: ReadSnapshot fits like Refit, so
+// the same matrix in a snapshot is refused for the same reason.
+func TestSnapshotRefusesNonFiniteHeights(t *testing.T) {
+	if _, err := ReadSnapshot(strings.NewReader(overflowingMatrix)); err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("err = %v, want a non-finite height refused", err)
+	}
+}
+
+// seedOneSurvey surveys the seed-1 world with every host but the first as
+// a landmark — 50 of them.
+func seedOneSurvey(tb testing.TB) *Survey {
+	tb.Helper()
+	w := netsim.NewWorld(netsim.Config{Seed: 1})
+	var lms []Landmark
+	for _, h := range w.HostNodes()[1:] {
+		lms = append(lms, Landmark{Addr: h.Name, Name: h.Inst, Loc: h.Loc})
+	}
+	s, err := NewSurvey(probe.NewSimProber(w), lms, SurveyOpts{UseHeights: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// TestSnapshotSizeBudget: a snapshot is its matrix, so the seed-1 world's
+// 50 landmarks fit in 64 KB (format 1, which also stored every
+// calibration sample, took 363 KB).
+func TestSnapshotSizeBudget(t *testing.T) {
+	var buf bytes.Buffer
+	if err := seedOneSurvey(t).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > 64<<10 {
+		t.Errorf("seed-1 snapshot is %d bytes, budget %d", buf.Len(), 64<<10)
+	}
+	t.Logf("seed-1 snapshot: %d bytes", buf.Len())
+}
+
+// BenchmarkSnapshotRoundtrip times WriteSnapshot + ReadSnapshot of the
+// seed-1 survey — what a replica pays to adopt a pushed epoch.
+func BenchmarkSnapshotRoundtrip(b *testing.B) {
+	s := seedOneSurvey(b)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := s.WriteSnapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadSnapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // FuzzReadSnapshot feeds ReadSnapshot hostile bytes — what a half-written
 // install or a hand-edited file looks like. It must never panic, and
 // whatever it accepts must be a survey the rest of the tree can trust: it
 // describes its own mesh (SameMesh, so no NaN coordinate or duplicate
-// landmark slipped through), its samples agree with its landmarks
-// (sampleRuleViolation), and it re-serializes to a fixed point. The
-// committed corpus holds a valid three-landmark snapshot, shapes that must
-// be rejected (among them a cutoff percentile of 150, a negative sample
-// latency and a 1e300 km sample distance, which calib.New refuses, and a
-// moved sample distance and an altered global sample, which contradict
-// the landmarks), and every input that once broke a property.
+// landmark slipped through), it is the fit of its own matrix (Refit), its
+// heights are finite and ≥ 0, and it writes back byte-identical through
+// a second round trip. The committed corpus holds a valid three-landmark
+// snapshot, shapes that must be rejected (among them a cutoff percentile
+// of 150, which calib.New refuses, and a 1e308 ms matrix whose heights
+// overflow), format-1 files whose stored samples contradict their
+// landmarks or matrix (accepted now, as their matrix), and every input
+// that once broke a property.
 func FuzzReadSnapshot(f *testing.F) {
-	pinned, err := os.ReadFile("testdata/survey_v1.json")
-	if err != nil {
-		f.Fatal(err)
+	for _, file := range []string{"testdata/survey_v1.json", "testdata/survey_v2.json"} {
+		pinned, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(pinned)
 	}
-	f.Add(pinned)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
@@ -245,8 +278,13 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err := s.SameMesh(s.Landmarks, s.Probes); err != nil {
 			t.Fatalf("accepted a survey that is not its own mesh: %v", err)
 		}
-		if v := sampleRuleViolation(s); v != "" {
-			t.Fatalf("accepted samples that contradict the landmarks: %s", v)
+		if fit, err := s.Refit(s.RTT, s.Epoch); err != nil || !reflect.DeepEqual(fit, s) {
+			t.Fatalf("accepted a survey that is not the fit of its own matrix (refit: %v)", err)
+		}
+		for i, h := range s.Heights {
+			if !(h >= 0) || math.IsInf(h, 1) {
+				t.Fatalf("accepted height %d = %v", i, h)
+			}
 		}
 		var first, second bytes.Buffer
 		if err := s.WriteSnapshot(&first); err != nil {
@@ -260,7 +298,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("snapshot is not a fixed point:\n%s\n%s", first.Bytes(), second.Bytes())
+			t.Fatalf("snapshot does not write back byte-identical:\n%s\n%s", first.Bytes(), second.Bytes())
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
@@ -10,31 +11,32 @@ import (
 	"octant/internal/probe"
 )
 
-// TestSnapshotFormatPinned holds the on-disk format and the numbers in it
-// still. testdata/survey_v1.json was written by WriteSnapshot at commit
-// 16ee79b from the first eight hosts of the seed-1 world, surveyed, then
-// rebuilt by the incremental path later removed: landmark 2's whole row
-// 12 ms slower, only landmark 2 refitted, so every other landmark's
-// calibration lags the matrix on column 2 — the case the format stores
-// sample sets separately for. A reload must serialize to the same bytes,
-// and a fresh survey of the same hosts must reproduce the file's κ, its
-// matrix (row and column 2 probed + 12 ms), and every height and
-// calibration sample set but landmark 2's.
+// TestSnapshotFormatPinned holds both on-disk formats and the numbers in
+// them still. testdata/survey_v1.json is format 1, written by
+// WriteSnapshot at commit 16ee79b from the first eight hosts of the
+// seed-1 world, surveyed, then rebuilt by the incremental path later
+// removed: landmark 2's whole row 12 ms slower and only landmark 2
+// refitted, so the κ, heights and calibration samples the file stores lag
+// its matrix. It must load as its matrix — the survey a fresh survey of
+// the same hosts Refits from the file's rtt under the file's epoch — and
+// write back as testdata/survey_v2.json, which loads the same and
+// round-trips byte for byte. The fresh survey's own matrix, row and
+// column 2 probed + 12 ms, must be the file's.
 func TestSnapshotFormatPinned(t *testing.T) {
-	want, err := os.ReadFile("testdata/survey_v1.json")
+	v1, err := os.ReadFile("testdata/survey_v1.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadSnapshot(bytes.NewReader(want))
+	v2, err := os.ReadFile("testdata/survey_v2.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := loaded.WriteSnapshot(&got); err != nil {
-		t.Fatal(err)
+	var file struct {
+		Epoch uint64      `json:"epoch"`
+		RTT   [][]float64 `json:"rtt"`
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("reloaded survey does not serialize to testdata/survey_v1.json (%d vs %d bytes)", got.Len(), len(want))
+	if err := json.Unmarshal(v1, &file); err != nil {
+		t.Fatal(err)
 	}
 
 	w := netsim.NewWorld(netsim.Config{Seed: 1})
@@ -47,26 +49,35 @@ func TestSnapshotFormatPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const d = 2
-	if fresh.Kappa != loaded.Kappa {
-		t.Errorf("κ = %v, file holds %v", fresh.Kappa, loaded.Kappa)
-	}
 	for i := range fresh.RTT {
 		for j, v := range fresh.RTT[i] {
 			if i != j && (i == d || j == d) {
 				v += 12
 			}
-			if v != loaded.RTT[i][j] {
-				t.Errorf("rtt[%d][%d] = %v, file holds %v", i, j, v, loaded.RTT[i][j])
+			if v != file.RTT[i][j] {
+				t.Errorf("rtt[%d][%d] = %v, file holds %v", i, j, v, file.RTT[i][j])
 			}
 		}
-		if i == d {
-			continue
+	}
+	want, err := fresh.Refit(file.RTT, file.Epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, data := range map[string][]byte{"survey_v1.json": v1, "survey_v2.json": v2} {
+		loaded, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if fresh.Heights[i] != loaded.Heights[i] {
-			t.Errorf("height %d = %v, file holds %v", i, fresh.Heights[i], loaded.Heights[i])
+		if !reflect.DeepEqual(loaded, want) {
+			t.Errorf("%s does not load as the fit of its matrix", name)
 		}
-		if !reflect.DeepEqual(fresh.Calibs[i].Samples, loaded.Calibs[i].Samples) {
-			t.Errorf("calibration %d (%s) samples differ from the file's", i, fresh.Landmarks[i].Name)
+		var got bytes.Buffer
+		if err := loaded.WriteSnapshot(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), v2) {
+			t.Errorf("%s writes back %d bytes that are not testdata/survey_v2.json (%d bytes)", name, got.Len(), len(v2))
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package octant_test
 
 import (
-	"bytes"
 	"context"
 	"math"
-	"reflect"
 	"testing"
 
 	"octant"
@@ -113,52 +111,5 @@ func TestNewDeploymentFacade(t *testing.T) {
 	}
 	if d.Survey.N() != 51 {
 		t.Errorf("deployment survey N = %d", d.Survey.N())
-	}
-}
-
-// TestDeprecatedRebuildSurveyIsRefit: the deprecated wrapper returns
-// exactly Survey.Refit's survey, with stats that name the dirty flags it
-// was handed and count every landmark as refitted.
-func TestDeprecatedRebuildSurveyIsRefit(t *testing.T) {
-	world := octant.NewWorld(octant.WorldConfig{Seed: 3, Sites: octant.DefaultSites[:12]})
-	var landmarks []octant.Landmark
-	for _, h := range world.HostNodes() {
-		landmarks = append(landmarks, octant.Landmark{Addr: h.Name, Name: h.Inst, Loc: h.Loc})
-	}
-	s, err := octant.NewSurvey(octant.NewSimProber(world), landmarks, octant.SurveyOpts{UseHeights: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtt := make([][]float64, s.N())
-	for i := range rtt {
-		rtt[i] = append([]float64(nil), s.RTT[i]...)
-	}
-	rtt[0][2], rtt[2][0] = rtt[0][2]+9, rtt[2][0]+9
-	dirty := make([]bool, s.N())
-	dirty[0], dirty[2] = true, true
-
-	got, st, err := octant.RebuildSurvey(s, rtt, dirty, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := s.Refit(rtt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := got.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("RebuildSurvey's survey differs from Refit's")
-	}
-	if !reflect.DeepEqual(st.Dirty, []int{0, 2}) || st.RebuiltCalibs != s.N() || !st.GlobalRebuilt {
-		t.Errorf("stats = %+v, want dirty [0 2], %d calibrations, global refitted", st, s.N())
-	}
-	if _, _, err := octant.RebuildSurvey(s, rtt, dirty[:2], 1); err == nil {
-		t.Error("short dirty accepted")
 	}
 }
