@@ -411,17 +411,11 @@ func BenchmarkMeasureFanout(b *testing.B) {
 // fused path from 291 to 244, per-survey "/neg" source names and the
 // table-free row fills to 199, and the budget is that plus 5 %).
 // Measured unpaced so the count is pure solver work, with one warmup
-// batch so land-mask masters and pool buffers exist before counting
+// batch so land-mask masters and scratch pairs exist before counting
 // starts.
 func TestLocalizeBatchAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state benchmark run under -short")
-	}
-	if raceDetector {
-		// Under -race sync.Pool drops a quarter of its Puts at random, so
-		// the pooled grids this budget counts on are reallocated (≈ 250
-		// allocs/target). CI checks the budgets in a step without -race.
-		t.Skip("allocation budget is not meaningful under the race detector")
 	}
 	batchFixture(t)
 	loc, targets := batchFixRawLoc, batchFixTargets
@@ -515,12 +509,6 @@ func BenchmarkLocalize(b *testing.B) {
 func TestLocalizeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("testing.Benchmark run is not short")
-	}
-	if raceDetector {
-		// Under -race sync.Pool drops a quarter of its Puts at random, so
-		// pooled grids and scratch are reallocated; CI checks the budgets in
-		// a step without -race.
-		t.Skip("allocation budget is not meaningful under the race detector")
 	}
 	const maxAllocs = 300
 	if a := testing.Benchmark(BenchmarkLocalize).AllocsPerOp(); a > maxAllocs {

@@ -170,6 +170,12 @@ func PositiveFromRegion(beta *geo.Region, radiusKm, weight float64, source strin
 // disks reach weight k, so the solver finds it: the top level, accepted when
 // its weight is k and empty (radiusKm too small to span beta) otherwise.
 func NegativeFromRegion(beta *geo.Region, radiusKm, weight float64, source string) Constraint {
+	return negativeFromRegion(beta, radiusKm, weight, source, nil)
+}
+
+// negativeFromRegion is NegativeFromRegion solving on a scratch pair from
+// free's list (a fresh pair when free is nil).
+func negativeFromRegion(beta *geo.Region, radiusKm, weight float64, source string, free *LandMaskCache) Constraint {
 	verts := hullVertices(beta)
 	disks := make([]Constraint, len(verts))
 	for i, v := range verts {
@@ -180,7 +186,7 @@ func NegativeFromRegion(beta *geo.Region, radiusKm, weight float64, source strin
 	// stops the level walk at the top level, which always holds a cell.
 	cell := math.Min(math.Max(radiusKm/100, 0.2), 4)
 	region := geo.EmptyRegion()
-	if sol, err := Solve(disks, SolverOpts{FineCellKm: cell, MinAreaKm2: cell * cell}); err == nil && sol.Weight == float64(len(verts)) {
+	if sol, err := solve(disks, SolverOpts{FineCellKm: cell, MinAreaKm2: cell * cell}, free); err == nil && sol.Weight == float64(len(verts)) {
 		region = sol.Region
 	}
 	return Constraint{Kind: Negative, Region: region, Weight: weight, Source: source}

@@ -102,6 +102,10 @@ type Request struct {
 	// through it.
 	sched *measure.Scheduler
 
+	// masks is the Localizer's LandMaskCache: the secondary landmark's
+	// feasibility solve draws its scratch from it.
+	masks *LandMaskCache
+
 	// Exogenous-prior bookkeeping for the disagreement report: the
 	// applied hint and geo-DB disk centres, and every hint/record the
 	// RTT cross-validation dropped. All empty on the default path.

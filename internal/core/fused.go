@@ -26,9 +26,9 @@ import (
 //     keys masters by (geometry, cell size) with a once-guarded build, so
 //     the first target to solve at a given cell size rasterizes the
 //     shared geography and every later target samples the same master.
-//     Per-target weight grids themselves come from sync.Pool'd buffers
-//     (geo.NewGrid), so steady-state solves reuse rather than reallocate
-//     the 1M-cell lattices;
+//     The same cache keeps a bounded free list of geo.Scratch pairs; a
+//     solve takes one on entry and hands it back on exit, so steady-state
+//     solves reuse rather than reallocate the 1M-cell weight grids;
 //   - the measurement scheduler, so concurrent targets queue on the same
 //     per-landmark buckets (and share cache/dedup) instead of each
 //     fanning out blind.
@@ -138,6 +138,7 @@ func (l *Localizer) localizeBatch(ctx context.Context, targets []string, workers
 			Hints:  l.Hints,
 			arena:  arena,
 			sched:  l.sched,
+			masks:  l.masks,
 		}
 		if o != nil {
 			req.Opts = *o

@@ -59,9 +59,10 @@ type landKey struct {
 }
 
 // LandMaskCache caches rasterized land masks across solver passes and
-// across localizations sharing a Survey. Safe for concurrent use; the
-// batch engine's workers all hit the one cache their shared Localizer
-// carries. A nil *LandMaskCache is valid and caches nothing.
+// across localizations sharing a Survey, and keeps their solves' scratch
+// (takeScratch). Safe for concurrent use; the batch engine's workers all
+// hit the one cache their shared Localizer carries. A nil *LandMaskCache is
+// valid and caches nothing.
 type LandMaskCache struct {
 	// mu makes get-or-insert one step, so each master is built once.
 	mu      sync.Mutex
@@ -71,11 +72,41 @@ type LandMaskCache struct {
 	oversized atomic.Uint64
 	lastKey   atomic.Pointer[landKey]
 	solver    solverCounters
+	free      chan *scratchPair
 }
 
-// NewLandMaskCache returns an empty cache retaining up to 16 masters.
+// scratchPair is what one solve draws its two grid passes from.
+type scratchPair struct{ coarse, fine geo.Scratch }
+
+// NewLandMaskCache returns an empty cache retaining up to 16 masters and
+// up to defaultFusedWorkers idle scratch pairs, one a default batch worker.
 func NewLandMaskCache() *LandMaskCache {
-	return &LandMaskCache{masters: lru.New[maskKey, *maskEntry](defaultMaskCap, 0)}
+	return &LandMaskCache{masters: lru.New[maskKey, *maskEntry](defaultMaskCap, 0), free: make(chan *scratchPair, defaultFusedWorkers)}
+}
+
+// takeScratch returns an idle scratch pair from the free list, or a fresh
+// one when none is idle or c is nil. What the list retains is bounded by its
+// capacity times the largest pair one solve draws.
+func (c *LandMaskCache) takeScratch() *scratchPair {
+	if c != nil {
+		select {
+		case sc := <-c.free:
+			return sc
+		default:
+		}
+	}
+	return new(scratchPair)
+}
+
+// putScratch hands a pair back to the free list, dropping it when the list
+// is full or c is nil.
+func (c *LandMaskCache) putScratch(sc *scratchPair) {
+	if c != nil {
+		select {
+		case c.free <- sc:
+		default:
+		}
+	}
 }
 
 // LandMaskStats is a snapshot of cache effectiveness, surfaced through
@@ -216,15 +247,15 @@ func masterDims(key maskKey) (w, h int) {
 	return w, h
 }
 
-// lattice returns the built master for (regions, cellKm), creating it on
-// first use. Returns nil when the cache is nil or the set is empty or too
-// large to cache — the solver then rasterizes the regions directly onto its
-// grid.
-func (c *LandMaskCache) lattice(regions []*geo.Region, cellKm float64) *geo.MaskLattice {
+// lattice returns the built master for (regions, g's cell size), creating
+// it on first use on g's Scratch. Returns nil when the cache is nil or the
+// set is empty or too large to cache — the solver then rasterizes the
+// regions directly onto its grid.
+func (c *LandMaskCache) lattice(regions []*geo.Region, g *geo.Grid) *geo.MaskLattice {
 	if c == nil {
 		return nil
 	}
-	key, ok := c.keyFor(regions, cellKm)
+	key, ok := c.keyFor(regions, g.CellKm)
 	if !ok {
 		return nil
 	}
@@ -245,19 +276,21 @@ func (c *LandMaskCache) lattice(regions []*geo.Region, cellKm float64) *geo.Mask
 	// Build outside the cache lock (a master rasterization can take
 	// milliseconds); per-entry Once keeps concurrent first users from
 	// duplicating the work without blocking other keys.
-	e.once.Do(func() { e.build(key, regions) })
+	e.once.Do(func() { e.build(key, regions, g) })
 	return e.lat
 }
 
 // build rasterizes the master lattice: the region set's bounding box
 // padded by one cell, at the key's cell size. lattice has checked the
-// dimensions.
-func (e *maskEntry) build(key maskKey, regions []*geo.Region) {
+// dimensions. The sweep's edge table is drawn from g's Scratch.
+func (e *maskEntry) build(key maskKey, regions []*geo.Region, g *geo.Grid) {
 	cell := key.cellKm
 	w, h := masterDims(key)
-	// A weightless Grid carries just the lattice geometry.
-	g := &geo.Grid{Min: geo.V2(key.minX-cell, key.minY-cell), CellKm: cell, W: w, H: h}
-	e.lat = geo.NewMaskLattice(g, regions)
+	// A weightless copy of g — it keeps g's Scratch — carries just the
+	// lattice geometry.
+	m := *g
+	m.Min, m.CellKm, m.W, m.H, m.Weight = geo.V2(key.minX-cell, key.minY-cell), cell, w, h, nil
+	e.lat = geo.NewMaskLattice(&m, regions)
 }
 
 // Apply writes excluded into every cell of g whose centre does not fall on
@@ -275,7 +308,7 @@ func (e *maskEntry) build(key maskKey, regions []*geo.Region) {
 // row by row inside geo.Grid.ResolveTop; the differential oracle and the
 // benchmark's replay rung call it.
 func (c *LandMaskCache) Apply(g *geo.Grid, regions []*geo.Region, excluded float64) bool {
-	e := c.lattice(regions, g.CellKm)
+	e := c.lattice(regions, g)
 	if e == nil {
 		return false
 	}

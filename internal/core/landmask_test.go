@@ -32,13 +32,11 @@ func TestLandMaskCacheMatchesDirect(t *testing.T) {
 	const excluded = -math.MaxFloat64
 
 	g := geo.NewGrid(geo.V2(-2500, -1800), geo.V2(2500, 1800), cellKm)
-	defer g.Release()
 	if !c.Apply(g, regions, excluded) {
 		t.Fatal("Apply returned false for a cacheable region set")
 	}
 
 	direct := geo.NewGrid(geo.V2(-2500, -1800), geo.V2(2500, 1800), cellKm)
-	defer direct.Release()
 	land := landCells(direct, regions)
 
 	disagree := 0
@@ -53,11 +51,14 @@ func TestLandMaskCacheMatchesDirect(t *testing.T) {
 	}
 	// Deep interior (the projection centre is in the US midwest) must be
 	// land; the mid-Atlantic must be masked.
-	cx, cy := g.CellAt(geo.V2(0, 0))
+	cellAt := func(p geo.Vec2) (int, int) {
+		return int(math.Floor((p.X - g.Min.X) / g.CellKm)), int(math.Floor((p.Y - g.Min.Y) / g.CellKm))
+	}
+	cx, cy := cellAt(geo.V2(0, 0))
 	if g.Weight[cy*g.W+cx] == excluded {
 		t.Error("projection centre (US interior) masked as ocean")
 	}
-	ax, ay := g.CellAt(pr.Forward(geo.Pt(40.0, -40.0)))
+	ax, ay := cellAt(pr.Forward(geo.Pt(40.0, -40.0)))
 	if ax >= 0 && ax < g.W && ay >= 0 && ay < g.H && g.Weight[ay*g.W+ax] != excluded {
 		t.Error("mid-Atlantic cell not masked")
 	}
@@ -77,7 +78,6 @@ func TestLandMaskCacheReuse(t *testing.T) {
 		off := float64(i) * 37.5
 		g := geo.NewGrid(geo.V2(-900+off, -700), geo.V2(900+off, 700), 8)
 		c.Apply(g, regions, excluded)
-		g.Release()
 	}
 	s := c.Stats()
 	if s.Misses != 1 || s.Hits != 2 || s.Entries != 1 {
@@ -85,7 +85,6 @@ func TestLandMaskCacheReuse(t *testing.T) {
 	}
 	g := geo.NewGrid(geo.V2(-900, -700), geo.V2(900, 700), 16)
 	c.Apply(g, regions, excluded)
-	g.Release()
 	if s := c.Stats(); s.Entries != 2 || s.Misses != 2 {
 		t.Errorf("second cell size should build a second master: %+v", s)
 	}
@@ -95,7 +94,6 @@ func TestLandMaskCacheReuse(t *testing.T) {
 	if nilCache.Apply(g2, regions, excluded) {
 		t.Error("nil cache must report not-applied")
 	}
-	g2.Release()
 }
 
 // maskSquare builds a single-ring square region centred at (cx, cy) —
@@ -123,7 +121,6 @@ func TestLandMaskCacheEvictionLRU(t *testing.T) {
 		if !c.Apply(g, regions, excluded) {
 			t.Fatalf("Apply failed at cell size %v", cellKm)
 		}
-		g.Release()
 	}
 
 	// One master per cell size, exactly at capacity.
@@ -163,7 +160,6 @@ func TestLandMaskCacheEvictionLRU(t *testing.T) {
 	if c.Apply(g, huge, excluded) {
 		t.Error("Apply should refuse a master larger than maxMasterCells")
 	}
-	g.Release()
 	if s := c.Stats(); s.Entries != entriesBefore {
 		t.Errorf("unbuildable master left a cache entry: %+v", s)
 	}
@@ -229,7 +225,6 @@ func TestLandMaskCacheMixedSizesConcurrentSurveys(t *testing.T) {
 				g := geo.NewGrid(geo.V2(-600+off, -500), geo.V2(600+off, 500), cell)
 				if !c.Apply(g, surveys[si], excluded) {
 					errs <- "Apply returned false"
-					g.Release()
 					continue
 				}
 				land := landCells(g, surveys[si])
@@ -245,7 +240,6 @@ func TestLandMaskCacheMixedSizesConcurrentSurveys(t *testing.T) {
 						}
 					}
 				}
-				g.Release()
 			}
 		}(w)
 	}

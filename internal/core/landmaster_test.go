@@ -124,17 +124,15 @@ func TestLandMasterAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("testing.Benchmark run is not short")
 	}
-	if raceDetector {
-		// Under -race sync.Pool drops Puts at random, so the edge table
-		// the sweep draws is rebuilt.
-		t.Skip("allocation budget is not meaningful under the race detector")
-	}
 	land := benchLand(t)
 	key, _ := masterGrid(land, 4)
+	// A solve builds a master on the grid it solves, whose Scratch the
+	// sweep's edge table comes from; one Scratch serves every build here.
+	g := new(geo.Scratch).Grid(geo.V2(0, 0), geo.V2(4, 4), 4)
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			(&maskEntry{}).build(key, land)
+			(&maskEntry{}).build(key, land, g)
 		}
 	})
 	const maxBytes = 64 << 10
@@ -142,7 +140,7 @@ func TestLandMasterAllocBudget(t *testing.T) {
 		t.Errorf("a 4 km master allocates %d B, budget is %d", got, maxBytes)
 	}
 	e := &maskEntry{}
-	e.build(key, land)
+	e.build(key, land, g)
 	t.Logf("4 km master: %d × %d cells, %d runs; %d B, %d allocs per build", e.lat.W, e.lat.H, len(e.lat.Spans), res.AllocedBytesPerOp(), res.AllocsPerOp())
 }
 
@@ -150,12 +148,13 @@ func TestLandMasterAllocBudget(t *testing.T) {
 // at each cell size a solve there asks for.
 func BenchmarkLandMasterBuild(b *testing.B) {
 	land := benchLand(b)
+	g := new(geo.Scratch).Grid(geo.V2(0, 0), geo.V2(4, 4), 4)
 	for _, cell := range []float64{4, 8, 16, 32, 64} {
 		key, _ := masterGrid(land, cell)
 		b.Run(fmt.Sprintf("%gkm", cell), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				(&maskEntry{}).build(key, land)
+				(&maskEntry{}).build(key, land, g)
 			}
 		})
 	}

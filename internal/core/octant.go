@@ -464,7 +464,7 @@ func (secondarySource) Constraints(_ context.Context, req *Request) ([]Constrain
 	w := LatencyWeight(sec.RTTMs, weightHalfLifeMs) * routerWeightFactor
 	cs := []Constraint{PositiveFromRegion(sec.Beta, maxKm, w, "secondary")}
 	if !req.Cfg.DisableNegative && minKm > 0 {
-		if neg := NegativeFromRegion(sec.Beta, minKm, w, "secondary/neg"); !neg.Region.IsEmpty() {
+		if neg := negativeFromRegion(sec.Beta, minKm, w, "secondary/neg", req.masks); !neg.Region.IsEmpty() {
 			cs = append(cs, neg)
 		}
 	}

@@ -67,12 +67,16 @@ type Solution struct {
 
 // Solve runs the weighted solver over the constraints.
 func Solve(constraints []Constraint, opts SolverOpts) (*Solution, error) {
-	return solve(constraints, opts, geo.NewResolveGrid)
+	return solve(constraints, opts, opts.Masks)
 }
 
-// solve is Solve on grids drawn by newGrid: unzeroed, since ResolveTop stores
-// every cell a pass goes on to read (the tests draw them poisoned).
-func solve(constraints []Constraint, opts SolverOpts, newGrid func(min, max geo.Vec2, cellKm float64) *geo.Grid) (*Solution, error) {
+// solve is Solve on a scratch pair taken from free's list and handed back
+// on return; its grids come unzeroed, as ResolveTop stores every cell a pass
+// reads, and no Solution holds scratch memory. free is not opts.Masks for
+// the secondary landmark's solve, whose passes go uncounted.
+func solve(constraints []Constraint, opts SolverOpts, free *LandMaskCache) (*Solution, error) {
+	sc := free.takeScratch()
+	defer free.putScratch(sc)
 	opts.fillDefaults()
 	var buf [128]geo.Fill // a localization's hundred-odd constraints, off the heap
 	fills, min, max, ok := prepareFills(buf[:0], constraints)
@@ -91,8 +95,7 @@ func solve(constraints []Constraint, opts SolverOpts, newGrid func(min, max geo.
 	// quantized cell sizes repeat).
 	span := math.Max(max.X-min.X, max.Y-min.Y)
 	coarse := quantizeCellKm(span/coarseCells, opts.FineCellKm)
-	cp := solveOnGrid(newGrid(min, max, coarse), fills, coarse, &opts)
-	defer cp.g.Release()
+	cp := solveOnGrid(sc.coarse.Grid(min, max, coarse), fills, coarse, &opts)
 	if cp.empty() {
 		return cp.solution(), nil
 	}
@@ -110,8 +113,7 @@ func solve(constraints []Constraint, opts SolverOpts, newGrid func(min, max geo.
 		fine *= 2
 	}
 	if fine < coarse {
-		fp := solveOnGrid(newGrid(rmin, rmax, fine), fills, fine, &opts)
-		defer fp.g.Release()
+		fp := solveOnGrid(sc.fine.Grid(rmin, rmax, fine), fills, fine, &opts)
 		if !fp.empty() {
 			return fp.solution(), nil
 		}
@@ -190,7 +192,7 @@ func solveOnGrid(g *geo.Grid, fills []geo.Fill, cellKm float64, opts *SolverOpts
 	// membership from the shared mask cache when one is available.
 	var land *geo.MaskLattice
 	if len(opts.LandRegions) > 0 {
-		land = opts.Masks.lattice(opts.LandRegions, g.CellKm)
+		land = opts.Masks.lattice(opts.LandRegions, g)
 		if land == nil {
 			// Rasterized onto the grid's own lattice, the mask maps
 			// cell for cell.

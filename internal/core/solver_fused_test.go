@@ -157,31 +157,41 @@ func TestFusedPruningTraps(t *testing.T) {
 	}
 }
 
-// poisonedGrid is geo.NewGrid with the weights a pooled buffer might hold at
-// its worst: NaN and a huge positive value, alternating.
-func poisonedGrid(min, max geo.Vec2, cellKm float64) *geo.Grid {
-	g := geo.NewGrid(min, max, cellKm)
-	for i := range g.Weight {
-		g.Weight[i] = [2]float64{math.NaN(), 1e300}[i%2]
+// poisonedGrid is s's next grid, with every weight s holds set to what a
+// previous pass might leave at its worst: NaN and a huge positive value,
+// alternating.
+func poisonedGrid(s *geo.Scratch, min, max geo.Vec2, cellKm float64) *geo.Grid {
+	g := s.Grid(min, max, cellKm)
+	for i, w := 0, g.Weight[:cap(g.Weight)]; i < len(w); i++ {
+		w[i] = [2]float64{math.NaN(), 1e300}[i%2]
 	}
 	return g
 }
 
+// poisonFree poisons the scratch pair the last solve on c handed back, which
+// the next solve on c draws.
+func poisonFree(c *LandMaskCache) {
+	sc := c.takeScratch()
+	poisonedGrid(&sc.coarse, geo.V2(0, 0), geo.V2(1, 1), 1)
+	poisonedGrid(&sc.fine, geo.V2(0, 0), geo.V2(1, 1), 1)
+	c.putScratch(sc)
+}
+
 // TestResolveTopReadsNoStaleCell: geo.Grid.ResolveTop is handed unzeroed
 // grids, so whatever a pass goes on to read it must have stored. Whole solves
-// of the benchmark world's 16 targets, their coarse passes alone, the seven
+// of the benchmark world's 16 targets, on a scratch pair reused from solve to
+// solve and poisoned in between, their coarse passes alone, the seven
 // pruning traps and a pass forced through the census fallback with rows
-// pruned run on poisoned grids and on zeroed ones: region, point, weight,
-// level, box and counts must agree bit for bit.
+// pruned run on poisoned grids of one reused Scratch and on zeroed ones:
+// region, point, weight, level, box and counts must agree bit for bit.
 func TestResolveTopReadsNoStaleCell(t *testing.T) {
+	var s geo.Scratch
 	samePass := func(name string, cs []Constraint, min, max geo.Vec2, cellKm float64, opts SolverOpts) (top geo.TopLevel, h int) {
 		t.Helper()
 		opts.fillDefaults()
 		fills, _, _, _ := prepareFills(nil, cs)
-		got := solveOnGrid(poisonedGrid(min, max, cellKm), fills, cellKm, &opts)
+		got := solveOnGrid(poisonedGrid(&s, min, max, cellKm), fills, cellKm, &opts)
 		want := solveOnGrid(geo.NewGrid(min, max, cellKm), fills, cellKm, &opts)
-		defer got.g.Release()
-		defer want.g.Release()
 		if got.top != want.top {
 			t.Errorf("%s: walk on a poisoned grid %+v, on a zeroed one %+v", name, got.top, want.top)
 		}
@@ -192,17 +202,30 @@ func TestResolveTopReadsNoStaleCell(t *testing.T) {
 	loc, targets := fusedFixture(t, 1, 16, 16)
 	opts := SolverOpts{MinAreaKm2: minRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: NewLandMaskCache()}
 	pruned := 0
+	var last []*Solution // the last target's answer and its fresh-pair twin
 	for _, target := range targets {
 		res, err := loc.LocalizeContext(context.Background(), target)
 		if err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}
-		got, err := solve(res.Constraints, opts, poisonedGrid)
+		// One solve sizes the cache's pair for the target; the next draws
+		// it poisoned.
+		if _, err := Solve(res.Constraints, opts); err != nil {
+			t.Fatalf("%s: %v", target, err)
+		}
+		poisonFree(opts.Masks)
+		got, err := Solve(res.Constraints, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}
-		want, _ := solve(res.Constraints, opts, geo.NewGrid)
+		want, _ := solve(res.Constraints, opts, nil) // on a fresh pair
 		sameSolution(t, target, got, want)
+		// No Solution holds scratch memory: the last target's answer
+		// survives this target's solves on the same pair.
+		if last != nil {
+			sameSolution(t, "the target before "+target, last[0], last[1])
+		}
+		last = []*Solution{got, want}
 		if !reflect.DeepEqual(got.Region.Rings, res.Region.Rings) {
 			t.Errorf("%s: solve on poisoned grids differs from Localize's region", target)
 		}
@@ -396,14 +419,14 @@ func TestSolveSkipsMostRows(t *testing.T) {
 	// The coarse passes again, alone, counted on a cache of their own.
 	opts := SolverOpts{MinAreaKm2: minRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: NewLandMaskCache()}
 	opts.fillDefaults()
+	var s geo.Scratch
 	for _, target := range targets {
 		res, err := loc.LocalizeContext(context.Background(), target)
 		if err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}
 		fills, min, max, coarse := coarseGrid(res.Constraints, opts)
-		p := solveOnGrid(geo.NewResolveGrid(min, max, coarse), fills, coarse, &opts)
-		p.g.Release()
+		solveOnGrid(s.Grid(min, max, coarse), fills, coarse, &opts)
 	}
 	all, coarse := loc.LandMasks().SolverStats(), opts.Masks.SolverStats()
 	t.Logf("rows resolved: coarse %d of %d, all passes %d of %d", coarse.RowsResolved, coarse.RowsTotal, all.RowsResolved, all.RowsTotal)

@@ -23,7 +23,6 @@ import (
 
 func referenceSolveOnGrid(constraints []Constraint, min, max geo.Vec2, cellKm float64, opts SolverOpts) *Solution {
 	g := geo.NewGrid(min, max, cellKm)
-	defer g.Release()
 	for _, c := range constraints {
 		if c.Region.IsEmpty() {
 			continue
@@ -149,8 +148,7 @@ func checkPass(t testing.TB, name string, cs []Constraint, min, max geo.Vec2, ce
 	t.Helper()
 	opts.fillDefaults()
 	fills, _, _, _ := prepareFills(nil, cs)
-	p := solveOnGrid(poisonedGrid(min, max, cellKm), fills, cellKm, &opts)
-	defer p.g.Release()
+	p := solveOnGrid(poisonedGrid(new(geo.Scratch), min, max, cellKm), fills, cellKm, &opts)
 	got := p.solution()
 	want := referenceSolveOnGrid(cs, min, max, cellKm, opts)
 	sameSolution(t, name, got, want)

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"octant/internal/geo"
+	"octant/internal/netsim"
+	"octant/internal/probe"
 )
 
 func disk(x, y, r float64) *geo.Region { return geo.Disk(geo.V2(x, y), r, 96) }
@@ -314,5 +318,50 @@ func TestOnLand(t *testing.T) {
 		if OnLand(p) {
 			t.Errorf("%v should be ocean", p)
 		}
+	}
+}
+
+// TestSolveAllocsIndependentOfGC: a solve's allocations are the code's, not
+// the collector's. BenchmarkLocalize's target — the seed-1 world's first
+// host, localized from the other 50 — is solved on its Localizer's
+// LandMaskCache, plainly and with two collections before each counted solve
+// (two, so that nothing survives in a sync.Pool's victim cache either),
+// whose own allocations, counted alone, are taken off: the counts must be
+// equal.
+func TestSolveAllocsIndependentOfGC(t *testing.T) {
+	w := netsim.NewWorld(netsim.Config{Seed: 1})
+	p := probe.NewSimProber(w)
+	hosts := w.HostNodes()
+	lms := make([]Landmark, 0, len(hosts)-1)
+	for _, h := range hosts[1:] {
+		lms = append(lms, Landmark{Addr: h.Name, Name: h.Inst, Loc: h.Loc})
+	}
+	s, err := NewSurvey(p, lms, SurveyOpts{UseHeights: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc := NewLocalizer(p, s, Config{})
+	res, err := loc.LocalizeContext(context.Background(), hosts[0].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SolverOpts{MinAreaKm2: minRegionAreaKm2, LandRegions: loc.projContext().Land, Masks: loc.LandMasks()}
+	solve := func() {
+		if _, err := Solve(res.Constraints, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collect := func() {
+		runtime.GC()
+		runtime.GC()
+	}
+	plain := testing.AllocsPerRun(20, solve)
+	collected := testing.AllocsPerRun(20, func() {
+		collect()
+		solve()
+	}) - testing.AllocsPerRun(20, collect)
+	t.Logf("allocs per solve: %v plain, %v after two collections", plain, collected)
+	if plain != collected {
+		t.Errorf("a solve allocates %v times, %v after two collections: the count depends on the collector", plain, collected)
 	}
 }

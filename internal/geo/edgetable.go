@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // The scanline engine behind Grid's region fills: the active edge table, and
 // (Fill, below it) the two-cursor walk for the solver's disks.
@@ -41,8 +38,8 @@ type tableEdge struct {
 // CSR layout (starts/items) rather than a slice per row, so building a
 // table costs a handful of allocations no matter how many rows it spans.
 //
-// Tables are drawn from a sync.Pool, so that a fill's buffers (build and
-// sweep scratch included) are reused by the next; release returns one.
+// Tables belong to a grid's Scratch, so that a fill's buffers (build and
+// sweep scratch included) are reused by the next fill the Scratch serves.
 type EdgeTable struct {
 	edges  []tableEdge
 	starts []int32 // CSR offsets into items, len rows+1
@@ -56,28 +53,19 @@ type EdgeTable struct {
 	cross  []crossing // sweep scratch: the current row's crossings
 }
 
-var edgeTablePool = sync.Pool{New: func() any { return new(EdgeTable) }}
-
-// release returns the table's buffers to the pool. The caller must not use
-// the table afterwards.
-func (t *EdgeTable) release() { edgeTablePool.Put(t) }
-
-// resize32 reslices s to length n, reallocating only when capacity falls
-// short. Contents are unspecified.
-func resize32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
 // newEdgeTable buckets the edges of regions for sweeps over grid rows
 // [y0, y1]; each crossing names the region its edge came from. Bucket rows
 // are conservative (an edge may enter its bucket a row early); the sweep
 // re-checks the exact crossing predicate every row, so the bounds only have
-// to never be late.
+// to never be late. The table is the first of g's Scratch's not in use; the
+// caller hands it back (Scratch.out) when its sweep is done.
 func newEdgeTable(regions []*Region, g *Grid, y0, y1 int) *EdgeTable {
-	t := edgeTablePool.Get().(*EdgeTable)
+	sc := g.scratch()
+	if sc.out == len(sc.tables) {
+		sc.tables = append(sc.tables, new(EdgeTable))
+	}
+	t := sc.tables[sc.out]
+	sc.out++
 	t.y0, t.y1 = y0, y1
 	t.edges, t.active = t.edges[:0], t.active[:0]
 	rowOf := t.rowOf[:0] // first eligible row per edge, relative to y0
@@ -118,7 +106,7 @@ func newEdgeTable(regions []*Region, g *Grid, y0, y1 int) *EdgeTable {
 	}
 	t.rowOf = rowOf
 	rows := y1 - y0 + 1
-	t.starts = resize32(t.starts, rows+1)
+	t.starts = resize(t.starts, rows+1)
 	clear(t.starts)
 	for _, ri := range rowOf {
 		t.starts[ri+1]++
@@ -128,7 +116,7 @@ func newEdgeTable(regions []*Region, g *Grid, y0, y1 int) *EdgeTable {
 	}
 	// items and next are fully overwritten below, so reused capacity needs
 	// no clearing: the counting sort writes every items slot exactly once.
-	t.items = resize32(t.items, len(t.edges))
+	t.items = resize(t.items, len(t.edges))
 	t.next = append(t.next[:0], t.starts[:rows]...)
 	next := t.next
 	// Counting-sort placement preserves edge order within a bucket, so the
@@ -239,9 +227,8 @@ func (g *Grid) forEachSpan(r *Region, fn func(y, x0, x1 int)) {
 		return
 	}
 	if y0, y1 := g.rowRange(min, max); y0 <= y1 {
-		t := newEdgeTable([]*Region{r}, g, y0, y1)
-		t.sweep(g, fn)
-		t.release()
+		newEdgeTable([]*Region{r}, g, y0, y1).sweep(g, fn)
+		g.s.out--
 	}
 }
 
@@ -380,7 +367,8 @@ func ringEdge(ring Ring, i int) (a, b Vec2) {
 func (f *Fill) General() bool { return f.down < 0 }
 
 // begin readies the fill for a sweep over g, rows ascending, gaps allowed on
-// the two-cursor route; the caller releases the table it may draw.
+// the two-cursor route; the table it may draw is in use until ResolveTop
+// returns.
 func (f *Fill) begin(g *Grid) {
 	y0, y1 := g.rowRange(f.Min, f.Max)
 	f.y0, f.y1, f.table = int32(y0), int32(y1), nil

@@ -78,7 +78,6 @@ func TestEdgeTableMatchesNaive(t *testing.T) {
 					seed, i%g.W, i/g.W, got[i], want[i], r)
 			}
 		}
-		g.Release()
 	}
 }
 
@@ -103,7 +102,6 @@ func TestEdgeTableMatchesNaiveStructured(t *testing.T) {
 					si, i%g.W, i/g.W, got[i], want[i])
 			}
 		}
-		g.Release()
 	}
 }
 
@@ -137,8 +135,6 @@ func TestBatchedFillMatchesAddRegion(t *testing.T) {
 					seed, i%ref.W, i/ref.W, ref.Weight[i], bat.Weight[i], d)
 			}
 		}
-		ref.Release()
-		bat.Release()
 	}
 }
 
@@ -146,7 +142,6 @@ func TestBatchedFillMatchesAddRegion(t *testing.T) {
 // no-op and that a flushed grid can batch and flush again.
 func TestFlushAddsIdempotent(t *testing.T) {
 	g := NewGrid(V2(-10, -10), V2(10, 10), 1)
-	defer g.Release()
 	g.FlushAdds() // nothing batched
 	disk := Disk(V2(0, 0), 5, 32)
 	g.AddRegionBatched(disk, 1)
@@ -155,7 +150,6 @@ func TestFlushAddsIdempotent(t *testing.T) {
 	g.FlushAdds()
 	g.FlushAdds()
 	want := NewGrid(V2(-10, -10), V2(10, 10), 1)
-	defer want.Release()
 	want.AddRegion(disk, 2)
 	for i := range want.Weight {
 		if math.Abs(want.Weight[i]-g.Weight[i]) > 1e-12 {
@@ -166,8 +160,8 @@ func TestFlushAddsIdempotent(t *testing.T) {
 
 // TestParallelFillConcurrentGrids fills independent grids from several
 // goroutines at once — the shape of a batch solve — so -race can observe
-// misuse of the buffers they all draw from the same pools: weights, edge
-// tables, sweep scratch.
+// any buffer they share: weights, edge tables and sweep scratch are each
+// grid's own.
 func TestParallelFillConcurrentGrids(t *testing.T) {
 	region := Annulus(V2(0, 0), 8, 22, 256)
 	want := math.Pi * (22*22 - 8*8)
@@ -182,7 +176,6 @@ func TestParallelFillConcurrentGrids(t *testing.T) {
 				if got := g.AreaAtOrAbove(1); math.Abs(got-want) > want*0.05 {
 					t.Errorf("annulus area %v, want ≈ %v", got, want)
 				}
-				g.Release()
 			}
 		}()
 	}
@@ -212,7 +205,6 @@ func TestLevelSetsMatchesAreaAtOrAbove(t *testing.T) {
 			t.Errorf("level %v: census area %v, AreaAtOrAbove %v", l, got, want)
 		}
 	}
-	g.Release()
 }
 
 // annulus512 is the worst observed constraint shape: a 512-vertex annulus
@@ -226,7 +218,6 @@ func annulus512() (*Grid, *Region) {
 // annulus at fine (4 km) resolution — the worst observed shape.
 func BenchmarkAddRegionAnnulus512(b *testing.B) {
 	g, r := annulus512()
-	defer g.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -238,7 +229,6 @@ func BenchmarkAddRegionAnnulus512(b *testing.B) {
 // reference rasterizer, for the edge-table speedup headline.
 func BenchmarkAddRegionAnnulus512Naive(b *testing.B) {
 	g, r := annulus512()
-	defer g.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var buf []crossing
@@ -250,6 +240,32 @@ func BenchmarkAddRegionAnnulus512Naive(b *testing.B) {
 					g.Weight[row+x]++
 				}
 			})
+		}
+	}
+}
+
+// TestScratchHandsBackEdgeTables: every sweep hands its edge table back to
+// the grid's Scratch — ResolveTop's general fills, a mask build and a span
+// visit — so a Scratch serving pass after pass keeps as many tables as one
+// pass holds at once: one per general fill.
+func TestScratchHandsBackEdgeTables(t *testing.T) {
+	regions := []*Region{Annulus(V2(-3, 0), 2, 6, 32), Annulus(V2(3, 0), 2, 6, 32)}
+	var s Scratch
+	for pass := 0; pass < 3; pass++ {
+		g := s.Grid(V2(-10, -10), V2(10, 10), 0.5)
+		var fills []Fill
+		for _, r := range regions {
+			f, ok := PrepareFill(r, 1)
+			if !ok || !f.General() {
+				t.Fatalf("an annulus prepares (%v) for the edge table (%v)", ok, f.General())
+			}
+			fills = append(fills, f)
+		}
+		g.ResolveTop(fills, nil, 0, 1)
+		NewMaskLattice(g, regions)
+		g.RasterizeRegion(regions[0])
+		if s.out != 0 || len(s.tables) != len(fills) {
+			t.Fatalf("pass %d: %d of %d tables still out, want 0 of %d", pass, s.out, len(s.tables), len(fills))
 		}
 	}
 }

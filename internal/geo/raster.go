@@ -3,7 +3,6 @@ package geo
 import (
 	"math"
 	"slices"
-	"sync"
 )
 
 // Grid is a uniform weight-accumulation grid over a rectangle of the
@@ -13,112 +12,92 @@ import (
 // into a Region by boundary tracing.
 //
 // Region fills run on the active-edge-table scanline engine (edgetable.go).
-// Weight buffers come from a pool — callers that are done with a grid
-// should Release it so the next solve reuses the allocation.
+// What a pass over the grid works in beyond its weights comes from its
+// Scratch: the one that handed the grid out, or one made on first use.
 type Grid struct {
 	Min    Vec2      // lower-left corner of cell (0,0)
 	CellKm float64   // cell edge length
 	W, H   int       // cells in x and y
 	Weight []float64 // W*H weights, row-major (y*W + x)
 
-	// diff is the lazily-created row-difference buffer behind
-	// AddRegionBatched, (W+1)*H entries, returned to the pool by FlushAdds
-	// or Release; weightBuf is the pool's handle on Weight.
-	diff, weightBuf *[]float64
+	// diff is the row-difference buffer behind AddRegionBatched, (W+1)*H
+	// entries, made on first use and dropped by FlushAdds.
+	diff []float64
+	s    *Scratch
 }
 
-// weightPool and maskPool recycle the two large per-solve buffers (a 1M-cell
-// fine-pass grid is an 8 MB weight buffer). Both store pointers to slices,
-// and a buffer stays behind the pointer it was drawn with, so neither Get
-// nor Put allocates in steady state.
-var (
-	weightPool sync.Pool // *[]float64
-	maskPool   sync.Pool // *[]bool
-)
-
-// getBuf draws a buffer of length n from pool: zeroed when zero is set, else
-// holding whatever its last user left — for callers that store every entry
-// they read (ResolveTop's weight field).
-func getBuf[T any](pool *sync.Pool, n int, zero bool) *[]T {
-	p, _ := pool.Get().(*[]T)
-	if p == nil {
-		p = new([]T)
-	}
-	if cap(*p) < n {
-		*p = make([]T, n)
-	} else if *p = (*p)[:n]; zero {
-		clear(*p)
-	}
-	return p
+// Scratch holds the buffers one grid pass draws: the weights of the grid it
+// hands out, ResolveTop's row-difference and row-bound buffer, ThresholdIn's
+// mask, the boundary tracer's tables and the edge tables of the pass's
+// general fills. Whoever runs the pass owns it, so a solve that keeps its
+// Scratch allocates none of them again, whatever the garbage collector does
+// in between. The zero value is ready to use. A Scratch serves one pass at a
+// time and is not safe for concurrent use.
+type Scratch struct {
+	grid  Grid
+	rows  []float64
+	mask  []bool
+	trace traceScratch
+	// tables are the edge tables newEdgeTable draws, the first out of them
+	// in use: one per general fill until ResolveTop returns, one for a span
+	// visit's or a mask build's sweep.
+	tables []*EdgeTable
+	out    int
 }
 
-// NewGrid creates a grid covering [min, max] with the given cell size, every
-// weight 0 — what AddRegion, AddRegionBatched and the raster booleans add
-// onto. The extent is expanded to a whole number of cells.
-func NewGrid(min, max Vec2, cellKm float64) *Grid { return newGrid(min, max, cellKm, true) }
+// Grid returns the grid NewGrid would shape, its weights left as the
+// Scratch's last grid left them — for ResolveTop, which stores every cell it
+// specifies. A Scratch hands out one grid at a time: the next call reshapes
+// this one.
+func (s *Scratch) Grid(min, max Vec2, cellKm float64) *Grid {
+	g := shape(min, max, cellKm)
+	g.Weight, g.s = resize(s.grid.Weight, g.W*g.H), s
+	s.grid = g
+	return &s.grid
+}
 
-// NewResolveGrid is NewGrid without the zeroing, for ResolveTop, which stores
-// every cell it specifies: the weights are whatever the pooled buffer's last
-// user left.
-func NewResolveGrid(min, max Vec2, cellKm float64) *Grid { return newGrid(min, max, cellKm, false) }
+// NewGrid creates a zeroed grid covering [min, max] at the given cell size,
+// expanded to a whole number of cells: what AddRegionBatched adds onto.
+func NewGrid(min, max Vec2, cellKm float64) *Grid {
+	g := shape(min, max, cellKm)
+	g.Weight = make([]float64, g.W*g.H)
+	return &g
+}
 
-func newGrid(min, max Vec2, cellKm float64, zero bool) *Grid {
+// shape is the weightless grid covering [lo, hi] at the given cell size,
+// coarsened until it holds at most 4M cells.
+func shape(lo, hi Vec2, cellKm float64) Grid {
 	if cellKm <= 0 {
 		cellKm = 1
 	}
-	w := int(math.Ceil((max.X - min.X) / cellKm))
-	h := int(math.Ceil((max.Y - min.Y) / cellKm))
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	const maxCells = 1 << 22 // 4M cells hard cap
-	for w*h > maxCells {
+	for {
+		w, h := max(1, int(math.Ceil((hi.X-lo.X)/cellKm))), max(1, int(math.Ceil((hi.Y-lo.Y)/cellKm)))
+		if w*h <= 1<<22 {
+			return Grid{Min: lo, CellKm: cellKm, W: w, H: h}
+		}
 		cellKm *= 2
-		w = int(math.Ceil((max.X - min.X) / cellKm))
-		h = int(math.Ceil((max.Y - min.Y) / cellKm))
-		if w < 1 {
-			w = 1
-		}
-		if h < 1 {
-			h = 1
-		}
-	}
-	buf := getBuf[float64](&weightPool, w*h, zero)
-	return &Grid{Min: min, CellKm: cellKm, W: w, H: h, Weight: *buf, weightBuf: buf}
-}
-
-// Release returns the grid's weight buffer to the pool. The grid must not
-// be used afterwards. Releasing is optional (an unreleased buffer is
-// ordinary garbage) and idempotent.
-func (g *Grid) Release() {
-	if g == nil {
-		return
-	}
-	g.releaseDiff()
-	if g.weightBuf != nil {
-		weightPool.Put(g.weightBuf)
-		g.weightBuf = nil
-	}
-	g.Weight = nil
-}
-
-// releaseDiff returns the difference buffer to the pool.
-func (g *Grid) releaseDiff() {
-	if g.diff != nil {
-		weightPool.Put(g.diff)
-		g.diff = nil
 	}
 }
 
-// batchDiff returns the difference buffer, drawing it on first use.
-func (g *Grid) batchDiff() []float64 {
-	if g.diff == nil {
-		g.diff = getBuf[float64](&weightPool, (g.W+1)*g.H, true)
+// Release does nothing: a grid's buffers belong to its Scratch. It is kept
+// for the benchmark's replay rung, which calls it.
+func (g *Grid) Release() {}
+
+// scratch returns the grid's Scratch, making one on first use.
+func (g *Grid) scratch() *Scratch {
+	if g.s == nil {
+		g.s = new(Scratch)
 	}
-	return *g.diff
+	return g.s
+}
+
+// resize reslices s to length n, reallocating only when capacity falls
+// short. Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // CellCenter returns the plane coordinate of the centre of cell (x, y).
@@ -132,13 +111,6 @@ func (g *Grid) CellCenter(x, y int) Vec2 {
 // rowCentre is the plane y of row y's cell centres: the row's scanline.
 func (g *Grid) rowCentre(y int) float64 { return g.Min.Y + (float64(y)+0.5)*g.CellKm }
 
-// CellAt returns the cell indices containing plane point p (may be out of
-// range; callers check).
-func (g *Grid) CellAt(p Vec2) (int, int) {
-	return int(math.Floor((p.X - g.Min.X) / g.CellKm)),
-		int(math.Floor((p.Y - g.Min.Y) / g.CellKm))
-}
-
 // crossing is an x-coordinate where a ring edge crosses a scanline, with the
 // winding direction of the edge and the index of its region in the table's
 // list (NewMaskLattice's sweep keeps a winding number per region).
@@ -148,18 +120,8 @@ type crossing struct {
 	reg int32
 }
 
-// AddRegion adds weight w to every cell whose centre lies inside r.
-func (g *Grid) AddRegion(r *Region, w float64) {
-	g.forEachSpan(r, func(y, x0, x1 int) {
-		row := g.Weight[y*g.W+x0 : y*g.W+x1+1]
-		for i := range row {
-			row[i] += w
-		}
-	})
-}
-
-// AddRegionBatched records the same weight addition as AddRegion but as
-// row-difference updates: two writes per span instead of one per cell.
+// AddRegionBatched adds weight w to every cell whose centre lies inside r,
+// as row-difference updates: two writes per span instead of one per cell.
 // The additions take effect only after FlushAdds resolves the buffer with
 // one prefix-sum pass, onto the zeros of NewGrid or whatever the grid holds.
 // The solver does the same a row at a time inside ResolveTop, which stores
@@ -169,7 +131,10 @@ func (g *Grid) AddRegion(r *Region, w float64) {
 // 0 there; ResolveTop's other rows are unspecified. Its oracle and the
 // benchmark's replay use this whole-grid form.
 func (g *Grid) AddRegionBatched(r *Region, w float64) {
-	diff, stride := g.batchDiff(), g.W+1
+	if g.diff == nil {
+		g.diff = make([]float64, (g.W+1)*g.H)
+	}
+	diff, stride := g.diff, g.W+1
 	g.forEachSpan(r, func(y, x0, x1 int) {
 		diff[y*stride+x0] += w
 		diff[y*stride+x1+1] -= w
@@ -177,12 +142,12 @@ func (g *Grid) AddRegionBatched(r *Region, w float64) {
 }
 
 // FlushAdds applies all AddRegionBatched updates to the weight field and
-// releases the difference buffer. A no-op when nothing was batched.
+// drops the difference buffer. A no-op when nothing was batched.
 func (g *Grid) FlushAdds() {
 	if g.diff == nil {
 		return
 	}
-	diff, stride := *g.diff, g.W+1
+	diff, stride := g.diff, g.W+1
 	for y := 0; y < g.H; y++ {
 		drow := diff[y*stride : y*stride+g.W] // last diff entry only ends spans
 		wrow := g.Weight[y*g.W : (y+1)*g.W]
@@ -192,7 +157,7 @@ func (g *Grid) FlushAdds() {
 			wrow[x] += run
 		}
 	}
-	g.releaseDiff()
+	g.diff = nil
 }
 
 // LevelSets returns the distinct quantized cell weights in descending
@@ -268,9 +233,10 @@ func (g *Grid) ThresholdIn(level float64, box CellBox) *Region {
 		return EmptyRegion()
 	}
 	bw, bh := box.X1-box.X0+1, box.Y1-box.Y0+1
-	buf := getBuf[bool](&maskPool, bw*bh+bh, true)
-	defer maskPool.Put(buf)
-	inside, filled := (*buf)[:bw*bh], (*buf)[bw*bh:]
+	sc := g.scratch()
+	sc.mask = resize(sc.mask, bw*bh+bh)
+	clear(sc.mask)
+	inside, filled := sc.mask[:bw*bh], sc.mask[bw*bh:]
 	any, floor := false, LevelFloor(level)
 	for y := 0; y < bh; y++ {
 		wrow := g.Weight[(box.Y0+y)*g.W+box.X0:][:bw]
@@ -292,25 +258,13 @@ func (g *Grid) ThresholdIn(level float64, box CellBox) *Region {
 // CellArea returns the area of one cell in km².
 func (g *Grid) CellArea() float64 { return g.CellKm * g.CellKm }
 
-// AreaAtOrAbove returns the total area of the cells at or above level
-// (LevelFloor).
-func (g *Grid) AreaAtOrAbove(level float64) float64 {
-	n, floor := 0, LevelFloor(level)
-	for _, w := range g.Weight {
-		if w >= floor {
-			n++
-		}
-	}
-	return float64(n) * g.CellArea()
-}
-
 // vkey is an integer grid-vertex coordinate in [0..W]x[0..H].
 type vkey struct{ x, y int32 }
 
 // dirEdge is one directed boundary edge between grid vertices.
 type dirEdge struct{ from, to vkey }
 
-// traceScratch pools the per-trace working set: the directed-edge table with
+// traceScratch is the per-trace working set: the directed-edge table with
 // its per-vertex-row offsets, an all-outside mask row, and the current loop
 // as vertex keys and as plane points. Rings are retained by the caller and
 // stay off the scratch.
@@ -324,8 +278,6 @@ type traceScratch struct {
 
 // taken, as its end's x, marks an edge a loop has used.
 const taken = math.MinInt32
-
-var tracePool = sync.Pool{New: func() any { return new(traceScratch) }}
 
 // traceBoundary converts a binary cell mask into a Region. Directed
 // boundary edges are emitted with the inside on the left, then linked into
@@ -351,12 +303,11 @@ func (g *Grid) traceBoundary(inside []bool) *Region {
 // for byte (traceWindowReference in the tests sorts such a walk and agrees).
 func (g *Grid) traceWindow(inside []bool, box CellBox, filled []bool) *Region {
 	bw, bh := box.X1-box.X0+1, box.Y1-box.Y0+1
-	ts := tracePool.Get().(*traceScratch)
-	defer tracePool.Put(ts)
+	ts := &g.scratch().trace
 	if cap(ts.outside) < bw {
 		ts.outside = make([]bool, bw)
 	}
-	edges, rowStart := ts.edges[:0], resize32(ts.rowStart, bh+2)
+	edges, rowStart := ts.edges[:0], resize(ts.rowStart, bh+2)
 	// emit lists the edges that start at vertex (x, y), given the cells around
 	// it, sw and se below the vertex row, nw and ne above: leftward along sw's
 	// top, down se's left, up nw's right, rightward along ne's bottom.
@@ -571,19 +522,14 @@ func rasterBool(a, b *Region, opts *BoolOpts, op func(x, y bool) bool) *Region {
 	}
 	pad := cellKm * 2
 	g := NewGrid(Vec2{lo.X - pad, lo.Y - pad}, Vec2{hi.X + pad, hi.Y + pad}, cellKm)
-	defer g.Release()
-	buf := getBuf[bool](&maskPool, g.W*g.H, true) // the combination
-	defer maskPool.Put(buf)
-	ma, mb, out := g.RasterizeRegion(a), g.RasterizeRegion(b), *buf
+	ma, mb := g.RasterizeRegion(a), g.RasterizeRegion(b) // ma becomes the combination
 	any := false
-	for i := range out {
-		if op(ma[i], mb[i]) {
-			out[i] = true
-			any = true
-		}
+	for i := range ma {
+		ma[i] = op(ma[i], mb[i])
+		any = any || ma[i]
 	}
 	if !any {
 		return EmptyRegion()
 	}
-	return g.traceBoundary(out)
+	return g.traceBoundary(ma)
 }

@@ -145,3 +145,34 @@ func (f Frame) appendGeoCircleReference(dst []Vec2, lm Frame, radiusKm float64, 
 	}
 	return dst
 }
+
+// The whole-grid forms the tests still read.
+
+// AddRegion adds weight w to every cell whose centre lies inside r.
+func (g *Grid) AddRegion(r *Region, w float64) {
+	g.forEachSpan(r, func(y, x0, x1 int) {
+		row := g.Weight[y*g.W+x0 : y*g.W+x1+1]
+		for i := range row {
+			row[i] += w
+		}
+	})
+}
+
+// AreaAtOrAbove returns the total area of the cells at or above level
+// (LevelFloor).
+func (g *Grid) AreaAtOrAbove(level float64) float64 {
+	n, floor := 0, LevelFloor(level)
+	for _, w := range g.Weight {
+		if w >= floor {
+			n++
+		}
+	}
+	return float64(n) * g.CellArea()
+}
+
+// CellAt returns the cell indices containing plane point p (may be out of
+// range; callers check).
+func (g *Grid) CellAt(p Vec2) (int, int) {
+	return int(math.Floor((p.X - g.Min.X) / g.CellKm)),
+		int(math.Floor((p.Y - g.Min.Y) / g.CellKm))
+}

@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // The fused grid kernel of the §2.4 solver.
 //
@@ -45,12 +42,12 @@ import (
 // it, so a raw entry's cumulative count is not a level's.
 //
 // The field. A resolved cell is stored, never added to what the buffer held,
-// so the grid may come unzeroed (NewResolveGrid), and what is left is
+// so the grid may come unzeroed (Scratch.Grid), and what is left is
 // specified on the rows of Box only: resolved rows hold their weights, pruned
 // rows among them are cleared to 0 — below Level, like the cells they stand
-// for — and other rows are whatever the pooled buffer held. ThresholdIn over
-// Box, the point estimate and BoxBounds read nothing else; the rare censusTop
-// fallback does, and every pruned row is cleared before it.
+// for — and other rows are whatever the Scratch's last grid left there.
+// ThresholdIn over Box, the point estimate and BoxBounds read nothing else;
+// the rare censusTop fallback does, and every pruned row is cleared before it.
 //
 // Exactness. Levels are quantizeWeight(raw), and a cell belongs to a level
 // when its raw weight quantizes to it or above (LevelFloor): prefix-sum dust
@@ -87,7 +84,6 @@ type MaskLattice struct {
 func NewMaskLattice(g *Grid, regions []*Region) *MaskLattice {
 	m := &MaskLattice{MinX: g.Min.X, MinY: g.Min.Y, W: g.W, H: g.H, Rows: make([]int32, 1, g.H+1), Spans: make([][2]int32, 0, g.H)}
 	t := newEdgeTable(regions, g, 0, g.H-1)
-	defer t.release()
 	wind := make([]int, len(regions))
 	for y := 0; y < g.H; y++ {
 		clear(wind)
@@ -116,6 +112,7 @@ func NewMaskLattice(g *Grid, regions []*Region) *MaskLattice {
 		}
 		m.Rows = append(m.Rows, int32(len(m.Spans)))
 	}
+	g.s.out--
 	return m
 }
 
@@ -305,9 +302,6 @@ func (t *topTable) raise(cellArea, minAreaKm2, eps float64) {
 	}
 }
 
-// rowPool recycles the one-row difference buffer and the row bounds.
-var rowPool sync.Pool // *[]float64
-
 // maskRun is a stretch [x0, x1) of a grid's columns whose land-lattice
 // column is x + off.
 type maskRun struct{ x0, x1, off int }
@@ -381,16 +375,16 @@ const scoutFrac float64 = 0.9
 const levelSlack, addSlack float64 = 2e-9, 0x1p-52
 
 // ResolveTop stores the sum of the fills into the weight field (no cell is
-// read first: NewResolveGrid suffices), writes excluded into every cell whose
-// centre is off land (land == nil keeps every cell), and returns the level the
-// solver's walk settles on for the area threshold minAreaKm2, with the
-// bounding box of that level's cells — the walk over the field that
-// AddRegionBatched per fill on a zeroed grid, FlushAdds and a mask pass
-// produce. On the rows of Box (every row after an Underflow) a cell at or
-// above Level − levelSlack in that field holds its weight bit for bit (each
-// row's fills enter its difference buffer in fill order) and a cell below
-// holds that weight or, its row pruned, 0: ThresholdIn over Box reads the
-// level's cells as Threshold would there. Other rows are unspecified. The
+// read first: Scratch.Grid's unzeroed grid suffices), writes excluded into
+// every cell whose centre is off land (land == nil keeps every cell), and
+// returns the level the solver's walk settles on for the area threshold
+// minAreaKm2, with the bounding box of that level's cells — the walk over the
+// field that AddRegionBatched per fill on a zeroed grid, FlushAdds and a mask
+// pass produce. On the rows of Box (every row after an Underflow) a cell at
+// or above Level − levelSlack in that field holds its weight bit for bit
+// (each row's fills enter its difference buffer in fill order) and a cell
+// below holds that weight or, its row pruned, 0: ThresholdIn over Box reads
+// the level's cells as Threshold would there. Other rows are unspecified. The
 // census keeps a running floor (above); a row is read as stretches of kept
 // and excluded columns, and an excluded stretch folds once.
 func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 float64) TopLevel {
@@ -402,9 +396,12 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 	if land != nil {
 		runs = g.maskCols(land, runs)
 	}
-	dbuf := getBuf[float64](&rowPool, g.W+1+g.H+1, true)
-	defer rowPool.Put(dbuf)
-	diff, bound := (*dbuf)[:g.W+1], (*dbuf)[g.W+1:]
+	// The row buffer, the row bounds and the fills' edge tables are the
+	// Scratch's; the tables are handed back once both sweeps are done.
+	sc := g.scratch()
+	sc.rows = resize(sc.rows, g.W+1+g.H+1)
+	clear(sc.rows)
+	diff, bound, out := sc.rows[:g.W+1], sc.rows[g.W+1:], sc.out
 	// The bounds, as a difference buffer over the rows and its prefix sum.
 	sumAbs, general := 0.0, false
 	for i := range fills {
@@ -505,12 +502,7 @@ func (g *Grid) ResolveTop(fills []Fill, land *MaskLattice, excluded, minAreaKm2 
 		}
 		rows += sweep(rest, scout)
 	}
-	for i := range fills {
-		if et := fills[i].table; et != nil {
-			et.release()
-		}
-	}
-
+	sc.out = out
 	top, ok := t.walk(cellArea, minAreaKm2)
 	// Clear the rows neither sweep resolved where they can be read: in the
 	// box, or — the census reads the whole field — everywhere.

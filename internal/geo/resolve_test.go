@@ -38,13 +38,21 @@ func dustyFills(rng *rand.Rand, w, h, rects int, tower bool) []Fill {
 	return fills
 }
 
-// poisonedGrid is NewGrid with the weights a pooled buffer might hold at its
-// worst: NaN and a huge positive value, alternating. ResolveTop promises to
-// store every cell it specifies, so nothing of this may show in an answer.
-func poisonedGrid(min, max Vec2, cellKm float64) *Grid {
-	g := NewGrid(min, max, cellKm)
-	for i := range g.Weight {
-		g.Weight[i] = [2]float64{math.NaN(), 1e300}[i%2]
+// poisonedGrid is s's next grid, with what a previous pass might leave in s
+// at its worst: every weight s holds NaN and a huge positive value,
+// alternating, and its row buffer and mask garbage. ResolveTop promises to
+// store every cell it specifies, so nothing of this may show in an answer;
+// a Scratch reused across calls also hands a pass the last one's edge tables.
+func poisonedGrid(s *Scratch, min, max Vec2, cellKm float64) *Grid {
+	g := s.Grid(min, max, cellKm)
+	for i, w := 0, g.Weight[:cap(g.Weight)]; i < len(w); i++ {
+		w[i] = [2]float64{math.NaN(), 1e300}[i%2]
+	}
+	for i, r := 0, s.rows[:cap(s.rows)]; i < len(r); i++ {
+		r[i] = math.NaN()
+	}
+	for i, m := 0, s.mask[:cap(s.mask)]; i < len(m); i++ {
+		m[i] = true
 	}
 	return g
 }
@@ -73,6 +81,7 @@ func specifiedRows(g *Grid, top TopLevel) (y0, y1 int) {
 func TestResolveTopMatchesSeparatePasses(t *testing.T) {
 	const excluded = -math.MaxFloat64
 	underflows, pruned := 0, 0
+	var s Scratch
 	for seed := uint64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 11))
 		w, h, rects := 1+rng.IntN(40), 1+rng.IntN(40), 1+rng.IntN(200)
@@ -95,7 +104,7 @@ func TestResolveTopMatchesSeparatePasses(t *testing.T) {
 		}
 
 		fills := dustyFills(rand.New(rand.NewPCG(seed, 12)), w, h, rects, tower)
-		fused := poisonedGrid(V2(0, 0), V2(float64(w), float64(h)), 1)
+		fused := poisonedGrid(&s, V2(0, 0), V2(float64(w), float64(h)), 1)
 		got := fused.ResolveTop(fills, land, excluded, minArea)
 
 		ref := NewGrid(V2(0, 0), V2(float64(w), float64(h)), 1)
@@ -168,6 +177,7 @@ func TestResolveTopMatchesSeparatePasses(t *testing.T) {
 // dust (−8e-10 … +7e-10 on the weight). The seed corpus is
 // testdata/fuzz/FuzzResolveTop.
 func FuzzResolveTop(f *testing.F) {
+	var s Scratch // reused across inputs, poisoned before each
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -217,7 +227,7 @@ func FuzzResolveTop(f *testing.F) {
 			}
 			rect(x0, y0, x1, y1, weight)
 		}
-		checkResolveTop(t, fills, w, h, land, cells, minArea)
+		checkResolveTop(t, &s, fills, w, h, land, cells, minArea)
 	})
 }
 
@@ -261,10 +271,10 @@ func checkMaskOff(t *testing.T, unmasked []float64, ref *Grid, land *MaskLattice
 // the field on the box's rows as TestResolveTopMatchesSeparatePasses reads
 // it. Underflow may only be what a table without the running floor or the
 // row pruning, fed every run of the reference, reports — or false.
-func checkResolveTop(t *testing.T, fills []Fill, w, h int, land *MaskLattice, cells []bool, minArea float64) {
+func checkResolveTop(t *testing.T, s *Scratch, fills []Fill, w, h int, land *MaskLattice, cells []bool, minArea float64) {
 	t.Helper()
 	const excluded = -math.MaxFloat64
-	fused := poisonedGrid(V2(0, 0), V2(float64(w), float64(h)), 1)
+	fused := poisonedGrid(s, V2(0, 0), V2(float64(w), float64(h)), 1)
 	got := fused.ResolveTop(fills, land, excluded, minArea)
 
 	ref := NewGrid(V2(0, 0), V2(float64(w), float64(h)), 1)

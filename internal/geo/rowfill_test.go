@@ -11,14 +11,14 @@ import (
 // The row kernel (Fill, Grid.ResolveTop) against the naive reference
 // (scanRow via rowSpans), cell for cell, on both of its routes.
 
-// resolveOne resolves f alone, with weight 1, on a poisoned grid and returns
-// the field: how many spans cover each cell (spans of one row can share an
-// end cell where the ring touches itself on a cell centre). The threshold no
-// walk can reach takes the level down to 1 and its box around every covered
-// cell; the rows outside the box are unspecified and come back as 0, which
-// is what the naive count must hold there.
-func resolveOne(min, max Vec2, cell float64, f *Fill) (*Grid, []float64) {
-	g := poisonedGrid(min, max, cell)
+// resolveOne resolves f alone, with weight 1, on a poisoned grid of s and
+// returns the field: how many spans cover each cell (spans of one row can
+// share an end cell where the ring touches itself on a cell centre). The
+// threshold no walk can reach takes the level down to 1 and its box around
+// every covered cell; the rows outside the box are unspecified and come back
+// as 0, which is what the naive count must hold there.
+func resolveOne(s *Scratch, min, max Vec2, cell float64, f *Fill) (*Grid, []float64) {
+	g := poisonedGrid(s, min, max, cell)
 	f.Weight = 1
 	top := g.ResolveTop([]Fill{*f}, nil, 0, math.Inf(1))
 	y0, y1 := specifiedRows(g, top)
@@ -87,10 +87,11 @@ func checkRowFill(t testing.TB, name string, r *Region, grids [2][3]float64) (ge
 	}
 	forced := f
 	forced.down = -1
+	var s Scratch
 	for _, gd := range grids {
 		min, max, cell := V2(gd[0], gd[1]), V2(gd[0]+16, gd[1]+16), gd[2]
 		for _, route := range []*Fill{&f, &forced} {
-			g, got := resolveOne(min, max, cell, route)
+			g, got := resolveOne(&s, min, max, cell, route)
 			want := naiveSpanCount(g, r)
 			for i := range want {
 				if got[i] != want[i] {
@@ -98,7 +99,6 @@ func checkRowFill(t testing.TB, name string, r *Region, grids [2][3]float64) (ge
 						name, gd, route.General(), i%g.W, i/g.W, got[i], want[i], r.Rings)
 				}
 			}
-			g.Release()
 		}
 	}
 	return f.General(), true
@@ -263,7 +263,7 @@ func TestResolveTopKeepsFillOrder(t *testing.T) {
 	field := func(weights []float64, order []int, rowMajor bool) rows {
 		g := NewGrid(V2(-12, -12), V2(12, 12), 0.5)
 		if rowMajor {
-			g = poisonedGrid(V2(-12, -12), V2(12, 12), 0.5)
+			g = poisonedGrid(new(Scratch), V2(-12, -12), V2(12, 12), 0.5)
 		}
 		var fills []Fill
 		for _, i := range order {
@@ -418,6 +418,5 @@ func TestWholeRowShortcut(t *testing.T) {
 				t.Errorf("%s: sides %d, %d: the ascending chain should be the left one", name, f.asc.side, f.desc.side)
 			}
 		}
-		g.Release()
 	}
 }
