@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"octant/internal/core"
@@ -91,8 +92,10 @@ func TestGeoLimLocalize(t *testing.T) {
 				}
 			}
 		}
-		if _, err := gl.Localize(p, "bogus.example.org", 3); err == nil {
-			t.Error("unknown target should error")
+		// Every landmark fails; the error names the first in survey order.
+		want := "baselines: geolim ping " + s.Landmarks[0].Name + "→bogus.example.org: "
+		if _, err := gl.Localize(p, "bogus.example.org", 3); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("unknown target: err = %v, want prefix %q", err, want)
 		}
 	}
 }

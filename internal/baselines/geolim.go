@@ -11,6 +11,7 @@ import (
 	"octant/internal/core"
 	"octant/internal/geo"
 	"octant/internal/linalg"
+	"octant/internal/measure"
 	"octant/internal/probe"
 )
 
@@ -126,7 +127,7 @@ func (r *GeoLimResult) ContainsTruth(truth geo.Point) bool {
 // Localize runs constraint-based geolocation on a target.
 func (g *GeoLim) Localize(p probe.Prober, targetAddr string, probes int) (*GeoLimResult, error) {
 	s := g.Survey
-	rtts, err := minRTTs(p, s, targetAddr, probes, "geolim ping")
+	rtts, err := pingLandmarks(measure.New(measure.Config{}), p, s, targetAddr, probes, "geolim ping")
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,13 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"octant/internal/core"
 	"octant/internal/geo"
+	"octant/internal/measure"
 	"octant/internal/probe"
 )
 
@@ -35,7 +37,7 @@ type GeoPingResult struct {
 func (g *GeoPing) Localize(p probe.Prober, targetAddr string, probes int) (*GeoPingResult, error) {
 	s := g.Survey
 	n := s.N()
-	sig, err := minRTTs(p, s, targetAddr, probes, "geoping")
+	sig, err := pingLandmarks(measure.New(measure.Config{}), p, s, targetAddr, probes, "geoping")
 	if err != nil {
 		return nil, err
 	}
@@ -86,22 +88,26 @@ func (g *GeoPing) Localize(p probe.Prober, targetAddr string, probes int) (*GeoP
 	}, nil
 }
 
-// minRTTs pings targetAddr from every survey landmark in turn (probes
-// samples each, 0 = 10) and returns each landmark's minimum RTT in survey
-// order — the one probe loop of the three baselines. what names the
-// technique in a ping error.
-func minRTTs(p probe.Prober, s *core.Survey, targetAddr string, probes int, what string) ([]float64, error) {
+// pingLandmarks pings targetAddr from every survey landmark (probes
+// samples each, 0 = 10) through sched and returns each landmark's minimum
+// RTT in survey order; the three baselines measure through it, each run
+// on its own uncached scheduler (like NewSurvey's), so every landmark is
+// measured fresh. A failure names the first failing landmark in survey
+// order, and what names the technique.
+func pingLandmarks(sched *measure.Scheduler, p probe.Prober, s *core.Survey, targetAddr string, probes int, what string) ([]float64, error) {
 	if probes <= 0 {
 		probes = 10
 	}
-	rtts := make([]float64, s.N())
+	srcs := make([]string, s.N())
 	for i, lm := range s.Landmarks {
-		samples, err := p.Ping(lm.Addr, targetAddr, probes)
+		srcs[i] = lm.Addr
+	}
+	rtts := make([]float64, len(srcs))
+	errs := make([]error, len(srcs))
+	sched.PingMinInto(context.TODO(), p, srcs, targetAddr, probes, s.Epoch, rtts, errs)
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("baselines: %s %s→%s: %w", what, lm.Name, targetAddr, err)
-		}
-		if rtts[i], err = probe.MinRTT(samples); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("baselines: %s %s→%s: %w", what, s.Landmarks[i].Name, targetAddr, err)
 		}
 	}
 	return rtts, nil

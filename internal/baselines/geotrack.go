@@ -1,11 +1,13 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 
 	"octant/internal/core"
 	"octant/internal/geo"
 	"octant/internal/hints"
+	"octant/internal/measure"
 	"octant/internal/probe"
 )
 
@@ -39,7 +41,8 @@ type GeoTrackResult struct {
 // returns the last resolvable router's city as the estimate.
 func (g *GeoTrack) Localize(p probe.Prober, targetAddr string, probes int) (*GeoTrackResult, error) {
 	s := g.Survey
-	rtts, err := minRTTs(p, s, targetAddr, probes, "geotrack ping")
+	sched := measure.New(measure.Config{})
+	rtts, err := pingLandmarks(sched, p, s, targetAddr, probes, "geotrack ping")
 	if err != nil {
 		return nil, err
 	}
@@ -51,10 +54,12 @@ func (g *GeoTrack) Localize(p probe.Prober, targetAddr string, probes int) (*Geo
 			bestIdx = i
 		}
 	}
-	hops, err := p.Traceroute(s.Landmarks[bestIdx].Addr, targetAddr)
-	if err != nil {
-		return nil, fmt.Errorf("baselines: geotrack traceroute: %w", err)
+	hopLists, errs := make([][]probe.Hop, 1), make([]error, 1)
+	sched.TracerouteInto(context.TODO(), p, []string{s.Landmarks[bestIdx].Addr}, targetAddr, hopLists, errs)
+	if errs[0] != nil {
+		return nil, fmt.Errorf("baselines: geotrack traceroute: %w", errs[0])
 	}
+	hops := hopLists[0]
 	if len(hops) == 0 {
 		return nil, fmt.Errorf("baselines: geotrack got an empty traceroute to %s", targetAddr)
 	}

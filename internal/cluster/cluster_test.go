@@ -376,6 +376,47 @@ func TestOversizedBodyIs413(t *testing.T) {
 	}
 }
 
+// TestNodeAndFrontDoorRefuseTheSameBatches: a node and the front door run
+// one target-list check (serve.CheckTargets) after the options, so every
+// bad batch body gets the same answer from both.
+func TestNodeAndFrontDoorRefuseTheSameBatches(t *testing.T) {
+	fleet := startFleet(t, 2, 13)
+	r, err := NewRouter(fleet.Clients(), RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(fleet.Clients())
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := make([]string, 1025) // one past the default MaxBatch of both
+	for i := range over {
+		over[i] = fleet.Targets[0]
+	}
+	badOptions := map[string]any{"disable": []string{"sonar"}}
+	handlers := []http.Handler{fleet.Nodes[0].Server.Handler(), NewFront(r, coord).Handler()}
+	for name, body := range map[string]map[string]any{
+		"no targets":            {},
+		"empty list":            {"targets": []string{}},
+		"empty first":           {"targets": []string{"", "x"}},
+		"empty last":            {"targets": []string{fleet.Targets[0], ""}},
+		"over MaxBatch":         {"targets": over},
+		"bad options and over":  {"targets": over, "options": badOptions},
+		"bad options and empty": {"targets": []string{""}, "options": badOptions},
+	} {
+		b, _ := json.Marshal(body)
+		var recs [2]*httptest.ResponseRecorder
+		for i, h := range handlers {
+			recs[i] = httptest.NewRecorder()
+			h.ServeHTTP(recs[i], httptest.NewRequest(http.MethodPost, "/v2/localize/batch", bytes.NewReader(b)))
+		}
+		node, front := recs[0], recs[1]
+		if node.Code == http.StatusOK || node.Code != front.Code {
+			t.Errorf("%s: node %d %.80s, front door %d %.80s; want one refusal", name, node.Code, node.Body, front.Code, front.Body)
+		}
+	}
+}
+
 // TestSnapshotReadIsCapped: a peer that streams one byte more than the
 // 64 MiB /v1/survey/install accepts gets an error from NodeClient.Snapshot,
 // not 64 MiB of truncated snapshot.

@@ -281,21 +281,13 @@ func (r *Router) Localize(ctx context.Context, target string, wo *serve.WireOpti
 // Error set, never a failed batch. Errors are *RouteError with the status
 // to serve.
 func (r *Router) Batch(ctx context.Context, targets []string, wo *serve.WireOptions) ([]serve.TargetResultV2, error) {
-	if len(targets) == 0 {
-		return nil, routeErrorf(http.StatusBadRequest, "missing targets")
-	}
-	if len(targets) > r.cfg.MaxBatch {
-		return nil, routeErrorf(http.StatusRequestEntityTooLarge,
-			"%d targets exceeds the %d per-request limit", len(targets), r.cfg.MaxBatch)
-	}
+	// Options first, then the target list: the order a node checks them.
 	fp, cacheable, err := resolveWire(wo)
 	if err != nil {
 		return nil, routeErrorf(http.StatusBadRequest, "bad options: %v", err)
 	}
-	for i, tgt := range targets {
-		if tgt == "" {
-			return nil, routeErrorf(http.StatusBadRequest, "empty target at index %d", i)
-		}
+	if status, err := serve.CheckTargets(targets, r.cfg.MaxBatch); err != nil {
+		return nil, routeErrorf(status, "%v", err)
 	}
 	return r.gather(ctx, targets, wo, fp, cacheable)
 }

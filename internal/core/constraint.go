@@ -208,21 +208,6 @@ func hullVertices(r *geo.Region) []geo.Vec2 {
 	return out
 }
 
-// AnnulusConstraints converts one latency measurement from a primary
-// landmark into the paper's canonical pair: a positive disk of radius
-// R(rtt) and a negative disk of radius r(rtt) — together an annulus when
-// both apply.
-func AnnulusConstraints(pr *geo.Projection, center geo.Point, minKm, maxKm, weight float64, source string) []Constraint {
-	var out []Constraint
-	if maxKm > 0 {
-		out = append(out, PositiveDisk(pr, center, maxKm, weight, source))
-	}
-	if minKm > 0 && minKm < maxKm {
-		out = append(out, NegativeDisk(pr, center, minKm, weight, source+"/neg"))
-	}
-	return out
-}
-
 // LatencyWeight is the paper's §2.4 weighting: confidence decreases
 // exponentially with latency, so nearby landmarks dominate when present.
 // halfLifeMs is the RTT at which weight halves (the pipeline uses 20 ms).

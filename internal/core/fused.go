@@ -122,9 +122,11 @@ func (l *Localizer) localizeBatch(ctx context.Context, targets []string, workers
 			tctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		// Bind the target's context to the prober once; every source's
-		// measurement call then observes cancellation without per-call
-		// plumbing. A background context binds nothing.
+		// Bind the target's context to the prober once: Request.Prober
+		// promises a bound prober, so a source probing through it directly
+		// observes cancellation without per-call plumbing (the scheduler
+		// passes tctx to its probe calls itself). A background context
+		// binds nothing.
 		prober := l.Prober
 		if tctx.Done() != nil {
 			prober = probe.WithContext(tctx, l.Prober)

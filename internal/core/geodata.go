@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"octant/internal/geo"
-)
+import "octant/internal/geo"
 
 // Coarse landmass outlines for the §2.5 geographic negative constraints
 // ("oceans, deserts, uninhabitable areas"). A target cannot be in the
@@ -71,9 +67,7 @@ var landEurope = []geo.Point{
 	{Lat: 36.2, Lon: -5.8},
 }
 
-// landOutlinePoints is the single source of truth for the landmass set:
-// LandRegions (the solver's ocean mask) and OnLand (the containment
-// metric) must always agree on what counts as land.
+// landOutlinePoints is the landmass set LandRegions projects.
 var landOutlinePoints = [][]geo.Point{landNorthAmerica, landEurope}
 
 // LandRegions projects the coarse landmass outlines into the given
@@ -88,40 +82,4 @@ func LandRegions(pr *geo.Projection) []*geo.Region {
 		out = append(out, geo.RegionFromRing(ring))
 	}
 	return out
-}
-
-// landOutlineVecs caches the unit-vector form of the landmass outlines.
-// Built once; OnLand runs in containment loops, and the previous
-// implementation allocated a fresh Projection and re-projected both
-// outlines for every query point.
-var (
-	landOutlineOnce sync.Once
-	landOutlineVecs [][]geo.Vec3
-)
-
-func landOutlines() [][]geo.Vec3 {
-	landOutlineOnce.Do(func() {
-		for _, outline := range landOutlinePoints {
-			vs := make([]geo.Vec3, len(outline))
-			for i, p := range outline {
-				vs[i] = geo.UnitVec(p)
-			}
-			landOutlineVecs = append(landOutlineVecs, vs)
-		}
-	})
-	return landOutlineVecs
-}
-
-// OnLand reports whether a geographic point falls inside the coarse land
-// outlines (used by tests and by the containment metric of Figure 4).
-// Containment is evaluated directly on the sphere against the precomputed
-// unit-vector outlines — no projection, no allocation.
-func OnLand(p geo.Point) bool {
-	u := geo.UnitVec(p)
-	for _, outline := range landOutlines() {
-		if geo.SpherePolyContains(outline, u) {
-			return true
-		}
-	}
-	return false
 }

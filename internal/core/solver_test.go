@@ -226,13 +226,6 @@ func TestConstraintBuilders(t *testing.T) {
 	if n.Kind != Negative {
 		t.Error("NegativeDisk kind")
 	}
-	anns := AnnulusConstraints(pr, geo.Pt(40, -90), 50, 100, 1, "lm")
-	if len(anns) != 2 || anns[0].Kind != Positive || anns[1].Kind != Negative {
-		t.Errorf("AnnulusConstraints = %v", anns)
-	}
-	if got := AnnulusConstraints(pr, geo.Pt(40, -90), 120, 100, 1, "lm"); len(got) != 1 {
-		t.Errorf("inverted annulus should yield positive only, got %v", got)
-	}
 }
 
 func TestSecondaryLandmarkConstraints(t *testing.T) {
@@ -297,25 +290,39 @@ func TestLatencyWeight(t *testing.T) {
 	}
 }
 
+// TestOnLand checks the solver's land mask — LandRegions, projected as a
+// localization projects it — on cities and open ocean, and on the
+// antipode of an inland city, which a containment test on the sphere
+// has to keep out of its polygon's hemisphere.
 func TestOnLand(t *testing.T) {
-	onLand := []geo.Point{
+	pr := geo.NewProjection(geo.Pt(40, -60)) // between the two outlines
+	land := LandRegions(pr)
+	onLand := func(p geo.Point) bool {
+		v := pr.Forward(p)
+		for _, r := range land {
+			if r.Contains(v) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, p := range []geo.Point{
 		geo.Pt(42.44, -76.50),  // Ithaca
 		geo.Pt(39.74, -104.99), // Denver
 		geo.Pt(48.85, 2.35),    // Paris
 		geo.Pt(51.51, -0.13),   // London
-	}
-	for _, p := range onLand {
-		if !OnLand(p) {
+	} {
+		if !onLand(p) {
 			t.Errorf("%v should be on land", p)
 		}
 	}
-	offLand := []geo.Point{
-		geo.Pt(40, -40), // mid-Atlantic
-		geo.Pt(30, -60), // Sargasso Sea
-		geo.Pt(0, 0),    // Gulf of Guinea
-	}
-	for _, p := range offLand {
-		if OnLand(p) {
+	for _, p := range []geo.Point{
+		geo.Pt(40, -40),       // mid-Atlantic
+		geo.Pt(30, -60),       // Sargasso Sea
+		geo.Pt(0, 0),          // Gulf of Guinea
+		geo.Pt(-39.74, 75.01), // Denver's antipode, Indian Ocean
+	} {
+		if onLand(p) {
 			t.Errorf("%v should be ocean", p)
 		}
 	}

@@ -131,27 +131,20 @@ func NewSurvey(p probe.Prober, landmarks []Landmark, opts SurveyOpts) (*Survey, 
 // MeasurePairs measures the min-filtered RTT of each listed landmark pair
 // (indices into landmarks) once and returns them in pairs order — the one
 // landmark↔landmark sweep, run by NewSurvey over every pair and by a
-// lifecycle refresh over the pairs in its scope. The pings fan out through
-// sched, paced per source landmark; the first failing pair in pairs order
-// aborts the sweep (the scheduler dispatches slots in order and reports
-// the lowest errored one). ctx bounds dispatch only; bind it to p as well
-// (probe.WithContext) to abort pings already queued.
+// lifecycle refresh over the pairs in its scope. It is sched's pair sweep
+// (measure.Scheduler.PingPairsInto): pings paced per source landmark,
+// bounded by ctx, and the first failing pair in pairs order aborts it.
 func MeasurePairs(ctx context.Context, sched *measure.Scheduler, p probe.Prober, landmarks []Landmark, pairs [][2]int, probes int) ([]float64, error) {
+	addrs := make([]string, len(landmarks))
+	for i, lm := range landmarks {
+		addrs[i] = lm.Addr
+	}
 	mins := make([]float64, len(pairs))
-	_, err := sched.Run(ctx, len(pairs), func(slot int) error {
-		a, b := landmarks[pairs[slot][0]], landmarks[pairs[slot][1]]
-		return sched.Paced(ctx, a.Addr, func() error {
-			samples, err := p.Ping(a.Addr, b.Addr, probes)
-			if err != nil {
-				return fmt.Errorf("core: landmark ping %s→%s: %w", a.Name, b.Name, err)
-			}
-			// Each slot writes only its own element, so concurrent
-			// slots never contend.
-			mins[slot], err = probe.MinRTT(samples)
-			return err
-		})
-	})
-	return mins, err
+	if k, err := sched.PingPairsInto(ctx, p, addrs, pairs, probes, mins); err != nil {
+		a, b := landmarks[pairs[k][0]], landmarks[pairs[k][1]]
+		return nil, fmt.Errorf("core: landmark ping %s→%s: %w", a.Name, b.Name, err)
+	}
+	return mins, nil
 }
 
 // fit derives everything a survey computes from its RTT matrix — κ,

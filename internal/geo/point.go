@@ -100,15 +100,6 @@ func (p Point) Destination(bearing, distKm float64) Point {
 	return Point{Lat: rad2deg(lat2), Lon: normalizeLonDeg(rad2deg(lon2))}
 }
 
-// Midpoint returns the great-circle midpoint between p and q.
-func (p Point) Midpoint(q Point) Point {
-	d := p.DistanceKm(q)
-	if d == 0 {
-		return p
-	}
-	return p.Destination(p.BearingTo(q), d/2)
-}
-
 // normalizeLonDeg wraps a longitude into (-180, 180].
 func normalizeLonDeg(lon float64) float64 {
 	for lon > 180 {

@@ -84,20 +84,6 @@ func TestDestinationBearingConsistency(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	a := Pt(40.7128, -74.0060)
-	b := Pt(34.0522, -118.2437)
-	m := a.Midpoint(b)
-	da := a.DistanceKm(m)
-	db := b.DistanceKm(m)
-	if !almostEq(da, db, 1e-6) {
-		t.Errorf("midpoint not equidistant: %.6f vs %.6f", da, db)
-	}
-	if !almostEq(da+db, a.DistanceKm(b), 1e-6) {
-		t.Errorf("midpoint not on great circle")
-	}
-}
-
 func TestCentroid(t *testing.T) {
 	pts := []Point{Pt(10, 10), Pt(10, 20), Pt(20, 10), Pt(20, 20)}
 	c := Centroid(pts)

@@ -32,15 +32,6 @@ type Vec3 struct {
 // Dot returns the dot product of v and w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		X: v.Y*w.Z - v.Z*w.Y,
-		Y: v.Z*w.X - v.X*w.Z,
-		Z: v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // UnitVec returns the unit vector of a geographic point.
 func UnitVec(p Point) Vec3 {
 	sinLat, cosLat := math.Sincos(deg2rad(p.Lat))
@@ -222,42 +213,4 @@ func (f *Frame) AppendGeoCircle(dst []Vec2, lm *Frame, radiusKm float64, n int) 
 		reverseRing(dst[base:])
 	}
 	return dst
-}
-
-// SpherePolyContains reports whether the unit vector u lies inside the
-// spherical polygon with the given unit-vector vertices (edges are minor
-// great-circle arcs). It sums the signed angles the edges subtend at u:
-// ±2π inside, ~0 outside. Intended for polygons smaller than a hemisphere
-// and query points off the boundary — exactly the coarse landmass
-// outlines of the §2.5 geographic constraints.
-func SpherePolyContains(verts []Vec3, u Vec3) bool {
-	if len(verts) < 3 {
-		return false
-	}
-	// The angle sum is ±2π at the antipode of an interior point too;
-	// restrict to the polygon's own hemisphere (its vertex mean points
-	// into it for any polygon smaller than a hemisphere).
-	var mean Vec3
-	for _, v := range verts {
-		mean.X += v.X
-		mean.Y += v.Y
-		mean.Z += v.Z
-	}
-	if mean.Dot(u) <= 0 {
-		return false
-	}
-	var total float64
-	prev := verts[len(verts)-1]
-	pu := prev.Dot(u)
-	for _, v := range verts {
-		vu := v.Dot(u)
-		// Signed angle at u between the tangent directions towards prev
-		// and v: the u-terms of the tangent projections cancel inside the
-		// triple product, leaving u·(prev×v).
-		sin := u.Dot(prev.Cross(v))
-		cos := prev.Dot(v) - pu*vu
-		total += math.Atan2(sin, cos)
-		prev, pu = v, vu
-	}
-	return math.Abs(total) > math.Pi
 }

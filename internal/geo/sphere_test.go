@@ -126,29 +126,6 @@ func TestCircleSegments(t *testing.T) {
 	}
 }
 
-// TestSpherePolyContains checks spherical containment on a geodesic
-// quadrilateral straddling the antimeridian.
-func TestSpherePolyContains(t *testing.T) {
-	quad := []Vec3{
-		UnitVec(Pt(-10, 170)),
-		UnitVec(Pt(-10, -160)),
-		UnitVec(Pt(15, -160)),
-		UnitVec(Pt(15, 170)),
-	}
-	inside := []Point{Pt(0, 180), Pt(5, 175), Pt(-5, -170)}
-	outside := []Point{Pt(0, 150), Pt(0, -140), Pt(30, 180), Pt(-30, 180), Pt(0, 0)}
-	for _, p := range inside {
-		if !SpherePolyContains(quad, UnitVec(p)) {
-			t.Errorf("%v should be inside", p)
-		}
-	}
-	for _, p := range outside {
-		if SpherePolyContains(quad, UnitVec(p)) {
-			t.Errorf("%v should be outside", p)
-		}
-	}
-}
-
 // TestUnitVecRoundTrip sanity-checks the Vec3 <-> Point conversion.
 func TestUnitVecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

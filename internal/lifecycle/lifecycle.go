@@ -257,7 +257,7 @@ func (m *Manager) Refresh(ctx context.Context, scope []int) (*RefreshReport, err
 			}
 		}
 	}
-	mins, err := core.MeasurePairs(ctx, m.sched, probe.WithContext(ctx, m.prober), s.Landmarks, pairs, m.opts.Probes)
+	mins, err := core.MeasurePairs(ctx, m.sched, m.prober, s.Landmarks, pairs, m.opts.Probes)
 	if err != nil {
 		return nil, err
 	}

@@ -32,6 +32,8 @@ type fakeProber struct {
 	in      int
 	max     int
 	failSrc map[string]error
+	// slowSrc adds a per-source delay before the call returns.
+	slowSrc map[string]time.Duration
 	starts  map[string][]time.Time
 }
 
@@ -42,6 +44,7 @@ func newFakeProber(delay time.Duration) *fakeProber {
 		inSrc:   make(map[string]int),
 		maxSrc:  make(map[string]int),
 		failSrc: make(map[string]error),
+		slowSrc: make(map[string]time.Duration),
 		starts:  make(map[string][]time.Time),
 	}
 }
@@ -63,11 +66,11 @@ func (f *fakeProber) Ping(src, dst string, n int) ([]float64, error) {
 		f.maxSrc[src] = f.inSrc[src]
 	}
 	f.starts[src] = append(f.starts[src], time.Now())
-	failErr := f.failSrc[src]
+	failErr, delay := f.failSrc[src], f.delay+f.slowSrc[src]
 	f.mu.Unlock()
 
-	if f.delay > 0 {
-		time.Sleep(f.delay)
+	if delay > 0 {
+		time.Sleep(delay)
 	}
 	if f.gate != nil {
 		<-f.gate
@@ -416,31 +419,37 @@ func TestCancelMidFanout(t *testing.T) {
 	t.Errorf("goroutines leaked: %d before, %d after settle window", before, runtime.NumGoroutine())
 }
 
-// TestRunLowestErroredSlot pins Run's error selection to the sequential
-// loop's semantics: when several slots fail, the reported one is the
-// lowest — the pair a serialized walk would have aborted on — even if a
-// higher slot failed first in wall-clock order.
-func TestRunLowestErroredSlot(t *testing.T) {
-	s := New(Config{Workers: 16})
+// TestPairSweepLowestErroredSlot pins the pair sweep's error selection
+// to the sequential loop's semantics: when several pairs fail, the
+// reported one is the lowest — the pair a serialized walk would have
+// aborted on — even if a higher slot failed first in wall-clock order.
+func TestPairSweepLowestErroredSlot(t *testing.T) {
+	p := newFakeProber(0)
 	errLow := errors.New("low slot")
 	errHigh := errors.New("high slot")
-	slot, err := s.Run(context.Background(), 10, func(i int) error {
-		switch i {
-		case 3:
-			time.Sleep(20 * time.Millisecond) // fails last in wall-clock order
-			return errLow
-		case 7:
-			return errHigh // fails first
-		}
-		return nil
-	})
+	p.failSrc["lm-03"], p.slowSrc["lm-03"] = errLow, 20*time.Millisecond // fails last in wall-clock order
+	p.failSrc["lm-07"] = errHigh                                         // fails first
+	srcs := srcNames(10)
+	addrs := append(srcs, "target")
+	pairs := make([][2]int, len(srcs))
+	for i := range srcs {
+		pairs[i] = [2]int{i, len(srcs)}
+	}
+	s := New(Config{Workers: 16})
+	out := make([]float64, len(pairs))
+	slot, err := s.PingPairsInto(context.Background(), p, addrs, pairs, 4, out)
 	if slot != 3 || !errors.Is(err, errLow) {
-		t.Errorf("Run = (%d, %v), want (3, %v)", slot, err, errLow)
+		t.Errorf("PingPairsInto = (%d, %v), want (3, %v)", slot, err, errLow)
 	}
 
-	slot, err = s.Run(context.Background(), 10, func(int) error { return nil })
+	slot, err = s.PingPairsInto(context.Background(), newFakeProber(0), addrs, pairs, 4, out)
 	if slot != -1 || err != nil {
-		t.Errorf("clean Run = (%d, %v), want (-1, nil)", slot, err)
+		t.Errorf("clean PingPairsInto = (%d, %v), want (-1, nil)", slot, err)
+	}
+	for i, src := range srcs {
+		if want := p.rtt(src, "target"); out[i] != want {
+			t.Errorf("slot %d: min = %v, want %v", i, out[i], want)
+		}
 	}
 }
 
@@ -518,9 +527,67 @@ func TestCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	}
 }
 
+// dialProber is a ContextProber whose first train waits for its context
+// and then fails the way a dialer does, with the context's error wrapped;
+// every later train answers at once.
+type dialProber struct {
+	*fakeProber
+	trains  atomic.Int32
+	started chan struct{} // closed when the first train is on the wire
+}
+
+func (d *dialProber) PingContext(ctx context.Context, src, dst string, n int) ([]float64, error) {
+	if d.trains.Add(1) == 1 {
+		close(d.started)
+		<-ctx.Done()
+		return nil, fmt.Errorf("dial %s: %w", dst, ctx.Err())
+	}
+	return d.Ping(src, dst, n)
+}
+
+func (d *dialProber) TracerouteContext(ctx context.Context, src, dst string) ([]probe.Hop, error) {
+	return d.Traceroute(src, dst)
+}
+
+// TestFollowerIgnoresLeadersWrappedCancel: a leader cancelled inside a
+// context-aware prober fails with a wrapped context error. A follower
+// whose own context is alive must still re-probe, not inherit it.
+func TestFollowerIgnoresLeadersWrappedCancel(t *testing.T) {
+	p := &dialProber{fakeProber: newFakeProber(0), started: make(chan struct{})}
+	srcs := srcNames(1)
+	s := New(Config{CacheTTL: time.Second})
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.PingMinInto(leaderCtx, probe.WithContext(leaderCtx, p), srcs, "target", 10, 0, make([]float64, 1), make([]error, 1))
+	}()
+	<-p.started
+	out, errs := make([]float64, 1), make([]error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.PingMinInto(context.Background(), p, srcs, "target", 10, 0, out, errs)
+	}()
+	for s.Stats().Deduped == 0 { // the follower has joined the leader's flight
+		runtime.Gosched()
+	}
+	cancelLeader()
+	wg.Wait()
+
+	if errs[0] != nil {
+		t.Fatalf("follower err = %v, want success after the leader's cancel", errs[0])
+	}
+	if want := p.rtt("lm-00", "target"); out[0] != want {
+		t.Errorf("follower min = %v, want %v", out[0], want)
+	}
+}
+
 // TestSchedulerRace hammers one scheduler from every entry point at once
 // (meaningful under -race): cached ping rounds, traceroute rounds,
-// generic Run jobs, Stats reads, and a cancelling client.
+// pair sweeps, Stats reads, and a cancelling client.
 func TestSchedulerRace(t *testing.T) {
 	p := newFakeProber(time.Millisecond)
 	srcs := srcNames(8)
@@ -560,10 +627,13 @@ func TestSchedulerRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		pairs := make([][2]int, 6)
+		for slot := range pairs {
+			pairs[slot] = [2]int{slot % len(srcs), (slot + 1) % len(srcs)}
+		}
+		out := make([]float64, len(pairs))
 		for i := 0; i < 20; i++ {
-			_, _ = s.Run(context.Background(), 6, func(slot int) error {
-				return s.Paced(context.Background(), srcs[slot%len(srcs)], func() error { return nil })
-			})
+			_, _ = s.PingPairsInto(context.Background(), p, srcs, pairs, 4, out)
 			_ = s.Stats()
 		}
 	}()

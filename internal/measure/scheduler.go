@@ -1,9 +1,12 @@
-// Package measure is the concurrent measurement scheduler: it fans
-// probe traffic (pings, traceroutes, pairwise survey matrices) out
+// Package measure is the concurrent measurement scheduler and the one
+// place a probe train is issued: every ping and traceroute — a
+// localization's landmark fan-out and router traces, a survey's or a
+// refresh's landmark-pair sweep, and the GeoLim, GeoPing and GeoTrack
+// baselines — goes through a Scheduler, which fans the probes out
 // through a bounded worker pool while keeping the *results* shaped
-// exactly like a sequential loop's. It is the only way probes for
-// targets, survey pairs and refresh pairs are issued: with one worker it
-// is the sequential loop.
+// exactly like a sequential loop's. With one worker it is the
+// sequential loop. A ping is always the same train: Ping under the
+// caller's context, then probe.MinRTT.
 //
 // The solver takes 2–3 ms per target and a ping train over a real path
 // tens of milliseconds, so end-to-end localization latency is
@@ -35,12 +38,14 @@
 //     applied only when the round finishes un-cancelled, so a cancelled
 //     fan-out leaves no partial entries behind. Both are off unless
 //     Config.CacheTTL is set: the default path must not pay their
-//     allocations, and survey refresh must never see a cached value
-//     where drift detection expects a fresh measurement.
+//     allocations. A pair sweep never reads or fills the cache: survey
+//     refresh must never see a cached value where drift detection
+//     expects a fresh measurement.
 package measure
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,18 +190,14 @@ func (s *Scheduler) bucket(src string) *bucket {
 // token, so the two semaphores cannot deadlock.
 func (s *Scheduler) acquire(ctx context.Context, src string) (*bucket, error) {
 	b := s.bucket(src)
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
 	select {
 	case b.sem <- struct{}{}:
-	case <-done:
+	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	select {
 	case s.global <- struct{}{}:
-	case <-done:
+	case <-ctx.Done():
 		<-b.sem
 		return nil, ctx.Err()
 	}
@@ -212,7 +213,6 @@ func (s *Scheduler) release(b *bucket) {
 // counter to min(Workers, n) goroutines. Dispatch-in-order is what makes
 // lowest-errored-slot equal the sequential loop's first error.
 type fan struct {
-	s    *Scheduler
 	ctx  context.Context
 	n    int
 	job  func(slot int) error
@@ -260,7 +260,7 @@ func (s *Scheduler) run(f *fan) {
 		go f.work()
 	}
 	f.wg.Wait()
-	if f.ctx != nil && f.ctx.Err() != nil {
+	if f.ctx.Err() != nil {
 		s.cancelledRound.Add(1)
 	}
 }
@@ -272,16 +272,17 @@ func (s *Scheduler) run(f *fan) {
 // settled when the call returns. epoch qualifies cache entries so a
 // survey swap never serves a stale generation's measurement.
 //
-// out and errs must have len(srcs). The prober p is called as-is, so
-// retry wrappers (probe.WithRetry) and context binding compose under the
-// scheduler unchanged.
+// out and errs must have len(srcs). ctx reaches the prober's
+// context-aware calls (probe.ContextProber), so a cancelled round
+// interrupts the trains already on the wire; retry wrappers
+// (probe.WithRetry) and context binding compose under the scheduler
+// unchanged.
 func (s *Scheduler) PingMinInto(ctx context.Context, p probe.Prober, srcs []string, dst string, n int, epoch uint64, out []float64, errs []error) {
 	var st *stagedEntries
 	if s.cache != nil {
 		st = newStagedEntries(len(srcs))
 	}
 	f := &fan{
-		s:   s,
 		ctx: ctx,
 		n:   len(srcs),
 		job: func(i int) error {
@@ -295,9 +296,38 @@ func (s *Scheduler) PingMinInto(ctx context.Context, p probe.Prober, srcs []stri
 		errs: errs,
 	}
 	s.run(f)
-	if st != nil && (ctx == nil || ctx.Err() == nil) {
+	if st != nil && ctx.Err() == nil {
 		st.commit(s.cache)
 	}
+}
+
+// PingPairsInto measures each pair of addrs — a ping train from
+// addrs[pairs[i][0]] to addrs[pairs[i][1]], min-filtered — into out[i].
+// It is the landmark-pair sweep of a survey and of a refresh, so every
+// pair is probed fresh: the RTT cache is neither read nor filled.
+// Dispatch stops at the first failure; the sweep drains the slots in
+// flight and returns the lowest failed slot with its error — the pair a
+// sequential walk would have aborted on — or (-1, nil) when every pair
+// succeeded. out must have len(pairs).
+func (s *Scheduler) PingPairsInto(ctx context.Context, p probe.Prober, addrs []string, pairs [][2]int, n int, out []float64) (int, error) {
+	f := &fan{
+		ctx: ctx,
+		n:   len(pairs),
+		job: func(i int) error {
+			min, err := s.pingMinProbe(ctx, p, addrs[pairs[i][0]], addrs[pairs[i][1]], n)
+			out[i] = min
+			return err
+		},
+		errs:      make([]error, len(pairs)),
+		stopOnErr: true,
+	}
+	s.run(f)
+	for i, err := range f.errs {
+		if err != nil {
+			return i, err
+		}
+	}
+	return -1, nil
 }
 
 // pingMinSlot resolves one slot: cache, then singleflight, then a paced
@@ -309,10 +339,6 @@ func (s *Scheduler) pingMinSlot(ctx context.Context, p probe.Prober, src, dst st
 	key := rttKey{src: src, dst: dst, n: n, epoch: epoch}
 	if v, ok := s.cache.Get(key); ok {
 		return v, nil
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
 	}
 	deduped := false
 	for {
@@ -331,10 +357,10 @@ func (s *Scheduler) pingMinSlot(ctx context.Context, p probe.Prober, src, dst st
 		}
 		select {
 		case <-c.Done():
-		case <-done:
+		case <-ctx.Done():
 			return 0, ctx.Err()
 		}
-		if isCtxErr(c.Err) && (ctx == nil || ctx.Err() == nil) {
+		if isCtxErr(c.Err) && ctx.Err() == nil {
 			// The leader's round was cancelled but ours was not: its
 			// abort is not our measurement failure. Join again, so
 			// concurrent orphaned followers elect one new leader among
@@ -348,19 +374,21 @@ func (s *Scheduler) pingMinSlot(ctx context.Context, p probe.Prober, src, dst st
 	}
 }
 
+// isCtxErr reports whether err is, or wraps, a context's error: a
+// context-aware prober may wrap its cancellation ("dial: context
+// canceled"), and that is still the leader's abort, not a measurement.
 func isCtxErr(err error) bool {
-	return err == context.Canceled || err == context.DeadlineExceeded
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// pingMinProbe issues one paced probe train and min-filters it — the
-// exact Ping+MinRTT sequence of the sequential loops, so per-slot
-// outcomes (values and error identities) are unchanged.
+// pingMinProbe issues one paced probe train under ctx and min-filters
+// it: the one ping job every fan-out and sweep runs.
 func (s *Scheduler) pingMinProbe(ctx context.Context, p probe.Prober, src, dst string, n int) (float64, error) {
 	b, err := s.acquire(ctx, src)
 	if err != nil {
 		return 0, err
 	}
-	samples, err := p.Ping(src, dst, n)
+	samples, err := probe.PingIn(ctx, p, src, dst, n)
 	s.release(b)
 	s.pings.Add(1)
 	if err == nil {
@@ -379,7 +407,6 @@ func (s *Scheduler) pingMinProbe(ctx context.Context, p probe.Prober, src, dst s
 // per request and carry no epoch-stable min-filter.
 func (s *Scheduler) TracerouteInto(ctx context.Context, p probe.Prober, srcs []string, dst string, hops [][]probe.Hop, errs []error) {
 	f := &fan{
-		s:   s,
 		ctx: ctx,
 		n:   len(srcs),
 		job: func(i int) error {
@@ -388,7 +415,7 @@ func (s *Scheduler) TracerouteInto(ctx context.Context, p probe.Prober, srcs []s
 				s.traceFailures.Add(1)
 				return err
 			}
-			h, err := p.Traceroute(srcs[i], dst)
+			h, err := probe.TracerouteIn(ctx, p, srcs[i], dst)
 			s.release(b)
 			s.traceroutes.Add(1)
 			if err != nil {
@@ -401,43 +428,4 @@ func (s *Scheduler) TracerouteInto(ctx context.Context, p probe.Prober, srcs []s
 		errs: errs,
 	}
 	s.run(f)
-}
-
-// Run fans out n arbitrary measurement jobs — the generic entry the
-// pairwise survey matrix and the lifecycle refresher build on. job(slot)
-// performs slot's measurement (acquiring pacing through Paced) and
-// writes its own results; writes to distinct slots need no locking. The
-// round stops dispatching after the first error, drains in-flight slots,
-// and returns the lowest errored slot with its error — the pair the
-// sequential loop would have aborted on. Returns (-1, nil) when every
-// slot succeeded.
-func (s *Scheduler) Run(ctx context.Context, n int, job func(slot int) error) (int, error) {
-	if n <= 0 {
-		return -1, nil
-	}
-	f := &fan{s: s, ctx: ctx, n: n, job: job, errs: make([]error, n), stopOnErr: true}
-	s.run(f)
-	for i, err := range f.errs {
-		if err != nil {
-			return i, err
-		}
-	}
-	return -1, nil
-}
-
-// Paced runs fn under src's token bucket and the global cap, counting it
-// as one ping train. Run jobs use it so generic fan-outs pace exactly
-// like PingMinInto's.
-func (s *Scheduler) Paced(ctx context.Context, src string, fn func() error) error {
-	b, err := s.acquire(ctx, src)
-	if err != nil {
-		return err
-	}
-	err = fn()
-	s.release(b)
-	s.pings.Add(1)
-	if err != nil {
-		s.pingFailures.Add(1)
-	}
-	return err
 }

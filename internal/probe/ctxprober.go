@@ -37,7 +37,8 @@ func WithContext(ctx context.Context, p Prober) Prober {
 	return &boundProber{ctx: ctx, p: p}
 }
 
-// boundProber is the WithContext adapter.
+// boundProber is the WithContext adapter: PingIn and TracerouteIn with
+// ctx fixed.
 type boundProber struct {
 	ctx context.Context
 	p   Prober
@@ -46,23 +47,11 @@ type boundProber struct {
 var _ Prober = (*boundProber)(nil)
 
 func (b *boundProber) Ping(src, dst string, n int) ([]float64, error) {
-	if err := b.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if cp, ok := b.p.(ContextProber); ok {
-		return cp.PingContext(b.ctx, src, dst, n)
-	}
-	return b.p.Ping(src, dst, n)
+	return PingIn(b.ctx, b.p, src, dst, n)
 }
 
 func (b *boundProber) Traceroute(src, dst string) ([]Hop, error) {
-	if err := b.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if cp, ok := b.p.(ContextProber); ok {
-		return cp.TracerouteContext(b.ctx, src, dst)
-	}
-	return b.p.Traceroute(src, dst)
+	return TracerouteIn(b.ctx, b.p, src, dst)
 }
 
 func (b *boundProber) ReverseDNS(addr string) string { return b.p.ReverseDNS(addr) }

@@ -82,7 +82,7 @@ func (r *RetryProber) PingContext(ctx context.Context, src, dst string, n int) (
 	var out []float64
 	err := r.retry(ctx, func() error {
 		var e error
-		out, e = pingIn(ctx, r.p, src, dst, n)
+		out, e = PingIn(ctx, r.p, src, dst, n)
 		return e
 	})
 	if err != nil {
@@ -101,7 +101,7 @@ func (r *RetryProber) TracerouteContext(ctx context.Context, src, dst string) ([
 	var out []Hop
 	err := r.retry(ctx, func() error {
 		var e error
-		out, e = tracerouteIn(ctx, r.p, src, dst)
+		out, e = TracerouteIn(ctx, r.p, src, dst)
 		return e
 	})
 	if err != nil {
@@ -150,9 +150,11 @@ func (r *RetryProber) jittered(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (1 + jitter*(2*r.o.rand()-1)))
 }
 
-// pingIn issues one ping attempt under ctx, using the native
-// context-aware call when the prober has one.
-func pingIn(ctx context.Context, p Prober, src, dst string, n int) ([]float64, error) {
+// PingIn issues one ping under ctx: ctx's error once it is done, else
+// the native context-aware call when p is a ContextProber, else p.Ping.
+// It is the one context dispatch: RetryProber's attempts, WithContext's
+// binding and the measurement scheduler's trains all call it.
+func PingIn(ctx context.Context, p Prober, src, dst string, n int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -162,8 +164,8 @@ func pingIn(ctx context.Context, p Prober, src, dst string, n int) ([]float64, e
 	return p.Ping(src, dst, n)
 }
 
-// tracerouteIn issues one traceroute attempt under ctx.
-func tracerouteIn(ctx context.Context, p Prober, src, dst string) ([]Hop, error) {
+// TracerouteIn is PingIn for one traceroute.
+func TracerouteIn(ctx context.Context, p Prober, src, dst string) ([]Hop, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -438,16 +438,29 @@ func (s *Server) localizeHandler(rt localizeRoute) http.HandlerFunc {
 	}
 }
 
+// CheckTargets is the one check of a batch request's target list, at a
+// node and at the front door alike: a list that is missing, longer than
+// maxBatch or holds an empty name is refused, with the status to answer.
+func CheckTargets(targets []string, maxBatch int) (int, error) {
+	if len(targets) == 0 {
+		return http.StatusBadRequest, errors.New("missing targets")
+	}
+	if len(targets) > maxBatch {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("%d targets exceeds the %d per-request limit", len(targets), maxBatch)
+	}
+	for i, t := range targets {
+		if t == "" {
+			return http.StatusBadRequest, fmt.Errorf("empty target at index %d", i)
+		}
+	}
+	return 0, nil
+}
+
 // streamBatch validates the target list and streams one encoded line per
 // completed target.
 func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, targets []string, opts []core.LocalizeOption, encode func(batch.Item) any) {
-	if len(targets) == 0 {
-		WriteError(w, http.StatusBadRequest, "missing targets")
-		return
-	}
-	if len(targets) > s.opts.MaxBatch {
-		WriteError(w, http.StatusRequestEntityTooLarge,
-			"%d targets exceeds the %d per-request limit", len(targets), s.opts.MaxBatch)
+	if status, err := CheckTargets(targets, s.opts.MaxBatch); err != nil {
+		WriteError(w, status, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
