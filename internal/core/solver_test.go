@@ -290,14 +290,12 @@ func TestLatencyWeight(t *testing.T) {
 	}
 }
 
-// TestOnLand checks the solver's land mask — LandRegions, projected as a
-// localization projects it — on cities and open ocean, and on the
-// antipode of an inland city, which a containment test on the sphere
-// has to keep out of its polygon's hemisphere.
-func TestOnLand(t *testing.T) {
+// projectedOnLand is the solver's land mask — LandRegions, projected as a
+// localization projects it — as a test on geographic points.
+func projectedOnLand() func(geo.Point) bool {
 	pr := geo.NewProjection(geo.Pt(40, -60)) // between the two outlines
 	land := LandRegions(pr)
-	onLand := func(p geo.Point) bool {
+	return func(p geo.Point) bool {
 		v := pr.Forward(p)
 		for _, r := range land {
 			if r.Contains(v) {
@@ -306,6 +304,11 @@ func TestOnLand(t *testing.T) {
 		}
 		return false
 	}
+}
+
+// TestOnLand checks the solver's land mask on cities and open ocean.
+func TestOnLand(t *testing.T) {
+	onLand := projectedOnLand()
 	for _, p := range []geo.Point{
 		geo.Pt(42.44, -76.50),  // Ithaca
 		geo.Pt(39.74, -104.99), // Denver
@@ -317,14 +320,27 @@ func TestOnLand(t *testing.T) {
 		}
 	}
 	for _, p := range []geo.Point{
-		geo.Pt(40, -40),       // mid-Atlantic
-		geo.Pt(30, -60),       // Sargasso Sea
-		geo.Pt(0, 0),          // Gulf of Guinea
-		geo.Pt(-39.74, 75.01), // Denver's antipode, Indian Ocean
+		geo.Pt(40, -40), // mid-Atlantic
+		geo.Pt(30, -60), // Sargasso Sea
+		geo.Pt(0, 0),    // Gulf of Guinea
 	} {
 		if onLand(p) {
 			t.Errorf("%v should be ocean", p)
 		}
+	}
+}
+
+// TestOnLandAntipode guards the winding-sum degeneracy: the antipode of a
+// continental interior point must stay ocean under the solver's land mask.
+func TestOnLandAntipode(t *testing.T) {
+	onLand := projectedOnLand()
+	denver := geo.Pt(39.74, -104.99)
+	if !onLand(denver) {
+		t.Fatal("Denver should be on land")
+	}
+	antipode := geo.Pt(-39.74, 75.01) // southern Indian Ocean
+	if onLand(antipode) {
+		t.Error("Denver's antipode should be ocean")
 	}
 }
 
