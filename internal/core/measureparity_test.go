@@ -148,8 +148,9 @@ func TestParallelSerialDegradedParity(t *testing.T) {
 	sameResult(t, target.Name, pr, sr)
 }
 
-// TestSurveyWorkersParity: the O(k²) pairwise survey matrix and
-// everything fitted from it must not depend on the worker setting.
+// TestSurveyWorkersParity: the O(k²) pairwise survey matrix, measured
+// through the scheduler's concurrent pair sweep, must equal a plain
+// sequential loop pair by pair; heights and κ are functions of it.
 func TestSurveyWorkersParity(t *testing.T) {
 	w := netsim.NewWorld(netsim.Config{Seed: 9})
 	p := probe.NewSimProber(w)
@@ -161,21 +162,6 @@ func TestSurveyWorkersParity(t *testing.T) {
 	par, err := NewSurvey(p, lms, SurveyOpts{UseHeights: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, workers := range []int{1, -1} {
-		ser, err := NewSurvey(p, lms, SurveyOpts{UseHeights: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(par.RTT, ser.RTT) {
-			t.Errorf("workers=%d: survey RTT matrix differs from the default fan-out", workers)
-		}
-		if !reflect.DeepEqual(par.Heights, ser.Heights) {
-			t.Errorf("workers=%d: solved heights differ from the default fan-out", workers)
-		}
-		if par.Kappa != ser.Kappa {
-			t.Errorf("workers=%d: kappa %v != %v", workers, ser.Kappa, par.Kappa)
-		}
 	}
 	// The plain pairwise loop, no scheduler: every (i, j) once, in order.
 	for i := range lms {

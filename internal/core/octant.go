@@ -149,14 +149,13 @@ type Localizer struct {
 
 	// masks caches rasterized §2.5 land masks across the solver's coarse
 	// and fine passes and across every localization sharing this
-	// Localizer (the batch engine's workers shallow-copy the Localizer,
-	// so they all share this one cache).
+	// Localizer (the batch engine's workers all share the one Localizer,
+	// hence this one cache).
 	masks *LandMaskCache
 
 	// pctx carries the per-survey projection state (centroid frame,
 	// landmark frames, projected land outlines), built once and shared by
-	// every request and all batch workers — the same shallow-copy sharing
-	// discipline as masks.
+	// every request and all batch workers, as masks is.
 	pctx *ProjectionContext
 
 	// sched is the measurement scheduler every request through this

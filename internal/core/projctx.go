@@ -9,8 +9,8 @@ import "octant/internal/geo"
 // (immutable) Survey is in use, so it is built once, not per request.
 //
 // A context is immutable after NewProjectionContext and safe to share: the
-// Localizer caches one, and the batch engine's workers inherit it through
-// their shallow Localizer copies, exactly like the LandMaskCache.
+// Localizer caches one, and the batch engine's workers all read it through
+// the one Localizer they share, exactly like the LandMaskCache.
 type ProjectionContext struct {
 	// Proj is the shared azimuthal equidistant projection centred at the
 	// survey centroid. Results of every localization against the survey

@@ -73,12 +73,6 @@ type SurveyOpts struct {
 	Probes           int     // ping samples per pair (default 10, as in §3)
 	CutoffPercentile float64 // calibration cutoff ρ percentile (default 90)
 	UseHeights       bool    // adjust latencies by solved heights (§2.2)
-	// Workers bounds the concurrent pairwise pings of the O(k²) survey
-	// matrix (0 = the scheduler default, 16; 1 or negative = one pair at
-	// a time). Pair (i,j) is always measured exactly once, so a
-	// deterministic prober yields a bit-identical matrix regardless of
-	// the setting.
-	Workers int
 }
 
 func (o *SurveyOpts) fillDefaults() {
@@ -112,9 +106,9 @@ func NewSurvey(p probe.Prober, landmarks []Landmark, opts SurveyOpts) (*Survey, 
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	// An ephemeral scheduler with no cache: a survey is the baseline other
-	// measurements are compared against, so every pair is probed fresh.
-	sched := measure.New(measure.Config{Workers: opts.Workers})
+	// An ephemeral scheduler at the default caps; the pair sweep never
+	// touches an RTT cache, so every pair is probed fresh.
+	sched := measure.New(measure.Config{})
 	mins, err := MeasurePairs(context.Background(), sched, p, landmarks, pairs, opts.Probes)
 	if err != nil {
 		return nil, err

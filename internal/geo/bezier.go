@@ -113,23 +113,6 @@ func (bp BezierPath) Flatten(tol float64) Ring {
 	return Ring(pts)
 }
 
-// circleKappa is the control-point offset ratio for approximating a quarter
-// circle with one cubic Bezier: 4/3·tan(π/8).
-var circleKappa = 4.0 / 3.0 * math.Tan(math.Pi/8)
-
-// CircleBezier returns a 4-segment closed Bezier path approximating a circle
-// (max radial error ≈ 2.7e-4 · r).
-func CircleBezier(center Vec2, r float64) BezierPath {
-	k := circleKappa * r
-	p := func(dx, dy float64) Vec2 { return Vec2{center.X + dx, center.Y + dy} }
-	return BezierPath{
-		{p(r, 0), p(r, k), p(k, r), p(0, r)},
-		{p(0, r), p(-k, r), p(-r, k), p(-r, 0)},
-		{p(-r, 0), p(-r, -k), p(-k, -r), p(0, -r)},
-		{p(0, -r), p(k, -r), p(r, -k), p(r, 0)},
-	}
-}
-
 // FitBeziers fits a closed polyline ring with a chain of cubic Beziers whose
 // maximum deviation from the input vertices is at most tol (Schneider's
 // least-squares fitting with corner splitting). The result is the compact

@@ -176,3 +176,18 @@ func (g *Grid) CellAt(p Vec2) (int, int) {
 	return int(math.Floor((p.X - g.Min.X) / g.CellKm)),
 		int(math.Floor((p.Y - g.Min.Y) / g.CellKm))
 }
+
+// BearingTo returns the initial great-circle bearing from p to q in radians,
+// measured clockwise from north, in [0, 2π).
+func (p Point) BearingTo(q Point) float64 {
+	lat1, lon1 := deg2rad(p.Lat), deg2rad(p.Lon)
+	lat2, lon2 := deg2rad(q.Lat), deg2rad(q.Lon)
+	dLon := lon2 - lon1
+	y := math.Sin(dLon) * math.Cos(lat2)
+	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
+	b := math.Atan2(y, x)
+	if b < 0 {
+		b += 2 * math.Pi
+	}
+	return b
+}

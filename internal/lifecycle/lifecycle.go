@@ -159,9 +159,10 @@ type Manager struct {
 	opts   Options
 
 	// sched fans Refresh's pairwise reprobes out concurrently. It is the
-	// manager's own uncached scheduler — never the serving Localizer's:
-	// drift detection compares fresh measurements against the previous
-	// epoch, and a cached RTT would silently hide drift.
+	// manager's own scheduler, never the serving Localizer's, so a
+	// refresh's trains are budgeted apart from serving's global and
+	// per-landmark caps. Either way every pair is probed fresh: the pair
+	// sweep never touches an RTT cache.
 	sched *measure.Scheduler
 
 	cur atomic.Pointer[Epoch]

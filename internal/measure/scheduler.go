@@ -80,10 +80,10 @@ func (c *Config) fillDefaults() {
 const perLandmark = 4
 
 // Scheduler is a concurrent probe scheduler. One Scheduler is shared by
-// everything measuring against one survey generation chain — every
-// localization, single or batched, and (via its own uncached instance)
-// the lifecycle refresher — so its buckets express a
-// real per-landmark budget, not a per-request one. All methods are safe
+// every localization, single or batched, against one survey generation
+// chain, so its buckets express a real per-landmark budget, not a
+// per-request one. The lifecycle refresher runs its own, so a refresh's
+// trains are budgeted apart from serving's caps. All methods are safe
 // for concurrent use.
 type Scheduler struct {
 	cfg Config

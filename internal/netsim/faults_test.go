@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -80,7 +81,7 @@ func TestPairBlackhole(t *testing.T) {
 	a, b, c := hosts[0].ID, hosts[1].ID, hosts[2].ID
 
 	w.SetPairBlackhole(a, b, true)
-	if !w.PairBlackhole(a, b) || !w.PairBlackhole(b, a) {
+	if !strings.Contains(w.PathFault(a, b), "blackhole") || !strings.Contains(w.PathFault(b, a), "blackhole") {
 		t.Fatal("blackhole not symmetric")
 	}
 	if got := w.Ping(a, b, 5); got != nil {
@@ -143,9 +144,9 @@ func TestPairLossRate(t *testing.T) {
 }
 
 // TestFaultsClearBitIdentical is the zero-fault identity guarantee:
-// injecting and clearing faults must leave the world's measurements bit
-// for bit where they were, and faults on one pair must not perturb the
-// jitter stream of another.
+// injecting and clearing faults and drift must leave the world's
+// measurements bit for bit where they were, and conditions on one pair
+// must not perturb the jitter stream of another.
 func TestFaultsClearBitIdentical(t *testing.T) {
 	w := testWorld(t)
 	hosts := w.HostNodes()
@@ -153,8 +154,9 @@ func TestFaultsClearBitIdentical(t *testing.T) {
 
 	before := w.Ping(a, b, 10)
 
-	// Faults elsewhere: (a,c) lossy, c down.
+	// Conditions elsewhere: (a,c) lossy and drifted, c down.
 	w.SetPairLossRate(a, c, 0.9)
+	w.SetPairDriftMs(a, c, 3)
 	w.SetNodeDown(c, true)
 	during := w.Ping(a, b, 10)
 	for i := range before {
@@ -163,13 +165,19 @@ func TestFaultsClearBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Fault the pair itself, then clear everything.
+	// Fault and drift the pair itself, then clear everything.
 	w.SetPairLossRate(a, b, 0.7)
 	w.SetPairBlackhole(a, b, true)
+	w.SetPairDriftMs(a, b, 12.5)
 	w.SetPairBlackhole(a, b, false)
 	w.SetPairLossRate(a, b, 0)
+	w.SetPairDriftMs(a, b, 0)
 	w.SetNodeDown(c, false)
 	w.SetPairLossRate(a, c, 0)
+	w.SetPairDriftMs(a, c, 0)
+	if w.cond.Load() != nil {
+		t.Fatal("clearing every condition left a non-nil conditions snapshot")
+	}
 
 	after := w.Ping(a, b, 10)
 	if len(after) != len(before) {
@@ -179,5 +187,37 @@ func TestFaultsClearBitIdentical(t *testing.T) {
 		if before[i] != after[i] {
 			t.Fatalf("sample %d not bit-identical after clearing faults: %v vs %v", i, before[i], after[i])
 		}
+	}
+}
+
+// TestSetRaceKeepsLaterFaults: a set and a clear racing on one pair must
+// not hide a condition injected afterwards. Each round makes a pair
+// lossy, races a second set against a clear on that pair, clears it,
+// then downs a node: NodeDown must report it every time. A record of
+// "is anything injected" kept apart from the conditions themselves can
+// lose count in exactly this interleaving and then read every later
+// fault as absent.
+func TestSetRaceKeepsLaterFaults(t *testing.T) {
+	w := testWorld(t)
+	hosts := w.HostNodes()
+	a, b, c := hosts[0].ID, hosts[1].ID, hosts[2].ID
+	const rounds = 20000
+	lost := 0
+	for i := 0; i < rounds; i++ {
+		w.SetPairLossRate(a, b, 0.5)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); w.SetPairLossRate(a, b, 0.25) }()
+		go func() { defer wg.Done(); w.SetPairLossRate(a, b, 0) }()
+		wg.Wait()
+		w.SetPairLossRate(a, b, 0)
+		w.SetNodeDown(c, true)
+		if !w.NodeDown(c) {
+			lost++
+		}
+		w.SetNodeDown(c, false)
+	}
+	if lost > 0 {
+		t.Fatalf("node-down lost in %d of %d rounds", lost, rounds)
 	}
 }

@@ -29,7 +29,9 @@ type Hop struct {
 
 // BaseRTTMs returns the deterministic floor RTT between two nodes: the
 // minimum any probe can observe (including any injected pair drift).
-func (w *World) BaseRTTMs(src, dst int) float64 {
+func (w *World) BaseRTTMs(src, dst int) float64 { return w.baseRTT(w.cond.Load(), src, dst) }
+
+func (w *World) baseRTT(c *conditions, src, dst int) float64 {
 	if src == dst {
 		return 0
 	}
@@ -37,7 +39,7 @@ func (w *World) BaseRTTMs(src, dst int) float64 {
 	if path == nil {
 		return math.Inf(1)
 	}
-	return w.pathBaseRTT(path) + w.Nodes[src].accessMs + w.Nodes[dst].accessMs + w.PairDriftMs(src, dst)
+	return w.pathBaseRTT(path) + w.Nodes[src].accessMs + w.Nodes[dst].accessMs + c.pair(src, dst).driftMs
 }
 
 // SetPairDriftMs injects an extra symmetric RTT of ms between nodes a and
@@ -52,22 +54,11 @@ func (w *World) BaseRTTMs(src, dst int) float64 {
 // bit-identical, so tests can drift landmark↔landmark pairs while
 // landmark→target probing stays untouched.
 func (w *World) SetPairDriftMs(a, b int, ms float64) {
-	key := pairKey(a, b)
-	if ms == 0 {
-		w.drift.Delete(key)
-		return
-	}
-	w.drift.Store(key, ms)
+	w.setPair(a, b, func(pc *pairConds) { pc.driftMs = ms })
 }
 
 // PairDriftMs returns the drift currently injected between a and b.
-func (w *World) PairDriftMs(a, b int) float64 {
-	v, ok := w.drift.Load(pairKey(a, b))
-	if !ok {
-		return 0
-	}
-	return v.(float64)
-}
+func (w *World) PairDriftMs(a, b int) float64 { return w.cond.Load().pair(a, b).driftMs }
 
 func pairKey(a, b int) [2]int {
 	if a > b {
@@ -153,20 +144,21 @@ func (w *World) Ping(src, dst, n int) []float64 {
 	if n <= 0 {
 		n = 1
 	}
-	if w.PathFault(src, dst) != "" {
+	c := w.cond.Load()
+	if w.pathFault(c, src, dst) != "" {
 		return nil
 	}
 	out := make([]float64, n)
 	if src == dst {
 		return out
 	}
-	base := w.BaseRTTMs(src, dst)
+	base := w.baseRTT(c, src, dst)
 	p := getRNG(w.probeSeed(src, dst), 0xfeed)
 	for i := range out {
 		out[i] = base + jitter(p.rng, jitterMeanMs)
 	}
 	prngPool.Put(p)
-	if rate := w.PairLossRate(src, dst); rate > 0 {
+	if rate := c.pair(src, dst).loss; rate > 0 {
 		out = w.dropLost(out, src, dst, rate)
 	}
 	return out
@@ -198,7 +190,8 @@ func (w *World) Traceroute(src, dst, nProbe int) []Hop {
 	if path == nil {
 		return nil
 	}
-	if w.PathFault(src, dst) != "" {
+	c := w.cond.Load()
+	if w.pathFault(c, src, dst) != "" {
 		return nil
 	}
 	p := getRNG(w.probeSeed(src, dst), 0x7ace)
@@ -206,7 +199,7 @@ func (w *World) Traceroute(src, dst, nProbe int) []Hop {
 	rng := p.rng
 	hops := make([]Hop, 0, len(path)-1)
 	for i := 1; i < len(path); i++ {
-		if w.NodeDown(path[i]) {
+		if c.nodeDown(path[i]) {
 			// Probes beyond a dead router never answer: the trace
 			// truncates at the last live hop, as on the real Internet.
 			break

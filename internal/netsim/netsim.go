@@ -1,10 +1,11 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,12 +120,13 @@ const (
 // cache is a sync.Map, so all measurement methods (Ping, Traceroute,
 // Route, Whois, ReverseDNS) are safe to call from many goroutines.
 //
-// The mutable measurement state is the pair-drift table (SetPairDriftMs),
-// which models network conditions changing underneath a long-running
-// deployment, and the fault tables (SetNodeDown, SetPairBlackhole,
-// SetPairLossRate — see faults.go), which model the network breaking
-// outright. Each is synchronized independently, so drift and faults may
-// be injected while measurements are in flight.
+// What changes after construction is the injected conditions — pair
+// drift (SetPairDriftMs), which models the network shifting underneath a
+// long-running deployment, and the faults (SetNodeDown, SetPairBlackhole,
+// SetPairLossRate), which model it breaking outright. They live in one
+// immutable snapshot that setters replace whole (faults.go), so they may
+// be injected while measurements are in flight and each measurement sees
+// one consistent set of them.
 type World struct {
 	Cfg     Config
 	Nodes   []*Node
@@ -136,18 +138,13 @@ type World struct {
 	nameIdx map[string]int         // DNS name → node ID
 	routes  sync.Map               // src node ID → *routeTable
 
-	// drift holds per-pair RTT offsets injected after construction
-	// (SetPairDriftMs): [2]int{min,max} node IDs → extra ms.
-	drift sync.Map
-	// Fault-injection state (faults.go). faultCount tracks active fault
-	// entries across all three maps; while it is zero every fault check
-	// is a single atomic load, keeping the healthy measurement path
-	// allocation- and bit-identical to a world without the fault API.
-	downNodes  sync.Map // node ID (int) → true
-	blackholes sync.Map // [2]int{min,max} node IDs → true
-	loss       sync.Map // [2]int{min,max} node IDs → loss probability
-	lossSeq    sync.Map // [2]int{min,max} node IDs → *atomic.Uint64 call ordinal
-	faultCount atomic.Int64
+	// cond is the injected conditions, nil while nothing is injected;
+	// setters replace it under condMu.
+	cond   atomic.Pointer[conditions]
+	condMu sync.Mutex
+	// lossSeq counts Ping calls per lossy pair ([2]int{min,max} node IDs
+	// → *atomic.Uint64), so each call draws a fresh loss pattern.
+	lossSeq sync.Map
 	// pingCalls / tracerouteCalls account every measurement issued
 	// against this world, so tests can assert how much probing a survey
 	// build or a refresh actually performed.
@@ -203,10 +200,11 @@ func NewWorld(cfg Config) *World {
 		w.addLink(a, b, rng)
 	}
 	for _, city := range POPCities { // slice order: deterministic RNG use
+		// A POP is among its own neighborLinks+1 nearest (at distance 0),
+		// and addBackboneLink drops that self-link by ID.
 		id := popID[city.Code]
-		near := w.nearestPOPs(popID, city.Code, neighborLinks)
-		for _, n := range near {
-			addBackboneLink(id, n)
+		for _, n := range nearestPOPs(city.Loc(), neighborLinks+1) {
+			addBackboneLink(id, popID[n.Code])
 		}
 	}
 	for _, lh := range longHaulLinks {
@@ -227,13 +225,13 @@ func NewWorld(cfg Config) *World {
 	// the last recognizable router can sit a few hundred km from the
 	// target.
 	for i, site := range cfg.Sites {
-		candidates := w.nearestPOPsToPoint(popID, site.Loc(), 3)
-		up := candidates[0]
+		candidates := nearestPOPs(site.Loc(), 3)
+		up := popID[candidates[0].Code]
 		switch r := rng.Float64(); {
 		case r > 0.98 && len(candidates) > 2:
-			up = candidates[2]
+			up = popID[candidates[2].Code]
 		case r > 0.90 && len(candidates) > 1:
-			up = candidates[1]
+			up = popID[candidates[1].Code]
 		}
 		// Most campus gateway routers carry no city token in their DNS
 		// names (customer links are named after the customer, not the
@@ -313,64 +311,21 @@ func (w *World) buildAdjacency() {
 	}
 }
 
-// nearestPOPs returns node IDs of the k nearest POPs to the named one.
-func (w *World) nearestPOPs(popID map[string]int, code string, k int) []int {
-	self := popID[code]
+// nearestPOPs returns the k POP cities nearest p, closest first (ties in
+// POPCities order, which is also POP node-ID order).
+func nearestPOPs(p geo.Point, k int) []City {
 	type cand struct {
-		id int
-		d  float64
+		city City
+		d    float64
 	}
-	var cands []cand
-	for _, city := range POPCities {
-		if city.Code == code {
-			continue
-		}
-		id := popID[city.Code]
-		cands = append(cands, cand{id, w.Nodes[self].Loc.DistanceKm(w.Nodes[id].Loc)})
+	cands := make([]cand, len(POPCities))
+	for i, c := range POPCities {
+		cands[i] = cand{c, p.DistanceKm(c.Loc())}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].id < cands[j].id
-	})
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
-	}
-	return out
-}
-
-// nearestPOPsToPoint returns the k nearest POP node IDs to p, closest
-// first, iterating deterministically.
-func (w *World) nearestPOPsToPoint(popID map[string]int, p geo.Point, k int) []int {
-	type cand struct {
-		id int
-		d  float64
-	}
-	cands := make([]cand, 0, len(popID))
-	for _, city := range POPCities {
-		id, ok := popID[city.Code]
-		if !ok {
-			continue
-		}
-		cands = append(cands, cand{id, p.DistanceKm(w.Nodes[id].Loc)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].id < cands[j].id
-	})
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
+	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.d, b.d) })
+	out := make([]City, min(k, len(cands)))
+	for i := range out {
+		out[i] = cands[i].city
 	}
 	return out
 }

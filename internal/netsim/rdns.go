@@ -61,13 +61,8 @@ func (w *World) buildHostRDNS(cfg Config) {
 // nearestPOPCity returns the code and distance of the POP city nearest to
 // p, deterministically (slice order breaks ties).
 func nearestPOPCity(p geo.Point) (code string, km float64) {
-	best := -1.0
-	for i := range POPCities {
-		if d := p.DistanceKm(POPCities[i].Loc()); best < 0 || d < best {
-			best, code = d, POPCities[i].Code
-		}
-	}
-	return code, best
+	c := nearestPOPs(p, 1)[0]
+	return c.Code, p.DistanceKm(c.Loc())
 }
 
 // farPOPCodes lists POP codes at least hostRDNSWrongMinKm from p, sorted
