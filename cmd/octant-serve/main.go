@@ -101,7 +101,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		grace     = fs.Duration("shutdown-grace", 30*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 		retries   = fs.Int("probe-retries", 3, "attempts per measurement (1 disables retrying); transient probe failures back off and retry, so one lost train doesn't degrade a localization or void a survey refresh")
 		measureW  = fs.Int("measure-workers", 0, "concurrent probes per localization fan-out (0 = scheduler default, 16; 1 = one probe train at a time)")
-		rttTTL    = fs.Duration("rtt-cache-ttl", 0, "measurement-scheduler RTT cache lifetime (0 disables caching and in-flight dedup; entries are epoch-qualified so a survey swap never serves stale minima)")
 		geodbFile = fs.String("geodb", "", "passive geolocation database JSON (geodb.LoadFile format); records feed the geodb evidence source, RTT cross-validated per target")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -132,7 +131,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	cfg := core.Config{
 		Probes:         *probes,
 		MeasureWorkers: *measureW,
-		RTTCacheTTL:    *rttTTL,
 	}
 	if *geodbFile != "" {
 		provider, err := geodb.LoadFile(*geodbFile)

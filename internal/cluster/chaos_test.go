@@ -19,6 +19,7 @@ func TestBreakerKillRevive(t *testing.T) {
 		BreakerThreshold: 1,
 		BreakerCooldown:  30 * time.Millisecond,
 		FailoverBackoff:  -1, // no sleeps; this test measures state, not pacing
+		CacheSize:        -1, // no L1, so every request dispatches
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +29,7 @@ func TestBreakerKillRevive(t *testing.T) {
 	owner := nodeByName(t, fleet, ownerName)
 
 	// Warm: the owner serves and is cached ready for the next minute.
-	if _, err := gatherOne(ctx, r, target, "", false); err != nil {
+	if _, err := r.Localize(ctx, target, nil); err != nil {
 		t.Fatalf("warm localize: %v", err)
 	}
 
@@ -36,7 +37,7 @@ func TestBreakerKillRevive(t *testing.T) {
 	// request dispatches to it, fails, opens the breaker (threshold 1),
 	// and fails over — with no client-visible error.
 	owner.Kill()
-	if _, err := gatherOne(ctx, r, target, "", false); err != nil {
+	if _, err := r.Localize(ctx, target, nil); err != nil {
 		t.Fatalf("localize during owner outage: %v", err)
 	}
 	st := r.Stats(ctx)
@@ -55,7 +56,7 @@ func TestBreakerKillRevive(t *testing.T) {
 	if err := owner.Revive(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gatherOne(ctx, r, target, "", false); err != nil {
+	if _, err := r.Localize(ctx, target, nil); err != nil {
 		t.Fatalf("localize right after revive: %v", err)
 	}
 
@@ -65,7 +66,7 @@ func TestBreakerKillRevive(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, err := gatherOne(ctx, r, target, "", false); err != nil {
+		if _, err := r.Localize(ctx, target, nil); err != nil {
 			t.Fatalf("localize after cooldown: %v", err)
 		}
 		st = r.Stats(ctx)

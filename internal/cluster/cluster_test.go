@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"octant/internal/core"
 	"octant/internal/serve"
 )
 
@@ -35,17 +34,6 @@ func nodeByName(t *testing.T, fleet *LocalFleet, name string) *FleetNode {
 	}
 	t.Fatalf("no fleet node %q", name)
 	return nil
-}
-
-// gatherOne drives the router's one request path for a single target with
-// the cache identity given outright, which is how tests reach the
-// non-cacheable bypass that wire options cannot express.
-func gatherOne(ctx context.Context, r *Router, target, fp string, cacheable bool) (serve.TargetResultV2, error) {
-	results, err := r.gather(ctx, []string{target}, nil, fp, cacheable)
-	if err != nil {
-		return serve.TargetResultV2{}, err
-	}
-	return results[0], nil
 }
 
 // TestClusterCacheComputedOnAServedForB is the shared-cache acceptance
@@ -118,76 +106,6 @@ func TestClusterCacheComputedOnAServedForB(t *testing.T) {
 	if got := owner.Server.Engine().Stats().PeerHits; got == 0 {
 		t.Error("owner engine recorded no peer hit")
 	}
-}
-
-// nopSource is a trivial custom evidence source — present only to make a
-// request non-cacheable.
-type nopSource struct{}
-
-func (nopSource) Name() string { return "nop" }
-func (nopSource) Constraints(ctx context.Context, req *core.Request) ([]core.Constraint, core.SourceReport, error) {
-	return nil, core.SourceReport{Source: "nop"}, nil
-}
-
-// TestNonCacheableNeverEntersSharedTier checks the bypass in both
-// directions: a non-cacheable result computed by a node's engine is
-// unreachable through the peer-cache surface, and a non-cacheable
-// request through the router touches no cache tier.
-func TestNonCacheableNeverEntersSharedTier(t *testing.T) {
-	fleet := startFleet(t, 2, 9)
-	ctx := context.Background()
-	node := fleet.Nodes[0]
-	target := fleet.Targets[0]
-
-	// Direction 1: engine → shared tier. Compute with a custom evidence
-	// source; neither Peek nor /v1/cache/lookup may ever serve it.
-	item := node.Server.Engine().LocalizeItem(ctx, target, core.WithEvidenceSource(nopSource{}))
-	if item.Err != nil {
-		t.Fatal(item.Err)
-	}
-	o := core.NewLocalizeOptions(core.WithEvidenceSource(nopSource{}))
-	if o.Cacheable() {
-		t.Fatal("options with a custom source report cacheable")
-	}
-	fp := o.Fingerprint()
-	if _, ok := node.Server.Engine().Peek(Key{Target: target, Fingerprint: fp, Epoch: item.Epoch}); ok {
-		t.Error("non-cacheable result served from the engine LRU")
-	}
-	client := fleet.Clients()[0]
-	if _, ok, err := client.CacheLookup(ctx, Key{Target: target, Fingerprint: fp, Epoch: item.Epoch}); err != nil {
-		t.Fatal(err)
-	} else if ok {
-		t.Error("non-cacheable result served over /v1/cache/lookup")
-	}
-
-	// Direction 2: router → shared tier. A request flagged non-cacheable
-	// skips L1 and L2 entirely and inserts nothing.
-	r, err := NewRouter(fleet.Clients(), RouterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gatherOne(ctx, r, target, fp, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.cache.Len(); got != 0 {
-		t.Errorf("non-cacheable request left %d entries in the front-door cache", got)
-	}
-	hits, misses := r.cache.Counters()
-	if hits+misses != 0 {
-		t.Errorf("non-cacheable request consulted the front-door cache (%d hits, %d misses)", hits, misses)
-	}
-	if got := r.bypassed.Load(); got != 1 {
-		t.Errorf("bypassed = %d, want 1", got)
-	}
-	// Running it again must dispatch again, not hit any cache.
-	tr, err := gatherOne(ctx, r, target, fp, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.dispatched.Load(); got != 2 {
-		t.Errorf("dispatched = %d, want 2 (no cache short-circuit)", got)
-	}
-	_ = tr
 }
 
 // TestRouterBatchScatterGather: a batch through the router spans the

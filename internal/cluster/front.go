@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 
@@ -162,12 +161,12 @@ func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz reports the front door ready when at least one fleet
-// member is ready to take traffic.
+// member is ready to take traffic. Each member's probe is bounded by the
+// router's probe timeout on its own, so a hung member costs one timeout
+// and the members after it are still asked.
 func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), f.router.cfg.ReadyTTL)
-	defer cancel()
 	for _, name := range f.router.Ring().Nodes() {
-		if f.router.members[name].isReady(ctx) {
+		if f.router.members[name].isReady(r.Context()) {
 			serve.WriteJSON(w, http.StatusOK, serve.Readiness{Ready: true, Epoch: f.router.Epoch()})
 			return
 		}

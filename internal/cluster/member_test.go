@@ -83,13 +83,12 @@ func TestMemberBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// TestHungMemberDoesNotStallStatsOrClusterView: a member that accepts
-// connections and never answers must cost the front door's merged views
-// one probe timeout, not the caller's whole wait. /v1/stats lists it
-// unreachable and /v1/cluster lists it not ready, beside a healthy member
-// reported as usual. Fetched with the caller's context alone, both would
-// hang as long as the member does: the default client has no timeout.
-func TestHungMemberDoesNotStallStatsOrClusterView(t *testing.T) {
+// hungAndOKFront is a front door over two members under the default
+// RouterConfig: "hung" accepts connections and never answers, "ok" is
+// ready and serves empty stats. Ring order puts hung first. get serves
+// path and fails the test if the answer takes longer than 5s.
+func hungAndOKFront(t *testing.T) (get func(path string) *httptest.ResponseRecorder) {
+	t.Helper()
 	release := make(chan struct{})
 	hungSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
@@ -115,7 +114,7 @@ func TestHungMemberDoesNotStallStatsOrClusterView(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewFront(router, nil).Handler()
-	within := func(path string) *httptest.ResponseRecorder {
+	return func(path string) *httptest.ResponseRecorder {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		done := make(chan struct{})
@@ -133,7 +132,16 @@ func TestHungMemberDoesNotStallStatsOrClusterView(t *testing.T) {
 		}
 		return rec
 	}
+}
 
+// TestHungMemberDoesNotStallStatsOrClusterView: a member that accepts
+// connections and never answers must cost the front door's merged views
+// one probe timeout, not the caller's whole wait. /v1/stats lists it
+// unreachable and /v1/cluster lists it not ready, beside a healthy member
+// reported as usual. Fetched with the caller's context alone, both would
+// hang as long as the member does: the default client has no timeout.
+func TestHungMemberDoesNotStallStatsOrClusterView(t *testing.T) {
+	within := hungAndOKFront(t)
 	var stats ClusterStats
 	if err := json.Unmarshal(within("/v1/stats").Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
@@ -155,6 +163,22 @@ func TestHungMemberDoesNotStallStatsOrClusterView(t *testing.T) {
 	}
 	if want := map[string]bool{"hung": false, "ok": true}; !reflect.DeepEqual(ready, want) {
 		t.Errorf("/v1/cluster readiness = %v, want %v", ready, want)
+	}
+}
+
+// TestHungMemberDoesNotHideAReadyOne: /v1/readyz asks the members in ring
+// order until one is ready. A hung member first in that order must cost
+// its own probe timeout and no more, so the ready member after it is
+// still asked and the front door answers 200. Under one deadline shared
+// by the whole walk, the hung member's probe used it up and the front
+// door reported "no ready nodes".
+func TestHungMemberDoesNotHideAReadyOne(t *testing.T) {
+	var rd serve.Readiness
+	if err := json.Unmarshal(hungAndOKFront(t)("/v1/readyz").Body.Bytes(), &rd); err != nil {
+		t.Fatal(err)
+	}
+	if !rd.Ready || rd.Epoch != 1 {
+		t.Errorf("/v1/readyz = %+v, want ready at epoch 1", rd)
 	}
 }
 

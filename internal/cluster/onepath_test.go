@@ -237,21 +237,6 @@ func TestSingleIsBatchOfOne(t *testing.T) {
 		}
 	})
 
-	t.Run("non-cacheable bypass", func(t *testing.T) {
-		r := newRouter()
-		targets := fleet.Targets[3:6]
-		for round := 1; round <= 2; round++ {
-			if _, err := r.gather(ctx, targets, nil, "custom", false); err != nil {
-				t.Fatal(err)
-			}
-			s := counters(r)
-			want := uint64(round * len(targets))
-			if s.Bypassed != want || s.Dispatched != want || s.L1Hits+s.L1Misses != 0 || s.L1Len != 0 || s.PeerFetches != 0 {
-				t.Errorf("round %d: counters %+v, want %d bypassed and dispatched and no cache tier touched", round, s, want)
-			}
-		}
-	})
-
 	t.Run("degraded never cached", func(t *testing.T) {
 		// Down a fifth of the landmarks: quorum holds, results degrade.
 		landmarks := fleet.World.HostNodes()[40:]

@@ -9,23 +9,11 @@ package cluster
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 )
-
-// RingConfig tunes a Ring. The zero value is usable.
-type RingConfig struct {
-	// VNodes is how many virtual nodes each member projects onto the ring
-	// (0 = default 128). More vnodes smooth the key distribution and
-	// shrink per-join movement variance at the cost of a larger table.
-	VNodes int
-	// LoadFactor is the bounded-load ceiling c: no node is assigned more
-	// than ⌈c · load/n⌉ concurrently routed keys (0 = default 1.25,
-	// negative = unbounded). Bounding keeps one hot shard from pinning a
-	// node while the rest of the fleet idles.
-	LoadFactor float64
-}
 
 const (
 	defaultVNodes     = 128
@@ -35,12 +23,15 @@ const (
 // Ring is a consistent-hash ring with virtual nodes and bounded-load
 // assignment. Hashes are FNV-64a of plain strings, so two processes
 // building rings from the same member names agree on every owner —
-// front doors can be replicated without coordination.
+// front doors can be replicated without coordination. Membership is
+// fixed at construction, so placement reads take no lock; the mutex
+// guards only the load books.
 type Ring struct {
-	mu     sync.RWMutex
-	cfg    RingConfig
-	points []ringPoint // sorted by hash
-	nodes  map[string]bool
+	loadFactor float64
+	nodes      []string    // sorted, distinct
+	points     []ringPoint // sorted by hash
+
+	mu sync.Mutex
 	// load tracks keys currently booked via Reserve, for the bounded-load
 	// placement rule.
 	load  map[string]int
@@ -52,15 +43,28 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds an empty ring.
-func NewRing(cfg RingConfig) *Ring {
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = defaultVNodes
+// NewRing builds a ring over the named members. Each projects vnodes
+// virtual nodes onto the ring (0 = default 128); loadFactor is the
+// bounded-load ceiling (0 = default 1.25, negative = unbounded). See
+// RouterConfig for both.
+func NewRing(names []string, vnodes int, loadFactor float64) *Ring {
+	if vnodes <= 0 {
+		vnodes = defaultVNodes
 	}
-	if cfg.LoadFactor == 0 {
-		cfg.LoadFactor = defaultLoadFactor
+	if loadFactor == 0 {
+		loadFactor = defaultLoadFactor
 	}
-	return &Ring{cfg: cfg, nodes: make(map[string]bool), load: make(map[string]int)}
+	nodes := slices.Clone(names)
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	points := make([]ringPoint, 0, len(nodes)*vnodes)
+	for _, name := range nodes {
+		for i := 0; i < vnodes; i++ {
+			points = append(points, ringPoint{hash: hash64(name + "#" + strconv.Itoa(i)), node: name})
+		}
+	}
+	sort.Slice(points, func(i, j int) bool { return points[i].hash < points[j].hash })
+	return &Ring{loadFactor: loadFactor, nodes: nodes, points: points, load: make(map[string]int)}
 }
 
 func hash64(s string) uint64 {
@@ -69,63 +73,16 @@ func hash64(s string) uint64 {
 	return h.Sum64()
 }
 
-// Add inserts a member. Adding an existing member is a no-op.
-func (r *Ring) Add(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.nodes[name] {
-		return
-	}
-	r.nodes[name] = true
-	for i := 0; i < r.cfg.VNodes; i++ {
-		r.points = append(r.points, ringPoint{hash: hash64(name + "#" + strconv.Itoa(i)), node: name})
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove deletes a member; keys it owned redistribute to their next
-// points clockwise, and no key owned by a surviving member moves.
-func (r *Ring) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[name] {
-		return
-	}
-	delete(r.nodes, name)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != name {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Nodes returns the members in sorted order.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (r *Ring) Nodes() []string { return slices.Clone(r.nodes) }
 
 // Len returns the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
+func (r *Ring) Len() int { return len(r.nodes) }
 
 // Owner returns the key's owner: the member of the first virtual node at
 // or clockwise of the key's hash. It ignores load and health; the
 // router's placement rule starts from it.
 func (r *Ring) Owner(key string) (string, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return "", false
 	}
@@ -133,7 +90,6 @@ func (r *Ring) Owner(key string) (string, bool) {
 }
 
 // search returns the index of the first point at or clockwise of h.
-// Callers hold at least the read lock.
 func (r *Ring) search(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
@@ -147,8 +103,6 @@ func (r *Ring) search(h uint64) int {
 // front door computes the same list for the same key, so retries across
 // replicas converge on the same fallback nodes (and their caches).
 func (r *Ring) Preference(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
@@ -173,12 +127,12 @@ func (r *Ring) Preference(key string, n int) []string {
 // take its first key. Always true with a non-positive LoadFactor, which
 // degenerates placement to plain consistent hashing.
 func (r *Ring) HasRoom(node string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.cfg.LoadFactor <= 0 {
+	if r.loadFactor <= 0 {
 		return true
 	}
-	limit := int(r.cfg.LoadFactor * float64(r.total+1) / float64(len(r.nodes)))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	limit := int(r.loadFactor * float64(r.total+1) / float64(len(r.nodes)))
 	return r.load[node] < max(limit, 1)
 }
 
@@ -202,8 +156,8 @@ func (r *Ring) Reserve(node string, n int) (release func()) {
 
 // Loads returns a snapshot of reserved load per member.
 func (r *Ring) Loads() map[string]int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make(map[string]int, len(r.load))
 	for n, l := range r.load {
 		out[n] = l

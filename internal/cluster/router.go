@@ -16,19 +16,22 @@ import (
 	"octant/internal/serve"
 )
 
-// Key identifies one cacheable localization result cluster-wide: the
-// engine's own batch.Key (target, options fingerprint, survey epoch), so
-// the front door's L1, a node's LRU and a peer lookup name the same result
-// the same way. Non-cacheable requests (custom evidence sources) never get
-// a Key: the router bypasses every cache tier for them, exactly as the
-// batch engine does.
+// Key identifies one localization result cluster-wide: the engine's own
+// batch.Key (target, options fingerprint, survey epoch), so the front
+// door's L1, a node's LRU and a peer lookup name the same result the same
+// way.
 type Key = batch.Key
 
 // RouterConfig tunes a Router. The zero value is usable.
 type RouterConfig struct {
-	// VNodes and LoadFactor configure the consistent-hash ring
-	// (see RingConfig).
-	VNodes     int
+	// VNodes is how many virtual nodes each member projects onto the
+	// ring (0 = default 128). More vnodes smooth the key distribution at
+	// the cost of a larger table.
+	VNodes int
+	// LoadFactor is the ring's bounded-load ceiling c: no node is
+	// assigned more than ⌈c · load/n⌉ concurrently routed keys
+	// (0 = default 1.25, negative = unbounded). Bounding keeps one hot
+	// shard from pinning a node while the rest of the fleet idles.
 	LoadFactor float64
 	// CacheSize is the front door's L1 result-cache capacity
 	// (0 = default 4096, negative disables).
@@ -58,8 +61,7 @@ type RouterConfig struct {
 // RouterStats counts the front door's own activity, alongside the
 // per-node engine stats in ClusterStats.
 type RouterStats struct {
-	// L1Hits / L1Misses are front-door result-cache outcomes for
-	// cacheable requests.
+	// L1Hits / L1Misses are front-door result-cache outcomes.
 	L1Hits   uint64 `json:"l1_hits"`
 	L1Misses uint64 `json:"l1_misses"`
 	// L1Len / L1Cap are the front-door cache's occupancy and capacity.
@@ -77,9 +79,6 @@ type RouterStats struct {
 	// at an older epoch than the rest of their batch (the mixed-epoch
 	// guard during rolling swaps).
 	EpochRepairs uint64 `json:"epoch_repairs"`
-	// Bypassed counts non-cacheable requests that skipped every cache
-	// tier.
-	Bypassed uint64 `json:"bypassed"`
 	// BreakerOpens counts circuit-breaker open transitions (including a
 	// failed half-open trial re-opening), and BreakerTrials the half-open
 	// trial probes admitted after a cooldown.
@@ -132,8 +131,7 @@ type Router struct {
 	epoch atomic.Uint64
 
 	peerFetches, dispatched, failovers atomic.Uint64
-	epochRepairs, bypassed             atomic.Uint64
-	degradedServed                     atomic.Uint64
+	epochRepairs, degradedServed       atomic.Uint64
 }
 
 // NewRouter builds a router over the given fleet members.
@@ -160,19 +158,20 @@ func NewRouter(nodes []*NodeClient, cfg RouterConfig) (*Router, error) {
 		cfg.FailoverBackoff = 25 * time.Millisecond
 	}
 	r := &Router{
-		ring:         NewRing(RingConfig{VNodes: cfg.VNodes, LoadFactor: cfg.LoadFactor}),
 		members:      make(map[string]*member, len(nodes)),
 		cache:        lru.New[Key, serve.TargetResultV2](cfg.CacheSize, 0),
 		cfg:          cfg,
 		probeTimeout: max(cfg.ReadyTTL, 250*time.Millisecond),
 	}
+	names := make([]string, 0, len(nodes))
 	for _, n := range nodes {
 		if _, dup := r.members[n.Name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate node name %q", n.Name)
 		}
 		r.members[n.Name] = &member{node: n, r: r, state: breakerClosed}
-		r.ring.Add(n.Name)
+		names = append(names, n.Name)
 	}
+	r.ring = NewRing(names, cfg.VNodes, cfg.LoadFactor)
 	return r, nil
 }
 
@@ -236,20 +235,17 @@ func routeErrorf(status int, format string, args ...any) *RouteError {
 	return &RouteError{Status: status, Message: fmt.Sprintf(format, args...)}
 }
 
-// resolveWire validates wire options and derives the cache identity the
-// cluster tiers key on. It mirrors the batch engine's resolveOpts: ""
-// fingerprint for a default request, cacheable unless the options carry
-// state that cannot be fingerprinted.
-func resolveWire(wo *serve.WireOptions) (fp string, cacheable bool, err error) {
+// resolveWire validates wire options and derives the fingerprint the
+// cluster tiers key on: "" for a default request, as the batch engine's
+// resolveOpts does. Wire options carry nothing that cannot be
+// fingerprinted, so every wire request is cacheable.
+func resolveWire(wo *serve.WireOptions) (fp string, err error) {
 	opts, err := wo.Options()
-	if err != nil {
-		return "", false, err
-	}
-	if len(opts) == 0 {
-		return "", true, nil
+	if err != nil || len(opts) == 0 {
+		return "", err
 	}
 	o := core.NewLocalizeOptions(opts...)
-	return o.Fingerprint(), o.Cacheable(), nil
+	return o.Fingerprint(), nil
 }
 
 // Localize routes one localization through the cluster. A single target
@@ -271,8 +267,8 @@ func (r *Router) Localize(ctx context.Context, target string, wo *serve.WireOpti
 	return results[0], nil
 }
 
-// Batch scatter-gathers targets across the fleet: cacheable targets are
-// served from the front-door cache (L1) where possible, the rest are
+// Batch scatter-gathers targets across the fleet: targets are served
+// from the front-door cache (L1) where possible, the rest are
 // placed, grouped by node and dispatched as per-node sub-requests, and
 // the merged response is epoch-repaired so one batch never mixes survey
 // epochs — the per-node engines guarantee that within a node, and the
@@ -282,30 +278,14 @@ func (r *Router) Localize(ctx context.Context, target string, wo *serve.WireOpti
 // to serve.
 func (r *Router) Batch(ctx context.Context, targets []string, wo *serve.WireOptions) ([]serve.TargetResultV2, error) {
 	// Options first, then the target list: the order a node checks them.
-	fp, cacheable, err := resolveWire(wo)
+	fp, err := resolveWire(wo)
 	if err != nil {
 		return nil, routeErrorf(http.StatusBadRequest, "bad options: %v", err)
 	}
 	if status, err := serve.CheckTargets(targets, r.cfg.MaxBatch); err != nil {
 		return nil, routeErrorf(status, "%v", err)
 	}
-	return r.gather(ctx, targets, wo, fp, cacheable)
-}
-
-// call is one Batch in flight: what was asked, and what has been answered
-// so far. results[i].Target stays "" until targets[i] has its line.
-type call struct {
-	targets   []string
-	wo        *serve.WireOptions
-	fp        string
-	cacheable bool
-	results   []serve.TargetResultV2
-}
-
-// gather is Batch after validation; tests drive it directly to exercise
-// the non-cacheable bypass, which wire options cannot express.
-func (r *Router) gather(ctx context.Context, targets []string, wo *serve.WireOptions, fp string, cacheable bool) ([]serve.TargetResultV2, error) {
-	c := &call{targets: targets, wo: wo, fp: fp, cacheable: cacheable, results: make([]serve.TargetResultV2, len(targets))}
+	c := &call{targets: targets, wo: wo, fp: fp, results: make([]serve.TargetResultV2, len(targets))}
 	// Keep the epoch watermark no staler than ReadyTTL: a readiness probe
 	// (TTL-cached, so at most one round-trip per node per TTL) carries the
 	// node's current epoch, so even a 100%-cache-hit workload observes a
@@ -315,9 +295,7 @@ func (r *Router) gather(ctx context.Context, targets []string, wo *serve.WireOpt
 	epoch := r.epoch.Load()
 	var pending []int
 	for i, tgt := range targets {
-		if !cacheable {
-			r.bypassed.Add(1)
-		} else if res, ok := r.cache.Get(Key{Target: tgt, Fingerprint: fp, Epoch: epoch}); ok {
+		if res, ok := r.cache.Get(Key{Target: tgt, Fingerprint: fp, Epoch: epoch}); ok {
 			c.results[i] = res
 			continue
 		}
@@ -369,11 +347,20 @@ func (r *Router) gather(ctx context.Context, targets []string, wo *serve.WireOpt
 			// Served from partial evidence: delivered, never cached — the
 			// faults it reflects are transient.
 			r.degradedServed.Add(1)
-		case cacheable:
+		default:
 			r.cache.Put(Key{Target: res.Target, Fingerprint: fp, Epoch: res.Epoch}, res)
 		}
 	}
 	return c.results, nil
+}
+
+// call is one Batch in flight: what was asked, and what has been answered
+// so far. results[i].Target stays "" until targets[i] has its line.
+type call struct {
+	targets []string
+	wo      *serve.WireOptions
+	fp      string
+	results []serve.TargetResultV2
 }
 
 // place picks the node for key — the package's one placement rule. It
@@ -482,10 +469,10 @@ func (r *Router) scatter(ctx context.Context, c *call, pending []int) error {
 }
 
 // dispatch answers one node's share of a call, holding ring load for
-// those targets until it returns. A cacheable target displaced from its
-// owner (by load, readiness or failover) first tries the owner's cache
-// (L2): the owner holds the cluster's canonical copy, and even a draining
-// owner still answers lookups. Dispatching to the owner itself makes the
+// those targets until it returns. A target displaced from its owner (by
+// load, readiness or failover) first tries the owner's cache (L2): the
+// owner holds the cluster's canonical copy, and even a draining owner
+// still answers lookups. Dispatching to the owner itself makes the
 // lookup redundant — its engine checks the same LRU first. What is left
 // goes to the node as one sub-request. It returns a *RouteError when the
 // node understood the request and rejected it (another node would say the
@@ -510,21 +497,19 @@ func (r *Router) dispatch(ctx context.Context, c *call, node string, idxs []int)
 			c.results[i] = tr
 		}
 	}
-	if c.cacheable {
-		epoch := r.epoch.Load()
-		kept := sub[:0]
-		for _, t := range sub {
-			if owner, _ := r.ring.Owner(routeKey(t, c.fp)); owner != node {
-				if res, ok, err := r.members[owner].node.CacheLookup(ctx, Key{Target: t, Fingerprint: c.fp, Epoch: epoch}); err == nil && ok {
-					r.peerFetches.Add(1)
-					fill(res)
-					continue
-				}
+	epoch := r.epoch.Load()
+	kept := sub[:0]
+	for _, t := range sub {
+		if owner, _ := r.ring.Owner(routeKey(t, c.fp)); owner != node {
+			if res, ok, err := r.members[owner].node.CacheLookup(ctx, Key{Target: t, Fingerprint: c.fp, Epoch: epoch}); err == nil && ok {
+				r.peerFetches.Add(1)
+				fill(res)
+				continue
 			}
-			kept = append(kept, t)
 		}
-		sub = kept
+		kept = append(kept, t)
 	}
+	sub = kept
 	if len(sub) == 0 {
 		return nil
 	}
@@ -571,7 +556,6 @@ func (r *Router) Stats(ctx context.Context) ClusterStats {
 			Dispatched:   r.dispatched.Load(),
 			Failovers:    r.failovers.Load(),
 			EpochRepairs: r.epochRepairs.Load(),
-			Bypassed:     r.bypassed.Load(),
 			Degraded:     r.degradedServed.Load(),
 			Breakers:     make(map[string]string, len(r.members)),
 		},

@@ -30,8 +30,7 @@ import (
 //     solve takes one on entry and hands it back on exit, so steady-state
 //     solves reuse rather than reallocate the 1M-cell weight grids;
 //   - the measurement scheduler, so concurrent targets queue on the same
-//     per-landmark buckets (and share cache/dedup) instead of each
-//     fanning out blind.
+//     per-landmark buckets instead of each fanning out blind.
 //
 // What stays per target — measurements, constraint deltas, the two-pass
 // weighted solve — runs on a bounded worker pool when the group has more

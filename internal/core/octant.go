@@ -39,12 +39,6 @@ type Config struct {
 	// time in landmark order — the serialized baseline the benchmarks
 	// compare against; a negative count means one.
 	MeasureWorkers int
-	// RTTCacheTTL enables the scheduler's epoch-qualified min-RTT cache
-	// (and in-flight probe dedup) with this entry lifetime. 0 — the
-	// default — disables both: requests stay allocation-lean and every
-	// one measures fresh. Serving deployments that absorb
-	// bursts of duplicate targets (octant-serve) turn it on.
-	RTTCacheTTL time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -160,7 +154,7 @@ type Localizer struct {
 
 	// sched is the measurement scheduler every request through this
 	// Localizer fans its probes through, so per-landmark pacing budgets
-	// and the optional RTT cache are shared across concurrent targets.
+	// are shared across concurrent targets.
 	// Nil only for a zero-value literal, which cannot localize.
 	sched *measure.Scheduler
 }
@@ -174,7 +168,7 @@ func NewLocalizer(p probe.Prober, s *Survey, cfg Config) *Localizer {
 		Cfg:    cfg,
 		Hints:  hints.NewEngine(),
 		masks:  NewLandMaskCache(),
-		sched:  measure.New(measure.Config{Workers: cfg.MeasureWorkers, CacheTTL: cfg.RTTCacheTTL}),
+		sched:  measure.New(measure.Config{Workers: cfg.MeasureWorkers}),
 	}
 	if s != nil && s.N() > 0 {
 		l.pctx = NewProjectionContext(s)
@@ -199,9 +193,7 @@ func NewLocalizerReusing(p probe.Prober, s *Survey, cfg Config, prev *Localizer)
 			l.Hints = prev.Hints
 		}
 		// Carry the scheduler too: its per-landmark pacing budgets span
-		// epochs (the landmarks haven't changed) and its RTT cache is
-		// epoch-qualified, so stale generations can never be served —
-		// they just stop being looked up.
+		// epochs (the landmarks haven't changed).
 		l.sched = prev.sched
 	}
 	return l

@@ -106,8 +106,7 @@ func NewSurvey(p probe.Prober, landmarks []Landmark, opts SurveyOpts) (*Survey, 
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	// An ephemeral scheduler at the default caps; the pair sweep never
-	// touches an RTT cache, so every pair is probed fresh.
+	// An ephemeral scheduler at the default caps.
 	sched := measure.New(measure.Config{})
 	mins, err := MeasurePairs(context.Background(), sched, p, landmarks, pairs, opts.Probes)
 	if err != nil {

@@ -161,8 +161,7 @@ type Manager struct {
 	// sched fans Refresh's pairwise reprobes out concurrently. It is the
 	// manager's own scheduler, never the serving Localizer's, so a
 	// refresh's trains are budgeted apart from serving's global and
-	// per-landmark caps. Either way every pair is probed fresh: the pair
-	// sweep never touches an RTT cache.
+	// per-landmark caps.
 	sched *measure.Scheduler
 
 	cur atomic.Pointer[Epoch]

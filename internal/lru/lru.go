@@ -1,8 +1,8 @@
 // Package lru is the tree's one eviction policy: a fixed-capacity map
 // that forgets its least recently used entry first, with an optional
 // entry lifetime. The engine's result cache, the front door's L1, the
-// measurement scheduler's RTT cache, the solver's land-mask masters and
-// the geo-DB lookup memo are all one of these.
+// solver's land-mask masters and the geo-DB lookup memo are all one of
+// these.
 //
 // Staleness is the key's business, not the cache's. A value that is true
 // only under one survey epoch carries the epoch in its key, so a reader

@@ -250,118 +250,15 @@ func TestFanoutOverlapsTrains(t *testing.T) {
 	}
 }
 
-// TestCacheTTLAndEpoch covers the reuse-before-reprobe rules: a warm key
-// is served from cache, a different survey epoch misses, and an expired
-// entry is re-probed.
-func TestCacheTTLAndEpoch(t *testing.T) {
-	p := newFakeProber(0)
-	srcs := srcNames(6)
-	const ttl = 50 * time.Millisecond
-	s := New(Config{CacheTTL: ttl})
-	ctx := context.Background()
-	out := make([]float64, len(srcs))
-	errs := make([]error, len(srcs))
-
-	s.PingMinInto(ctx, p, srcs, "target", 10, 7, out, errs)
-	if got := p.totalCalls(); got != len(srcs) {
-		t.Fatalf("cold round issued %d probes, want %d", got, len(srcs))
-	}
-
-	warm := make([]float64, len(srcs))
-	s.PingMinInto(ctx, p, srcs, "target", 10, 7, warm, errs)
-	if got := p.totalCalls(); got != len(srcs) {
-		t.Errorf("warm round issued %d extra probes, want 0 (cache hit)", got-len(srcs))
-	}
-	for i := range warm {
-		if warm[i] != out[i] {
-			t.Errorf("slot %d: cached %v != measured %v", i, warm[i], out[i])
-		}
-	}
-	if st := s.Stats(); st.CacheHits != uint64(len(srcs)) || st.CacheEntries != len(srcs) {
-		t.Errorf("stats: hits=%d entries=%d, want %d/%d", st.CacheHits, st.CacheEntries, len(srcs), len(srcs))
-	}
-
-	// A new survey generation must never see the old epoch's minima.
-	s.PingMinInto(ctx, p, srcs, "target", 10, 8, warm, errs)
-	if got := p.totalCalls(); got != 2*len(srcs) {
-		t.Errorf("epoch-8 round reused epoch-7 entries (%d probes total, want %d)", got, 2*len(srcs))
-	}
-
-	time.Sleep(ttl + 20*time.Millisecond)
-	s.PingMinInto(ctx, p, srcs, "target", 10, 8, warm, errs)
-	if got := p.totalCalls(); got != 3*len(srcs) {
-		t.Errorf("expired entries were served (%d probes total, want %d)", got, 3*len(srcs))
-	}
-}
-
-// TestRTTCacheBounded: however many fresh minima arrive within their TTL,
-// the cache holds at most cacheHighWater of them, and the ones it keeps
-// are the most recent.
-func TestRTTCacheBounded(t *testing.T) {
-	p := newFakeProber(0)
-	srcs := srcNames(1 << 10)
-	s := New(Config{CacheTTL: time.Hour})
-	ctx := context.Background()
-	out := make([]float64, len(srcs))
-	errs := make([]error, len(srcs))
-	last := ""
-	for d := 0; d*len(srcs) <= cacheHighWater; d++ {
-		last = fmt.Sprintf("target-%d", d)
-		s.PingMinInto(ctx, p, srcs, last, 1, 0, out, errs)
-	}
-	if st := s.Stats(); st.CacheEntries > cacheHighWater {
-		t.Errorf("%d cached minima after %d fresh ones, want ≤ %d", st.CacheEntries, p.totalCalls(), cacheHighWater)
-	}
-	calls := p.totalCalls()
-	s.PingMinInto(ctx, p, srcs, last, 1, 0, out, errs)
-	if got := p.totalCalls() - calls; got != 0 {
-		t.Errorf("the latest round re-probed %d of its %d trains, want 0 (most recent entries resident)", got, len(srcs))
-	}
-}
-
-// TestSingleflightDedup runs two concurrent rounds over the same keys
-// against a slow prober: the second must piggyback on the first's
-// in-flight trains instead of probing itself.
-func TestSingleflightDedup(t *testing.T) {
-	p := newFakeProber(20 * time.Millisecond)
-	srcs := srcNames(4)
-	s := New(Config{CacheTTL: time.Second})
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := make([]float64, len(srcs))
-			errs := make([]error, len(srcs))
-			s.PingMinInto(ctx, p, srcs, "target", 10, 0, out, errs)
-			for i, err := range errs {
-				if err != nil {
-					t.Errorf("slot %d: %v", i, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	if got := p.totalCalls(); got != len(srcs) {
-		t.Errorf("two identical rounds issued %d probes, want %d (singleflight)", got, len(srcs))
-	}
-	if st := s.Stats(); st.Deduped != uint64(len(srcs)) {
-		t.Errorf("deduped = %d, want %d", st.Deduped, len(srcs))
-	}
-}
-
-// TestCancelMidFanout is the satellite-(c) contract: a context cancelled
-// mid-round returns promptly, leaves no goroutines behind, and commits
-// nothing to the RTT cache.
+// TestCancelMidFanout: a context cancelled mid-round returns promptly,
+// leaves no goroutines behind, and leaves the scheduler fit for a clean
+// retry.
 func TestCancelMidFanout(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	p := newFakeProber(30 * time.Millisecond)
 	srcs := srcNames(40)
-	s := New(Config{Workers: 4, CacheTTL: time.Second})
+	s := New(Config{Workers: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 
 	go func() {
@@ -388,16 +285,12 @@ func TestCancelMidFanout(t *testing.T) {
 	if cancelled == 0 {
 		t.Error("no slot reported context.Canceled")
 	}
-	st := s.Stats()
-	if st.CacheEntries != 0 {
-		t.Errorf("cancelled round committed %d cache entries, want 0 (staged commit)", st.CacheEntries)
-	}
-	if st.CancelledRounds != 1 {
+	if st := s.Stats(); st.CancelledRounds != 1 {
 		t.Errorf("cancelled rounds = %d, want 1", st.CancelledRounds)
 	}
 
 	// A clean retry against the same scheduler must work and fill every
-	// slot — no poisoned singleflight calls, no stale partial state.
+	// slot — no held tokens, no stale partial state.
 	// (Fresh errs: slots only write their slot on failure, like the
 	// sequential loop's append-on-error.)
 	p2 := newFakeProber(0)
@@ -483,115 +376,13 @@ func TestTracerouteInto(t *testing.T) {
 	}
 }
 
-// TestCancelledLeaderDoesNotPoisonFollowers: a follower whose leader was
-// cancelled — but whose own context is alive — must re-probe instead of
-// inheriting the leader's context error.
-func TestCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
-	p := newFakeProber(30 * time.Millisecond)
-	srcs := srcNames(1)
-	s := New(Config{CacheTTL: time.Second})
-
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	var followerErr error
-	var followerMin float64
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		out := make([]float64, 1)
-		errs := make([]error, 1)
-		s.PingMinInto(leaderCtx, p, srcs, "target", 10, 0, out, errs)
-	}()
-	time.Sleep(5 * time.Millisecond) // leader is mid-train
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		out := make([]float64, 1)
-		errs := make([]error, 1)
-		s.PingMinInto(context.Background(), p, srcs, "target", 10, 0, out, errs)
-		followerMin, followerErr = out[0], errs[0]
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancelLeader()
-	wg.Wait()
-
-	// The leader finishes its train regardless (Ping is not
-	// interruptible), so depending on timing the follower either shares
-	// the completed train or re-probes — both must succeed.
-	if followerErr != nil {
-		t.Fatalf("follower err = %v, want success after leader cancel", followerErr)
-	}
-	if want := p.rtt("lm-00", "target"); followerMin != want {
-		t.Errorf("follower min = %v, want %v", followerMin, want)
-	}
-}
-
-// dialProber is a ContextProber whose first train waits for its context
-// and then fails the way a dialer does, with the context's error wrapped;
-// every later train answers at once.
-type dialProber struct {
-	*fakeProber
-	trains  atomic.Int32
-	started chan struct{} // closed when the first train is on the wire
-}
-
-func (d *dialProber) PingContext(ctx context.Context, src, dst string, n int) ([]float64, error) {
-	if d.trains.Add(1) == 1 {
-		close(d.started)
-		<-ctx.Done()
-		return nil, fmt.Errorf("dial %s: %w", dst, ctx.Err())
-	}
-	return d.Ping(src, dst, n)
-}
-
-func (d *dialProber) TracerouteContext(ctx context.Context, src, dst string) ([]probe.Hop, error) {
-	return d.Traceroute(src, dst)
-}
-
-// TestFollowerIgnoresLeadersWrappedCancel: a leader cancelled inside a
-// context-aware prober fails with a wrapped context error. A follower
-// whose own context is alive must still re-probe, not inherit it.
-func TestFollowerIgnoresLeadersWrappedCancel(t *testing.T) {
-	p := &dialProber{fakeProber: newFakeProber(0), started: make(chan struct{})}
-	srcs := srcNames(1)
-	s := New(Config{CacheTTL: time.Second})
-
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.PingMinInto(leaderCtx, probe.WithContext(leaderCtx, p), srcs, "target", 10, 0, make([]float64, 1), make([]error, 1))
-	}()
-	<-p.started
-	out, errs := make([]float64, 1), make([]error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.PingMinInto(context.Background(), p, srcs, "target", 10, 0, out, errs)
-	}()
-	for s.Stats().Deduped == 0 { // the follower has joined the leader's flight
-		runtime.Gosched()
-	}
-	cancelLeader()
-	wg.Wait()
-
-	if errs[0] != nil {
-		t.Fatalf("follower err = %v, want success after the leader's cancel", errs[0])
-	}
-	if want := p.rtt("lm-00", "target"); out[0] != want {
-		t.Errorf("follower min = %v, want %v", out[0], want)
-	}
-}
-
 // TestSchedulerRace hammers one scheduler from every entry point at once
-// (meaningful under -race): cached ping rounds, traceroute rounds,
+// (meaningful under -race): ping rounds, traceroute rounds,
 // pair sweeps, Stats reads, and a cancelling client.
 func TestSchedulerRace(t *testing.T) {
 	p := newFakeProber(time.Millisecond)
 	srcs := srcNames(8)
-	s := New(Config{Workers: 8, CacheTTL: 20 * time.Millisecond})
+	s := New(Config{Workers: 8})
 	var wg sync.WaitGroup
 	var epoch atomic.Uint64
 

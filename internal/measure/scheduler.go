@@ -30,40 +30,26 @@
 //     the sequential code reported (slots are dispatched in order, so
 //     every slot below a failed one was dispatched before it).
 //
-//   - Reuse before re-probe. An optional TTL'd LRU of at most 2¹⁶
-//     minima keyed by (src, dst, probe count, survey epoch) lets fused
-//     batches and back-to-back requests reuse fresh min-RTTs, and in-flight
-//     singleflight dedup lets concurrent requests for the same (src,
-//     dst) share one train. Cache commits are staged per round and
-//     applied only when the round finishes un-cancelled, so a cancelled
-//     fan-out leaves no partial entries behind. Both are off unless
-//     Config.CacheTTL is set: the default path must not pay their
-//     allocations. A pair sweep never reads or fills the cache: survey
-//     refresh must never see a cached value where drift detection
-//     expects a fresh measurement.
+// Every slot is a fresh train: the scheduler keeps no measurement
+// between rounds. Repeats of one request are served above it, by the
+// batch engine's LRU and the cluster's front-door tier.
 package measure
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"octant/internal/lru"
 	"octant/internal/probe"
 )
 
 // Config shapes a Scheduler. The zero value means "defaults": 16
-// concurrent probes, 4 per landmark, no cache.
+// concurrent probes, 4 per landmark.
 type Config struct {
 	// Workers caps concurrent probes across all rounds sharing the
 	// scheduler (default 16). One worker is the serialized probe loop —
 	// slots run in order, one at a time — and a negative count means one.
 	Workers int
-	// CacheTTL enables the epoch-qualified min-RTT cache (and in-flight
-	// singleflight dedup) with this entry lifetime. 0 disables both.
-	CacheTTL time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -93,14 +79,10 @@ type Scheduler struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	cache  *lru.Cache[rttKey, float64] // nil when CacheTTL == 0; the flight is used only with it
-	flight Flight[rttKey, float64]
-
 	pings          atomic.Uint64
 	pingFailures   atomic.Uint64
 	traceroutes    atomic.Uint64
 	traceFailures  atomic.Uint64
-	deduped        atomic.Uint64
 	rounds         atomic.Uint64
 	cancelledRound atomic.Uint64
 }
@@ -108,15 +90,11 @@ type Scheduler struct {
 // New builds a Scheduler.
 func New(cfg Config) *Scheduler {
 	cfg.fillDefaults()
-	s := &Scheduler{
+	return &Scheduler{
 		cfg:     cfg,
 		global:  make(chan struct{}, cfg.Workers),
 		buckets: make(map[string]*bucket),
 	}
-	if cfg.CacheTTL > 0 {
-		s.cache = lru.New[rttKey, float64](cacheHighWater, cfg.CacheTTL)
-	}
-	return s
 }
 
 // Stats is a point-in-time snapshot of scheduler activity, shaped for
@@ -125,46 +103,36 @@ type Stats struct {
 	// Workers and PerLandmark echo the caps.
 	Workers     int `json:"workers"`
 	PerLandmark int `json:"per_landmark"`
-	// Pings counts probe trains actually issued (cache hits and deduped
-	// followers excluded); PingFailures the subset that errored.
+	// Pings counts probe trains issued; PingFailures the subset that
+	// errored.
 	Pings        uint64 `json:"pings"`
 	PingFailures uint64 `json:"ping_failures"`
 	// Traceroutes / TracerouteFailures mirror Pings for path probes.
 	Traceroutes        uint64 `json:"traceroutes"`
 	TracerouteFailures uint64 `json:"traceroute_failures"`
-	// CacheHits / CacheMisses count RTT-cache lookups (both 0 when the
-	// cache is disabled); CacheEntries is current occupancy.
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheMisses  uint64 `json:"cache_misses"`
-	CacheEntries int    `json:"cache_entries"`
-	// Deduped counts probes that piggybacked on an identical in-flight
-	// (src, dst) train instead of probing themselves.
-	Deduped uint64 `json:"deduped"`
+	// CacheHits, CacheMisses and Deduped are always 0: the scheduler
+	// neither caches nor shares trains. They stay for stats readers.
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
+	Deduped     uint64 `json:"deduped"`
 	// Rounds counts fan-out rounds; CancelledRounds the subset whose
-	// context expired mid-round (their staged cache entries were
-	// discarded).
+	// context expired mid-round.
 	Rounds          uint64 `json:"rounds"`
 	CancelledRounds uint64 `json:"cancelled_rounds"`
 }
 
 // Stats returns a snapshot of the scheduler's counters.
 func (s *Scheduler) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Workers:            s.cfg.Workers,
 		PerLandmark:        perLandmark,
 		Pings:              s.pings.Load(),
 		PingFailures:       s.pingFailures.Load(),
 		Traceroutes:        s.traceroutes.Load(),
 		TracerouteFailures: s.traceFailures.Load(),
-		Deduped:            s.deduped.Load(),
 		Rounds:             s.rounds.Load(),
 		CancelledRounds:    s.cancelledRound.Load(),
 	}
-	if s.cache != nil {
-		st.CacheHits, st.CacheMisses = s.cache.Counters()
-		st.CacheEntries = s.cache.Len()
-	}
-	return st
 }
 
 // bucket is one landmark's token bucket: a semaphore bounding concurrent
@@ -269,24 +237,20 @@ func (s *Scheduler) run(f *fan) {
 // min-filtered RTT into out[i]; errs[i] records slot i's failure (probe
 // error or min-filter error), nil on success. Slots settle independently
 // — a failed landmark never aborts the others — and all slots have
-// settled when the call returns. epoch qualifies cache entries so a
-// survey swap never serves a stale generation's measurement.
+// settled when the call returns. Every slot is one fresh train; the
+// unnamed uint64 is unused and kept for callers that pass a survey epoch.
 //
 // out and errs must have len(srcs). ctx reaches the prober's
 // context-aware calls (probe.ContextProber), so a cancelled round
 // interrupts the trains already on the wire; retry wrappers
 // (probe.WithRetry) and context binding compose under the scheduler
 // unchanged.
-func (s *Scheduler) PingMinInto(ctx context.Context, p probe.Prober, srcs []string, dst string, n int, epoch uint64, out []float64, errs []error) {
-	var st *stagedEntries
-	if s.cache != nil {
-		st = newStagedEntries(len(srcs))
-	}
+func (s *Scheduler) PingMinInto(ctx context.Context, p probe.Prober, srcs []string, dst string, n int, _ uint64, out []float64, errs []error) {
 	f := &fan{
 		ctx: ctx,
 		n:   len(srcs),
 		job: func(i int) error {
-			min, err := s.pingMinSlot(ctx, p, srcs[i], dst, n, epoch, st)
+			min, err := s.pingMinProbe(ctx, p, srcs[i], dst, n)
 			if err != nil {
 				return err
 			}
@@ -296,15 +260,11 @@ func (s *Scheduler) PingMinInto(ctx context.Context, p probe.Prober, srcs []stri
 		errs: errs,
 	}
 	s.run(f)
-	if st != nil && ctx.Err() == nil {
-		st.commit(s.cache)
-	}
 }
 
 // PingPairsInto measures each pair of addrs — a ping train from
 // addrs[pairs[i][0]] to addrs[pairs[i][1]], min-filtered — into out[i].
-// It is the landmark-pair sweep of a survey and of a refresh, so every
-// pair is probed fresh: the RTT cache is neither read nor filled.
+// It is the landmark-pair sweep of a survey and of a refresh.
 // Dispatch stops at the first failure; the sweep drains the slots in
 // flight and returns the lowest failed slot with its error — the pair a
 // sequential walk would have aborted on — or (-1, nil) when every pair
@@ -330,57 +290,6 @@ func (s *Scheduler) PingPairsInto(ctx context.Context, p probe.Prober, addrs []s
 	return -1, nil
 }
 
-// pingMinSlot resolves one slot: cache, then singleflight, then a paced
-// probe train.
-func (s *Scheduler) pingMinSlot(ctx context.Context, p probe.Prober, src, dst string, n int, epoch uint64, st *stagedEntries) (float64, error) {
-	if s.cache == nil {
-		return s.pingMinProbe(ctx, p, src, dst, n)
-	}
-	key := rttKey{src: src, dst: dst, n: n, epoch: epoch}
-	if v, ok := s.cache.Get(key); ok {
-		return v, nil
-	}
-	deduped := false
-	for {
-		c, leader := s.flight.Join(key)
-		if leader {
-			min, err := s.pingMinProbe(ctx, p, src, dst, n)
-			s.flight.Finish(c, min, err)
-			if err == nil {
-				st.add(key, min)
-			}
-			return min, err
-		}
-		if !deduped {
-			deduped = true
-			s.deduped.Add(1)
-		}
-		select {
-		case <-c.Done():
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-		if isCtxErr(c.Err) && ctx.Err() == nil {
-			// The leader's round was cancelled but ours was not: its
-			// abort is not our measurement failure. Join again, so
-			// concurrent orphaned followers elect one new leader among
-			// themselves instead of all probing.
-			continue
-		}
-		if c.Err == nil {
-			st.add(key, c.Val)
-		}
-		return c.Val, c.Err
-	}
-}
-
-// isCtxErr reports whether err is, or wraps, a context's error: a
-// context-aware prober may wrap its cancellation ("dial: context
-// canceled"), and that is still the leader's abort, not a measurement.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // pingMinProbe issues one paced probe train under ctx and min-filters
 // it: the one ping job every fan-out and sweep runs.
 func (s *Scheduler) pingMinProbe(ctx context.Context, p probe.Prober, src, dst string, n int) (float64, error) {
@@ -403,8 +312,7 @@ func (s *Scheduler) pingMinProbe(ctx context.Context, p probe.Prober, src, dst s
 
 // TracerouteInto fans out Traceroute(srcs[i], dst) for every i, writing
 // hop lists into hops[i] and failures into errs[i]. Traceroutes are
-// paced per source like pings but never cached: paths are consumed once
-// per request and carry no epoch-stable min-filter.
+// paced per source like pings.
 func (s *Scheduler) TracerouteInto(ctx context.Context, p probe.Prober, srcs []string, dst string, hops [][]probe.Hop, errs []error) {
 	f := &fan{
 		ctx: ctx,

@@ -658,7 +658,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // handleStats serves GET /v1/stats: the engine's counters, cache hit
 // rate, in-flight count and latency quantiles, plus the measurement
-// scheduler's probe/cache/dedup counters under "measure" (consumers
+// scheduler's probe counters under "measure" (consumers
 // decoding into batch.Stats are unaffected — the embedded fields keep
 // their keys).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
