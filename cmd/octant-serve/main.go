@@ -6,13 +6,11 @@
 // drifted, and hot-swaps the new epoch under live traffic with zero
 // dropped requests.
 //
-// Endpoints (see internal/serve for the full set, including the v2 API
-// and the cluster coordination surface):
+// Endpoints (see internal/serve for the full set, including the cluster
+// coordination surface):
 //
-//	POST /v1/localize        {"target": "host"}            → JSON result
-//	POST /v1/localize/batch  {"targets": ["h1", "h2", …]}  → NDJSON stream
-//	POST /v2/localize        options/hints/provenance      → JSON result
-//	POST /v2/localize/batch  per-request options           → NDJSON stream
+//	POST /v2/localize        {"target", "options"}         → JSON result
+//	POST /v2/localize/batch  {"targets", "options"}        → NDJSON stream
 //	POST /v1/survey/refresh  {"landmarks": ["name", …]?}   → reprobe + recalibrate
 //	GET  /v1/survey/snapshot                               → versioned epoch snapshot
 //	POST /v1/survey/install  (snapshot body)               → validate + publish a pushed epoch

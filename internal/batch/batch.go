@@ -55,7 +55,6 @@ import (
 
 	"octant/internal/core"
 	"octant/internal/lru"
-	"octant/internal/measure"
 )
 
 // Key names one cacheable localization result: the target, the options
@@ -121,7 +120,7 @@ type Engine struct {
 	provider Provider
 	opts     Options
 	cache    *lru.Cache[Key, *core.Result]
-	flight   measure.Flight[Key, *core.Result]
+	flight   flight
 	metrics  metrics
 }
 
@@ -237,7 +236,7 @@ func resolveOpts(opts []core.LocalizeOption) resolved {
 type waiter struct {
 	key  Key
 	idx  []int
-	call *measure.FlightCall[Key, *core.Result]
+	call *flightCall
 }
 
 // serve is the engine's one request path. It borrows the provider's
@@ -335,7 +334,7 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 				// The Key carries the epoch and the fingerprint: a follower
 				// never receives a result computed on a snapshot — or
 				// under options — it did not ask for.
-				w.call, leader = e.flight.Join(w.key)
+				w.call, leader = e.flight.join(w.key)
 			}
 			if leader {
 				led = append(led, w)
@@ -369,7 +368,7 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 					}
 				}
 				if w.call != nil {
-					e.flight.Finish(w.call, res, err)
+					e.flight.finish(w.call, res, err)
 				}
 				deliver(w, res, err, false)
 			})
@@ -379,16 +378,16 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 		for i := range following {
 			w := &following[i]
 			select {
-			case <-w.call.Done():
+			case <-w.call.done:
 			case <-ctx.Done():
 				deliver(w, nil, ctx.Err(), true)
 				continue
 			}
-			if ctxSentinel(w.call.Err) != nil {
+			if ctxSentinel(w.call.err) != nil {
 				pending = append(pending, *w)
 				continue
 			}
-			deliver(w, w.call.Val, w.call.Err, true)
+			deliver(w, w.call.val, w.call.err, true)
 		}
 	}
 }
@@ -404,12 +403,10 @@ func ctxSentinel(err error) error {
 }
 
 // Peek looks up the cached result for key without measuring, coalescing,
-// or counting a request. It is the cluster tier's peer-fetch read path: a
-// sibling node (or the fleet router) may ask whether this engine already
-// holds a result it can reuse. Entries from non-cacheable requests never
-// exist (they bypass the LRU on insert), so Peek can never leak an
-// un-shareable result. It finds only the entry computed under key.Epoch,
-// never one from another epoch.
+// or counting a request; /v1/cache/lookup serves it. Entries from
+// non-cacheable requests never exist (they bypass the LRU on insert), so
+// Peek can never leak an un-shareable result. It finds only the entry
+// computed under key.Epoch, never one from another epoch.
 func (e *Engine) Peek(key Key) (*core.Result, bool) {
 	res, ok := e.cache.Get(key)
 	if ok {

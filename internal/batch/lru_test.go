@@ -9,7 +9,6 @@ import (
 
 	"octant/internal/core"
 	"octant/internal/lru"
-	"octant/internal/measure"
 )
 
 // resAt mints a result whose Weight encodes the epoch it was "computed"
@@ -148,17 +147,17 @@ func TestLRUConcurrentMixedEpochs(t *testing.T) {
 // under options it did not ask for — while calls under the SAME Key
 // coalesce onto one measurement.
 func TestFlightKeyUniqueness(t *testing.T) {
-	var g measure.Flight[Key, *core.Result]
+	var g flight
 	// do drives one key through join/finish the way a one-target call
 	// does: lead and finish, or follow and share.
 	do := func(key Key, fn func() (*core.Result, error)) (*core.Result, error, bool) {
-		c, leader := g.Join(key)
+		c, leader := g.join(key)
 		if !leader {
-			<-c.Done()
-			return c.Val, c.Err, true
+			<-c.done
+			return c.val, c.err, true
 		}
 		res, err := fn()
-		g.Finish(c, res, err)
+		g.finish(c, res, err)
 		return res, err, false
 	}
 	flightKey := func(epoch uint64, target, fp string) Key {

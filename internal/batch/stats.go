@@ -38,9 +38,9 @@ type Stats struct {
 	// age out.
 	CacheLen int `json:"cache_len"`
 	CacheCap int `json:"cache_cap"`
-	// PeerHits counts cache entries served to cluster peers through Peek
-	// (the /v1/cache/lookup endpoint) — results this node computed that
-	// saved another node a measurement.
+	// PeerHits counts cache entries served through Peek (the
+	// /v1/cache/lookup endpoint), which only the benchmark harness calls
+	// now that the cluster router does not.
 	PeerHits uint64 `json:"peer_hits"`
 	// HintsDropped counts exogenous priors (rDNS hints, geo-DB records)
 	// the RTT cross-validation rejected across computed results, and

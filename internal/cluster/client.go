@@ -176,7 +176,7 @@ func (n *NodeClient) localize(ctx context.Context, targets []string, opts *serve
 	tr, err := n.LocalizeV2(ctx, targets[0], opts)
 	var ae *apiError
 	if errors.As(err, &ae) && ae.Status == http.StatusUnprocessableEntity {
-		tr, err = serve.TargetResultV2{TargetResult: serve.TargetResult{Target: targets[0], Error: ae.Message}}, nil
+		tr, err = serve.TargetResultV2{Target: targets[0], Error: ae.Message}, nil
 	}
 	if err != nil {
 		return err
@@ -185,7 +185,8 @@ func (n *NodeClient) localize(ctx context.Context, targets []string, opts *serve
 }
 
 // CacheLookup probes the node's result cache for key without triggering
-// any measurement. ok is false on a clean miss.
+// any measurement. ok is false on a clean miss. The router no longer
+// calls it; it stays because the benchmark harness does.
 func (n *NodeClient) CacheLookup(ctx context.Context, key Key) (serve.TargetResultV2, bool, error) {
 	q := url.Values{}
 	q.Set("target", key.Target)

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"octant/internal/serve"
 )
@@ -34,78 +33,6 @@ func nodeByName(t *testing.T, fleet *LocalFleet, name string) *FleetNode {
 	}
 	t.Fatalf("no fleet node %q", name)
 	return nil
-}
-
-// TestClusterCacheComputedOnAServedForB is the shared-cache acceptance
-// check: a result computed on the key's owner node is later served, for
-// the same key, through a different node's request path via the L2 peer
-// fetch — no recomputation, no measurement.
-func TestClusterCacheComputedOnAServedForB(t *testing.T) {
-	fleet := startFleet(t, 2, 7)
-	ctx := context.Background()
-	cfg := RouterConfig{ReadyTTL: 15 * time.Millisecond}
-
-	r1, err := NewRouter(fleet.Clients(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := fleet.Targets[0]
-	ownerName, _ := r1.Ring().Owner(routeKey(target, ""))
-	owner := nodeByName(t, fleet, ownerName)
-
-	first, err := r1.Localize(ctx, target, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached {
-		t.Fatal("first localization reported cached")
-	}
-	if got := owner.Server.Engine().Stats().Requests; got == 0 {
-		t.Fatalf("owner %s did not compute the first request", ownerName)
-	}
-
-	// Take the owner out of rotation (draining, as during a rolling swap)
-	// and route the same key through a fresh front door with a cold L1.
-	owner.Server.SetDraining(true)
-	defer owner.Server.SetDraining(false)
-
-	r2, err := NewRouter(fleet.Clients(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var other *FleetNode
-	for _, n := range fleet.Nodes {
-		if n.Name != ownerName {
-			other = n
-		}
-	}
-	beforeRequests := other.Server.Engine().Stats().Requests
-	beforePings := fleet.World.PingCalls()
-
-	second, err := r2.Localize(ctx, target, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Cached {
-		t.Error("peer-fetched result not marked cached")
-	}
-	if second.Lat == nil || first.Lat == nil || *second.Lat != *first.Lat || *second.Lon != *first.Lon ||
-		second.AreaKm2 != first.AreaKm2 || second.Epoch != first.Epoch {
-		t.Errorf("peer-fetched result differs: %+v vs %+v", second, first)
-	}
-	if got := r2.peerFetches.Load(); got != 1 {
-		t.Errorf("peer fetches = %d, want 1", got)
-	}
-	if got := other.Server.Engine().Stats().Requests - beforeRequests; got != 0 {
-		t.Errorf("node %s recomputed a peer-cached key (%d requests)", other.Name, got)
-	}
-	if got := fleet.World.PingCalls() - beforePings; got != 0 {
-		t.Errorf("peer fetch issued %d probes, want 0", got)
-	}
-	// The owner's engine counts the lookup as a peer hit.
-	if got := owner.Server.Engine().Stats().PeerHits; got == 0 {
-		t.Error("owner engine recorded no peer hit")
-	}
 }
 
 // TestRouterBatchScatterGather: a batch through the router spans the

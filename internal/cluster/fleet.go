@@ -83,7 +83,7 @@ func (n *FleetNode) Revive() error {
 // LocalFleet is a real multi-node Octant fleet running in one process:
 // every node is a full serve stack (lifecycle manager, batch engine,
 // HTTP listener on 127.0.0.1) over one shared simulated world, so
-// cluster behaviour — routing, peer caching, rolling swaps — is
+// cluster behaviour — routing, failover, rolling swaps — is
 // exercised over genuine HTTP with genuine concurrency. The cluster tests
 // and the chaos harness build on it.
 type LocalFleet struct {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"octant/internal/serve"
@@ -64,12 +63,8 @@ func (f *Front) localizeHandler(batch bool) http.HandlerFunc {
 			serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 			return
 		}
-		var req struct {
-			Target  string             `json:"target"`
-			Targets []string           `json:"targets"`
-			Options *serve.WireOptions `json:"options"`
-		}
-		if !serve.DecodeJSON(w, r, true, &req) {
+		req, ok := serve.DecodeLocalize(w, r)
+		if !ok {
 			return
 		}
 		if !batch {
@@ -78,7 +73,7 @@ func (f *Front) localizeHandler(batch bool) http.HandlerFunc {
 				writeRouteError(w, err)
 				return
 			}
-			serve.WriteJSON(w, http.StatusOK, tr)
+			serve.WriteResultV2(w, &tr)
 			return
 		}
 		// The router gathers before emitting (epoch coherence needs the
@@ -92,12 +87,13 @@ func (f *Front) localizeHandler(batch bool) http.HandlerFunc {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		for _, tr := range results {
-			if err := enc.Encode(tr); err != nil {
-				return
+		var b []byte
+		for i := range results {
+			if b, err = serve.AppendTargetResultV2(b, &results[i]); err != nil {
+				break
 			}
 		}
+		_, _ = w.Write(b)
 	}
 }
 
@@ -141,7 +137,7 @@ func (f *Front) handleRollout(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		SkipRefresh bool `json:"skip_refresh"`
 	}
-	if r.ContentLength != 0 && !serve.DecodeJSON(w, r, false, &req) {
+	if r.ContentLength != 0 && !serve.DecodeJSON(w, r, &req) {
 		return
 	}
 	report, err := f.coord.Rollout(r.Context(), RolloutOptions{SkipRefresh: req.SkipRefresh})

@@ -182,6 +182,44 @@ func TestHungMemberDoesNotHideAReadyOne(t *testing.T) {
 	}
 }
 
+// TestHungOwnerDoesNotWedgeItsKeys: a member that accepts every request
+// and never answers must cost a target it owns one readiness probe
+// timeout, after which the target is served by the ready member. With no
+// L1 (CacheSize -1) nothing else can answer it. When the router still
+// asked a displaced target's owner for a cached copy, under the request's
+// own context, that lookup held until the caller's 10 s deadline and the
+// batch failed with no result.
+func TestHungOwnerDoesNotWedgeItsKeys(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+	router, err := NewRouter([]*NodeClient{{Name: "hung", BaseURL: hung.URL}, stubNode(t, "ok", nil)}, RouterConfig{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := ownedKeys(t, router.Ring(), "hung", 1)[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	results, err := router.Batch(ctx, []string{target}, nil)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatalf("batch failed after %v: %v", took, err)
+	}
+	if results[0].Target != target || results[0].Error != "" {
+		t.Errorf("result %+v, want %s answered", results[0], target)
+	}
+	if bound := 4 * router.probeTimeout; took > bound {
+		t.Errorf("answered after %v, want within %v (a few probe timeouts)", took, bound)
+	}
+}
+
 // TestCancelledClusterViewCachesNothing: a /v1/cluster caller that gives
 // up mid-walk must not leave the members it had not reached cached as not
 // ready for ReadyTTL. Its cancellation says nothing about the nodes, and

@@ -14,21 +14,18 @@ import (
 	"octant/internal/serve"
 )
 
-// stubNode is an httptest stand-in for a serve node: ready at once, an
-// empty result cache, and localize routes that answer every target with a
-// bare line — after localize (when set) has had its say. A localize that
-// blocks must return once the request's context ends.
+// stubNode is an httptest stand-in for a serve node: ready at once, and
+// localize routes that answer every target with a bare line — after
+// localize (when set) has had its say. A localize that blocks must
+// return once the request's context ends.
 func stubNode(t *testing.T, name string, localize func(r *http.Request)) *NodeClient {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, serve.Readiness{Ready: true})
 	})
-	mux.HandleFunc("/v1/cache/lookup", func(w http.ResponseWriter, r *http.Request) {
-		serve.WriteError(w, http.StatusNotFound, "miss")
-	})
 	line := func(target string) serve.TargetResultV2 {
-		return serve.TargetResultV2{TargetResult: serve.TargetResult{Target: target, AreaKm2: 1}}
+		return serve.TargetResultV2{Target: target, AreaKm2: 1}
 	}
 	mux.HandleFunc("/v2/localize", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
@@ -149,9 +146,7 @@ func sameButElapsed(a, b serve.TargetResultV2) bool {
 }
 
 // TestSingleIsBatchOfOne: Router.Localize is Router.Batch over one target
-// — same answer, same counters, same cache rules — and what used to be
-// the single path's alone (ring load, the L2 peer fetch) now holds for
-// batches.
+// — same answer, same counters, same cache rules.
 func TestSingleIsBatchOfOne(t *testing.T) {
 	fleet := startFleet(t, 2, 23)
 	ctx := context.Background()
@@ -262,52 +257,6 @@ func TestSingleIsBatchOfOne(t *testing.T) {
 			if want := uint64(2 * i); s.Degraded != want || s.Dispatched != want || s.L1Len != 0 || s.L1Hits != 0 {
 				t.Errorf("after %d degraded answers: counters %+v, want each dispatched and none cached", want, s)
 			}
-		}
-	})
-
-	t.Run("displaced batch targets peer-fetch", func(t *testing.T) {
-		targets := fleet.Targets[8:16]
-		r1 := newRouter()
-		first, err := r1.Batch(ctx, targets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Drain node-0 and ask again through a front door with a cold L1:
-		// node-0's targets are displaced onto node-1, which must fetch them
-		// from node-0's cache instead of measuring.
-		drained, other := fleet.Nodes[0], fleet.Nodes[1]
-		displaced := 0
-		for _, tgt := range targets {
-			if owner, _ := r1.Ring().Owner(routeKey(tgt, "")); owner == drained.Name {
-				displaced++
-			}
-		}
-		if displaced == 0 || displaced == len(targets) {
-			t.Fatalf("%d/%d targets owned by %s; the test needs some on each node", displaced, len(targets), drained.Name)
-		}
-		drained.Server.SetDraining(true)
-		defer drained.Server.SetDraining(false)
-		r2 := newRouter()
-		before := other.Server.Engine().Stats().Requests
-		pings := fleet.World.PingCalls()
-		second, err := r2.Batch(ctx, targets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range second {
-			if !second[i].Cached || *second[i].Lat != *first[i].Lat || *second[i].Lon != *first[i].Lon || second[i].Epoch != first[i].Epoch {
-				t.Errorf("%s: second answer %+v, first %+v", targets[i], second[i], first[i])
-			}
-		}
-		s := counters(r2)
-		if s.PeerFetches != uint64(displaced) || s.Dispatched != uint64(len(targets)-displaced) {
-			t.Errorf("peer_fetches %d dispatched %d, want %d and %d", s.PeerFetches, s.Dispatched, displaced, len(targets)-displaced)
-		}
-		if got := other.Server.Engine().Stats().Requests - before; got != uint64(len(targets)-displaced) {
-			t.Errorf("%s served %d requests, want only its own %d", other.Name, got, len(targets)-displaced)
-		}
-		if got := fleet.World.PingCalls() - pings; got != 0 {
-			t.Errorf("the repeat issued %d probes, want 0", got)
 		}
 	})
 }

@@ -18,8 +18,7 @@ import (
 
 // Key identifies one localization result cluster-wide: the engine's own
 // batch.Key (target, options fingerprint, survey epoch), so the front
-// door's L1, a node's LRU and a peer lookup name the same result the same
-// way.
+// door's L1 and a node's LRU name the same result the same way.
 type Key = batch.Key
 
 // RouterConfig tunes a Router. The zero value is usable.
@@ -67,8 +66,9 @@ type RouterStats struct {
 	// L1Len / L1Cap are the front-door cache's occupancy and capacity.
 	L1Len int `json:"l1_len"`
 	L1Cap int `json:"l1_cap"`
-	// PeerFetches counts results served from a peer node's cache (L2)
-	// when the request was routed to a different node.
+	// PeerFetches is always 0: the router no longer looks a displaced
+	// target up in its owner's cache (a hung owner wedged the lookup).
+	// Kept because the benchmark harness reads it.
 	PeerFetches uint64 `json:"peer_fetches"`
 	// Dispatched counts localizations actually sent to a node.
 	Dispatched uint64 `json:"dispatched"`
@@ -130,8 +130,7 @@ type Router struct {
 	// soon as the first post-swap response arrives.
 	epoch atomic.Uint64
 
-	peerFetches, dispatched, failovers atomic.Uint64
-	epochRepairs, degradedServed       atomic.Uint64
+	dispatched, failovers, epochRepairs, degradedServed atomic.Uint64
 }
 
 // NewRouter builds a router over the given fleet members.
@@ -469,16 +468,11 @@ func (r *Router) scatter(ctx context.Context, c *call, pending []int) error {
 }
 
 // dispatch answers one node's share of a call, holding ring load for
-// those targets until it returns. A target displaced from its owner (by
-// load, readiness or failover) first tries the owner's cache (L2): the
-// owner holds the cluster's canonical copy, and even a draining owner
-// still answers lookups. Dispatching to the owner itself makes the
-// lookup redundant — its engine checks the same LRU first. What is left
-// goes to the node as one sub-request. It returns a *RouteError when the
-// node understood the request and rejected it (another node would say the
-// same); any other error is node trouble, already reported to the node's
-// member record, and every target it leaves unanswered is the caller's to
-// regroup.
+// those targets until it returns: the targets go to the node as one
+// sub-request. It returns a *RouteError when the node understood the
+// request and rejected it (another node would say the same); any other
+// error is node trouble, already reported to the node's member record,
+// and every target it leaves unanswered is the caller's to regroup.
 func (r *Router) dispatch(ctx context.Context, c *call, node string, idxs []int) error {
 	release := r.ring.Reserve(node, len(idxs))
 	defer release()
@@ -492,33 +486,14 @@ func (r *Router) dispatch(ctx context.Context, c *call, node string, idxs []int)
 		}
 		byTarget[t] = append(byTarget[t], i)
 	}
-	fill := func(tr serve.TargetResultV2) {
-		for _, i := range byTarget[tr.Target] {
-			c.results[i] = tr
-		}
-	}
-	epoch := r.epoch.Load()
-	kept := sub[:0]
-	for _, t := range sub {
-		if owner, _ := r.ring.Owner(routeKey(t, c.fp)); owner != node {
-			if res, ok, err := r.members[owner].node.CacheLookup(ctx, Key{Target: t, Fingerprint: c.fp, Epoch: epoch}); err == nil && ok {
-				r.peerFetches.Add(1)
-				fill(res)
-				continue
-			}
-		}
-		kept = append(kept, t)
-	}
-	sub = kept
-	if len(sub) == 0 {
-		return nil
-	}
 
 	r.dispatched.Add(uint64(len(sub)))
 	m := r.members[node]
 	err := m.node.localize(ctx, sub, c.wo, func(tr serve.TargetResultV2) error {
 		r.observeEpoch(tr.Epoch)
-		fill(tr)
+		for _, i := range byTarget[tr.Target] {
+			c.results[i] = tr
+		}
 		return nil
 	})
 	if err == nil {
@@ -552,7 +527,6 @@ func (r *Router) Stats(ctx context.Context) ClusterStats {
 			L1Misses:     misses,
 			L1Len:        r.cache.Len(),
 			L1Cap:        r.cache.Cap(),
-			PeerFetches:  r.peerFetches.Load(),
 			Dispatched:   r.dispatched.Load(),
 			Failovers:    r.failovers.Load(),
 			EpochRepairs: r.epochRepairs.Load(),

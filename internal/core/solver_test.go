@@ -181,7 +181,9 @@ func TestSolveExactMatchesRaster(t *testing.T) {
 		}
 		var perimeter float64
 		for _, ring := range exact.Region.Rings {
-			perimeter += ring.Perimeter()
+			for i := range ring {
+				perimeter += ring[i].Dist(ring[(i+1)%len(ring)])
+			}
 		}
 		// The oracle rasterizes too (oracleCellKm); the band is as wide
 		// as the coarser of the two lattices.

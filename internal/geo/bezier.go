@@ -68,18 +68,6 @@ func flattenRec(c CubicBezier, tol float64, dst []Vec2, depth int) []Vec2 {
 	return flattenRec(r, tol, dst, depth+1)
 }
 
-// Length returns the arc length approximated by flattening at tolerance tol.
-func (c CubicBezier) Length(tol float64) float64 {
-	pts := c.Flatten(tol, []Vec2{})
-	prev := c.P0
-	var l float64
-	for _, p := range pts {
-		l += prev.Dist(p)
-		prev = p
-	}
-	return l
-}
-
 // BoundingBox returns the control-polygon bounding box (contains the curve).
 func (c CubicBezier) BoundingBox() (min, max Vec2) {
 	min = c.P0

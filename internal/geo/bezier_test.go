@@ -152,16 +152,25 @@ func TestRegionBezierBoundaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBezierLength: the polyline Flatten draws a curve as is as long as
+// the curve, to within its tolerance.
 func TestBezierLength(t *testing.T) {
+	length := func(c CubicBezier, tol float64) float64 {
+		l, prev := 0.0, c.P0
+		for _, p := range c.Flatten(tol, nil) {
+			l, prev = l+prev.Dist(p), p
+		}
+		return l
+	}
 	// Straight-line cubic: length equals endpoint distance.
 	c := CubicBezier{V2(0, 0), V2(1, 0), V2(2, 0), V2(3, 0)}
-	if got := c.Length(0.01); math.Abs(got-3) > 1e-3 {
+	if got := length(c, 0.01); math.Abs(got-3) > 1e-3 {
 		t.Errorf("straight length = %v, want 3", got)
 	}
 	// Quarter circle ≈ πr/2.
 	q := CircleBezier(V2(0, 0), 10)[0]
 	want := math.Pi * 10 / 2
-	if got := q.Length(0.001); math.Abs(got-want) > want*0.001 {
+	if got := length(q, 0.001); math.Abs(got-want) > want*0.001 {
 		t.Errorf("quarter-circle length = %v, want %v", got, want)
 	}
 }

@@ -33,19 +33,6 @@ func (r Ring) SignedArea() float64 { return signedArea(r) }
 // IsCCW reports whether the ring winds counter-clockwise.
 func (r Ring) IsCCW() bool { return signedArea(r) > 0 }
 
-// Perimeter returns the total boundary length of the ring in km.
-func (r Ring) Perimeter() float64 {
-	n := len(r)
-	if n < 2 {
-		return 0
-	}
-	var l float64
-	for i := 0; i < n; i++ {
-		l += r[i].Dist(r[(i+1)%n])
-	}
-	return l
-}
-
 // Centroid returns the area centroid of the ring. For degenerate rings the
 // vertex mean is returned.
 func (r Ring) Centroid() Vec2 {

@@ -22,9 +22,6 @@ func TestRingBasics(t *testing.T) {
 	if !r.IsCCW() {
 		t.Error("square should be CCW")
 	}
-	if got := r.Perimeter(); !almostEq(got, 40, 1e-9) {
-		t.Errorf("Perimeter = %v, want 40", got)
-	}
 	c := r.Centroid()
 	if !almostEq(c.X, 0, 1e-9) || !almostEq(c.Y, 0, 1e-9) {
 		t.Errorf("Centroid = %v, want origin", c)

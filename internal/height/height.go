@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"octant/internal/geo"
-	"octant/internal/linalg"
 )
 
 // QueuingDelayK returns q = measured RTT − transmission estimate between
@@ -105,38 +104,6 @@ func SolveLandmarks(q [][]float64) ([]float64, error) {
 	h := make([]float64, n)
 	for i := 0; i < n; i++ {
 		h[i] = (rowSum[i] - sumH) / float64(n-2)
-		if h[i] < 0 {
-			h[i] = 0
-		}
-	}
-	return h, nil
-}
-
-// SolveLandmarksQR solves the same system via explicit least squares (QR on
-// the n(n−1)/2 × n pair matrix). It exists to cross-check the closed form
-// and for tests; SolveLandmarks is the production path.
-func SolveLandmarksQR(q [][]float64) ([]float64, error) {
-	n := len(q)
-	if n < 3 {
-		return nil, fmt.Errorf("height: need ≥ 3 landmarks, have %d", n)
-	}
-	rows := n * (n - 1) / 2
-	a := linalg.NewMatrix(rows, n)
-	b := make([]float64, rows)
-	r := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			a.Set(r, i, 1)
-			a.Set(r, j, 1)
-			b[r] = q[i][j]
-			r++
-		}
-	}
-	h, err := linalg.SolveLeastSquares(a, b)
-	if err != nil {
-		return nil, err
-	}
-	for i := range h {
 		if h[i] < 0 {
 			h[i] = 0
 		}

@@ -1,6 +1,7 @@
 package height
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -8,6 +9,57 @@ import (
 
 	"octant/internal/geo"
 )
+
+// solveLandmarksQR is SolveLandmarks' oracle: the same system solved
+// as least squares over the n(n−1)/2 × n pair matrix A, by Gaussian
+// elimination with partial pivoting on the normal equations AᵀA h = Aᵀq.
+func solveLandmarksQR(q [][]float64) ([]float64, error) {
+	n := len(q)
+	if n < 3 {
+		return nil, fmt.Errorf("height: need ≥ 3 landmarks, have %d", n)
+	}
+	m := make([][]float64, n) // [AᵀA | Aᵀq]
+	for i := range m {
+		m[i] = make([]float64, n+1)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m[i][i]++
+			m[j][j]++
+			m[i][j]++
+			m[j][i]++
+			m[i][n] += q[i][j]
+			m[j][n] += q[i][j]
+		}
+	}
+	for c := 0; c < n; c++ {
+		p := c
+		for r := c + 1; r < n; r++ {
+			if math.Abs(m[r][c]) > math.Abs(m[p][c]) {
+				p = r
+			}
+		}
+		m[c], m[p] = m[p], m[c]
+		for r := c + 1; r < n; r++ {
+			f := m[r][c] / m[c][c]
+			for k := c; k <= n; k++ {
+				m[r][k] -= f * m[c][k]
+			}
+		}
+	}
+	h := make([]float64, n)
+	for c := n - 1; c >= 0; c-- {
+		s := m[c][n]
+		for k := c + 1; k < n; k++ {
+			s -= m[c][k] * h[k]
+		}
+		h[c] = s / m[c][c]
+	}
+	for i := range h {
+		h[i] = max(h[i], 0)
+	}
+	return h, nil
+}
 
 func TestQueuingDelay(t *testing.T) {
 	a := geo.Pt(40, -75)
@@ -61,7 +113,7 @@ func TestSolveLandmarksMatchesQR(t *testing.T) {
 			}
 		}
 		closed, err1 := SolveLandmarks(q)
-		qr, err2 := SolveLandmarksQR(q)
+		qr, err2 := solveLandmarksQR(q)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -112,7 +164,7 @@ func TestSolveLandmarksValidation(t *testing.T) {
 	if _, err := SolveLandmarks([][]float64{{0, 1}, {1, 0}, {1}}); err == nil {
 		t.Error("ragged q should error")
 	}
-	if _, err := SolveLandmarksQR([][]float64{{0}}); err == nil {
+	if _, err := solveLandmarksQR([][]float64{{0}}); err == nil {
 		t.Error("QR n=1 should error")
 	}
 	// Heights never negative even with absurd inputs.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestMatrixBasics(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 2, 3, 4, 5, 6}}
 	if m.Rows != 3 || m.Cols != 2 {
 		t.Fatalf("dims %dx%d", m.Rows, m.Cols)
 	}
@@ -27,7 +27,7 @@ func TestMatrixBasics(t *testing.T) {
 }
 
 func TestMulVecAndMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	x := []float64{5, 6}
 	got := a.MulVec(x)
 	if got[0] != 17 || got[1] != 39 {
@@ -37,11 +37,11 @@ func TestMulVecAndMul(t *testing.T) {
 
 func TestSolveLeastSquaresExact(t *testing.T) {
 	// Square nonsingular system: exact solution.
-	a := FromRows([][]float64{
-		{1, 1, 0},
-		{1, 0, 1},
-		{0, 1, 1},
-	})
+	a := &Matrix{Rows: 3, Cols: 3, Data: []float64{
+		1, 1, 0,
+		1, 0, 1,
+		0, 1, 1,
+	}}
 	// This is exactly the paper's §2.2 heights system for three landmarks.
 	b := []float64{3, 4, 5}
 	x, err := SolveLeastSquares(a, b)
@@ -58,7 +58,7 @@ func TestSolveLeastSquaresExact(t *testing.T) {
 
 func TestSolveLeastSquaresOverdetermined(t *testing.T) {
 	// Fit y = 2x + 1 through noisy points; LS recovers it for symmetric noise.
-	a := FromRows([][]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}})
+	a := &Matrix{Rows: 4, Cols: 2, Data: []float64{0, 1, 1, 1, 2, 1, 3, 1}}
 	b := []float64{1.1, 2.9, 5.1, 6.9}
 	x, err := SolveLeastSquares(a, b)
 	if err != nil {
@@ -67,24 +67,32 @@ func TestSolveLeastSquaresOverdetermined(t *testing.T) {
 	if math.Abs(x[0]-2) > 0.1 || math.Abs(x[1]-1) > 0.15 {
 		t.Errorf("fit = %v, want ≈ [2, 1]", x)
 	}
-	// Residual should be smaller than for a perturbed solution.
-	r0 := Residual(a, x, b)
-	r1 := Residual(a, []float64{x[0] + 0.1, x[1]}, b)
+	// The residual ‖Ax − b‖² should be smaller than for a perturbed
+	// solution.
+	residual := func(x []float64) float64 {
+		var s float64
+		for i, ax := range a.MulVec(x) {
+			s += (ax - b[i]) * (ax - b[i])
+		}
+		return s
+	}
+	r0 := residual(x)
+	r1 := residual([]float64{x[0] + 0.1, x[1]})
 	if r0 >= r1 {
 		t.Errorf("LS residual %v not minimal (perturbed %v)", r0, r1)
 	}
 }
 
 func TestSolveSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}}) // rank 1
+	a := &Matrix{Rows: 3, Cols: 2, Data: []float64{1, 2, 2, 4, 3, 6}} // rank 1
 	if _, err := SolveLeastSquares(a, []float64{1, 2, 3}); err == nil {
 		t.Error("expected ErrSingular for rank-deficient system")
 	}
-	u := FromRows([][]float64{{1, 2, 3}}) // underdetermined
+	u := &Matrix{Rows: 1, Cols: 3, Data: []float64{1, 2, 3}} // underdetermined
 	if _, err := SolveLeastSquares(u, []float64{1}); err == nil {
 		t.Error("expected error for underdetermined system")
 	}
-	if _, err := SolveLeastSquares(FromRows([][]float64{{1}, {2}}), []float64{1, 2, 3}); err == nil {
+	if _, err := SolveLeastSquares(&Matrix{Rows: 2, Cols: 1, Data: []float64{1, 2}}, []float64{1, 2, 3}); err == nil {
 		t.Error("expected error for rhs length mismatch")
 	}
 }

@@ -1,9 +1,6 @@
-// Package linalg provides the small dense linear-algebra and optimization
-// kernel the Octant framework needs: least-squares solves for the
-// queuing-delay "heights" system (§2.2 of the paper) and Nelder–Mead simplex
-// minimization for the target coordinate fit. It is deliberately minimal —
-// dense row-major matrices, Householder QR, and a simplex optimizer — and
-// has no dependencies beyond the standard library.
+// The dense matrix and its Householder QR least-squares solve live with
+// the tests: the heights solve has a closed form (height.SolveLandmarks),
+// and these are kept as a checked reference.
 package linalg
 
 import (
@@ -24,21 +21,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices (all must be equal length).
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
 }
 
 // At returns element (i, j).
@@ -147,15 +129,4 @@ func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		x[i] = s / d
 	}
 	return x, nil
-}
-
-// Residual returns ‖Ax − b‖₂.
-func Residual(a *Matrix, x, b []float64) float64 {
-	ax := a.MulVec(x)
-	var s float64
-	for i := range ax {
-		d := ax[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }

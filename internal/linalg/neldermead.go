@@ -1,3 +1,6 @@
+// Package linalg is the Nelder–Mead simplex minimizer the baselines' and
+// tests' coordinate fits use. It has no dependencies beyond the standard
+// library.
 package linalg
 
 import (

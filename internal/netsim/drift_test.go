@@ -14,19 +14,19 @@ func TestPairDriftShiftsOnlyThatPair(t *testing.T) {
 	hosts := w.Hosts
 	a, b, c := hosts[0], hosts[1], hosts[2]
 
-	baseAB := w.BaseRTTMs(a, b)
-	baseAC := w.BaseRTTMs(a, c)
+	baseAB := w.baseRTT(w.cond.Load(), a, b)
+	baseAC := w.baseRTT(w.cond.Load(), a, c)
 	pingAB := w.Ping(a, b, 5)
 	pingAC := w.Ping(a, c, 5)
 
 	w.SetPairDriftMs(a, b, 17.5)
-	if got := w.BaseRTTMs(a, b); got != baseAB+17.5 {
+	if got := w.baseRTT(w.cond.Load(), a, b); got != baseAB+17.5 {
 		t.Errorf("drifted base = %v, want %v", got, baseAB+17.5)
 	}
-	if got := w.BaseRTTMs(b, a); got != baseAB+17.5 {
+	if got := w.baseRTT(w.cond.Load(), b, a); got != baseAB+17.5 {
 		t.Errorf("drift not symmetric: %v", got)
 	}
-	if got := w.BaseRTTMs(a, c); got != baseAC {
+	if got := w.baseRTT(w.cond.Load(), a, c); got != baseAC {
 		t.Errorf("undrifted pair moved: %v != %v", got, baseAC)
 	}
 	for i, v := range w.Ping(a, b, 5) {
@@ -44,10 +44,10 @@ func TestPairDriftShiftsOnlyThatPair(t *testing.T) {
 
 	// Removing the drift restores the original floor exactly.
 	w.SetPairDriftMs(b, a, 0)
-	if got := w.BaseRTTMs(a, b); got != baseAB {
+	if got := w.baseRTT(w.cond.Load(), a, b); got != baseAB {
 		t.Errorf("drift removal left %v, want %v", got, baseAB)
 	}
-	if d := w.PairDriftMs(a, b); d != 0 {
+	if d := w.cond.Load().pair(a, b).driftMs; d != 0 {
 		t.Errorf("residual drift %v", d)
 	}
 }

@@ -83,9 +83,6 @@ func (w *World) SetNodeDown(id int, down bool) {
 	w.update(func(next *conditions) { next.down[id] = down })
 }
 
-// NodeDown reports whether the node is currently marked down.
-func (w *World) NodeDown(id int) bool { return w.cond.Load().nodeDown(id) }
-
 // SetPairBlackhole silently discards all probe traffic between a and b
 // (both directions) — the filtered-ICMP / null-routed failure mode where
 // the endpoints are alive but this particular path never answers. Other

@@ -28,7 +28,7 @@ func TestNodeDownFaults(t *testing.T) {
 	}
 
 	w.SetNodeDown(b, true)
-	if !w.NodeDown(b) {
+	if !w.cond.Load().nodeDown(b) {
 		t.Fatal("NodeDown(b) false after SetNodeDown")
 	}
 	if got := w.Ping(a, b, 5); got != nil {
@@ -45,8 +45,8 @@ func TestNodeDownFaults(t *testing.T) {
 	}
 
 	w.SetNodeDown(b, false)
-	if w.NodeDown(b) {
-		t.Fatal("NodeDown(b) still true after clearing")
+	if w.cond.Load().nodeDown(b) {
+		t.Fatal("node b still down after clearing")
 	}
 	if got := w.Ping(a, b, 5); len(got) != 5 {
 		t.Fatal("ping did not recover after clearing node-down")
@@ -193,7 +193,7 @@ func TestFaultsClearBitIdentical(t *testing.T) {
 // TestSetRaceKeepsLaterFaults: a set and a clear racing on one pair must
 // not hide a condition injected afterwards. Each round makes a pair
 // lossy, races a second set against a clear on that pair, clears it,
-// then downs a node: NodeDown must report it every time. A record of
+// then downs a node: the conditions must report it every time. A record of
 // "is anything injected" kept apart from the conditions themselves can
 // lose count in exactly this interleaving and then read every later
 // fault as absent.
@@ -212,7 +212,7 @@ func TestSetRaceKeepsLaterFaults(t *testing.T) {
 		wg.Wait()
 		w.SetPairLossRate(a, b, 0)
 		w.SetNodeDown(c, true)
-		if !w.NodeDown(c) {
+		if !w.cond.Load().nodeDown(c) {
 			lost++
 		}
 		w.SetNodeDown(c, false)

@@ -27,10 +27,9 @@ type Hop struct {
 	Loc    geo.Point
 }
 
-// BaseRTTMs returns the deterministic floor RTT between two nodes: the
-// minimum any probe can observe (including any injected pair drift).
-func (w *World) BaseRTTMs(src, dst int) float64 { return w.baseRTT(w.cond.Load(), src, dst) }
-
+// baseRTT returns the deterministic floor RTT between two nodes under
+// conditions c: the minimum any probe can observe (including any injected
+// pair drift).
 func (w *World) baseRTT(c *conditions, src, dst int) float64 {
 	if src == dst {
 		return 0
@@ -49,16 +48,13 @@ func (w *World) baseRTT(c *conditions, src, dst int) float64 {
 // exists to absorb. Setting ms = 0 removes the drift. Safe to call while
 // measurements are in flight; probes observe the new floor immediately.
 //
-// Drift is end-to-end per pair (applied in BaseRTTMs, hence Ping), not
+// Drift is end-to-end per pair (applied in baseRTT, hence Ping), not
 // per-link: it deliberately leaves every other pair's measurements
 // bit-identical, so tests can drift landmark↔landmark pairs while
 // landmark→target probing stays untouched.
 func (w *World) SetPairDriftMs(a, b int, ms float64) {
 	w.setPair(a, b, func(pc *pairConds) { pc.driftMs = ms })
 }
-
-// PairDriftMs returns the drift currently injected between a and b.
-func (w *World) PairDriftMs(a, b int) float64 { return w.cond.Load().pair(a, b).driftMs }
 
 func pairKey(a, b int) [2]int {
 	if a > b {

@@ -104,7 +104,7 @@ func TestPingSymmetryAndSelf(t *testing.T) {
 	w := testWorld(t)
 	a, b := w.Hosts[3], w.Hosts[30]
 	// Base RTT is symmetric (same path both ways under symmetric metric).
-	if d := math.Abs(w.BaseRTTMs(a, b) - w.BaseRTTMs(b, a)); d > 1e-9 {
+	if d := math.Abs(w.baseRTT(w.cond.Load(), a, b) - w.baseRTT(w.cond.Load(), b, a)); d > 1e-9 {
 		t.Errorf("BaseRTT asymmetry %v", d)
 	}
 	if got := w.Ping(a, a, 5); len(got) != 5 || got[0] != 0 {
@@ -115,7 +115,7 @@ func TestPingSymmetryAndSelf(t *testing.T) {
 func TestMinPingConvergesToBase(t *testing.T) {
 	w := testWorld(t)
 	a, b := w.Hosts[0], w.Hosts[25]
-	base := w.BaseRTTMs(a, b)
+	base := w.baseRTT(w.cond.Load(), a, b)
 	min50 := w.MinPing(a, b, 50)
 	if min50 < base {
 		t.Fatalf("min ping %.3f below base %.3f", min50, base)
@@ -165,7 +165,7 @@ func TestRouteProperties(t *testing.T) {
 		}
 	}
 	// Inflation ≥ 1 and not crazy.
-	infl := w.PathInflation(path)
+	infl := pathInflation(w, path)
 	if infl < 1 || infl > 5 {
 		t.Errorf("path inflation %.2f out of range", infl)
 	}
@@ -287,7 +287,7 @@ func TestIndirectRoutesExist(t *testing.T) {
 				continue
 			}
 			n++
-			if w.PathInflation(path) > 1.35 {
+			if pathInflation(w, path) > 1.35 {
 				inflated++
 			}
 		}

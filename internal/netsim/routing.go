@@ -109,29 +109,3 @@ func (w *World) linkBetween(a, b int) int {
 	}
 	return -1
 }
-
-// PathFiberKm returns the total fiber length along a node path.
-func (w *World) PathFiberKm(path []int) float64 {
-	var total float64
-	for i := 0; i+1 < len(path); i++ {
-		li := w.linkBetween(path[i], path[i+1])
-		if li < 0 {
-			return 0
-		}
-		total += w.Links[li].FiberKm
-	}
-	return total
-}
-
-// PathInflation returns the ratio of routed fiber length to great-circle
-// distance between the endpoints of the path (≥ 1 in practice).
-func (w *World) PathInflation(path []int) float64 {
-	if len(path) < 2 {
-		return 1
-	}
-	gc := w.Nodes[path[0]].Loc.DistanceKm(w.Nodes[path[len(path)-1]].Loc)
-	if gc < 1 {
-		return 1
-	}
-	return w.PathFiberKm(path) / gc
-}

@@ -154,18 +154,44 @@ func TestPathFiberAndInflation(t *testing.T) {
 	w := NewWorld(Config{Seed: 9})
 	a, b := w.Hosts[3], w.Hosts[44]
 	path := w.Route(a, b)
-	fiber := w.PathFiberKm(path)
+	fiber := pathFiberKm(w, path)
 	gc := w.Nodes[a].Loc.DistanceKm(w.Nodes[b].Loc)
 	if fiber < gc {
 		t.Errorf("fiber %.0f < geodesic %.0f", fiber, gc)
 	}
-	if infl := w.PathInflation(path); infl < 1 {
+	if infl := pathInflation(w, path); infl < 1 {
 		t.Errorf("inflation %.2f < 1", infl)
 	}
-	if got := w.PathInflation(nil); got != 1 {
+	if got := pathInflation(w, nil); got != 1 {
 		t.Errorf("empty path inflation = %v", got)
 	}
-	if got := w.PathFiberKm([]int{a}); got != 0 {
+	if got := pathFiberKm(w, []int{a}); got != 0 {
 		t.Errorf("single-node path fiber = %v", got)
 	}
+}
+
+// pathFiberKm returns the total fiber length along a node path.
+func pathFiberKm(w *World, path []int) float64 {
+	var total float64
+	for i := 0; i+1 < len(path); i++ {
+		li := w.linkBetween(path[i], path[i+1])
+		if li < 0 {
+			return 0
+		}
+		total += w.Links[li].FiberKm
+	}
+	return total
+}
+
+// pathInflation returns the ratio of routed fiber length to great-circle
+// distance between the endpoints of the path (≥ 1 in practice).
+func pathInflation(w *World, path []int) float64 {
+	if len(path) < 2 {
+		return 1
+	}
+	gc := w.Nodes[path[0]].Loc.DistanceKm(w.Nodes[path[len(path)-1]].Loc)
+	if gc < 1 {
+		return 1
+	}
+	return pathFiberKm(w, path) / gc
 }

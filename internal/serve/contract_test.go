@@ -194,11 +194,3 @@ func TestV2Contract(t *testing.T) {
 	runContractCase(t, h, "/v2/localize", "v2_localize_request.json", "v2_localize_golden.json", false)
 	runContractCase(t, h, "/v2/localize/batch", "v2_batch_request.json", "v2_batch_golden.json", true)
 }
-
-// TestV1Contract pins the v1 adapter the same way: the legacy surface
-// must not drift while it remains published.
-func TestV1Contract(t *testing.T) {
-	s := contractStack(t)
-	h := s.srv.Handler()
-	runContractCase(t, h, "/v1/localize", "v1_localize_request.json", "v1_localize_golden.json", false)
-}

@@ -8,10 +8,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/localize        {"target": "host"}            → JSON result
-//	POST /v1/localize/batch  {"targets": ["h1", "h2", …]}  → NDJSON stream
 //	POST /v2/localize        {"target", "options"}         → result + epoch (+ provenance)
-//	POST /v2/localize/batch  {"targets", "options"}        → NDJSON stream of v2 results
+//	POST /v2/localize/batch  {"targets", "options"}        → NDJSON stream of results
 //	POST /v1/survey/refresh  {"landmarks": ["name", …]?}   → reprobe + recalibrate
 //	POST /v1/survey/install  (survey snapshot JSON)        → validate + publish a pushed epoch
 //	GET  /v1/survey/snapshot                               → current epoch as snapshot JSON
@@ -88,9 +86,8 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Handler builds the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, rt := range localizeRoutes {
-		mux.HandleFunc(rt.path, s.localizeHandler(rt))
-	}
+	mux.HandleFunc("/v2/localize", s.localizeHandler(false))
+	mux.HandleFunc("/v2/localize/batch", s.localizeHandler(true))
 	mux.HandleFunc("/v1/survey", s.handleSurvey)
 	mux.HandleFunc("/v1/survey/refresh", s.handleRefresh)
 	mux.HandleFunc("/v1/survey/snapshot", s.handleSnapshot)
@@ -110,49 +107,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// TargetResult is the wire form of one localization outcome. Latitude and
-// longitude are pointers because an empty estimated region has no point
-// (NaN is not representable in JSON).
-type TargetResult struct {
-	Target      string   `json:"target"`
-	Lat         *float64 `json:"lat,omitempty"`
-	Lon         *float64 `json:"lon,omitempty"`
-	AreaKm2     float64  `json:"area_km2,omitempty"`
-	HeightMs    float64  `json:"height_ms,omitempty"`
-	Constraints int      `json:"constraints,omitempty"`
-	EmptyRegion bool     `json:"empty_region,omitempty"`
-	Cached      bool     `json:"cached,omitempty"`
-	// Degraded marks a result computed from partial evidence: some
-	// landmarks failed to answer but the request's quorum held. The
-	// failed landmarks ride the v2 provenance (failures list).
-	Degraded  bool    `json:"degraded,omitempty"`
-	ElapsedMs float64 `json:"elapsed_ms,omitempty"`
-	Error     string  `json:"error,omitempty"`
-}
-
-// ToTargetResult converts a batch item to its wire form.
-func ToTargetResult(item batch.Item) TargetResult {
-	tr := TargetResult{Target: item.Target}
-	if item.Err != nil {
-		tr.Error = item.Err.Error()
-		return tr
-	}
-	res := item.Result
-	tr.AreaKm2 = res.AreaKm2
-	tr.HeightMs = res.TargetHeightMs
-	tr.Constraints = len(res.Constraints)
-	tr.Cached = item.Cached
-	tr.Degraded = res.Degraded
-	tr.ElapsedMs = float64(item.Elapsed) / float64(time.Millisecond)
-	if math.IsNaN(res.Point.Lat) {
-		tr.EmptyRegion = true
-	} else {
-		lat, lon := res.Point.Lat, res.Point.Lon
-		tr.Lat, tr.Lon = &lat, &lon
-	}
-	return tr
 }
 
 // WriteJSON answers with v as a JSON document.
@@ -183,8 +137,8 @@ type WireHint struct {
 }
 
 // WireOptions is the JSON form of a request's options. Zero values mean
-// "server default" throughout, so an empty object is exactly a v1
-// request. The cluster router decodes it both to validate requests at
+// "server default" throughout, so an empty object is a request without
+// options. The cluster router decodes it both to validate requests at
 // the front door and to derive the options fingerprint its cache tiers
 // key on.
 type WireOptions struct {
@@ -279,20 +233,53 @@ func (wo *WireOptions) Options() ([]core.LocalizeOption, error) {
 	return opts, nil
 }
 
-// TargetResultV2 extends the v1 wire result with the serving epoch and,
-// when the request asked to explain itself, the evidence provenance.
+// TargetResultV2 is the wire form of one localization outcome. Latitude
+// and longitude are pointers because an empty estimated region has no
+// point (NaN is not representable in JSON). AppendTargetResultV2 writes
+// it; the field order and omitempty tags below are its wire contract.
 type TargetResultV2 struct {
-	TargetResult
-	Epoch      uint64           `json:"epoch"`
+	Target      string   `json:"target"`
+	Lat         *float64 `json:"lat,omitempty"`
+	Lon         *float64 `json:"lon,omitempty"`
+	AreaKm2     float64  `json:"area_km2,omitempty"`
+	HeightMs    float64  `json:"height_ms,omitempty"`
+	Constraints int      `json:"constraints,omitempty"`
+	EmptyRegion bool     `json:"empty_region,omitempty"`
+	Cached      bool     `json:"cached,omitempty"`
+	// Degraded marks a result computed from partial evidence: some
+	// landmarks failed to answer but the request's quorum held. The
+	// failed landmarks ride the provenance (failures list).
+	Degraded  bool    `json:"degraded,omitempty"`
+	ElapsedMs float64 `json:"elapsed_ms,omitempty"`
+	Error     string  `json:"error,omitempty"`
+	// Epoch is the survey epoch the result was computed under.
+	Epoch uint64 `json:"epoch"`
+	// Provenance is the evidence provenance, when the request asked to
+	// explain itself.
 	Provenance *core.Provenance `json:"provenance,omitempty"`
 }
 
-// ToTargetResultV2 converts a batch item to its v2 wire form.
+// ToTargetResultV2 converts a batch item to its wire form.
 func ToTargetResultV2(item batch.Item) TargetResultV2 {
-	tr := TargetResultV2{TargetResult: ToTargetResult(item), Epoch: item.Epoch}
-	if item.Err == nil && item.Result.Provenance != nil {
-		tr.Provenance = item.Result.Provenance
+	tr := TargetResultV2{Target: item.Target, Epoch: item.Epoch}
+	if item.Err != nil {
+		tr.Error = item.Err.Error()
+		return tr
 	}
+	res := item.Result
+	tr.AreaKm2 = res.AreaKm2
+	tr.HeightMs = res.TargetHeightMs
+	tr.Constraints = len(res.Constraints)
+	tr.Cached = item.Cached
+	tr.Degraded = res.Degraded
+	tr.ElapsedMs = float64(item.Elapsed) / float64(time.Millisecond)
+	if math.IsNaN(res.Point.Lat) {
+		tr.EmptyRegion = true
+	} else {
+		lat, lon := res.Point.Lat, res.Point.Lon
+		tr.Lat, tr.Lon = &lat, &lon
+	}
+	tr.Provenance = res.Provenance
 	return tr
 }
 
@@ -339,16 +326,11 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, read func(io.
 // DecodeJSON reads one JSON request body of at most maxRequestBody bytes,
 // within bodyReadTimeout, into dst and reports whether it could; on
 // failure it has already answered — 413 for a body over the cap, 400 for
-// anything else, a body too slow to arrive included. strict rejects
-// unknown fields. The cluster front door decodes through it too, so a
-// fleet and a node refuse the same bodies the same way.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, strict bool, dst any) bool {
+// anything else, a body too slow to arrive included. It serves the admin
+// endpoints; the localize wire has its own codec (DecodeLocalize).
+func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	err := readBody(w, r, maxRequestBody, func(body io.Reader) error {
-		dec := json.NewDecoder(body)
-		if strict {
-			dec.DisallowUnknownFields()
-		}
-		return dec.Decode(dst)
+		return json.NewDecoder(body).Decode(dst)
 	})
 	if err != nil {
 		writeBodyError(w, err, "bad request body")
@@ -368,63 +350,34 @@ func writeBodyError(w http.ResponseWriter, err error, what string) {
 	WriteError(w, http.StatusBadRequest, "%s: %v", what, err)
 }
 
-// localizeRequest is the body of the four localize endpoints: the single
-// routes read Target, the batch routes Targets, the v2 routes Options.
-type localizeRequest struct {
-	Target  string       `json:"target"`
-	Targets []string     `json:"targets"`
-	Options *WireOptions `json:"options"`
-}
-
-// localizeRoute is one row of the localize route table.
-type localizeRoute struct {
-	path string
-	// batch routes take "targets" and stream one NDJSON line per target
-	// in completion order; the others take "target" and answer one
-	// object.
-	batch bool
-	// v2 routes carry options (mapping 1:1 onto core.LocalizeOption) and
-	// refuse unknown fields: /v2 is a new surface, so a misspelled option
-	// key ("weight" for "weights") must 400 rather than silently run —
-	// and cache — the request under server defaults. v1 routes decode
-	// leniently and run with none, kept for wire compatibility.
-	v2     bool
-	encode func(batch.Item) any
-}
-
-var localizeRoutes = [...]localizeRoute{
-	{"/v1/localize", false, false, func(it batch.Item) any { return ToTargetResult(it) }},
-	{"/v1/localize/batch", true, false, func(it batch.Item) any { return ToTargetResult(it) }},
-	{"/v2/localize", false, true, func(it batch.Item) any { return ToTargetResultV2(it) }},
-	{"/v2/localize/batch", true, true, func(it batch.Item) any { return ToTargetResultV2(it) }},
-}
-
-// localizeHandler serves one row of the table: decode, validate, run the
-// request through the engine, encode in the row's wire version.
-func (s *Server) localizeHandler(rt localizeRoute) http.HandlerFunc {
+// localizeHandler serves a localize route: decode, validate, run the
+// request through the engine, encode. Batch routes take "targets" and
+// stream one NDJSON line per target in completion order; the single
+// route takes "target" and answers one object. Unknown fields are
+// refused: a misspelled option key ("weight" for "weights") must 400
+// rather than silently run — and cache — the request under server
+// defaults.
+func (s *Server) localizeHandler(batch bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			WriteError(w, http.StatusMethodNotAllowed, "POST required")
 			return
 		}
-		var req localizeRequest
-		if !DecodeJSON(w, r, rt.v2, &req) {
+		req, ok := DecodeLocalize(w, r)
+		if !ok {
 			return
 		}
-		if !rt.batch && req.Target == "" {
+		if !batch && req.Target == "" {
 			WriteError(w, http.StatusBadRequest, "missing target")
 			return
 		}
-		var opts []core.LocalizeOption
-		if rt.v2 {
-			var err error
-			if opts, err = req.Options.Options(); err != nil {
-				WriteError(w, http.StatusBadRequest, "bad options: %v", err)
-				return
-			}
+		opts, err := req.Options.Options()
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, "bad options: %v", err)
+			return
 		}
-		if rt.batch {
-			s.streamBatch(w, r, req.Targets, opts, rt.encode)
+		if batch {
+			s.streamBatch(w, r, req.Targets, opts)
 			return
 		}
 		// r.Context() cancels on client disconnect, aborting the
@@ -434,7 +387,8 @@ func (s *Server) localizeHandler(rt localizeRoute) http.HandlerFunc {
 			WriteError(w, http.StatusUnprocessableEntity, "%v", item.Err)
 			return
 		}
-		WriteJSON(w, http.StatusOK, rt.encode(item))
+		tr := ToTargetResultV2(item)
+		WriteResultV2(w, &tr)
 	}
 }
 
@@ -456,9 +410,9 @@ func CheckTargets(targets []string, maxBatch int) (int, error) {
 	return 0, nil
 }
 
-// streamBatch validates the target list and streams one encoded line per
+// streamBatch validates the target list and streams one result line per
 // completed target.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, targets []string, opts []core.LocalizeOption, encode func(batch.Item) any) {
+func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, targets []string, opts []core.LocalizeOption) {
 	if status, err := CheckTargets(targets, s.opts.MaxBatch); err != nil {
 		WriteError(w, status, "%v", err)
 		return
@@ -466,10 +420,16 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, targets []s
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	b := getWireBuf()
+	defer func() { putWireBuf(b) }()
 	items := s.engine.Run(r.Context(), targets, opts...)
 	for item := range items {
-		if err := enc.Encode(encode(item)); err != nil {
+		tr := ToTargetResultV2(item)
+		var err error
+		if b, err = AppendTargetResultV2(b[:0], &tr); err == nil {
+			_, err = w.Write(b)
+		}
+		if err != nil {
 			// Client went away; r.Context() is already cancelled, so the
 			// engine winds the batch down on its own (its channel holds
 			// every item, nothing blocks on this reader).
@@ -506,7 +466,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Landmarks []string `json:"landmarks"`
 	}
-	if r.ContentLength != 0 && !DecodeJSON(w, r, false, &req) {
+	if r.ContentLength != 0 && !DecodeJSON(w, r, &req) {
 		return
 	}
 	var scope []int
@@ -584,11 +544,10 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"epoch": e.Number()})
 }
 
-// handleCacheLookup serves GET /v1/cache/lookup?target=&fp=&epoch=: the
-// cluster cache tier's peer-fetch read path. It consults the engine's
-// LRU under the query's batch.Key without measuring; a hit answers with
-// the full v2 wire result
-// (marked cached), a miss is 404. Results from non-cacheable requests
+// handleCacheLookup serves GET /v1/cache/lookup?target=&fp=&epoch=: a
+// read of the engine's LRU under the query's batch.Key without measuring
+// (the cluster router no longer calls it; the benchmark harness does). A
+// hit answers with the wire result (marked cached), a miss is 404. Results from non-cacheable requests
 // can never be served here — they are never inserted into the LRU in the
 // first place.
 func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
@@ -612,12 +571,8 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "miss")
 		return
 	}
-	WriteJSON(w, http.StatusOK, ToTargetResultV2(batch.Item{
-		Target: target,
-		Result: res,
-		Epoch:  epoch,
-		Cached: true,
-	}))
+	tr := ToTargetResultV2(batch.Item{Target: target, Result: res, Epoch: epoch, Cached: true})
+	WriteResultV2(w, &tr)
 }
 
 // handleHealthz serves GET /v1/healthz — pure liveness: the process is up

@@ -90,14 +90,14 @@ func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.Res
 	return rec
 }
 
-// TestBatchEndpointEndToEnd drives POST /v1/localize/batch with all 32
+// TestBatchEndpointEndToEnd drives POST /v2/localize/batch with all 32
 // held-out targets and checks every NDJSON line against the sequential
 // Localize ground truth.
 func TestBatchEndpointEndToEnd(t *testing.T) {
 	s := sharedStack(t)
 	h := s.srv.Handler()
 
-	rec := postJSON(t, h, "/v1/localize/batch", map[string]any{"targets": s.targets})
+	rec := postJSON(t, h, "/v2/localize/batch", map[string]any{"targets": s.targets})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -107,7 +107,7 @@ func TestBatchEndpointEndToEnd(t *testing.T) {
 	seen := make(map[string]bool)
 	sc := bufio.NewScanner(rec.Body)
 	for sc.Scan() {
-		var tr TargetResult
+		var tr TargetResultV2
 		if err := json.Unmarshal(sc.Bytes(), &tr); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -145,9 +145,9 @@ func TestSingleLocalizeAndCacheFlag(t *testing.T) {
 	h := s.srv.Handler()
 	tgt := s.targets[0]
 
-	var trs [2]TargetResult
+	var trs [2]TargetResultV2
 	for i := range trs {
-		rec := postJSON(t, h, "/v1/localize", map[string]string{"target": tgt})
+		rec := postJSON(t, h, "/v2/localize", map[string]string{"target": tgt})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
@@ -172,23 +172,29 @@ func TestValidationErrors(t *testing.T) {
 	s := sharedStack(t)
 	h := s.srv.Handler()
 
-	if rec := postJSON(t, h, "/v1/localize", map[string]string{}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v2/localize", map[string]string{}); rec.Code != http.StatusBadRequest {
 		t.Errorf("missing target: status %d", rec.Code)
 	}
-	if rec := postJSON(t, h, "/v1/localize", map[string]string{"target": "no.such.host"}); rec.Code != http.StatusUnprocessableEntity {
+	if rec := postJSON(t, h, "/v2/localize", map[string]string{"target": "no.such.host"}); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("unknown target: status %d", rec.Code)
 	}
-	if rec := postJSON(t, h, "/v1/localize/batch", map[string]any{"targets": []string{}}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v2/localize/batch", map[string]any{"targets": []string{}}); rec.Code != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d", rec.Code)
 	}
 	big := make([]string, 257)
 	for i := range big {
 		big[i] = "x"
 	}
-	if rec := postJSON(t, h, "/v1/localize/batch", map[string]any{"targets": big}); rec.Code != http.StatusRequestEntityTooLarge {
+	if rec := postJSON(t, h, "/v2/localize/batch", map[string]any{"targets": big}); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized batch: status %d", rec.Code)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/v1/localize", nil)
+	// The node serves /v2 only.
+	for _, path := range []string{"/v1/localize", "/v1/localize/batch"} {
+		if rec := postJSON(t, h, path, map[string]string{"target": s.targets[0]}); rec.Code != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, rec.Code)
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v2/localize", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
@@ -619,7 +625,7 @@ func TestCacheLookupEndpoint(t *testing.T) {
 	tgt := s.world.HostNodes()[0].Name
 
 	// Warm the cache through the normal path.
-	if rec := postJSON(t, h, "/v1/localize", map[string]string{"target": tgt}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v2/localize", map[string]string{"target": tgt}); rec.Code != http.StatusOK {
 		t.Fatalf("localize: %d %s", rec.Code, rec.Body)
 	}
 	before := s.world.PingCalls()
@@ -799,7 +805,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}()
 
 	target := prober.(*probe.SimProber).World.HostNodes()[0].Name
-	url := fmt.Sprintf("http://%s/v1/localize", ln.Addr())
+	url := fmt.Sprintf("http://%s/v2/localize", ln.Addr())
 	resc := make(chan error, 1)
 	go func() {
 		resp, err := http.Post(url, "application/json",

@@ -2,20 +2,13 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
-	"math"
-	"net/http"
-	"net/http/httptest"
-	"os"
 	"testing"
-
-	"octant/internal/core"
-	"octant/internal/geo"
 )
 
-// TestV2NoOptionsMatchesV1: an empty v2 request is exactly a v1 request
-// plus the epoch field — same point, area, constraint count.
+// TestV2NoOptionsMatchesV1: a request without options is the library's
+// default localization — same point, area, constraint count — at the
+// serving epoch.
 func TestV2NoOptionsMatchesV1(t *testing.T) {
 	s := sharedStack(t)
 	h := s.srv.Handler()
@@ -184,83 +177,4 @@ func TestV2BatchStream(t *testing.T) {
 	if hinted.Constraints != base.Constraints+1 {
 		t.Errorf("hinted constraints %d, want %d", hinted.Constraints, base.Constraints+1)
 	}
-}
-
-// TestV1CacheSharedWithDefaultV2: the v1 adapter and a default-options
-// v2 request are the same request — the second must be a cache hit of
-// the first.
-func TestV1CacheSharedWithDefaultV2(t *testing.T) {
-	s := sharedStack(t)
-	h := s.srv.Handler()
-	tgt := s.targets[3]
-
-	if rec := postJSON(t, h, "/v1/localize", map[string]string{"target": tgt}); rec.Code != 200 {
-		t.Fatalf("v1 status %d", rec.Code)
-	}
-	rec := postJSON(t, h, "/v2/localize", map[string]any{"target": tgt})
-	var v2 TargetResultV2
-	if err := json.Unmarshal(rec.Body.Bytes(), &v2); err != nil {
-		t.Fatal(err)
-	}
-	if !v2.Cached {
-		t.Error("default v2 request after v1 request was not a cache hit")
-	}
-
-	// An options-qualified v2 request must NOT be served from that entry.
-	rec = postJSON(t, h, "/v2/localize", map[string]any{
-		"target":  tgt,
-		"options": map[string]any{"disable": []string{"router"}},
-	})
-	var tuned TargetResultV2
-	if err := json.Unmarshal(rec.Body.Bytes(), &tuned); err != nil {
-		t.Fatal(err)
-	}
-	if tuned.Cached {
-		t.Error("options-qualified request hit the default cache entry")
-	}
-}
-
-// FuzzDecodeV2: any body posted to a /v2 localize route goes through
-// DecodeJSON (strict) and WireOptions.Options and either passes, or is
-// answered 400, or 413 when it outgrows the cap — nothing else. Options
-// that pass carry in-range hints and resolve to the same Fingerprint
-// every time.
-func FuzzDecodeV2(f *testing.F) {
-	for _, name := range []string{"testdata/v2_localize_request.json", "testdata/v2_batch_request.json"} {
-		body, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(body)
-	}
-	f.Add([]byte(`{"target":"` + string(bytes.Repeat([]byte("x"), maxRequestBody)) + `"}`))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		w := httptest.NewRecorder()
-		var req localizeRequest
-		if !DecodeJSON(w, httptest.NewRequest(http.MethodPost, "/v2/localize", bytes.NewReader(body)), true, &req) {
-			if w.Code != http.StatusBadRequest && w.Code != http.StatusRequestEntityTooLarge {
-				t.Fatalf("refused with %d", w.Code)
-			}
-			return
-		}
-		if len(body) > maxRequestBody {
-			t.Fatalf("decoded a %d-byte body", len(body))
-		}
-		opts, err := req.Options.Options()
-		if err != nil {
-			return // the handler's 400
-		}
-		if req.Options != nil {
-			for i, h := range req.Options.Hints {
-				if !geo.Pt(h.Lat, h.Lon).Valid() || !(h.RadiusKm >= 0 && h.RadiusKm <= math.Pi*geo.EarthRadiusKm) || !(h.Weight >= 0) {
-					t.Fatalf("accepted hint %d: %+v", i, h)
-				}
-			}
-		}
-		again, _ := req.Options.Options()
-		a, b := core.NewLocalizeOptions(opts...), core.NewLocalizeOptions(again...)
-		if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
-			t.Fatalf("one body, two fingerprints: %q, %q", fa, fb)
-		}
-	})
 }

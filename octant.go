@@ -63,8 +63,8 @@
 //		fmt.Println(item.Target, item.Result.Point)
 //	}
 //
-// cmd/octant-serve exposes the same engine over HTTP (POST /v1/localize,
-// POST /v1/localize/batch streaming NDJSON, GET /v1/healthz, GET
+// cmd/octant-serve exposes the same engine over HTTP (POST /v2/localize,
+// POST /v2/localize/batch streaming NDJSON, GET /v1/healthz, GET
 // /v1/stats), and the octant CLI's -parallel flag uses it for multi-target
 // runs.
 //
