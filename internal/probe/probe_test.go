@@ -1,6 +1,8 @@
 package probe
 
 import (
+	"context"
+	"errors"
 	"math"
 	"net"
 	"testing"
@@ -86,6 +88,43 @@ func TestSimProber(t *testing.T) {
 	}
 	if _, _, ok := p.Whois("bogus.example.com"); ok {
 		t.Error("unknown addr should have no WHOIS")
+	}
+}
+
+// TestTCPProberCancelMidTrain: a ten-connect train with one second of
+// spacing, cancelled after its first connect, ends with ctx.Err() at
+// once instead of sleeping out the rest of its spacing. It goes through
+// PingIn, as every caller bounded by a context does.
+func TestTCPProberCancelMidTrain(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelled := make(chan time.Time, 1)
+	go func() {
+		for first := true; ; first = false {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_ = c.Close()
+			if first {
+				cancelled <- time.Now()
+				cancel()
+			}
+		}
+	}()
+	p := &TCPProber{Timeout: time.Second, Spacing: time.Second}
+	_, err = PingIn(ctx, p, "", ln.Addr().String(), 10)
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want %v", err, context.Canceled)
+	}
+	if lag := returned.Sub(<-cancelled); lag > 100*time.Millisecond {
+		t.Fatalf("returned %v after the cancel", lag)
 	}
 }
 

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"time"
@@ -25,15 +26,22 @@ type TCPProber struct {
 	Spacing time.Duration
 }
 
-var _ Prober = (*TCPProber)(nil)
+var _ ContextProber = (*TCPProber)(nil)
 
 // NewTCPProber returns a TCPProber with defaults suitable for tests.
 func NewTCPProber() *TCPProber {
 	return &TCPProber{Timeout: 2 * time.Second, Spacing: 10 * time.Millisecond}
 }
 
-// Ping implements Prober by timing n TCP connects to dst ("host:port").
-func (p *TCPProber) Ping(_, dst string, n int) ([]float64, error) {
+// Ping implements Prober.
+func (p *TCPProber) Ping(src, dst string, n int) ([]float64, error) {
+	return p.PingContext(context.Background(), src, dst, n)
+}
+
+// PingContext implements ContextProber by timing n TCP connects to dst
+// ("host:port"). Cancelling ctx aborts the connect or the spacing wait in
+// progress, and the train returns ctx.Err().
+func (p *TCPProber) PingContext(ctx context.Context, _, dst string, n int) ([]float64, error) {
 	if n <= 0 {
 		n = 1
 	}
@@ -45,12 +53,17 @@ func (p *TCPProber) Ping(_, dst string, n int) ([]float64, error) {
 	out := make([]float64, 0, n)
 	var lastErr error
 	for i := 0; i < n; i++ {
-		if i > 0 && p.Spacing > 0 {
-			time.Sleep(p.Spacing)
+		if i > 0 {
+			if err := sleepCtx(ctx, p.Spacing); err != nil {
+				return nil, err
+			}
 		}
 		start := time.Now()
-		conn, err := d.Dial("tcp", dst)
+		conn, err := d.DialContext(ctx, "tcp", dst)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
 			lastErr = err
 			continue
 		}
@@ -66,8 +79,13 @@ func (p *TCPProber) Ping(_, dst string, n int) ([]float64, error) {
 
 // Traceroute implements Prober. TCP-level probing cannot enumerate router
 // hops without raw sockets, so it returns an empty path.
-func (p *TCPProber) Traceroute(_, _ string) ([]Hop, error) {
-	return nil, nil
+func (p *TCPProber) Traceroute(src, dst string) ([]Hop, error) {
+	return p.TracerouteContext(context.Background(), src, dst)
+}
+
+// TracerouteContext implements ContextProber: an empty path, or ctx.Err().
+func (p *TCPProber) TracerouteContext(ctx context.Context, _, _ string) ([]Hop, error) {
+	return nil, ctx.Err()
 }
 
 // ReverseDNS implements Prober via the system resolver.

@@ -3,23 +3,20 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
-	"unicode/utf16"
-	"unicode/utf8"
 )
 
-// The localize wire has one fixed schema and one hand-written codec,
-// without reflection: DecodeLocalize accepts exactly what json.Decoder
-// with DisallowUnknownFields accepts in one Decode into LocalizeRequest,
-// and yields the same value; AppendTargetResultV2 writes the bytes
-// json.Encoder writes. FuzzDecodeV2 and FuzzAppendTargetResultV2 hold
-// both to encoding/json.
+// The localize wire has one fixed schema and one codec. DecodeLocalize
+// parses a canonical body (canonicalRequest) by hand, without reflection,
+// and hands every other body to json.Decoder with DisallowUnknownFields:
+// what it accepts, how it decodes it and every refusal's text are
+// encoding/json's. AppendTargetResultV2 writes the bytes json.Encoder
+// writes. FuzzDecodeV2 and FuzzAppendTargetResultV2 hold both to
+// encoding/json.
 
 // LocalizeRequest is the body of the localize routes, at a node and at
 // the front door: the single route reads Target, the batch route
@@ -63,7 +60,26 @@ func DecodeLocalize(w http.ResponseWriter, r *http.Request) (LocalizeRequest, bo
 		b := bytes.NewBuffer(buf)
 		_, rerr := b.ReadFrom(body) // nil at EOF
 		buf = b.Bytes()
-		return decodeLocalize(buf, rerr, &req)
+		var ok bool
+		if req, ok = canonicalRequest(buf); ok && rerr == nil {
+			return nil
+		}
+		// Anything else is encoding/json's to judge: the bytes read, then
+		// the read's error, as json.Decoder would have met them on the
+		// body itself. A decode that stops before that error meets it
+		// when readBody drains the body, so it is the verdict then.
+		src := io.Reader(bytes.NewReader(buf))
+		if rerr != nil {
+			src = io.MultiReader(src, errReader{rerr})
+		}
+		dec := json.NewDecoder(src)
+		dec.DisallowUnknownFields()
+		fresh := new(LocalizeRequest) // decoding into &req would move req to the heap on every request
+		err := dec.Decode(fresh)
+		if req = *fresh; err == nil {
+			err = rerr
+		}
+		return err
 	})
 	putWireBuf(buf)
 	if err != nil {
@@ -72,459 +88,280 @@ func DecodeLocalize(w http.ResponseWriter, r *http.Request) (LocalizeRequest, bo
 	return req, err == nil
 }
 
-// decodeLocalize decodes data, the body as far as it was read, into req;
-// rerr is what ended the read (nil at EOF). The verdict is
-// json.Decoder's: a syntax error in data; else, for a value data ends
-// inside of, the read's error; else the first type or unknown-field
-// error; else the read's error, which draining the body would meet.
-func decodeLocalize(data []byte, rerr error, req *LocalizeRequest) error {
-	d := wireDecoder{data: data}
-	err := d.value(req)
-	if err == nil && rerr != nil && d.pos == len(data) {
-		if top := bytes.TrimLeft(data, " \t\r\n"); top[0] != '{' && top[0] != '[' {
-			err = errTruncated // a top-level scalar ends at the byte after it, or at EOF
-		}
-	}
-	switch {
-	case err == errTruncated && rerr != nil:
-		return rerr
-	case err == errTruncated && len(bytes.TrimLeft(data, " \t\r\n")) == 0:
-		return io.EOF
-	case err == errTruncated:
-		return io.ErrUnexpectedEOF
-	case err != nil:
-		return err
-	case d.sem != nil:
-		return d.sem
-	}
-	return rerr
-}
+// errReader fails every read with err.
+type errReader struct{ err error }
 
-// errTruncated marks a value that data ends inside of.
-var errTruncated = errors.New("truncated")
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// wireDecoder is one pass over a body. A syntax error or the end of data
-// stops it; a type or unknown-field error is kept in sem and the pass
-// goes on, because encoding/json checks a value's syntax before it
-// decodes it, so a later syntax error wins.
-type wireDecoder struct {
-	data  []byte
-	pos   int
-	depth int // open objects and arrays, at most 10000 as in encoding/json
-	sem   error
-	// weight is what a weights member decodes into; a local variable
-	// there would escape to the heap through value's dst.
-	weight float64
-}
-
-func (d *wireDecoder) ws() {
-	for ; d.pos < len(d.data); d.pos++ {
-		if c := d.data[d.pos]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			return
-		}
-	}
-}
-
-func (d *wireDecoder) syntax() error {
-	return fmt.Errorf("invalid character %q at offset %d", d.data[d.pos], d.pos)
-}
-
-func (d *wireDecoder) mismatch() {
-	if d.sem == nil {
-		d.sem = fmt.Errorf("json: the value at offset %d has the wrong type for its field", d.pos)
-	}
-}
-
-// value decodes the value at d.pos into dst, one of the field pointers
-// fieldOf hands out (or the request), or only scans it when dst is nil.
-// null leaves a scalar as it is and clears a slice, map or pointer.
-func (d *wireDecoder) value(dst any) error {
-	if d.ws(); d.pos == len(d.data) {
-		return errTruncated
-	}
-	switch c := d.data[d.pos]; c {
-	case '{':
-		return d.object(dst)
-	case '[':
-		switch p := dst.(type) {
-		case *[]string:
-			return arrayInto(d, p)
-		case *[]WireHint:
-			return arrayInto(d, p)
-		case nil:
-		default:
-			d.mismatch()
-		}
-		return d.array(func() error { return d.value(nil) })
-	case '"':
-		raw, err := d.str()
-		if p, ok := dst.(*string); ok && err == nil {
-			*p = string(unquote(raw))
-		} else if dst != nil {
-			d.mismatch()
-		}
-		return err
-	case 'n':
-		switch p := dst.(type) {
-		case *[]string:
-			*p = nil
-		case *[]WireHint:
-			*p = nil
-		case *map[string]float64:
-			*p = nil
-		case **WireOptions:
-			*p = nil
-		}
-		return d.literal("null")
-	case 't', 'f':
-		word := "false"
-		if c == 't' {
-			word = "true"
-		}
-		if p, ok := dst.(*bool); ok {
-			*p = c == 't'
-		} else if dst != nil {
-			d.mismatch()
-		}
-		return d.literal(word)
-	}
-	num, err := d.number()
-	if err != nil {
-		return err
-	}
-	switch p := dst.(type) {
-	case *float64:
-		if f, err := strconv.ParseFloat(string(num), 64); err == nil {
-			*p = f
-		} else if d.sem == nil {
-			d.sem = fmt.Errorf("json: cannot unmarshal number %s into float64", num)
-		}
-	case *int:
-		if n, err := strconv.ParseInt(string(num), 10, 64); err == nil {
-			*p = int(n)
-		} else if d.sem == nil {
-			d.sem = fmt.Errorf("json: cannot unmarshal number %s into int", num)
-		}
-	case nil:
-	default:
-		d.mismatch()
-	}
-	return nil
-}
-
-// object decodes the object at d.pos into dst member by member: a known
-// key decodes into its field, over what an earlier duplicate of the key
-// left there, and an unknown key is an error (DisallowUnknownFields).
-func (d *wireDecoder) object(dst any) error {
-	switch p := dst.(type) {
-	case **WireOptions:
-		if *p == nil {
-			*p = new(WireOptions)
-		}
-		dst = *p
-	case *map[string]float64:
-		if *p == nil {
-			*p = map[string]float64{}
-		}
-	case *LocalizeRequest, *WireHint, nil:
-	default:
-		d.mismatch()
-		dst = nil
-	}
-	if err := d.open(); err != nil {
-		return err
-	}
-	for i := 0; ; i++ {
-		if more, err := d.next('}', i); err != nil || !more {
-			return err
-		}
-		if d.data[d.pos] != '"' {
-			return d.syntax()
-		}
-		raw, err := d.str()
-		if err != nil {
-			return err
-		}
-		key := unquote(raw)
-		if d.ws(); d.pos == len(d.data) {
-			return errTruncated
-		}
-		if d.data[d.pos] != ':' {
-			return d.syntax()
-		}
-		d.pos++
-		if m, ok := dst.(*map[string]float64); ok {
-			d.weight = 0 // a null weight is stored as 0
-			err = d.value(&d.weight)
-			(*m)[string(key)] = d.weight
-		} else {
-			field := fieldOf(dst, key)
-			if field == nil && dst != nil && d.sem == nil {
-				d.sem = fmt.Errorf("json: unknown field %q", key)
+// canonicalRequest decodes data if it is a canonical localize body, as
+// encoding/json would, and reports whether it was. A canonical body is
+// one JSON object, whitespace allowed between tokens, in which every key
+// is spelled exactly as its field's tag and appears at most once, the
+// only null is "options":null (what a client marshals without options),
+// every string is printable ASCII without escapes, and every number
+// parses into its field. On such a body none of encoding/json's rules
+// for other bodies (case folding, UTF-8 coercion, duplicate keys, nulls,
+// range errors) comes into play, so this decoder needs none of them.
+func canonicalRequest(data []byte) (LocalizeRequest, bool) {
+	var req LocalizeRequest
+	c := canon{data: data}
+	var seen fieldSet
+	ok := c.object(func(key []byte) bool {
+		switch string(key) {
+		case "target":
+			return seen.once(0) && c.str(&req.Target)
+		case "targets":
+			return seen.once(1) && c.strs(&req.Targets)
+		case "options":
+			if !seen.once(2) {
+				return false
 			}
-			err = d.value(field)
+			if c.literal("null") {
+				return true
+			}
+			req.Options = new(WireOptions)
+			return c.options(req.Options)
 		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// fieldOf is the schema: the field of dst that key names, matched as
-// encoding/json matches names — exactly, or else under Unicode case
-// folding — or nil.
-func fieldOf(dst any, key []byte) any {
-	is := func(name string) bool { return string(key) == name || strings.EqualFold(string(key), name) }
-	switch p := dst.(type) {
-	case *LocalizeRequest:
-		switch {
-		case is("target"):
-			return &p.Target
-		case is("targets"):
-			return &p.Targets
-		case is("options"):
-			return &p.Options
-		}
-	case *WireOptions:
-		switch {
-		case is("disable"):
-			return &p.Disable
-		case is("weights"):
-			return &p.Weights
-		case is("min_area_km2"):
-			return &p.MinAreaKm2
-		case is("fine_cell_km"):
-			return &p.FineCellKm
-		case is("neg_height_percentile"):
-			return &p.NegHeightPercentile
-		case is("min_landmarks"):
-			return &p.MinLandmarks
-		case is("explain"):
-			return &p.Explain
-		case is("hints"):
-			return &p.Hints
-		}
-	case *WireHint:
-		switch {
-		case is("lat"):
-			return &p.Lat
-		case is("lon"):
-			return &p.Lon
-		case is("radius_km"):
-			return &p.RadiusKm
-		case is("weight"):
-			return &p.Weight
-		case is("label"):
-			return &p.Label
-		}
-	}
-	return nil
-}
-
-// arrayInto decodes an array into *dst as encoding/json does: elements
-// decode in place over what the slice holds, up to its capacity, and an
-// empty array is an empty, non-nil slice.
-func arrayInto[T any](d *wireDecoder, dst *[]T) error {
-	s, i := *dst, 0
-	err := d.array(func() error {
-		if i == len(s) && i < cap(s) {
-			s = s[:i+1]
-		} else if i == len(s) {
-			s = append(s, *new(T))
-		}
-		i++
-		return d.value(&s[i-1])
+		return false
 	})
-	if *dst = s[:i]; i == 0 {
-		*dst = []T{}
+	if c.ws(); !ok || c.pos != len(data) {
+		return LocalizeRequest{}, false
 	}
-	return err
+	return req, true
 }
 
-// array scans the array at d.pos, calling elem at each element.
-func (d *wireDecoder) array(elem func() error) error {
-	if err := d.open(); err != nil {
-		return err
-	}
-	for i := 0; ; i++ {
-		if more, err := d.next(']', i); err != nil || !more {
-			return err
-		}
-		if err := elem(); err != nil {
-			return err
-		}
-	}
+// fieldSet is the fields of one object a canonical body has set.
+type fieldSet uint
+
+// once marks field i set and reports whether it was not already.
+func (s *fieldSet) once(i uint) bool {
+	ok := *s&(1<<i) == 0
+	*s |= 1 << i
+	return ok
 }
 
-// open steps into the object or array at d.pos.
-func (d *wireDecoder) open() error {
-	if d.depth++; d.depth > 10000 {
-		return errors.New("exceeded max depth")
-	}
-	d.pos++
-	return nil
-}
-
-// next steps to member or element i of the object or array d.pos is in,
-// past the comma before it, and reports whether there is one; false
-// means d.pos is past the closing byte end.
-func (d *wireDecoder) next(end byte, i int) (bool, error) {
-	if d.ws(); d.pos == len(d.data) {
-		return false, errTruncated
-	}
-	switch c := d.data[d.pos]; {
-	case c == end:
-		d.pos++
-		d.depth--
-		return false, nil
-	case i == 0:
-		return true, nil
-	case c != ',':
-		return false, d.syntax()
-	}
-	d.pos++
-	if d.ws(); d.pos == len(d.data) {
-		return false, errTruncated
-	}
-	return true, nil
-}
-
-// str scans the string at d.pos and returns its raw contents.
-func (d *wireDecoder) str() ([]byte, error) {
-	start := d.pos + 1
-	for d.pos = start; d.pos < len(d.data); d.pos++ {
-		c := d.data[d.pos]
-		switch {
-		case c == '"':
-			d.pos++
-			return d.data[start : d.pos-1], nil
-		case c < ' ':
-			return nil, d.syntax()
-		case c != '\\':
-			continue
-		}
-		if d.pos++; d.pos == len(d.data) {
-			return nil, errTruncated
-		}
-		switch d.data[d.pos] {
-		case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			continue
-		case 'u':
-			for k := 0; k < 4; k++ {
-				if d.pos++; d.pos == len(d.data) {
-					return nil, errTruncated
-				}
-				if strings.IndexByte("0123456789abcdefABCDEF", d.data[d.pos]) < 0 {
-					return nil, d.syntax()
-				}
+func (c *canon) options(o *WireOptions) bool {
+	var seen fieldSet
+	return c.object(func(key []byte) bool {
+		switch string(key) {
+		case "disable":
+			return seen.once(0) && c.strs(&o.Disable)
+		case "weights":
+			if !seen.once(1) {
+				return false
 			}
-			continue
-		}
-		return nil, d.syntax()
-	}
-	return nil, errTruncated
-}
-
-// unquote resolves the escapes of a scanned string and coerces it to
-// UTF-8 as encoding/json does: an invalid byte, and a \u surrogate that
-// does not pair, becomes U+FFFD.
-func unquote(s []byte) []byte {
-	if bytes.IndexByte(s, '\\') < 0 && utf8.Valid(s) {
-		return s
-	}
-	u4 := func(s []byte) rune {
-		n, _ := strconv.ParseUint(string(s[2:6]), 16, 32)
-		return rune(n)
-	}
-	b := make([]byte, 0, len(s)+utf8.UTFMax)
-	for r := 0; r < len(s); {
-		switch {
-		case s[r] == '\\' && s[r+1] == 'u':
-			rr := u4(s[r:])
-			r += 6
-			if utf16.IsSurrogate(rr) {
-				next := rune(-1)
-				if r+1 < len(s) && s[r] == '\\' && s[r+1] == 'u' {
-					next = u4(s[r:])
+			o.Weights = map[string]float64{}
+			return c.object(func(key []byte) bool {
+				if _, dup := o.Weights[string(key)]; dup {
+					return false
 				}
-				if rr = utf16.DecodeRune(rr, next); rr != utf8.RuneError {
-					r += 6
-				}
+				var f float64
+				ok := c.float(&f)
+				o.Weights[string(key)] = f
+				return ok
+			})
+		case "min_area_km2":
+			return seen.once(2) && c.float(&o.MinAreaKm2)
+		case "fine_cell_km":
+			return seen.once(3) && c.float(&o.FineCellKm)
+		case "neg_height_percentile":
+			return seen.once(4) && c.float(&o.NegHeightPercentile)
+		case "min_landmarks":
+			return seen.once(5) && c.int(&o.MinLandmarks)
+		case "explain":
+			o.Explain = c.literal("true")
+			return seen.once(6) && (o.Explain || c.literal("false"))
+		case "hints":
+			if !seen.once(7) {
+				return false
 			}
-			b = utf8.AppendRune(b, rr)
-		case s[r] == '\\':
-			if i := strings.IndexByte("bfnrt", s[r+1]); i >= 0 {
-				b = append(b, "\b\f\n\r\t"[i])
-			} else {
-				b = append(b, s[r+1])
-			}
-			r += 2
-		default:
-			rr, size := utf8.DecodeRune(s[r:])
-			b = utf8.AppendRune(b, rr)
-			r += size
+			o.Hints = []WireHint{}
+			return c.array(func() bool {
+				o.Hints = append(o.Hints, WireHint{})
+				return c.hint(&o.Hints[len(o.Hints)-1])
+			})
 		}
-	}
-	return b
+		return false
+	})
 }
 
-// number scans the number at d.pos.
-func (d *wireDecoder) number() ([]byte, error) {
-	start := d.pos
-	if d.data[d.pos] == '-' {
-		d.pos++
-	}
-	if d.pos == len(d.data) {
-		return nil, errTruncated
-	}
-	var err error
-	switch c := d.data[d.pos]; {
-	case c == '0':
-		d.pos++
-	case '1' <= c && c <= '9':
-		err = d.digits(0)
-	default:
-		return nil, d.syntax()
-	}
-	if err == nil && d.pos < len(d.data) && d.data[d.pos] == '.' {
-		d.pos++
-		err = d.digits(1)
-	}
-	if err == nil && d.pos < len(d.data) && d.data[d.pos]|0x20 == 'e' {
-		if d.pos++; d.pos < len(d.data) && (d.data[d.pos] == '+' || d.data[d.pos] == '-') {
-			d.pos++
+func (c *canon) hint(h *WireHint) bool {
+	var seen fieldSet
+	return c.object(func(key []byte) bool {
+		switch string(key) {
+		case "lat":
+			return seen.once(0) && c.float(&h.Lat)
+		case "lon":
+			return seen.once(1) && c.float(&h.Lon)
+		case "radius_km":
+			return seen.once(2) && c.float(&h.RadiusKm)
+		case "weight":
+			return seen.once(3) && c.float(&h.Weight)
+		case "label":
+			return seen.once(4) && c.str(&h.Label)
 		}
-		err = d.digits(1)
-	}
-	return d.data[start:d.pos], err
+		return false
+	})
 }
 
-// digits scans a run of at least min digits.
-func (d *wireDecoder) digits(min int) error {
-	start := d.pos
-	for d.pos < len(d.data) && d.data[d.pos]-'0' < 10 {
-		d.pos++
+// canon is one pass over a body that is canonical or is refused.
+type canon struct {
+	data []byte
+	pos  int
+}
+
+func (c *canon) ws() {
+	for c.pos < len(c.data) && (c.data[c.pos] == ' ' || c.data[c.pos] == '\t' || c.data[c.pos] == '\n' || c.data[c.pos] == '\r') {
+		c.pos++
 	}
-	switch {
-	case d.pos-start >= min:
+}
+
+// skip steps past b if it is the next byte.
+func (c *canon) skip(b byte) bool {
+	if c.pos < len(c.data) && c.data[c.pos] == b {
+		c.pos++
+		return true
+	}
+	return false
+}
+
+// token steps past whitespace and then b if it is next.
+func (c *canon) token(b byte) bool {
+	c.ws()
+	return c.skip(b)
+}
+
+// literal steps past whitespace and then word if it is next.
+func (c *canon) literal(word string) bool {
+	c.ws()
+	if !bytes.HasPrefix(c.data[c.pos:], []byte(word)) {
+		return false
+	}
+	c.pos += len(word)
+	return true
+}
+
+// object steps over an object, handing each key to member to decode its
+// value.
+func (c *canon) object(member func(key []byte) bool) bool {
+	if !c.token('{') {
+		return false
+	}
+	if c.token('}') {
+		return true
+	}
+	for {
+		key, ok := c.raw()
+		if !ok || !c.token(':') || !member(key) {
+			return false
+		}
+		if c.token('}') {
+			return true
+		}
+		if !c.token(',') {
+			return false
+		}
+	}
+}
+
+// array steps over an array, calling elem to decode each element.
+func (c *canon) array(elem func() bool) bool {
+	if !c.token('[') {
+		return false
+	}
+	if c.token(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		if c.token(']') {
+			return true
+		}
+		if !c.token(',') {
+			return false
+		}
+	}
+}
+
+// raw steps over a string of printable ASCII without escapes and returns
+// its contents.
+func (c *canon) raw() ([]byte, bool) {
+	if !c.token('"') {
+		return nil, false
+	}
+	for start := c.pos; c.pos < len(c.data); c.pos++ {
+		switch b := c.data[c.pos]; {
+		case b == '"':
+			c.pos++
+			return c.data[start : c.pos-1], true
+		case b < ' ' || b > '~' || b == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+func (c *canon) str(dst *string) bool {
+	s, ok := c.raw()
+	*dst = string(s)
+	return ok
+}
+
+// strs decodes an array of strings; an empty one is empty, not nil.
+func (c *canon) strs(dst *[]string) bool {
+	*dst = []string{}
+	return c.array(func() bool {
+		s, ok := c.raw()
+		*dst = append(*dst, string(s))
+		return ok
+	})
+}
+
+// number steps over a number in JSON's grammar and returns it, or nil.
+func (c *canon) number() []byte {
+	c.ws()
+	start := c.pos
+	c.skip('-')
+	if !c.skip('0') && !c.digits() {
 		return nil
-	case d.pos == len(d.data):
-		return errTruncated
 	}
-	return d.syntax()
+	if c.skip('.') && !c.digits() {
+		return nil
+	}
+	if c.skip('e') || c.skip('E') {
+		if !c.skip('+') {
+			c.skip('-')
+		}
+		if !c.digits() {
+			return nil
+		}
+	}
+	return c.data[start:c.pos]
 }
 
-// literal scans word (true, false or null) at d.pos.
-func (d *wireDecoder) literal(word string) error {
-	for k := 0; k < len(word); k, d.pos = k+1, d.pos+1 {
-		if d.pos == len(d.data) {
-			return errTruncated
-		}
-		if d.data[d.pos] != word[k] {
-			return d.syntax()
-		}
+// digits steps over a run of at least one digit.
+func (c *canon) digits() bool {
+	start := c.pos
+	for c.pos < len(c.data) && c.data[c.pos]-'0' < 10 {
+		c.pos++
 	}
-	return nil
+	return c.pos > start
+}
+
+func (c *canon) float(dst *float64) bool {
+	num := c.number()
+	f, err := strconv.ParseFloat(string(num), 64)
+	*dst = f
+	return num != nil && err == nil
+}
+
+func (c *canon) int(dst *int) bool {
+	num := c.number()
+	n, err := strconv.Atoi(string(num))
+	*dst = n
+	return num != nil && err == nil
 }
 
 // jsonContentType is the Content-Type header value of a result line,
@@ -613,42 +450,15 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// appendString quotes s as encoding/json does with HTML escaping on:
-// control bytes, <, > and & as \u00XX (but \b \f \n \r \t), invalid
-// UTF-8 as �, and U+2028 and U+2029 escaped.
+// appendString quotes s as encoding/json does with HTML escaping on: a
+// string of printable ASCII other than " \ < > & needs no escape and is
+// appended as it is; any other goes through json.Marshal.
 func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRuneInString(s[i:])
-			esc := ""
-			switch {
-			case r == utf8.RuneError && size == 1:
-				esc = "\\ufffd"
-			case r == 0x2028 || r == 0x2029:
-				esc = "\\u202" + string(rune('0'+r-0x2020))
-			}
-			if esc != "" {
-				b = append(append(b, s[start:i]...), esc...)
-				start = i + size
-			}
-			i += size
-			continue
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
 		}
-		if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-			i++
-			continue
-		}
-		b = append(b, s[start:i]...)
-		if j := strings.IndexByte("\"\\\b\f\n\r\t", c); j >= 0 {
-			b = append(b, '\\', "\"\\bfnrt"[j])
-		} else {
-			b = append(b, '\\', 'u', '0', '0', "0123456789abcdef"[c>>4], "0123456789abcdef"[c&0xF])
-		}
-		i++
-		start = i
 	}
-	return append(append(b, s[start:]...), '"')
+	return append(append(append(b, '"'), s...), '"')
 }

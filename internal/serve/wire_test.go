@@ -68,8 +68,10 @@ func decodeOracle(w http.ResponseWriter, r *http.Request) (LocalizeRequest, bool
 // FuzzDecodeV2: any body posted to a localize route goes through
 // DecodeLocalize and WireOptions.Options. DecodeLocalize must agree with
 // decodeOracle — accept the same bodies, decode them to the same request,
-// and refuse the rest with the same 400 or 413. Options that pass carry
-// in-range hints and resolve to the same Fingerprint every time.
+// and refuse the rest with the same 400 or 413, byte for byte. Options
+// that pass carry in-range hints and resolve to the same Fingerprint
+// every time. The hand path takes canonical bodies only, so most seeds
+// below cover the hand-off to encoding/json.
 func FuzzDecodeV2(f *testing.F) {
 	for _, name := range []string{"testdata/v2_localize_request.json", "testdata/v2_batch_request.json"} {
 		body, err := os.ReadFile(name)
@@ -114,7 +116,7 @@ func FuzzDecodeV2(f *testing.F) {
 		gotW, wantW := httptest.NewRecorder(), httptest.NewRecorder()
 		req, ok := DecodeLocalize(gotW, post())
 		want, wantOK := decodeOracle(wantW, post())
-		if ok != wantOK || gotW.Code != wantW.Code {
+		if ok != wantOK || gotW.Code != wantW.Code || gotW.Body.String() != wantW.Body.String() {
 			t.Fatalf("DecodeLocalize: %v, %d %q; encoding/json: %v, %d %q", ok, gotW.Code, gotW.Body, wantOK, wantW.Code, wantW.Body)
 		}
 		if !ok {
@@ -149,6 +151,144 @@ func FuzzDecodeV2(f *testing.F) {
 			t.Fatalf("one body, two fingerprints: %q, %q", fa, fb)
 		}
 	})
+}
+
+// namedBody is a localize body with a name for test output.
+type namedBody struct {
+	name string
+	body []byte
+}
+
+// canonicalBodies are the localize bodies this repository sends: the
+// golden requests, what cluster.NodeClient marshals (LocalizeV2 and
+// BatchV2 build a map of target or targets and options, so the keys come
+// sorted and no options is "options":null), and the shapes
+// benchmarks/octant-bench/keys.go builds, written out.
+func canonicalBodies(t testing.TB) []namedBody {
+	var out []namedBody
+	for _, name := range []string{"v2_localize_request.json", "v2_batch_request.json"} {
+		b, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedBody{"golden/" + name, b})
+	}
+	weights := &WireOptions{Weights: map[string]float64{core.SourceGeoDB: 1 + 1.0/(1<<30)}}
+	full := &WireOptions{
+		Disable: []string{core.SourceRouter}, Weights: map[string]float64{core.SourceHint: 0.75, core.SourceLatency: 2},
+		MinAreaKm2: 30000, FineCellKm: 5, NegHeightPercentile: 0.9, MinLandmarks: 3, Explain: true,
+		Hints: []WireHint{{Lat: 42.4534, Lon: -76.4735, RadiusKm: 100, Weight: 0.6, Label: "registry"}, {Lat: -1e-7, Lon: 180}},
+	}
+	targets := []string{"planetlab1.csail.mit.edu", "planetlab2.cs.cornell.edu"}
+	for _, c := range []struct {
+		name string
+		opts *WireOptions
+	}{{"nil", nil}, {"weights", weights}, {"full", full}} {
+		single, err := json.Marshal(map[string]any{"target": targets[0], "options": c.opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := json.Marshal(map[string]any{"targets": targets, "options": c.opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedBody{"client/single/" + c.name, single}, namedBody{"client/batch/" + c.name, batch})
+	}
+	out = append(out,
+		namedBody{"bench/single", []byte(`{"target":"planetlab1.csail.mit.edu"}`)},
+		namedBody{"bench/single/key", []byte(cacheHotBody)},
+		namedBody{"bench/batch", []byte(`{"targets":["planetlab1.csail.mit.edu","planetlab2.cs.cornell.edu"]}`)},
+		namedBody{"bench/batch/key", []byte(`{"targets":["planetlab1.csail.mit.edu","planetlab2.cs.cornell.edu"],"options":{"weights":{"geodb":1.0000000009313226}}}`)},
+	)
+	return out
+}
+
+// cacheHotBody is the body of a cache_hot request: one target under a
+// weights key.
+const cacheHotBody = `{"target":"planetlab1.csail.mit.edu","options":{"weights":{"geodb":1.0000000009313226}}}`
+
+// TestCanonicalBodies: the repository's own localize traffic takes the
+// hand path and decodes as encoding/json decodes it, and bodies outside
+// the canonical form are left to encoding/json.
+func TestCanonicalBodies(t *testing.T) {
+	for _, c := range canonicalBodies(t) {
+		got, ok := canonicalRequest(c.body)
+		if !ok {
+			t.Errorf("%s: not canonical: %s", c.name, c.body)
+			continue
+		}
+		var want LocalizeRequest
+		dec := json.NewDecoder(bytes.NewReader(c.body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&want); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded %#v, encoding/json %#v", c.name, got, want)
+		}
+	}
+	for _, body := range []string{
+		`{"TARGET":"a"}`,
+		`{"target":"a","target":"b"}`,
+		`{"target":"a","options":{"hints":[{"lat":1,"lat":2}]}}`,
+		`{"target":"a","options":{"weights":{"geodb":1,"geodb":2}}}`,
+		`{"target":"\u0061"}`,
+		"{\"target\":\"\u00e9\"}",
+		`{"target":null}`,
+		`{"target":"a","options":{"hints":[null]}}`,
+		`{"target":"a"} x`,
+		`{"target":"a","options":{"min_landmarks":1.0}}`,
+		`{"target":"a","options":{"min_area_km2":1e400}}`,
+		`{"target":"a","options":{"fine_cell_km":01}}`,
+		`null`,
+	} {
+		if _, ok := canonicalRequest([]byte(body)); ok {
+			t.Errorf("%s: taken as canonical", body)
+		}
+	}
+}
+
+// rewindBody is a request body a test can replay without allocating.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// decodeBodies runs DecodeLocalize on each body, reusing one request.
+func decodeBodies(tb testing.TB, bodies ...[]byte) func() {
+	rd := bytes.NewReader(nil)
+	r := httptest.NewRequest(http.MethodPost, "/v2/localize", nil)
+	r.Body = rewindBody{rd}
+	w := httptest.NewRecorder()
+	return func() {
+		for _, body := range bodies {
+			rd.Reset(body)
+			if _, ok := DecodeLocalize(w, r); !ok {
+				tb.Fatalf("refused %s", body)
+			}
+		}
+	}
+}
+
+// TestDecodeLocalizeAllocs pins a cache_hot decode, readBody included,
+// at 10 allocations.
+func TestDecodeLocalizeAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, decodeBodies(t, []byte(cacheHotBody))); n > 10 {
+		t.Errorf("DecodeLocalize allocates %v times per cache_hot body, want <= 10", n)
+	}
+}
+
+// BenchmarkDecodeLocalize: DecodeLocalize, readBody included, on each
+// canonical body.
+func BenchmarkDecodeLocalize(b *testing.B) {
+	for _, c := range canonicalBodies(b) {
+		b.Run(c.name, func(b *testing.B) {
+			run := decodeBodies(b, c.body)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
 }
 
 // FuzzAppendTargetResultV2: a generated result line from
