@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -405,11 +406,13 @@ func BenchmarkMeasureFanout(b *testing.B) {
 }
 
 // TestLocalizeBatchAllocRegression pins the fused path's steady-state
-// allocation budget at ≤ 210 allocs per target — the point of the batch
-// arena and the shared-rasterization reuse (a cold single-target Localize
-// sat at ~1530 allocs before this work; the one-pass solver brought the
-// fused path from 291 to 244, per-survey "/neg" source names and the
-// table-free row fills to 199, and the budget is that plus 5 %).
+// allocation budget at ≤ 210 allocs per target — what the shared
+// rasterization reuse buys a batch (a cold single-target Localize sat at
+// ~1530 allocs before this work; the one-pass solver brought the fused
+// path from 291 to 244, per-survey "/neg" source names and the table-free
+// row fills to 199, and the budget is that plus 5 %). A batch target has
+// been built like a lone one since its latency disks moved to the
+// exact-size block (162 then).
 // Measured unpaced so the count is pure solver work, with one warmup
 // batch so land-mask masters and scratch pairs exist before counting
 // starts.
@@ -440,6 +443,75 @@ func TestLocalizeBatchAllocRegression(t *testing.T) {
 			perTarget, maxAllocsPerTarget)
 	}
 	t.Logf("fused batch: %d allocs/target over %d-target batches", perTarget, len(targets))
+}
+
+// TestBatchResultRetainedAlloc: a result computed in a batch keeps alive
+// only its own memory. 32 unpaced 8-target batches are held, then as many
+// lone LocalizeWith results over the same targets; per result, the live
+// heap of the batch set may exceed the lone set's by at most 5 %. A
+// worker-wide disk arena shared by a batch's targets read ≈ 1.09 in this
+// test: each result pinned the arena chunks its neighbours' disks filled.
+func TestBatchResultRetainedAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("holds hundreds of localizations under -short")
+	}
+	batchFixture(t)
+	loc, targets := batchFixRawLoc, batchFixTargets
+	ctx := context.Background()
+	const rounds = 32
+	n := rounds * len(targets)
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// held is the live heap a set of results holds per result: read with
+	// the set alive and again once it is released, so what the Localizer
+	// itself grows meanwhile (its scratch free list) is not counted.
+	held := func(results *[][]*core.Result) float64 {
+		alive := liveHeap()
+		*results = nil
+		return float64(alive-liveHeap()) / float64(n)
+	}
+	batch := func() []*core.Result {
+		res, errs := loc.LocalizeBatchWith(ctx, targets, 8, nil)
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return res
+	}
+	batch() // the Localizer's lazy state: land-mask masters, scratch pairs
+
+	batches := make([][]*core.Result, rounds)
+	for r := range batches {
+		batches[r] = batch()
+	}
+	perBatch := held(&batches)
+
+	lone := make([][]*core.Result, rounds)
+	for r := range lone {
+		lone[r] = make([]*core.Result, len(targets))
+		for i, target := range targets {
+			res, err := loc.LocalizeWith(ctx, target, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lone[r][i] = res
+		}
+	}
+	perLone := held(&lone)
+	if perLone <= 0 {
+		t.Fatalf("lone results hold %.0f B each", perLone)
+	}
+
+	ratio := perBatch / perLone
+	if ratio > 1.05 {
+		t.Errorf("a batch result retains %.0f B, a lone one %.0f B (×%.3f, budget ×1.05)", perBatch, perLone, ratio)
+	}
+	t.Logf("retained per result: batch %.0f B, lone %.0f B (×%.3f)", perBatch, perLone, ratio)
 }
 
 // --- substrate micro-benchmarks ---

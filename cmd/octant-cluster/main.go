@@ -1,8 +1,8 @@
 // Command octant-cluster is the sharded serving tier's front door: it
 // routes localizations across a fleet of octant-serve nodes with a
-// bounded-load consistent-hash ring, serves repeats from a cluster-wide
-// result cache (front-door L1, peer-fetch L2 against the key owner's
-// node cache), and coordinates epoch rollouts — one node reprobes, the
+// bounded-load consistent-hash ring, serves repeats from its own result
+// cache (the L1; a miss goes to the key's owner node, whose LRU answers
+// its repeats), and coordinates epoch rollouts — one node reprobes, the
 // rest adopt its snapshot in a rolling wave that takes no node out of
 // service.
 //

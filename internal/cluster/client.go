@@ -150,7 +150,7 @@ func (n *NodeClient) BatchV2(ctx context.Context, targets []string, opts *serve.
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // starts at 4 KiB, grows to a 1 MiB line cap
 	for sc.Scan() {
 		var tr serve.TargetResultV2
 		if err := json.Unmarshal(sc.Bytes(), &tr); err != nil {

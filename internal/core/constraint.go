@@ -77,23 +77,12 @@ func diskConstraint(kind Kind, cf, lf *geo.Frame, radiusKm, weight float64, sour
 	}
 }
 
-// Arena chunk sizes: a typical localization builds ~100 disks of ≤ 96
-// vertices, so one vertex chunk and one header chunk cover most targets.
-const (
-	arenaVecChunk    = 8192
-	arenaRingChunk   = 128
-	arenaRegionChunk = 128
-)
-
-// constraintArena bump-allocates the three fixed-shape pieces of a disk
-// constraint — the vertex ring, its one-entry []Ring, and the Region
-// header — out of large chunks instead of three heap objects per disk.
-// The fused batch path gives each worker one arena for the lifetime of
-// the batch: chunk memory is retained by the Results built from it (a
-// Result keeps its constraint regions), so the arena never recycles, it
-// only amortizes the allocation *count* across disks and targets.
-//
-// An arena is single-goroutine state; the zero value is ready to use.
+// constraintArena carves a request's latency disks — each one's vertex
+// ring, its one-entry []Ring and its Region header — from three blocks of
+// exactly their total size, so the ~100 disks of a localization cost three
+// allocations and its Result pins nothing it does not use. LatencySource
+// sizes the blocks from the radii before it builds the first disk; a disk
+// past the vertex block's size panics.
 type constraintArena struct {
 	vecs    []geo.Vec2
 	rings   []geo.Ring
@@ -105,27 +94,12 @@ type constraintArena struct {
 // bit-identical to diskConstraint's; only the backing allocations differ.
 func (a *constraintArena) disk(kind Kind, cf, lf *geo.Frame, radiusKm, weight float64, source string) Constraint {
 	n := geo.CircleSegments(radiusKm, circleChordTolKm)
-	if len(a.vecs)+n > cap(a.vecs) {
-		c := arenaVecChunk
-		if n > c {
-			c = n
-		}
-		a.vecs = make([]geo.Vec2, 0, c)
-	}
 	base := len(a.vecs)
 	ring := geo.Ring(cf.AppendGeoCircle(a.vecs[base:base:base+n], lf, radiusKm, n))
-	if len(ring) <= n {
-		a.vecs = a.vecs[:base+len(ring)]
-	}
-	if len(a.rings) == cap(a.rings) {
-		a.rings = make([]geo.Ring, 0, arenaRingChunk)
-	}
+	a.vecs = a.vecs[:base+n]
 	a.rings = append(a.rings, ring)
-	rs := a.rings[len(a.rings)-1 : len(a.rings) : len(a.rings)]
-	if len(a.regions) == cap(a.regions) {
-		a.regions = make([]geo.Region, 0, arenaRegionChunk)
-	}
-	a.regions = append(a.regions, geo.Region{Rings: rs})
+	k := len(a.rings)
+	a.regions = append(a.regions, geo.Region{Rings: a.rings[k-1 : k : k]})
 	return Constraint{
 		Kind:   kind,
 		Region: &a.regions[len(a.regions)-1],

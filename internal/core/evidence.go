@@ -61,9 +61,11 @@ type Request struct {
 	Survey *Survey
 	// PCtx is the survey's shared projection context.
 	PCtx *ProjectionContext
-	// Prober issues this request's measurements. When the request
-	// context can be cancelled it is the context-bound prober, so
-	// sources need no ctx plumbing of their own for measurement calls.
+	// Prober is the Localizer's prober, shared by every request and not
+	// bound to any request's context. A source that measures through it
+	// directly binds the ctx it is handed to observe cancellation
+	// (octant.ProberWithContext(ctx, req.Prober)); the scheduler does so
+	// for the latency and router sources.
 	Prober probe.Prober
 	// Hints maps router names to cities for the RouterSource and parses
 	// the target's reverse name for the RDNSSource. Nil means both skip
@@ -91,12 +93,6 @@ type Request struct {
 	// consumer skips.
 	Failures []ProbeFailure
 
-	// arena, when non-nil, bump-allocates disk-constraint memory. A
-	// group of several targets sets it (one arena per worker, alive for
-	// the whole group); a group of one leaves it nil: its latency disks
-	// share an exact-size arena, the few others are allocated per disk.
-	arena *constraintArena
-
 	// sched is the Localizer's measurement scheduler: the LatencySource
 	// fans its landmark pings and the RouterSource its traceroutes
 	// through it.
@@ -114,23 +110,12 @@ type Request struct {
 	dropped   []DroppedHint
 }
 
-// disk builds a disk constraint for this request, drawing its memory from
-// the request's arena when one is attached. Evidence sources should
-// prefer it over diskConstraint so their constraints fuse into batch
-// arenas automatically.
-func (req *Request) disk(kind Kind, cf, lf *geo.Frame, radiusKm, weight float64, source string) Constraint {
-	if req.arena != nil {
-		return req.arena.disk(kind, cf, lf, radiusKm, weight, source)
-	}
-	return diskConstraint(kind, cf, lf, radiusKm, weight, source)
-}
-
 // priorDisk builds the standard positive disk about a claimed location —
 // shared by the router, WHOIS, caller-hint, rDNS-hint, and geo-DB sources,
 // so the prior-style evidence classes stay geometrically consistent.
 func (req *Request) priorDisk(loc geo.Point, radiusKm, weight float64, label string) Constraint {
 	lf := geo.NewFrame(loc)
-	return req.disk(Positive, &req.PCtx.Center, &lf, radiusKm, weight, label)
+	return diskConstraint(Positive, &req.PCtx.Center, &lf, radiusKm, weight, label)
 }
 
 // SourceReport is one evidence source's provenance entry. Sources fill
@@ -377,9 +362,9 @@ func (LatencySource) Constraints(ctx context.Context, req *Request) ([]Constrain
 	}
 
 	// 3. Latency constraints from every landmark (§2.1): the radii first, so
-	// that a request on its own carves every disk — ring, ring header, region
-	// — from three blocks of exactly their total size, pinning nothing the
-	// Result does not retain. (A group's arena is already attached.)
+	// that every disk — ring, ring header, region — is carved from three
+	// blocks of exactly their total size, pinning nothing the Result does
+	// not retain.
 	var rbuf [128]float64
 	radii := rbuf[:0] // maxKm, minKm per landmark; 0 where there is no such disk
 	verts, disks := 0, 0
@@ -399,10 +384,7 @@ func (LatencySource) Constraints(ctx context.Context, req *Request) ([]Constrain
 		}
 		radii = append(radii, maxKm, minKm)
 	}
-	arena := req.arena
-	if arena == nil {
-		arena = &constraintArena{vecs: make([]geo.Vec2, 0, verts), rings: make([]geo.Ring, 0, disks), regions: make([]geo.Region, 0, disks)}
-	}
+	arena := &constraintArena{vecs: make([]geo.Vec2, 0, verts), rings: make([]geo.Ring, 0, disks), regions: make([]geo.Region, 0, disks)}
 	// Sized for the worst case (positive + negative per landmark), with
 	// headroom the later pipeline stages' appends reuse through
 	// appendConstraints' ownership transfer.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"octant/internal/probe"
 )
 
 // The request path. Every localization — one target or a thousand — is a
@@ -33,16 +31,14 @@ import (
 //     per-landmark buckets instead of each fanning out blind.
 //
 // What stays per target — measurements, constraint deltas, the two-pass
-// weighted solve — runs on a bounded worker pool when the group has more
-// than one target, each worker sweeping its targets' disk constraints
-// through one constraintArena so the per-disk allocation cost amortizes
-// across the group. A group of one allocates per disk: its Result is
-// typically retained alone (an LRU entry), and an arena chunk would pin
-// memory the one result does not use.
+// weighted solve — is built exactly as for a lone target, on a bounded
+// worker pool when the group has more than one. A target's memory is its
+// own: each Result is typically retained alone (an LRU entry), so nothing
+// a target allocates is shared with, or pinned by, another.
 //
-// Group size changes throughput and allocation behaviour, never answers:
-// the differential parity harness in fused_test.go holds batches
-// bit-identical to sequential LocalizeContext calls.
+// Group size changes throughput, never answers: the differential parity
+// harness in fused_test.go holds batches bit-identical to sequential
+// LocalizeContext calls.
 
 // defaultFusedWorkers is LocalizeBatch's worker-pool width when the
 // caller passes no explicit count. Measurement latency dominates bulk
@@ -111,7 +107,7 @@ func (l *Localizer) localizeBatch(ctx context.Context, targets []string, workers
 	cfg.fillDefaults()
 	pctx := l.projContext()
 
-	one := func(i int, arena *constraintArena) (*Result, error) {
+	one := func(i int) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -121,23 +117,13 @@ func (l *Localizer) localizeBatch(ctx context.Context, targets []string, workers
 			tctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		// Bind the target's context to the prober once: Request.Prober
-		// promises a bound prober, so a source probing through it directly
-		// observes cancellation without per-call plumbing (the scheduler
-		// passes tctx to its probe calls itself). A background context
-		// binds nothing.
-		prober := l.Prober
-		if tctx.Done() != nil {
-			prober = probe.WithContext(tctx, l.Prober)
-		}
 		req := &Request{
 			Target: targets[i],
 			Cfg:    cfg,
 			Survey: s,
 			PCtx:   pctx,
-			Prober: prober,
+			Prober: l.Prober,
 			Hints:  l.Hints,
-			arena:  arena,
 			sched:  l.sched,
 			masks:  l.masks,
 		}
@@ -148,7 +134,7 @@ func (l *Localizer) localizeBatch(ctx context.Context, targets []string, workers
 	}
 
 	if len(targets) == 1 {
-		res, err := one(0, nil)
+		res, err := one(0)
 		emit(0, res, err)
 		return
 	}
@@ -170,11 +156,8 @@ func (l *Localizer) localizeBatch(ctx context.Context, targets []string, workers
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One arena per worker for the whole group: constraint memory
-			// is retained by the Results, so the arena only ever grows.
-			arena := &constraintArena{}
 			for i := range jobs {
-				res, err := one(i, arena)
+				res, err := one(i)
 				done <- outcome{i, res, err}
 			}
 		}()

@@ -235,8 +235,8 @@ func TestLocalizeBatchNoSurvey(t *testing.T) {
 }
 
 // TestDiskConstructorsAgree: a disk is the same bytes whichever way its
-// memory is drawn — one allocation per piece (diskConstraint), the group
-// arena's chunks, or a lone request's exact-size block — over random centres
+// memory is drawn — one allocation per piece (diskConstraint) or a
+// request's exact-size block (constraintArena) — over random centres
 // and radii, antimeridian and high-latitude projections, and disks wide
 // enough to hold the projection centre's antipode, where the generated ring
 // is kept as it is instead of reversed. The exact block must come out full
@@ -258,7 +258,6 @@ func TestDiskConstructorsAgree(t *testing.T) {
 			specs = append(specs, spec{geo.NewFrame(lm), radius, Kind(i % 2)})
 			verts += geo.CircleSegments(radius, circleChordTolKm)
 		}
-		chunked := &constraintArena{}
 		exact := &constraintArena{vecs: make([]geo.Vec2, 0, verts), rings: make([]geo.Ring, 0, len(specs)), regions: make([]geo.Region, 0, len(specs))}
 		block := &exact.vecs[:1][0]
 		for i, s := range specs {
@@ -270,11 +269,9 @@ func TestDiskConstructorsAgree(t *testing.T) {
 			if c.DistanceKm(s.lf.Origin)+s.radius > math.Pi*geo.EarthRadiusKm {
 				kept++ // holds the antipode
 			}
-			for name, a := range map[string]*constraintArena{"chunked": chunked, "exact": exact} {
-				got := a.disk(s.kind, &cf, &s.lf, s.radius, 0.5, "src")
-				if got.Kind != plain.Kind || got.Weight != plain.Weight || got.Source != plain.Source || !reflect.DeepEqual(got.Region.Rings, plain.Region.Rings) {
-					t.Fatalf("centre %v disk %d: %s arena's constraint differs from diskConstraint's", c, i, name)
-				}
+			got := exact.disk(s.kind, &cf, &s.lf, s.radius, 0.5, "src")
+			if got.Kind != plain.Kind || got.Weight != plain.Weight || got.Source != plain.Source || !reflect.DeepEqual(got.Region.Rings, plain.Region.Rings) {
+				t.Fatalf("centre %v disk %d: the exact block's constraint differs from diskConstraint's", c, i)
 			}
 		}
 		if len(exact.vecs) != verts || cap(exact.vecs) != verts || &exact.vecs[0] != block || len(exact.regions) != cap(exact.regions) {

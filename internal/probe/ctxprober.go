@@ -30,9 +30,7 @@ type ContextProber interface {
 //
 // Binding an already bound prober stacks: every bound context is
 // observed, so a caller-supplied application binding keeps cancelling
-// measurements after a per-request binding is layered on top. The batch
-// engine binds each request from the Localizer's original prober, so its
-// stacks never grow beyond the caller's depth plus one.
+// measurements after a per-request binding is layered on top.
 func WithContext(ctx context.Context, p Prober) Prober {
 	return &boundProber{ctx: ctx, p: p}
 }

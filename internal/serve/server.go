@@ -14,7 +14,7 @@
 //	POST /v1/survey/install  (survey snapshot JSON)        → validate + publish a pushed epoch
 //	GET  /v1/survey/snapshot                               → current epoch as snapshot JSON
 //	GET  /v1/survey                                        → epoch, κ, swap/refresh counters
-//	GET  /v1/cache/lookup?target=&fp=&epoch=               → peer cache read (404 on miss)
+//	GET  /v1/cache/lookup?target=&fp=&epoch=               → LRU read without measuring, for the benchmark harness (404 on miss)
 //	GET  /v1/healthz                                       → liveness
 //	GET  /v1/readyz                                        → readiness (epoch published, not draining)
 //	GET  /v1/stats                                         → engine counters and latency quantiles

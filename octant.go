@@ -158,6 +158,9 @@ type (
 	// EvidenceSource is one stage of the localization pipeline.
 	EvidenceSource = core.EvidenceSource
 	// EvidenceRequest is the per-request state evidence sources consume.
+	// Its Prober is not bound to the request: a custom source that probes
+	// directly binds the ctx it is handed (ProberWithContext(ctx,
+	// req.Prober)).
 	EvidenceRequest = core.Request
 	// SourceReport is one source's provenance entry.
 	SourceReport = core.SourceReport
