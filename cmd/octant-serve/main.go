@@ -135,7 +135,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cfg.GeoDB = geodb.NewCached(provider, 0)
+		cfg.GeoDB = provider
 		logger.Printf("geodb: %d records from %s", provider.Len(), *geodbFile)
 	}
 	manager := lifecycle.New(prober, survey, cfg, lifecycle.Options{

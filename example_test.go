@@ -122,7 +122,8 @@ func ExampleBatchEngine() {
 	}
 	loc := octant.NewLocalizer(prober, survey, octant.Config{})
 
-	results, errs := octant.LocalizeAll(context.Background(), loc, targets, 4)
+	engine := octant.NewBatchEngine(loc, octant.BatchOptions{Workers: 4})
+	results, errs := engine.Collect(context.Background(), targets)
 	for i, t := range targets {
 		fmt.Printf("%s ok: %v\n", t, errs[i] == nil && !results[i].Region.IsEmpty())
 	}

@@ -138,7 +138,8 @@ func (n *NodeClient) LocalizeV2(ctx context.Context, target string, opts *serve.
 }
 
 // BatchV2 streams a batch through the node, invoking fn for every NDJSON
-// line in arrival order. fn returning an error aborts the stream.
+// line in arrival order. fn returning an error aborts the stream. It is
+// the router's only dispatch call, for one target or many.
 func (n *NodeClient) BatchV2(ctx context.Context, targets []string, opts *serve.WireOptions, fn func(serve.TargetResultV2) error) error {
 	b, err := json.Marshal(map[string]any{"targets": targets, "options": opts})
 	if err != nil {
@@ -161,27 +162,6 @@ func (n *NodeClient) BatchV2(ctx context.Context, targets []string, opts *serve.
 		}
 	}
 	return sc.Err()
-}
-
-// localize runs targets on the node and hands fn one line per target —
-// the router's only dispatch call. Input size picks the endpoint: one
-// target rides /v2/localize, the hop a single request has always taken,
-// and the 422 that endpoint answers for a failed target becomes the error
-// line /v2/localize/batch would have streamed for it; more targets ride
-// the batch endpoint.
-func (n *NodeClient) localize(ctx context.Context, targets []string, opts *serve.WireOptions, fn func(serve.TargetResultV2) error) error {
-	if len(targets) != 1 {
-		return n.BatchV2(ctx, targets, opts, fn)
-	}
-	tr, err := n.LocalizeV2(ctx, targets[0], opts)
-	var ae *apiError
-	if errors.As(err, &ae) && ae.Status == http.StatusUnprocessableEntity {
-		tr, err = serve.TargetResultV2{Target: targets[0], Error: ae.Message}, nil
-	}
-	if err != nil {
-		return err
-	}
-	return fn(tr)
 }
 
 // CacheLookup probes the node's result cache for key without triggering

@@ -469,10 +469,11 @@ func (r *Router) scatter(ctx context.Context, c *call, pending []int) error {
 
 // dispatch answers one node's share of a call, holding ring load for
 // those targets until it returns: the targets go to the node as one
-// sub-request. It returns a *RouteError when the node understood the
-// request and rejected it (another node would say the same); any other
-// error is node trouble, already reported to the node's member record,
-// and every target it leaves unanswered is the caller's to regroup.
+// /v2/localize/batch sub-request, however many there are. It returns a
+// *RouteError when the node understood the request and rejected it
+// (another node would say the same); any other error is node trouble,
+// already reported to the node's member record, and every target it
+// leaves unanswered is the caller's to regroup.
 func (r *Router) dispatch(ctx context.Context, c *call, node string, idxs []int) error {
 	release := r.ring.Reserve(node, len(idxs))
 	defer release()
@@ -489,7 +490,7 @@ func (r *Router) dispatch(ctx context.Context, c *call, node string, idxs []int)
 
 	r.dispatched.Add(uint64(len(sub)))
 	m := r.members[node]
-	err := m.node.localize(ctx, sub, c.wo, func(tr serve.TargetResultV2) error {
+	err := m.node.BatchV2(ctx, sub, c.wo, func(tr serve.TargetResultV2) error {
 		r.observeEpoch(tr.Epoch)
 		for _, i := range byTarget[tr.Target] {
 			c.results[i] = tr

@@ -303,7 +303,7 @@ func solveExact(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 	}
 	// Mask to land if requested.
 	if len(opts.LandRegions) > 0 {
-		land := geo.UnionAll(opts.LandRegions, bopts)
+		land := unionAll(opts.LandRegions, bopts)
 		var masked []cell
 		for _, cl := range cells {
 			in := geo.Intersect(cl.region, land, bopts)
@@ -343,4 +343,17 @@ func solveExact(constraints []Constraint, opts SolverOpts) (*Solution, error) {
 		Weight: cells[0].weight,
 		Point:  acc.Centroid(),
 	}, nil
+}
+
+// unionAll unions regions pairwise, divide and conquer, so the
+// intermediate regions stay balanced.
+func unionAll(regions []*geo.Region, opts *geo.BoolOpts) *geo.Region {
+	switch len(regions) {
+	case 0:
+		return geo.EmptyRegion()
+	case 1:
+		return regions[0].Clone()
+	}
+	mid := len(regions) / 2
+	return geo.Union(unionAll(regions[:mid], opts), unionAll(regions[mid:], opts), opts)
 }

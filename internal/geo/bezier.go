@@ -31,80 +31,14 @@ func (c CubicBezier) Derivative(t float64) Vec2 {
 	return a.Add(b).Add(d)
 }
 
-// Split subdivides the curve at parameter t into two cubic segments.
-func (c CubicBezier) Split(t float64) (CubicBezier, CubicBezier) {
-	p01 := c.P0.Lerp(c.P1, t)
-	p12 := c.P1.Lerp(c.P2, t)
-	p23 := c.P2.Lerp(c.P3, t)
-	p012 := p01.Lerp(p12, t)
-	p123 := p12.Lerp(p23, t)
-	mid := p012.Lerp(p123, t)
-	return CubicBezier{c.P0, p01, p012, mid}, CubicBezier{mid, p123, p23, c.P3}
-}
-
-// flatEnough reports whether the control polygon deviates from the chord by
-// at most tol.
-func (c CubicBezier) flatEnough(tol float64) bool {
-	d1 := segDistance(c.P1, c.P0, c.P3)
-	d2 := segDistance(c.P2, c.P0, c.P3)
-	return math.Max(d1, d2) <= tol
-}
-
-// Flatten appends a polyline approximation of the curve (excluding P0,
-// including P3) to dst, with maximum deviation tol.
-func (c CubicBezier) Flatten(tol float64, dst []Vec2) []Vec2 {
-	if tol <= 0 {
-		tol = 0.1
-	}
-	return flattenRec(c, tol, dst, 0)
-}
-
-func flattenRec(c CubicBezier, tol float64, dst []Vec2, depth int) []Vec2 {
-	if depth > 24 || c.flatEnough(tol) {
-		return append(dst, c.P3)
-	}
-	l, r := c.Split(0.5)
-	dst = flattenRec(l, tol, dst, depth+1)
-	return flattenRec(r, tol, dst, depth+1)
-}
-
-// BoundingBox returns the control-polygon bounding box (contains the curve).
-func (c CubicBezier) BoundingBox() (min, max Vec2) {
-	min = c.P0
-	max = c.P0
-	for _, p := range []Vec2{c.P1, c.P2, c.P3} {
-		min.X = math.Min(min.X, p.X)
-		min.Y = math.Min(min.Y, p.Y)
-		max.X = math.Max(max.X, p.X)
-		max.Y = math.Max(max.Y, p.Y)
-	}
-	return min, max
-}
-
 // BezierPath is a chain of cubic segments, closed when the last segment ends
 // at the first segment's start.
 type BezierPath []CubicBezier
 
-// Flatten converts the path to a polyline ring at tolerance tol.
-func (bp BezierPath) Flatten(tol float64) Ring {
-	if len(bp) == 0 {
-		return nil
-	}
-	pts := []Vec2{bp[0].P0}
-	for _, c := range bp {
-		pts = c.Flatten(tol, pts)
-	}
-	// Closed path: drop the duplicated final point.
-	if len(pts) > 1 && pts[0].Dist(pts[len(pts)-1]) < 1e-9 {
-		pts = pts[:len(pts)-1]
-	}
-	return Ring(pts)
-}
-
 // FitBeziers fits a closed polyline ring with a chain of cubic Beziers whose
 // maximum deviation from the input vertices is at most tol (Schneider's
 // least-squares fitting with corner splitting). The result is the compact
-// boundary representation used when serializing regions.
+// boundary representation Region.BezierBoundary reports.
 //
 // The ring is first split at sharp corners (turn angle above ~50°) so each
 // smooth piece is fitted independently with polyline-aligned end tangents;

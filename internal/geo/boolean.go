@@ -25,19 +25,6 @@ func Subtract(a, b *Region, opts *BoolOpts) *Region {
 	return rasterBool(a, b, opts, func(x, y bool) bool { return x && !y })
 }
 
-// UnionAll unions all regions (divide and conquer to keep intermediate
-// complexity balanced).
-func UnionAll(regions []*Region, opts *BoolOpts) *Region {
-	switch len(regions) {
-	case 0:
-		return EmptyRegion()
-	case 1:
-		return regions[0].Clone()
-	}
-	mid := len(regions) / 2
-	return Union(UnionAll(regions[:mid], opts), UnionAll(regions[mid:], opts), opts)
-}
-
 // Buffer morphologically grows (d > 0) or shrinks (d < 0) the region by
 // |d| km: the dilation is the Minkowski sum with a disk of radius d — the
 // "union of all circles of radius d at all points inside β" construction the

@@ -246,25 +246,6 @@ func TestInclusionExclusion(t *testing.T) {
 	}
 }
 
-func TestUnionAll(t *testing.T) {
-	regs := []*Region{
-		Disk(V2(0, 0), 5, 64),
-		Disk(V2(20, 0), 5, 64),
-		Disk(V2(40, 0), 5, 64),
-	}
-	u := UnionAll(regs, nil)
-	want := 3 * math.Pi * 25
-	if math.Abs(u.Area()-want) > want*0.03 {
-		t.Errorf("UnionAll area %v, want %v", u.Area(), want)
-	}
-	if len(u.Rings) != 3 {
-		t.Errorf("expected 3 disjoint rings, got %d", len(u.Rings))
-	}
-	if !UnionAll(nil, nil).IsEmpty() {
-		t.Error("UnionAll(nil) should be empty")
-	}
-}
-
 func TestBufferDilateErode(t *testing.T) {
 	d := Disk(V2(0, 0), 10, 128)
 	grown := Buffer(d, 5, 0.2)
@@ -293,15 +274,35 @@ func TestBufferDilateErode(t *testing.T) {
 func TestBufferDilationContainsOriginal(t *testing.T) {
 	d := Disk(V2(3, -2), 8, 96)
 	grown := Buffer(d, 3, 0.2)
-	for _, p := range d.SamplePoints(60) {
+	for _, p := range samplePoints(d, 60) {
 		if !grown.Contains(p) {
 			t.Errorf("dilation lost original point %v", p)
 		}
 	}
 	shrunk := Buffer(d, -3, 0.2)
-	for _, p := range shrunk.SamplePoints(60) {
+	for _, p := range samplePoints(shrunk, 60) {
 		if !d.Contains(p) {
 			t.Errorf("erosion produced point outside original: %v", p)
 		}
 	}
+}
+
+// samplePoints returns up to n points inside r, from a grid over its
+// bounding box.
+func samplePoints(r *Region, n int) []Vec2 {
+	min, max, _ := r.BoundingBox()
+	side := int(math.Ceil(math.Sqrt(float64(n) * 4)))
+	var out []Vec2
+	for iy := 0; iy < side && len(out) < n; iy++ {
+		for ix := 0; ix < side && len(out) < n; ix++ {
+			p := Vec2{
+				X: min.X + (max.X-min.X)*(float64(ix)+0.5)/float64(side),
+				Y: min.Y + (max.Y-min.Y)*(float64(iy)+0.5)/float64(side),
+			}
+			if r.Contains(p) {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
 }

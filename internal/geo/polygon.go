@@ -123,77 +123,9 @@ func (r Ring) DistanceTo(p Vec2) float64 {
 	return d
 }
 
-// MaxDistanceTo returns the maximum distance from p to any vertex of the
-// ring. Because Euclidean distance is convex, the maximum over the ring's
-// enclosed (convex hull of) area is attained at a vertex.
-func (r Ring) MaxDistanceTo(p Vec2) float64 {
-	var d float64
-	for _, v := range r {
-		if dd := p.Dist(v); dd > d {
-			d = dd
-		}
-	}
-	return d
-}
-
 // Clone returns a deep copy of the ring.
 func (r Ring) Clone() Ring {
 	out := make(Ring, len(r))
 	copy(out, r)
 	return out
-}
-
-// Simplify returns a copy of the ring with vertices closer than tol to the
-// line through their neighbours removed (Ramer–Douglas–Peucker applied to the
-// closed loop, split at the two farthest-apart vertices).
-func (r Ring) Simplify(tol float64) Ring {
-	n := len(r)
-	if n <= 4 || tol <= 0 {
-		return r.Clone()
-	}
-	// Split at index 0 and the vertex farthest from vertex 0.
-	far := 0
-	var fd float64
-	for i := 1; i < n; i++ {
-		if d := r[0].Dist(r[i]); d > fd {
-			fd, far = d, i
-		}
-	}
-	if far == 0 {
-		return r.Clone()
-	}
-	a := rdp(append([]Vec2{}, r[:far+1]...), tol)
-	closed := append([]Vec2{}, r[far:]...)
-	closed = append(closed, r[0])
-	b := rdp(closed, tol)
-	out := make(Ring, 0, len(a)+len(b))
-	out = append(out, a...)
-	if len(b) > 2 {
-		out = append(out, b[1:len(b)-1]...)
-	}
-	if len(out) < 3 {
-		return r.Clone()
-	}
-	return out
-}
-
-// rdp is the Ramer–Douglas–Peucker polyline simplification.
-func rdp(pts []Vec2, tol float64) []Vec2 {
-	if len(pts) < 3 {
-		return pts
-	}
-	var maxD float64
-	idx := 0
-	a, b := pts[0], pts[len(pts)-1]
-	for i := 1; i < len(pts)-1; i++ {
-		if d := segDistance(pts[i], a, b); d > maxD {
-			maxD, idx = d, i
-		}
-	}
-	if maxD <= tol {
-		return []Vec2{a, b}
-	}
-	left := rdp(pts[:idx+1], tol)
-	right := rdp(pts[idx:], tol)
-	return append(left[:len(left)-1], right...)
 }

@@ -12,7 +12,7 @@ import (
 // disconnected regions").
 //
 // Rings are stored as adaptively sampled polylines; a compact Bezier boundary
-// is available via BezierBoundary (and is how regions serialize). Regions
+// is available via BezierBoundary (ToGeoJSON writes the rings). Regions
 // are combined on a raster: many at once by the solver's weight grid, two at
 // a time by Intersect, Union and Subtract.
 type Region struct {
@@ -154,18 +154,6 @@ func (r *Region) Clone() *Region {
 	return out
 }
 
-// Simplify returns a copy with every ring simplified to tolerance tol (km).
-func (r *Region) Simplify(tol float64) *Region {
-	out := &Region{}
-	for _, ring := range r.Rings {
-		s := ring.Simplify(tol)
-		if len(s) >= 3 && s.Area() > 1e-9 {
-			out.Rings = append(out.Rings, s)
-		}
-	}
-	return out
-}
-
 // VertexCount returns the total number of vertices across rings.
 func (r *Region) VertexCount() int {
 	n := 0
@@ -178,70 +166,6 @@ func (r *Region) VertexCount() int {
 // String summarizes the region.
 func (r *Region) String() string {
 	return fmt.Sprintf("Region{rings=%d area=%.1fkm²}", len(r.Rings), r.Area())
-}
-
-// DistanceTo returns the minimum distance from p to the region: 0 if p is
-// inside, otherwise the distance to the nearest boundary.
-func (r *Region) DistanceTo(p Vec2) float64 {
-	if r.Contains(p) {
-		return 0
-	}
-	d := math.Inf(1)
-	for _, ring := range r.Rings {
-		d = math.Min(d, ring.DistanceTo(p))
-	}
-	return d
-}
-
-// MaxDistanceTo returns the maximum distance from p to any point of the
-// region (attained at a ring vertex, since distance is convex).
-func (r *Region) MaxDistanceTo(p Vec2) float64 {
-	var d float64
-	for _, ring := range r.Rings {
-		if dd := ring.MaxDistanceTo(p); dd > d {
-			d = dd
-		}
-	}
-	return d
-}
-
-// SamplePoints returns up to n points inside the region, drawn from a
-// deterministic grid over the bounding box. Useful for expressing "union of
-// disks over all points of β" style constructions and for tests.
-func (r *Region) SamplePoints(n int) []Vec2 {
-	min, max, ok := r.BoundingBox()
-	if !ok || n <= 0 {
-		return nil
-	}
-	w := max.X - min.X
-	h := max.Y - min.Y
-	if w <= 0 {
-		w = 1e-6
-	}
-	if h <= 0 {
-		h = 1e-6
-	}
-	// Grid slightly denser than n to survive rejection.
-	side := int(math.Ceil(math.Sqrt(float64(n) * 4)))
-	if side < 2 {
-		side = 2
-	}
-	var out []Vec2
-	for iy := 0; iy < side && len(out) < n; iy++ {
-		for ix := 0; ix < side && len(out) < n; ix++ {
-			p := Vec2{
-				X: min.X + w*(float64(ix)+0.5)/float64(side),
-				Y: min.Y + h*(float64(iy)+0.5)/float64(side),
-			}
-			if r.Contains(p) {
-				out = append(out, p)
-			}
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, r.Centroid())
-	}
-	return out
 }
 
 // Disk returns a circular region of the given radius around the centre, as a

@@ -50,9 +50,6 @@ func TestRingDistances(t *testing.T) {
 	if d := r.DistanceTo(V2(0, 0)); !almostEq(d, 5, 1e-9) {
 		t.Errorf("DistanceTo centre = %v, want 5 (boundary distance)", d)
 	}
-	if d := r.MaxDistanceTo(V2(0, 0)); !almostEq(d, 5*math.Sqrt2, 1e-9) {
-		t.Errorf("MaxDistanceTo = %v, want %v", d, 5*math.Sqrt2)
-	}
 }
 
 func TestRegionWithHole(t *testing.T) {
@@ -118,37 +115,6 @@ func TestRegionCentroidBBox(t *testing.T) {
 	var nilReg *Region
 	if !nilReg.IsEmpty() || nilReg.Area() != 0 || nilReg.Contains(V2(0, 0)) {
 		t.Error("nil region should behave as empty")
-	}
-}
-
-func TestSamplePoints(t *testing.T) {
-	reg := Disk(V2(0, 0), 10, 64)
-	pts := reg.SamplePoints(50)
-	if len(pts) == 0 {
-		t.Fatal("no sample points")
-	}
-	for _, p := range pts {
-		if !reg.Contains(p) {
-			t.Errorf("sample point %v outside region", p)
-		}
-	}
-}
-
-func TestSimplifyPreservesArea(t *testing.T) {
-	d := Disk(V2(0, 0), 100, 256)
-	s := d.Simplify(0.5)
-	if s.VertexCount() >= d.VertexCount() {
-		t.Errorf("Simplify did not reduce vertices: %d → %d", d.VertexCount(), s.VertexCount())
-	}
-	if rel := math.Abs(s.Area()-d.Area()) / d.Area(); rel > 0.02 {
-		t.Errorf("Simplify changed area by %.2f%%", rel*100)
-	}
-}
-
-func TestRingSimplifyDegenerate(t *testing.T) {
-	short := Ring{{0, 0}, {1, 0}, {0, 1}}
-	if got := short.Simplify(10); len(got) != 3 {
-		t.Errorf("simplifying a triangle should keep it, got %d vertices", len(got))
 	}
 }
 

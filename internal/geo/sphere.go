@@ -39,14 +39,6 @@ func UnitVec(p Point) Vec3 {
 	return Vec3{X: cosLat * cosLon, Y: cosLat * sinLon, Z: sinLat}
 }
 
-// Point converts a unit vector back to geographic coordinates.
-func (v Vec3) Point() Point {
-	return Point{
-		Lat: rad2deg(math.Asin(clamp(v.Z, -1, 1))),
-		Lon: rad2deg(math.Atan2(v.Y, v.X)),
-	}
-}
-
 // Frame is a position on the sphere with its orthonormal tangent frame:
 // U the unit position vector, E the unit east tangent, N the unit north
 // tangent. A Frame is immutable and safe to share between goroutines;

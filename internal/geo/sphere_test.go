@@ -131,7 +131,8 @@ func TestUnitVecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		p := Pt(rng.Float64()*180-90, rng.Float64()*360-180)
-		q := UnitVec(p).Point()
+		v := UnitVec(p)
+		q := Point{Lat: rad2deg(math.Asin(clamp(v.Z, -1, 1))), Lon: rad2deg(math.Atan2(v.Y, v.X))}
 		if p.DistanceKm(q) > 1e-6 {
 			t.Fatalf("round trip moved %v to %v", p, q)
 		}

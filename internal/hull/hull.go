@@ -68,24 +68,12 @@ func byXY(a, b P) int {
 	return cmp.Compare(a.Y, b.Y)
 }
 
-// UpperFacets returns the upper hull chain of pts from the leftmost to the
-// rightmost point, sorted by increasing x. Evaluated as a function of x it
-// is the tightest concave upper bound on the scatter.
-func UpperFacets(pts []P) []P {
-	upper, _ := Facets(pts)
-	return upper
-}
-
-// LowerFacets returns the lower hull chain of pts from leftmost to
-// rightmost, sorted by increasing x: the tightest convex lower bound.
-func LowerFacets(pts []P) []P {
-	_, lower := Facets(pts)
-	return lower
-}
-
-// Facets returns UpperFacets(pts) and LowerFacets(pts) from one sort by
-// (x, y): of the points sharing an x, the upper chain keeps the last (the
-// highest) and the lower chain the first (the lowest).
+// Facets returns the upper and lower hull chains of pts from the leftmost
+// to the rightmost point, sorted by increasing x. Evaluated as functions of
+// x they are the tightest concave upper and convex lower bounds on the
+// scatter. Both come from one sort by (x, y): of the points sharing an x,
+// the upper chain keeps the last (the highest) and the lower chain the
+// first (the lowest).
 func Facets(pts []P) (upper, lower []P) {
 	if len(pts) == 0 {
 		return nil, nil

@@ -44,8 +44,7 @@ func TestConvexDegenerate(t *testing.T) {
 func TestUpperLowerFacets(t *testing.T) {
 	// V-shaped scatter.
 	pts := []P{{0, 5}, {1, 2}, {2, 0}, {3, 2}, {4, 5}, {2, 3}}
-	up := UpperFacets(pts)
-	lo := LowerFacets(pts)
+	up, lo := Facets(pts)
 	// Upper chain from (0,5) to (4,5) stays at the top.
 	if up[0] != (P{0, 5}) || up[len(up)-1] != (P{4, 5}) {
 		t.Errorf("upper facets = %v", up)
@@ -80,8 +79,8 @@ func TestFacetsBoundScatter(t *testing.T) {
 		for i := range pts {
 			pts[i] = P{X: rng.Float64() * 100, Y: rng.Float64() * 4000}
 		}
-		up := Chain(UpperFacets(pts))
-		lo := Chain(LowerFacets(pts))
+		u, l := Facets(pts)
+		up, lo := Chain(u), Chain(l)
 		for _, p := range pts {
 			if up.Eval(p.X) < p.Y-1e-6 || lo.Eval(p.X) > p.Y+1e-6 {
 				return false
@@ -165,9 +164,6 @@ func TestFacetsMatchTwoSorts(t *testing.T) {
 		}
 		if wantUp, wantLo := refChain(pts, true), refChain(pts, false); !reflect.DeepEqual(up, wantUp) || !reflect.DeepEqual(lo, wantLo) {
 			t.Fatalf("seed %d, %v:\nupper %v, two sorts %v\nlower %v, two sorts %v", seed, pts, up, wantUp, lo, wantLo)
-		}
-		if u, l := UpperFacets(pts), LowerFacets(pts); !reflect.DeepEqual(u, up) || !reflect.DeepEqual(l, lo) {
-			t.Fatalf("seed %d: UpperFacets/LowerFacets differ from Facets", seed)
 		}
 	}
 }

@@ -303,21 +303,17 @@ var bodyReadTimeout = 30 * time.Second
 
 // readBody hands read the request body, capped at limit bytes, under a
 // connection read deadline bodyReadTimeout from now, so a client trickling
-// its body cannot hold a handler open. It then drains whatever read left
-// of the body inside the same bound and lifts the deadline. After a failed
+// its body cannot hold a handler open. read consumes the body, to its end
+// or to an error; once it has, readBody lifts the deadline. After a failed
 // read the deadline stays: the server's own drain of the unread body then
 // fails at once and the connection closes.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64, read func(io.Reader) error) error {
 	rc := http.NewResponseController(w)
-	// Both calls fail only off a live connection (handler tests), where
-	// there is no connection to bound.
-	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
-	body := http.MaxBytesReader(w, r.Body, limit)
-	err := read(body)
-	if err == nil {
-		_, err = io.Copy(io.Discard, body)
-	}
-	if err == nil {
+	// Setting fails only off a live connection (handler tests), where
+	// there is no connection to bound and so nothing to lift.
+	set := rc.SetReadDeadline(time.Now().Add(bodyReadTimeout)) == nil
+	err := read(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil && set {
 		_ = rc.SetReadDeadline(time.Time{})
 	}
 	return err
@@ -330,7 +326,13 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, read func(io.
 // endpoints; the localize wire has its own codec (DecodeLocalize).
 func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	err := readBody(w, r, maxRequestBody, func(body io.Reader) error {
-		return json.NewDecoder(body).Decode(dst)
+		if err := json.NewDecoder(body).Decode(dst); err != nil {
+			return err
+		}
+		// The decoder stops after the value: drain the rest, still
+		// under the cap and the deadline.
+		_, err := io.Copy(io.Discard, body)
+		return err
 	})
 	if err != nil {
 		writeBodyError(w, err, "bad request body")

@@ -66,8 +66,8 @@ func DecodeLocalize(w http.ResponseWriter, r *http.Request) (LocalizeRequest, bo
 		}
 		// Anything else is encoding/json's to judge: the bytes read, then
 		// the read's error, as json.Decoder would have met them on the
-		// body itself. A decode that stops before that error meets it
-		// when readBody drains the body, so it is the verdict then.
+		// body itself. A decode that stops before that error would have
+		// met it draining the body, so it is the verdict then.
 		src := io.Reader(bytes.NewReader(buf))
 		if rerr != nil {
 			src = io.MultiReader(src, errReader{rerr})

@@ -270,10 +270,15 @@ func decodeBodies(tb testing.TB, bodies ...[]byte) func() {
 }
 
 // TestDecodeLocalizeAllocs pins a cache_hot decode, readBody included,
-// at 10 allocations.
+// at 8 allocations, with or without the race detector: nothing on the
+// path draws from a sync.Pool, which the race runtime empties at random.
+// Two of the 8 are the failed SetReadDeadline on the recorder, which has
+// no connection to bound.
 func TestDecodeLocalizeAllocs(t *testing.T) {
-	if n := testing.AllocsPerRun(1000, decodeBodies(t, []byte(cacheHotBody))); n > 10 {
-		t.Errorf("DecodeLocalize allocates %v times per cache_hot body, want <= 10", n)
+	n := testing.AllocsPerRun(1000, decodeBodies(t, []byte(cacheHotBody)))
+	t.Logf("%v allocations per cache_hot decode", n)
+	if n > 8 {
+		t.Errorf("DecodeLocalize allocates %v times per cache_hot body, want <= 8", n)
 	}
 }
 

@@ -65,20 +65,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum (NaN for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Summary holds the row shape of the paper's §3 accuracy table.
 type Summary struct {
 	Name   string

@@ -47,8 +47,7 @@
 //	)
 //
 // Router names on traceroute paths (§2.3) and the target's own reverse
-// name are read by one name→city engine, HintEngine; UndnsResolver is
-// the same type under the paper's name for the job.
+// name are read by one name→city engine, HintEngine.
 //
 // # Serving
 //
@@ -215,6 +214,11 @@ type (
 	// GeoDBCompositeOpts tunes composite staleness decay.
 	GeoDBCompositeOpts = geodb.CompositeOpts
 	// GeoDBCached wraps a provider in an LRU lookup cache.
+	//
+	// Deprecated: pass the provider itself. Every provider here answers
+	// from memory, and over a GeoDBComposite the cache keeps the first
+	// decayed trust and inflated radius for good, freezing staleness
+	// decay at the first lookup.
 	GeoDBCached = geodb.Cached
 )
 
@@ -265,6 +269,8 @@ type (
 	SiteSpec = netsim.SiteSpec
 	// UndnsResolver maps router DNS names to locations; it is the
 	// HintEngine under its §2.3 name.
+	//
+	// Deprecated: use HintEngine, the same type.
 	UndnsResolver = hints.Engine
 )
 
@@ -397,6 +403,8 @@ func NewGeoDBComposite(opts GeoDBCompositeOpts) *GeoDBComposite { return geodb.N
 
 // NewGeoDBCached wraps a provider in an LRU lookup cache (capacity ≤ 0
 // means the 1024-entry default).
+//
+// Deprecated: pass the provider itself; see GeoDBCached.
 func NewGeoDBCached(inner GeoDBProvider, capacity int) *GeoDBCached {
 	return geodb.NewCached(inner, capacity)
 }
@@ -443,6 +451,9 @@ func ProberWithContext(ctx context.Context, p Prober) Prober {
 // LocalizeAll is the one-call batch convenience: localize every target
 // with the given parallelism and return results in submission order
 // (errs[i] is non-nil exactly where results[i] is nil).
+//
+// Deprecated: use NewBatchEngine(l, BatchOptions{Workers: workers}).Collect(ctx, targets),
+// which is what it runs.
 func LocalizeAll(ctx context.Context, l *Localizer, targets []string, workers int) ([]*Result, []error) {
 	return NewBatchEngine(l, BatchOptions{Workers: workers}).Collect(ctx, targets)
 }
@@ -460,6 +471,8 @@ func NewGeoTrack(s *Survey) *GeoTrack { return baselines.NewGeoTrack(s) }
 func NewDeployment(seed uint64) (*Deployment, error) { return eval.NewDeployment(seed) }
 
 // NewUndnsResolver returns the router-DNS-name → city resolver.
+//
+// Deprecated: use NewHintEngine, which builds the same engine.
 func NewUndnsResolver() *UndnsResolver { return hints.NewEngine() }
 
 // DefaultSites is the 51-site deployment used throughout the evaluation.
