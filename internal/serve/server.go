@@ -304,7 +304,8 @@ var bodyReadTimeout = 30 * time.Second
 // readBody hands read the request body, capped at limit bytes, under a
 // connection read deadline bodyReadTimeout from now, so a client trickling
 // its body cannot hold a handler open. read consumes the body, to its end
-// or to an error; once it has, readBody lifts the deadline. After a failed
+// or to an error (readValue drains after a decoder that stops short);
+// once it has, readBody lifts the deadline. After a failed
 // read the deadline stays: the server's own drain of the unread body then
 // fails at once and the connection closes.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64, read func(io.Reader) error) error {
@@ -319,20 +320,28 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, read func(io.
 	return err
 }
 
+// readValue is readBody for a decode that stops after its value, as
+// json.Decoder does: once decode succeeds, it drains the rest of the body
+// under the same cap and deadline, so trailing bytes past the cap are a
+// 413 and a trickled tail is cut off like a trickled value.
+func readValue(w http.ResponseWriter, r *http.Request, limit int64, decode func(io.Reader) error) error {
+	return readBody(w, r, limit, func(body io.Reader) error {
+		if err := decode(body); err != nil {
+			return err
+		}
+		_, err := io.Copy(io.Discard, body)
+		return err
+	})
+}
+
 // DecodeJSON reads one JSON request body of at most maxRequestBody bytes,
 // within bodyReadTimeout, into dst and reports whether it could; on
 // failure it has already answered — 413 for a body over the cap, 400 for
 // anything else, a body too slow to arrive included. It serves the admin
 // endpoints; the localize wire has its own codec (DecodeLocalize).
 func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	err := readBody(w, r, maxRequestBody, func(body io.Reader) error {
-		if err := json.NewDecoder(body).Decode(dst); err != nil {
-			return err
-		}
-		// The decoder stops after the value: drain the rest, still
-		// under the cap and the deadline.
-		_, err := io.Copy(io.Discard, body)
-		return err
+	err := readValue(w, r, maxRequestBody, func(body io.Reader) error {
+		return json.NewDecoder(body).Decode(dst)
 	})
 	if err != nil {
 		writeBodyError(w, err, "bad request body")
@@ -530,7 +539,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var survey *core.Survey
-	err := readBody(w, r, MaxSnapshotBody, func(body io.Reader) (err error) {
+	err := readValue(w, r, MaxSnapshotBody, func(body io.Reader) (err error) {
 		survey, err = core.ReadSnapshot(body)
 		return err
 	})

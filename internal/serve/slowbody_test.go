@@ -58,8 +58,9 @@ func listen(t *testing.T, h http.Handler) string {
 // body trickled at one byte per 50 ms within the body bound — whether the
 // JSON itself trickles or a complete object is followed by trickled
 // padding — answering 400 and closing the connection, with the goroutine
-// count back at its baseline; an NDJSON batch stream that runs longer
-// than the bound, its body read in time, still completes.
+// count back at its baseline; so does the node's /v1/survey/install for
+// its own snapshot followed by trickled padding. An NDJSON batch stream
+// that runs longer than the bound, its body read in time, still completes.
 func TestSlowRequestBody(t *testing.T) {
 	t.Cleanup(serve.SetBodyReadTimeout(bodyBound))
 	sim, landmarks, err := serve.BuildProber("sim", 5, 4, "")
@@ -82,20 +83,33 @@ func TestSlowRequestBody(t *testing.T) {
 
 	for i, tc := range []struct{ name, addr string }{{"node", nodeAddr}, {"front door", frontAddr}} {
 		t.Run(tc.name, func(t *testing.T) {
-			trickleIsCutOff(t, tc.addr, "")
-			trickleIsCutOff(t, tc.addr, `{"target":"x"}`)
+			trickleIsCutOff(t, tc.addr, "/v2/localize", "")
+			trickleIsCutOff(t, tc.addr, "/v2/localize", `{"target":"x"}`)
 			// Each surface gets targets nobody measured yet, so the stall holds.
 			batchOutlastsBound(t, tc.addr, []string{targets[2*i].Name, targets[2*i+1].Name})
 		})
 	}
+	t.Run("install", func(t *testing.T) {
+		resp, err := http.Get("http://" + nodeAddr + "/v1/survey/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("snapshot: %d, %v", resp.StatusCode, err)
+		}
+		trickleIsCutOff(t, nodeAddr, "/v1/survey/install", string(snap))
+	})
 }
 
-// trickleIsCutOff sends POST /v2/localize with a body of head, at once,
+// trickleIsCutOff sends a POST to path with a body of head, at once,
 // then 100 bytes of JSON whitespace at one byte per 50 ms (five seconds in
 // all), and expects a 400 and a closed connection well before the body
 // would have arrived.
-func trickleIsCutOff(t *testing.T, addr, head string) {
+func trickleIsCutOff(t *testing.T, addr, path, head string) {
 	t.Helper()
+	what := fmt.Sprintf("%s, body head %.40q", path, head)
 	baseline := runtime.NumGoroutine()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -103,7 +117,7 @@ func trickleIsCutOff(t *testing.T, addr, head string) {
 	}
 	defer conn.Close()
 	const size = 100
-	fmt.Fprintf(conn, "POST /v2/localize HTTP/1.1\r\nHost: octant\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(head)+size, head)
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: octant\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", path, len(head)+size, head)
 	start := time.Now()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -120,21 +134,21 @@ func trickleIsCutOff(t *testing.T, addr, head string) {
 	br := bufio.NewReader(conn)
 	status, err := br.ReadString('\n')
 	if err != nil {
-		t.Fatalf("body head %q: no answer %v after the headers: %v", head, time.Since(start), err)
+		t.Fatalf("%s: no answer %v after the headers: %v", what, time.Since(start), err)
 	}
 	if !strings.Contains(status, " 400 ") {
-		t.Errorf("body head %q: status line %q, want a 400", head, strings.TrimSpace(status))
+		t.Errorf("%s: status line %q, want a 400", what, strings.TrimSpace(status))
 	}
 	// The server hangs up: EOF, or a reset when our padding was still
 	// unread in its buffer. Only the read deadline means it did not.
 	if _, err := io.Copy(io.Discard, br); errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Errorf("body head %q: connection still open %v after the headers: %v", head, time.Since(start), err)
+		t.Errorf("%s: connection still open %v after the headers: %v", what, time.Since(start), err)
 	}
 	conn.Close()
 	wg.Wait()
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("body head %q: %d goroutines after the cut-off, %d before", head, runtime.NumGoroutine(), baseline)
+			t.Fatalf("%s: %d goroutines after the cut-off, %d before", what, runtime.NumGoroutine(), baseline)
 		}
 	}
 }

@@ -50,10 +50,10 @@ func TestOptionsQualifyTheCacheKey(t *testing.T) {
 
 // decodeOracle is the decoder DecodeLocalize replaced, kept as its
 // oracle: encoding/json refusing unknown fields, one Decode, over the
-// same readBody and the same error answers.
+// same capped, deadlined, drained read and the same error answers.
 func decodeOracle(w http.ResponseWriter, r *http.Request) (LocalizeRequest, bool) {
 	var req LocalizeRequest
-	err := readBody(w, r, maxRequestBody, func(body io.Reader) error {
+	err := readValue(w, r, maxRequestBody, func(body io.Reader) error {
 		dec := json.NewDecoder(body)
 		dec.DisallowUnknownFields()
 		return dec.Decode(&req)
@@ -81,6 +81,7 @@ func FuzzDecodeV2(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add([]byte(`{"target":"` + string(bytes.Repeat([]byte("x"), maxRequestBody)) + `"}`))
+	f.Add([]byte(`{"target":"a"}` + strings.Repeat(" ", maxRequestBody)))
 	for _, body := range []string{
 		`{"TARGET":"a"}`,
 		"{\"target\u017f\":[\"a\"],\"option\u017f\":{\"explain\":true}}",                    // U+017F folds to s
