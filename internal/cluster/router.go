@@ -434,15 +434,19 @@ func (r *Router) scatter(ctx context.Context, c *call, pending []int) error {
 		for node := range groups {
 			nodes = append(nodes, node)
 		}
+		// The last group runs on this goroutine: a one-target request
+		// spawns nothing.
 		errs := make([]error, len(nodes))
 		var wg sync.WaitGroup
-		for g, node := range nodes {
+		last := len(nodes) - 1
+		for g, node := range nodes[:last] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				errs[g] = r.dispatch(ctx, c, node, groups[node])
 			}()
 		}
+		errs[last] = r.dispatch(ctx, c, nodes[last], groups[nodes[last]])
 		wg.Wait()
 
 		failed := false

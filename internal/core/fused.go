@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -31,10 +32,13 @@ import (
 //     per-landmark buckets instead of each fanning out blind.
 //
 // What stays per target — measurements, constraint deltas, the two-pass
-// weighted solve — is built exactly as for a lone target, on a bounded
-// worker pool when the group has more than one. A target's memory is its
-// own: each Result is typically retained alone (an LRU entry), so nothing
-// a target allocates is shared with, or pinned by, another.
+// weighted solve — is built exactly as for a lone target. A larger group
+// runs on min(workers, n) goroutines that claim targets in order off a
+// counter and hand each outcome to a channel that holds them all, so no
+// worker waits on the caller; the caller only receives and emits. A
+// target's memory is its own: each Result is typically retained alone
+// (an LRU entry), so nothing a target allocates is shared with, or
+// pinned by, another.
 //
 // Group size changes throughput, never answers: the differential parity
 // harness in fused_test.go holds batches bit-identical to sequential
@@ -141,41 +145,23 @@ func (l *Localizer) localizeBatch(ctx context.Context, targets []string, workers
 	if workers <= 0 {
 		workers = defaultFusedWorkers
 	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	type outcome struct {
-		i   int
-		res *Result
-		err error
-	}
-	jobs := make(chan int)
-	done := make(chan outcome)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	// A worker fills its targets' slots and hands over each index; done
+	// holds every index, so no worker waits on this goroutine, and a
+	// worker yields after each hand-over so this one is not queued behind it.
+	var next atomic.Int64
+	results, errs := make([]*Result, len(targets)), make([]error, len(targets))
+	done := make(chan int, len(targets))
+	for w := min(workers, len(targets)); w > 0; w-- {
 		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res, err := one(i)
-				done <- outcome{i, res, err}
+			for i := int(next.Add(1)) - 1; i < len(targets); i = int(next.Add(1)) - 1 {
+				results[i], errs[i] = one(i)
+				done <- i
+				runtime.Gosched()
 			}
 		}()
 	}
-	// Feed targets and hand completions to emit from this goroutine.
-	for next, settled := 0, 0; settled < len(targets); {
-		feed := jobs
-		if next == len(targets) {
-			feed = nil
-		}
-		select {
-		case feed <- next:
-			next++
-		case o := <-done:
-			emit(o.i, o.res, o.err)
-			settled++
-		}
+	for range targets {
+		i := <-done
+		emit(i, results[i], errs[i])
 	}
-	close(jobs)
-	wg.Wait()
 }

@@ -216,29 +216,43 @@ func (c *Composite) Lookup(addr string) (Record, bool) {
 // member's trust weight decayed (and the record's radius inflated) by the
 // record's age.
 func (c *Composite) LookupWeighted(addr string) (Record, float64, bool) {
+	rec, w, ok := c.claim(addr)
+	if ok {
+		rec, w = c.age(rec, w)
+	}
+	return rec, w, ok
+}
+
+// claim returns the first member hit and the member's trust weight, as
+// stored: undecayed.
+func (c *Composite) claim(addr string) (Record, float64, bool) {
 	for _, m := range c.members {
-		rec, ok := m.p.Lookup(addr)
-		if !ok {
-			continue
+		if rec, ok := m.p.Lookup(addr); ok {
+			return rec, m.w, true
 		}
-		w := m.w
-		if !rec.AsOf.IsZero() {
-			now := time.Now
-			if c.opts.Now != nil {
-				now = c.opts.Now
-			}
-			if age := now().Sub(rec.AsOf); age > 0 {
-				if hl := c.opts.StaleHalfLife; hl > 0 {
-					w *= halveOver(age, hl)
-				}
-				if perYear := c.opts.StaleRadiusKmPerYear; perYear > 0 {
-					rec.RadiusKm += perYear * age.Hours() / (365.25 * 24)
-				}
-			}
-		}
-		return rec, w, true
 	}
 	return Record{}, 0, false
+}
+
+// age decays a claim's weight and inflates its radius by the record's
+// age on the composite's clock.
+func (c *Composite) age(rec Record, w float64) (Record, float64) {
+	if rec.AsOf.IsZero() {
+		return rec, w
+	}
+	now := time.Now
+	if c.opts.Now != nil {
+		now = c.opts.Now
+	}
+	if age := now().Sub(rec.AsOf); age > 0 {
+		if hl := c.opts.StaleHalfLife; hl > 0 {
+			w *= halveOver(age, hl)
+		}
+		if perYear := c.opts.StaleRadiusKmPerYear; perYear > 0 {
+			rec.RadiusKm += perYear * age.Hours() / (365.25 * 24)
+		}
+	}
+	return rec, w
 }
 
 // halveOver returns 0.5^(age/halfLife).
@@ -248,7 +262,9 @@ func halveOver(age, halfLife time.Duration) float64 {
 
 // Cached wraps a provider with a fixed-capacity LRU over lookup results,
 // negatives included — passive databases are consulted on every
-// localization, and the working set of targets is small.
+// localization, and the working set of targets is small. A Composite's
+// answer ages with its clock, so for one the cache keeps the stored claim
+// and decays it on every read.
 type Cached struct {
 	inner Provider
 	memo  *lru.Cache[string, cacheEntry]
@@ -284,14 +300,21 @@ func (c *Cached) Lookup(addr string) (Record, bool) {
 // consumer would get from the raw provider. Two concurrent first lookups
 // of one address both ask inner; the provider answers both the same.
 func (c *Cached) LookupWeighted(addr string) (Record, float64, bool) {
+	comp, aging := c.inner.(*Composite)
 	ent, ok := c.memo.Get(addr)
 	if !ok {
-		if w, weighted := c.inner.(Weighted); weighted {
-			ent.rec, ent.w, ent.ok = w.LookupWeighted(addr)
-		} else {
-			ent.rec, ent.ok = c.inner.Lookup(addr)
+		switch p := c.inner.(type) {
+		case *Composite:
+			ent.rec, ent.w, ent.ok = p.claim(addr)
+		case Weighted:
+			ent.rec, ent.w, ent.ok = p.LookupWeighted(addr)
+		default:
+			ent.rec, ent.ok = p.Lookup(addr)
 		}
 		c.memo.Put(addr, ent)
+	}
+	if aging && ent.ok {
+		ent.rec, ent.w = comp.age(ent.rec, ent.w)
 	}
 	return ent.rec, ent.w, ent.ok
 }

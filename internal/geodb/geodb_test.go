@@ -260,6 +260,37 @@ func TestCachedPassesThroughWeights(t *testing.T) {
 	}
 }
 
+// TestCachedCompositeAgesWithItsClock: the cache keeps a Composite's
+// claim, not its decayed weight, so a record read through the cache ages
+// as the composite's clock moves, exactly as it does read directly.
+func TestCachedCompositeAgesWithItsClock(t *testing.T) {
+	t0 := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	now := t0
+	s := NewStatic("s")
+	s.Add("h1", Record{Loc: geo.Pt(1, 1), RadiusKm: 10, AsOf: t0})
+	comp := NewComposite(CompositeOpts{
+		StaleHalfLife:        365 * 24 * time.Hour,
+		StaleRadiusKmPerYear: 5,
+		Now:                  func() time.Time { return now },
+	})
+	comp.AddProvider(s, 0.9)
+	c := NewCached(comp, 4)
+	if _, w, ok := c.LookupWeighted("h1"); !ok || w != 0.9 {
+		t.Fatalf("at t0: weight %v (ok %v), want 0.9", w, ok)
+	}
+	now = t0.Add(2 * 365 * 24 * time.Hour)
+	want, wantW, _ := comp.LookupWeighted("h1")
+	if wantW != 0.225 {
+		t.Fatalf("composite two years on: weight %v, want 0.225", wantW)
+	}
+	if got, w, ok := c.LookupWeighted("h1"); !ok || w != wantW || got != want {
+		t.Errorf("cached two years on: %+v weight %v, want %+v weight %v", got, w, want, wantW)
+	}
+	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("Stats = %d hits / %d misses, want 1/1", hits, misses)
+	}
+}
+
 func TestSynthKnobs(t *testing.T) {
 	w := netsim.NewWorld(netsim.Config{Seed: 1})
 	hosts := w.HostNodes()

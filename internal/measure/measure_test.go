@@ -250,6 +250,66 @@ func TestFanoutOverlapsTrains(t *testing.T) {
 	}
 }
 
+// TestRoundsFinishOnOneProcessor runs a ping round and a pair sweep on
+// one processor with jobs that never block, so the calling goroutine
+// works the round while its helpers wait to be scheduled. Every slot
+// still runs exactly once into its own index, the round's failure stays
+// in its slot, and the sweep reports its lowest failed pair and issues
+// no pair after it.
+func TestRoundsFinishOnOneProcessor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	boom := errors.New("vantage down")
+	srcs := srcNames(40)
+	s := New(Config{Workers: 16})
+
+	p := newFakeProber(0)
+	p.failSrc["lm-05"] = boom
+	out := make([]float64, len(srcs))
+	errs := make([]error, len(srcs))
+	s.PingMinInto(context.Background(), p, srcs, "target", 4, 0, out, errs)
+	for i, src := range srcs {
+		if p.bySrc[src] != 1 {
+			t.Errorf("round: slot %d pinged %d times, want once", i, p.bySrc[src])
+		}
+		switch {
+		case src == "lm-05":
+			if !errors.Is(errs[i], boom) {
+				t.Errorf("round: slot %d err = %v, want %v", i, errs[i], boom)
+			}
+		case errs[i] != nil || out[i] != p.rtt(src, "target"):
+			t.Errorf("round: slot %d = (%v, %v), want (%v, nil)", i, out[i], errs[i], p.rtt(src, "target"))
+		}
+	}
+
+	p = newFakeProber(0)
+	errLow, errHigh := errors.New("low slot"), errors.New("high slot")
+	p.failSrc["lm-07"], p.failSrc["lm-20"] = errLow, errHigh
+	addrs := append(srcs, "target")
+	pairs := make([][2]int, len(srcs))
+	for i := range srcs {
+		pairs[i] = [2]int{i, len(srcs)}
+	}
+	out = make([]float64, len(pairs))
+	if slot, err := s.PingPairsInto(context.Background(), p, addrs, pairs, 4, out); slot != 7 || !errors.Is(err, errLow) {
+		t.Errorf("sweep = (%d, %v), want (7, %v)", slot, err, errLow)
+	}
+	for i, src := range srcs {
+		want := 1
+		if i > 7 {
+			want = 0
+		}
+		if p.bySrc[src] != want {
+			t.Errorf("sweep: pair %d pinged %d times, want %d", i, p.bySrc[src], want)
+		}
+		if i < 7 && out[i] != p.rtt(src, "target") {
+			t.Errorf("sweep: pair %d = %v, want %v", i, out[i], p.rtt(src, "target"))
+		}
+	}
+	if st := s.Stats(); st.Rounds != 2 || st.Pings != uint64(len(srcs)+8) {
+		t.Errorf("stats: rounds=%d pings=%d, want 2/%d", st.Rounds, st.Pings, len(srcs)+8)
+	}
+}
+
 // TestCancelMidFanout: a context cancelled mid-round returns promptly,
 // leaves no goroutines behind, and leaves the scheduler fit for a clean
 // retry.

@@ -19,7 +19,10 @@
 //     per-landmark token bucket (perLandmark concurrent trains)
 //     keeps parallelism from hammering any single vantage point — the property a real
 //     deployment needs so 16-way target fan-out never looks like an
-//     attack to one landmark's rate limiter.
+//     attack to one landmark's rate limiter. A round runs on its
+//     caller plus up to Workers − 1 helper goroutines, each started by a
+//     worker that found a slot, and returns once every claimed slot has
+//     settled; a helper that starts late finds no slot and exits.
 //
 //   - Slot-indexed placement. Every fan-out writes result i into the
 //     caller's slot i, so downstream consumers see landmark order —
@@ -77,7 +80,7 @@ type Scheduler struct {
 	global chan struct{} // global in-flight probe cap
 
 	mu      sync.Mutex
-	buckets map[string]*bucket
+	buckets map[string]chan struct{}
 
 	pings          atomic.Uint64
 	pingFailures   atomic.Uint64
@@ -93,7 +96,7 @@ func New(cfg Config) *Scheduler {
 	return &Scheduler{
 		cfg:     cfg,
 		global:  make(chan struct{}, cfg.Workers),
-		buckets: make(map[string]*bucket),
+		buckets: make(map[string]chan struct{}),
 	}
 }
 
@@ -135,17 +138,13 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// bucket is one landmark's token bucket: a semaphore bounding concurrent
-// trains.
-type bucket struct {
-	sem chan struct{}
-}
-
-func (s *Scheduler) bucket(src string) *bucket {
+// bucket returns src's token bucket: a semaphore bounding concurrent
+// trains from one landmark.
+func (s *Scheduler) bucket(src string) chan struct{} {
 	s.mu.Lock()
 	b := s.buckets[src]
 	if b == nil {
-		b = &bucket{sem: make(chan struct{}, perLandmark)}
+		b = make(chan struct{}, perLandmark)
 		s.buckets[src] = b
 	}
 	s.mu.Unlock()
@@ -156,30 +155,30 @@ func (s *Scheduler) bucket(src string) *bucket {
 // the global cap. Only the acquisition order matters for liveness —
 // global-slot holders are always probing, never waiting on a landmark
 // token, so the two semaphores cannot deadlock.
-func (s *Scheduler) acquire(ctx context.Context, src string) (*bucket, error) {
+func (s *Scheduler) acquire(ctx context.Context, src string) (chan struct{}, error) {
 	b := s.bucket(src)
 	select {
-	case b.sem <- struct{}{}:
+	case b <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	select {
 	case s.global <- struct{}{}:
 	case <-ctx.Done():
-		<-b.sem
+		<-b
 		return nil, ctx.Err()
 	}
 	return b, nil
 }
 
-func (s *Scheduler) release(b *bucket) {
+func (s *Scheduler) release(b chan struct{}) {
 	<-s.global
-	<-b.sem
+	<-b
 }
 
-// fan is one fan-out round: slots dispatched in order off an atomic
-// counter to min(Workers, n) goroutines. Dispatch-in-order is what makes
-// lowest-errored-slot equal the sequential loop's first error.
+// fan is one fan-out round: slots claimed in order off an atomic counter.
+// Claim-in-order is what makes lowest-errored-slot equal the sequential
+// loop's first error.
 type fan struct {
 	ctx  context.Context
 	n    int
@@ -193,18 +192,27 @@ type fan struct {
 
 	next    atomic.Int64
 	aborted atomic.Bool
-	wg      sync.WaitGroup
+	spawn   atomic.Int64  // helpers not yet started
+	settled atomic.Int64  // claimed slots run or skipped
+	done    chan struct{} // closed when settled reaches n; nil without helpers
 }
 
+// work claims and runs slots; whoever settles the last one closes done.
+// A worker starts the next helper at its first slot, so a round grows
+// only while its workers find work.
 func (f *fan) work() {
-	defer f.wg.Done()
+	settled := 0
 	for {
 		slot := int(f.next.Add(1)) - 1
 		if slot >= f.n {
-			return
+			break
 		}
+		if settled == 0 && f.spawn.Add(-1) >= 0 {
+			go f.work()
+		}
+		settled++
 		if f.stopOnErr && f.aborted.Load() {
-			return
+			continue
 		}
 		if err := f.job(slot); err != nil {
 			f.errs[slot] = err
@@ -213,21 +221,25 @@ func (f *fan) work() {
 			}
 		}
 	}
+	if settled > 0 && f.settled.Add(int64(settled)) == int64(f.n) && f.done != nil {
+		close(f.done)
+	}
 }
 
-// run executes the round and blocks until every dispatched slot settled
-// — cancellation makes jobs return fast, it never orphans a goroutine.
+// run works the round on the calling goroutine plus up to
+// min(Workers, n) − 1 helpers and returns once every claimed slot has
+// settled: a helper that starts late finds no slot and exits, and with
+// one worker it is the sequential loop with no goroutine.
 func (s *Scheduler) run(f *fan) {
 	s.rounds.Add(1)
-	workers := s.cfg.Workers
-	if workers > f.n {
-		workers = f.n
+	if helpers := min(s.cfg.Workers, f.n) - 1; helpers > 0 {
+		f.done = make(chan struct{})
+		f.spawn.Store(int64(helpers))
 	}
-	f.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go f.work()
+	f.work()
+	if f.done != nil {
+		<-f.done
 	}
-	f.wg.Wait()
 	if f.ctx.Err() != nil {
 		s.cancelledRound.Add(1)
 	}

@@ -140,6 +140,67 @@ func TestBatchEndpointEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBatchStreamsBeforeLastTarget pins the batch route's streaming: a
+// gated prober holds the last target's pings until the client has read
+// one NDJSON line over a real connection. A node that held its lines
+// until the batch ended would never send that line, and the test fails
+// on its deadline.
+func TestBatchStreamsBeforeLastTarget(t *testing.T) {
+	prober, landmarks, err := BuildProber("sim", 5, 45, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	survey, err := core.NewSurvey(prober, landmarks, core.SurveyOpts{UseHeights: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []string
+	for _, h := range prober.(*probe.SimProber).World.HostNodes()[:4] {
+		targets = append(targets, h.Name)
+	}
+	last := targets[len(targets)-1]
+	gated := gateProber{Prober: prober, dst: last, gate: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(gated.gate) }) }
+	manager := lifecycle.New(gated, survey, core.Config{}, lifecycle.Options{})
+	engine := batch.NewWithProvider(manager, batch.Options{Workers: 2})
+	ts := httptest.NewServer(New(engine, manager, Options{}).Handler())
+	defer ts.Close()
+	defer release() // before Close, which waits for the handler
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	body, _ := json.Marshal(map[string]any{"targets": targets})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v2/localize/batch", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("no line while %s's pings were held: %v", last, err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	seen := map[string]bool{}
+	for sc.Scan() {
+		var tr TargetResultV2
+		if err := json.Unmarshal(sc.Bytes(), &tr); err != nil || tr.Error != "" {
+			t.Fatalf("line %q: %v", sc.Text(), err)
+		}
+		if len(seen) == 0 && tr.Target == last {
+			t.Fatalf("first line is %s, whose pings were held", last)
+		}
+		seen[tr.Target] = true
+		release()
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("no line while %s's pings were held: %v", last, err)
+	}
+	if len(seen) != len(targets) {
+		t.Errorf("answered %d of %d targets", len(seen), len(targets))
+	}
+}
+
 func TestSingleLocalizeAndCacheFlag(t *testing.T) {
 	s := sharedStack(t)
 	h := s.srv.Handler()
@@ -774,6 +835,20 @@ type delayProber struct {
 
 func (p delayProber) Ping(src, dst string, n int) ([]float64, error) {
 	time.Sleep(p.d)
+	return p.Prober.Ping(src, dst, n)
+}
+
+// gateProber holds every Ping to dst until gate is closed.
+type gateProber struct {
+	probe.Prober
+	dst  string
+	gate chan struct{}
+}
+
+func (p gateProber) Ping(src, dst string, n int) ([]float64, error) {
+	if dst == p.dst {
+		<-p.gate
+	}
 	return p.Prober.Ping(src, dst, n)
 }
 
