@@ -34,8 +34,8 @@ import (
 // What stays per target — measurements, constraint deltas, the two-pass
 // weighted solve — is built exactly as for a lone target. A larger group
 // runs on min(workers, n) goroutines that claim targets in order off a
-// counter and hand each outcome to a channel that holds them all, so no
-// worker waits on the caller; the caller only receives and emits. A
+// counter and hand each finished index to a channel that holds them all,
+// so no worker waits on the caller; the caller only receives and emits. A
 // target's memory is its own: each Result is typically retained alone
 // (an LRU entry), so nothing a target allocates is shared with, or
 // pinned by, another.
