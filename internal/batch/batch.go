@@ -7,7 +7,7 @@
 // is dominated by measurement latency, which overlaps perfectly across
 // targets. Engine has one request path for all of it. A request is a group
 // of targets under one options set (a single target is a group of one);
-// Engine.serve borrows one epoch for the group, answers what it can from
+// Engine.LocalizeBatchWith borrows one epoch for the group, answers what it can from
 // the LRU, coalesces the rest — duplicates inside the group and identical
 // targets other concurrent calls are already measuring — hands each
 // remaining distinct key to core.LocalizeBatchDeadline exactly once, and
@@ -26,8 +26,9 @@
 // superseded calibration: the new epoch's requests cannot name the old
 // entries, which age out of the LRU by disuse.
 //
-// Requests may carry per-request core.LocalizeOption values: options are
-// resolved once per call, and the options fingerprint is part of the
+// Requests may carry per-request options: LocalizeBatchWith takes them
+// resolved, with their fingerprint, and the functional-option entry
+// points resolve them once per call. The fingerprint is part of the
 // Key, so the same target tuned two ways never shares a result, while
 // identical tunings still hit and coalesce. Options that cannot be fingerprinted (custom evidence
 // sources) bypass sharing entirely.
@@ -170,7 +171,8 @@ func (e *Engine) Localize(ctx context.Context, target string, opts ...core.Local
 // LocalizeItem is Localize with the full item metadata (cache status,
 // elapsed time) that serving front ends report per response.
 func (e *Engine) LocalizeItem(ctx context.Context, target string, opts ...core.LocalizeOption) (item Item) {
-	e.serve(ctx, []string{target}, resolveOpts(opts), func(it Item) { item = it })
+	o, fp := resolve(opts)
+	e.LocalizeBatchWith(ctx, []string{target}, o, fp, func(it Item) { item = it })
 	return item
 }
 
@@ -186,11 +188,11 @@ func (e *Engine) LocalizeItem(ctx context.Context, target string, opts ...core.L
 // consumer: a slow reader cannot hold up measurements that concurrent
 // calls have coalesced onto this one.
 func (e *Engine) Run(ctx context.Context, targets []string, opts ...core.LocalizeOption) <-chan Item {
-	ro := resolveOpts(opts)
+	o, fp := resolve(opts)
 	out := make(chan Item, len(targets))
 	go func() {
 		defer close(out)
-		e.serve(ctx, targets, ro, func(it Item) { out <- it })
+		e.LocalizeBatchWith(ctx, targets, o, fp, func(it Item) { out <- it })
 	}()
 	return out
 }
@@ -201,33 +203,21 @@ func (e *Engine) Run(ctx context.Context, targets []string, opts ...core.Localiz
 func (e *Engine) Collect(ctx context.Context, targets []string, opts ...core.LocalizeOption) (results []*core.Result, errs []error) {
 	results = make([]*core.Result, len(targets))
 	errs = make([]error, len(targets))
-	e.serve(ctx, targets, resolveOpts(opts), func(it Item) {
+	o, fp := resolve(opts)
+	e.LocalizeBatchWith(ctx, targets, o, fp, func(it Item) {
 		results[it.Index], errs[it.Index] = it.Result, it.Err
 	})
 	return results, errs
 }
 
-// resolved carries a request's pre-resolved options plus the derived
-// cache-key material, computed once per call.
-type resolved struct {
-	opts *core.LocalizeOptions // nil = defaults
-	// fp is the options fingerprint ("" for defaults).
-	fp string
-	// cacheable is false when the options cannot be fingerprinted by
-	// content (custom evidence sources); such requests share nothing: no
-	// cache read, no cache insertion, no coalescing — every occurrence
-	// measures independently.
-	cacheable bool
-}
-
-// resolveOpts resolves functional options once. The zero-option path
-// stays allocation-free.
-func resolveOpts(opts []core.LocalizeOption) resolved {
+// resolve resolves functional options once, for the entry points that
+// take them. No options stay allocation-free: (nil, "").
+func resolve(opts []core.LocalizeOption) (*core.LocalizeOptions, string) {
 	if len(opts) == 0 {
-		return resolved{cacheable: true}
+		return nil, ""
 	}
 	o := core.NewLocalizeOptions(opts...)
-	return resolved{opts: &o, fp: o.Fingerprint(), cacheable: o.Cacheable()}
+	return &o, o.Fingerprint()
 }
 
 // waiter is one distinct key a call could not answer from the cache: the
@@ -239,16 +229,24 @@ type waiter struct {
 	call *flightCall
 }
 
-// serve is the engine's one request path. It borrows the provider's
-// current epoch once, up front, and uses that one snapshot for the cache
-// lookups, the coalescing keys, and the measurements — the call is
-// epoch-consistent end to end even if a swap lands mid-flight. Every
-// submitted target is emitted exactly once, on the calling goroutine:
-// cache hits first, measured and coalesced outcomes as they complete.
-// Metrics count one request per submitted target, hits and misses at the
-// cache, and one coalesced per delivery that rode a measurement some
-// other position or call started.
-func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit func(Item)) {
+// LocalizeBatchWith is the engine's one request path, over options the
+// caller resolved once: o (nil = defaults) and fp, its Fingerprint — the
+// node resolves a request's wire options into both (serve's
+// WireOptions.Resolve). It mirrors core's LocalizeBatchWith. It borrows
+// the provider's current epoch once, up front, and uses that one snapshot
+// for the cache lookups, the coalescing keys, and the measurements — the
+// call is epoch-consistent end to end even if a swap lands mid-flight.
+// Every submitted target is emitted exactly once, on the calling
+// goroutine: cache hits first, measured and coalesced outcomes as they
+// complete; emit should not block (Run hands items to a channel that
+// holds the whole batch). Options that cannot be fingerprinted by
+// content (custom evidence sources, a geo-DB provider) share nothing: no
+// cache read, no cache insertion, no coalescing — every occurrence
+// measures independently. Metrics count one request per submitted
+// target, hits and misses at the cache, and one coalesced per delivery
+// that rode a measurement some other position or call started.
+func (e *Engine) LocalizeBatchWith(ctx context.Context, targets []string, o *core.LocalizeOptions, fp string, emit func(Item)) {
+	cacheable := o.Cacheable()
 	start := time.Now()
 	for range targets {
 		e.metrics.begin()
@@ -270,8 +268,8 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 	var pending []waiter
 	var seen map[Key]int // key → position in pending; multi-target calls only
 	for i, t := range targets {
-		key := Key{Target: t, Fingerprint: ro.fp, Epoch: epoch}
-		if ro.cacheable {
+		key := Key{Target: t, Fingerprint: fp, Epoch: epoch}
+		if cacheable {
 			if res, ok := e.cache.Get(key); ok {
 				e.metrics.hit()
 				emit(Item{Index: i, Target: t, Epoch: epoch, Result: res, Cached: true, Elapsed: time.Since(start)})
@@ -330,7 +328,7 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 		var led, following []waiter
 		for _, w := range pending {
 			leader := true
-			if ro.cacheable {
+			if cacheable {
 				// The Key carries the epoch and the fingerprint: a follower
 				// never receives a result computed on a snapshot — or
 				// under options — it did not ask for.
@@ -348,7 +346,7 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 			for j := range led {
 				measure[j] = led[j].key.Target
 			}
-			loc.LocalizeBatchDeadline(ctx, measure, e.opts.Workers, e.opts.TargetTimeout, ro.opts, func(j int, res *core.Result, err error) {
+			loc.LocalizeBatchDeadline(ctx, measure, e.opts.Workers, e.opts.TargetTimeout, o, func(j int, res *core.Result, err error) {
 				w := &led[j]
 				if err != nil {
 					// Cancellations and per-target deadline expiries
@@ -359,7 +357,7 @@ func (e *Engine) serve(ctx context.Context, targets []string, ro resolved, emit 
 				} else {
 					// Once per computed result, not per delivery.
 					e.metrics.observePriors(res)
-					if ro.cacheable && !res.Degraded {
+					if cacheable && !res.Degraded {
 						// Degraded results are served but never cached:
 						// the failure that degraded them is transient, and
 						// a cached entry would keep answering from partial

@@ -222,8 +222,9 @@ func TestOversizedBodyIs413(t *testing.T) {
 }
 
 // TestNodeAndFrontDoorRefuseTheSameBatches: a node and the front door run
-// one target-list check (serve.CheckTargets) after the options, so every
-// bad batch body gets the same answer from both.
+// one options check (serve.WireOptions.Resolve) and then one target-list
+// check (serve.CheckTargets), so every bad batch body gets the same
+// status and text from both, on every call.
 func TestNodeAndFrontDoorRefuseTheSameBatches(t *testing.T) {
 	fleet := startFleet(t, 2, 13)
 	r, err := NewRouter(fleet.Clients(), RouterConfig{})
@@ -248,16 +249,20 @@ func TestNodeAndFrontDoorRefuseTheSameBatches(t *testing.T) {
 		"over MaxBatch":         {"targets": over},
 		"bad options and over":  {"targets": over, "options": badOptions},
 		"bad options and empty": {"targets": []string{""}, "options": badOptions},
+		// Three bad weights: refused for the first in name order, "bar".
+		"bad weights": {"targets": []string{fleet.Targets[0]}, "options": map[string]any{"weights": map[string]float64{"foo": 1, "bar": 1, "geodb": -1}}},
 	} {
 		b, _ := json.Marshal(body)
-		var recs [2]*httptest.ResponseRecorder
-		for i, h := range handlers {
-			recs[i] = httptest.NewRecorder()
-			h.ServeHTTP(recs[i], httptest.NewRequest(http.MethodPost, "/v2/localize/batch", bytes.NewReader(b)))
-		}
-		node, front := recs[0], recs[1]
-		if node.Code == http.StatusOK || node.Code != front.Code {
-			t.Errorf("%s: node %d %.80s, front door %d %.80s; want one refusal", name, node.Code, node.Body, front.Code, front.Body)
+		for range 20 {
+			var recs [2]*httptest.ResponseRecorder
+			for i, h := range handlers {
+				recs[i] = httptest.NewRecorder()
+				h.ServeHTTP(recs[i], httptest.NewRequest(http.MethodPost, "/v2/localize/batch", bytes.NewReader(b)))
+			}
+			node, front := recs[0], recs[1]
+			if node.Code == http.StatusOK || node.Code != front.Code || node.Body.String() != front.Body.String() {
+				t.Fatalf("%s: node %d %.80s, front door %d %.80s; want one refusal", name, node.Code, node.Body, front.Code, front.Body)
+			}
 		}
 	}
 }

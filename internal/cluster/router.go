@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"octant/internal/batch"
-	"octant/internal/core"
 	"octant/internal/lru"
 	"octant/internal/serve"
 )
@@ -234,19 +233,6 @@ func routeErrorf(status int, format string, args ...any) *RouteError {
 	return &RouteError{Status: status, Message: fmt.Sprintf(format, args...)}
 }
 
-// resolveWire validates wire options and derives the fingerprint the
-// cluster tiers key on: "" for a default request, as the batch engine's
-// resolveOpts does. Wire options carry nothing that cannot be
-// fingerprinted, so every wire request is cacheable.
-func resolveWire(wo *serve.WireOptions) (fp string, err error) {
-	opts, err := wo.Options()
-	if err != nil || len(opts) == 0 {
-		return "", err
-	}
-	o := core.NewLocalizeOptions(opts...)
-	return o.Fingerprint(), nil
-}
-
 // Localize routes one localization through the cluster. A single target
 // is a batch of one — the same validation, cache tiers, placement and
 // failover as Batch — with the lone line unwrapped: a target the node
@@ -277,7 +263,10 @@ func (r *Router) Localize(ctx context.Context, target string, wo *serve.WireOpti
 // to serve.
 func (r *Router) Batch(ctx context.Context, targets []string, wo *serve.WireOptions) ([]serve.TargetResultV2, error) {
 	// Options first, then the target list: the order a node checks them.
-	fp, err := resolveWire(wo)
+	// The front door forwards wo itself; it keeps only the fingerprint,
+	// for its L1 and ring keys. Wire options carry nothing that cannot be
+	// fingerprinted, so every wire request is cacheable.
+	_, fp, err := wo.Resolve()
 	if err != nil {
 		return nil, routeErrorf(http.StatusBadRequest, "bad options: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"octant/internal/geo"
+	"octant/internal/geodb"
 )
 
 // localizeFixture builds one deployment and a default localizer for the
@@ -486,6 +487,17 @@ func TestFingerprint(t *testing.T) {
 			t.Errorf("options %d and %d share fingerprint %q", i, j, fp)
 		}
 		seen[fp] = i
+	}
+
+	// What no wire request carries (FuzzFingerprint covers the rest)
+	// encodes as the strings.Builder version did, byte for byte.
+	all := NewLocalizeOptions(WithoutSource(SourceRouter), WithSourceWeight(SourceHint, 0.5),
+		WithMinLandmarks(-4), WithHint(geo.Pt(1, 2), 50, 0.5, "x"),
+		WithConstraints(Constraint{Kind: Positive, Weight: 1, Source: "c", Region: geo.Disk(geo.V2(0, 0), 10, 16)}),
+		WithEvidenceSource(LatencySource{}), WithGeoDB(geodb.NewStatic("db")),
+		WithSecondary(geo.Disk(geo.V2(0, 0), 10, 16), 2))
+	if fp, want := all.Fingerprint(), fingerprintOracle(&all); fp != want {
+		t.Errorf("fingerprint %q, oracle %q", fp, want)
 	}
 }
 

@@ -3,9 +3,8 @@ package core
 import (
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"octant/internal/geo"
 	"octant/internal/geodb"
@@ -249,92 +248,96 @@ func (o *LocalizeOptions) Fingerprint() string {
 	if o.isZero() {
 		return ""
 	}
-	var b strings.Builder
+	// The encoding is appended to a stack buffer and copied out once, and
+	// up to eight map keys are sorted in a stack slice: the common request
+	// allocates only the returned string.
+	var buf [128]byte
+	var scratch [8]string
+	b := buf[:0]
 	if len(o.Disabled) > 0 {
-		names := make([]string, 0, len(o.Disabled))
+		names := scratch[:0]
 		for name, off := range o.Disabled {
 			if off {
 				names = append(names, name)
 			}
 		}
-		sort.Strings(names)
-		b.WriteString("d=")
+		slices.Sort(names)
+		b = append(b, "d="...)
 		for _, name := range names {
-			fpString(&b, name)
+			b = fpString(b, name)
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
 	if len(o.WeightScale) > 0 {
-		names := make([]string, 0, len(o.WeightScale))
+		names := scratch[:0]
 		for name := range o.WeightScale {
 			names = append(names, name)
 		}
-		sort.Strings(names)
-		b.WriteString("w=")
+		slices.Sort(names)
+		b = append(b, "w="...)
 		for _, name := range names {
-			fpString(&b, name)
-			b.WriteString(fpFloat(o.WeightScale[name]) + ",")
+			b = append(fpFloat(fpString(b, name), o.WeightScale[name]), ',')
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
 	if o.MinAreaKm2 != 0 {
-		b.WriteString("a=" + fpFloat(o.MinAreaKm2) + ";")
+		b = append(fpFloat(append(b, "a="...), o.MinAreaKm2), ';')
 	}
 	if o.FineCellKm != 0 {
-		b.WriteString("f=" + fpFloat(o.FineCellKm) + ";")
+		b = append(fpFloat(append(b, "f="...), o.FineCellKm), ';')
 	}
 	if o.NegHeightPercentile != 0 {
-		b.WriteString("p=" + fpFloat(o.NegHeightPercentile) + ";")
+		b = append(fpFloat(append(b, "p="...), o.NegHeightPercentile), ';')
 	}
 	if o.MinLandmarks != 0 {
-		b.WriteString("q=" + strconv.Itoa(o.MinLandmarks) + ";")
+		b = append(strconv.AppendInt(append(b, "q="...), int64(o.MinLandmarks), 10), ';')
 	}
 	if o.Explain {
-		b.WriteString("e;")
+		b = append(b, "e;"...)
 	}
 	if len(o.Hints) > 0 {
-		b.WriteString("h=")
+		b = append(b, "h="...)
 		for _, h := range o.Hints {
 			for _, f := range [...]float64{h.Loc.Lat, h.Loc.Lon, h.RadiusKm, h.Weight} {
-				b.WriteString(fpFloat(f) + ",")
+				b = append(fpFloat(b, f), ',')
 			}
-			fpString(&b, h.Label)
+			b = fpString(b, h.Label)
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
 	if len(o.Extra) > 0 {
 		h := fnv.New64a()
 		for _, c := range o.Extra {
 			hashConstraint(h, &c)
 		}
-		b.WriteString("c=" + strconv.Itoa(len(o.Extra)) + ":" + strconv.FormatUint(h.Sum64(), 36) + ";")
+		b = strconv.AppendInt(append(b, "c="...), int64(len(o.Extra)), 10)
+		b = append(strconv.AppendUint(append(b, ':'), h.Sum64(), 36), ';')
 	}
 	if len(o.ExtraSources) > 0 {
 		// Content is not fingerprintable; Cacheable() is false, so this
 		// component only keeps the encoding lossless for debugging.
-		b.WriteString("s=" + strconv.Itoa(len(o.ExtraSources)) + ";")
+		b = append(strconv.AppendInt(append(b, "s="...), int64(len(o.ExtraSources)), 10), ';')
 	}
 	if o.GeoDB != nil {
 		// Same caveat as ExtraSources: the provider's name keeps the
 		// encoding lossless, but Cacheable() is false.
-		b.WriteString("g=")
-		fpString(&b, o.GeoDB.Name())
-		b.WriteByte(';')
+		b = append(fpString(append(b, "g="...), o.GeoDB.Name()), ';')
 	}
 	if o.Secondary != nil {
 		h := fnv.New64a()
 		hashRegion(h, o.Secondary.Beta)
-		b.WriteString("2=" + fpFloat(o.Secondary.RTTMs) + ":" + strconv.FormatUint(h.Sum64(), 36) + ";")
+		b = fpFloat(append(b, "2="...), o.Secondary.RTTMs)
+		b = append(strconv.AppendUint(append(b, ':'), h.Sum64(), 36), ';')
 	}
-	return b.String()
+	return string(b)
 }
 
-// fpFloat renders a float64 exactly (hex form) for fingerprints.
-func fpFloat(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
+// fpFloat appends f exactly (hex form).
+func fpFloat(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'x', -1, 64) }
 
-// fpString writes s as "len:s".
-func fpString(b *strings.Builder, s string) {
-	b.WriteString(strconv.Itoa(len(s)) + ":" + s)
+// fpString appends s as "len:s".
+func fpString(b []byte, s string) []byte {
+	return append(append(strconv.AppendInt(b, int64(len(s)), 10), ':'), s...)
 }
 
 type hash64 interface {

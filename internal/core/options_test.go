@@ -2,9 +2,13 @@ package core
 
 import (
 	"encoding/binary"
+	"hash/fnv"
 	"maps"
 	"math"
 	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"octant/internal/geo"
@@ -98,11 +102,104 @@ func sameOptions(a, b LocalizeOptions) bool {
 // holds the three collisions of the unprefixed encoding: a disabled-source
 // name spelling a list, a weight name spelling a second entry, and a hint
 // label spelling a second hint.
+//
+// Each fingerprint must also be byte for byte what the strings.Builder
+// encoding (fingerprintOracle) writes: cache keys outlive a build in the
+// front door's L1, in peers' /v1/cache/lookup keys and in the benchmark
+// harness's keys.
 func FuzzFingerprint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		oa, ob := fuzzOptions(a), fuzzOptions(b)
-		if fp := oa.Fingerprint(); fp == ob.Fingerprint() && !sameOptions(oa, ob) {
+		fp := oa.Fingerprint()
+		if want := fingerprintOracle(&oa); fp != want {
+			t.Fatalf("fingerprint %q, oracle %q for %+v", fp, want, oa)
+		}
+		if fp == ob.Fingerprint() && !sameOptions(oa, ob) {
 			t.Fatalf("distinct options share fingerprint %q:\n%+v\n%+v", fp, oa, ob)
 		}
 	})
+}
+
+// fingerprintOracle is LocalizeOptions.Fingerprint as first written:
+// sorted keys formatted through a strings.Builder.
+func fingerprintOracle(o *LocalizeOptions) string {
+	if o.isZero() {
+		return ""
+	}
+	str := func(b *strings.Builder, s string) { b.WriteString(strconv.Itoa(len(s)) + ":" + s) }
+	num := func(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
+	var b strings.Builder
+	if len(o.Disabled) > 0 {
+		names := make([]string, 0, len(o.Disabled))
+		for name, off := range o.Disabled {
+			if off {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		b.WriteString("d=")
+		for _, name := range names {
+			str(&b, name)
+		}
+		b.WriteByte(';')
+	}
+	if len(o.WeightScale) > 0 {
+		names := make([]string, 0, len(o.WeightScale))
+		for name := range o.WeightScale {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		b.WriteString("w=")
+		for _, name := range names {
+			str(&b, name)
+			b.WriteString(num(o.WeightScale[name]) + ",")
+		}
+		b.WriteByte(';')
+	}
+	if o.MinAreaKm2 != 0 {
+		b.WriteString("a=" + num(o.MinAreaKm2) + ";")
+	}
+	if o.FineCellKm != 0 {
+		b.WriteString("f=" + num(o.FineCellKm) + ";")
+	}
+	if o.NegHeightPercentile != 0 {
+		b.WriteString("p=" + num(o.NegHeightPercentile) + ";")
+	}
+	if o.MinLandmarks != 0 {
+		b.WriteString("q=" + strconv.Itoa(o.MinLandmarks) + ";")
+	}
+	if o.Explain {
+		b.WriteString("e;")
+	}
+	if len(o.Hints) > 0 {
+		b.WriteString("h=")
+		for _, h := range o.Hints {
+			for _, f := range [...]float64{h.Loc.Lat, h.Loc.Lon, h.RadiusKm, h.Weight} {
+				b.WriteString(num(f) + ",")
+			}
+			str(&b, h.Label)
+		}
+		b.WriteByte(';')
+	}
+	if len(o.Extra) > 0 {
+		h := fnv.New64a()
+		for _, c := range o.Extra {
+			hashConstraint(h, &c)
+		}
+		b.WriteString("c=" + strconv.Itoa(len(o.Extra)) + ":" + strconv.FormatUint(h.Sum64(), 36) + ";")
+	}
+	if len(o.ExtraSources) > 0 {
+		b.WriteString("s=" + strconv.Itoa(len(o.ExtraSources)) + ";")
+	}
+	if o.GeoDB != nil {
+		b.WriteString("g=")
+		str(&b, o.GeoDB.Name())
+		b.WriteByte(';')
+	}
+	if o.Secondary != nil {
+		h := fnv.New64a()
+		hashRegion(h, o.Secondary.Beta)
+		b.WriteString("2=" + num(o.Secondary.RTTMs) + ":" + strconv.FormatUint(h.Sum64(), 36) + ";")
+	}
+	return b.String()
 }

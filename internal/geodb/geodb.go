@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"octant/internal/geo"
-	"octant/internal/lru"
 )
 
 // Record is one provider's claim about an address.
@@ -214,28 +213,19 @@ func (c *Composite) Lookup(addr string) (Record, bool) {
 
 // LookupWeighted implements Weighted: the first member hit, with the
 // member's trust weight decayed (and the record's radius inflated) by the
-// record's age.
+// record's age on the composite's clock.
 func (c *Composite) LookupWeighted(addr string) (Record, float64, bool) {
-	rec, w, ok := c.claim(addr)
-	if ok {
-		rec, w = c.age(rec, w)
-	}
-	return rec, w, ok
-}
-
-// claim returns the first member hit and the member's trust weight, as
-// stored: undecayed.
-func (c *Composite) claim(addr string) (Record, float64, bool) {
 	for _, m := range c.members {
 		if rec, ok := m.p.Lookup(addr); ok {
-			return rec, m.w, true
+			rec, w := c.age(rec, m.w)
+			return rec, w, true
 		}
 	}
 	return Record{}, 0, false
 }
 
-// age decays a claim's weight and inflates its radius by the record's
-// age on the composite's clock.
+// age decays a member's trust weight and inflates the record's radius by
+// the record's age.
 func (c *Composite) age(rec Record, w float64) (Record, float64) {
 	if rec.AsOf.IsZero() {
 		return rec, w
@@ -258,69 +248,4 @@ func (c *Composite) age(rec Record, w float64) (Record, float64) {
 // halveOver returns 0.5^(age/halfLife).
 func halveOver(age, halfLife time.Duration) float64 {
 	return math.Exp2(-float64(age) / float64(halfLife))
-}
-
-// Cached wraps a provider with a fixed-capacity LRU over lookup results,
-// negatives included — passive databases are consulted on every
-// localization, and the working set of targets is small. A Composite's
-// answer ages with its clock, so for one the cache keeps the stored claim
-// and decays it on every read.
-type Cached struct {
-	inner Provider
-	memo  *lru.Cache[string, cacheEntry]
-}
-
-// cacheEntry is one memoized lookup, hit or miss.
-type cacheEntry struct {
-	rec Record
-	w   float64
-	ok  bool
-}
-
-// NewCached wraps inner with an LRU of the given capacity (≤ 0 defaults
-// to 1024).
-func NewCached(inner Provider, capacity int) *Cached {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &Cached{inner: inner, memo: lru.New[string, cacheEntry](capacity, 0)}
-}
-
-// Name implements Provider.
-func (c *Cached) Name() string { return c.inner.Name() }
-
-// Lookup implements Provider.
-func (c *Cached) Lookup(addr string) (Record, bool) {
-	rec, _, ok := c.LookupWeighted(addr)
-	return rec, ok
-}
-
-// LookupWeighted implements Weighted. When the inner provider is not
-// Weighted the cached weight is 0 ("use your default"), matching what the
-// consumer would get from the raw provider. Two concurrent first lookups
-// of one address both ask inner; the provider answers both the same.
-func (c *Cached) LookupWeighted(addr string) (Record, float64, bool) {
-	comp, aging := c.inner.(*Composite)
-	ent, ok := c.memo.Get(addr)
-	if !ok {
-		switch p := c.inner.(type) {
-		case *Composite:
-			ent.rec, ent.w, ent.ok = p.claim(addr)
-		case Weighted:
-			ent.rec, ent.w, ent.ok = p.LookupWeighted(addr)
-		default:
-			ent.rec, ent.ok = p.Lookup(addr)
-		}
-		c.memo.Put(addr, ent)
-	}
-	if aging && ent.ok {
-		ent.rec, ent.w = comp.age(ent.rec, ent.w)
-	}
-	return ent.rec, ent.w, ent.ok
-}
-
-// Stats reports the cache's hit/miss counters and occupancy.
-func (c *Cached) Stats() (hits, misses uint64, size int) {
-	hits, misses = c.memo.Counters()
-	return hits, misses, c.memo.Len()
 }

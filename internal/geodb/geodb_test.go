@@ -179,118 +179,6 @@ func TestCompositeUndatedRecordsStayFresh(t *testing.T) {
 	}
 }
 
-// countingProvider counts how often the inner table is consulted.
-type countingProvider struct {
-	*Static
-	calls int
-}
-
-func (p *countingProvider) Lookup(addr string) (Record, bool) {
-	p.calls++
-	return p.Static.Lookup(addr)
-}
-
-func TestCachedMemoizesHitsAndMisses(t *testing.T) {
-	inner := &countingProvider{Static: NewStatic("inner")}
-	inner.Add("h1", Record{Loc: geo.Pt(1, 1)})
-	c := NewCached(inner, 8)
-	if c.Name() != "inner" {
-		t.Errorf("Name = %q", c.Name())
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok := c.Lookup("h1"); !ok {
-			t.Fatal("h1 missed")
-		}
-		if _, ok := c.Lookup("absent"); ok {
-			t.Fatal("absent hit")
-		}
-	}
-	if inner.calls != 2 {
-		t.Errorf("inner consulted %d times, want 2 (one per distinct address, negatives cached too)", inner.calls)
-	}
-	hits, misses, size := c.Stats()
-	if hits != 4 || misses != 2 || size != 2 {
-		t.Errorf("Stats = %d/%d/%d, want 4/2/2", hits, misses, size)
-	}
-}
-
-func TestCachedEvictsLRU(t *testing.T) {
-	inner := &countingProvider{Static: NewStatic("inner")}
-	inner.Add("a", Record{})
-	inner.Add("b", Record{})
-	inner.Add("c", Record{})
-	c := NewCached(inner, 2)
-	c.Lookup("a")
-	c.Lookup("b")
-	c.Lookup("a") // refresh a; b is now LRU
-	c.Lookup("c") // evicts b
-	inner.calls = 0
-	c.Lookup("a")
-	c.Lookup("c")
-	if inner.calls != 0 {
-		t.Errorf("resident entries re-consulted inner %d times", inner.calls)
-	}
-	c.Lookup("b")
-	if inner.calls != 1 {
-		t.Errorf("evicted entry consulted inner %d times, want 1", inner.calls)
-	}
-}
-
-func TestCachedPassesThroughWeights(t *testing.T) {
-	s := NewStatic("s")
-	s.Add("h1", Record{Loc: geo.Pt(1, 1), AsOf: time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)})
-	comp := NewComposite(CompositeOpts{
-		StaleHalfLife: 365 * 24 * time.Hour,
-		Now:           func() time.Time { return time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC) },
-	})
-	comp.AddProvider(s, 1)
-	c := NewCached(comp, 4)
-	_, w1, ok := c.LookupWeighted("h1")
-	if !ok || w1 <= 0 || w1 >= 1 {
-		t.Fatalf("weighted passthrough = %v %v, want decayed weight in (0,1)", w1, ok)
-	}
-	_, w2, _ := c.LookupWeighted("h1")
-	if w2 != w1 {
-		t.Errorf("cached weight %v != first %v", w2, w1)
-	}
-	// Non-Weighted inner: cached weight is 0 ("use your default").
-	plain := NewCached(s, 4)
-	if _, w, _ := plain.LookupWeighted("h1"); w != 0 {
-		t.Errorf("non-weighted inner produced weight %v", w)
-	}
-}
-
-// TestCachedCompositeAgesWithItsClock: the cache keeps a Composite's
-// claim, not its decayed weight, so a record read through the cache ages
-// as the composite's clock moves, exactly as it does read directly.
-func TestCachedCompositeAgesWithItsClock(t *testing.T) {
-	t0 := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	now := t0
-	s := NewStatic("s")
-	s.Add("h1", Record{Loc: geo.Pt(1, 1), RadiusKm: 10, AsOf: t0})
-	comp := NewComposite(CompositeOpts{
-		StaleHalfLife:        365 * 24 * time.Hour,
-		StaleRadiusKmPerYear: 5,
-		Now:                  func() time.Time { return now },
-	})
-	comp.AddProvider(s, 0.9)
-	c := NewCached(comp, 4)
-	if _, w, ok := c.LookupWeighted("h1"); !ok || w != 0.9 {
-		t.Fatalf("at t0: weight %v (ok %v), want 0.9", w, ok)
-	}
-	now = t0.Add(2 * 365 * 24 * time.Hour)
-	want, wantW, _ := comp.LookupWeighted("h1")
-	if wantW != 0.225 {
-		t.Fatalf("composite two years on: weight %v, want 0.225", wantW)
-	}
-	if got, w, ok := c.LookupWeighted("h1"); !ok || w != wantW || got != want {
-		t.Errorf("cached two years on: %+v weight %v, want %+v weight %v", got, w, want, wantW)
-	}
-	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("Stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-}
-
 func TestSynthKnobs(t *testing.T) {
 	w := netsim.NewWorld(netsim.Config{Seed: 1})
 	hosts := w.HostNodes()

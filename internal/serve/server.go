@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -175,62 +176,103 @@ var knownSources = map[string]bool{
 	core.SourceGeography: true,
 }
 
-// Options converts the wire options (nil = none) into request options.
-func (wo *WireOptions) Options() ([]core.LocalizeOption, error) {
+// Resolve checks the wire options (nil = none) and resolves them into
+// the request's options and their fingerprint, the one step between a
+// decoded body and the engine or the front door's cache key. Defaults
+// resolve to (nil, ""). The checks run in a fixed order — disable,
+// weights by name, the overrides, hints by index — so one body always
+// earns one 400 text. The result shares wo's Weights map, and neither
+// side may change it afterwards.
+func (wo *WireOptions) Resolve() (*core.LocalizeOptions, string, error) {
 	if wo == nil {
-		return nil, nil
+		return nil, "", nil
 	}
-	var opts []core.LocalizeOption
+	var o core.LocalizeOptions
 	for _, name := range wo.Disable {
 		if !knownSources[name] {
-			return nil, fmt.Errorf("unknown source %q in disable (want latency|router|hint|rdns|geodb|geography)", name)
+			return nil, "", fmt.Errorf("unknown source %q in disable (want latency|router|hint|rdns|geodb|geography)", name)
 		}
-		opts = append(opts, core.WithoutSource(name))
+		if o.Disabled == nil {
+			o.Disabled = make(map[string]bool, len(wo.Disable))
+		}
+		o.Disabled[name] = true
 	}
-	for name, scale := range wo.Weights {
-		if !knownSources[name] {
-			return nil, fmt.Errorf("unknown source %q in weights (want latency|router|hint|rdns|geodb|geography)", name)
-		}
-		if scale <= 0 {
-			return nil, fmt.Errorf("weight scale for %q must be > 0, got %v", name, scale)
-		}
-		opts = append(opts, core.WithSourceWeight(name, scale))
+	if err := checkWeights(wo.Weights); err != nil {
+		return nil, "", err
+	}
+	if len(wo.Weights) > 0 {
+		o.WeightScale = wo.Weights
 	}
 	if wo.MinAreaKm2 < 0 || wo.FineCellKm < 0 {
-		return nil, fmt.Errorf("min_area_km2 and fine_cell_km must be ≥ 0")
+		return nil, "", fmt.Errorf("min_area_km2 and fine_cell_km must be ≥ 0")
 	}
 	if wo.MinAreaKm2 > 0 {
-		opts = append(opts, core.WithMinAreaKm2(wo.MinAreaKm2))
+		o.MinAreaKm2 = wo.MinAreaKm2
 	}
 	if wo.FineCellKm > 0 {
-		opts = append(opts, core.WithFineCellKm(wo.FineCellKm))
+		o.FineCellKm = wo.FineCellKm
 	}
-	if wo.NegHeightPercentile != 0 {
-		if wo.NegHeightPercentile < 0 || wo.NegHeightPercentile > 100 {
-			return nil, fmt.Errorf("neg_height_percentile must be in (0, 100], got %v", wo.NegHeightPercentile)
-		}
-		opts = append(opts, core.WithNegHeightPercentile(wo.NegHeightPercentile))
+	if p := wo.NegHeightPercentile; p < 0 || p > 100 {
+		return nil, "", fmt.Errorf("neg_height_percentile must be in (0, 100], got %v", p)
 	}
-	if wo.MinLandmarks != 0 {
-		if wo.MinLandmarks < 0 {
-			return nil, fmt.Errorf("min_landmarks must be ≥ 0, got %d", wo.MinLandmarks)
-		}
-		opts = append(opts, core.WithMinLandmarks(wo.MinLandmarks))
+	o.NegHeightPercentile = wo.NegHeightPercentile
+	if wo.MinLandmarks < 0 {
+		return nil, "", fmt.Errorf("min_landmarks must be ≥ 0, got %d", wo.MinLandmarks)
 	}
-	if wo.Explain {
-		opts = append(opts, core.WithExplain())
+	o.MinLandmarks = wo.MinLandmarks
+	o.Explain = wo.Explain
+	if len(wo.Hints) > 0 {
+		o.Hints = make([]core.Hint, len(wo.Hints))
 	}
 	for i, h := range wo.Hints {
 		loc := geo.Pt(h.Lat, h.Lon)
 		if !loc.Valid() {
-			return nil, fmt.Errorf("hint %d: invalid coordinates (%v, %v)", i, h.Lat, h.Lon)
+			return nil, "", fmt.Errorf("hint %d: invalid coordinates (%v, %v)", i, h.Lat, h.Lon)
 		}
 		if h.RadiusKm < 0 || h.RadiusKm > math.Pi*geo.EarthRadiusKm || h.Weight < 0 {
-			return nil, fmt.Errorf("hint %d: radius_km must be in [0, π·R] and weight ≥ 0", i)
+			return nil, "", fmt.Errorf("hint %d: radius_km must be in [0, π·R] and weight ≥ 0", i)
 		}
-		opts = append(opts, core.WithHint(loc, h.RadiusKm, h.Weight, h.Label))
+		o.Hints[i] = core.Hint{Loc: loc, RadiusKm: h.RadiusKm, Weight: h.Weight, Label: h.Label}
 	}
-	return opts, nil
+	fp := o.Fingerprint()
+	if fp == "" {
+		return nil, "", nil
+	}
+	resolved := o // escapes; the defaults return above allocate nothing
+	return &resolved, fp, nil
+}
+
+// checkWeights refuses an unknown source or a scale ≤ 0, reporting the
+// first offending name in sorted order whatever order the map walks in.
+func checkWeights(weights map[string]float64) error {
+	bad, found := "", false
+	for name, scale := range weights {
+		if (!knownSources[name] || scale <= 0) && (!found || name < bad) {
+			bad, found = name, true
+		}
+	}
+	switch {
+	case !found:
+		return nil
+	case !knownSources[bad]:
+		return fmt.Errorf("unknown source %q in weights (want latency|router|hint|rdns|geodb|geography)", bad)
+	default:
+		return fmt.Errorf("weight scale for %q must be > 0, got %v", bad, weights[bad])
+	}
+}
+
+// Options is Resolve as one functional option, which sets every field of
+// the request's options to wo's.
+//
+// Deprecated: use Resolve, which also returns the fingerprint.
+func (wo *WireOptions) Options() ([]core.LocalizeOption, error) {
+	o, _, err := wo.Resolve()
+	if o == nil {
+		return nil, err
+	}
+	resolved := *o
+	resolved.WeightScale = maps.Clone(o.WeightScale)
+	return []core.LocalizeOption{func(dst *core.LocalizeOptions) { *dst = resolved }}, nil
 }
 
 // TargetResultV2 is the wire form of one localization outcome. Latitude
@@ -368,7 +410,7 @@ func writeBodyError(w http.ResponseWriter, err error, what string) {
 // refused: a misspelled option key ("weight" for "weights") must 400
 // rather than silently run — and cache — the request under server
 // defaults.
-func (s *Server) localizeHandler(batch bool) http.HandlerFunc {
+func (s *Server) localizeHandler(many bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			WriteError(w, http.StatusMethodNotAllowed, "POST required")
@@ -378,22 +420,23 @@ func (s *Server) localizeHandler(batch bool) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		if !batch && req.Target == "" {
+		if !many && req.Target == "" {
 			WriteError(w, http.StatusBadRequest, "missing target")
 			return
 		}
-		opts, err := req.Options.Options()
+		o, fp, err := req.Options.Resolve()
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, "bad options: %v", err)
 			return
 		}
-		if batch {
-			s.streamBatch(w, r, req.Targets, opts)
+		if many {
+			s.streamBatch(w, r, req.Targets, o, fp)
 			return
 		}
 		// r.Context() cancels on client disconnect, aborting the
 		// measurement at its next probe.
-		item := s.engine.LocalizeItem(r.Context(), req.Target, opts...)
+		var item batch.Item
+		s.engine.LocalizeBatchWith(r.Context(), []string{req.Target}, o, fp, func(it batch.Item) { item = it })
 		if item.Err != nil {
 			WriteError(w, http.StatusUnprocessableEntity, "%v", item.Err)
 			return
@@ -423,7 +466,7 @@ func CheckTargets(targets []string, maxBatch int) (int, error) {
 
 // streamBatch validates the target list and streams one result line per
 // completed target.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, targets []string, opts []core.LocalizeOption) {
+func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, targets []string, o *core.LocalizeOptions, fp string) {
 	if status, err := CheckTargets(targets, s.opts.MaxBatch); err != nil {
 		WriteError(w, status, "%v", err)
 		return
@@ -433,7 +476,13 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, targets []s
 	flusher, _ := w.(http.Flusher)
 	b := getWireBuf()
 	defer func() { putWireBuf(b) }()
-	items := s.engine.Run(r.Context(), targets, opts...)
+	// The channel holds the whole batch, so the engine never waits on
+	// this writer (see batch.Engine.Run).
+	items := make(chan batch.Item, len(targets))
+	go func() {
+		defer close(items)
+		s.engine.LocalizeBatchWith(r.Context(), targets, o, fp, func(it batch.Item) { items <- it })
+	}()
 	for item := range items {
 		tr := ToTargetResultV2(item)
 		var err error

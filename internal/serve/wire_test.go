@@ -66,7 +66,7 @@ func decodeOracle(w http.ResponseWriter, r *http.Request) (LocalizeRequest, bool
 }
 
 // FuzzDecodeV2: any body posted to a localize route goes through
-// DecodeLocalize and WireOptions.Options. DecodeLocalize must agree with
+// DecodeLocalize and WireOptions.Resolve. DecodeLocalize must agree with
 // decodeOracle — accept the same bodies, decode them to the same request,
 // and refuse the rest with the same 400 or 413, byte for byte. Options
 // that pass carry in-range hints and resolve to the same Fingerprint
@@ -135,7 +135,7 @@ func FuzzDecodeV2(f *testing.F) {
 		if len(body) > maxRequestBody {
 			t.Fatalf("decoded a %d-byte body", len(body))
 		}
-		opts, err := req.Options.Options()
+		_, fp, err := req.Options.Resolve()
 		if err != nil {
 			return // the handler's 400
 		}
@@ -146,10 +146,8 @@ func FuzzDecodeV2(f *testing.F) {
 				}
 			}
 		}
-		again, _ := req.Options.Options()
-		a, b := core.NewLocalizeOptions(opts...), core.NewLocalizeOptions(again...)
-		if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
-			t.Fatalf("one body, two fingerprints: %q, %q", fa, fb)
+		if _, again, _ := req.Options.Resolve(); again != fp {
+			t.Fatalf("one body, two fingerprints: %q, %q", fp, again)
 		}
 	})
 }

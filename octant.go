@@ -213,13 +213,6 @@ type (
 	GeoDBComposite = geodb.Composite
 	// GeoDBCompositeOpts tunes composite staleness decay.
 	GeoDBCompositeOpts = geodb.CompositeOpts
-	// GeoDBCached wraps a provider in an LRU lookup cache.
-	//
-	// Deprecated: pass the provider itself. Every provider here answers
-	// from memory, and over a GeoDBComposite the cache keeps the first
-	// decayed trust and inflated radius for good, freezing staleness
-	// decay at the first lookup.
-	GeoDBCached = geodb.Cached
 )
 
 // Built-in evidence source names for WithoutSource / WithSourceWeight.
@@ -267,11 +260,6 @@ type (
 	WorldConfig = netsim.Config
 	// SiteSpec describes one simulated host site.
 	SiteSpec = netsim.SiteSpec
-	// UndnsResolver maps router DNS names to locations; it is the
-	// HintEngine under its §2.3 name.
-	//
-	// Deprecated: use HintEngine, the same type.
-	UndnsResolver = hints.Engine
 )
 
 // Batch and serving types.
@@ -401,14 +389,6 @@ func LoadGeoDB(path string) (*GeoDBStatic, error) { return geodb.LoadFile(path) 
 // staleness decay; lookups take the first member that answers.
 func NewGeoDBComposite(opts GeoDBCompositeOpts) *GeoDBComposite { return geodb.NewComposite(opts) }
 
-// NewGeoDBCached wraps a provider in an LRU lookup cache (capacity ≤ 0
-// means the 1024-entry default).
-//
-// Deprecated: pass the provider itself; see GeoDBCached.
-func NewGeoDBCached(inner GeoDBProvider, capacity int) *GeoDBCached {
-	return geodb.NewCached(inner, capacity)
-}
-
 // NewBatchEngine wraps a fixed Localizer in a concurrent batch engine.
 func NewBatchEngine(l *Localizer, opts BatchOptions) *BatchEngine {
 	return batch.New(l, opts)
@@ -448,16 +428,6 @@ func ProberWithContext(ctx context.Context, p Prober) Prober {
 	return probe.WithContext(ctx, p)
 }
 
-// LocalizeAll is the one-call batch convenience: localize every target
-// with the given parallelism and return results in submission order
-// (errs[i] is non-nil exactly where results[i] is nil).
-//
-// Deprecated: use NewBatchEngine(l, BatchOptions{Workers: workers}).Collect(ctx, targets),
-// which is what it runs.
-func LocalizeAll(ctx context.Context, l *Localizer, targets []string, workers int) ([]*Result, []error) {
-	return NewBatchEngine(l, BatchOptions{Workers: workers}).Collect(ctx, targets)
-}
-
 // NewGeoLim builds the CBG baseline over a survey.
 func NewGeoLim(s *Survey) *GeoLim { return baselines.NewGeoLim(s) }
 
@@ -469,11 +439,6 @@ func NewGeoTrack(s *Survey) *GeoTrack { return baselines.NewGeoTrack(s) }
 
 // NewDeployment builds the 51-node evaluation testbed from the paper's §3.
 func NewDeployment(seed uint64) (*Deployment, error) { return eval.NewDeployment(seed) }
-
-// NewUndnsResolver returns the router-DNS-name → city resolver.
-//
-// Deprecated: use NewHintEngine, which builds the same engine.
-func NewUndnsResolver() *UndnsResolver { return hints.NewEngine() }
 
 // DefaultSites is the 51-site deployment used throughout the evaluation.
 var DefaultSites = netsim.DefaultSites
